@@ -154,5 +154,5 @@ def killing_form(L: LieAlgebra) -> InvariantForm:
     """kappa(x, y) = trace(ad x . ad y)."""
     ads = [L.ad_matrix(i) for i in range(L.dim)]
     gram = Matrix([[(ads[i] @ ads[j]).trace() for j in range(L.dim)]
-                   for i in range(L.dim)], cols=L.dim) if L.dim else Matrix.zero(0, 0)
+                   for i in range(L.dim)], cols=L.dim)
     return InvariantForm(L, gram)

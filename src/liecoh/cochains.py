@@ -8,7 +8,7 @@ never divides: char 0 keeps every identity exact.
 The covariant differential of a linear map S into endomorphisms is
 S wedge + d (trivial coefficients); its square is wedging with the
 curvature of S, and curvature is computed both from the bracket formula
-and from the calculus, cross-checked in debug runs.
+and from the calculus, cross-checked on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .config import degree_cap
 from .errors import (DegreeCapExceededError, DegreeMismatchError,
-                     DimensionMismatchError, NotADerivationError)
+                     DimensionMismatchError, InvariantViolation,
+                     NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation
 from .linalg import (Matrix, ZERO, vec_add, vec_is_zero, vec_scale, vec_sub,
                      zero_vec)
@@ -242,15 +243,6 @@ class EquivariantPairing:
             raise DimensionMismatchError("pairing arguments have the wrong lengths")
         return tuple(self._fn(tuple(u), tuple(v)))
 
-    def tensor(self) -> tuple:
-        """3-index table t[k][i][j] with m(u,v)_k = sum t[k][i][j] u_i v_j."""
-        from .linalg import unit_vec
-        cols = [[self.apply(unit_vec(self.left_dim, i), unit_vec(self.right_dim, j))
-                 for j in range(self.right_dim)] for i in range(self.left_dim)]
-        return tuple(tuple(tuple(cols[i][j][k] for j in range(self.right_dim))
-                           for i in range(self.left_dim))
-                     for k in range(self.out_dim))
-
     def _check_equivariance(self):
         rep_u, rep_v, rep_w = self.witness
         if (rep_u.space_dim != self.left_dim or rep_v.space_dim != self.right_dim
@@ -271,30 +263,8 @@ class EquivariantPairing:
                             f"pairing is not equivariant at basis triple ({x},{i},{j})")
 
     @classmethod
-    def from_tensor(cls, tensor, witness=None) -> "EquivariantPairing":
-        tensor = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane)
-                       for plane in tensor)
-        out_dim = len(tensor)
-        left_dim = len(tensor[0]) if out_dim else 0
-        right_dim = len(tensor[0][0]) if out_dim and left_dim else 0
-
-        def fn(u, v):
-            return tuple(
-                sum((tensor[k][i][j] * u[i] * v[j]
-                     for i in range(left_dim) if u[i] != 0
-                     for j in range(right_dim) if v[j] != 0), ZERO)
-                for k in range(out_dim))
-
-        return cls(left_dim, right_dim, out_dim, fn, witness=witness)
-
-    @classmethod
     def scalar_multiplication(cls) -> "EquivariantPairing":
         return cls(1, 1, 1, lambda u, v: (u[0] * v[0],))
-
-    @classmethod
-    def bilinear_form(cls, gram: Matrix) -> "EquivariantPairing":
-        return cls(gram.rows, gram.cols, 1,
-                   lambda u, v: (sum((x * y for x, y in zip(u, gram.matvec(v))), ZERO),))
 
     @classmethod
     def lie_bracket(cls, V: LieAlgebra) -> "EquivariantPairing":
@@ -530,11 +500,11 @@ def curvature(S: OuterActionMap) -> Cochain:
             if not vec_is_zero(val):
                 table[(i, j)] = val
     result = Cochain(L, 2, m * m, table)
-    if __debug__:
-        s_coch = S.as_end_cochain()
-        comm = EquivariantPairing.commutator(m)
-        calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)
-        assert calculus == result, "curvature formulas disagree"
+    s_coch = S.as_end_cochain()
+    comm = EquivariantPairing.commutator(m)
+    calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)
+    if calculus != result:
+        raise InvariantViolation("curvature formulas disagree")
     return result
 
 

@@ -13,28 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cochains import (Cochain, OuterActionMap, cochain_space_dim,
-                       covariant_differential, curvature, increasing_tuples)
+from .cochains import (Cochain, OuterActionMap, cochain_differential,
+                       cochain_space_dim, covariant_differential, curvature,
+                       increasing_tuples)
 from .errors import DimensionMismatchError, SpaceMismatchError
-from .liealg import LieAlgebra, Representation
+from .liealg import LieAlgebra, Representation, ad_stack
 from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
                      solve_affine, vec_is_zero, vec_sub, zero_vec)
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
     """Matrix of the degree-p differential in lexicographic coordinates."""
-    from .cochains import cochain_differential
-    n = rep.algebra.dim
-    m = rep.space_dim
-    rows = cochain_space_dim(n, p + 1, m)
-    cols = []
-    for key in increasing_tuples(n, p):
-        for comp in range(m):
-            vec = [0] * m
-            vec[comp] = 1
-            basis_cochain = Cochain(rep.algebra, p, m, {key: vec})
-            cols.append(cochain_differential(rep, basis_cochain).coordinates())
-    return Matrix.from_columns(cols, rows=rows)
+    return operator_matrix(lambda c: cochain_differential(rep, c).coordinates(),
+                           rep.algebra, p, rep.space_dim,
+                           cochain_space_dim(rep.algebra.dim, p + 1, rep.space_dim))
 
 
 def operator_matrix(fn, algebra: LieAlgebra, p: int, value_dim: int, out_rows: int) -> Matrix:
@@ -211,26 +203,20 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
     R = curvature(S)
 
     # ad-lift block: for each increasing pair key, ad(omega(key)) = R(key).
-    ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
-    pair_keys = list(increasing_tuples(g.dim, 2))
-    rows_ad = []
-    rhs_ad = []
-    for r, key in enumerate(pair_keys):
+    # Rows that are zero on the left stay: their right-hand side may not be.
+    stack = ad_stack(n_alg)
+    rows = []
+    rhs = []
+    for r, key in enumerate(increasing_tuples(g.dim, 2)):
         target = R.component(key)
-        base = r * nd
-        for flat_idx in range(nd * nd):
-            row = [0] * c2_dim
-            for k in range(nd):
-                row[base + k] = ad_cols[k][flat_idx]
-            rows_ad.append(row)
-            rhs_ad.append(target[flat_idx])
+        for f in range(nd * nd):
+            rows.append({r * nd + k: c for k, c in enumerate(stack.row(f)) if c != 0})
+            rhs.append(target[f])
 
     d_block = operator_matrix(lambda c: covariant_differential(S, c).coordinates(),
                               g, 2, nd, cochain_space_dim(g.dim, 3, nd))
-    rows = rows_ad + [list(d_block.row(i)) for i in range(d_block.rows)]
-    rhs = rhs_ad + [0] * d_block.rows
-    system = Matrix(rows, cols=c2_dim) if rows else Matrix.zero(0, c2_dim)
-    particular, hom, certificate = solve_affine(system, rhs)
+    system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
+    particular, hom, certificate = solve_affine(system, rhs + [0] * d_block.rows)
     if particular is None:
         return EmptyAffine(certificate)
     part = Cochain.from_coordinates(g, 2, nd, particular)
@@ -255,27 +241,26 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     pair_keys = list(increasing_tuples(gS.dim, 2))
     key_index = {key: r for r, key in enumerate(pair_keys)}
 
+    # f(e_i, b) = theta(i, b) for every ideal basis vector b; rows that are
+    # zero on the left stay, since their right-hand side may not be.
     rows = []
     rhs = []
-    d_mat = differential_matrix(z_rep, 2)
-    for i in range(d_mat.rows):
-        rows.append(list(d_mat.row(i)))
-        rhs.append(0)
     for i in range(gS.dim):
         for a, b in enumerate(ideal.basis):
             target = theta.get((i, a), zero_vec(zd))
             for comp in range(zd):
-                row = [0] * c2_dim
+                row = {}
                 for j, coeff in enumerate(b):
                     if coeff == 0 or j == i:
                         continue
                     key = (i, j) if i < j else (j, i)
                     sign = 1 if i < j else -1
-                    row[key_index[key] * zd + comp] += sign * coeff
+                    row[key_index[key] * zd + comp] = sign * coeff
                 rows.append(row)
                 rhs.append(target[comp])
-    system = Matrix(rows, cols=c2_dim) if rows else Matrix.zero(0, c2_dim)
-    particular, hom, certificate = solve_affine(system, rhs)
+    d_mat = differential_matrix(z_rep, 2)
+    system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))
+    particular, hom, certificate = solve_affine(system, [0] * d_mat.rows + rhs)
     if particular is None:
         return EmptyAffine(certificate)
     part = Cochain.from_coordinates(gS, 2, zd, particular)

@@ -7,6 +7,8 @@ elimination for large matrices.
 
 import os
 
+from .errors import ParseError
+
 DEFAULT_DEGREE_CAP = 6
 DEFAULT_SPARSE_THRESHOLD = 10_000
 
@@ -19,10 +21,10 @@ def degree_cap() -> int:
         return DEFAULT_DEGREE_CAP
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LIECOH_DEGREE_CAP must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("LIECOH_DEGREE_CAP must be nonnegative")
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise ParseError(f"LIECOH_DEGREE_CAP must be a nonnegative integer, got {raw!r}")
     return value
 
 

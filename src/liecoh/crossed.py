@@ -215,7 +215,7 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
             if not vec_is_zero(val):
                 theta[(x, a)] = val
 
-    g, q_proj, q_sect = _quotient_by_subspace(ghat, n_sub)
+    g, q_proj, q_sect = quotient_algebra(ghat, n_sub)
     zhat_mats = []
     for x in range(ghat.dim):
         cols = []
@@ -235,10 +235,6 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
                                 q_proj, q_sect, z_rep, zhat_rep)
     _check_splitting(sp)
     return sp
-
-
-def _quotient_by_subspace(L: LieAlgebra, sub: Subspace):
-    return quotient_algebra(L, sub)
 
 
 def _check_splitting(sp: CrossedModuleSplitting) -> None:

@@ -30,14 +30,13 @@ from typing import Optional, Sequence
 from .cochains import (Cochain, HALF, OuterActionMap, covariant_differential,
                        curvature, gauge_action, increasing_tuples, superbracket)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
-                         EmptyAffine, cochain_space_dim, cohomology,
-                         differential_matrix, relative_cocycles,
-                         theta_constrained_cocycles)
+                         EmptyAffine, cohomology, differential_matrix,
+                         relative_cocycles, theta_constrained_cocycles)
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotAHomomorphismError,
                      NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
-                     is_derivation, quotient_algebra)
+                     is_derivation, quotient_algebra, solve_inner)
 from .linalg import (Matrix, Subspace, invert, left_inverse, solve_affine,
                      unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
                      zero_vec)
@@ -390,23 +389,11 @@ def equivalent_extensions(fs1: FactorSystem, fs2: FactorSystem):
         raise DimensionMismatchError("factor systems must share kernel and quotient")
     n_alg, g_alg = fs1.n, fs1.g
     nd, gd = n_alg.dim, g_alg.dim
-    ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
-    rows = []
-    rhs = []
-    for a in range(gd):
-        diff = (fs1.S.matrices[a] - fs2.S.matrices[a]).flatten()
-        for flat_idx in range(nd * nd):
-            row = [0] * (gd * nd)
-            for k in range(nd):
-                row[a * nd + k] = ad_cols[k][flat_idx]
-            rows.append(row)
-            rhs.append(diff[flat_idx])
-    system = Matrix(rows, cols=gd * nd) if rows else Matrix.zero(0, gd * nd)
-    particular, _, certificate = solve_affine(system, rhs)
+    particular, certificate = solve_inner(
+        n_alg, [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
     if particular is None:
         return Inequivalent("kernel-mismatch", certificate)
-    gamma0 = Cochain(g_alg, 1, nd,
-                     {(a,): particular[a * nd:(a + 1) * nd] for a in range(gd)})
+    gamma0 = Cochain.from_coordinates(g_alg, 1, nd, particular)
     delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
              - superbracket(n_alg, gamma0, gamma0).scale(HALF))
     z = center(n_alg)
@@ -459,27 +446,12 @@ class GKernel:
         self.omega = omega
 
     def _solve_omega(self) -> Cochain:
-        n_alg, g_alg = self.n, self.g
-        nd, gd = n_alg.dim, g_alg.dim
         R = curvature(self.S)
-        c2 = cochain_space_dim(gd, 2, nd)
-        pair_keys = list(increasing_tuples(gd, 2))
-        ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
-        rows = []
-        rhs = []
-        for r, key in enumerate(pair_keys):
-            target = R.component(key)
-            for flat_idx in range(nd * nd):
-                row = [0] * c2
-                for k in range(nd):
-                    row[r * nd + k] = ad_cols[k][flat_idx]
-                rows.append(row)
-                rhs.append(target[flat_idx])
-        system = Matrix(rows, cols=c2) if rows else Matrix.zero(0, c2)
-        particular, _, certificate = solve_affine(system, rhs)
+        particular, certificate = solve_inner(
+            self.n, [R.component(key) for key in increasing_tuples(self.g.dim, 2)])
         if particular is None:
             raise NoLiftError(certificate)
-        return Cochain.from_coordinates(g_alg, 2, nd, particular)
+        return Cochain.from_coordinates(self.g, 2, self.n.dim, particular)
 
     @classmethod
     def from_factor_system(cls, fs: FactorSystem) -> "GKernel":
@@ -496,25 +468,11 @@ def kernels_equivalent(k1: GKernel, k2: GKernel) -> Optional[Cochain]:
     """gamma with S1 = S2 + ad(gamma), or None."""
     if k1.n != k2.n or k1.g != k2.g:
         raise DimensionMismatchError("kernels live over different pairs")
-    n_alg, g_alg = k1.n, k1.g
-    nd, gd = n_alg.dim, g_alg.dim
-    ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
-    rows = []
-    rhs = []
-    for a in range(gd):
-        diff = (k1.S.matrices[a] - k2.S.matrices[a]).flatten()
-        for flat_idx in range(nd * nd):
-            row = [0] * (gd * nd)
-            for k in range(nd):
-                row[a * nd + k] = ad_cols[k][flat_idx]
-            rows.append(row)
-            rhs.append(diff[flat_idx])
-    system = Matrix(rows, cols=gd * nd) if rows else Matrix.zero(0, gd * nd)
-    particular, _, _ = solve_affine(system, rhs)
+    particular, _ = solve_inner(
+        k1.n, [(m1 - m2).flatten() for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
     if particular is None:
         return None
-    return Cochain(g_alg, 1, nd,
-                   {(a,): particular[a * nd:(a + 1) * nd] for a in range(gd)})
+    return Cochain.from_coordinates(k1.g, 1, k1.n.dim, particular)
 
 
 def obstruction_class(kernel: GKernel) -> CohomologyClass:
@@ -641,11 +599,11 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     alpha_matrix = Matrix.from_columns(alpha_cols, rows=gs.dim)
     stage = QuotientStage(kernel, z, n_ad, proj_ad, sect_ad, fs, ext, rho,
                           alpha_matrix)
-    if __debug__:
-        psi_cols = [tuple(rho.matrices[i].flatten()) + tuple(ext.projection.column(i))
-                    for i in range(gs.dim)]
-        psi = Matrix.from_columns(psi_cols, rows=n_alg.dim * n_alg.dim + g_alg.dim)
-        assert psi.rank() == gs.dim, "the stage embedding into der(n) x g is not injective"
+    psi_cols = [tuple(rho.matrices[i].flatten()) + tuple(ext.projection.column(i))
+                for i in range(gs.dim)]
+    psi = Matrix.from_columns(psi_cols, rows=n_alg.dim * n_alg.dim + g_alg.dim)
+    if psi.rank() != gs.dim:
+        raise InvariantViolation("the stage embedding into der(n) x g is not injective")
     return stage
 
 

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
-from .linalg import (Matrix, Subspace, ZERO, kernel, quotient_coordinates,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
+from .linalg import (InconsistencyCertificate, Matrix, ONE, Subspace, kernel,
+                     quotient_coordinates, unit_vec, vec_add, vec_is_zero,
+                     vec_scale, zero_vec)
 
 
 class LieAlgebra:
@@ -131,10 +132,6 @@ def check_jacobi(L: LieAlgebra) -> bool:
     return L._jacobi_failure() is None
 
 
-def lie_algebra_from_table(dim: int, table: dict, labels=None) -> LieAlgebra:
-    return LieAlgebra(dim, table, labels=labels)
-
-
 class Representation:
     """Linear action of a LieAlgebra on a coordinate space."""
 
@@ -210,28 +207,12 @@ class LinearLieMap:
         return self.matrix.matvec(u)
 
     def is_homomorphism(self) -> bool:
-        for i in range(self.source.dim):
-            for j in range(i + 1, self.source.dim):
-                lhs = self.matrix.matvec(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket(self.matrix.column(i), self.matrix.column(j))
-                if lhs != rhs:
-                    return False
-        return True
-
-    def require_homomorphism(self) -> "LinearLieMap":
-        if not self.is_homomorphism():
-            raise NotAHomomorphismError("the map does not preserve brackets")
-        return self
+        return bracket_preserving(self.source, self.target, self.matrix)
 
     def is_derivation_map(self) -> bool:
         if self.source != self.target:
             raise DimensionMismatchError("the derivation flag needs source = target")
         return is_derivation(self.source, self.matrix)
-
-    def require_derivation(self) -> "LinearLieMap":
-        if not self.is_derivation_map():
-            raise NotADerivationError("the map does not satisfy the Leibniz rule")
-        return self
 
 
 def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
@@ -261,15 +242,76 @@ def is_derivation(L: LieAlgebra, d: Matrix) -> bool:
     return True
 
 
+def ad_stack(L: LieAlgebra) -> Matrix:
+    """The n^2 x n matrix of x -> ad x, with ad x flattened row-major."""
+    return Matrix.from_columns([L.ad_matrix(k).flatten() for k in range(L.dim)],
+                               rows=L.dim * L.dim)
+
+
+def solve_inner(L: LieAlgebra, targets: Sequence[Sequence[Fraction]]):
+    """Solve ad(x_r) = targets[r] for every slot r; returns (particular, certificate).
+
+    Each target is an n x n matrix flattened row-major.  The answer is the
+    one solve_affine gives for the block-diagonal system with one
+    ad_stack(L) block per slot: the blocks share no columns, so its
+    pivot-convention solution is the slots' solutions joined in order,
+    and when a slot is inconsistent its certificate is the reduced row
+    s * rank reading 0 = 1.  All slots are eliminated together as extra
+    right-hand-side columns of the single ad_stack matrix.
+    """
+    n, s = L.dim, len(targets)
+    stack = ad_stack(L)
+    augmented = Matrix([stack.row(f) + tuple(t[f] for t in targets)
+                        for f in range(n * n)], cols=n + s)
+    reduced, pivots = augmented.rref()
+    rank = sum(1 for p in pivots if p < n)
+    if rank < len(pivots):
+        return None, InconsistencyCertificate(s * rank, zero_vec(s * n) + (ONE,))
+    particular = []
+    for r in range(s):
+        x = list(zero_vec(n))
+        for i, p in enumerate(pivots):
+            x[p] = reduced.entry(i, n + r)
+        particular.extend(x)
+    return tuple(particular), None
+
+
+def leibniz_rows(L: LieAlgebra, offset: int = 0) -> list:
+    """Rows of D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0 for D in End(L).
+
+    D is flattened row-major into the columns offset + a * n + b.  Each row
+    is a dict {column: coefficient}, one per equation (i < j, component a)
+    that does not vanish identically, scattered from the stored bracket
+    table.
+    """
+    n = L.dim
+    rows = {}
+
+    def add(i, j, a, col, c):
+        # equation (j, i, a) is minus equation (i, j, a), so the term
+        # -[D e_i, e_j] over all ordered pairs also covers -[e_i, D e_j]
+        if i > j:
+            i, j, c = j, i, -c
+        row = rows.setdefault((i, j, a), {})
+        row[offset + col] = row.get(offset + col, 0) + c
+
+    for (x, y), w in L._table.items():
+        for k, c in enumerate(w):
+            if c == 0:
+                continue
+            for a in range(n):
+                add(x, y, a, a * n + k, c)  # D([e_x, e_y])_a
+            for p, q, cpq in ((x, y, c), (y, x, -c)):  # [e_p, e_q]_k = cpq
+                for i in range(n):
+                    if i != q:
+                        add(i, q, k, p * n + i, -cpq)  # -[D e_i, e_q]_k via D[p, i]
+    cleaned = ({col: c for col, c in row.items() if c != 0} for row in rows.values())
+    return [row for row in cleaned if row]
+
+
 def center(L: LieAlgebra) -> Subspace:
     """Kernel of x -> ad x."""
-    if L.dim == 0:
-        return Subspace.zero(0)
-    columns = []
-    for i in range(L.dim):
-        columns.append(L.ad_matrix(i).flatten())
-    stacked = Matrix.from_columns(columns, rows=L.dim * L.dim)
-    return kernel(stacked)
+    return kernel(ad_stack(L))
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
@@ -326,30 +368,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
     coordinates of the inner derivations inside it.
     """
     n = L.dim
-    if n == 0:
-        return DerivationAlgebra(LieAlgebra(0), (), Subspace.zero(0), ())
-    rows = []
-    # Unknown D is flattened row-major: D[(a, b)] = x[a * n + b].
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = L.bracket_basis(i, j)
-            for a in range(n):
-                row = [ZERO] * (n * n)
-                # D([e_i, e_j])_a
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        row[a * n + k] += c
-                # -[D e_i, e_j]_a - [e_i, D e_j]_a
-                for k in range(n):
-                    ckj = L.bracket_basis(k, j)
-                    if ckj[a] != 0:
-                        row[k * n + i] -= ckj[a]
-                    cik = L.bracket_basis(i, k)
-                    if cik[a] != 0:
-                        row[k * n + j] -= cik[a]
-                rows.append(tuple(row))
-    system = Matrix(rows, cols=n * n) if rows else Matrix.zero(0, n * n)
-    space = kernel(system)
+    space = kernel(Matrix.from_sparse_rows(leibniz_rows(L), n * n))
     mats = tuple(Matrix.unflatten(v, n, n) for v in space.basis)
     d = len(mats)
     table = {}
@@ -364,9 +383,10 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
             if entry:
                 table[(i, j)] = entry
     der_alg = LieAlgebra(d, table)
+    stack = ad_stack(L)
     inner = []
     for i in range(n):
-        coords = space.coordinates_of(L.ad_matrix(i).flatten())
+        coords = space.coordinates_of(stack.column(i))
         if coords is None:
             raise NotADerivationError("an inner derivation failed the Leibniz system")
         inner.append(coords)

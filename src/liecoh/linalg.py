@@ -91,6 +91,17 @@ class Matrix:
         return cls([tuple(col[i] for col in columns) for i in range(rows)],
                    cols=len(columns))
 
+    @classmethod
+    def from_sparse_rows(cls, rows: Iterable[dict], cols: int) -> "Matrix":
+        """Dense matrix from dict rows {column: coefficient}; empty dicts are zero rows."""
+        dense = []
+        for entries in rows:
+            row = [ZERO] * cols
+            for j, c in entries.items():
+                row[j] = c
+            dense.append(row)
+        return cls(dense, cols=cols)
+
     def row(self, i: int) -> tuple:
         return self._rows[i]
 

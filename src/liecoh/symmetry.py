@@ -13,6 +13,7 @@ brute-force derivation solve on the built total algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,8 +28,8 @@ from .extensions import (FactorSystem, build_extension, check_equivalence_map,
                          embed_cochain_from_subspace, equivalent_extensions,
                          restrict_cochain_to_subspace, transport_cochain,
                          transport_outer_action)
-from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
-                     is_derivation)
+from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
+                     center, is_derivation, leibniz_rows, solve_inner)
 from .linalg import (Matrix, Subspace, invert, kernel, solve_affine, unit_vec,
                      vec_is_zero, vec_scale, vec_sub, zero_vec)
 
@@ -63,29 +64,6 @@ def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
         if not vec_is_zero(val):
             table[key] = val
     return Cochain(c.algebra, c.degree, alpha.rows, table)
-
-
-def _solve_inner(n_alg: LieAlgebra, g_alg: LieAlgebra, rhs_mats: Sequence[Matrix]):
-    """Solve ad(gamma(e_a)) = rhs_mats[a]; returns (gamma, certificate)."""
-    nd, gd = n_alg.dim, g_alg.dim
-    ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
-    rows = []
-    rhs = []
-    for a in range(gd):
-        flat = rhs_mats[a].flatten()
-        for flat_idx in range(nd * nd):
-            row = [0] * (gd * nd)
-            for k in range(nd):
-                row[a * nd + k] = ad_cols[k][flat_idx]
-            rows.append(row)
-            rhs.append(flat[flat_idx])
-    system = Matrix(rows, cols=gd * nd) if rows else Matrix.zero(0, gd * nd)
-    particular, _, certificate = solve_affine(system, rhs)
-    if particular is None:
-        return None, certificate
-    gamma = Cochain(g_alg, 1, nd,
-                    {(a,): particular[a * nd:(a + 1) * nd] for a in range(gd)})
-    return gamma, None
 
 
 def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
@@ -196,38 +174,15 @@ def _pair_system_rows(fs: FactorSystem, with_omega: bool):
     nd, gd = n_alg.dim, g_alg.dim
     va, vb = nd * nd, gd * gd
     nvars = va + vb + gd * nd
-    rows = []
+    rows = leibniz_rows(n_alg, 0) + leibniz_rows(g_alg, va)
 
-    def derivation_rows(L, offset):
-        d = L.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                cij = L.bracket_basis(i, j)
-                for a in range(d):
-                    row = [0] * nvars
-                    for k, c in enumerate(cij):
-                        if c != 0:
-                            row[offset + a * d + k] += c
-                    for k in range(d):
-                        ckj = L.bracket_basis(k, j)
-                        if ckj[a] != 0:
-                            row[offset + k * d + i] -= ckj[a]
-                        cik = L.bracket_basis(i, k)
-                        if cik[a] != 0:
-                            row[offset + k * d + j] -= cik[a]
-                    rows.append(row)
-
-    derivation_rows(n_alg, 0)
-    derivation_rows(g_alg, va)
-
-    ad_cols = [n_alg.ad_matrix(k).flatten() for k in range(nd)]
+    stack = ad_stack(n_alg)
     # [alpha, S_a] - S(beta e_a) - ad(gamma_a) = 0
     for a in range(gd):
         Sa = S.matrices[a]
         for r in range(nd):
             for c in range(nd):
-                flat_idx = r * nd + c
-                row = [0] * nvars
+                row = Counter()
                 for k in range(nd):
                     # (alpha Sa)_{rc} involves alpha_{rk} Sa_{kc}
                     row[r * nd + k] += Sa.entry(k, c)
@@ -235,8 +190,8 @@ def _pair_system_rows(fs: FactorSystem, with_omega: bool):
                     row[k * nd + c] -= Sa.entry(r, k)
                 for b in range(gd):
                     row[va + b * gd + a] -= S.matrices[b].entry(r, c)
-                for k in range(nd):
-                    row[va + vb + a * nd + k] -= ad_cols[k][flat_idx]
+                for k, x in enumerate(stack.row(r * nd + c)):
+                    row[va + vb + a * nd + k] -= x
                 rows.append(row)
 
     if with_omega:
@@ -246,7 +201,7 @@ def _pair_system_rows(fs: FactorSystem, with_omega: bool):
             i, j = key
             w = omega.component(key)
             for r in range(nd):
-                row = [0] * nvars
+                row = Counter()
                 for k in range(nd):
                     row[r * nd + k] += w[k]
                 for b in range(gd):
@@ -293,32 +248,32 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
         for v in z1.basis)
 
     rows, nvars, va, vb = _pair_system_rows(fs, with_omega=False)
-    system = Matrix(rows, cols=nvars) if rows else Matrix.zero(0, nvars)
-    solution = kernel(system)
+    solution = kernel(Matrix.from_sparse_rows(rows, nvars))
     _, stabilizer_pairs = _project_pairs(solution, va, vb, nd, gd)
 
     h2 = cohomology(z_rep, 2)
     gammas = []
     classes = []
     for alpha, beta in stabilizer_pairs:
-        gamma, certificate = _solve_inner(n_alg, g_alg,
-                                          pair_act_outer(alpha, beta, fs.S).matrices)
-        if gamma is None:
+        particular, _ = solve_inner(
+            n_alg, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
+        if particular is None:
             raise InvariantViolation("projected stabilizer pair admits no gamma")
+        gamma = Cochain.from_coordinates(g_alg, 1, nd, particular)
         gammas.append(gamma)
         delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
         delta_z = restrict_cochain_to_subspace(delta, z)
         classes.append(h2.class_of(delta_z))
 
     rows_full, nvars, va, vb = _pair_system_rows(fs, with_omega=True)
-    system_full = Matrix(rows_full, cols=nvars) if rows_full else Matrix.zero(0, nvars)
-    solution_full = kernel(system_full)
+    solution_full = kernel(Matrix.from_sparse_rows(rows_full, nvars))
     _, image_pairs_ab = _project_pairs(solution_full, va, vb, nd, gd)
     image_triples = []
     for alpha, beta in image_pairs_ab:
-        gamma, _ = _solve_inner(n_alg, g_alg,
-                                pair_act_outer(alpha, beta, fs.S).matrices)
-        image_triples.append((alpha, beta, gamma))
+        particular, _ = solve_inner(
+            n_alg, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
+        image_triples.append((alpha, beta,
+                              Cochain.from_coordinates(g_alg, 1, nd, particular)))
 
     i_image = Subspace.from_vectors(
         h2.cocycles.ambient_dim,
@@ -332,35 +287,12 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
 
 def _brute_force_ideal_derivations(fs: FactorSystem) -> int:
     """dim of derivations of the built total preserving the ideal block."""
-    ext = build_extension(fs)
-    total = ext.total
-    N = total.dim
-    rows = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            cij = total.bracket_basis(i, j)
-            for a in range(N):
-                row = [0] * (N * N)
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        row[a * N + k] += c
-                for k in range(N):
-                    ckj = total.bracket_basis(k, j)
-                    if ckj[a] != 0:
-                        row[k * N + i] -= ckj[a]
-                    cik = total.bracket_basis(i, k)
-                    if cik[a] != 0:
-                        row[k * N + j] -= cik[a]
-                rows.append(row)
+    total = build_extension(fs).total
+    N, nd = total.dim, fs.n.dim
+    rows = leibniz_rows(total)
     # preserve the ideal: the g-block of D(n-column) vanishes
-    nd = fs.n.dim
-    for j in range(nd):
-        for r in range(fs.g.dim):
-            row = [0] * (N * N)
-            row[(nd + r) * N + j] = 1
-            rows.append(row)
-    system = Matrix(rows, cols=N * N) if rows else Matrix.zero(0, N * N)
-    return kernel(system).dim
+    rows += [{(nd + r) * N + j: 1} for j in range(nd) for r in range(fs.g.dim)]
+    return kernel(Matrix.from_sparse_rows(rows, N * N)).dim
 
 
 def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
@@ -374,22 +306,23 @@ def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
         raise PreconditionFailedError("alpha is not a derivation of n")
     if not is_derivation(fs.g, beta):
         raise PreconditionFailedError("beta is not a derivation of g")
-    gamma, certificate = _solve_inner(fs.n, fs.g,
-                                      pair_act_outer(alpha, beta, fs.S).matrices)
-    if gamma is None:
+    particular, certificate = solve_inner(
+        fs.n, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
+    if particular is None:
         raise NoGammaError(certificate)
+    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
     z = center(fs.n)
     delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
     delta_z = restrict_cochain_to_subspace(delta, z)
     h2 = cohomology(fs.center_rep(), 2)
     cls = h2.class_of(delta_z)
-    if __debug__ and z.dim > 0 and fs.g.dim > 0:
+    if z.dim > 0 and fs.g.dim > 0:
         shift = Cochain(fs.g, 1, z.dim, {(0,): unit_vec(z.dim, 0)})
         gamma2 = gamma + embed_cochain_from_subspace(shift, z)
         delta2 = (pair_act_cochain(alpha, beta, fs.omega)
                   - covariant_differential(fs.S, gamma2))
-        cls2 = h2.class_of(restrict_cochain_to_subspace(delta2, z))
-        assert cls == cls2, "obstruction class depends on the gamma choice"
+        if h2.class_of(restrict_cochain_to_subspace(delta2, z)) != cls:
+            raise InvariantViolation("obstruction class depends on the gamma choice")
     return cls, gamma
 
 
@@ -584,11 +517,11 @@ def automorphism_pair_obstruction(fs: FactorSystem, alpha: Matrix,
                                   beta: Matrix) -> AutomorphismObstruction:
     """Degree-2 class deciding whether an automorphism pair lifts."""
     transported = transported_factor_system(fs, alpha, beta)
-    gamma, certificate = _solve_inner(
-        fs.n, fs.g,
-        [transported.S.matrices[a] - fs.S.matrices[a] for a in range(fs.g.dim)])
-    if gamma is None:
+    particular, certificate = solve_inner(
+        fs.n, [(m1 - m2).flatten() for m1, m2 in zip(transported.S.matrices, fs.S.matrices)])
+    if particular is None:
         raise NoGammaError(certificate)
+    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
     delta = (transported.omega - fs.omega - covariant_differential(fs.S, gamma)
              - superbracket(fs.n, gamma, gamma).scale(HALF))
     z = center(fs.n)

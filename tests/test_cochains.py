@@ -10,7 +10,7 @@ from liecoh.cochains import (Cochain, EquivariantPairing, HALF, OuterActionMap,
                              trivial_differential, wedge)
 from liecoh.config import degree_cap
 from liecoh.errors import (DegreeCapExceededError, DegreeMismatchError,
-                           DimensionMismatchError)
+                           DimensionMismatchError, InvariantViolation)
 from liecoh.extensions import build_extension, extract_factor_system
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import Matrix, unit_vec
@@ -238,6 +238,18 @@ def test_curvature_explicit_commutator():
     S = OuterActionMap(L, [e12, e21])
     R = curvature(S)
     assert Matrix.unflatten(R.component((0, 1)), 2, 2) == Matrix([[1, 0], [0, -1]])
+
+
+def test_curvature_routes_disagreeing_raise(monkeypatch):
+    # The calculus route is checked on every call, not only without -O.
+    from liecoh import cochains
+    L = sl2()
+    S = OuterActionMap(L, adjoint_rep(L).matrices, target=L)
+    assert curvature(S).is_zero()
+    monkeypatch.setattr(cochains, "trivial_differential",
+                        lambda c: Cochain.zero(c.algebra, c.degree + 1, c.value_dim))
+    with pytest.raises(InvariantViolation, match="curvature formulas disagree"):
+        curvature(S)
 
 
 def test_section_curvature_recovers_cocycle():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,11 @@ from liecoh.cli import run_command
 from liecoh.cochains import Cochain
 from liecoh.errors import ParseError, InvariantViolation
 from liecoh.linalg import Matrix
+
+
+def cli_env(**settings):
+    """Environment for a liecoh child process that imports what this one does."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +306,31 @@ def test_cli_reproduce_unknown_bundle(capsys):
 def test_cli_byte_determinism(tmp_path):
     env_cmd = [sys.executable, "-m", "liecoh.cli", "cohomology",
                "--algebra", "sl2", "--degree", "3"]
-    out1 = subprocess.run(env_cmd, capture_output=True, check=True).stdout
-    out2 = subprocess.run(env_cmd, capture_output=True, check=True).stdout
+    out1 = subprocess.run(env_cmd, capture_output=True, check=True, env=cli_env()).stdout
+    out2 = subprocess.run(env_cmd, capture_output=True, check=True, env=cli_env()).stdout
     assert out1 == out2
     data = json.loads(out1)
     assert data["dim_cohomology"] == 1
 
 
 def test_degree_cap_environment(tmp_path):
-    import os
-    env = dict(os.environ, LIECOH_DEGREE_CAP="2")
+    env = cli_env(LIECOH_DEGREE_CAP="2")
     cmd = [sys.executable, "-m", "liecoh.cli", "cohomology",
            "--algebra", "sl2", "--degree", "3"]
     proc = subprocess.run(cmd, capture_output=True, env=env)
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert report["error"]["kind"] == "DegreeCapExceededError"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_degree_cap_environment_rejects_bad_values(value):
+    env = cli_env(LIECOH_DEGREE_CAP=value)
+    cmd = [sys.executable, "-m", "liecoh.cli", "cohomology",
+           "--algebra", "sl2", "--degree", "1"]
+    proc = subprocess.run(cmd, capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"]["kind"] == "ParseError"
+    assert "LIECOH_DEGREE_CAP" in report["error"]["message"]
