@@ -22,8 +22,8 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation
-from .linalg import (Matrix, ZERO, vec_add, vec_is_zero, vec_scale, vec_sub,
-                     zero_vec)
+from .linalg import (Matrix, ZERO, to_fractions, vec_add, vec_is_zero, vec_scale,
+                     vec_sub, zero_vec)
 
 HALF = Fraction(1, 2)
 
@@ -81,7 +81,7 @@ class Cochain:
                 raise DimensionMismatchError(f"key {key} is out of range")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise DimensionMismatchError(f"key {key} is not strictly increasing")
-            vec = tuple(Fraction(x) for x in vec)
+            vec = to_fractions(vec)
             if len(vec) != value_dim:
                 raise DimensionMismatchError("coefficient vector has the wrong length")
             if not vec_is_zero(vec):
@@ -136,7 +136,7 @@ class Cochain:
         if len(args) != self.degree:
             raise DegreeMismatchError(
                 f"expected {self.degree} arguments, got {len(args)}")
-        args = [tuple(Fraction(x) for x in v) for v in args]
+        args = [to_fractions(v) for v in args]
         for v in args:
             if len(v) != self.algebra.dim:
                 raise DimensionMismatchError("argument length disagrees with the algebra")

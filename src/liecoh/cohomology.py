@@ -13,31 +13,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cochains import (Cochain, OuterActionMap, cochain_differential,
-                       cochain_space_dim, covariant_differential, curvature,
-                       increasing_tuples)
+from .cochains import (Cochain, OuterActionMap, check_degree, cochain_space_dim,
+                       curvature, increasing_tuples, sort_with_sign)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
-from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
-                     solve_affine, vec_is_zero, vec_sub, zero_vec)
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image,
+                     kernel, solve_affine, vec_is_zero, vec_sub, zero_vec)
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
     """Matrix of the degree-p differential in lexicographic coordinates."""
-    return operator_matrix(lambda c: cochain_differential(rep, c).coordinates(),
-                           rep.algebra, p, rep.space_dim,
-                           cochain_space_dim(rep.algebra.dim, p + 1, rep.space_dim))
+    return operator_matrix(rep.algebra, rep.matrices, p, rep.space_dim)
 
 
-def operator_matrix(fn, algebra: LieAlgebra, p: int, value_dim: int, out_rows: int) -> Matrix:
-    """Matrix of a linear cochain operator, built column by column."""
-    cols = []
-    for key in increasing_tuples(algebra.dim, p):
-        for comp in range(value_dim):
-            vec = [0] * value_dim
-            vec[comp] = 1
-            cols.append(fn(Cochain(algebra, p, value_dim, {key: vec})))
-    return Matrix.from_columns(cols, rows=out_rows)
+def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
+                    value_dim: int) -> Matrix:
+    """Matrix of c -> rho wedge c + d c on degree-p cochains, rho(e_i) = matrices[i].
+
+    (rho wedge c + d c)(x_0..x_p) = sum_j (-1)^j rho(x_j) c(..omit j..)
+                                  + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..omit i,j..),
+
+    the differential of a Representation and the covariant differential
+    of an OuterActionMap alike.  The signs (-1)^j and (-1)^{i+j} are those
+    of cochain_differential, and rows and columns must use the coordinates
+    of Cochain.coordinates(): keys in lexicographic order, each key's
+    value_dim values contiguous.  A bracket term c(e_k, rest) is read at
+    the increasing key of (k,) + rest with the sign of sort_with_sign.
+    Each row is scattered from the stored bracket table and the nonzero
+    action entries.
+    """
+    check_degree(p + 1)
+    col_base = {key: r * value_dim
+                for r, key in enumerate(increasing_tuples(algebra.dim, p))}
+    brackets = {pair: [(k, c) for k, c in enumerate(vec) if c != 0]
+                for pair, vec in algebra.structure_table().items()}
+    action = [[(a, b, x) for a, row in enumerate(m.row_list())
+               for b, x in enumerate(row) if x != 0] for m in matrices]
+    rows = []
+    for key in increasing_tuples(algebra.dim, p + 1):
+        block = [{} for _ in range(value_dim)]
+        for j, kj in enumerate(key):
+            base = col_base[key[:j] + key[j + 1:]]
+            for a, b, x in action[kj]:
+                entries = block[a]
+                entries[base + b] = entries.get(base + b, ZERO) + (-x if j % 2 else x)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                support = brackets.get((key[i], key[j]))
+                if support is None:
+                    continue
+                rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                for k, coeff in support:
+                    target, sign = sort_with_sign((k,) + rest)
+                    if target is None:
+                        continue
+                    if (i + j) % 2:
+                        sign = -sign
+                    base = col_base[target]
+                    term = coeff if sign == 1 else -coeff
+                    for a, entries in enumerate(block):
+                        entries[base + a] = entries.get(base + a, ZERO) + term
+        rows.extend(block)
+    return Matrix.from_sparse_rows(rows, len(col_base) * value_dim)
 
 
 class CohomologySpace:
@@ -213,8 +250,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
             rows.append({r * nd + k: c for k, c in enumerate(stack.row(f)) if c != 0})
             rhs.append(target[f])
 
-    d_block = operator_matrix(lambda c: covariant_differential(S, c).coordinates(),
-                              g, 2, nd, cochain_space_dim(g.dim, 3, nd))
+    d_block = operator_matrix(g, S.matrices, 2, nd)
     system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
     particular, hom, certificate = solve_affine(system, rhs + [0] * d_block.rows)
     if particular is None:

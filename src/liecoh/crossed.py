@@ -16,7 +16,6 @@ agreement is itself exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
@@ -30,7 +29,8 @@ from .extensions import (FactorSystem, build_extension,
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      quotient_algebra)
 from .linalg import (Matrix, Subspace, kernel as mat_kernel, solve, solve_affine,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale,
+                     vec_sub, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     h_lift = Matrix.from_columns(lift_cols, rows=h.dim)
 
     def z_coords_of(v):
-        v = tuple(Fraction(x) for x in v)
+        v = to_fractions(v)
         coords = z.coordinates_of(vec_sub(v, z.reduce(v)))
         if coords is None:
             raise InvariantViolation("vector does not split along the kernel")

@@ -38,8 +38,8 @@ from .errors import (DimensionMismatchError, InvalidFactorSystemError,
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      is_derivation, quotient_algebra, solve_inner)
 from .linalg import (Matrix, Subspace, invert, left_inverse, solve_affine,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
-                     zero_vec)
+                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale,
+                     vec_sub, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ class ExtensionPresentation:
     def ideal_coordinates(self, v: Sequence[Fraction]) -> tuple:
         """n-coordinates of a total vector lying in the ideal."""
         coords = self._left_inv.matvec(v)
-        if self.inclusion.matvec(coords) != tuple(Fraction(x) for x in v):
+        if self.inclusion.matvec(coords) != to_fractions(v):
             raise InvariantViolation("vector does not lie in the ideal")
         return coords
 
@@ -566,7 +566,7 @@ class QuotientStage:
     def z_part(self, v: Sequence[Fraction]) -> tuple:
         """Center coordinates of an n-vector's component along z."""
         complement = self.sect_ad.matvec(self.proj_ad.matvec(v))
-        coords = self.z.coordinates_of(vec_sub(tuple(Fraction(x) for x in v), complement))
+        coords = self.z.coordinates_of(vec_sub(to_fractions(v), complement))
         if coords is None:
             raise InvariantViolation("vector does not split along the center")
         return coords

@@ -25,6 +25,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def to_fractions(values: Iterable) -> tuple:
+    """The values as a tuple of Fractions.
+
+    A Fraction is immutable and already in lowest terms, so it is kept as
+    it is; anything else (int, str, float, another Rational) goes through
+    Fraction(x).  An all-Fraction input is returned without a per-entry
+    Python loop.
+    """
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -59,7 +73,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows_data: Iterable[Iterable], cols: Optional[int] = None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows_data)
+        data = tuple(to_fractions(row) for row in rows_data)
         self.rows = len(data)
         if data:
             self.cols = len(data[0])
@@ -83,7 +97,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        columns = [tuple(Fraction(x) for x in col) for col in columns]
+        columns = [to_fractions(col) for col in columns]
         if columns:
             rows = len(columns[0])
         elif rows is None:
@@ -279,12 +293,12 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(Fraction(x) for x in v) for v in basis)
+        self.basis = tuple(to_fractions(v) for v in basis)
         self.pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+        vectors = [to_fractions(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length disagrees with ambient dimension")
@@ -315,7 +329,7 @@ class Subspace:
 
     def reduce(self, v: Sequence[Fraction]) -> tuple:
         """Canonical representative of v modulo the subspace."""
-        v = tuple(Fraction(x) for x in v)
+        v = to_fractions(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length disagrees with ambient dimension")
         for b, p in zip(self.basis, self.pivots):
@@ -332,7 +346,7 @@ class Subspace:
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Optional[tuple]:
         """Coefficients of v in the canonical basis, or None if outside."""
-        v = tuple(Fraction(x) for x in v)
+        v = to_fractions(v)
         coords = tuple(v[p] for p in self.pivots)
         residual = v
         for c, b in zip(coords, self.basis):
@@ -374,16 +388,26 @@ def rref(m: Matrix) -> tuple[Matrix, tuple]:
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space; dim kernel + rank = cols."""
     reduced, pivots = m.rref()
+    return _null_space(reduced, pivots, m.cols)
+
+
+def _null_space(reduced: Matrix, pivots: Sequence[int], cols: int) -> Subspace:
+    """Null space of the first ``cols`` columns of a reduced echelon form.
+
+    ``pivots`` are the pivot columns below ``cols``; their rows come first
+    in ``reduced``, so the left block of an augmented system's RREF serves
+    as well as the RREF of the matrix itself.
+    """
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    free = [j for j in range(cols) if j not in pivot_set]
     vectors = []
     for f in free:
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -reduced.entry(r, f)
         vectors.append(tuple(v))
-    return Subspace.from_vectors(m.cols, vectors)
+    return Subspace.from_vectors(cols, vectors)
 
 
 def image(m: Matrix) -> Subspace:
@@ -393,7 +417,7 @@ def image(m: Matrix) -> Subspace:
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[tuple]:
     """Particular solution of m x = b with free variables set to zero."""
-    b = tuple(Fraction(x) for x in b)
+    b = to_fractions(b)
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side length disagrees with row count")
     augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
@@ -427,18 +451,20 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]):
     particular solution (or None) and the homogeneous solution space; on
     inconsistency the certificate pinpoints the failing reduced row.
     """
-    b = tuple(Fraction(x) for x in b)
+    b = to_fractions(b)
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side length disagrees with row count")
     augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
     reduced, pivots = augmented.rref()
     if pivots and pivots[-1] == m.cols:
+        # The left block of RREF([m | b]) is RREF(m); drop the 0 = 1 pivot.
         idx = len(pivots) - 1
-        return None, kernel(m), InconsistencyCertificate(idx, reduced.row(idx))
+        homogeneous = _null_space(reduced, pivots[:-1], m.cols)
+        return None, homogeneous, InconsistencyCertificate(idx, reduced.row(idx))
     x = [ZERO] * m.cols
     for r, p in enumerate(pivots):
         x[p] = reduced.entry(r, m.cols)
-    return tuple(x), kernel(m), None
+    return tuple(x), _null_space(reduced, pivots, m.cols), None
 
 
 def quotient_coordinates(ambient_dim: int, sub: Subspace) -> tuple[Matrix, Matrix]:

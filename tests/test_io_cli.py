@@ -334,3 +334,28 @@ def test_degree_cap_environment_rejects_bad_values(value):
     report = json.loads(proc.stdout)
     assert report["error"]["kind"] == "ParseError"
     assert "LIECOH_DEGREE_CAP" in report["error"]["message"]
+
+
+def test_degree_cap_applies_to_degrees_past_the_algebra(tmp_path, capsys):
+    h3 = tmp_path / "heisenberg3.json"
+    code, _ = run_cli(["catalog", "heisenberg3", "--emit", str(h3)], capsys)
+    assert code == 0
+    code, report = run_cli(["cohomology", "--algebra", str(h3), "--degree", "3"], capsys)
+    assert code == 0
+    assert report["dim_cohomology"] == 1
+    code, report = run_cli(["cohomology", "--algebra", str(h3), "--degree", "9"], capsys)
+    assert code == 1
+    assert report["error"]["kind"] == "DegreeCapExceededError"
+
+
+@pytest.mark.parametrize("algebra", ["heisenberg3", "sl2", "abelian2", "abelian5"])
+def test_degree_cap_answers_exactly_when_next_degree_fits(monkeypatch, capsys, algebra):
+    monkeypatch.setenv("LIECOH_DEGREE_CAP", "3")
+    for degree in range(5):
+        code, report = run_cli(["cohomology", "--algebra", algebra,
+                                "--degree", str(degree)], capsys)
+        if degree + 1 <= 3:
+            assert code == 0 and "dim_cohomology" in report
+        else:
+            assert code == 1
+            assert report["error"]["kind"] == "DegreeCapExceededError"

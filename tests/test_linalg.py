@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from liecoh.catalog import abelian
+from liecoh.cochains import Cochain
+from liecoh.cohomology import differential_matrix
 from liecoh.config import set_sparse_threshold, sparse_threshold
+from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, image,
                            invert, kernel, left_inverse, quotient_coordinates,
-                           rref, solve, solve_affine, unit_vec)
+                           rref, solve, solve_affine, to_fractions, unit_vec)
 
-from conftest import rand_matrix
+from conftest import rand_algebra, rand_fraction, rand_matrix
 
 
 def test_rref_identity():
@@ -164,3 +168,67 @@ def test_empty_shapes():
     assert kernel(Matrix.zero(0, 3)).is_full()
     assert image(Matrix.zero(3, 0)).is_zero()
     assert solve(Matrix.zero(0, 2), ()) == (Fraction(0), Fraction(0))
+
+
+def test_solve_affine_homogeneous_space_is_the_kernel(rng):
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = rand_matrix(rng, rows, cols)
+        if rng.random() < 0.5:
+            m = m.vstack(m.scale(2))
+        b = tuple(rand_fraction(rng) for _ in range(m.rows))
+        particular, hom, certificate = solve_affine(m, b)
+        assert hom == kernel(m)
+        outcomes["consistent" if particular is not None else "inconsistent"] += 1
+        assert (particular is None) == (certificate is not None)
+    assert min(outcomes.values()) >= 5
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def test_exact_type_invariant(rng):
+    for _ in range(6):
+        L = rand_algebra(rng)
+        for rep in (Representation.trivial(L, 2), adjoint_rep(L)):
+            for p in range(3):
+                d = differential_matrix(rep, p)
+                assert all(all_fractions(row) for row in d.row_list())
+                reduced, _ = d.rref()
+                assert all(all_fractions(row) for row in reduced.row_list())
+                assert all(all_fractions(v) for v in kernel(d).basis)
+                assert all(all_fractions(v) for v in image(d).basis)
+        for c in (Cochain(L, 2, 2, {(0, 1): (1, "1/2")}),
+                  Cochain(L, 1, 2, {(0,): (Fraction(3, 4), 0), (1,): (-1, 2)})):
+            assert c.coeffs and all(all_fractions(v) for v in c.coeffs.values())
+
+
+MIXED = (3, "1/2", Fraction(-2, 3), "-4", 0, 0.25, Fraction(6, 4))
+
+
+def test_conversion_of_int_str_and_fraction_inputs():
+    expected = tuple(Fraction(x) for x in MIXED)
+    assert to_fractions(MIXED) == expected and all_fractions(to_fractions(MIXED))
+    assert to_fractions([]) == ()
+    fractions_only = tuple(Fraction(i, 3) for i in range(5))
+    assert to_fractions(fractions_only) is fractions_only
+    assert to_fractions(iter(fractions_only)) == fractions_only
+
+    m = Matrix([MIXED, MIXED[::-1]])
+    assert m.row_list() == (expected, expected[::-1])
+    assert all(all_fractions(row) for row in m.row_list())
+    assert Matrix.from_columns([MIXED]).column(0) == expected
+    assert Matrix(m.row_list()) == m
+
+    sub = Subspace.from_vectors(len(MIXED), [MIXED])
+    assert sub == Subspace.from_vectors(len(MIXED), [expected])
+    assert sub.basis == (tuple(x / Fraction(3) for x in expected),)
+    assert all_fractions(sub.basis[0])
+    assert sub.reduce(MIXED) == (Fraction(0),) * len(MIXED)
+    assert sub.coordinates_of(MIXED) == (Fraction(3),)
+
+    c = Cochain(abelian(2), 1, len(MIXED), {(0,): MIXED, (1,): expected})
+    assert c.coeffs[(0,)] == c.coeffs[(1,)] == expected
+    assert all_fractions(c.coeffs[(0,)])

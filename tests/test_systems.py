@@ -2,9 +2,11 @@
 
 ``dense_leibniz_system`` and ``stacked_inner_solve`` are the row-by-row
 constructions the package used before ``leibniz_rows`` and
-``solve_inner``; they stay here as oracles.  Row order and zero rows do
-not change a reduced echelon form, so kernels, particular solutions and
-certificates must agree exactly.
+``solve_inner``, and ``column_operator_matrix`` is the column-by-column
+builder used before the row-wise ``operator_matrix``; they stay here as
+oracles.  Row order and zero rows do not change a reduced echelon form,
+so kernels, particular solutions and certificates must agree exactly;
+operator matrices must agree entry for entry.
 """
 
 import random
@@ -12,13 +14,18 @@ import random
 import pytest
 
 from liecoh import symmetry
-from liecoh.catalog import catalog, filiform4, heisenberg3, sl2
-from liecoh.liealg import (ad_stack, center, derivations, direct_and_semidirect,
+from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, sl2
+from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
+                             cochain_space_dim, covariant_differential, curvature,
+                             increasing_tuples)
+from liecoh.cohomology import differential_matrix, operator_matrix
+from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
+                           center, derivations, direct_and_semidirect,
                            leibniz_rows, solve_inner)
 from liecoh.linalg import ZERO, Matrix, kernel, solve_affine, unit_vec
 from liecoh.symmetry import extension_derivations
 
-from conftest import rand_algebra, rand_vector
+from conftest import rand_algebra, rand_matrix, rand_vector
 
 
 def dense_leibniz_system(L):
@@ -60,6 +67,107 @@ def stacked_inner_solve(L, targets):
     system = Matrix(rows, cols=s * nd) if rows else Matrix.zero(0, s * nd)
     particular, _, certificate = solve_affine(system, rhs)
     return particular, certificate
+
+
+def column_operator_matrix(fn, algebra, p, value_dim):
+    """Matrix of a linear cochain operator, one basis cochain per column."""
+    cols = []
+    for key in increasing_tuples(algebra.dim, p):
+        for comp in range(value_dim):
+            vec = [0] * value_dim
+            vec[comp] = 1
+            cols.append(fn(Cochain(algebra, p, value_dim, {key: vec})).coordinates())
+    return Matrix.from_columns(cols, rows=cochain_space_dim(algebra.dim, p + 1, value_dim))
+
+
+def heisenberg(k):
+    return LieAlgebra(2 * k + 1, {(i, k + i): {2 * k: 1} for i in range(k)})
+
+
+def nilpotent(k):
+    """Strictly upper-triangular k x k matrices, basis E_ab (a < b)."""
+    units = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    index = {u: i for i, u in enumerate(units)}
+    table = {}
+    for i, (a, b) in enumerate(units):
+        for j in range(i + 1, len(units)):
+            c, d = units[j]
+            entry = {}
+            if b == c:
+                entry[index[(a, d)]] = 1
+            if d == a:
+                entry[index[(c, b)]] = -1
+            if entry:
+                table[(i, j)] = entry
+    return LieAlgebra(len(units), table)
+
+
+def filiform(n):
+    return LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def assert_module_differentials_match(rep, degrees):
+    for p in degrees:
+        got = differential_matrix(rep, p)
+        oracle = column_operator_matrix(lambda c: cochain_differential(rep, c),
+                                        rep.algebra, p, rep.space_dim)
+        assert got == oracle
+
+
+def test_differential_matrix_matches_column_oracle_random(rng):
+    for _ in range(12):
+        L = rand_algebra(rng)
+        for rep in (Representation.trivial(L, rng.randint(1, 2)), adjoint_rep(L)):
+            assert_module_differentials_match(rep, range(4))
+
+
+@pytest.mark.parametrize("build", [heisenberg3, filiform4, lambda: heisenberg(2),
+                                   lambda: nilpotent(4), lambda: filiform(5)],
+                         ids=["heisenberg3", "filiform4", "heisenberg5", "nilpotent4",
+                              "filiform5"])
+def test_differential_matrix_matches_column_oracle_families(build):
+    L = build()
+    assert not L.is_abelian()
+    assert_module_differentials_match(Representation.trivial(L, 1), range(4))
+    assert_module_differentials_match(adjoint_rep(L), range(4))
+
+
+def assert_covariant_blocks_match(S, degrees):
+    for p in degrees:
+        got = operator_matrix(S.algebra, S.matrices, p, S.space_dim)
+        oracle = column_operator_matrix(lambda c: covariant_differential(S, c),
+                                        S.algebra, p, S.space_dim)
+        assert got == oracle
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel"])
+def test_covariant_block_matches_column_oracle_catalog_systems(name):
+    assert_covariant_blocks_match(catalog(name).S, range(4))
+
+
+def test_covariant_block_matches_column_oracle_unvalidated_maps(rng):
+    # The catalog systems' omega is center-valued, so their curvature
+    # ad(omega) vanishes; random endomorphisms give a curved S.
+    for _ in range(6):
+        g = rand_algebra(rng)
+        m = rng.randint(1, 3)
+        S = OuterActionMap(g, [rand_matrix(rng, m, m) for _ in range(g.dim)],
+                           validate=False)
+        assert not curvature(S).is_zero()
+        assert_covariant_blocks_match(S, range(4))
+
+
+def test_operator_matrix_past_the_algebra_dimension():
+    L = heisenberg3()
+    for rep in (Representation.trivial(L, 2), adjoint_rep(L)):
+        for p in (3, 4, 5):
+            got = differential_matrix(rep, p)
+            oracle = column_operator_matrix(lambda c: cochain_differential(rep, c),
+                                            L, p, rep.space_dim)
+            assert got == oracle
+            assert (got.rows, got.cols) == (0, rep.space_dim if p == 3 else 0)
+    assert differential_matrix(Representation.trivial(abelian(0), 1), 0) == Matrix.zero(0, 1)
 
 
 def test_from_sparse_rows_fills_dense_rows():
