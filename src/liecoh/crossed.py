@@ -28,9 +28,9 @@ from .extensions import (FactorSystem, build_extension,
                          restrict_cochain_to_subspace)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      quotient_algebra)
-from .linalg import (Matrix, Subspace, kernel as mat_kernel, solve, solve_affine,
-                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, kernel as mat_kernel, solve_affine,
+                     solve_columns, to_fractions, unit_vec, vec_add, vec_is_zero,
+                     vec_scale, vec_sub, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,10 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
                 table[(i, j)] = entry
     n_alg = LieAlgebra(n_dim, table)
     # lift n -> h landing in the complement of z: solve alpha restricted
-    alpha_compl = alpha @ h_compl_sect
-    lift_cols = []
-    for b in n_sub.basis:
-        x = solve(alpha_compl, b)
-        if x is None:
-            raise InvariantViolation("alpha does not reach its own image")
-        lift_cols.append(h_compl_sect.matvec(x))
-    h_lift = Matrix.from_columns(lift_cols, rows=h.dim)
+    lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
+    if first_inconsistent is not None:
+        raise InvariantViolation("alpha does not reach its own image")
+    h_lift = Matrix.from_columns([h_compl_sect.matvec(x) for x in lifts], rows=h.dim)
 
     def z_coords_of(v):
         v = to_fractions(v)
@@ -382,16 +378,14 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
         raise DimensionMismatchError("sigma is not a section of the quotient map")
     S_mats = [cm.action.matrix_of(sigma.column(i)) for i in range(sp.g.dim)]
     S = OuterActionMap(sp.g, S_mats, validate=False, space_dim=h.dim)
-    omega_table = {}
-    for key in increasing_tuples(sp.g.dim, 2):
-        i, j = key
-        r = ghat.bracket(sigma.column(i), sigma.column(j))
-        r = vec_sub(r, sigma.matvec(sp.g.bracket_basis(i, j)))
-        x = solve(cm.alpha, r)
-        if x is None:
-            raise NoOmegaLiftError(f"section curvature at {key} misses the image of alpha")
-        if not vec_is_zero(x):
-            omega_table[key] = x
+    keys = list(increasing_tuples(sp.g.dim, 2))
+    targets = [vec_sub(ghat.bracket(sigma.column(i), sigma.column(j)),
+                       sigma.matvec(sp.g.bracket_basis(i, j))) for i, j in keys]
+    lifts, first_inconsistent, _ = solve_columns(cm.alpha, targets)
+    if first_inconsistent is not None:
+        raise NoOmegaLiftError(
+            f"section curvature at {keys[first_inconsistent]} misses the image of alpha")
+    omega_table = {key: x for key, x in zip(keys, lifts) if not vec_is_zero(x)}
     omega = Cochain(sp.g, 2, h.dim, omega_table)
     d_s_omega = covariant_differential(S, omega)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, sp.z)

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (InconsistencyCertificate, Matrix, ONE, Subspace, kernel,
-                     quotient_coordinates, unit_vec, vec_add, vec_is_zero,
-                     vec_scale, zero_vec)
+                     quotient_coordinates, solve_columns, unit_vec, vec_add,
+                     vec_is_zero, vec_scale, zero_vec)
 
 
 class LieAlgebra:
@@ -260,20 +260,10 @@ def solve_inner(L: LieAlgebra, targets: Sequence[Sequence[Fraction]]):
     right-hand-side columns of the single ad_stack matrix.
     """
     n, s = L.dim, len(targets)
-    stack = ad_stack(L)
-    augmented = Matrix([stack.row(f) + tuple(t[f] for t in targets)
-                        for f in range(n * n)], cols=n + s)
-    reduced, pivots = augmented.rref()
-    rank = sum(1 for p in pivots if p < n)
-    if rank < len(pivots):
+    solutions, first_inconsistent, rank = solve_columns(ad_stack(L), targets)
+    if first_inconsistent is not None:
         return None, InconsistencyCertificate(s * rank, zero_vec(s * n) + (ONE,))
-    particular = []
-    for r in range(s):
-        x = list(zero_vec(n))
-        for i, p in enumerate(pivots):
-            x[p] = reduced.entry(i, n + r)
-        particular.extend(x)
-    return tuple(particular), None
+    return tuple(x for solution in solutions for x in solution), None
 
 
 def leibniz_rows(L: LieAlgebra, offset: int = 0) -> list:

@@ -5,18 +5,19 @@ echelon forms are the unique reduced ones, so kernels, images, solution
 picks and quotient splittings are canonical and reproducible: the same
 input always yields byte-identical output.
 
-The elimination switches from dense rows to dict-of-rows once a matrix
-exceeds the configured entry threshold; both paths produce the same
-reduced echelon form.
+There is one elimination, on dict rows that hold only the nonzero
+entries, and one augmented solve: ``solve_columns`` row-reduces
+[m | b_1 ... b_k] once, and ``solve``, ``solve_affine``, ``left_inverse``
+and ``invert`` are built on the same reduced form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .config import sparse_threshold
 from .errors import DimensionMismatchError
 
 Scalar = Fraction
@@ -199,12 +200,44 @@ class Matrix:
         return cls([tuple(v[i * cols:(i + 1) * cols]) for i in range(rows)], cols=cols)
 
     def rref(self) -> tuple["Matrix", tuple]:
-        """Unique reduced row echelon form and its pivot columns."""
-        if self.rows * self.cols > sparse_threshold():
-            data, pivots = _rref_sparse(self._rows, self.cols)
-        else:
-            data, pivots = _rref_dense(self._rows, self.cols)
-        return Matrix(data, cols=self.cols), pivots
+        """Unique reduced row echelon form and its pivot columns.
+
+        The elimination runs on dict rows {column: entry}, so zero entries
+        are never touched.
+        """
+        cols = self.cols
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in self._rows]
+        nrows = len(sparse)
+        pivots = []
+        r = 0
+        for c in range(cols):
+            if r == nrows:
+                break
+            pivot_row = None
+            for i in range(r, nrows):
+                if c in sparse[i]:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            sparse[r], sparse[pivot_row] = sparse[pivot_row], sparse[r]
+            inv = 1 / sparse[r][c]
+            if inv != 1:
+                sparse[r] = {j: x * inv for j, x in sparse[r].items()}
+            prow = sparse[r]
+            for i in range(nrows):
+                if i != r and c in sparse[i]:
+                    row = sparse[i]
+                    f = row[c]
+                    for j, x in prow.items():
+                        new = row.get(j, ZERO) - f * x
+                        if new:
+                            row[j] = new
+                        else:
+                            row.pop(j, None)
+            pivots.append(c)
+            r += 1
+        return Matrix.from_sparse_rows(sparse, cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -215,71 +248,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _rref_dense(rows, cols):
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, tuple(pivots)
-
-
-def _rref_sparse(rows, cols):
-    # Same elimination on dict rows; zero entries are never touched.
-    sparse = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
-    nrows = len(sparse)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if c in sparse[i]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        sparse[r], sparse[pivot_row] = sparse[pivot_row], sparse[r]
-        inv = 1 / sparse[r][c]
-        if inv != 1:
-            sparse[r] = {j: x * inv for j, x in sparse[r].items()}
-        prow = sparse[r]
-        for i in range(nrows):
-            if i != r and c in sparse[i]:
-                f = sparse[i][c]
-                row = sparse[i]
-                for j, x in prow.items():
-                    new = row.get(j, ZERO) - f * x
-                    if new == 0:
-                        row.pop(j, None)
-                    else:
-                        row[j] = new
-        pivots.append(c)
-        r += 1
-    dense = [[row.get(j, ZERO) for j in range(cols)] for row in sparse]
-    return dense, tuple(pivots)
 
 
 class Subspace:
@@ -415,19 +383,55 @@ def image(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
 
 
+def _augmented_rref(m: Matrix, columns: Sequence[Sequence]):
+    """RREF of [m | b_1 ... b_k]: (reduced, pivots of m, first inconsistent column).
+
+    The left block of the result is RREF(m), so the pivots below m.cols
+    are m's own; the first pivot in the right-hand block, if any, marks
+    the first column b_i outside the column space of m.
+    """
+    columns = [to_fractions(b) for b in columns]
+    if any(len(b) != m.rows for b in columns):
+        raise DimensionMismatchError("right-hand side length disagrees with row count")
+    augmented = Matrix([row + tuple(b[i] for b in columns)
+                        for i, row in enumerate(m.row_list())],
+                       cols=m.cols + len(columns))
+    reduced, pivots = augmented.rref()
+    rank = bisect_left(pivots, m.cols)
+    first_inconsistent = pivots[rank] - m.cols if rank < len(pivots) else None
+    return reduced, pivots[:rank], first_inconsistent
+
+
+def _particular(reduced: Matrix, pivots: Sequence[int], cols: int, i: int) -> tuple:
+    # free variables are zero; pivot variables read right-hand column i
+    x = [ZERO] * cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced.entry(r, cols + i)
+    return tuple(x)
+
+
+def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> tuple:
+    """Solve m x = b for every column b: (solutions, first_inconsistent, rank).
+
+    [m | b_1 ... b_k] is row-reduced once.  When every column is
+    consistent, ``solutions`` holds each column's particular solution with
+    the free variables set to zero and ``first_inconsistent`` is None; the
+    left-block row operations depend on m alone, so each solution is the
+    one a single-column solve gives.  Otherwise ``solutions`` is None and
+    ``first_inconsistent`` is the index of the first column outside the
+    column space.  ``rank`` is the rank of m.
+    """
+    reduced, pivots, first_inconsistent = _augmented_rref(m, columns)
+    if first_inconsistent is not None:
+        return None, first_inconsistent, len(pivots)
+    return (tuple(_particular(reduced, pivots, m.cols, i) for i in range(len(columns))),
+            None, len(pivots))
+
+
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[tuple]:
     """Particular solution of m x = b with free variables set to zero."""
-    b = to_fractions(b)
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side length disagrees with row count")
-    augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
-    reduced, pivots = augmented.rref()
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entry(r, m.cols)
-    return tuple(x)
+    solutions, _, _ = solve_columns(m, [b])
+    return None if solutions is None else solutions[0]
 
 
 @dataclass(frozen=True)
@@ -451,20 +455,13 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]):
     particular solution (or None) and the homogeneous solution space; on
     inconsistency the certificate pinpoints the failing reduced row.
     """
-    b = to_fractions(b)
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side length disagrees with row count")
-    augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
-    reduced, pivots = augmented.rref()
-    if pivots and pivots[-1] == m.cols:
-        # The left block of RREF([m | b]) is RREF(m); drop the 0 = 1 pivot.
-        idx = len(pivots) - 1
-        homogeneous = _null_space(reduced, pivots[:-1], m.cols)
+    reduced, pivots, first_inconsistent = _augmented_rref(m, [b])
+    homogeneous = _null_space(reduced, pivots, m.cols)
+    if first_inconsistent is not None:
+        # the 0 = 1 row follows the rows of m's pivots
+        idx = len(pivots)
         return None, homogeneous, InconsistencyCertificate(idx, reduced.row(idx))
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entry(r, m.cols)
-    return tuple(x), _null_space(reduced, pivots, m.cols), None
+    return _particular(reduced, pivots, m.cols, 0), homogeneous, None
 
 
 def quotient_coordinates(ambient_dim: int, sub: Subspace) -> tuple[Matrix, Matrix]:
@@ -491,26 +488,19 @@ def quotient_coordinates(ambient_dim: int, sub: Subspace) -> tuple[Matrix, Matri
 def left_inverse(m: Matrix) -> Optional[Matrix]:
     """L with L m = identity, for injective m; None when not injective.
 
-    Deterministic: each row of L is the pivot-convention solution of the
-    transposed system.
+    Deterministic: row i of L is the pivot-convention solution of
+    m^T x = e_i, and all rows come from one elimination of [m^T | I].
+    m is injective exactly when every e_i is consistent.
     """
-    if m.rank() != m.cols:
-        return None
-    mt = m.transpose()
-    rows = []
-    for i in range(m.cols):
-        x = solve(mt, unit_vec(m.cols, i))
-        rows.append(x)
-    return Matrix(rows, cols=m.rows)
+    rows, _, _ = solve_columns(m.transpose(), [unit_vec(m.cols, i) for i in range(m.cols)])
+    return None if rows is None else Matrix(rows, cols=m.rows)
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular.
+
+    The inverse is unique, so it is the square case of left_inverse.
+    """
     if m.rows != m.cols:
         raise DimensionMismatchError("only square matrices can be inverted")
-    n = m.rows
-    augmented = m.hstack(Matrix.identity(n))
-    reduced, pivots = augmented.rref()
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return Matrix([reduced.row(i)[n:] for i in range(n)], cols=n)
+    return left_inverse(m)

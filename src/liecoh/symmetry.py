@@ -162,13 +162,13 @@ class DerivationReport:
         }
 
 
-def _pair_system_rows(fs: FactorSystem, with_omega: bool):
+def _pair_system_rows(fs: FactorSystem):
     """Joint linear system in (alpha, beta, gamma) for the stabilizer.
 
     Variables: alpha (nd^2), beta (gd^2), gamma (gd * nd), flattened in
-    that order.  Rows constrain alpha and beta to be derivations, the
-    acted S to equal ad(gamma) and, when requested, the acted omega to
-    equal d_S gamma.
+    that order.  Returns (rows, omega_rows, nvars, va, vb): ``rows``
+    constrain alpha and beta to be derivations and the acted S to equal
+    ad(gamma); ``omega_rows`` constrain the acted omega to equal d_S gamma.
     """
     n_alg, g_alg, S, omega = fs.n, fs.g, fs.S, fs.omega
     nd, gd = n_alg.dim, g_alg.dim
@@ -194,34 +194,34 @@ def _pair_system_rows(fs: FactorSystem, with_omega: bool):
                     row[va + vb + a * nd + k] -= x
                 rows.append(row)
 
-    if with_omega:
-        # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
-        #   - (d_S gamma)(i, j) = 0
-        for key in increasing_tuples(gd, 2):
-            i, j = key
-            w = omega.component(key)
-            for r in range(nd):
-                row = Counter()
-                for k in range(nd):
-                    row[r * nd + k] += w[k]
-                for b in range(gd):
-                    # omega(e_b, e_j) coefficient of beta_{bi}
-                    val = omega.value_at_indices((b, j))
-                    if val[r] != 0:
-                        row[va + b * gd + i] -= val[r]
-                    val = omega.value_at_indices((i, b))
-                    if val[r] != 0:
-                        row[va + b * gd + j] -= val[r]
-                # (d_S gamma)(e_i, e_j) = S_i gamma_j - S_j gamma_i
-                #                         - gamma([e_i, e_j])
-                for k in range(nd):
-                    row[va + vb + j * nd + k] -= S.matrices[i].entry(r, k)
-                    row[va + vb + i * nd + k] += S.matrices[j].entry(r, k)
-                for b, c in enumerate(fs.g.bracket_basis(i, j)):
-                    if c != 0:
-                        row[va + vb + b * nd + r] += c
-                rows.append(row)
-    return rows, nvars, va, vb
+    # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
+    #   - (d_S gamma)(i, j) = 0
+    omega_rows = []
+    for key in increasing_tuples(gd, 2):
+        i, j = key
+        w = omega.component(key)
+        for r in range(nd):
+            row = Counter()
+            for k in range(nd):
+                row[r * nd + k] += w[k]
+            for b in range(gd):
+                # omega(e_b, e_j) coefficient of beta_{bi}
+                val = omega.value_at_indices((b, j))
+                if val[r] != 0:
+                    row[va + b * gd + i] -= val[r]
+                val = omega.value_at_indices((i, b))
+                if val[r] != 0:
+                    row[va + b * gd + j] -= val[r]
+            # (d_S gamma)(e_i, e_j) = S_i gamma_j - S_j gamma_i
+            #                         - gamma([e_i, e_j])
+            for k in range(nd):
+                row[va + vb + j * nd + k] -= S.matrices[i].entry(r, k)
+                row[va + vb + i * nd + k] += S.matrices[j].entry(r, k)
+            for b, c in enumerate(fs.g.bracket_basis(i, j)):
+                if c != 0:
+                    row[va + vb + b * nd + r] += c
+            omega_rows.append(row)
+    return rows, omega_rows, nvars, va, vb
 
 
 def _project_pairs(solution: Subspace, va: int, vb: int, nd: int, gd: int):
@@ -247,7 +247,7 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
             Cochain.from_coordinates(g_alg, 1, z.dim, v), z)
         for v in z1.basis)
 
-    rows, nvars, va, vb = _pair_system_rows(fs, with_omega=False)
+    rows, omega_rows, nvars, va, vb = _pair_system_rows(fs)
     solution = kernel(Matrix.from_sparse_rows(rows, nvars))
     _, stabilizer_pairs = _project_pairs(solution, va, vb, nd, gd)
 
@@ -265,8 +265,7 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
         delta_z = restrict_cochain_to_subspace(delta, z)
         classes.append(h2.class_of(delta_z))
 
-    rows_full, nvars, va, vb = _pair_system_rows(fs, with_omega=True)
-    solution_full = kernel(Matrix.from_sparse_rows(rows_full, nvars))
+    solution_full = kernel(Matrix.from_sparse_rows(rows + omega_rows, nvars))
     _, image_pairs_ab = _project_pairs(solution_full, va, vb, nd, gd)
     image_triples = []
     for alpha, beta in image_pairs_ab:

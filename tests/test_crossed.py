@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from liecoh.cohomology import classes_equal
 from liecoh.crossed import (CrossedModule, characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence, validate_crossed_module)
-from liecoh.errors import InvalidCrossedModuleError
+from liecoh.errors import InvalidCrossedModuleError, NoOmegaLiftError
 from liecoh.extensions import GKernel, build_extension, build_quotient_stage
 from liecoh.liealg import LieAlgebra, Representation, adjoint_rep, bracket_preserving
 from liecoh.linalg import Matrix, unit_vec
@@ -115,6 +116,20 @@ def test_double_route_agreement(name, builder):
     c1 = characteristic_class_theta_route(sp)
     c2 = characteristic_class_omega_route(sp)
     assert classes_equal(c1, c2)
+
+
+def test_omega_route_names_the_first_key_that_misses_alpha():
+    # alpha = 0, so g = ghat = abelian(3) and every lift must vanish.  A
+    # quotient whose only bracket is [e1, e2] = e0 makes the section
+    # curvature -sigma(e0) at (1, 2), outside image(alpha), while the keys
+    # (0, 1) and (0, 2) still lift.
+    cm = CrossedModule(abelian(1), abelian(3), Matrix.zero(3, 1),
+                       Representation.trivial(abelian(3), 1))
+    sp = split_crossed_module(cm)
+    tilted = replace(sp, g=LieAlgebra(3, {(1, 2): {0: 1}}))
+    with pytest.raises(NoOmegaLiftError) as info:
+        characteristic_class_omega_route(tilted)
+    assert info.value.certificate == "section curvature at (1, 2) misses the image of alpha"
 
 
 def test_theta_route_invariant_under_extension_choice(rng):

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from liecoh.catalog import abelian
 from liecoh.cochains import Cochain
 from liecoh.cohomology import differential_matrix
-from liecoh.config import set_sparse_threshold, sparse_threshold
+from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, image,
                            invert, kernel, left_inverse, quotient_coordinates,
-                           rref, solve, solve_affine, to_fractions, unit_vec)
+                           rref, solve, solve_affine, solve_columns, to_fractions,
+                           unit_vec)
 
-from conftest import rand_algebra, rand_fraction, rand_matrix
+from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
 
 def test_rref_identity():
@@ -149,18 +152,135 @@ def test_invert():
     assert invert(Matrix([[1, 2], [2, 4]])) is None
 
 
-def test_sparse_path_matches_dense(rng):
-    old = sparse_threshold()
-    try:
-        for _ in range(20):
-            m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            set_sparse_threshold(10_000)
-            dense = rref(m)
-            set_sparse_threshold(0)
-            sparse = rref(m)
-            assert dense == sparse
-    finally:
-        set_sparse_threshold(old)
+def dense_rref(m):
+    """Reduced row echelon form by dense list-of-rows elimination.
+
+    The package's former small-matrix path; ``Matrix.rref`` eliminates on
+    dict rows.  The reduced form is unique, so both must agree exactly.
+    """
+    rows = [list(row) for row in m.row_list()]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(rows, cols=m.cols), tuple(pivots)
+
+
+def rand_sparse_matrix(rng, rows, cols, density):
+    return Matrix([[rand_fraction(rng) if rng.random() < density else 0
+                    for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def sympy_rank(m):
+    QQ = sympy.QQ
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                         for row in m.row_list()], (m.rows, m.cols), QQ).rank()
+
+
+def test_rref_matches_dense_oracle(rng):
+    shapes = [(rng.randint(1, 8), rng.randint(1, 8), rng.choice((0.2, 0.5, 1.0)))
+              for _ in range(40)]
+    # rank-deficient stacks, and shapes past the former 10 000-entry switch
+    shapes += [(30, 30, 1.0), (120, 100, 0.03), (90, 120, 0.02)]
+    for rows, cols, density in shapes:
+        m = rand_sparse_matrix(rng, rows, cols, density)
+        if rows <= 8 and rng.random() < 0.3:
+            m = m.vstack(m.scale(3))
+        got = rref(m)
+        assert got == dense_rref(m)
+        assert len(got[1]) == sympy_rank(m)
+        assert all(all_fractions(row) for row in got[0].row_list())
+
+
+def one_column_solve(m, b):
+    """The former solve: its own elimination of [m | b]."""
+    augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
+    reduced, pivots = augmented.rref()
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced.entry(r, m.cols)
+    return tuple(x)
+
+
+def per_column_left_inverse(m):
+    """The former left_inverse: a rank check, then one solve per column."""
+    if m.rank() != m.cols:
+        return None
+    mt = m.transpose()
+    return Matrix([one_column_solve(mt, unit_vec(m.cols, i)) for i in range(m.cols)],
+                  cols=m.rows)
+
+
+def augmented_invert(m):
+    """The former invert: read the right block of RREF([m | I])."""
+    n = m.rows
+    reduced, pivots = m.hstack(Matrix.identity(n)).rref()
+    if tuple(pivots) != tuple(range(n)):
+        return None
+    return Matrix([reduced.row(i)[n:] for i in range(n)], cols=n)
+
+
+def test_solve_columns_matches_one_column_solves(rng):
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    for _ in range(60):
+        m = rand_sparse_matrix(rng, rng.randint(0, 5), rng.randint(0, 5),
+                               rng.choice((0.4, 1.0)))
+        if m.rows and rng.random() < 0.5:
+            m = m.vstack(m.scale(2))
+        columns = []
+        for _ in range(rng.randint(0, 4)):
+            x = tuple(rand_fraction(rng) for _ in range(m.cols))
+            columns.append(m.matvec(x) if rng.random() < 0.7
+                           else tuple(rand_fraction(rng) for _ in range(m.rows)))
+        oracle = [one_column_solve(m, b) for b in columns]
+        solutions, first_inconsistent, rank = solve_columns(m, columns)
+        assert rank == m.rank()
+        assert [solve(m, b) for b in columns] == oracle
+        if None in oracle:
+            assert solutions is None
+            assert first_inconsistent == oracle.index(None)
+        else:
+            assert solutions == tuple(oracle) and first_inconsistent is None
+        outcomes["consistent" if first_inconsistent is None else "inconsistent"] += 1
+    assert min(outcomes.values()) >= 10
+
+
+def test_solve_columns_empty_shapes():
+    assert solve_columns(Matrix.zero(2, 3), []) == ((), None, 0)
+    assert solve_columns(Matrix.zero(0, 2), [(), ()]) == (((0, 0), (0, 0)), None, 0)
+    assert solve_columns(Matrix.zero(2, 0), [(0, 0), (0, 1), (1, 0)]) == (None, 1, 0)
+    with pytest.raises(DimensionMismatchError):
+        solve_columns(Matrix.identity(2), [(1, 0), (1,)])
+
+
+def test_left_inverse_and_invert_match_former_routines(rng):
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = rand_sparse_matrix(rng, rows, cols, rng.choice((0.4, 1.0)))
+        assert left_inverse(m) == per_column_left_inverse(m)
+        if rows == cols:
+            assert invert(m) == augmented_invert(m)
+    for n in range(1, 6):
+        m = rand_invertible(rng, n)
+        assert invert(m) == augmented_invert(m) is not None
+    assert invert(Matrix.zero(0, 0)) == Matrix.zero(0, 0)
+    assert left_inverse(Matrix.zero(3, 0)) == Matrix.zero(0, 3)
+    assert left_inverse(Matrix.zero(0, 2)) is None
 
 
 def test_empty_shapes():

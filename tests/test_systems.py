@@ -18,7 +18,8 @@ from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, sl2
 from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
                              cochain_space_dim, covariant_differential, curvature,
                              increasing_tuples)
-from liecoh.cohomology import differential_matrix, operator_matrix
+from liecoh.cohomology import differential_matrix, operator_matrix, relative_cocycles
+from liecoh.extensions import ExtensionPresentation, extract_factor_system
 from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
                            center, derivations, direct_and_semidirect,
                            leibniz_rows, solve_inner)
@@ -158,6 +159,30 @@ def test_covariant_block_matches_column_oracle_unvalidated_maps(rng):
         assert_covariant_blocks_match(S, range(4))
 
 
+def curved_factor_system():
+    """n4 over span(e12, e13, e14, e24), with the section e23, e34.
+
+    omega(e23, e34) = e24 is not central in the ideal, since
+    [e12, e24] = e14, so the curvature ad(omega) of S is nonzero.
+    """
+    total = nilpotent(4)   # basis e12, e13, e14, e23, e24, e34
+    ideal, quotient = (0, 1, 2, 4), (3, 5)
+    n_alg = LieAlgebra(4, {(0, 3): {2: 1}})
+    inclusion = Matrix.from_columns([unit_vec(6, i) for i in ideal], rows=6)
+    section = Matrix.from_columns([unit_vec(6, i) for i in quotient], rows=6)
+    ext = ExtensionPresentation(total, n_alg, abelian(2), inclusion,
+                                section.transpose(), section)
+    return extract_factor_system(ext)
+
+
+def test_curved_factor_system_matches_column_oracle():
+    fs = curved_factor_system()
+    assert fs.omega.component((0, 1)) == unit_vec(4, 3)
+    assert not curvature(fs.S).is_zero()
+    assert relative_cocycles(fs.S, fs.n).contains(fs.omega)
+    assert_covariant_blocks_match(fs.S, range(4))
+
+
 def test_operator_matrix_past_the_algebra_dimension():
     L = heisenberg3()
     for rep in (Representation.trivial(L, 2), adjoint_rep(L)):
@@ -226,9 +251,9 @@ def test_solve_inner_matches_stacked_oracle():
 
 
 @pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
-                                  "ext-heisenberg-kernel", "ext-sl2-kernel"])
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel", "curved-n4"])
 def test_extension_derivations_match_dense_builders(monkeypatch, name):
-    fs = catalog(name)
+    fs = curved_factor_system() if name == "curved-n4" else catalog(name)
     report = extension_derivations(fs)
 
     def dense_rows(L, offset=0):
