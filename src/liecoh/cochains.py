@@ -204,10 +204,15 @@ class Cochain:
         keys = list(increasing_tuples(algebra.dim, degree))
         if len(coords) != len(keys) * value_dim:
             raise DimensionMismatchError("coordinate vector has the wrong length")
-        table = {}
+        coords = to_fractions(coords)
+        cochain = cls(algebra, degree, value_dim)
+        # the keys are increasing tuples in range by construction, so the
+        # key checks of __init__ are skipped; zero values are still dropped
         for r, key in enumerate(keys):
-            table[key] = tuple(coords[r * value_dim:(r + 1) * value_dim])
-        return cls(algebra, degree, value_dim, table)
+            vec = coords[r * value_dim:(r + 1) * value_dim]
+            if not vec_is_zero(vec):
+                cochain.coeffs[key] = vec
+        return cochain
 
     def __repr__(self):
         return f"Cochain(degree={self.degree}, value_dim={self.value_dim})"

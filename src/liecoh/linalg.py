@@ -8,7 +8,15 @@ input always yields byte-identical output.
 There is one elimination, on dict rows that hold only the nonzero
 entries, and one augmented solve: ``solve_columns`` row-reduces
 [m | b_1 ... b_k] once, and ``solve``, ``solve_affine``, ``left_inverse``
-and ``invert`` are built on the same reduced form.
+and ``invert`` are built on the same reduced form.  ``kernel`` is one
+elimination too: it row-reduces m with its columns in reverse order, and
+the null vectors read back in the original order are already the reduced
+echelon basis of the kernel.
+
+Outside the elimination zeros are skipped as well: a Subspace keeps the
+nonzero (index, value) pairs of its basis vectors, so reduction,
+membership, coordinates and embedding subtract only those, and the matrix
+product adds a*b only for nonzero a and b.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple:
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def zero_vec(n: int) -> tuple:
@@ -163,9 +171,16 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        other_t = other.transpose()._rows
-        return Matrix([[dot(row, col) for col in other_t] for row in self._rows],
-                      cols=other.cols)
+        other_rows = [[(j, x) for j, x in enumerate(row) if x] for row in other._rows]
+        out = []
+        for row in self._rows:
+            acc = [ZERO] * other.cols
+            for a, pairs in zip(row, other_rows):
+                if a:
+                    for j, x in pairs:
+                        acc[j] += a * x
+            out.append(acc)
+        return Matrix(out, cols=other.cols)
 
     def matvec(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.cols:
@@ -255,14 +270,24 @@ class Subspace:
 
     Basis vectors are the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces always carry identical bases.
+    The nonzero (index, value) pairs of each basis vector are built on first
+    use; reduction, coordinates and embedding touch only those.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_nonzeros")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence], pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
         self.basis = tuple(to_fractions(v) for v in basis)
         self.pivots = tuple(pivots)
+        self._nonzeros = None
+
+    def _pairs(self) -> tuple:
+        """Per basis vector, its nonzero entries as (index, value) pairs."""
+        if self._nonzeros is None:
+            self._nonzeros = tuple(tuple((j, x) for j, x in enumerate(b) if x)
+                                   for b in self.basis)
+        return self._nonzeros
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -300,11 +325,13 @@ class Subspace:
         v = to_fractions(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length disagrees with ambient dimension")
-        for b, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = vec_sub(v, vec_scale(c, b))
-        return v
+        out = list(v)
+        for p, pairs in zip(self.pivots, self._pairs()):
+            c = out[p]
+            if c:
+                for j, x in pairs:
+                    out[j] -= c * x
+        return tuple(out)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -313,26 +340,26 @@ class Subspace:
         return all(self.contains(b) for b in other.basis)
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Optional[tuple]:
-        """Coefficients of v in the canonical basis, or None if outside."""
+        """Coefficients of v in the canonical basis, or None if outside.
+
+        The basis is in reduced echelon form, so the coefficient of each
+        basis vector is the entry of v at its pivot.
+        """
         v = to_fractions(v)
-        coords = tuple(v[p] for p in self.pivots)
-        residual = v
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                residual = vec_sub(residual, vec_scale(c, b))
-        if not vec_is_zero(residual):
+        if not self.contains(v):
             return None
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def embed(self, coords: Sequence[Fraction]) -> tuple:
         """Ambient vector with the given basis coefficients."""
         if len(coords) != self.dim:
             raise DimensionMismatchError("coordinate length disagrees with dimension")
-        v = zero_vec(self.ambient_dim)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                v = vec_add(v, vec_scale(Fraction(c), b))
-        return v
+        out = [ZERO] * self.ambient_dim
+        for c, pairs in zip(to_fractions(coords), self._pairs()):
+            if c:
+                for j, x in pairs:
+                    out[j] += c * x
+        return tuple(out)
 
     def basis_matrix(self) -> Matrix:
         """Columns are the canonical basis vectors."""
@@ -354,9 +381,29 @@ def rref(m: Matrix) -> tuple[Matrix, tuple]:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of the null space; dim kernel + rank = cols."""
-    reduced, pivots = m.rref()
-    return _null_space(reduced, pivots, m.cols)
+    """Canonical basis of the null space; dim kernel + rank = cols.
+
+    m is row-reduced once, with its columns in reverse order.  Read back
+    in the original order, the null vector of free column f starts with
+    the 1 at f and is 0 at every other free column, so these vectors,
+    taken in order of f, are the reduced echelon basis of the kernel.
+    """
+    n = m.cols
+    reduced, pivots = Matrix([row[::-1] for row in m.row_list()], cols=n).rref()
+    # column j of m is column n - 1 - j of the reversed matrix
+    pivot_set = {n - 1 - p for p in pivots}
+    free = [j for j in range(n) if j not in pivot_set]
+    pivot_rows = list(zip(pivots, reduced.row_list()))
+    basis = []
+    for j in free:
+        v = [ZERO] * n
+        v[j] = ONE
+        for p, row in pivot_rows:
+            x = row[n - 1 - j]
+            if x:
+                v[n - 1 - p] = -x
+        basis.append(tuple(v))
+    return Subspace(n, basis, free)
 
 
 def _null_space(reduced: Matrix, pivots: Sequence[int], cols: int) -> Subspace:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -366,3 +367,37 @@ def test_pairing_dimension_mismatch():
     b = Cochain(L, 1, 1, {(1,): (1,)})
     with pytest.raises(DimensionMismatchError):
         wedge(m, a, b)
+
+
+def test_cochain_rejects_bad_keys():
+    L = abelian(3)
+    bad = [((0,), DegreeMismatchError, r"key \(0,\) has the wrong length for degree 2"),
+           ((0, 3), DimensionMismatchError, r"key \(0, 3\) is out of range"),
+           ((-1, 2), DimensionMismatchError, r"key \(-1, 2\) is out of range"),
+           ((2, 1), DimensionMismatchError, r"key \(2, 1\) is not strictly increasing"),
+           ((1, 1), DimensionMismatchError, r"key \(1, 1\) is not strictly increasing")]
+    for key, error, message in bad:
+        with pytest.raises(error, match=message):
+            Cochain(L, 2, 1, {key: (1,)})
+    with pytest.raises(DimensionMismatchError, match="coefficient vector has the wrong length"):
+        Cochain(L, 2, 2, {(0, 1): (1,)})
+
+
+def test_from_coordinates_matches_keyed_construction(rng):
+    for _ in range(20):
+        L = rand_algebra(rng)
+        p, m = rng.randint(0, 3), rng.randint(1, 3)
+        keys = list(combinations(range(L.dim), p))
+        coords = [Fraction(rng.randint(-2, 2)) if rng.random() < 0.5 else 0
+                  for _ in range(len(keys) * m)]
+        got = Cochain.from_coordinates(L, p, m, coords)
+        keyed = Cochain(L, p, m, {key: coords[r * m:(r + 1) * m]
+                                  for r, key in enumerate(keys)})
+        assert got == keyed and got.coeffs == keyed.coeffs
+        assert all(type(x) is Fraction for v in got.coeffs.values() for x in v)
+        assert all(any(v) for v in got.coeffs.values())
+        assert got.coordinates() == tuple(Fraction(x) for x in coords)
+    with pytest.raises(DimensionMismatchError, match="coordinate vector has the wrong length"):
+        Cochain.from_coordinates(abelian(2), 1, 1, (1, 2, 3))
+    with pytest.raises(DegreeCapExceededError):
+        Cochain.from_coordinates(abelian(2), degree_cap() + 1, 1, ())

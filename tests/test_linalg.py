@@ -5,15 +5,16 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from liecoh.catalog import abelian
+from liecoh.catalog import abelian, heisenberg3, sl2
 from liecoh.cochains import Cochain
-from liecoh.cohomology import differential_matrix
+from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
-from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, image,
-                           invert, kernel, left_inverse, quotient_coordinates,
-                           rref, solve, solve_affine, solve_columns, to_fractions,
-                           unit_vec)
+from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space,
+                           dot, image, invert, kernel, left_inverse,
+                           quotient_coordinates, rref, solve, solve_affine,
+                           solve_columns, to_fractions, unit_vec, vec_add,
+                           vec_scale, vec_sub, zero_vec)
 
 from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
@@ -352,3 +353,160 @@ def test_conversion_of_int_str_and_fraction_inputs():
     c = Cochain(abelian(2), 1, len(MIXED), {(0,): MIXED, (1,): expected})
     assert c.coeffs[(0,)] == c.coeffs[(1,)] == expected
     assert all_fractions(c.coeffs[(0,)])
+
+
+# ---------------------------------------------------------------------------
+# the former dense routines, kept as oracles for the zero-skipping ones
+# ---------------------------------------------------------------------------
+
+def dense_reduce(sub, v):
+    """The former Subspace.reduce: dense subtraction over the whole vector."""
+    v = to_fractions(v)
+    for b, p in zip(sub.basis, sub.pivots):
+        c = v[p]
+        if c != 0:
+            v = vec_sub(v, vec_scale(c, b))
+    return v
+
+
+def dense_coordinates_of(sub, v):
+    """The former Subspace.coordinates_of, length check aside."""
+    v = to_fractions(v)
+    coords = tuple(v[p] for p in sub.pivots)
+    residual = v
+    for c, b in zip(coords, sub.basis):
+        if c != 0:
+            residual = vec_sub(residual, vec_scale(c, b))
+    return coords if all(a == 0 for a in residual) else None
+
+
+def dense_embed(sub, coords):
+    """The former Subspace.embed."""
+    v = zero_vec(sub.ambient_dim)
+    for c, b in zip(coords, sub.basis):
+        if c != 0:
+            v = vec_add(v, vec_scale(Fraction(c), b))
+    return v
+
+
+def dense_matmul(a, b):
+    """The former Matrix.__matmul__: transpose the right operand, dot every pair."""
+    b_t = b.transpose().row_list()
+    return Matrix([[dot(row, col) for col in b_t] for row in a.row_list()], cols=b.cols)
+
+
+def two_step_kernel(m):
+    """The former kernel: null vectors of RREF(m), row-reduced a second time."""
+    reduced, pivots = m.rref()
+    return _null_space(reduced, pivots, m.cols)
+
+
+def oracle_matrices(rng):
+    """Seeded sparse, dense and rank-deficient matrices, empty shapes included."""
+    mats = [rand_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 8),
+                               rng.choice((0.2, 0.5, 1.0))) for _ in range(40)]
+    mats += [m.vstack(m.scale(3)) for m in mats[:10]]
+    mats += [Matrix.zero(0, 4), Matrix.zero(4, 0), Matrix.zero(0, 0), Matrix.zero(3, 5),
+             Matrix.identity(5), rand_sparse_matrix(rng, 120, 100, 0.03)]
+    return mats
+
+
+def test_kernel_matches_two_step_oracle(rng):
+    for m in oracle_matrices(rng):
+        k = kernel(m)
+        oracle = two_step_kernel(m)
+        assert (k.ambient_dim, k.basis, k.pivots) == (
+            oracle.ambient_dim, oracle.basis, oracle.pivots)
+        assert k.dim + sympy_rank(m) == m.cols
+        zero = zero_vec(m.rows)
+        for v in k.basis:
+            assert m.matvec(v) == zero
+            assert all_fractions(v)
+
+
+def test_matmul_matches_dense_oracle(rng):
+    for m in oracle_matrices(rng):
+        for other in (rand_sparse_matrix(rng, m.cols, rng.randint(0, 6), 0.3),
+                      rand_sparse_matrix(rng, m.cols, 3, 1.0), Matrix.zero(m.cols, 2)):
+            got = m @ other
+            assert got == dense_matmul(m, other)
+            assert (got.rows, got.cols) == (m.rows, other.cols)
+            assert all(all_fractions(row) for row in got.row_list())
+        if m.rows == m.cols:
+            other = rand_sparse_matrix(rng, m.rows, m.rows, 0.5)
+            assert m.commutator(other) == dense_matmul(m, other) - dense_matmul(other, m)
+    with pytest.raises(DimensionMismatchError):
+        Matrix.identity(2) @ Matrix.identity(3)
+
+
+def test_subspace_reduction_matches_dense_oracle(rng):
+    for m in oracle_matrices(rng):
+        n = m.cols
+        for sub in (Subspace.from_vectors(n, m.row_list()), kernel(m)):
+            inside = [sub.embed([rand_fraction(rng) for _ in range(sub.dim)])
+                      for _ in range(3)]
+            outside = [tuple(rand_fraction(rng) if rng.random() < 0.4 else 0
+                             for _ in range(n)) for _ in range(3)]
+            for v in list(sub.basis) + inside + outside + [zero_vec(n)]:
+                reduced = sub.reduce(v)
+                assert reduced == dense_reduce(sub, v) and all_fractions(reduced)
+                assert sub.contains(v) == all(a == 0 for a in reduced)
+                coords = sub.coordinates_of(v)
+                assert coords == dense_coordinates_of(sub, v)
+                if coords is not None:
+                    assert all_fractions(coords)
+            assert all(sub.contains(v) for v in inside)
+            for _ in range(3):
+                coords = [rand_fraction(rng) if rng.random() < 0.5 else 0
+                          for _ in range(sub.dim)]
+                embedded = sub.embed(coords)
+                assert embedded == dense_embed(sub, coords) and all_fractions(embedded)
+                assert sub.coordinates_of(embedded) == tuple(coords)
+            assert sub.contains_subspace(sub)
+
+
+def test_coordinates_of_checks_the_length():
+    sub = Subspace.from_vectors(3, [(1, 0, 0)])
+    for bad in ((1,), (1, 0, 0, 0)):
+        for method in (sub.coordinates_of, sub.reduce, sub.contains):
+            with pytest.raises(DimensionMismatchError):
+                method(bad)
+    with pytest.raises(DimensionMismatchError):
+        sub.embed((1, 0))
+
+
+# ---------------------------------------------------------------------------
+# elimination count: a repeated elimination that creeps back fails here
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+    original = Matrix.rref
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    return calls
+
+
+def test_kernel_is_one_elimination(rng, rref_calls):
+    for m in oracle_matrices(rng):
+        before = len(rref_calls)
+        kernel(m)
+        assert len(rref_calls) == before + 1
+
+
+def test_cohomology_space_elimination_count(rref_calls):
+    # kernel of d_p, image of d_(p-1) for p > 0, and the class basis when
+    # H^p is nonzero: one elimination each
+    cases = [(Representation.trivial(heisenberg3(), 1), (2, 3, 3, 3)),
+             (adjoint_rep(heisenberg3()), (2, 3, 3, 3)),
+             (adjoint_rep(sl2()), (1, 2, 2, 2))]
+    for rep, expected in cases:
+        for p, count in enumerate(expected):
+            before = len(rref_calls)
+            space = CohomologySpace(rep, p)
+            assert len(rref_calls) - before == count == 1 + (p > 0) + (space.h_dim > 0)
