@@ -9,7 +9,7 @@ classes of crossed modules, derivation and automorphism lifting, and
 polynomial current-algebra cocycles.
 """
 
-from .linalg import Matrix, Subspace, Scalar, kernel, image, rref, solve, \
+from .linalg import Matrix, Subspace, Scalar, kernel, image, solve, \
     quotient_coordinates
 from .liealg import LieAlgebra, Representation, LinearLieMap, check_jacobi, \
     center, adjoint_rep, quotient_algebra, derivations, direct_and_semidirect

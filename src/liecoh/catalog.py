@@ -15,7 +15,7 @@ from .cochains import Cochain, OuterActionMap
 from .errors import InvariantViolation, UnknownNameError
 from .extensions import FactorSystem
 from .liealg import LieAlgebra
-from .linalg import Matrix, ZERO
+from .linalg import Matrix, ZERO, unit_vec
 
 
 def heisenberg3() -> LieAlgebra:
@@ -132,8 +132,8 @@ class InvariantForm:
         for i in range(L.dim):
             for j in range(L.dim):
                 for k in range(L.dim):
-                    lhs = self.value(L.bracket_basis(i, j), _unit(L.dim, k))
-                    rhs = self.value(_unit(L.dim, j), L.bracket_basis(i, k))
+                    lhs = self.value(L.bracket_basis(i, j), unit_vec(L.dim, k))
+                    rhs = self.value(unit_vec(L.dim, j), L.bracket_basis(i, k))
                     if lhs + rhs != 0:
                         raise InvariantViolation(
                             f"the form is not invariant at triple ({i},{j},{k})")
@@ -143,11 +143,6 @@ class InvariantForm:
 
     def radical_contains(self, v) -> bool:
         return all(x == 0 for x in self.gram.matvec(v))
-
-
-def _unit(n, i):
-    from .linalg import unit_vec
-    return unit_vec(n, i)
 
 
 def killing_form(L: LieAlgebra) -> InvariantForm:

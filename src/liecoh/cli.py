@@ -154,8 +154,8 @@ def cmd_cohomology(args) -> int:
     space = cohomology(rep, args.degree)
     algebra = rep.algebra
     cocycles = [lio.cochain_to_json(
-        Cochain.from_coordinates(algebra, args.degree, rep.space_dim, v))
-        for v in space.cocycles.basis]
+        Cochain.from_pairs(algebra, args.degree, rep.space_dim, v))
+        for v in space.cocycles.pairs]
     report = {
         "command": "cohomology",
         "degree": args.degree,

@@ -22,8 +22,8 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation
-from .linalg import (Matrix, ZERO, to_fractions, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, ZERO, linear_combination, to_fractions, vec_add,
+                     vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 HALF = Fraction(1, 2)
 
@@ -96,19 +96,6 @@ class Cochain:
     def from_vector(cls, algebra: LieAlgebra, vec: Sequence[Fraction]) -> "Cochain":
         """Degree-0 cochain: a plain vector."""
         return cls(algebra, 0, len(vec), {(): vec})
-
-    @classmethod
-    def from_matrix(cls, algebra: LieAlgebra, m: Matrix) -> "Cochain":
-        """Degree-1 cochain: column i is the value at e_i."""
-        if m.cols != algebra.dim:
-            raise DimensionMismatchError("column count disagrees with the algebra dimension")
-        return cls(algebra, 1, m.rows,
-                   {(i,): m.column(i) for i in range(algebra.dim)})
-
-    def as_vector(self) -> tuple:
-        if self.degree != 0:
-            raise DegreeMismatchError("only degree-0 cochains are vectors")
-        return self.component(())
 
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
@@ -201,17 +188,29 @@ class Cochain:
     @classmethod
     def from_coordinates(cls, algebra: LieAlgebra, degree: int, value_dim: int,
                          coords: Sequence[Fraction]) -> "Cochain":
-        keys = list(increasing_tuples(algebra.dim, degree))
-        if len(coords) != len(keys) * value_dim:
+        if len(coords) != cochain_space_dim(algebra.dim, degree, value_dim):
             raise DimensionMismatchError("coordinate vector has the wrong length")
-        coords = to_fractions(coords)
+        return cls.from_pairs(algebra, degree, value_dim,
+                              [(i, x) for i, x in enumerate(to_fractions(coords)) if x])
+
+    @classmethod
+    def from_pairs(cls, algebra: LieAlgebra, degree: int, value_dim: int,
+                   pairs: Sequence[tuple]) -> "Cochain":
+        """The cochain whose nonzero coordinates are the given (index, Fraction) pairs.
+
+        Indices increase and follow coordinates(): keys in lexicographic
+        order, each key's value_dim values contiguous.
+        """
+        keys = list(increasing_tuples(algebra.dim, degree))
+        if pairs and pairs[-1][0] >= len(keys) * value_dim:
+            raise DimensionMismatchError("coordinate index out of range")
         cochain = cls(algebra, degree, value_dim)
         # the keys are increasing tuples in range by construction, so the
-        # key checks of __init__ are skipped; zero values are still dropped
-        for r, key in enumerate(keys):
-            vec = coords[r * value_dim:(r + 1) * value_dim]
-            if not vec_is_zero(vec):
-                cochain.coeffs[key] = vec
+        # key checks of __init__ are skipped
+        for i, x in pairs:
+            r, slot = divmod(i, value_dim)
+            cochain.coeffs.setdefault(keys[r], [ZERO] * value_dim)[slot] = x
+        cochain.coeffs = {key: tuple(vec) for key, vec in cochain.coeffs.items()}
         return cochain
 
     def __repr__(self):
@@ -434,11 +433,7 @@ class OuterActionMap:
         return cls(algebra, [z] * algebra.dim, target=target)
 
     def matrix_of(self, u: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zero(self.space_dim, self.space_dim)
-        for i, a in enumerate(u):
-            if a != 0:
-                out = out + self.matrices[i].scale(a)
-        return out
+        return linear_combination(u, self.matrices, self.space_dim, self.space_dim)
 
     def as_end_cochain(self) -> Cochain:
         m = self.space_dim

@@ -47,8 +47,8 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
                 for r, key in enumerate(increasing_tuples(algebra.dim, p))}
     brackets = {pair: [(k, c) for k, c in enumerate(vec) if c != 0]
                 for pair, vec in algebra.structure_table().items()}
-    action = [[(a, b, x) for a, row in enumerate(m.row_list())
-               for b, x in enumerate(row) if x != 0] for m in matrices]
+    action = [[(a, b, x) for a, row in enumerate(m.sparse_rows()) for b, x in row.items()]
+              for m in matrices]
     rows = []
     for key in increasing_tuples(algebra.dim, p + 1):
         block = [{} for _ in range(value_dim)]
@@ -94,9 +94,9 @@ class CohomologySpace:
         if not self.cocycles.contains_subspace(self.coboundaries):
             raise SpaceMismatchError("coboundaries escape the cocycle space")
         self.h_dim = self.cocycles.dim - self.coboundaries.dim
-        reduced = [self.coboundaries.reduce(v) for v in self.cocycles.basis]
-        self._h_basis = Subspace.from_vectors(self.cocycles.ambient_dim,
-                                              [v for v in reduced if not vec_is_zero(v)])
+        reduced = (self.coboundaries.reduce_entries(v) for v in self.cocycles.pairs)
+        self._h_basis = Subspace.row_space(Matrix.from_sparse_rows(
+            [v for v in reduced if v], self.cocycles.ambient_dim))
 
     @property
     def dim_cocycles(self) -> int:
@@ -108,11 +108,8 @@ class CohomologySpace:
 
     def representative_cochains(self) -> tuple:
         """Canonical cocycles spanning the cohomology, one per class."""
-        return tuple(self._cochain(v) for v in self._h_basis.basis)
-
-    def _cochain(self, coords) -> Cochain:
-        return Cochain.from_coordinates(self.rep.algebra, self.degree,
-                                        self.rep.space_dim, coords)
+        return tuple(Cochain.from_pairs(self.rep.algebra, self.degree, self.rep.space_dim, v)
+                     for v in self._h_basis.pairs)
 
     def normalize(self, c: Cochain) -> tuple:
         """Canonical coordinates of the class of c (reduce modulo coboundaries)."""
@@ -247,7 +244,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
     for r, key in enumerate(increasing_tuples(g.dim, 2)):
         target = R.component(key)
         for f in range(nd * nd):
-            rows.append({r * nd + k: c for k, c in enumerate(stack.row(f)) if c != 0})
+            rows.append({r * nd + k: c for k, c in stack.sparse_rows()[f].items()})
             rhs.append(target[f])
 
     d_block = operator_matrix(g, S.matrices, 2, nd)
@@ -256,7 +253,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
     if particular is None:
         return EmptyAffine(certificate)
     part = Cochain.from_coordinates(g, 2, nd, particular)
-    basis = tuple(Cochain.from_coordinates(g, 2, nd, v) for v in hom.basis)
+    basis = tuple(Cochain.from_pairs(g, 2, nd, v) for v in hom.pairs)
     return AffineCochainSpace(part, basis, hom)
 
 
@@ -282,12 +279,12 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     rows = []
     rhs = []
     for i in range(gS.dim):
-        for a, b in enumerate(ideal.basis):
+        for a, b in enumerate(ideal.pairs):
             target = theta.get((i, a), zero_vec(zd))
             for comp in range(zd):
                 row = {}
-                for j, coeff in enumerate(b):
-                    if coeff == 0 or j == i:
+                for j, coeff in b:
+                    if j == i:
                         continue
                     key = (i, j) if i < j else (j, i)
                     sign = 1 if i < j else -1
@@ -300,5 +297,5 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     if particular is None:
         return EmptyAffine(certificate)
     part = Cochain.from_coordinates(gS, 2, zd, particular)
-    basis = tuple(Cochain.from_coordinates(gS, 2, zd, v) for v in hom.basis)
+    basis = tuple(Cochain.from_pairs(gS, 2, zd, v) for v in hom.pairs)
     return AffineCochainSpace(part, basis, hom)

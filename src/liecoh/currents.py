@@ -20,7 +20,7 @@ from .cochains import Cochain, cochain_differential, increasing_tuples
 from .cohomology import cohomology
 from .errors import DimensionMismatchError, InputError
 from .liealg import Representation
-from .linalg import ZERO
+from .linalg import ZERO, unit_vec
 
 DEFAULT_MAX_DEGREE = 32
 
@@ -179,7 +179,7 @@ def characteristic_cocycle(kappa: InvariantForm) -> Cochain:
     table = {}
     for key in increasing_tuples(L.dim, 3):
         i, j, k = key
-        val = kappa.value(L.bracket_basis(i, j), _unit(L.dim, k)) / 2
+        val = kappa.value(L.bracket_basis(i, j), unit_vec(L.dim, k)) / 2
         if val != 0:
             table[key] = (val,)
     return Cochain(L, 3, 1, table)
@@ -197,8 +197,3 @@ def v2_characteristic_cocycle(kappa: InvariantForm):
         raise DimensionMismatchError("the invariant-form cocycle failed to close")
     space = cohomology(rep, 3)
     return eta, space.class_of(eta)
-
-
-def _unit(n, i):
-    from .linalg import unit_vec
-    return unit_vec(n, i)

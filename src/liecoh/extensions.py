@@ -92,13 +92,8 @@ def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
 def transport_outer_action(alpha: Matrix, alpha_inv: Matrix, beta_inv: Matrix,
                            S: OuterActionMap) -> OuterActionMap:
     """x -> alpha S(beta^{-1} x) alpha^{-1}."""
-    mats = []
-    for i in range(S.algebra.dim):
-        m = Matrix.zero(S.space_dim, S.space_dim)
-        for j, coeff in enumerate(beta_inv.column(i)):
-            if coeff != 0:
-                m = m + S.matrices[j].scale(coeff)
-        mats.append(alpha @ m @ alpha_inv)
+    mats = [alpha @ S.matrix_of(beta_inv.column(i)) @ alpha_inv
+            for i in range(S.algebra.dim)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
 
 

@@ -16,15 +16,15 @@ from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
-from .linalg import (InconsistencyCertificate, Matrix, ONE, Subspace, kernel,
-                     quotient_coordinates, solve_columns, unit_vec, vec_add,
-                     vec_is_zero, vec_scale, zero_vec)
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, kernel,
+                     linear_combination, quotient_coordinates, solve_columns,
+                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
 class LieAlgebra:
     """Lie algebra over Q given by a basis and structure constants."""
 
-    __slots__ = ("dim", "labels", "_table")
+    __slots__ = ("dim", "labels", "_table", "_involving")
 
     def __init__(self, dim: int, brackets=None, labels: Optional[Sequence[str]] = None,
                  _skip_jacobi: bool = False):
@@ -51,6 +51,14 @@ class LieAlgebra:
             if not vec_is_zero(vec):
                 table[(i, j)] = tuple(vec)
         self._table = table
+        # _involving[i] lists (j, nonzero pairs of [e_i, e_j]) for each
+        # table entry with i in its key, so a bracket never scans the table
+        involving = [[] for _ in range(dim)]
+        for (i, j), w in table.items():
+            pairs = [(k, c) for k, c in enumerate(w) if c]
+            involving[i].append((j, tuple(pairs)))
+            involving[j].append((i, tuple((k, -c) for k, c in pairs)))
+        self._involving = involving
         if not _skip_jacobi:
             triple = self._jacobi_failure()
             if triple is not None:
@@ -67,32 +75,26 @@ class LieAlgebra:
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
         """Bilinear extension of the bracket to coefficient vectors."""
-        out = zero_vec(self.dim)
+        out = [ZERO] * self.dim
         for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for (x, y), w in self._pairs_with(i):
-                c = a * v[y] if x == i else -a * v[x]
-                if c != 0:
-                    out = vec_add(out, vec_scale(c, w))
-        return out
-
-    def _pairs_with(self, i: int):
-        for key, w in self._table.items():
-            if i in key:
-                yield key, w
+            if a:
+                for j, pairs in self._involving[i]:
+                    b = v[j]
+                    if b:
+                        c = a * b
+                        for k, w in pairs:
+                            out[k] += c * w
+        return tuple(out)
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad e_i: columns are [e_i, e_j]."""
-        return Matrix.from_columns([self.bracket_basis(i, j) for j in range(self.dim)],
-                                   rows=self.dim)
+        return self.ad(unit_vec(self.dim, i))
 
     def ad(self, u: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim)
-        for i, a in enumerate(u):
-            if a != 0:
-                out = out + self.ad_matrix(i).scale(a)
-        return out
+        """Matrix of ad u: column j is [u, e_j]."""
+        u = to_fractions(u)
+        return Matrix.from_columns([self.bracket(u, unit_vec(self.dim, j))
+                                    for j in range(self.dim)], rows=self.dim)
 
     def is_abelian(self) -> bool:
         return not self._table
@@ -162,11 +164,7 @@ class Representation:
         return all(m.is_zero() for m in self.matrices)
 
     def matrix_of(self, u: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zero(self.space_dim, self.space_dim)
-        for i, a in enumerate(u):
-            if a != 0:
-                out = out + self.matrices[i].scale(a)
-        return out
+        return linear_combination(u, self.matrices, self.space_dim, self.space_dim)
 
     def act(self, i: int, v: Sequence[Fraction]) -> tuple:
         return self.matrices[i].matvec(v)
@@ -397,10 +395,7 @@ def direct_and_semidirect(n_alg: LieAlgebra, g_alg: LieAlgebra,
     for a in range(g_alg.dim):
         for b in range(a + 1, g_alg.dim):
             lhs = S[a].commutator(S[b])
-            rhs = Matrix.zero(n_alg.dim, n_alg.dim)
-            for k, c in enumerate(g_alg.bracket_basis(a, b)):
-                if c != 0:
-                    rhs = rhs + S[k].scale(c)
+            rhs = linear_combination(g_alg.bracket_basis(a, b), S, n_alg.dim, n_alg.dim)
             if lhs != rhs:
                 raise NotAHomomorphismError(
                     f"S does not preserve the bracket on basis pair ({a},{b})")

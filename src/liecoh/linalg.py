@@ -5,18 +5,15 @@ echelon forms are the unique reduced ones, so kernels, images, solution
 picks and quotient splittings are canonical and reproducible: the same
 input always yields byte-identical output.
 
-There is one elimination, on dict rows that hold only the nonzero
-entries, and one augmented solve: ``solve_columns`` row-reduces
-[m | b_1 ... b_k] once, and ``solve``, ``solve_affine``, ``left_inverse``
-and ``invert`` are built on the same reduced form.  ``kernel`` is one
-elimination too: it row-reduces m with its columns in reverse order, and
-the null vectors read back in the original order are already the reduced
-echelon basis of the kernel.
-
-Outside the elimination zeros are skipped as well: a Subspace keeps the
-nonzero (index, value) pairs of its basis vectors, so reduction,
-membership, coordinates and embedding subtract only those, and the matrix
-product adds a*b only for nonzero a and b.
+Storage is sparse: a Matrix keeps one dict {column: value} per row and a
+Subspace keeps each basis vector as its nonzero (index, value) pairs, so
+no zero is stored or touched.  Dense tuples (``Matrix.row_list``,
+``Subspace.basis``) are views built on first use for the callers that
+want them.  There is one elimination, on copies of the dict rows, and one
+augmented solve, ``solve_columns``, on which ``solve``, ``solve_affine``,
+``left_inverse`` and ``invert`` are built.  ``kernel`` is one elimination
+of m with its column indices reversed: read back in the original order,
+the null vectors are already the reduced echelon basis.
 """
 
 from __future__ import annotations
@@ -72,141 +69,166 @@ def unit_vec(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def _dense(entries: Iterable, n: int) -> tuple:
+    """The length-n vector with the given (index, value) pairs, zero elsewhere."""
+    v = [ZERO] * n
+    for j, x in entries:
+        v[j] = x
+    return tuple(v)
+
+
+def _add_scaled(acc: dict, c: Fraction, entries: Iterable) -> None:
+    """acc += c * entries on dict entries; values that cancel are removed."""
+    for j, x in entries:
+        new = acc.get(j, ZERO) + c * x
+        if new:
+            acc[j] = new
+        else:
+            del acc[j]
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable matrix of Fractions, one dict {column: nonzero value} per row."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_data", "_dense")
 
     def __init__(self, rows_data: Iterable[Iterable], cols: Optional[int] = None):
-        data = tuple(to_fractions(row) for row in rows_data)
-        self.rows = len(data)
-        if data:
-            self.cols = len(data[0])
-            if any(len(row) != self.cols for row in data):
+        """A matrix from dense rows; each row is converted once and its zeros dropped."""
+        dense = tuple(to_fractions(row) for row in rows_data)
+        if dense:
+            width = len(dense[0])
+            if any(len(row) != width for row in dense):
                 raise DimensionMismatchError("ragged matrix rows")
-            if cols is not None and cols != self.cols:
+            if cols is not None and cols != width:
                 raise DimensionMismatchError("declared column count disagrees with data")
-        else:
-            if cols is None:
-                raise DimensionMismatchError("empty matrix needs an explicit column count")
-            self.cols = cols
-        self._rows = data
+            cols = width
+        elif cols is None:
+            raise DimensionMismatchError("empty matrix needs an explicit column count")
+        self.rows = len(dense)
+        self.cols = cols
+        self._data = tuple({j: x for j, x in enumerate(row) if x} for row in dense)
+        self._dense = dense
+
+    @classmethod
+    def _of(cls, data: Sequence[dict], cols: int) -> "Matrix":
+        # the matrix takes the dicts over as they are: nonzero Fractions only
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._dense = len(data), cols, tuple(data), None
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([(ZERO,) * cols for _ in range(rows)], cols=cols)
+        return cls._of([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vec(n, i) for i in range(n)], cols=n)
+        return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        columns = [to_fractions(col) for col in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
+        columns = list(columns)
+        if not columns and rows is None:
             raise DimensionMismatchError("empty column list needs an explicit row count")
-        return cls([tuple(col[i] for col in columns) for i in range(rows)],
-                   cols=len(columns))
+        return cls(columns, cols=None if columns else rows).transpose()
 
     @classmethod
     def from_sparse_rows(cls, rows: Iterable[dict], cols: int) -> "Matrix":
-        """Dense matrix from dict rows {column: coefficient}; empty dicts are zero rows."""
-        dense = []
-        for entries in rows:
-            row = [ZERO] * cols
-            for j, c in entries.items():
-                row[j] = c
-            dense.append(row)
-        return cls(dense, cols=cols)
+        """Matrix from dict rows {column: coefficient}; zero values are dropped."""
+        data = [{j: y for j, x in row.items()
+                 if (y := x if type(x) is Fraction else Fraction(x))}
+                for row in rows]
+        if any(row and (min(row) < 0 or max(row) >= cols) for row in data):
+            raise DimensionMismatchError("sparse row column out of range")
+        return cls._of(data, cols)
 
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+    def sparse_rows(self) -> tuple:
+        """The rows as dicts {column: value} of their nonzero entries; read only."""
+        return self._data
 
     def row_list(self) -> tuple:
-        return self._rows
+        """The rows as dense tuples, built on first use and kept."""
+        if self._dense is None:
+            self._dense = tuple(_dense(row.items(), self.cols) for row in self._data)
+        return self._dense
+
+    def row(self, i: int) -> tuple:
+        return self.row_list()[i]
+
+    def column(self, j: int) -> tuple:
+        return tuple(row.get(j, ZERO) for row in self._data)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self._data[i].get(j, ZERO)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix._of(out, self.rows)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self._rows)
+        return not any(self._data)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._rows == other._rows)
+                and self.cols == other.cols and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._rows))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self._data)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix([vec_add(a, b) for a, b in zip(self._rows, other._rows)],
-                      cols=self.cols)
+        return linear_combination((ONE, ONE), (self, other), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix([vec_sub(a, b) for a, b in zip(self._rows, other._rows)],
-                      cols=self.cols)
+        return linear_combination((ONE, -ONE), (self, other), self.rows, self.cols)
+
+    def _check_same_shape(self, other: "Matrix") -> None:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatchError("matrix shapes differ")
 
     def __neg__(self) -> "Matrix":
         return self.scale(-ONE)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix([vec_scale(c, row) for row in self._rows], cols=self.cols)
+        return linear_combination((c,), (self,), self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        other_rows = [[(j, x) for j, x in enumerate(row) if x] for row in other._rows]
+        right = other._data
         out = []
-        for row in self._rows:
-            acc = [ZERO] * other.cols
-            for a, pairs in zip(row, other_rows):
-                if a:
-                    for j, x in pairs:
-                        acc[j] += a * x
+        for row in self._data:
+            acc = {}
+            for k, a in row.items():
+                _add_scaled(acc, a, right[k].items())
             out.append(acc)
-        return Matrix(out, cols=other.cols)
+        return Matrix._of(out, other.cols)
 
     def matvec(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length disagrees with column count")
-        return tuple(dot(row, v) for row in self._rows)
+        return tuple(sum((x * v[j] for j, x in row.items()), ZERO) for row in self._data)
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
 
     def trace(self) -> Fraction:
-        return sum((self._rows[i][i] for i in range(min(self.rows, self.cols))), ZERO)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatchError("row counts differ")
-        return Matrix([a + b for a, b in zip(self._rows, other._rows)],
-                      cols=self.cols + other.cols)
+        return sum((self._data[i].get(i, ZERO) for i in range(min(self.rows, self.cols))),
+                   ZERO)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("column counts differ")
-        return Matrix(self._rows + other._rows, cols=self.cols)
+        return Matrix._of(self._data + other._data, self.cols)
 
     def flatten(self) -> tuple:
         """Row-major flattening."""
-        return tuple(x for row in self._rows for x in row)
+        return tuple(x for row in self.row_list() for x in row)
 
     @classmethod
     def unflatten(cls, v: Sequence[Fraction], rows: int, cols: int) -> "Matrix":
@@ -217,49 +239,53 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple]:
         """Unique reduced row echelon form and its pivot columns.
 
-        The elimination runs on dict rows {column: entry}, so zero entries
-        are never touched.
+        ``holding[c]``, the rows with an entry in column c, is kept up to
+        date on fill-in and cancellation; it gives each column's pivot
+        candidates and the rows to clear.  The reduced form is unique, so
+        taking the shortest candidate (least fill-in) cannot change it.
         """
-        cols = self.cols
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in self._rows]
-        nrows = len(sparse)
+        rows = [dict(row) for row in self._data]
+        holding = [set() for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j in row:
+                holding[j].add(i)
+        unused = set(range(len(rows)))
+        order = []
         pivots = []
-        r = 0
-        for c in range(cols):
-            if r == nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if c in sparse[i]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        for c, col_rows in enumerate(holding):
+            candidates = col_rows & unused
+            if not candidates:
                 continue
-            sparse[r], sparse[pivot_row] = sparse[pivot_row], sparse[r]
-            inv = 1 / sparse[r][c]
+            r = min(candidates, key=lambda i: (len(rows[i]), i))
+            unused.discard(r)
+            prow = rows[r]
+            inv = 1 / prow[c]
             if inv != 1:
-                sparse[r] = {j: x * inv for j, x in sparse[r].items()}
-            prow = sparse[r]
-            for i in range(nrows):
-                if i != r and c in sparse[i]:
-                    row = sparse[i]
-                    f = row[c]
-                    for j, x in prow.items():
-                        new = row.get(j, ZERO) - f * x
+                rows[r] = prow = {j: x * inv for j, x in prow.items()}
+            for i in list(col_rows):
+                if i == r:
+                    continue
+                row = rows[i]
+                f = row[c]
+                for j, x in prow.items():
+                    old = row.get(j)
+                    if old is None:
+                        row[j] = -f * x
+                        holding[j].add(i)
+                    else:
+                        new = old - f * x
                         if new:
                             row[j] = new
                         else:
-                            row.pop(j, None)
+                            del row[j]
+                            holding[j].discard(i)
+            order.append(r)
             pivots.append(c)
-            r += 1
-        return Matrix.from_sparse_rows(sparse, cols), tuple(pivots)
+        data = [rows[r] for r in order] + [{} for _ in range(len(rows) - len(order))]
+        return Matrix._of(data, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("matrix shapes differ")
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -270,36 +296,39 @@ class Subspace:
 
     Basis vectors are the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces always carry identical bases.
-    The nonzero (index, value) pairs of each basis vector are built on first
-    use; reduction, coordinates and embedding touch only those.
+    Each basis vector is stored as ``pairs``: its nonzero (index, value)
+    pairs in increasing index order.  ``basis`` is the dense view, built on
+    first use; reduction, membership and coordinates touch only the pairs.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_nonzeros")
+    __slots__ = ("ambient_dim", "pairs", "pivots", "_by_pivot", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Sequence], pivots: Sequence[int]):
+    def __init__(self, ambient_dim: int, pairs: Sequence[Sequence], pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(to_fractions(v) for v in basis)
+        self.pairs = tuple(tuple(p) for p in pairs)
         self.pivots = tuple(pivots)
-        self._nonzeros = None
+        self._by_pivot = dict(zip(self.pivots, self.pairs))
+        self._basis = None
 
-    def _pairs(self) -> tuple:
-        """Per basis vector, its nonzero entries as (index, value) pairs."""
-        if self._nonzeros is None:
-            self._nonzeros = tuple(tuple((j, x) for j, x in enumerate(b) if x)
-                                   for b in self.basis)
-        return self._nonzeros
+    @property
+    def basis(self) -> tuple:
+        """The basis vectors as dense tuples."""
+        if self._basis is None:
+            self._basis = tuple(_dense(p, self.ambient_dim) for p in self.pairs)
+        return self._basis
+
+    @classmethod
+    def row_space(cls, m: Matrix) -> "Subspace":
+        """The span of the rows of m, from one elimination (none for no rows)."""
+        if not m.rows:
+            return cls.zero(m.cols)
+        reduced, pivots = m.rref()
+        return cls(m.cols, [sorted(row.items()) for row in reduced.sparse_rows()[:len(pivots)]],
+                   pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vectors = [to_fractions(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError("vector length disagrees with ambient dimension")
-        if not vectors:
-            return cls(ambient_dim, (), ())
-        reduced, pivots = Matrix(vectors, cols=ambient_dim).rref()
-        basis = [reduced.row(i) for i in range(len(pivots))]
-        return cls(ambient_dim, basis, pivots)
+        return cls.row_space(Matrix(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -307,37 +336,45 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [unit_vec(ambient_dim, i) for i in range(ambient_dim)],
-                   range(ambient_dim))
+        return cls(ambient_dim, [((i, ONE),) for i in range(ambient_dim)], range(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pairs)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.pairs
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
+
+    def reduce_entries(self, entries) -> dict:
+        """reduce() on nonzero (index, value) pairs, given and returned as a dict.
+
+        A basis vector is 0 at every other pivot, so subtracting it leaves
+        the other pivot entries alone: the pivots to clear are those the
+        vector holds at the start.
+        """
+        out = dict(entries)
+        for p in [j for j in out if j in self._by_pivot]:
+            _add_scaled(out, -out[p], self._by_pivot[p])
+        return out
 
     def reduce(self, v: Sequence[Fraction]) -> tuple:
         """Canonical representative of v modulo the subspace."""
         v = to_fractions(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length disagrees with ambient dimension")
-        out = list(v)
-        for p, pairs in zip(self.pivots, self._pairs()):
-            c = out[p]
-            if c:
-                for j, x in pairs:
-                    out[j] -= c * x
-        return tuple(out)
+        entries = self.reduce_entries((j, x) for j, x in enumerate(v) if x)
+        return _dense(entries.items(), self.ambient_dim)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatchError("subspaces live in different ambient spaces")
+        return not any(self.reduce_entries(p) for p in other.pairs)
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Optional[tuple]:
         """Coefficients of v in the canonical basis, or None if outside.
@@ -355,55 +392,54 @@ class Subspace:
         if len(coords) != self.dim:
             raise DimensionMismatchError("coordinate length disagrees with dimension")
         out = [ZERO] * self.ambient_dim
-        for c, pairs in zip(to_fractions(coords), self._pairs()):
+        for c, pairs in zip(to_fractions(coords), self.pairs):
             if c:
                 for j, x in pairs:
                     out[j] += c * x
         return tuple(out)
 
-    def basis_matrix(self) -> Matrix:
-        """Columns are the canonical basis vectors."""
-        return Matrix.from_columns(self.basis, rows=self.ambient_dim)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pairs))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple]:
-    return m.rref()
+def linear_combination(coeffs: Sequence, matrices: Sequence[Matrix],
+                       rows: int, cols: int) -> Matrix:
+    """sum_i coeffs[i] * matrices[i] for rows x cols matrices, on the dict rows."""
+    out = [{} for _ in range(rows)]
+    for c, m in zip(to_fractions(coeffs), matrices):
+        if c:
+            for acc, row in zip(out, m.sparse_rows()):
+                _add_scaled(acc, c, row.items())
+    return Matrix._of(out, cols)
 
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space; dim kernel + rank = cols.
 
-    m is row-reduced once, with its columns in reverse order.  Read back
+    m is row-reduced once, with column j moved to n - 1 - j.  Read back
     in the original order, the null vector of free column f starts with
     the 1 at f and is 0 at every other free column, so these vectors,
     taken in order of f, are the reduced echelon basis of the kernel.
     """
     n = m.cols
-    reduced, pivots = Matrix([row[::-1] for row in m.row_list()], cols=n).rref()
-    # column j of m is column n - 1 - j of the reversed matrix
+    reversed_rows = [{n - 1 - j: x for j, x in row.items()} for row in m.sparse_rows()]
+    reduced, pivots = Matrix._of(reversed_rows, n).rref()
+    # entry t != p of reversed pivot p's row is minus entry n-1-p of free column n-1-t's vector
+    tails = {}
+    for p, row in zip(pivots, reduced.sparse_rows()):
+        for t, x in row.items():
+            if t != p:
+                tails.setdefault(n - 1 - t, []).append((n - 1 - p, -x))
     pivot_set = {n - 1 - p for p in pivots}
     free = [j for j in range(n) if j not in pivot_set]
-    pivot_rows = list(zip(pivots, reduced.row_list()))
-    basis = []
-    for j in free:
-        v = [ZERO] * n
-        v[j] = ONE
-        for p, row in pivot_rows:
-            x = row[n - 1 - j]
-            if x:
-                v[n - 1 - p] = -x
-        basis.append(tuple(v))
-    return Subspace(n, basis, free)
+    return Subspace(n, [[(j, ONE)] + sorted(tails.get(j, ())) for j in free], free)
 
 
 def _null_space(reduced: Matrix, pivots: Sequence[int], cols: int) -> Subspace:
@@ -414,20 +450,17 @@ def _null_space(reduced: Matrix, pivots: Sequence[int], cols: int) -> Subspace:
     as well as the RREF of the matrix itself.
     """
     pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entry(r, f)
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(cols, vectors)
+    vectors = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
+    for p, row in zip(pivots, reduced.sparse_rows()):
+        for j, x in row.items():
+            if j < cols and j != p:
+                vectors[j][p] = -x
+    return Subspace.row_space(Matrix._of(list(vectors.values()), cols))
 
 
 def image(m: Matrix) -> Subspace:
     """Canonical basis of the column space."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    return Subspace.row_space(m.transpose())
 
 
 def _augmented_rref(m: Matrix, columns: Sequence[Sequence]):
@@ -440,10 +473,12 @@ def _augmented_rref(m: Matrix, columns: Sequence[Sequence]):
     columns = [to_fractions(b) for b in columns]
     if any(len(b) != m.rows for b in columns):
         raise DimensionMismatchError("right-hand side length disagrees with row count")
-    augmented = Matrix([row + tuple(b[i] for b in columns)
-                        for i, row in enumerate(m.row_list())],
-                       cols=m.cols + len(columns))
-    reduced, pivots = augmented.rref()
+    rows = [dict(row) for row in m.sparse_rows()]
+    for k, b in enumerate(columns, m.cols):
+        for i, x in enumerate(b):
+            if x:
+                rows[i][k] = x
+    reduced, pivots = Matrix._of(rows, m.cols + len(columns)).rref()
     rank = bisect_left(pivots, m.cols)
     first_inconsistent = pivots[rank] - m.cols if rank < len(pivots) else None
     return reduced, pivots[:rank], first_inconsistent
@@ -452,8 +487,8 @@ def _augmented_rref(m: Matrix, columns: Sequence[Sequence]):
 def _particular(reduced: Matrix, pivots: Sequence[int], cols: int, i: int) -> tuple:
     # free variables are zero; pivot variables read right-hand column i
     x = [ZERO] * cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entry(r, cols + i)
+    for p, row in zip(pivots, reduced.sparse_rows()):
+        x[p] = row.get(cols + i, ZERO)
     return tuple(x)
 
 
@@ -507,7 +542,8 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]):
     if first_inconsistent is not None:
         # the 0 = 1 row follows the rows of m's pivots
         idx = len(pivots)
-        return None, homogeneous, InconsistencyCertificate(idx, reduced.row(idx))
+        row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
+        return None, homogeneous, InconsistencyCertificate(idx, row)
     return _particular(reduced, pivots, m.cols, 0), homogeneous, None
 
 

@@ -30,8 +30,8 @@ from .extensions import (FactorSystem, build_extension, check_equivalence_map,
                          transport_outer_action)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
                      center, is_derivation, leibniz_rows, solve_inner)
-from .linalg import (Matrix, Subspace, invert, kernel, solve_affine, unit_vec,
-                     vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, invert, kernel, linear_combination, solve_affine,
+                     unit_vec, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +40,8 @@ from .linalg import (Matrix, Subspace, invert, kernel, solve_affine, unit_vec,
 
 def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActionMap:
     """x -> [alpha, S(x)] - S(beta x), the derivation action on S."""
-    mats = []
-    for a in range(S.algebra.dim):
-        m = alpha.commutator(S.matrices[a])
-        for b, coeff in enumerate(beta.column(a)):
-            if coeff != 0:
-                m = m - S.matrices[b].scale(coeff)
-        mats.append(m)
+    mats = [alpha.commutator(S.matrices[a]) - S.matrix_of(beta.column(a))
+            for a in range(S.algebra.dim)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
 
 
@@ -190,7 +185,7 @@ def _pair_system_rows(fs: FactorSystem):
                     row[k * nd + c] -= Sa.entry(r, k)
                 for b in range(gd):
                     row[va + b * gd + a] -= S.matrices[b].entry(r, c)
-                for k, x in enumerate(stack.row(r * nd + c)):
+                for k, x in stack.sparse_rows()[r * nd + c].items():
                     row[va + vb + a * nd + k] -= x
                 rows.append(row)
 
@@ -383,12 +378,9 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
         for y in range(x + 1, hd):
             an = psi_n[x].commutator(psi_n[y])
             ag = psi_g[x].commutator(psi_g[y])
-            bn = Matrix.zero(n_alg.dim, n_alg.dim)
-            bg = Matrix.zero(g_alg.dim, g_alg.dim)
-            for k, c in enumerate(h_alg.bracket_basis(x, y)):
-                if c != 0:
-                    bn = bn + psi_n[k].scale(c)
-                    bg = bg + psi_g[k].scale(c)
+            bracket = h_alg.bracket_basis(x, y)
+            bn = linear_combination(bracket, psi_n, n_alg.dim, n_alg.dim)
+            bg = linear_combination(bracket, psi_g, g_alg.dim, g_alg.dim)
             if an != bn or ag != bg:
                 raise PreconditionFailedError(
                     f"psi is not a homomorphism at pair ({x},{y})", index=(x, y))
@@ -465,10 +457,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
                 raise InvariantViolation(f"assembled lift {x} is not a derivation")
         for x in range(hd):
             for y in range(x + 1, hd):
-                expected = Matrix.zero(nd + gd, nd + gd)
-                for k, c in enumerate(h_alg.bracket_basis(x, y)):
-                    if c != 0:
-                        expected = expected + mats[k].scale(c)
+                expected = linear_combination(h_alg.bracket_basis(x, y), mats,
+                                              nd + gd, nd + gd)
                 if mats[x].commutator(mats[y]) != expected:
                     raise InvariantViolation(
                         "assembled lift is not a homomorphism despite a zero class")

@@ -397,6 +397,10 @@ def test_from_coordinates_matches_keyed_construction(rng):
         assert all(type(x) is Fraction for v in got.coeffs.values() for x in v)
         assert all(any(v) for v in got.coeffs.values())
         assert got.coordinates() == tuple(Fraction(x) for x in coords)
+        pairs = [(i, Fraction(x)) for i, x in enumerate(coords) if x]
+        assert Cochain.from_pairs(L, p, m, pairs).coeffs == keyed.coeffs
+    with pytest.raises(DimensionMismatchError, match="coordinate index out of range"):
+        Cochain.from_pairs(abelian(2), 1, 1, [(0, Fraction(1)), (2, Fraction(1))])
     with pytest.raises(DimensionMismatchError, match="coordinate vector has the wrong length"):
         Cochain.from_coordinates(abelian(2), 1, 1, (1, 2, 3))
     with pytest.raises(DegreeCapExceededError):

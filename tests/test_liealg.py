@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh.catalog import abelian, heisenberg3, nonabelian2, sl2
+from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
 from liecoh.errors import (JacobiError, NotAHomomorphismError, NotAnIdealError,
                            RepresentationError)
 from liecoh.liealg import (LieAlgebra, LinearLieMap, Representation, adjoint_rep,
                            bracket_preserving, center, change_of_basis,
                            check_jacobi, derivations, direct_and_semidirect,
                            is_derivation, quotient_algebra)
-from liecoh.linalg import Matrix, Subspace, unit_vec
+from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, zero_vec
 
-from conftest import rand_algebra, rand_invertible
+from conftest import rand_algebra, rand_fraction, rand_invertible
 
 
 def test_jacobi_abelian_and_heisenberg():
@@ -169,3 +169,100 @@ def test_change_of_basis_preserves_jacobi(rng):
         assert check_jacobi(L)
         P = rand_invertible(rng, L.dim)
         assert check_jacobi(change_of_basis(L, P))
+
+
+# ---------------------------------------------------------------------------
+# the former table scan and dense law check, kept as oracles
+# ---------------------------------------------------------------------------
+
+def scan_bracket(L, u, v):
+    """The former LieAlgebra.bracket: scan the whole table for every coefficient."""
+    out = zero_vec(L.dim)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for (x, y), w in L.structure_table().items():
+            if i not in (x, y):
+                continue
+            c = a * v[y] if x == i else -a * v[x]
+            if c != 0:
+                out = vec_add(out, vec_scale(c, w))
+    return out
+
+
+def sparse_vector(rng, n):
+    return tuple(rand_fraction(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(n))
+
+
+def test_bracket_matches_table_scan(rng):
+    algebras = [heisenberg3(), sl2(), filiform4(), abelian(3)]
+    algebras += [rand_algebra(rng) for _ in range(20)]
+    for L in algebras:
+        n = L.dim
+        units = [unit_vec(n, i) for i in range(n)]
+        vectors = units + [sparse_vector(rng, n) for _ in range(6)]
+        for u in vectors:
+            for v in vectors:
+                got = L.bracket(u, v)
+                assert got == scan_bracket(L, u, v)
+                assert all(type(x) is Fraction for x in got)
+            ad = L.ad(u)
+            assert ad == Matrix.from_columns([scan_bracket(L, u, e) for e in units], rows=n)
+        for i in range(n):
+            assert L.bracket(units[i], units[i]) == zero_vec(n)
+            for j in range(n):
+                assert L.bracket(units[i], units[j]) == L.bracket_basis(i, j)
+
+
+def dense_law_failure(algebra, matrices):
+    """The former Representation check on dense row lists, first failing pair or None."""
+    rows = [[list(m.row(r)) for r in range(m.rows)] for m in matrices]
+    size = matrices[0].rows if matrices else 0
+
+    def product(a, b):
+        return [[sum((a[r][k] * b[k][c] for k in range(size)), Fraction(0))
+                 for c in range(size)] for r in range(size)]
+
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            ab, ba = product(rows[i], rows[j]), product(rows[j], rows[i])
+            lhs = [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
+            rhs = [[Fraction(0)] * size for _ in range(size)]
+            for k, c in enumerate(algebra.bracket_basis(i, j)):
+                for r in range(size):
+                    for col in range(size):
+                        rhs[r][col] += c * rows[k][r][col]
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def test_representation_law_failure_names_the_dense_pair(rng):
+    pairs = set()
+    for _ in range(60):
+        # standard bases have sparse brackets, so later pairs fail first too
+        L = rng.choice((heisenberg3, sl2, filiform4, lambda: rand_algebra(rng)))()
+        base = adjoint_rep(L).matrices if rng.random() < 0.7 else \
+            Representation.trivial(L, 2).matrices
+        size = base[0].rows
+        broken = list(base)
+        for _ in range(rng.randint(1, 2)):
+            k, r, c = rng.randrange(L.dim), rng.randrange(size), rng.randrange(size)
+            shift = rand_fraction(rng) or Fraction(1)
+            if rng.random() < 0.5:
+                # a multiple of the identity leaves every commutator alone and
+                # breaks exactly the pairs whose bracket has an e_k component
+                broken[k] = broken[k] + Matrix.identity(size).scale(shift)
+            else:
+                rows = [list(row) for row in broken[k].row_list()]
+                rows[r][c] += shift
+                broken[k] = Matrix(rows, cols=size)
+        expected = dense_law_failure(L, broken)
+        if expected is None:
+            assert Representation(L, size, broken).matrices == tuple(broken)
+            continue
+        with pytest.raises(RepresentationError) as exc:
+            Representation(L, size, broken)
+        assert exc.value.pair == expected
+        pairs.add(expected)
+    assert len(pairs) >= 3

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space,
-                           dot, image, invert, kernel, left_inverse,
-                           quotient_coordinates, rref, solve, solve_affine,
+                           image, invert, kernel, left_inverse,
+                           quotient_coordinates, solve, solve_affine,
                            solve_columns, to_fractions, unit_vec, vec_add,
                            vec_scale, vec_sub, zero_vec)
 
@@ -21,20 +22,20 @@ from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
 def test_rref_identity():
     m = Matrix.identity(3)
-    r, pivots = rref(m)
+    r, pivots = m.rref()
     assert r == m
     assert pivots == (0, 1, 2)
 
 
 def test_rref_zero():
     m = Matrix.zero(2, 3)
-    r, pivots = rref(m)
+    r, pivots = m.rref()
     assert r == m
     assert pivots == ()
 
 
 def test_rref_hand_example():
-    r, pivots = rref(Matrix([[2, 4], [1, 2]]))
+    r, pivots = Matrix([[2, 4], [1, 2]]).rref()
     assert r == Matrix([[1, 2], [0, 0]])
     assert pivots == (0,)
 
@@ -42,8 +43,8 @@ def test_rref_hand_example():
 def test_rref_idempotent_and_canonical(rng):
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r, _ = rref(m)
-        r2, _ = rref(r)
+        r, _ = m.rref()
+        r2, _ = r.rref()
         assert r == r2
         # a row-scrambled matrix with the same row space reduces identically
         perm = list(range(m.rows))
@@ -51,7 +52,7 @@ def test_rref_idempotent_and_canonical(rng):
         scale = [Fraction(rng.randint(1, 3)) for _ in range(m.rows)]
         scrambled = Matrix([[scale[i] * x for x in m.row(perm[i])]
                             for i in range(m.rows)], cols=m.cols)
-        assert rref(scrambled)[0] == r
+        assert scrambled.rref()[0] == r
 
 
 def test_rank_nullity(rng):
@@ -191,24 +192,47 @@ def sympy_rank(m):
                          for row in m.row_list()], (m.rows, m.cols), QQ).rank()
 
 
+def rand_row_sparse_matrix(rng, rows, cols):
+    """Each row holds one or two nonzero entries at random columns."""
+    data = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(1, 2)):
+            row[j] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        data.append(row)
+    return Matrix(data, cols=cols)
+
+
 def test_rref_matches_dense_oracle(rng):
     shapes = [(rng.randint(1, 8), rng.randint(1, 8), rng.choice((0.2, 0.5, 1.0)))
               for _ in range(40)]
     # rank-deficient stacks, and shapes past the former 10 000-entry switch
     shapes += [(30, 30, 1.0), (120, 100, 0.03), (90, 120, 0.02)]
+    matrices = []
     for rows, cols, density in shapes:
         m = rand_sparse_matrix(rng, rows, cols, density)
         if rows <= 8 and rng.random() < 0.3:
             m = m.vstack(m.scale(3))
-        got = rref(m)
+        matrices.append(m)
+    # very sparse tall and wide shapes, where the column index finds the pivots
+    matrices += [rand_row_sparse_matrix(rng, 400, 60), rand_row_sparse_matrix(rng, 60, 400)]
+    for m in matrices:
+        got = m.rref()
         assert got == dense_rref(m)
         assert len(got[1]) == sympy_rank(m)
         assert all(all_fractions(row) for row in got[0].row_list())
+        assert all(all_fractions(row.values()) and all(row.values())
+                   for row in got[0].sparse_rows())
+
+
+def hstack(a, b):
+    """The former Matrix.hstack: [a | b]."""
+    return Matrix([x + y for x, y in zip(a.row_list(), b.row_list())], cols=a.cols + b.cols)
 
 
 def one_column_solve(m, b):
     """The former solve: its own elimination of [m | b]."""
-    augmented = m.hstack(Matrix.from_columns([b], rows=m.rows))
+    augmented = hstack(m, Matrix.from_columns([b], rows=m.rows))
     reduced, pivots = augmented.rref()
     if pivots and pivots[-1] == m.cols:
         return None
@@ -230,7 +254,7 @@ def per_column_left_inverse(m):
 def augmented_invert(m):
     """The former invert: read the right block of RREF([m | I])."""
     n = m.rows
-    reduced, pivots = m.hstack(Matrix.identity(n)).rref()
+    reduced, pivots = hstack(m, Matrix.identity(n)).rref()
     if tuple(pivots) != tuple(range(n)):
         return None
     return Matrix([reduced.row(i)[n:] for i in range(n)], cols=n)
@@ -285,7 +309,7 @@ def test_left_inverse_and_invert_match_former_routines(rng):
 
 
 def test_empty_shapes():
-    assert rref(Matrix.zero(0, 3))[1] == ()
+    assert Matrix.zero(0, 3).rref()[1] == ()
     assert kernel(Matrix.zero(0, 3)).is_full()
     assert image(Matrix.zero(3, 0)).is_zero()
     assert solve(Matrix.zero(0, 2), ()) == (Fraction(0), Fraction(0))
@@ -389,6 +413,10 @@ def dense_embed(sub, coords):
     return v
 
 
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
 def dense_matmul(a, b):
     """The former Matrix.__matmul__: transpose the right operand, dot every pair."""
     b_t = b.transpose().row_list()
@@ -473,6 +501,129 @@ def test_coordinates_of_checks_the_length():
                 method(bad)
     with pytest.raises(DimensionMismatchError):
         sub.embed((1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the former dense Matrix, kept as the oracle for the dict-row one
+# ---------------------------------------------------------------------------
+
+class DenseMatrix:
+    """The former Matrix: a tuple of dense Fraction rows, zeros stored."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = len(rows), cols
+        self.data = tuple(to_fractions(row) for row in rows)
+
+    @classmethod
+    def of(cls, m):
+        return cls([[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)], m.cols)
+
+    def column(self, j):
+        return tuple(row[j] for row in self.data)
+
+    def transpose(self):
+        return DenseMatrix([self.column(j) for j in range(self.cols)], self.rows)
+
+    def __add__(self, other):
+        return DenseMatrix([vec_add(a, b) for a, b in zip(self.data, other.data)], self.cols)
+
+    def __sub__(self, other):
+        return DenseMatrix([vec_sub(a, b) for a, b in zip(self.data, other.data)], self.cols)
+
+    def scale(self, c):
+        return DenseMatrix([vec_scale(Fraction(c), row) for row in self.data], self.cols)
+
+    def __matmul__(self, other):
+        columns = other.transpose().data
+        return DenseMatrix([[dot(row, col) for col in columns] for row in self.data],
+                           other.cols)
+
+    def matvec(self, v):
+        return tuple(dot(row, v) for row in self.data)
+
+    def trace(self):
+        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0))
+
+    def vstack(self, other):
+        return DenseMatrix(self.data + other.data, self.cols)
+
+    def flatten(self):
+        return tuple(x for row in self.data for x in row)
+
+
+def assert_matches_dense(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.row_list() == want.data
+    assert got == Matrix(want.data, cols=want.cols)
+    assert hash(got) == hash(Matrix(want.data, cols=want.cols))
+    # the dict rows hold nonzero Fractions only
+    assert all(all_fractions(row.values()) and all(row.values())
+               for row in got.sparse_rows())
+
+
+def test_matrix_operations_match_dense_oracle(rng):
+    for m in oracle_matrices(rng):
+        d = DenseMatrix.of(m)
+        other = rand_sparse_matrix(rng, m.rows, m.cols, 0.4) if m.cols else m
+        right = rand_sparse_matrix(rng, m.cols, 3, 0.5)
+        od = DenseMatrix.of(other)
+        c = rand_fraction(rng) or Fraction(5, 2)
+        for got, want in ((m, d), (m + other, d + od), (m - other, d - od),
+                          (m - m, d - d), (m.scale(c), d.scale(c)), (m.scale(0), d.scale(0)),
+                          (-m, d.scale(-1)), (m.transpose(), d.transpose()),
+                          (m.vstack(other), d.vstack(od)),
+                          (m @ right, d @ DenseMatrix.of(right)),
+                          (m.rref()[0], DenseMatrix.of(dense_rref(m)[0]))):
+            assert_matches_dense(got, want)
+        v = tuple(rand_fraction(rng) for _ in range(m.cols))
+        assert m.matvec(v) == d.matvec(v) and all_fractions(m.matvec(v))
+        assert [m.column(j) for j in range(m.cols)] == [d.column(j) for j in range(d.cols)]
+        assert [m.row(i) for i in range(m.rows)] == list(d.data)
+        assert all(m.entry(i, j) == d.data[i][j] for i in range(m.rows) for j in range(m.cols))
+        assert m.flatten() == d.flatten() and m.trace() == d.trace()
+        assert m.is_zero() == all(x == 0 for x in d.flatten())
+        assert Matrix.unflatten(m.flatten(), m.rows, m.cols) == m
+    assert_matches_dense(Matrix.from_columns([(1, 0), (0, "1/2"), (0, 0)]),
+                         DenseMatrix([(1, 0, 0), (0, Fraction(1, 2), 0)], 3))
+    assert_matches_dense(Matrix.identity(3), DenseMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_columns([(1, 0), (1,)])
+
+
+def test_subspace_pairs_are_the_sorted_nonzeros_of_the_basis(rng):
+    for m in oracle_matrices(rng):
+        for sub in (Subspace.from_vectors(m.cols, m.row_list()), kernel(m), image(m)):
+            assert sub.pairs == tuple(tuple((j, x) for j, x in enumerate(b) if x)
+                                      for b in sub.basis)
+            assert all(p[0] == (q, Fraction(1)) for p, q in zip(sub.pairs, sub.pivots))
+            assert Subspace.from_vectors(sub.ambient_dim, sub.basis) == sub
+
+
+# ---------------------------------------------------------------------------
+# a dense view creeping back into the core fails here
+# ---------------------------------------------------------------------------
+
+def test_sparse_core_never_builds_dense_rows():
+    n = 600
+    rows = [{} if i % 3 == 0 else {i: Fraction(i + 1), (7 * i + 3) % n: Fraction(-1, 2)}
+            for i in range(n)]
+    tracemalloc.start()
+    try:
+        m = Matrix.from_sparse_rows(rows, n)
+        null = kernel(m)
+        span = image(m)
+        reduced, pivots = m.rref()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense rows alone would hold 360 000 slots, 2.9 MB of pointers
+    assert peak < 2 * 1024 * 1024
+    assert null.dim == 200 and sum(len(p) for p in null.pairs) == 200
+    assert span.dim == len(pivots) == 400
+    assert sum(len(row) for row in reduced.sparse_rows()) == 400
+    values = [x for sub in (null, span) for p in sub.pairs for _, x in p]
+    values += [x for mat in (m, reduced) for row in mat.sparse_rows() for x in row.values()]
+    assert all_fractions(values) and all(values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ operator matrices must agree entry for entry.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
                              cochain_space_dim, covariant_differential, curvature,
                              increasing_tuples)
 from liecoh.cohomology import differential_matrix, operator_matrix, relative_cocycles
+from liecoh.errors import DimensionMismatchError
 from liecoh.extensions import ExtensionPresentation, extract_factor_system
 from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
                            center, derivations, direct_and_semidirect,
@@ -199,6 +201,14 @@ def test_from_sparse_rows_fills_dense_rows():
     m = Matrix.from_sparse_rows([{1: 2}, {}, {0: -1, 2: 3}], 3)
     assert m == Matrix([[0, 2, 0], [0, 0, 0], [-1, 0, 3]])
     assert Matrix.from_sparse_rows([], 4) == Matrix.zero(0, 4)
+    # zero values are dropped and ints converted, so the dict rows hold
+    # nonzero Fractions only
+    m = Matrix.from_sparse_rows([{0: 0, 1: "1/2"}, {2: Fraction(0), 0: "0"}], 3)
+    assert m.sparse_rows() == ({1: Fraction(1, 2)}, {})
+    assert type(m.sparse_rows()[0][1]) is Fraction
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(DimensionMismatchError):
+            Matrix.from_sparse_rows([bad], 3)
 
 
 def test_ad_stack_columns_are_flattened_ad_matrices(rng):
