@@ -6,9 +6,13 @@ shuffle sum, which equals the Alt formula with its 1/(p!q!) factor but
 never divides: char 0 keeps every identity exact.
 
 The covariant differential of a linear map S into endomorphisms is
-S wedge + d (trivial coefficients); its square is wedging with the
-curvature of S, and curvature is computed both from the bracket formula
-and from the calculus, cross-checked on every call.
+S wedge + d (trivial coefficients); a module's differential is the case
+where S is a representation and the trivial one the case S = 0.  All
+three apply the one matrix that operator_matrix scatters.  The square of
+d_S is wedging with the curvature of S, and curvature is computed both
+from the bracket formula and from the calculus, cross-checked on every
+call.  Pulling a cochain back along a linear map and the action of a pair
+of endomorphisms on cochains also live here, once each.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation
-from .linalg import (Matrix, ZERO, linear_combination, to_fractions, vec_add,
-                     vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, ZERO, linear_combination, to_fractions, unit_vec,
+                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 HALF = Fraction(1, 2)
 
@@ -252,7 +256,6 @@ class EquivariantPairing:
         if (rep_u.space_dim != self.left_dim or rep_v.space_dim != self.right_dim
                 or rep_w.space_dim != self.out_dim):
             raise DimensionMismatchError("witness module dimensions disagree with the pairing")
-        from .linalg import unit_vec
         g_dim = rep_u.algebra.dim
         for x in range(g_dim):
             for i in range(self.left_dim):
@@ -340,6 +343,65 @@ def superbracket(V: LieAlgebra, a: Cochain, b: Cochain) -> Cochain:
     return wedge(EquivariantPairing.lie_bracket(V), a, b)
 
 
+def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
+                    value_dim: int) -> Matrix:
+    """Matrix of c -> rho wedge c + d c on degree-p cochains, rho(e_i) = matrices[i].
+
+    (rho wedge c + d c)(x_0..x_p) = sum_j (-1)^j rho(x_j) c(..omit j..)
+                                  + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..omit i,j..),
+
+    the differential of a Representation (cochain_differential), the
+    covariant differential of an OuterActionMap (covariant_differential)
+    and, with zero matrices, the trivial-coefficient differential alike;
+    this is the only place the formula is evaluated.  Rows and columns use
+    the coordinates of Cochain.coordinates(): keys in lexicographic order,
+    each key's value_dim values contiguous.  A bracket term c(e_k, rest) is
+    read at the increasing key of (k,) + rest with the sign of
+    sort_with_sign.  Each row is scattered from the stored bracket table
+    and the nonzero action entries.
+    """
+    check_degree(p + 1)
+    col_base = {key: r * value_dim
+                for r, key in enumerate(increasing_tuples(algebra.dim, p))}
+    brackets = {pair: [(k, c) for k, c in enumerate(vec) if c != 0]
+                for pair, vec in algebra.structure_table().items()}
+    action = [[(a, b, x) for a, row in enumerate(m.sparse_rows()) for b, x in row.items()]
+              for m in matrices]
+    rows = []
+    for key in increasing_tuples(algebra.dim, p + 1):
+        block = [{} for _ in range(value_dim)]
+        for j, kj in enumerate(key):
+            base = col_base[key[:j] + key[j + 1:]]
+            for a, b, x in action[kj]:
+                entries = block[a]
+                entries[base + b] = entries.get(base + b, ZERO) + (-x if j % 2 else x)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                support = brackets.get((key[i], key[j]))
+                if support is None:
+                    continue
+                rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                for k, coeff in support:
+                    target, sign = sort_with_sign((k,) + rest)
+                    if target is None:
+                        continue
+                    if (i + j) % 2:
+                        sign = -sign
+                    base = col_base[target]
+                    term = coeff if sign == 1 else -coeff
+                    for a, entries in enumerate(block):
+                        entries[base + a] = entries.get(base + a, ZERO) + term
+        rows.extend(block)
+    return Matrix.from_sparse_rows(rows, len(col_base) * value_dim)
+
+
+def _apply_operator(matrices: Sequence[Matrix], c: Cochain) -> Cochain:
+    """operator_matrix(c.algebra, matrices, ...) applied to c."""
+    d = operator_matrix(c.algebra, matrices, c.degree, c.value_dim)
+    return Cochain.from_coordinates(c.algebra, c.degree + 1, c.value_dim,
+                                    d.matvec(c.coordinates()))
+
+
 def cochain_differential(rep: Representation, c: Cochain) -> Cochain:
     """The degree-raising differential of the module given by rep.
 
@@ -350,45 +412,46 @@ def cochain_differential(rep: Representation, c: Cochain) -> Cochain:
         raise DimensionMismatchError("representation and cochain algebras differ")
     if rep.space_dim != c.value_dim:
         raise DimensionMismatchError("module dimension disagrees with cochain values")
-    p = c.degree
-    check_degree(p + 1)
-    L = c.algebra
-    n = L.dim
-    trivial = rep.is_trivial()
-    table = {}
-    for key in increasing_tuples(n, p + 1):
-        total = zero_vec(c.value_dim)
-        if not trivial:
-            for j in range(p + 1):
-                rest = key[:j] + key[j + 1:]
-                val = c.coeffs.get(rest)
-                if val is None:
-                    continue
-                term = rep.act(key[j], val)
-                if j % 2:
-                    term = vec_scale(Fraction(-1), term)
-                total = vec_add(total, term)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                bracket = L.bracket_basis(key[i], key[j])
-                if vec_is_zero(bracket):
-                    continue
-                rest = tuple(key[r] for r in range(p + 1) if r != i and r != j)
-                sign = -1 if (i + j) % 2 else 1
-                for k, coeff in enumerate(bracket):
-                    if coeff == 0:
-                        continue
-                    val = c.value_at_indices((k,) + rest)
-                    if vec_is_zero(val):
-                        continue
-                    total = vec_add(total, vec_scale(sign * coeff, val))
-        if not vec_is_zero(total):
-            table[key] = total
-    return Cochain(L, p + 1, c.value_dim, table)
+    return _apply_operator(rep.matrices, c)
 
 
 def trivial_differential(c: Cochain) -> Cochain:
-    return cochain_differential(Representation.trivial(c.algebra, c.value_dim), c)
+    return _apply_operator([Matrix.zero(c.value_dim, c.value_dim)] * c.algebra.dim, c)
+
+
+def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
+    """The cochain c(phi ., ..., phi .) on ``domain``."""
+    if phi.rows != c.algebra.dim or phi.cols != domain.dim:
+        raise DimensionMismatchError("pullback map has the wrong shape")
+    table = {}
+    for key in increasing_tuples(domain.dim, c.degree):
+        val = c.evaluate([phi.column(k) for k in key])
+        if not vec_is_zero(val):
+            table[key] = val
+    return Cochain(domain, c.degree, c.value_dim, table)
+
+
+def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
+    """alpha . c(beta^{-1} ., ..., beta^{-1} .) over the same algebra."""
+    pulled = pullback_cochain(c, beta_inv, c.algebra)
+    return Cochain(c.algebra, c.degree, alpha.rows,
+                   {key: alpha.matvec(vec) for key, vec in pulled.coeffs.items()})
+
+
+def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
+    """alpha . c - sum over slots of c with beta in one slot."""
+    table = {}
+    n = c.algebra.dim
+    for key in increasing_tuples(n, c.degree):
+        args = [unit_vec(n, k) for k in key]
+        val = alpha.matvec(c.component(key))
+        for slot in range(c.degree):
+            slotted = list(args)
+            slotted[slot] = beta.column(key[slot])
+            val = vec_sub(val, c.evaluate(slotted))
+        if not vec_is_zero(val):
+            table[key] = val
+    return Cochain(c.algebra, c.degree, alpha.rows, table)
 
 
 class OuterActionMap:
@@ -484,8 +547,7 @@ def covariant_differential(S: OuterActionMap, c: Cochain) -> Cochain:
         raise DimensionMismatchError("map and cochain algebras differ")
     if S.space_dim != c.value_dim:
         raise DimensionMismatchError("endomorphism size disagrees with cochain values")
-    ev = EquivariantPairing.evaluation(S.space_dim)
-    return wedge(ev, S.as_end_cochain(), c) + trivial_differential(c)
+    return _apply_operator(S.matrices, c)
 
 
 def curvature(S: OuterActionMap) -> Cochain:

@@ -13,68 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cochains import (Cochain, OuterActionMap, check_degree, cochain_space_dim,
-                       curvature, increasing_tuples, sort_with_sign)
+from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
+                       increasing_tuples, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
-from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image,
-                     kernel, solve_affine, vec_is_zero, vec_sub, zero_vec)
+from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
+                     solve_affine, vec_is_zero, vec_sub, zero_vec)
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
     """Matrix of the degree-p differential in lexicographic coordinates."""
     return operator_matrix(rep.algebra, rep.matrices, p, rep.space_dim)
-
-
-def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
-                    value_dim: int) -> Matrix:
-    """Matrix of c -> rho wedge c + d c on degree-p cochains, rho(e_i) = matrices[i].
-
-    (rho wedge c + d c)(x_0..x_p) = sum_j (-1)^j rho(x_j) c(..omit j..)
-                                  + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..omit i,j..),
-
-    the differential of a Representation and the covariant differential
-    of an OuterActionMap alike.  The signs (-1)^j and (-1)^{i+j} are those
-    of cochain_differential, and rows and columns must use the coordinates
-    of Cochain.coordinates(): keys in lexicographic order, each key's
-    value_dim values contiguous.  A bracket term c(e_k, rest) is read at
-    the increasing key of (k,) + rest with the sign of sort_with_sign.
-    Each row is scattered from the stored bracket table and the nonzero
-    action entries.
-    """
-    check_degree(p + 1)
-    col_base = {key: r * value_dim
-                for r, key in enumerate(increasing_tuples(algebra.dim, p))}
-    brackets = {pair: [(k, c) for k, c in enumerate(vec) if c != 0]
-                for pair, vec in algebra.structure_table().items()}
-    action = [[(a, b, x) for a, row in enumerate(m.sparse_rows()) for b, x in row.items()]
-              for m in matrices]
-    rows = []
-    for key in increasing_tuples(algebra.dim, p + 1):
-        block = [{} for _ in range(value_dim)]
-        for j, kj in enumerate(key):
-            base = col_base[key[:j] + key[j + 1:]]
-            for a, b, x in action[kj]:
-                entries = block[a]
-                entries[base + b] = entries.get(base + b, ZERO) + (-x if j % 2 else x)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                support = brackets.get((key[i], key[j]))
-                if support is None:
-                    continue
-                rest = key[:i] + key[i + 1:j] + key[j + 1:]
-                for k, coeff in support:
-                    target, sign = sort_with_sign((k,) + rest)
-                    if target is None:
-                        continue
-                    if (i + j) % 2:
-                        sign = -sign
-                    base = col_base[target]
-                    term = coeff if sign == 1 else -coeff
-                    for a, entries in enumerate(block):
-                        entries[base + a] = entries.get(base + a, ZERO) + term
-        rows.extend(block)
-    return Matrix.from_sparse_rows(rows, len(col_base) * value_dim)
 
 
 class CohomologySpace:

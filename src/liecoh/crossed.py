@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
-                       covariant_differential, increasing_tuples)
+                       covariant_differential, increasing_tuples, pair_act_cochain,
+                       pullback_cochain, trivial_differential)
 from .cohomology import CohomologyClass, cohomology, differential_matrix
 from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
@@ -241,15 +242,14 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
     ghat = sp.cm.ghat
     for key, vec in sp.f.coeffs.items():
         i, j = key
-        got = _theta_value(sp, sp.n_sub.basis[i], j)
+        got = _theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j))
         if got != tuple(vec):
             raise InvariantViolation("theta does not restrict to the extension cocycle")
     for x in range(ghat.dim):
         theta_x = Cochain(sp.n_alg, 1, zd,
                           {(a,): sp.theta[(x, a)] for a in range(n_dim)
                            if (x, a) in sp.theta})
-        d_theta = cochain_differential(Representation.trivial(sp.n_alg, zd), theta_x)
-        if d_theta != _module_action_on_f(sp, x):
+        if trivial_differential(theta_x) != _module_action_on_f(sp, x):
             raise InvariantViolation(
                 f"theta slot {x} is not a derivation datum for the cocycle")
     for x in range(ghat.dim):
@@ -260,29 +260,24 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
                     sp.theta.get((y, a), zero_vec(zd)))
                 total = vec_sub(total, sp.zhat_rep.matrices[y].matvec(
                     sp.theta.get((x, a), zero_vec(zd))))
-                total = vec_sub(total, _theta_value(sp, bracket_xy, a))
-                total = vec_add(total, _theta_at_n_vec(sp, x, _bracket_in_n(sp, y, a)))
-                total = vec_sub(total, _theta_at_n_vec(sp, y, _bracket_in_n(sp, x, a)))
+                total = vec_sub(total, _theta_value(sp, bracket_xy, unit_vec(n_dim, a)))
+                total = vec_add(total, _theta_value(sp, unit_vec(ghat.dim, x),
+                                                    _bracket_in_n(sp, y, a)))
+                total = vec_sub(total, _theta_value(sp, unit_vec(ghat.dim, y),
+                                                    _bracket_in_n(sp, x, a)))
                 if not vec_is_zero(total):
                     raise InvariantViolation(
                         f"theta fails the action cocycle identity at ({x},{y},{a})")
 
 
-def _theta_at_n_vec(sp: CrossedModuleSplitting, x: int, n_coords):
-    zd = sp.z.dim
-    out = zero_vec(zd)
-    for a, c in enumerate(n_coords):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, sp.theta.get((x, a), zero_vec(zd))))
-    return out
-
-
-def _theta_value(sp: CrossedModuleSplitting, x_coords, a: int):
-    zd = sp.z.dim
-    out = zero_vec(zd)
+def _theta_value(sp: CrossedModuleSplitting, x_coords, n_coords):
+    """theta(x, n), bilinear in ghat coordinates x and n coordinates n."""
+    out = zero_vec(sp.z.dim)
     for x, c in enumerate(x_coords):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, sp.theta.get((x, a), zero_vec(zd))))
+        if c:
+            for a, d in enumerate(n_coords):
+                if d and (x, a) in sp.theta:
+                    out = vec_add(out, vec_scale(c * d, sp.theta[(x, a)]))
     return out
 
 
@@ -297,16 +292,8 @@ def _bracket_in_n(sp: CrossedModuleSplitting, x: int, a: int):
 def _module_action_on_f(sp: CrossedModuleSplitting, x: int) -> Cochain:
     """x.f as a 2-cochain on n: x.(f(a,b)) - f([x,a],b) - f(a,[x,b])."""
     n_dim = sp.n_alg.dim
-    zd = sp.z.dim
-    table = {}
-    for key in increasing_tuples(n_dim, 2):
-        a, b = key
-        val = sp.zhat_rep.matrices[x].matvec(sp.f.component(key))
-        val = vec_sub(val, sp.f.evaluate([_bracket_in_n(sp, x, a), unit_vec(n_dim, b)]))
-        val = vec_sub(val, sp.f.evaluate([unit_vec(n_dim, a), _bracket_in_n(sp, x, b)]))
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(sp.n_alg, 2, zd, table)
+    ad_x = Matrix.from_columns([_bracket_in_n(sp, x, a) for a in range(n_dim)], rows=n_dim)
+    return pair_act_cochain(sp.zhat_rep.matrices[x], ad_x, sp.f)
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +316,10 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
         v_n = sp.n_sub.coordinates_of(vec_sub(v, sp.n_sub.reduce(v)))
         v_c = sp.n_sub.reduce(v)
         # f_tilde(u, v) = theta(u, v_n) - theta(v_c, u_n)
-        val = _theta_value_vec(sp, u, v_n)
-        val = vec_sub(val, _theta_value_vec(sp, v_c, u_n))
+        val = vec_sub(_theta_value(sp, u, v_n), _theta_value(sp, v_c, u_n))
         if not vec_is_zero(val):
             table[key] = val
     return Cochain(ghat, 2, zd, table)
-
-
-def _theta_value_vec(sp: CrossedModuleSplitting, x_coords, n_coords):
-    zd = sp.z.dim
-    out = zero_vec(zd)
-    for a, c in enumerate(n_coords):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, _theta_value(sp, x_coords, a)))
-    return out
 
 
 def characteristic_class_theta_route(sp: CrossedModuleSplitting,
@@ -352,18 +329,14 @@ def characteristic_class_theta_route(sp: CrossedModuleSplitting,
     if f_tilde is None:
         f_tilde = _alternating_extension(sp)
     d_f = cochain_differential(sp.zhat_rep, f_tilde)
-    beta_table = {}
-    for key in increasing_tuples(sp.g.dim, 3):
-        val = d_f.evaluate([sp.q_sect.column(k) for k in key])
-        if not vec_is_zero(val):
-            beta_table[key] = val
-    beta = Cochain(sp.g, 3, sp.z.dim, beta_table)
+    beta = pullback_cochain(d_f, sp.q_sect, sp.g)
     # the pullback of beta must reproduce d_f on all of ghat
-    for key in increasing_tuples(ghat.dim, 3):
-        expected = beta.evaluate([sp.q_proj.column(k) for k in key])
-        if tuple(expected) != d_f.component(key):
-            raise FactorizationFailureError(
-                f"the differential of the extension does not factor at {key}")
+    pulled = pullback_cochain(beta, sp.q_proj, ghat)
+    if pulled != d_f:
+        key = min(k for k in pulled.coeffs.keys() | d_f.coeffs.keys()
+                  if pulled.coeffs.get(k) != d_f.coeffs.get(k))
+        raise FactorizationFailureError(
+            f"the differential of the extension does not factor at {key}")
     return cohomology(sp.z_rep, 3).class_of(beta)
 
 
@@ -420,12 +393,7 @@ def splitting_equivalence(cm: CrossedModule):
     if beta_prime_coords is None:
         raise InvariantViolation("zero class without a bounding cochain")
     beta_prime = Cochain.from_coordinates(sp.g, 2, sp.z.dim, beta_prime_coords)
-    pullback_table = {}
-    for key in increasing_tuples(cm.ghat.dim, 2):
-        val = beta_prime.evaluate([sp.q_proj.column(k) for k in key])
-        if not vec_is_zero(val):
-            pullback_table[key] = val
-    corrected = f_tilde - Cochain(cm.ghat, 2, sp.z.dim, pullback_table)
+    corrected = f_tilde - pullback_cochain(beta_prime, sp.q_proj, cm.ghat)
     if not cochain_differential(sp.zhat_rep, corrected).is_zero():
         raise InvariantViolation("corrected extension of theta is not a cocycle")
     abelian_z = LieAlgebra(sp.z.dim)

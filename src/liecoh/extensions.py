@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cochains import (Cochain, HALF, OuterActionMap, covariant_differential,
-                       curvature, gauge_action, increasing_tuples, superbracket)
+from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
+                       covariant_differential, curvature, gauge_action,
+                       increasing_tuples, pullback_cochain, superbracket,
+                       transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
                          EmptyAffine, cohomology, differential_matrix,
                          relative_cocycles, theta_constrained_cocycles)
@@ -36,7 +38,7 @@ from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotAHomomorphismError,
                      NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
-                     is_derivation, quotient_algebra, solve_inner)
+                     is_derivation, product_algebra, quotient_algebra, solve_inner)
 from .linalg import (Matrix, Subspace, invert, left_inverse, solve_affine,
                      to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale,
                      vec_sub, zero_vec)
@@ -64,29 +66,6 @@ def embed_cochain_from_subspace(c: Cochain, sub: Subspace) -> Cochain:
         raise DimensionMismatchError("cochain values do not match the subspace dimension")
     table = {key: sub.embed(vec) for key, vec in c.coeffs.items()}
     return Cochain(c.algebra, c.degree, sub.ambient_dim, table)
-
-
-def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
-    """The cochain c(phi ., ..., phi .) on ``domain``."""
-    if phi.rows != c.algebra.dim or phi.cols != domain.dim:
-        raise DimensionMismatchError("pullback map has the wrong shape")
-    table = {}
-    for key in increasing_tuples(domain.dim, c.degree):
-        val = c.evaluate([phi.column(k) for k in key])
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(domain, c.degree, c.value_dim, table)
-
-
-def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
-    """alpha . c(beta^{-1} ., ..., beta^{-1} .) over the same algebra."""
-    table = {}
-    for key in increasing_tuples(c.algebra.dim, c.degree):
-        val = c.evaluate([beta_inv.column(k) for k in key])
-        val = alpha.matvec(val)
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(c.algebra, c.degree, alpha.rows, table)
 
 
 def transport_outer_action(alpha: Matrix, alpha_inv: Matrix, beta_inv: Matrix,
@@ -252,27 +231,7 @@ class ExtensionPresentation:
 def build_extension(fs: FactorSystem) -> ExtensionPresentation:
     """The product-coordinate Lie algebra of a factor system."""
     nd, gd = fs.n.dim, fs.g.dim
-    table = {}
-
-    def put(i, j, vec):
-        entry = {k: c for k, c in enumerate(vec) if c != 0}
-        if entry:
-            table[(i, j)] = entry
-
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            put(i, j, tuple(fs.n.bracket_basis(i, j)) + zero_vec(gd))
-    for i in range(nd):
-        for a in range(gd):
-            put(i, nd + a,
-                tuple(vec_scale(Fraction(-1), fs.S.matrices[a].column(i))) + zero_vec(gd))
-    for a in range(gd):
-        for b in range(a + 1, gd):
-            put(nd + a, nd + b,
-                tuple(fs.omega.component((a, b))) + tuple(fs.g.bracket_basis(a, b)))
-    labels = (tuple(f"n.{l}" for l in fs.n.labels)
-              + tuple(f"g.{l}" for l in fs.g.labels))
-    total = LieAlgebra(nd + gd, table, labels=labels)
+    total = product_algebra(fs.n, fs.g, fs.S.matrices, fs.omega.coeffs)
     inclusion = Matrix.from_columns([unit_vec(nd + gd, i) for i in range(nd)],
                                     rows=nd + gd)
     projection = Matrix.from_columns(
@@ -476,7 +435,6 @@ def obstruction_class(kernel: GKernel) -> CohomologyClass:
     z = center(kernel.n)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, z)
     z_rep = kernel.center_rep()
-    from .cochains import cochain_differential
     if not cochain_differential(z_rep, z_cochain).is_zero():
         raise InvariantViolation("d_S omega failed to be a relative cocycle")
     return cohomology(z_rep, 3).class_of(z_cochain)

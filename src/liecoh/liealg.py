@@ -91,10 +91,14 @@ class LieAlgebra:
         return self.ad(unit_vec(self.dim, i))
 
     def ad(self, u: Sequence[Fraction]) -> Matrix:
-        """Matrix of ad u: column j is [u, e_j]."""
-        u = to_fractions(u)
-        return Matrix.from_columns([self.bracket(u, unit_vec(self.dim, j))
-                                    for j in range(self.dim)], rows=self.dim)
+        """Matrix of ad u: column j is [u, e_j], scattered into dict rows."""
+        rows = [{} for _ in range(self.dim)]
+        for i, a in enumerate(to_fractions(u)):
+            if a:
+                for j, pairs in self._involving[i]:
+                    for k, w in pairs:
+                        rows[k][j] = rows[k].get(j, ZERO) + a * w
+        return Matrix.from_sparse_rows(rows, self.dim)
 
     def is_abelian(self) -> bool:
         return not self._table
@@ -104,18 +108,34 @@ class LieAlgebra:
         return dict(self._table)
 
     def _jacobi_failure(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                eij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    total = self.bracket(eij, unit_vec(self.dim, k))
-                    total = vec_add(total, self.bracket(
-                        self.bracket_basis(j, k), unit_vec(self.dim, i)))
-                    total = vec_add(total, self.bracket(
-                        self.bracket_basis(k, i), unit_vec(self.dim, j)))
-                    if not vec_is_zero(total):
-                        return (i, j, k)
-        return None
+        """The first triple i < j < k, in lexicographic order, at which
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is nonzero.
+
+        Each double bracket [[e_a,e_b],e_c] with a < b is scattered from
+        the index into the sum of the sorted triple: with sign + when c
+        follows b or precedes a, and - when it lies between them.
+        """
+        involving = self._involving
+        sums = {}
+        for a in range(self.dim):
+            for b, ab in involving[a]:
+                if b < a:
+                    continue
+                for m, x in ab:
+                    for c, mc in involving[m]:
+                        if c == a or c == b:
+                            continue
+                        if c > b:
+                            triple, s = (a, b, c), x
+                        elif c < a:
+                            triple, s = (c, a, b), x
+                        else:
+                            triple, s = (a, c, b), -x
+                        acc = sums.setdefault(triple, {})
+                        for k, y in mc:
+                            acc[k] = acc.get(k, ZERO) + s * y
+        failures = [t for t, acc in sums.items() if any(acc.values())]
+        return min(failures) if failures else None
 
     def __eq__(self, other) -> bool:
         # Labels are metadata; equality is structural.
@@ -241,9 +261,17 @@ def is_derivation(L: LieAlgebra, d: Matrix) -> bool:
 
 
 def ad_stack(L: LieAlgebra) -> Matrix:
-    """The n^2 x n matrix of x -> ad x, with ad x flattened row-major."""
-    return Matrix.from_columns([L.ad_matrix(k).flatten() for k in range(L.dim)],
-                               rows=L.dim * L.dim)
+    """The n^2 x n matrix of x -> ad x, with ad x flattened row-major.
+
+    Entry (a * n + b, k) is [e_k, e_b]_a, scattered from the bracket index.
+    """
+    n = L.dim
+    rows = [{} for _ in range(n * n)]
+    for k, entries in enumerate(L._involving):
+        for b, pairs in entries:
+            for a, w in pairs:
+                rows[a * n + b][k] = w
+    return Matrix.from_sparse_rows(rows, n)
 
 
 def solve_inner(L: LieAlgebra, targets: Sequence[Sequence[Fraction]]):
@@ -399,26 +427,36 @@ def direct_and_semidirect(n_alg: LieAlgebra, g_alg: LieAlgebra,
             if lhs != rhs:
                 raise NotAHomomorphismError(
                     f"S does not preserve the bracket on basis pair ({a},{b})")
-    nd, gd = n_alg.dim, g_alg.dim
-    table = {}
+    return product_algebra(n_alg, g_alg, S)
 
-    def put(i, j, vec):
-        entry = {k: c for k, c in enumerate(vec) if c != 0}
+
+def product_algebra(n_alg: LieAlgebra, g_alg: LieAlgebra, S: Sequence[Matrix],
+                    omega: Optional[dict] = None) -> LieAlgebra:
+    """n x g with [(n,x),(n',x')] = ([n,n'] + S(x)n' - S(x')n + omega(x,x'), [x,x']).
+
+    S holds one matrix per basis element of g and omega maps increasing
+    pairs of g indices to n-vectors (zero when absent).  The table is
+    scattered from the stored brackets and the nonzero entries of S; the
+    callers validate S and omega, and the constructor checks Jacobi.
+    """
+    nd = n_alg.dim
+    omega = omega or {}
+    table = {pair: {k: c for k, c in enumerate(w) if c}
+             for pair, w in sorted(n_alg.structure_table().items())}
+    columns = [m.transpose().sparse_rows() for m in S]
+    for i in range(nd):
+        for a, cols in enumerate(columns):
+            if cols[i]:
+                # [(e_i, 0), (0, f_a)] = (-S(f_a) e_i, 0)
+                table[(i, nd + a)] = {k: -c for k, c in cols[i].items()}
+    g_table = g_alg.structure_table()
+    for a, b in sorted(g_table.keys() | omega.keys()):
+        entry = {k: c for k, c in enumerate(omega.get((a, b), ())) if c}
+        entry.update((nd + k, c) for k, c in enumerate(g_table.get((a, b), ())) if c)
         if entry:
-            table[(i, j)] = entry
-
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            put(i, j, tuple(n_alg.bracket_basis(i, j)) + zero_vec(gd))
-    for i in range(nd):
-        for a in range(gd):
-            # [(e_i, 0), (0, f_a)] = (-S(f_a) e_i, 0)
-            put(i, nd + a, tuple(vec_scale(Fraction(-1), S[a].column(i))) + zero_vec(gd))
-    for a in range(gd):
-        for b in range(a + 1, gd):
-            put(nd + a, nd + b, zero_vec(nd) + tuple(g_alg.bracket_basis(a, b)))
+            table[(nd + a, nd + b)] = entry
     labels = tuple(f"n.{l}" for l in n_alg.labels) + tuple(f"g.{l}" for l in g_alg.labels)
-    return LieAlgebra(nd + gd, table, labels=labels)
+    return LieAlgebra(nd + g_alg.dim, table, labels=labels)
 
 
 def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:

@@ -6,11 +6,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .catalog import catalog
-from .cochains import Cochain
+from .cochains import Cochain, cochain_differential, pullback_cochain
 from .cohomology import cohomology
 from .errors import UnknownBundleError
 from .extensions import (GKernel, classify_extensions, equivalent_extensions,
-                         pullback_cochain, rebuild_from_cocycle, reduce_via_stage)
+                         rebuild_from_cocycle, reduce_via_stage)
 from .liealg import Representation
 from .linalg import Matrix
 from .symmetry import extension_derivations, lifting_cocycle
@@ -160,7 +160,6 @@ def bundle_theorem_iv4_roundtrip():
     z_rep = fs.center_rep()
     # a coboundary shift through the stage projection keeps the class
     beta = Cochain(g, 1, 1, {(0,): (1,)})
-    from .cochains import cochain_differential
     cob = cochain_differential(z_rep, beta)
     shift_cob = pullback_cochain(cob, stage.ext.projection, stage.gs)
     _, fs_cob = rebuild_from_cocycle(stage, red.f_tilde + shift_cob)

@@ -19,19 +19,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, covariant_differential,
-                       increasing_tuples, superbracket)
+                       increasing_tuples, operator_matrix, pair_act_cochain,
+                       superbracket, transport_cochain)
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
                          differential_matrix)
 from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
                      NotAHomomorphismError, PreconditionFailedError)
 from .extensions import (FactorSystem, build_extension, check_equivalence_map,
                          embed_cochain_from_subspace, equivalent_extensions,
-                         restrict_cochain_to_subspace, transport_cochain,
-                         transport_outer_action)
+                         restrict_cochain_to_subspace, transport_outer_action)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
                      center, is_derivation, leibniz_rows, solve_inner)
 from .linalg import (Matrix, Subspace, invert, kernel, linear_combination, solve_affine,
-                     unit_vec, vec_is_zero, vec_scale, vec_sub, zero_vec)
+                     unit_vec, vec_is_zero, vec_scale, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -43,22 +43,6 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
     mats = [alpha.commutator(S.matrices[a]) - S.matrix_of(beta.column(a))
             for a in range(S.algebra.dim)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
-
-
-def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
-    """alpha . c - sum over slots of c with beta in one slot."""
-    table = {}
-    n = c.algebra.dim
-    for key in increasing_tuples(n, c.degree):
-        args = [unit_vec(n, k) for k in key]
-        val = alpha.matvec(c.component(key))
-        for slot in range(c.degree):
-            slotted = list(args)
-            slotted[slot] = beta.column(key[slot])
-            val = vec_sub(val, c.evaluate(slotted))
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(c.algebra, c.degree, alpha.rows, table)
 
 
 def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
@@ -191,8 +175,9 @@ def _pair_system_rows(fs: FactorSystem):
 
     # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
     #   - (d_S gamma)(i, j) = 0
+    d_rows = operator_matrix(g_alg, S.matrices, 1, nd).sparse_rows()
     omega_rows = []
-    for key in increasing_tuples(gd, 2):
+    for q, key in enumerate(increasing_tuples(gd, 2)):
         i, j = key
         w = omega.component(key)
         for r in range(nd):
@@ -207,14 +192,8 @@ def _pair_system_rows(fs: FactorSystem):
                 val = omega.value_at_indices((i, b))
                 if val[r] != 0:
                     row[va + b * gd + j] -= val[r]
-            # (d_S gamma)(e_i, e_j) = S_i gamma_j - S_j gamma_i
-            #                         - gamma([e_i, e_j])
-            for k in range(nd):
-                row[va + vb + j * nd + k] -= S.matrices[i].entry(r, k)
-                row[va + vb + i * nd + k] += S.matrices[j].entry(r, k)
-            for b, c in enumerate(fs.g.bracket_basis(i, j)):
-                if c != 0:
-                    row[va + vb + b * nd + r] += c
+            for col, x in d_rows[q * nd + r].items():
+                row[va + vb + col] -= x
             omega_rows.append(row)
     return rows, omega_rows, nvars, va, vb
 
@@ -389,16 +368,6 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     z_rep = fs.center_rep()
     z1 = kernel(differential_matrix(z_rep, 1))
 
-    def act_on_cochain(x: int, c: Cochain) -> Cochain:
-        # pair action of psi(x) on 1-cochains g -> n
-        table = {}
-        for a in range(g_alg.dim):
-            val = psi_n[x].matvec(c.component((a,)))
-            val = vec_sub(val, c.evaluate([psi_g[x].column(a)]))
-            if not vec_is_zero(val):
-                table[(a,)] = val
-        return Cochain(g_alg, 1, n_alg.dim, table)
-
     def z1_coords(c: Cochain):
         cz = restrict_cochain_to_subspace(c, z)
         coords = z1.coordinates_of(cz.coordinates())
@@ -412,7 +381,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
         for v in z1.basis:
             c = embed_cochain_from_subspace(
                 Cochain.from_coordinates(g_alg, 1, z.dim, v), z)
-            cols.append(z1_coords(act_on_cochain(x, c)))
+            cols.append(z1_coords(pair_act_cochain(psi_n[x], psi_g[x], c)))
         z1_mats.append(Matrix.from_columns(cols, rows=z1.dim))
     z1_rep = Representation(h_alg, z1.dim, z1_mats)
 
@@ -420,7 +389,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     coord_table = {}
     for x in range(hd):
         for y in range(x + 1, hd):
-            val = act_on_cochain(x, theta[y]) - act_on_cochain(y, theta[x])
+            val = (pair_act_cochain(psi_n[x], psi_g[x], theta[y])
+                   - pair_act_cochain(psi_n[y], psi_g[y], theta[x]))
             for k, c in enumerate(h_alg.bracket_basis(x, y)):
                 if c != 0:
                     val = val - theta[k].scale(c)

@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 
 from liecoh.catalog import (abelian, ext_heisenberg3, ext_heisenberg_kernel,
-                            ext_sl2_kernel, filiform4, heisenberg3, sl2)
-from liecoh.cochains import Cochain, cochain_differential
+                            ext_sl2_kernel, filiform4, heisenberg3, nonabelian2, sl2)
+from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
+                             pullback_cochain)
 from liecoh.cohomology import classes_equal
-from liecoh.crossed import (CrossedModule, characteristic_class_omega_route,
+from liecoh.crossed import (CrossedModule, _alternating_extension, _bracket_in_n,
+                            _module_action_on_f, characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence, validate_crossed_module)
-from liecoh.errors import InvalidCrossedModuleError, NoOmegaLiftError
+from liecoh.errors import (FactorizationFailureError, InvalidCrossedModuleError,
+                           NoOmegaLiftError)
 from liecoh.extensions import GKernel, build_extension, build_quotient_stage
-from liecoh.liealg import LieAlgebra, Representation, adjoint_rep, bracket_preserving
-from liecoh.linalg import Matrix, unit_vec
+from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_preserving,
+                           change_of_basis, derivations)
+from liecoh.linalg import Matrix, unit_vec, vec_is_zero, vec_sub
 
-from conftest import rand_cochain
+from conftest import rand_algebra, rand_cochain, rand_invertible
 
 
 def ideal_inclusion_module():
@@ -45,6 +49,14 @@ def stage_module(fs):
     kernel = GKernel.from_factor_system(fs)
     stage = build_quotient_stage(kernel)
     return CrossedModule(fs.n, stage.gs, stage.alpha_matrix, stage.rho)
+
+
+def derivation_module(L):
+    """ad: L -> Der(L) with Der(L) acting on L: kernel the center of L."""
+    der = derivations(L)
+    alpha = Matrix.from_columns(der.inner_coords, rows=der.dim)
+    return CrossedModule(L, der.algebra, alpha, Representation(der.algebra, L.dim,
+                                                                der.matrices))
 
 
 CATALOG_MODULES = (
@@ -218,3 +230,101 @@ def test_surjective_crossed_module_zero_class():
     cls = characteristic_class_theta_route(sp)
     assert cls.is_zero()
     assert cls.space.rep.algebra.dim == 0
+
+
+# The loops below are the ones crossed.py ran before it called
+# pullback_cochain, pair_act_cochain and trivial_differential; they stay
+# here as oracles for those calls.
+
+def loop_pullback(c, phi, domain):
+    """c evaluated at the columns of phi, key by key."""
+    table = {}
+    for key in increasing_tuples(domain.dim, c.degree):
+        val = c.evaluate([phi.column(k) for k in key])
+        if not vec_is_zero(val):
+            table[key] = val
+    return Cochain(domain, c.degree, c.value_dim, table)
+
+
+def loop_first_unfactored_key(sp, beta, d_f):
+    """The first key of ghat at which beta pulled back along q_proj misses d_f."""
+    for key in increasing_tuples(sp.cm.ghat.dim, 3):
+        expected = beta.evaluate([sp.q_proj.column(k) for k in key])
+        if tuple(expected) != d_f.component(key):
+            return key
+    return None
+
+
+def loop_module_action_on_f(sp, x):
+    """x.(f(a,b)) - f([x,a],b) - f(a,[x,b]) on the increasing keys of n."""
+    n_dim = sp.n_alg.dim
+    table = {}
+    for key in increasing_tuples(n_dim, 2):
+        a, b = key
+        val = sp.zhat_rep.matrices[x].matvec(sp.f.component(key))
+        val = vec_sub(val, sp.f.evaluate([_bracket_in_n(sp, x, a), unit_vec(n_dim, b)]))
+        val = vec_sub(val, sp.f.evaluate([unit_vec(n_dim, a), _bracket_in_n(sp, x, b)]))
+        if not vec_is_zero(val):
+            table[key] = val
+    return Cochain(sp.n_alg, 2, sp.z.dim, table)
+
+
+def oracle_modules():
+    rng = random.Random(5)
+    modules = [builder() for _, builder in CATALOG_MODULES]
+    for L in (heisenberg3(), filiform4(), nonabelian2(), sl2()):
+        modules.append(derivation_module(change_of_basis(L, rand_invertible(rng, L.dim))))
+    modules += [derivation_module(rand_algebra(rng)) for _ in range(4)]
+    return modules
+
+
+def test_derivation_modules_of_nilpotent_algebras_have_kernel_and_cokernel():
+    for L in (heisenberg3(), filiform4()):
+        sp = split_crossed_module(derivation_module(L))
+        assert (sp.z.dim, sp.n_alg.dim, sp.g.dim) == (1, L.dim - 1, 4)
+        assert not sp.zhat_rep.is_trivial()
+
+
+def test_crossed_cochain_calls_match_loop_oracles():
+    rng = random.Random(9)
+    for cm in oracle_modules():
+        sp = split_crossed_module(cm)
+        ghat = cm.ghat
+        for x in range(ghat.dim):
+            assert _module_action_on_f(sp, x) == loop_module_action_on_f(sp, x)
+        d_f = cochain_differential(sp.zhat_rep, _alternating_extension(sp))
+        beta = pullback_cochain(d_f, sp.q_sect, sp.g)
+        assert beta == loop_pullback(d_f, sp.q_sect, sp.g)
+        assert loop_first_unfactored_key(sp, beta, d_f) is None
+        assert pullback_cochain(beta, sp.q_proj, ghat) == d_f
+        for p in (2, 3):
+            c = rand_cochain(rng, sp.g, p, sp.z.dim, sparsity=0.3)
+            assert pullback_cochain(c, sp.q_proj, ghat) == loop_pullback(c, sp.q_proj, ghat)
+            c = rand_cochain(rng, ghat, p, sp.z.dim, sparsity=0.3)
+            assert pullback_cochain(c, sp.q_sect, sp.g) == loop_pullback(c, sp.q_sect, sp.g)
+
+
+def test_factorization_failure_names_the_first_failing_key():
+    # Der(h3) acts on the center of h3 by scalars, so random changes of the
+    # extension of theta leave d_f unfactored at several keys
+    rng = random.Random(3)
+    sp = split_crossed_module(derivation_module(heisenberg3()))
+    ghat = sp.cm.ghat
+    f_tilde = _alternating_extension(sp)
+    tried = 0
+    for _ in range(20):
+        bump = rand_cochain(rng, ghat, 2, sp.z.dim, sparsity=0.7)
+        other = f_tilde + bump
+        d_f = cochain_differential(sp.zhat_rep, other)
+        beta = loop_pullback(d_f, sp.q_sect, sp.g)
+        key = loop_first_unfactored_key(sp, beta, d_f)
+        if key is None:
+            continue
+        failing = [k for k in increasing_tuples(ghat.dim, 3)
+                   if loop_pullback(beta, sp.q_proj, ghat).component(k) != d_f.component(k)]
+        assert failing[0] == key
+        tried += len(failing) > 1
+        with pytest.raises(FactorizationFailureError,
+                           match=rf"does not factor at \({key[0]}, {key[1]}, {key[2]}\)$"):
+            characteristic_class_theta_route(sp, other)
+    assert tried >= 5

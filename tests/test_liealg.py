@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
+import random
+
+from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, nonabelian2, sl2
 from liecoh.errors import (JacobiError, NotAHomomorphismError, NotAnIdealError,
                            RepresentationError)
 from liecoh.liealg import (LieAlgebra, LinearLieMap, Representation, adjoint_rep,
                            bracket_preserving, center, change_of_basis,
                            check_jacobi, derivations, direct_and_semidirect,
-                           is_derivation, quotient_algebra)
+                           is_derivation, product_algebra, quotient_algebra)
 from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, zero_vec
 
 from conftest import rand_algebra, rand_fraction, rand_invertible
@@ -172,7 +174,8 @@ def test_change_of_basis_preserves_jacobi(rng):
 
 
 # ---------------------------------------------------------------------------
-# the former table scan and dense law check, kept as oracles
+# the former table scan, dense law and Jacobi checks and product-table
+# builder, kept as oracles
 # ---------------------------------------------------------------------------
 
 def scan_bracket(L, u, v):
@@ -266,3 +269,107 @@ def test_representation_law_failure_names_the_dense_pair(rng):
         assert exc.value.pair == expected
         pairs.add(expected)
     assert len(pairs) >= 3
+
+
+def dense_jacobi_failure(L):
+    """The former Jacobi check: three dense brackets per triple i < j < k."""
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            eij = L.bracket_basis(i, j)
+            for k in range(j + 1, L.dim):
+                total = L.bracket(eij, unit_vec(L.dim, k))
+                total = vec_add(total, L.bracket(L.bracket_basis(j, k), unit_vec(L.dim, i)))
+                total = vec_add(total, L.bracket(L.bracket_basis(k, i), unit_vec(L.dim, j)))
+                if any(total):
+                    return (i, j, k)
+    return None
+
+
+def nilpotent4():
+    """Strictly upper-triangular 4 x 4 matrices, basis e12, e13, e14, e23, e24, e34."""
+    return LieAlgebra(6, {(0, 3): {1: 1}, (0, 4): {2: 1}, (1, 5): {2: 1},
+                          (3, 5): {4: 1}})
+
+
+def test_jacobi_failure_matches_dense_oracle():
+    rng = random.Random(23)
+    triples = set()
+    passed = 0
+    bases = (heisenberg3, sl2, filiform4, nilpotent4,
+             lambda: direct_and_semidirect(heisenberg3(), nonabelian2()))
+    for _ in range(150):
+        L = rng.choice(bases)()
+        table = {pair: dict(enumerate(w)) for pair, w in L.structure_table().items()}
+        for _ in range(rng.randint(1, 2)):
+            i, j = sorted(rng.sample(range(L.dim), 2))
+            table.setdefault((i, j), {})[rng.randrange(L.dim)] = rand_fraction(rng)
+        broken = LieAlgebra(L.dim, table, _skip_jacobi=True)
+        expected = dense_jacobi_failure(broken)
+        assert broken._jacobi_failure() == expected
+        if expected is None:
+            passed += 1
+            assert LieAlgebra(L.dim, table) == broken
+            continue
+        triples.add(expected)
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra(L.dim, table)
+        assert exc.value.triple == expected
+    assert len(triples) >= 10 and passed >= 5
+
+
+def put_product_table(n_alg, g_alg, S, omega):
+    """The former product-bracket builder of build_extension and direct_and_semidirect."""
+    nd, gd = n_alg.dim, g_alg.dim
+    table = {}
+
+    def put(i, j, vec):
+        entry = {k: c for k, c in enumerate(vec) if c != 0}
+        if entry:
+            table[(i, j)] = entry
+
+    for i in range(nd):
+        for j in range(i + 1, nd):
+            put(i, j, tuple(n_alg.bracket_basis(i, j)) + zero_vec(gd))
+    for i in range(nd):
+        for a in range(gd):
+            put(i, nd + a, tuple(vec_scale(Fraction(-1), S[a].column(i))) + zero_vec(gd))
+    for a in range(gd):
+        for b in range(a + 1, gd):
+            put(nd + a, nd + b,
+                tuple(omega.get((a, b), zero_vec(nd))) + tuple(g_alg.bracket_basis(a, b)))
+    return table
+
+
+def assert_product_matches_oracle(n_alg, g_alg, S, omega, got):
+    expected = put_product_table(n_alg, g_alg, S, omega)
+    assert got == LieAlgebra(n_alg.dim + g_alg.dim, expected)
+    assert list(got.structure_table()) == list(expected)
+    assert got.labels == (tuple(f"n.{l}" for l in n_alg.labels)
+                          + tuple(f"g.{l}" for l in g_alg.labels))
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel"])
+def test_product_algebra_matches_put_oracle_catalog_systems(name):
+    from liecoh.extensions import build_extension
+    fs = catalog(name)
+    omega = fs.omega.coeffs
+    assert_product_matches_oracle(fs.n, fs.g, fs.S.matrices, omega,
+                                  build_extension(fs).total)
+    assert_product_matches_oracle(fs.n, fs.g, fs.S.matrices, omega,
+                                  product_algebra(fs.n, fs.g, fs.S.matrices, omega))
+
+
+def test_semidirect_matches_put_oracle(rng):
+    for _ in range(10):
+        n_alg = rand_algebra(rng, max_dim=3)
+        g_alg = abelian(rng.randint(0, 2))
+        # commuting derivations: multiples of one derivation of n
+        d = derivations(n_alg)
+        base = d.matrices[rng.randrange(d.dim)] if d.dim else Matrix.zero(n_alg.dim, n_alg.dim)
+        S = [base.scale(rand_fraction(rng)) for _ in range(g_alg.dim)]
+        assert_product_matches_oracle(n_alg, g_alg, S, {},
+                                      direct_and_semidirect(n_alg, g_alg, S))
+    V, s = abelian(2), sl2()
+    S = [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]), Matrix([[1, 0], [0, -1]])]
+    assert_product_matches_oracle(V, s, S, {}, direct_and_semidirect(V, s, S))

@@ -3,7 +3,8 @@
 Cross-checks must raise whatever the interpreter flags: ``python -O``
 removes every ``assert`` statement and every ``if __debug__`` block, so
 neither may appear in the package.  Elimination is one path: only
-``linalg.py`` calls ``rref``.  No module keeps mutable global state,
+``linalg.py`` calls ``rref``.  The alternating-sign scatter is one
+module: only ``cochains.py`` calls ``sort_with_sign``.  No module keeps mutable global state,
 so no ``global`` statement appears.
 """
 
@@ -23,13 +24,19 @@ def stripped_under_optimize(tree):
             yield node.lineno, "__debug__ reference"
 
 
-def rref_calls(tree):
-    # m.rref() and the module-level rref(m) alike
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name == "rref":
-                yield node.lineno, "rref call"
+def calls_to(target):
+    """Rule: calls of ``target``, as a method or attribute (m.f()) and by name (f(m))."""
+    def rule(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == target:
+                    yield node.lineno, f"{target} call"
+    return rule
+
+
+rref_calls = calls_to("rref")
+sort_with_sign_calls = calls_to("sort_with_sign")
 
 
 def global_statements(tree):
@@ -55,6 +62,11 @@ def test_only_linalg_calls_rref():
     assert list(rref_calls(ast.parse((PACKAGE / "linalg.py").read_text())))
 
 
+def test_only_cochains_calls_sort_with_sign():
+    assert violations(sort_with_sign_calls, exempt=("cochains.py",)) == []
+    assert list(sort_with_sign_calls(ast.parse((PACKAGE / "cochains.py").read_text())))
+
+
 def test_package_has_no_global_statements():
     assert violations(global_statements) == []
 
@@ -69,3 +81,11 @@ def test_rules_detect_rref_calls_and_global_statements():
     tree = ast.parse("def f(m):\n    global k\n    return m.rref(), rref(m)\n")
     assert list(rref_calls(tree)) == [(3, "rref call"), (3, "rref call")]
     assert list(global_statements(tree)) == [(2, "global statement")]
+
+
+def test_rule_detects_sort_with_sign_calls():
+    tree = ast.parse("from .cochains import sort_with_sign\n"
+                     "def f(key):\n"
+                     "    return sort_with_sign(key), cochains.sort_with_sign(key)\n")
+    assert list(sort_with_sign_calls(tree)) == [(3, "sort_with_sign call"),
+                                                (3, "sort_with_sign call")]

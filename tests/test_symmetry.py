@@ -3,22 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh.catalog import (abelian, ext_filiform4, ext_heisenberg3,
+from liecoh.catalog import (abelian, catalog, ext_filiform4, ext_heisenberg3,
                             ext_heisenberg_kernel, heisenberg3)
-from liecoh.cochains import Cochain, cochain_differential
+from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
+                             pair_act_cochain, transport_cochain)
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.errors import NoGammaError, PreconditionFailedError
 from liecoh.extensions import (FactorSystem, build_extension, equivalent_extensions,
                                extract_factor_system)
 from liecoh.liealg import Representation, bracket_preserving, center
-from liecoh.linalg import Matrix, Subspace, unit_vec
+from liecoh.linalg import Matrix, Subspace, invert, unit_vec, vec_is_zero, vec_sub
 from liecoh.symmetry import (act_on_degree2_class, automorphism_pair_obstruction,
                              check_automorphism_triple, check_derivation_triple,
                              derivation_pair_obstruction, extension_derivations,
                              lifting_cocycle, pair_lifts_iff_transport_equivalent,
                              transported_factor_system)
 
-from conftest import rand_cochain
+from conftest import rand_algebra, rand_cochain, rand_invertible, rand_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +276,64 @@ def test_transported_system_valid(rng):
     beta = Matrix([[2, 0], [0, 3]])
     moved = transported_factor_system(fs, alpha, beta)
     assert moved.g == fs.g and moved.n == fs.n
+
+
+# ---------------------------------------------------------------------------
+# the loops transport_cochain and pair_act_cochain replaced, as oracles
+# ---------------------------------------------------------------------------
+
+def loop_transport(alpha, beta_inv, c):
+    """alpha . c(beta^{-1} ., ..., beta^{-1} .), key by key."""
+    table = {}
+    for key in increasing_tuples(c.algebra.dim, c.degree):
+        val = alpha.matvec(c.evaluate([beta_inv.column(k) for k in key]))
+        if not vec_is_zero(val):
+            table[key] = val
+    return Cochain(c.algebra, c.degree, alpha.rows, table)
+
+
+def loop_act_on_cochain(psi_n, psi_g, c):
+    """The pair action of (psi_n, psi_g) on a 1-cochain g -> n, as lifting_cocycle wrote it."""
+    table = {}
+    for a in range(c.algebra.dim):
+        val = vec_sub(psi_n.matvec(c.component((a,))), c.evaluate([psi_g.column(a)]))
+        if not vec_is_zero(val):
+            table[(a,)] = val
+    return Cochain(c.algebra, 1, psi_n.rows, table)
+
+
+def test_transport_and_pair_action_match_loop_oracles():
+    rng = random.Random(13)
+    for _ in range(12):
+        L = rand_algebra(rng)
+        m = rng.randint(1, 3)
+        alpha = rand_matrix(rng, rng.randint(1, 3), m)
+        beta_inv = rand_invertible(rng, L.dim)
+        beta = rand_matrix(rng, L.dim, L.dim)
+        for p in range(4):
+            c = rand_cochain(rng, L, p, m, sparsity=0.3)
+            assert transport_cochain(alpha, beta_inv, c) == loop_transport(alpha, beta_inv, c)
+        psi_n = rand_matrix(rng, m, m)
+        c = rand_cochain(rng, L, 1, m, sparsity=0.3)
+        assert pair_act_cochain(psi_n, beta, c) == loop_act_on_cochain(psi_n, beta, c)
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel"])
+def test_transport_matches_loop_oracle_catalog_systems(name):
+    rng = random.Random(17)
+    fs = catalog(name)
+    for _ in range(3):
+        alpha = rand_invertible(rng, fs.n.dim)
+        beta_inv = invert(rand_invertible(rng, fs.g.dim))
+        assert (transport_cochain(alpha, beta_inv, fs.omega)
+                == loop_transport(alpha, beta_inv, fs.omega))
+
+
+def test_lifting_pair_action_matches_loop_oracle():
+    fs, _, psi_n, psi_g, theta = _filiform_lift_data()
+    rng = random.Random(19)
+    for x in range(len(psi_n)):
+        for c in list(theta) + [rand_cochain(rng, fs.g, 1, fs.n.dim) for _ in range(3)]:
+            assert (pair_act_cochain(psi_n[x], psi_g[x], c)
+                    == loop_act_on_cochain(psi_n[x], psi_g[x], c))

@@ -4,31 +4,40 @@
 constructions the package used before ``leibniz_rows`` and
 ``solve_inner``, and ``column_operator_matrix`` is the column-by-column
 builder used before the row-wise ``operator_matrix``; they stay here as
-oracles.  Row order and zero rows do not change a reduced echelon form,
-so kernels, particular solutions and certificates must agree exactly;
-operator matrices must agree entry for entry.
+oracles.  ``loop_cochain_differential`` (the per-key loop) and
+``wedge_covariant_differential`` (S wedged in by the evaluation pairing)
+are the differentials the package computed before all of them applied
+``operator_matrix``; the column oracle is built from them, so it does not
+compare ``operator_matrix`` with itself.  ``hand_omega_rows`` is the
+hand-written d_S gamma block of the derivation-pair system.  Row order
+and zero rows do not change a reduced echelon form, so kernels,
+particular solutions and certificates must agree exactly; operator
+matrices and cochains must agree entry for entry.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from liecoh import symmetry
 from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, sl2
-from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
-                             cochain_space_dim, covariant_differential, curvature,
-                             increasing_tuples)
-from liecoh.cohomology import differential_matrix, operator_matrix, relative_cocycles
+from liecoh.cochains import (Cochain, EquivariantPairing, OuterActionMap,
+                             check_degree, cochain_differential, cochain_space_dim,
+                             covariant_differential, curvature, increasing_tuples,
+                             operator_matrix, trivial_differential, wedge)
+from liecoh.cohomology import differential_matrix, relative_cocycles
 from liecoh.errors import DimensionMismatchError
 from liecoh.extensions import ExtensionPresentation, extract_factor_system
 from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
                            center, derivations, direct_and_semidirect,
                            leibniz_rows, solve_inner)
-from liecoh.linalg import ZERO, Matrix, kernel, solve_affine, unit_vec
-from liecoh.symmetry import extension_derivations
+from liecoh.linalg import (ZERO, Matrix, kernel, solve_affine, unit_vec, vec_add,
+                           vec_is_zero, vec_scale)
+from liecoh.symmetry import _pair_system_rows, extension_derivations
 
-from conftest import rand_algebra, rand_matrix, rand_vector
+from conftest import rand_algebra, rand_cochain, rand_matrix, rand_vector
 
 
 def dense_leibniz_system(L):
@@ -72,6 +81,80 @@ def stacked_inner_solve(L, targets):
     return particular, certificate
 
 
+def loop_cochain_differential(rep, c):
+    """(df)(x_0..x_p) = sum_j (-1)^j x_j.f(..omit j..)
+                      + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..omit i,j..), key by key."""
+    p = c.degree
+    check_degree(p + 1)
+    L = c.algebra
+    trivial = rep.is_trivial()
+    table = {}
+    for key in increasing_tuples(L.dim, p + 1):
+        total = (ZERO,) * c.value_dim
+        if not trivial:
+            for j in range(p + 1):
+                val = c.coeffs.get(key[:j] + key[j + 1:])
+                if val is None:
+                    continue
+                term = rep.act(key[j], val)
+                if j % 2:
+                    term = vec_scale(Fraction(-1), term)
+                total = vec_add(total, term)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                bracket = L.bracket_basis(key[i], key[j])
+                if vec_is_zero(bracket):
+                    continue
+                rest = tuple(key[r] for r in range(p + 1) if r != i and r != j)
+                sign = -1 if (i + j) % 2 else 1
+                for k, coeff in enumerate(bracket):
+                    if coeff == 0:
+                        continue
+                    val = c.value_at_indices((k,) + rest)
+                    if vec_is_zero(val):
+                        continue
+                    total = vec_add(total, vec_scale(sign * coeff, val))
+        if not vec_is_zero(total):
+            table[key] = total
+    return Cochain(L, p + 1, c.value_dim, table)
+
+
+def loop_trivial_differential(c):
+    return loop_cochain_differential(Representation.trivial(c.algebra, c.value_dim), c)
+
+
+def wedge_covariant_differential(S, c):
+    """S wedge c through the evaluation pairing, plus the trivial differential."""
+    ev = EquivariantPairing.evaluation(S.space_dim)
+    return wedge(ev, S.as_end_cochain(), c) + loop_trivial_differential(c)
+
+
+def hand_omega_rows(fs, va, vb):
+    """alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
+    - (d_S gamma)(i, j) = 0 with d_S gamma written out by hand."""
+    S, omega = fs.S, fs.omega
+    nd, gd = fs.n.dim, fs.g.dim
+    rows = []
+    for key in increasing_tuples(gd, 2):
+        i, j = key
+        w = omega.component(key)
+        for r in range(nd):
+            row = Counter()
+            for k in range(nd):
+                row[r * nd + k] += w[k]
+            for b in range(gd):
+                row[va + b * gd + i] -= omega.value_at_indices((b, j))[r]
+                row[va + b * gd + j] -= omega.value_at_indices((i, b))[r]
+            # (d_S gamma)(e_i, e_j) = S_i gamma_j - S_j gamma_i - gamma([e_i, e_j])
+            for k in range(nd):
+                row[va + vb + j * nd + k] -= S.matrices[i].entry(r, k)
+                row[va + vb + i * nd + k] += S.matrices[j].entry(r, k)
+            for b, c in enumerate(fs.g.bracket_basis(i, j)):
+                row[va + vb + b * nd + r] += c
+            rows.append(row)
+    return rows
+
+
 def column_operator_matrix(fn, algebra, p, value_dim):
     """Matrix of a linear cochain operator, one basis cochain per column."""
     cols = []
@@ -112,7 +195,7 @@ def filiform(n):
 def assert_module_differentials_match(rep, degrees):
     for p in degrees:
         got = differential_matrix(rep, p)
-        oracle = column_operator_matrix(lambda c: cochain_differential(rep, c),
+        oracle = column_operator_matrix(lambda c: loop_cochain_differential(rep, c),
                                         rep.algebra, p, rep.space_dim)
         assert got == oracle
 
@@ -138,7 +221,7 @@ def test_differential_matrix_matches_column_oracle_families(build):
 def assert_covariant_blocks_match(S, degrees):
     for p in degrees:
         got = operator_matrix(S.algebra, S.matrices, p, S.space_dim)
-        oracle = column_operator_matrix(lambda c: covariant_differential(S, c),
+        oracle = column_operator_matrix(lambda c: wedge_covariant_differential(S, c),
                                         S.algebra, p, S.space_dim)
         assert got == oracle
 
@@ -190,11 +273,58 @@ def test_operator_matrix_past_the_algebra_dimension():
     for rep in (Representation.trivial(L, 2), adjoint_rep(L)):
         for p in (3, 4, 5):
             got = differential_matrix(rep, p)
-            oracle = column_operator_matrix(lambda c: cochain_differential(rep, c),
+            oracle = column_operator_matrix(lambda c: loop_cochain_differential(rep, c),
                                             L, p, rep.space_dim)
             assert got == oracle
             assert (got.rows, got.cols) == (0, rep.space_dim if p == 3 else 0)
     assert differential_matrix(Representation.trivial(abelian(0), 1), 0) == Matrix.zero(0, 1)
+
+
+def assert_same_cochain(got, expected):
+    assert got == expected
+    assert all(type(x) is Fraction for vec in got.coeffs.values() for x in vec)
+
+
+def test_differentials_match_loop_and_wedge_oracles(rng):
+    for _ in range(12):
+        L = rand_algebra(rng)
+        m = rng.randint(1, 3)
+        maps = [OuterActionMap(L, [rand_matrix(rng, m, m) for _ in range(L.dim)],
+                               validate=False),
+                OuterActionMap(L, adjoint_rep(L).matrices)]
+        reps = [Representation.trivial(L, m), adjoint_rep(L)]
+        for p in range(4):
+            for rep, S in zip(reps, maps):
+                c = rand_cochain(rng, L, p, rep.space_dim, sparsity=0.4)
+                assert_same_cochain(cochain_differential(rep, c),
+                                    loop_cochain_differential(rep, c))
+                assert_same_cochain(trivial_differential(c), loop_trivial_differential(c))
+                c = rand_cochain(rng, L, p, S.space_dim, sparsity=0.4)
+                assert_same_cochain(covariant_differential(S, c),
+                                    wedge_covariant_differential(S, c))
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel", "curved-n4"])
+def test_covariant_differential_matches_wedge_oracle_catalog_systems(name):
+    rng = random.Random(11)
+    fs = curved_factor_system() if name == "curved-n4" else catalog(name)
+    for p in range(4):
+        c = rand_cochain(rng, fs.g, p, fs.n.dim)
+        assert_same_cochain(covariant_differential(fs.S, c),
+                            wedge_covariant_differential(fs.S, c))
+    assert_same_cochain(covariant_differential(fs.S, fs.omega),
+                        wedge_covariant_differential(fs.S, fs.omega))
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4",
+                                  "ext-heisenberg-kernel", "ext-sl2-kernel", "curved-n4"])
+def test_pair_system_omega_rows_match_hand_written_block(name):
+    fs = curved_factor_system() if name == "curved-n4" else catalog(name)
+    _, omega_rows, nvars, va, vb = _pair_system_rows(fs)
+    got = Matrix.from_sparse_rows(omega_rows, nvars)
+    assert got == Matrix.from_sparse_rows(hand_omega_rows(fs, va, vb), nvars)
+    assert got.rows == cochain_space_dim(fs.g.dim, 2, fs.n.dim)
 
 
 def test_from_sparse_rows_fills_dense_rows():
