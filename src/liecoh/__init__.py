@@ -27,8 +27,7 @@ from .crossed import CrossedModule, CrossedModuleSplitting, \
     characteristic_class_theta_route, characteristic_class_omega_route, \
     splitting_equivalence
 from .symmetry import check_derivation_triple, extension_derivations, \
-    derivation_pair_obstruction, lifting_cocycle, check_automorphism_triple, \
-    automorphism_pair_obstruction
+    derivation_pair_obstruction, lifting_cocycle, automorphism_pair_obstruction
 from .catalog import catalog, killing_form, InvariantForm
 from .currents import Polynomial, v2_cocycle_identity, v2_characteristic_cocycle
 

@@ -10,19 +10,16 @@ failed reproduction check) with a structured certificate in the report,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from fractions import Fraction
 
 from . import io as lio
-from .catalog import catalog, killing_form
+from .catalog import catalog
 from .cochains import Cochain, OuterActionMap
 from .cohomology import EmptyAffine, cohomology
 from .crossed import (CrossedModule, characteristic_class_omega_route,
                       characteristic_class_theta_route, split_crossed_module,
                       validate_crossed_module)
-from .currents import (Polynomial, cyclic_cocycle_defect, v2_characteristic_cocycle,
-                       v2_cocycle_identity)
+from .currents import run_v2_samples
 from .errors import (InputError, InvalidFactorSystemError, LiecohError,
                      NegativeResult, ObstructedError, ParseError, UnknownBundleError,
                      UnknownNameError)
@@ -30,6 +27,7 @@ from .extensions import (FactorSystem, GKernel, build_extension,
                          classify_extensions, factor_system_report,
                          obstruction_class, reduce_via_stage)
 from .liealg import LieAlgebra, Representation, center
+from .reproduce import run_bundle
 from .symmetry import (automorphism_pair_obstruction, extension_derivations,
                        lifting_cocycle)
 
@@ -91,8 +89,10 @@ def _class_report(cls) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    """One report on every input given; exit 2 when any of them is invalid."""
     workspace = lio.Workspace()
     report = {}
+    valid = True
     if args.algebra:
         L = _load_algebra(args.algebra)
         _register(workspace, "algebra", L, args.algebra)
@@ -107,22 +107,18 @@ def cmd_validate(args) -> int:
         _register(workspace, "extension", (n_alg, g_alg), args.ext)
         fr = factor_system_report(n_alg, g_alg, mats, omega)
         report["factor_system"] = fr.as_dict()
-        _emit({"command": "validate", "report": report,
-               "provenance": _provenance(workspace)})
-        return EXIT_OK if fr.ok else EXIT_NEGATIVE
+        valid = valid and fr.ok
     if args.cm:
         h, ghat, alpha, action = lio.load_file(args.cm, "crossed-module-parts")
         _register(workspace, "crossed-module", (h, ghat), args.cm)
         cr = validate_crossed_module((h, ghat, alpha, action))
         report["crossed_module"] = cr.as_dict()
-        _emit({"command": "validate", "report": report,
-               "provenance": _provenance(workspace)})
-        return EXIT_OK if cr.ok else EXIT_NEGATIVE
+        valid = valid and cr.ok
     if not report:
         raise ParseError("nothing to validate: pass --algebra, --rep, --ext or --cm")
     _emit({"command": "validate", "report": report,
            "provenance": _provenance(workspace)})
-    return EXIT_OK
+    return EXIT_OK if valid else EXIT_NEGATIVE
 
 
 def _register(workspace, name, obj, source) -> None:
@@ -310,43 +306,6 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _random_vanishing_polynomial(rng: random.Random, max_degree: int = 5) -> Polynomial:
-    coeffs = [0] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for _ in range(rng.randint(1, max_degree))]
-    return Polynomial(coeffs)
-
-
-def run_v2_samples(samples: int, seed: int):
-    """Randomized current-identity suite on sl2 with the trace form."""
-    rng = random.Random(seed)
-    L = catalog("sl2")
-    kappa = killing_form(L)
-    failures = 0
-    for _ in range(samples):
-        a = _random_vanishing_polynomial(rng)
-        a1 = _random_vanishing_polynomial(rng)
-        a2 = _random_vanishing_polynomial(rng)
-        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        x1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        x2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        _, _, equal = v2_cocycle_identity(kappa, a, a1, a2, x, x1, x2)
-        if not equal:
-            failures += 1
-        b = _random_vanishing_polynomial(rng)
-        c = _random_vanishing_polynomial(rng)
-        a_ker = a - Polynomial((0, a.at_one()))  # now vanishes at 0 and 1
-        if cyclic_cocycle_defect(a_ker, b, c) != 0:
-            failures += 1
-    eta, cls = v2_characteristic_cocycle(kappa)
-    return {
-        "identity_samples": samples,
-        "failures": failures,
-        "eta_e_f_h": lio.scalar_to_str(eta.component((0, 1, 2))[0]),
-        "eta_class_nonzero": not cls.is_zero(),
-        "h3_dim": cls.space.h_dim,
-    }
-
-
 def cmd_v2_check(args) -> int:
     if args.algebra not in (None, "sl2"):
         raise ParseError("the current-identity suite runs on the sl2 catalog entry")
@@ -358,7 +317,6 @@ def cmd_v2_check(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .reproduce import run_bundle
     report, passed = run_bundle(args.name)
     _emit({"command": "reproduce", "bundle": args.name, "pass": passed,
            "report": report})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from .config import degree_cap
@@ -222,7 +223,6 @@ class Cochain:
 
 
 def cochain_space_dim(algebra_dim: int, degree: int, value_dim: int) -> int:
-    from math import comb
     return comb(algebra_dim, degree) * value_dim
 
 
@@ -502,23 +502,6 @@ class OuterActionMap:
         m = self.space_dim
         return Cochain(self.algebra, 1, m * m,
                        {(i,): mat.flatten() for i, mat in enumerate(self.matrices)})
-
-    def restrict_to_center(self) -> Representation:
-        """The induced module structure on the center of the target."""
-        if self.target is None:
-            raise DimensionMismatchError("restriction needs a target algebra")
-        from .liealg import center
-        z = center(self.target)
-        mats = []
-        for m in self.matrices:
-            cols = []
-            for b in z.basis:
-                coords = z.coordinates_of(m.matvec(b))
-                if coords is None:
-                    raise NotADerivationError("a derivation did not preserve the center")
-                cols.append(coords)
-            mats.append(Matrix.from_columns(cols, rows=z.dim))
-        return Representation(self.algebra, z.dim, mats)
 
     def add_inner(self, gamma: Cochain) -> "OuterActionMap":
         """S + ad(gamma(.)) for an n-valued 1-cochain gamma."""

@@ -125,6 +125,22 @@ def cohomology(rep: Representation, p: int) -> CohomologySpace:
     return CohomologySpace(rep, p)
 
 
+def primitive(rep: Representation, c: Cochain):
+    """Solve d b = c for a cochain b one degree below c: (b, certificate).
+
+    b is the pivot-convention solution of the differential's system, so
+    it is canonical; when c is not a coboundary, b is None and the
+    certificate is the reduced row of that system reading 0 = 1.
+    """
+    if c.degree < 1 or c.algebra != rep.algebra or c.value_dim != rep.space_dim:
+        raise SpaceMismatchError("the cochain is not a positive-degree cochain of the module")
+    coords, _, certificate = solve_affine(differential_matrix(rep, c.degree - 1),
+                                          c.coordinates())
+    if coords is None:
+        return None, certificate
+    return Cochain.from_coordinates(rep.algebra, c.degree - 1, rep.space_dim, coords), None
+
+
 def classes_equal(a: CohomologyClass, b: CohomologyClass) -> bool:
     if a.space != b.space:
         raise SpaceMismatchError("classes live in different spaces")

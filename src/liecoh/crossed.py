@@ -21,7 +21,7 @@ from typing import Optional
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
                        covariant_differential, increasing_tuples, pair_act_cochain,
                        pullback_cochain, trivial_differential)
-from .cohomology import CohomologyClass, cohomology, differential_matrix
+from .cohomology import CohomologyClass, cohomology, primitive
 from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
                      NoOmegaLiftError)
@@ -29,9 +29,9 @@ from .extensions import (FactorSystem, build_extension,
                          restrict_cochain_to_subspace)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      quotient_algebra)
-from .linalg import (Matrix, Subspace, kernel as mat_kernel, solve_affine,
-                     solve_columns, to_fractions, unit_vec, vec_add, vec_is_zero,
-                     vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
+                     quotient_coordinates, solve_columns, to_fractions, unit_vec,
+                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,6 @@ class CrossedModule:
         if not report.ok:
             raise InvalidCrossedModuleError(report)
 
-    def kernel_subspace(self) -> Subspace:
-        return mat_kernel(self.alpha)
-
-    def image_subspace(self) -> Subspace:
-        from .linalg import image
-        return image(self.alpha)
-
     def __repr__(self):
         return f"CrossedModule(h dim {self.h.dim}, ghat dim {self.ghat.dim})"
 
@@ -114,7 +107,6 @@ def _report(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
             rhs = h.bracket_basis(i, j)
             if lhs != rhs:
                 cm2.append((i, j))
-    from .linalg import image
     im = image(alpha)
     image_ideal = all(
         im.contains(ghat.bracket(unit_vec(ghat.dim, x), b))
@@ -160,7 +152,6 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     z = mat_kernel(alpha)
     n_sub = Subspace.from_vectors(ghat.dim, [alpha.column(j) for j in range(h.dim)])
     # complement of z in h: the non-pivot axes of z
-    from .linalg import quotient_coordinates
     _, h_compl_sect = quotient_coordinates(h.dim, z)
     # n in its canonical basis, with brackets induced from ghat
     n_dim = n_sub.dim
@@ -388,11 +379,9 @@ def splitting_equivalence(cm: CrossedModule):
         return None, chi
     # peel off a coboundary to make the extension a cocycle
     d3 = chi.representative  # beta with d_f = pullback of beta
-    d_mat = differential_matrix(sp.z_rep, 2)
-    beta_prime_coords, _, _ = solve_affine(d_mat, d3.coordinates())
-    if beta_prime_coords is None:
+    beta_prime, _ = primitive(sp.z_rep, d3)
+    if beta_prime is None:
         raise InvariantViolation("zero class without a bounding cochain")
-    beta_prime = Cochain.from_coordinates(sp.g, 2, sp.z.dim, beta_prime_coords)
     corrected = f_tilde - pullback_cochain(beta_prime, sp.q_proj, cm.ghat)
     if not cochain_differential(sp.zhat_rep, corrected).is_zero():
         raise InvariantViolation("corrected extension of theta is not a cocycle")
@@ -401,13 +390,10 @@ def splitting_equivalence(cm: CrossedModule):
     ext = build_extension(fs)
     total = ext.total
     # embed h = z + n into z + ghat
-    cols = []
-    for i in range(cm.h.dim):
-        v = unit_vec(cm.h.dim, i)
-        z_part = sp.z.coordinates_of(vec_sub(v, sp.z.reduce(v)))
-        n_part = cm.alpha.column(i)
-        cols.append(tuple(z_part) + tuple(n_part))
-    embedding = Matrix.from_columns(cols, rows=total.dim)
+    z_part = Matrix.from_columns(
+        [sp.z.coordinates_of(vec_sub(v, sp.z.reduce(v)))
+         for v in (unit_vec(cm.h.dim, i) for i in range(cm.h.dim))], rows=sp.z.dim)
+    embedding = block_matrix([[z_part], [cm.alpha]])
     if not bracket_preserving(cm.h, total, embedding):
         raise InvariantViolation("the splitting embedding does not preserve brackets")
     for x in range(cm.ghat.dim):

@@ -12,13 +12,15 @@ both conventions are exposed.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import InvariantForm
+from .catalog import InvariantForm, catalog, killing_form
 from .cochains import Cochain, cochain_differential, increasing_tuples
 from .cohomology import cohomology
 from .errors import DimensionMismatchError, InputError
+from .io import scalar_to_str
 from .liealg import Representation
 from .linalg import ZERO, unit_vec
 
@@ -197,3 +199,40 @@ def v2_characteristic_cocycle(kappa: InvariantForm):
         raise DimensionMismatchError("the invariant-form cocycle failed to close")
     space = cohomology(rep, 3)
     return eta, space.class_of(eta)
+
+
+def _random_vanishing_polynomial(rng: random.Random, max_degree: int = 5) -> Polynomial:
+    coeffs = [0] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, max_degree))]
+    return Polynomial(coeffs)
+
+
+def run_v2_samples(samples: int, seed: int):
+    """Randomized current-identity suite on sl2 with the trace form."""
+    rng = random.Random(seed)
+    L = catalog("sl2")
+    kappa = killing_form(L)
+    failures = 0
+    for _ in range(samples):
+        a = _random_vanishing_polynomial(rng)
+        a1 = _random_vanishing_polynomial(rng)
+        a2 = _random_vanishing_polynomial(rng)
+        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        x1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        x2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        _, _, equal = v2_cocycle_identity(kappa, a, a1, a2, x, x1, x2)
+        if not equal:
+            failures += 1
+        b = _random_vanishing_polynomial(rng)
+        c = _random_vanishing_polynomial(rng)
+        a_ker = a - Polynomial((0, a.at_one()))  # now vanishes at 0 and 1
+        if cyclic_cocycle_defect(a_ker, b, c) != 0:
+            failures += 1
+    eta, cls = v2_characteristic_cocycle(kappa)
+    return {
+        "identity_samples": samples,
+        "failures": failures,
+        "eta_e_f_h": scalar_to_str(eta.component((0, 1, 2))[0]),
+        "eta_class_nonzero": not cls.is_zero(),
+        "h3_dim": cls.space.h_dim,
+    }

@@ -19,6 +19,14 @@ classes form an affine space over the degree-2 center-valued cohomology.
 The reduction stage rewrites every n-extension of g as a center-valued
 abelian extension of the auxiliary algebra built from (ad S, proj omega)
 on n/z(n) x g.
+
+Equivalence, and the automorphism and derivation lifting built on it in
+``symmetry``, all take one gauge step, each piece implemented once here:
+``inner_cochain`` lifts an S-difference to ad(gamma); ``gauge_remainder``
+pushes omega1 - omega2 - d_S gamma - [gamma, gamma]/2 into the center,
+whose module ``center_module`` computes; ``cohomology.primitive`` solves
+for the center-valued correction; and ``extension_map`` assembles
+(n, x) -> (alpha n + C x, beta x) as the block matrix [[alpha, C], [0, beta]].
 """
 
 from __future__ import annotations
@@ -32,16 +40,15 @@ from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        increasing_tuples, pullback_cochain, superbracket,
                        transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
-                         EmptyAffine, cohomology, differential_matrix,
-                         relative_cocycles, theta_constrained_cocycles)
+                         EmptyAffine, cohomology, primitive, relative_cocycles,
+                         theta_constrained_cocycles)
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
-                     InvariantViolation, NoLiftError, NotAHomomorphismError,
-                     NotASectionError, ObstructedError)
+                     InvariantViolation, NoLiftError, NotADerivationError,
+                     NotAHomomorphismError, NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (Matrix, Subspace, invert, left_inverse, solve_affine,
-                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, block_matrix, invert, left_inverse,
+                     to_fractions, unit_vec, vec_is_zero, vec_sub, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +81,46 @@ def transport_outer_action(alpha: Matrix, alpha_inv: Matrix, beta_inv: Matrix,
     mats = [alpha @ S.matrix_of(beta_inv.column(i)) @ alpha_inv
             for i in range(S.algebra.dim)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# the gauge step
+# ---------------------------------------------------------------------------
+
+def center_module(S: OuterActionMap) -> tuple[Subspace, Representation]:
+    """The center z of S's target algebra and the module structure S induces on it."""
+    if S.target is None:
+        raise DimensionMismatchError("restriction needs a target algebra")
+    z = center(S.target)
+    mats = []
+    for m in S.matrices:
+        cols = []
+        for b in z.basis:
+            coords = z.coordinates_of(m.matvec(b))
+            if coords is None:
+                raise NotADerivationError("a derivation did not preserve the center")
+            cols.append(coords)
+        mats.append(Matrix.from_columns(cols, rows=z.dim))
+    return z, Representation(S.algebra, z.dim, mats)
+
+
+def inner_cochain(n_alg: LieAlgebra, g_alg: LieAlgebra, degree: int,
+                  targets: Sequence[Sequence[Fraction]]):
+    """The n-valued degree-p cochain on g with ad(value at key r) = targets[r].
+
+    Each target is an n x n matrix flattened row-major, one per increasing
+    key in lexicographic order.  Returns (cochain, None), or (None,
+    certificate) when some target is not inner.
+    """
+    particular, certificate = solve_inner(n_alg, targets)
+    if particular is None:
+        return None, certificate
+    return Cochain.from_coordinates(g_alg, degree, n_alg.dim, particular), None
+
+
+def extension_map(alpha: Matrix, C: Matrix, beta: Matrix) -> Matrix:
+    """(n, x) -> (alpha n + C x, beta x) in product coordinates: [[alpha, C], [0, beta]]."""
+    return block_matrix([[alpha, C], [Matrix.zero(beta.rows, alpha.cols), beta]])
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +200,6 @@ class FactorSystem:
         new_S, new_omega = gauge_action(gamma, self.S, self.omega)
         return FactorSystem(self.n, self.g, new_S, new_omega)
 
-    def center_rep(self) -> Representation:
-        return self.S.restrict_to_center()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FactorSystem) and self.n == other.n
                 and self.g == other.g and self.S == other.S
@@ -232,12 +276,9 @@ def build_extension(fs: FactorSystem) -> ExtensionPresentation:
     """The product-coordinate Lie algebra of a factor system."""
     nd, gd = fs.n.dim, fs.g.dim
     total = product_algebra(fs.n, fs.g, fs.S.matrices, fs.omega.coeffs)
-    inclusion = Matrix.from_columns([unit_vec(nd + gd, i) for i in range(nd)],
-                                    rows=nd + gd)
-    projection = Matrix.from_columns(
-        [zero_vec(gd)] * nd + [unit_vec(gd, a) for a in range(gd)], rows=gd)
-    section = Matrix.from_columns([unit_vec(nd + gd, nd + a) for a in range(gd)],
-                                  rows=nd + gd)
+    inclusion = block_matrix([[Matrix.identity(nd)], [Matrix.zero(gd, nd)]])
+    projection = block_matrix([[Matrix.zero(gd, nd), Matrix.identity(gd)]])
+    section = block_matrix([[Matrix.zero(nd, gd)], [Matrix.identity(gd)]])
     return ExtensionPresentation(total, fs.n, fs.g, inclusion, projection, section,
                                  provenance=fs)
 
@@ -297,12 +338,7 @@ def check_equivalence_map(alpha: Matrix, beta: Matrix, gamma: Cochain,
     rhs_S, rhs_omega = gauge_action(gamma, fs2.S, fs2.omega)
     ok = lhs_S.matrices == rhs_S.matrices and lhs_omega == rhs_omega
     if ok:
-        nd, gd = fs1.n.dim, fs1.g.dim
-        cols = [tuple(alpha.column(i)) + zero_vec(gd) for i in range(nd)]
-        for a in range(gd):
-            bx = beta.column(a)
-            cols.append(tuple(gamma.evaluate([bx])) + bx)
-        phi = Matrix.from_columns(cols, rows=nd + gd)
+        phi = extension_map(alpha, gamma.as_matrix() @ beta, beta)
         total1 = build_extension(fs1).total
         total2 = build_extension(fs2).total
         if not bracket_preserving(total1, total2, phi):
@@ -332,43 +368,46 @@ class Inequivalent:
         return False
 
 
+def gauge_remainder(fs1: FactorSystem, fs2: FactorSystem, z: Subspace):
+    """The finite gauge step from fs2 toward fs1: (gamma0, remainder, certificate).
+
+    gamma0 is the inner lift of S1 - S2, and the remainder
+    omega1 - omega2 - d_S2 gamma0 - [gamma0, gamma0]/2 is returned in the
+    coordinates of the center z, where it lies.  When S1 - S2 is not
+    inner, gamma0 and the remainder are None and the certificate says why.
+    """
+    gamma0, certificate = inner_cochain(
+        fs1.n, fs1.g, 1,
+        [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
+    if gamma0 is None:
+        return None, None, certificate
+    delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
+             - superbracket(fs1.n, gamma0, gamma0).scale(HALF))
+    return gamma0, restrict_cochain_to_subspace(delta, z), None
+
+
 def equivalent_extensions(fs1: FactorSystem, fs2: FactorSystem):
     """Witness gamma with (S1, omega1) = gamma.(S2, omega2), or absence.
 
-    Solving proceeds in two affine stages: ad(gamma0) = S1 - S2, then a
-    center-valued correction of gamma0 absorbing the omega difference.
-    Both stages are exact linear algebra.
+    One gauge step: ``gauge_remainder`` gives gamma0 with ad(gamma0) =
+    S1 - S2 and the center-valued remainder, and a primitive of the
+    remainder is the center-valued correction of gamma0.  Both solves are
+    exact linear algebra.
     """
     if fs1.n != fs2.n or fs1.g != fs2.g:
         raise DimensionMismatchError("factor systems must share kernel and quotient")
-    n_alg, g_alg = fs1.n, fs1.g
-    nd, gd = n_alg.dim, g_alg.dim
-    particular, certificate = solve_inner(
-        n_alg, [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
-    if particular is None:
+    z, z_rep = center_module(fs2.S)
+    gamma0, remainder, certificate = gauge_remainder(fs1, fs2, z)
+    if gamma0 is None:
         return Inequivalent("kernel-mismatch", certificate)
-    gamma0 = Cochain.from_coordinates(g_alg, 1, nd, particular)
-    delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
-             - superbracket(n_alg, gamma0, gamma0).scale(HALF))
-    z = center(n_alg)
-    delta_z = restrict_cochain_to_subspace(delta, z)
-    z_rep = fs2.S.restrict_to_center()
-    d1 = differential_matrix(z_rep, 1)
-    zeta_coords, _, certificate = solve_affine(d1, delta_z.coordinates())
-    if zeta_coords is None:
+    zeta, certificate = primitive(z_rep, remainder)
+    if zeta is None:
         return Inequivalent("class-difference", certificate)
-    zeta = embed_cochain_from_subspace(
-        Cochain.from_coordinates(g_alg, 1, z.dim, zeta_coords), z)
-    gamma = gamma0 + zeta
-    ok = check_equivalence_map(Matrix.identity(nd), Matrix.identity(gd),
-                               gamma, fs1, fs2)
-    if not ok:
+    gamma = gamma0 + embed_cochain_from_subspace(zeta, z)
+    ident_n, ident_g = Matrix.identity(fs1.n.dim), Matrix.identity(fs1.g.dim)
+    if not check_equivalence_map(ident_n, ident_g, gamma, fs1, fs2):
         raise InvariantViolation("solved equivalence system does not verify")
-    nd_gd = nd + gd
-    cols = [unit_vec(nd_gd, i) for i in range(nd)]
-    for a in range(gd):
-        cols.append(tuple(gamma.component((a,))) + unit_vec(gd, a))
-    return EquivalenceWitness(gamma, Matrix.from_columns(cols, rows=nd_gd))
+    return EquivalenceWitness(gamma, extension_map(ident_n, gamma.as_matrix(), ident_g))
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +440,15 @@ class GKernel:
 
     def _solve_omega(self) -> Cochain:
         R = curvature(self.S)
-        particular, certificate = solve_inner(
-            self.n, [R.component(key) for key in increasing_tuples(self.g.dim, 2)])
-        if particular is None:
+        omega, certificate = inner_cochain(
+            self.n, self.g, 2, [R.component(key) for key in increasing_tuples(self.g.dim, 2)])
+        if omega is None:
             raise NoLiftError(certificate)
-        return Cochain.from_coordinates(self.g, 2, self.n.dim, particular)
+        return omega
 
     @classmethod
     def from_factor_system(cls, fs: FactorSystem) -> "GKernel":
         return cls(fs.n, fs.g, fs.S, fs.omega)
-
-    def center_rep(self) -> Representation:
-        return self.S.restrict_to_center()
 
     def __repr__(self):
         return f"GKernel(n dim {self.n.dim}, g dim {self.g.dim})"
@@ -422,19 +458,16 @@ def kernels_equivalent(k1: GKernel, k2: GKernel) -> Optional[Cochain]:
     """gamma with S1 = S2 + ad(gamma), or None."""
     if k1.n != k2.n or k1.g != k2.g:
         raise DimensionMismatchError("kernels live over different pairs")
-    particular, _ = solve_inner(
-        k1.n, [(m1 - m2).flatten() for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
-    if particular is None:
-        return None
-    return Cochain.from_coordinates(k1.g, 1, k1.n.dim, particular)
+    gamma, _ = inner_cochain(
+        k1.n, k1.g, 1, [(m1 - m2).flatten() for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
+    return gamma
 
 
 def obstruction_class(kernel: GKernel) -> CohomologyClass:
     """The class of d_S omega in degree-3 cohomology with center coefficients."""
     d_s_omega = covariant_differential(kernel.S, kernel.omega)
-    z = center(kernel.n)
+    z, z_rep = center_module(kernel.S)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, z)
-    z_rep = kernel.center_rep()
     if not cochain_differential(z_rep, z_cochain).is_zero():
         raise InvariantViolation("d_S omega failed to be a relative cocycle")
     return cohomology(z_rep, 3).class_of(z_cochain)
@@ -450,10 +483,6 @@ class ExtensionClassification:
     translations: tuple  # n-valued 2-cochains, one per degree-2 class
     representatives: tuple  # FactorSystem per translation (base included first)
 
-    @property
-    def count_basis(self) -> int:
-        return len(self.translations)
-
 
 def classify_extensions(kernel: GKernel) -> ExtensionClassification:
     """Affine description of all extension classes realizing the kernel."""
@@ -467,8 +496,8 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
             + solutions.describe())
     base_omega = solutions.particular
     base = FactorSystem(kernel.n, kernel.g, kernel.S, base_omega)
-    z = center(kernel.n)
-    h2 = cohomology(kernel.center_rep(), 2)
+    z, z_rep = center_module(kernel.S)
+    h2 = cohomology(z_rep, 2)
     translations = tuple(embed_cochain_from_subspace(rep, z)
                          for rep in h2.representative_cochains())
     representatives = [base]
@@ -495,6 +524,7 @@ class QuotientStage:
 
     kernel: GKernel
     z: Subspace
+    z_rep: Representation  # the center of n as a module of g
     n_ad: LieAlgebra
     proj_ad: Matrix
     sect_ad: Matrix
@@ -509,11 +539,8 @@ class QuotientStage:
 
     def z_rep_on_gs(self) -> Representation:
         """The center of n as a module of the stage algebra (through g)."""
-        z_rep_g = self.kernel.center_rep()
-        mats = []
-        for i in range(self.gs.dim):
-            x = self.ext.projection.column(i)
-            mats.append(z_rep_g.matrix_of(x))
+        mats = [self.z_rep.matrix_of(self.ext.projection.column(i))
+                for i in range(self.gs.dim)]
         return Representation(self.gs, self.z.dim, mats)
 
     def z_part(self, v: Sequence[Fraction]) -> tuple:
@@ -528,13 +555,9 @@ class QuotientStage:
 def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     """Assemble the stage algebra and the crossed-module data on it."""
     n_alg, g_alg = kernel.n, kernel.g
-    z = center(n_alg)
+    z, z_rep = center_module(kernel.S)
     n_ad, proj_ad, sect_ad = quotient_algebra(n_alg, z)
-    s1_mats = []
-    for a in range(g_alg.dim):
-        cols = [proj_ad.matvec(kernel.S.matrices[a].matvec(sect_ad.column(i)))
-                for i in range(n_ad.dim)]
-        s1_mats.append(Matrix.from_columns(cols, rows=n_ad.dim))
+    s1_mats = [proj_ad @ m @ sect_ad for m in kernel.S.matrices]
     omega_bar = Cochain(g_alg, 2, n_ad.dim,
                         {key: proj_ad.matvec(vec)
                          for key, vec in kernel.omega.coeffs.items()})
@@ -547,14 +570,12 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     for a in range(g_alg.dim):
         rho_mats.append(kernel.S.matrices[a])
     rho = Representation(gs, n_alg.dim, rho_mats)
-    alpha_cols = [tuple(proj_ad.column(j)) + zero_vec(g_alg.dim)
-                  for j in range(n_alg.dim)]
-    alpha_matrix = Matrix.from_columns(alpha_cols, rows=gs.dim)
-    stage = QuotientStage(kernel, z, n_ad, proj_ad, sect_ad, fs, ext, rho,
+    alpha_matrix = block_matrix([[proj_ad], [Matrix.zero(g_alg.dim, n_alg.dim)]])
+    stage = QuotientStage(kernel, z, z_rep, n_ad, proj_ad, sect_ad, fs, ext, rho,
                           alpha_matrix)
-    psi_cols = [tuple(rho.matrices[i].flatten()) + tuple(ext.projection.column(i))
-                for i in range(gs.dim)]
-    psi = Matrix.from_columns(psi_cols, rows=n_alg.dim * n_alg.dim + g_alg.dim)
+    flat_rho = Matrix.from_columns([m.flatten() for m in rho.matrices],
+                                   rows=n_alg.dim * n_alg.dim)
+    psi = block_matrix([[flat_rho], [ext.projection]])
     if psi.rank() != gs.dim:
         raise InvariantViolation("the stage embedding into der(n) x g is not injective")
     return stage
@@ -603,26 +624,16 @@ def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
     Returns the presentation and its extracted factor system in the
     original n-coordinates.
     """
-    z_rep_gs = stage.z_rep_on_gs()
-    zd = stage.z.dim
-    abelian_z = LieAlgebra(zd)
-    fs_tot = FactorSystem(abelian_z, stage.gs, z_rep_gs.matrices, f_tilde)
+    zd, nd = stage.z.dim, stage.kernel.n.dim
+    fs_tot = FactorSystem(LieAlgebra(zd), stage.gs, stage.z_rep_on_gs().matrices, f_tilde)
     ext_tot = build_extension(fs_tot)
-    total = ext_tot.total
-    nd = stage.kernel.n.dim
-    gd = stage.kernel.g.dim
-    nad = stage.n_ad.dim
-    incl_cols = []
-    for j in range(nd):
-        v = unit_vec(nd, j)
-        incl_cols.append(tuple(stage.z_part(v)) + tuple(stage.proj_ad.column(j))
-                         + zero_vec(gd))
-    inclusion = Matrix.from_columns(incl_cols, rows=total.dim)
-    proj_cols = [zero_vec(gd)] * (zd + nad) + [unit_vec(gd, a) for a in range(gd)]
-    projection = Matrix.from_columns(proj_cols, rows=gd)
-    sect_cols = [unit_vec(total.dim, zd + nad + a) for a in range(gd)]
-    section = Matrix.from_columns(sect_cols, rows=total.dim)
-    rebuilt = ExtensionPresentation(total, stage.kernel.n, stage.kernel.g,
+    # n -> z x n_ad x g; the quotient maps pass through the stage
+    z_part = Matrix.from_columns([stage.z_part(unit_vec(nd, j)) for j in range(nd)],
+                                 rows=zd)
+    inclusion = block_matrix([[z_part], [stage.alpha_matrix]])
+    projection = stage.ext.projection @ ext_tot.projection
+    section = ext_tot.section @ stage.ext.section
+    rebuilt = ExtensionPresentation(ext_tot.total, stage.kernel.n, stage.kernel.g,
                                     inclusion, projection, section)
     rebuilt_fs = extract_factor_system(rebuilt)
     return rebuilt, rebuilt_fs
@@ -648,14 +659,13 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
                 raise InvariantViolation("theta does not restrict to the center cocycle")
 
     ghat = build_extension(fs)
+    # the canonical lift of the stage into n + g coordinates
+    lift = extension_map(stage.sect_ad, Matrix.zero(nd, gd), Matrix.identity(gd))
     f_tilde_table = {}
     for key in increasing_tuples(stage.gs.dim, 2):
         i, j = key
-        si = _stage_section_vec(stage, i, nd, gd, nad)
-        sj = _stage_section_vec(stage, j, nd, gd, nad)
-        w = ghat.total.bracket(si, sj)
-        w = vec_sub(w, _stage_section_apply(stage, stage.gs.bracket_basis(i, j),
-                                            nd, gd, nad))
+        w = ghat.total.bracket(lift.column(i), lift.column(j))
+        w = vec_sub(w, lift.matvec(stage.gs.bracket_basis(i, j)))
         # the difference lies in the center block of the n-part
         n_part = w[:nd]
         if not vec_is_zero(w[nd:]):
@@ -677,34 +687,13 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
         raise InvariantViolation("the section cocycle misses the solution space")
 
     rebuilt, rebuilt_fs = rebuild_from_cocycle(stage, f_tilde)
-    witness_cols = []
-    for j in range(nd):
-        witness_cols.append(tuple(stage.z_part(unit_vec(nd, j)))
-                            + tuple(stage.proj_ad.column(j)) + zero_vec(gd))
-    for a in range(gd):
-        witness_cols.append(zero_vec(zd + nad) + unit_vec(gd, a))
-    witness = Matrix.from_columns(witness_cols, rows=zd + nad + gd)
+    witness = block_matrix([[rebuilt.inclusion, rebuilt.section]])
     if not bracket_preserving(ghat.total, rebuilt.total, witness):
         raise InvariantViolation("the stage rewrite witness fails to preserve brackets")
     if invert(witness) is None:
         raise InvariantViolation("the stage rewrite witness is singular")
     return StageReduction(stage, f, theta, f_tilde, solutions, rebuilt,
                           rebuilt_fs, witness)
-
-
-def _stage_section_vec(stage: QuotientStage, i: int, nd: int, gd: int, nad: int):
-    """Canonical lift of the i-th stage basis vector into n + g coordinates."""
-    if i < nad:
-        return tuple(stage.sect_ad.column(i)) + zero_vec(gd)
-    return zero_vec(nd) + unit_vec(gd, i - nad)
-
-
-def _stage_section_apply(stage: QuotientStage, v, nd: int, gd: int, nad: int):
-    out = zero_vec(nd + gd)
-    for i, c in enumerate(v):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, _stage_section_vec(stage, i, nd, gd, nad)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +725,8 @@ def pullback_extension(ext: ExtensionPresentation, phi: Matrix,
         space = cohomology(rep, 2)
         abelian_class = space.class_of(pulled_omega)
         if abelian_class.is_zero():
-            d1 = differential_matrix(rep, 1)
-            target = vec_scale(Fraction(-1), pulled_omega.coordinates())
-            c_coords, _, _ = solve_affine(d1, target)
-            correction = Cochain.from_coordinates(h_alg, 1, base.n.dim, c_coords)
-            cols = []
-            for a in range(h_alg.dim):
-                v = ext.section.matvec(phi.column(a))
-                v = vec_add(v, ext.inclusion.matvec(correction.component((a,))))
-                cols.append(v)
-            lift = Matrix.from_columns(cols, rows=ext.total.dim)
+            correction, _ = primitive(rep, pulled_omega.scale(-1))
+            lift = ext.section @ phi + ext.inclusion @ correction.as_matrix()
             if not bracket_preserving(h_alg, ext.total, lift):
                 raise InvariantViolation("constructed lift fails to preserve brackets")
     return PullbackResult(fs, pulled_ext, abelian_class, lift)

@@ -186,7 +186,6 @@ def factor_system_from_json(data) -> FactorSystem:
 
 
 def crossed_module_parts_from_json(data):
-    from .liealg import Representation
     if not isinstance(data, dict):
         raise ParseError("a crossed-module bundle must be an object")
     h = algebra_from_json(data.get("h"))

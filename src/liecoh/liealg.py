@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
-from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, kernel,
-                     linear_combination, quotient_coordinates, solve_columns,
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
+                     kernel, linear_combination, quotient_coordinates, solve_columns,
                      to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
@@ -463,7 +463,6 @@ def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     """The same algebra written in the basis given by the columns of P."""
     if P.rows != L.dim or P.cols != L.dim:
         raise DimensionMismatchError("basis change matrix has the wrong shape")
-    from .linalg import invert
     P_inv = invert(P)
     if P_inv is None:
         raise DimensionMismatchError("basis change matrix is singular")

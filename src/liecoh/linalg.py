@@ -420,6 +420,30 @@ def linear_combination(coeffs: Sequence, matrices: Sequence[Matrix],
     return Matrix._of(out, cols)
 
 
+def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
+    """The matrix with the given grid of blocks, joined on the dict rows.
+
+    The blocks of one block row share their row count and the blocks of
+    one block column their column count; blocks may be empty.
+    """
+    grid = [list(block_row) for block_row in blocks]
+    if not grid or not grid[0] or any(len(block_row) != len(grid[0]) for block_row in grid):
+        raise DimensionMismatchError("block grid must be a nonempty rectangle")
+    widths = [m.cols for m in grid[0]]
+    offsets = [sum(widths[:k]) for k in range(len(widths))]
+    data = []
+    for block_row in grid:
+        height = block_row[0].rows
+        if [m.cols for m in block_row] != widths or any(m.rows != height for m in block_row):
+            raise DimensionMismatchError("blocks do not line up")
+        for i in range(height):
+            row = {}
+            for offset, m in zip(offsets, block_row):
+                row.update((offset + j, x) for j, x in m.sparse_rows()[i].items())
+            data.append(row)
+    return Matrix._of(data, sum(widths))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space; dim kernel + rank = cols.
 

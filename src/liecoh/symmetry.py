@@ -9,29 +9,39 @@ non-liftable ones being separated from the kernel cocycles Z^1 by an
 exact four-term sequence.  Everything here is decided by exact affine
 linear algebra, and the computed dimensions are cross-checked against a
 brute-force derivation solve on the built total algebra.
+
+The gauge step is the one of ``extensions``.  Automorphism pairs take its
+finite form, ``gauge_remainder`` on the transported factor system, as
+equivalence does.  Derivation pairs take its infinitesimal form, shared
+by ``extension_derivations`` and ``derivation_pair_obstruction``:
+``_pair_gamma`` lifts (alpha, beta).S to ad(gamma) and ``_pair_remainder``
+pushes (alpha, beta).omega - d_S gamma into the center.  Either way the
+center module comes from ``center_module``, once per call, and the
+center-valued correction from ``cohomology.primitive``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cochains import (Cochain, HALF, OuterActionMap, covariant_differential,
+from .cochains import (Cochain, OuterActionMap, covariant_differential,
                        increasing_tuples, operator_matrix, pair_act_cochain,
-                       superbracket, transport_cochain)
+                       transport_cochain)
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
-                         differential_matrix)
+                         differential_matrix, primitive)
 from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
                      NotAHomomorphismError, PreconditionFailedError)
-from .extensions import (FactorSystem, build_extension, check_equivalence_map,
-                         embed_cochain_from_subspace, equivalent_extensions,
-                         restrict_cochain_to_subspace, transport_outer_action)
+from .extensions import (FactorSystem, build_extension, center_module,
+                         check_equivalence_map, embed_cochain_from_subspace,
+                         equivalent_extensions, extension_map, gauge_remainder,
+                         inner_cochain, restrict_cochain_to_subspace,
+                         transport_outer_action)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
-                     center, is_derivation, leibniz_rows, solve_inner)
-from .linalg import (Matrix, Subspace, invert, kernel, linear_combination, solve_affine,
-                     unit_vec, vec_is_zero, vec_scale, zero_vec)
+                     center, is_derivation, leibniz_rows)
+from .linalg import (Matrix, Subspace, invert, kernel, linear_combination, unit_vec,
+                     vec_is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +53,19 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
     mats = [alpha.commutator(S.matrices[a]) - S.matrix_of(beta.column(a))
             for a in range(S.algebra.dim)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
+
+
+def _pair_gamma(fs: FactorSystem, alpha: Matrix, beta: Matrix):
+    """The inner lift gamma of (alpha, beta).S: (gamma, None) or (None, certificate)."""
+    return inner_cochain(fs.n, fs.g, 1,
+                         [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
+
+
+def _pair_remainder(fs: FactorSystem, alpha: Matrix, beta: Matrix, gamma: Cochain,
+                    z: Subspace) -> Cochain:
+    """(alpha, beta).omega - d_S gamma, in the coordinates of the center z."""
+    delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
+    return restrict_cochain_to_subspace(delta, z)
 
 
 def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
@@ -60,11 +83,7 @@ def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
     ok = cond1 and cond2
     if ok:
         total = build_extension(fs).total
-        nd, gd = fs.n.dim, fs.g.dim
-        cols = [tuple(alpha.column(i)) + zero_vec(gd) for i in range(nd)]
-        for a in range(gd):
-            cols.append(tuple(gamma.component((a,))) + tuple(beta.column(a)))
-        D = Matrix.from_columns(cols, rows=nd + gd)
+        D = extension_map(alpha, gamma.as_matrix(), beta)
         if not is_derivation(total, D):
             raise InvariantViolation(
                 "derivation conditions hold but the assembled map fails")
@@ -213,8 +232,7 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
     """Dimensions and witnesses of the derivation sequence for fs."""
     n_alg, g_alg = fs.n, fs.g
     nd, gd = n_alg.dim, g_alg.dim
-    z = center(n_alg)
-    z_rep = fs.center_rep()
+    z, z_rep = center_module(fs.S)
     z1 = kernel(differential_matrix(z_rep, 1))
     kernel_cochains = tuple(
         embed_cochain_from_subspace(
@@ -229,24 +247,16 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
     gammas = []
     classes = []
     for alpha, beta in stabilizer_pairs:
-        particular, _ = solve_inner(
-            n_alg, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
-        if particular is None:
+        gamma, _ = _pair_gamma(fs, alpha, beta)
+        if gamma is None:
             raise InvariantViolation("projected stabilizer pair admits no gamma")
-        gamma = Cochain.from_coordinates(g_alg, 1, nd, particular)
         gammas.append(gamma)
-        delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
-        delta_z = restrict_cochain_to_subspace(delta, z)
-        classes.append(h2.class_of(delta_z))
+        classes.append(h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z)))
 
     solution_full = kernel(Matrix.from_sparse_rows(rows + omega_rows, nvars))
     _, image_pairs_ab = _project_pairs(solution_full, va, vb, nd, gd)
-    image_triples = []
-    for alpha, beta in image_pairs_ab:
-        particular, _ = solve_inner(
-            n_alg, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
-        image_triples.append((alpha, beta,
-                              Cochain.from_coordinates(g_alg, 1, nd, particular)))
+    image_triples = [(alpha, beta, _pair_gamma(fs, alpha, beta)[0])
+                     for alpha, beta in image_pairs_ab]
 
     i_image = Subspace.from_vectors(
         h2.cocycles.ambient_dim,
@@ -279,22 +289,16 @@ def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
         raise PreconditionFailedError("alpha is not a derivation of n")
     if not is_derivation(fs.g, beta):
         raise PreconditionFailedError("beta is not a derivation of g")
-    particular, certificate = solve_inner(
-        fs.n, [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
-    if particular is None:
+    gamma, certificate = _pair_gamma(fs, alpha, beta)
+    if gamma is None:
         raise NoGammaError(certificate)
-    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
-    z = center(fs.n)
-    delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
-    delta_z = restrict_cochain_to_subspace(delta, z)
-    h2 = cohomology(fs.center_rep(), 2)
-    cls = h2.class_of(delta_z)
+    z, z_rep = center_module(fs.S)
+    h2 = cohomology(z_rep, 2)
+    cls = h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z))
     if z.dim > 0 and fs.g.dim > 0:
         shift = Cochain(fs.g, 1, z.dim, {(0,): unit_vec(z.dim, 0)})
         gamma2 = gamma + embed_cochain_from_subspace(shift, z)
-        delta2 = (pair_act_cochain(alpha, beta, fs.omega)
-                  - covariant_differential(fs.S, gamma2))
-        if h2.class_of(restrict_cochain_to_subspace(delta2, z)) != cls:
+        if h2.class_of(_pair_remainder(fs, alpha, beta, gamma2, z)) != cls:
             raise InvariantViolation("obstruction class depends on the gamma choice")
     return cls, gamma
 
@@ -364,8 +368,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
                 raise PreconditionFailedError(
                     f"psi is not a homomorphism at pair ({x},{y})", index=(x, y))
 
-    z = center(n_alg)
-    z_rep = fs.center_rep()
+    z, z_rep = center_module(fs.S)
     z1 = kernel(differential_matrix(z_rep, 1))
 
     def z1_coords(c: Cochain):
@@ -403,10 +406,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
 
     lift = None
     if obstruction.is_zero():
-        corr_coords, _, _ = solve_affine(
-            differential_matrix(z1_rep, 1),
-            vec_scale(Fraction(-1), cocycle.coordinates()))
-        corr = Cochain.from_coordinates(h_alg, 1, z1.dim, corr_coords)
+        corr, _ = primitive(z1_rep, cocycle.scale(-1))
         theta_fixed = []
         for x in range(hd):
             shift = embed_cochain_from_subspace(
@@ -415,13 +415,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             theta_fixed.append(theta[x] + shift)
         total = build_extension(fs).total
         nd, gd = n_alg.dim, g_alg.dim
-        mats = []
-        for x in range(hd):
-            cols = [tuple(psi_n[x].column(i)) + zero_vec(gd) for i in range(nd)]
-            for a in range(gd):
-                cols.append(tuple(theta_fixed[x].component((a,)))
-                            + tuple(psi_g[x].column(a)))
-            mats.append(Matrix.from_columns(cols, rows=nd + gd))
+        mats = [extension_map(psi_n[x], theta_fixed[x].as_matrix(), psi_g[x])
+                for x in range(hd)]
         for x, D in enumerate(mats):
             if not is_derivation(total, D):
                 raise InvariantViolation(f"assembled lift {x} is not a derivation")
@@ -439,12 +434,6 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
-
-def check_automorphism_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
-                              fs1: FactorSystem, fs2: FactorSystem) -> bool:
-    """The two-condition test for (n,x) -> (alpha n + gamma(beta x), beta x)."""
-    return check_equivalence_map(alpha, beta, gamma, fs1, fs2)
-
 
 def transported_factor_system(fs: FactorSystem, alpha: Matrix,
                               beta: Matrix) -> FactorSystem:
@@ -476,32 +465,18 @@ def automorphism_pair_obstruction(fs: FactorSystem, alpha: Matrix,
                                   beta: Matrix) -> AutomorphismObstruction:
     """Degree-2 class deciding whether an automorphism pair lifts."""
     transported = transported_factor_system(fs, alpha, beta)
-    particular, certificate = solve_inner(
-        fs.n, [(m1 - m2).flatten() for m1, m2 in zip(transported.S.matrices, fs.S.matrices)])
-    if particular is None:
+    z, z_rep = center_module(fs.S)
+    gamma, remainder, certificate = gauge_remainder(transported, fs, z)
+    if gamma is None:
         raise NoGammaError(certificate)
-    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
-    delta = (transported.omega - fs.omega - covariant_differential(fs.S, gamma)
-             - superbracket(fs.n, gamma, gamma).scale(HALF))
-    z = center(fs.n)
-    delta_z = restrict_cochain_to_subspace(delta, z)
-    h2 = cohomology(fs.center_rep(), 2)
-    cls = h2.class_of(delta_z)
+    cls = cohomology(z_rep, 2).class_of(remainder)
     lift = None
     if cls.is_zero():
-        zeta_coords, _, _ = solve_affine(differential_matrix(fs.center_rep(), 1),
-                                         delta_z.coordinates())
-        zeta = embed_cochain_from_subspace(
-            Cochain.from_coordinates(fs.g, 1, z.dim, zeta_coords), z)
-        gamma_full = gamma + zeta
+        zeta, _ = primitive(z_rep, remainder)
+        gamma_full = gamma + embed_cochain_from_subspace(zeta, z)
         if not check_equivalence_map(alpha, beta, gamma_full, fs, fs):
             raise InvariantViolation("zero class but the lift conditions fail")
-        nd, gd = fs.n.dim, fs.g.dim
-        cols = [tuple(alpha.column(i)) + zero_vec(gd) for i in range(nd)]
-        for a in range(gd):
-            bx = beta.column(a)
-            cols.append(tuple(gamma_full.evaluate([bx])) + tuple(bx))
-        lift = Matrix.from_columns(cols, rows=nd + gd)
+        lift = extension_map(alpha, gamma_full.as_matrix() @ beta, beta)
         total = build_extension(fs).total
         if not bracket_preserving(total, total, lift) or invert(lift) is None:
             raise InvariantViolation("assembled automorphism fails to verify")

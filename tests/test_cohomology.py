@@ -236,7 +236,7 @@ def test_theta_constrained_trivial_theta():
     # zero restriction, trivial action: solutions = pullbacks of closed
     # quotient cochains
     from liecoh.catalog import ext_heisenberg_kernel
-    from liecoh.extensions import GKernel, build_quotient_stage
+    from liecoh.extensions import GKernel, build_quotient_stage, center_module
     fs = ext_heisenberg_kernel()
     stage = build_quotient_stage(GKernel.from_factor_system(fs))
     ideal = Subspace.from_vectors(stage.gs.dim,
@@ -247,7 +247,7 @@ def test_theta_constrained_trivial_theta():
     assert sol.particular.is_zero()
     # homogeneous = all cocycles vanishing against the ideal; compare dims
     # with the pullback of the quotient cocycle space
-    z_rep_g = fs.center_rep()
+    _, z_rep_g = center_module(fs.S)
     pullback_dim = cohomology(z_rep_g, 2).dim_cocycles
     assert sol.dim == pullback_dim
 

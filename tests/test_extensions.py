@@ -12,7 +12,7 @@ from liecoh.errors import (InvalidFactorSystemError, NoLiftError, NotASectionErr
                            ObstructedError)
 from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
-                               check_equivalence_map, classify_extensions,
+                               center_module, check_equivalence_map, classify_extensions,
                                equivalent_extensions, extract_factor_system,
                                factor_system_report, kernels_equivalent,
                                obstruction_class, pullback_extension,
@@ -277,7 +277,7 @@ def test_classification_translates_collapse_on_coboundary(rng):
     fs = ext_heisenberg_kernel()
     kernel = GKernel.from_factor_system(fs)
     cls = classify_extensions(kernel)
-    z_rep = kernel.center_rep()
+    _, z_rep = center_module(kernel.S)
     from liecoh.cochains import cochain_differential
     beta = Cochain(fs.g, 1, 1, {(1,): (4,)})
     cob = cochain_differential(z_rep, beta)

@@ -152,6 +152,37 @@ def test_cli_validate_provenance(tmp_path, capsys):
     assert len(report["provenance"]["algebra"]["sha256"]) == 64
 
 
+def _ext_and_invalid_cm(tmp_path):
+    """A valid factor-system file and a crossed-module file failing both axioms:
+    identity alpha on heisenberg3 with the zero action."""
+    ext = tmp_path / "fs.json"
+    ext.write_text(lio.emit(lio.factor_system_to_json(ext_heisenberg3())))
+    h3 = lio.algebra_to_json(heisenberg3())
+    zero = lio.matrix_to_json(Matrix.zero(3, 3))
+    cm = tmp_path / "cm.json"
+    cm.write_text(lio.emit({"h": h3, "ghat": h3,
+                            "alpha": lio.matrix_to_json(Matrix.identity(3)),
+                            "action": [zero, zero, zero]}))
+    return ext, cm
+
+
+def test_cli_validate_ext_with_missing_cm_exits_one(tmp_path, capsys):
+    ext, _ = _ext_and_invalid_cm(tmp_path)
+    code, report = run_cli(["validate", "--ext", str(ext),
+                            "--cm", str(tmp_path / "missing.json")], capsys)
+    assert code == 1
+    assert "error" in report
+
+
+def test_cli_validate_reports_every_flag(tmp_path, capsys):
+    ext, cm = _ext_and_invalid_cm(tmp_path)
+    code, report = run_cli(["validate", "--ext", str(ext), "--cm", str(cm)], capsys)
+    assert code == 2
+    assert report["report"]["factor_system"]["valid"]
+    assert not report["report"]["crossed_module"]["valid"]
+    assert set(report["provenance"]) == {"extension", "crossed-module"}
+
+
 def test_representation_catalog_reference():
     data = {"algebra": "heisenberg3", "space_dim": 1,
             "matrices": [[["0"]], [["0"]], [["0"]]]}

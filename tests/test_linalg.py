@@ -12,7 +12,7 @@ from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space,
-                           image, invert, kernel, left_inverse,
+                           block_matrix, image, invert, kernel, left_inverse,
                            quotient_coordinates, solve, solve_affine,
                            solve_columns, to_fractions, unit_vec, vec_add,
                            vec_scale, vec_sub, zero_vec)
@@ -661,3 +661,42 @@ def test_cohomology_space_elimination_count(rref_calls):
             before = len(rref_calls)
             space = CohomologySpace(rep, p)
             assert len(rref_calls) - before == count == 1 + (p > 0) + (space.h_dim > 0)
+
+
+# ---------------------------------------------------------------------------
+# block matrices against the column joins they replaced
+# ---------------------------------------------------------------------------
+
+def column_block_oracle(blocks):
+    """Each column of the grid joined from its blocks' columns, top to bottom."""
+    rows = sum(block_row[0].rows for block_row in blocks)
+    cols = [sum((block_row[k].column(j) for block_row in blocks), ())
+            for k, m in enumerate(blocks[0]) for j in range(m.cols)]
+    return Matrix.from_columns(cols, rows=rows)
+
+
+def test_block_matrix_matches_column_oracle():
+    rng = random.Random(23)
+    shapes_with_empty = 0
+    for _ in range(60):
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        shapes_with_empty += 0 in heights + widths
+        blocks = [[rand_matrix(rng, h, w) if rng.random() < 0.7 else Matrix.zero(h, w)
+                   for w in widths] for h in heights]
+        got = block_matrix(blocks)
+        assert (got.rows, got.cols) == (sum(heights), sum(widths))
+        assert got == column_block_oracle(blocks)
+    assert shapes_with_empty >= 10
+
+
+@pytest.mark.parametrize("blocks", [
+    [],
+    [[]],
+    [[Matrix.identity(2), Matrix.zero(3, 1)]],            # heights differ in a block row
+    [[Matrix.identity(2)], [Matrix.zero(2, 3)]],          # widths differ in a block column
+    [[Matrix.identity(2), Matrix.zero(2, 1)], [Matrix.zero(1, 2)]],  # ragged grid
+], ids=["no-rows", "no-columns", "heights", "widths", "ragged"])
+def test_block_matrix_rejects_misaligned_blocks(blocks):
+    with pytest.raises(DimensionMismatchError):
+        block_matrix(blocks)

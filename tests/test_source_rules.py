@@ -4,8 +4,11 @@ Cross-checks must raise whatever the interpreter flags: ``python -O``
 removes every ``assert`` statement and every ``if __debug__`` block, so
 neither may appear in the package.  Elimination is one path: only
 ``linalg.py`` calls ``rref``.  The alternating-sign scatter is one
-module: only ``cochains.py`` calls ``sort_with_sign``.  No module keeps mutable global state,
-so no ``global`` statement appears.
+module: only ``cochains.py`` calls ``sort_with_sign``.  The inner lift of
+the gauge step is one function: only ``extensions.py`` calls ``solve_inner``.
+No module keeps mutable global state, so no ``global`` statement appears.
+Every import sits at module level, so the import graph is what the module
+heads say and has no cycle hidden in a function body.
 """
 
 import ast
@@ -37,12 +40,21 @@ def calls_to(target):
 
 rref_calls = calls_to("rref")
 sort_with_sign_calls = calls_to("sort_with_sign")
+solve_inner_calls = calls_to("solve_inner")
 
 
 def global_statements(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             yield node.lineno, "global statement"
+
+
+def function_imports(tree):
+    lines = {inner.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    for line in sorted(lines):
+        yield line, "import inside a function"
 
 
 def violations(rule, exempt=()):
@@ -67,6 +79,15 @@ def test_only_cochains_calls_sort_with_sign():
     assert list(sort_with_sign_calls(ast.parse((PACKAGE / "cochains.py").read_text())))
 
 
+def test_only_extensions_calls_solve_inner():
+    assert violations(solve_inner_calls, exempt=("extensions.py",)) == []
+    assert list(solve_inner_calls(ast.parse((PACKAGE / "extensions.py").read_text())))
+
+
+def test_package_has_no_function_level_imports():
+    assert violations(function_imports) == []
+
+
 def test_package_has_no_global_statements():
     assert violations(global_statements) == []
 
@@ -89,3 +110,23 @@ def test_rule_detects_sort_with_sign_calls():
                      "    return sort_with_sign(key), cochains.sort_with_sign(key)\n")
     assert list(sort_with_sign_calls(tree)) == [(3, "sort_with_sign call"),
                                                 (3, "sort_with_sign call")]
+
+
+def test_rule_detects_solve_inner_calls():
+    tree = ast.parse("def f(L, t):\n    return solve_inner(L, t), liealg.solve_inner(L, t)\n")
+    assert list(solve_inner_calls(tree)) == [(2, "solve_inner call"),
+                                             (2, "solve_inner call")]
+
+
+def test_rule_detects_function_level_imports():
+    tree = ast.parse("import os\n"
+                     "def f():\n"
+                     "    import sys\n"
+                     "    def g():\n"
+                     "        from .linalg import image\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        from . import io\n")
+    assert list(function_imports(tree)) == [(3, "import inside a function"),
+                                            (5, "import inside a function"),
+                                            (8, "import inside a function")]

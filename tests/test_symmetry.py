@@ -9,14 +9,14 @@ from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
                              pair_act_cochain, transport_cochain)
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.errors import NoGammaError, PreconditionFailedError
-from liecoh.extensions import (FactorSystem, build_extension, equivalent_extensions,
-                               extract_factor_system)
+from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_map,
+                               equivalent_extensions, extract_factor_system)
 from liecoh.liealg import Representation, bracket_preserving, center
 from liecoh.linalg import Matrix, Subspace, invert, unit_vec, vec_is_zero, vec_sub
 from liecoh.symmetry import (act_on_degree2_class, automorphism_pair_obstruction,
-                             check_automorphism_triple, check_derivation_triple,
-                             derivation_pair_obstruction, extension_derivations,
-                             lifting_cocycle, pair_lifts_iff_transport_equivalent,
+                             check_derivation_triple, derivation_pair_obstruction,
+                             extension_derivations, lifting_cocycle,
+                             pair_lifts_iff_transport_equivalent,
                              transported_factor_system)
 
 from conftest import rand_algebra, rand_cochain, rand_invertible, rand_matrix
@@ -210,19 +210,19 @@ def test_lifting_precondition_failures():
 
 def test_automorphism_triple_identity():
     fs = ext_heisenberg_kernel()
-    assert check_automorphism_triple(Matrix.identity(3), Matrix.identity(2),
-                                     Cochain.zero(fs.g, 1, 3), fs, fs)
+    assert check_equivalence_map(Matrix.identity(3), Matrix.identity(2),
+                                 Cochain.zero(fs.g, 1, 3), fs, fs)
 
 
 def test_automorphism_kernel_shift():
     fs = ext_heisenberg_kernel()
     # central cocycle gamma: id + gamma.q is an automorphism
     gamma = Cochain(fs.g, 1, 3, {(1,): (0, 0, 5)})
-    assert check_automorphism_triple(Matrix.identity(3), Matrix.identity(2),
-                                     gamma, fs, fs)
+    assert check_equivalence_map(Matrix.identity(3), Matrix.identity(2),
+                                 gamma, fs, fs)
     bad = Cochain(fs.g, 1, 3, {(1,): (1, 0, 0)})
-    assert not check_automorphism_triple(Matrix.identity(3), Matrix.identity(2),
-                                         bad, fs, fs)
+    assert not check_equivalence_map(Matrix.identity(3), Matrix.identity(2),
+                                     bad, fs, fs)
 
 
 def test_automorphism_scaling_pair_lifts():
