@@ -8,11 +8,14 @@ never divides: char 0 keeps every identity exact.
 The covariant differential of a linear map S into endomorphisms is
 S wedge + d (trivial coefficients); a module's differential is the case
 where S is a representation and the trivial one the case S = 0.  All
-three apply the one matrix that operator_matrix scatters.  The square of
-d_S is wedging with the curvature of S, and curvature is computed both
-from the bracket formula and from the calculus, cross-checked on every
-call.  Pulling a cochain back along a linear map and the action of a pair
-of endomorphisms on cochains also live here, once each.
+three apply the one matrix that operator_matrix scatters, and
+differential_operator keeps that matrix on the Representation or
+OuterActionMap it belongs to, so each degree is assembled once per object.
+The square of d_S is wedging with the curvature of S, and curvature is
+computed both from the bracket formula and from the calculus,
+cross-checked once per map and kept on it.  Pulling a cochain back along
+a linear map and the action of a pair of endomorphisms on cochains also
+live here, once each.
 """
 
 from __future__ import annotations
@@ -189,6 +192,12 @@ class Cochain:
         for key in increasing_tuples(self.algebra.dim, self.degree):
             out.extend(self.component(key))
         return tuple(out)
+
+    def sparse_coordinates(self) -> dict:
+        """coordinates() as a dict {index: value} of its nonzero entries."""
+        rank = {key: r for r, key in enumerate(increasing_tuples(self.algebra.dim, self.degree))}
+        return {rank[key] * self.value_dim + slot: x
+                for key, vec in self.coeffs.items() for slot, x in enumerate(vec) if x}
 
     @classmethod
     def from_coordinates(cls, algebra: LieAlgebra, degree: int, value_dim: int,
@@ -395,9 +404,22 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
     return Matrix.from_sparse_rows(rows, len(col_base) * value_dim)
 
 
-def _apply_operator(matrices: Sequence[Matrix], c: Cochain) -> Cochain:
-    """operator_matrix(c.algebra, matrices, ...) applied to c."""
-    d = operator_matrix(c.algebra, matrices, c.degree, c.value_dim)
+def differential_operator(action, p: int) -> Matrix:
+    """The degree-p operator_matrix of a Representation or an OuterActionMap.
+
+    It is assembled on first use and kept in the object's ``_operators``,
+    so it lives as long as the object and each degree is built once.
+    """
+    d = action._operators.get(p)
+    if d is None:
+        d = action._operators[p] = operator_matrix(action.algebra, action.matrices, p,
+                                                   action.space_dim)
+    return d
+
+
+def _apply_operator(action, c: Cochain) -> Cochain:
+    """The differential of action (a Representation or an OuterActionMap) applied to c."""
+    d = differential_operator(action, c.degree)
     return Cochain.from_coordinates(c.algebra, c.degree + 1, c.value_dim,
                                     d.matvec(c.coordinates()))
 
@@ -412,11 +434,11 @@ def cochain_differential(rep: Representation, c: Cochain) -> Cochain:
         raise DimensionMismatchError("representation and cochain algebras differ")
     if rep.space_dim != c.value_dim:
         raise DimensionMismatchError("module dimension disagrees with cochain values")
-    return _apply_operator(rep.matrices, c)
+    return _apply_operator(rep, c)
 
 
 def trivial_differential(c: Cochain) -> Cochain:
-    return _apply_operator([Matrix.zero(c.value_dim, c.value_dim)] * c.algebra.dim, c)
+    return _apply_operator(Representation.trivial(c.algebra, c.value_dim), c)
 
 
 def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
@@ -459,9 +481,12 @@ class OuterActionMap:
 
     With ``target`` set, each matrix is checked to be a derivation of the
     target algebra; without it the map lands in plain endomorphisms.
+    ``_operators`` (degree -> covariant differential matrix) and
+    ``_curvature`` are filled on first use by ``differential_operator`` and
+    ``curvature``.
     """
 
-    __slots__ = ("algebra", "matrices", "space_dim", "target")
+    __slots__ = ("algebra", "matrices", "space_dim", "target", "_operators", "_curvature")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence[Matrix],
                  target: Optional[LieAlgebra] = None, validate: bool = True,
@@ -489,6 +514,8 @@ class OuterActionMap:
         self.matrices = matrices
         self.space_dim = space_dim
         self.target = target
+        self._operators = {}
+        self._curvature = None
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, target: LieAlgebra) -> "OuterActionMap":
@@ -530,11 +557,17 @@ def covariant_differential(S: OuterActionMap, c: Cochain) -> Cochain:
         raise DimensionMismatchError("map and cochain algebras differ")
     if S.space_dim != c.value_dim:
         raise DimensionMismatchError("endomorphism size disagrees with cochain values")
-    return _apply_operator(S.matrices, c)
+    return _apply_operator(S, c)
 
 
 def curvature(S: OuterActionMap) -> Cochain:
-    """[S(x), S(y)] - S([x, y]) on basis pairs, as an End-valued 2-cochain."""
+    """[S(x), S(y)] - S([x, y]) on basis pairs, as an End-valued 2-cochain.
+
+    The bracket formula and the calculus are cross-checked on the first
+    call for a map; the result is kept on S for the later ones.
+    """
+    if S._curvature is not None:
+        return S._curvature
     L = S.algebra
     m = S.space_dim
     table = {}
@@ -550,6 +583,7 @@ def curvature(S: OuterActionMap) -> Cochain:
     calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)
     if calculus != result:
         raise InvariantViolation("curvature formulas disagree")
+    S._curvature = result
     return result
 
 

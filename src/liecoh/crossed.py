@@ -20,7 +20,7 @@ from typing import Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
                        covariant_differential, increasing_tuples, pair_act_cochain,
-                       pullback_cochain, trivial_differential)
+                       pullback_cochain)
 from .cohomology import CohomologyClass, cohomology, primitive
 from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
@@ -236,11 +236,13 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
         got = _theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j))
         if got != tuple(vec):
             raise InvariantViolation("theta does not restrict to the extension cocycle")
+    # one trivial module, so d_1 with trivial coefficients is assembled once
+    trivial = Representation.trivial(sp.n_alg, zd)
     for x in range(ghat.dim):
         theta_x = Cochain(sp.n_alg, 1, zd,
                           {(a,): sp.theta[(x, a)] for a in range(n_dim)
                            if (x, a) in sp.theta})
-        if trivial_differential(theta_x) != _module_action_on_f(sp, x):
+        if cochain_differential(trivial, theta_x) != _module_action_on_f(sp, x):
             raise InvariantViolation(
                 f"theta slot {x} is not a derivation datum for the cocycle")
     for x in range(ghat.dim):

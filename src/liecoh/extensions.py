@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
@@ -40,15 +41,15 @@ from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        increasing_tuples, pullback_cochain, superbracket,
                        transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
-                         EmptyAffine, cohomology, primitive, relative_cocycles,
-                         theta_constrained_cocycles)
+                         EmptyAffine, cohomology, differential_matrix, primitive,
+                         relative_cocycles, theta_constrained_cocycles)
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotADerivationError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
                      is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (Matrix, Subspace, block_matrix, invert, left_inverse,
-                     to_fractions, unit_vec, vec_is_zero, vec_sub, zero_vec)
+from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, invert,
+                     left_inverse, to_fractions, unit_vec, vec_is_zero, vec_sub, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +161,30 @@ class FactorSystemReport:
         }
 
 
-def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra,
-                         matrices: Sequence[Matrix], omega: Cochain) -> FactorSystemReport:
+def _outer_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S) -> OuterActionMap:
+    """S, an OuterActionMap or its matrices, as a map from g into endomorphisms of n.
+
+    A map whose algebra is g and whose target is n is kept as it is, so the
+    differentials and curvature it holds serve every factor system sharing
+    it; anything else is wrapped anew.  The caller has checked the matrices.
+    """
+    if isinstance(S, OuterActionMap):
+        if S.algebra == g_alg and S.target == n_alg:
+            return S
+        S = S.matrices
+    return OuterActionMap(g_alg, S, target=n_alg, validate=False)
+
+
+def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
+                         omega: Cochain) -> FactorSystemReport:
+    """The three defining conditions of (S, omega); S is an OuterActionMap or its matrices."""
+    matrices = S.matrices if isinstance(S, OuterActionMap) else tuple(S)
     if len(matrices) != g_alg.dim:
         raise DimensionMismatchError("one action matrix per basis element of g is required")
     if omega.degree != 2 or omega.value_dim != n_alg.dim or omega.algebra != g_alg:
         raise DimensionMismatchError("omega must be a 2-cochain on g valued in n")
     der_fail = tuple(i for i, m in enumerate(matrices) if not is_derivation(n_alg, m))
-    S = OuterActionMap(g_alg, matrices, target=n_alg, validate=False)
+    S = _outer_action(n_alg, g_alg, S)
     R = curvature(S)
     curv_fail = []
     for key in increasing_tuples(g_alg.dim, 2):
@@ -184,16 +201,12 @@ class FactorSystem:
     __slots__ = ("n", "g", "S", "omega")
 
     def __init__(self, n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain):
-        if isinstance(S, OuterActionMap):
-            matrices = S.matrices
-        else:
-            matrices = tuple(S)
-        report = factor_system_report(n_alg, g_alg, matrices, omega)
+        report = factor_system_report(n_alg, g_alg, S, omega)
         if not report.ok:
             raise InvalidFactorSystemError(report)
         self.n = n_alg
         self.g = g_alg
-        self.S = OuterActionMap(g_alg, matrices, target=n_alg, validate=False)
+        self.S = _outer_action(n_alg, g_alg, S)
         self.omega = omega
 
     def gauge(self, gamma: Cochain) -> "FactorSystem":
@@ -410,6 +423,28 @@ def equivalent_extensions(fs1: FactorSystem, fs2: FactorSystem):
     return EquivalenceWitness(gamma, extension_map(ident_n, gamma.as_matrix(), ident_g))
 
 
+def pairwise_equivalent(systems: Sequence[FactorSystem], module) -> tuple:
+    """Whether each pair of a nonempty list of factor systems sharing one S
+    is equivalent, pairs in the order of itertools.combinations.
+
+    ``module`` is center_module(S).  With S shared, the inner lift of every
+    pair is zero, so (i, j) is equivalent exactly when omega_i - omega_j,
+    in center coordinates, is d_1 of a center-valued 1-cochain, with the
+    same d_1 for every pair: one elimination of d_1 with every pair's
+    difference as a right-hand side column decides them all.
+    """
+    z, z_rep = module
+    first = systems[0]
+    if any(fs.n != first.n or fs.g != first.g or fs.S.matrices != first.S.matrices
+           for fs in systems):
+        raise DimensionMismatchError("the factor systems must share n, g and S")
+    offsets = [restrict_cochain_to_subspace(fs.omega - first.omega, z).sparse_coordinates()
+               for fs in systems]
+    differences = [{k: a.get(k, ZERO) - b.get(k, ZERO) for k in a.keys() | b.keys()}
+                   for a, b in combinations(offsets, 2)]
+    return consistent_columns(differential_matrix(z_rep, 1), differences)
+
+
 # ---------------------------------------------------------------------------
 # kernels and obstructions
 # ---------------------------------------------------------------------------
@@ -428,7 +463,7 @@ class GKernel:
                 raise DimensionMismatchError(f"S(e{i}) is not a derivation of n")
         self.n = n_alg
         self.g = g_alg
-        self.S = OuterActionMap(g_alg, S.matrices, target=n_alg, validate=False)
+        self.S = _outer_action(n_alg, g_alg, S)
         if omega is None:
             omega = self._solve_omega()
         else:
@@ -463,10 +498,13 @@ def kernels_equivalent(k1: GKernel, k2: GKernel) -> Optional[Cochain]:
     return gamma
 
 
-def obstruction_class(kernel: GKernel) -> CohomologyClass:
-    """The class of d_S omega in degree-3 cohomology with center coefficients."""
+def obstruction_class(kernel: GKernel, module=None) -> CohomologyClass:
+    """The class of d_S omega in degree-3 cohomology with center coefficients.
+
+    ``module`` is center_module(kernel.S) when the caller already has it.
+    """
     d_s_omega = covariant_differential(kernel.S, kernel.omega)
-    z, z_rep = center_module(kernel.S)
+    z, z_rep = module or center_module(kernel.S)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, z)
     if not cochain_differential(z_rep, z_cochain).is_zero():
         raise InvariantViolation("d_S omega failed to be a relative cocycle")
@@ -485,8 +523,13 @@ class ExtensionClassification:
 
 
 def classify_extensions(kernel: GKernel) -> ExtensionClassification:
-    """Affine description of all extension classes realizing the kernel."""
-    chi = obstruction_class(kernel)
+    """Affine description of all extension classes realizing the kernel.
+
+    The representatives share S, and ``pairwise_equivalent`` cross-checks
+    them to be pairwise inequivalent in one elimination.
+    """
+    z, z_rep = center_module(kernel.S)
+    chi = obstruction_class(kernel, (z, z_rep))
     if not chi.is_zero():
         raise ObstructedError(chi)
     solutions = relative_cocycles(kernel.S, kernel.n)
@@ -496,7 +539,6 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
             + solutions.describe())
     base_omega = solutions.particular
     base = FactorSystem(kernel.n, kernel.g, kernel.S, base_omega)
-    z, z_rep = center_module(kernel.S)
     h2 = cohomology(z_rep, 2)
     translations = tuple(embed_cochain_from_subspace(rep, z)
                          for rep in h2.representative_cochains())
@@ -504,11 +546,8 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
     for t in translations:
         representatives.append(FactorSystem(kernel.n, kernel.g, kernel.S,
                                             base_omega + t))
-    for i, fs1 in enumerate(representatives):
-        for fs2 in representatives[i + 1:]:
-            if equivalent_extensions(fs1, fs2).found:
-                raise InvariantViolation(
-                    "distinct degree-2 classes produced equivalent extensions")
+    if any(pairwise_equivalent(representatives, (z, z_rep))):
+        raise InvariantViolation("distinct degree-2 classes produced equivalent extensions")
     return ExtensionClassification(kernel, base, h2, translations,
                                    tuple(representatives))
 
@@ -525,6 +564,7 @@ class QuotientStage:
     kernel: GKernel
     z: Subspace
     z_rep: Representation  # the center of n as a module of g
+    z_rep_on_gs: Representation  # the same module of the stage algebra, through g
     n_ad: LieAlgebra
     proj_ad: Matrix
     sect_ad: Matrix
@@ -536,12 +576,6 @@ class QuotientStage:
     @property
     def gs(self) -> LieAlgebra:
         return self.ext.total
-
-    def z_rep_on_gs(self) -> Representation:
-        """The center of n as a module of the stage algebra (through g)."""
-        mats = [self.z_rep.matrix_of(self.ext.projection.column(i))
-                for i in range(self.gs.dim)]
-        return Representation(self.gs, self.z.dim, mats)
 
     def z_part(self, v: Sequence[Fraction]) -> tuple:
         """Center coordinates of an n-vector's component along z."""
@@ -570,9 +604,11 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     for a in range(g_alg.dim):
         rho_mats.append(kernel.S.matrices[a])
     rho = Representation(gs, n_alg.dim, rho_mats)
+    z_rep_on_gs = Representation(gs, z.dim, [z_rep.matrix_of(ext.projection.column(i))
+                                             for i in range(gs.dim)])
     alpha_matrix = block_matrix([[proj_ad], [Matrix.zero(g_alg.dim, n_alg.dim)]])
-    stage = QuotientStage(kernel, z, z_rep, n_ad, proj_ad, sect_ad, fs, ext, rho,
-                          alpha_matrix)
+    stage = QuotientStage(kernel, z, z_rep, z_rep_on_gs, n_ad, proj_ad, sect_ad, fs, ext,
+                          rho, alpha_matrix)
     flat_rho = Matrix.from_columns([m.flatten() for m in rho.matrices],
                                    rows=n_alg.dim * n_alg.dim)
     psi = block_matrix([[flat_rho], [ext.projection]])
@@ -625,7 +661,7 @@ def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
     original n-coordinates.
     """
     zd, nd = stage.z.dim, stage.kernel.n.dim
-    fs_tot = FactorSystem(LieAlgebra(zd), stage.gs, stage.z_rep_on_gs().matrices, f_tilde)
+    fs_tot = FactorSystem(LieAlgebra(zd), stage.gs, stage.z_rep_on_gs.matrices, f_tilde)
     ext_tot = build_extension(fs_tot)
     # n -> z x n_ad x g; the quotient maps pass through the stage
     z_part = Matrix.from_columns([stage.z_part(unit_vec(nd, j)) for j in range(nd)],
@@ -679,8 +715,7 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
 
     ideal = Subspace.from_vectors(
         stage.gs.dim, [unit_vec(stage.gs.dim, i) for i in range(nad)])
-    solutions = theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs(),
-                                           theta)
+    solutions = theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs, theta)
     if isinstance(solutions, EmptyAffine):
         raise ObstructedError(solutions)
     if not solutions.contains(f_tilde):

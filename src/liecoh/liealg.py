@@ -155,9 +155,14 @@ def check_jacobi(L: LieAlgebra) -> bool:
 
 
 class Representation:
-    """Linear action of a LieAlgebra on a coordinate space."""
+    """Linear action of a LieAlgebra on a coordinate space.
 
-    __slots__ = ("algebra", "space_dim", "matrices")
+    ``_operators`` maps a degree p to the matrix of the module's
+    differential on p-cochains; ``cochains.differential_operator`` fills it
+    on first use, so each degree is assembled once per representation.
+    """
+
+    __slots__ = ("algebra", "space_dim", "matrices", "_operators")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices: Sequence[Matrix],
                  _skip_check: bool = False):
@@ -170,6 +175,7 @@ class Representation:
         self.algebra = algebra
         self.space_dim = space_dim
         self.matrices = matrices
+        self._operators = {}
         if not _skip_check:
             pair = self._law_failure()
             if pair is not None:

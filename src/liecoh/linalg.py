@@ -10,10 +10,12 @@ Subspace keeps each basis vector as its nonzero (index, value) pairs, so
 no zero is stored or touched.  Dense tuples (``Matrix.row_list``,
 ``Subspace.basis``) are views built on first use for the callers that
 want them.  There is one elimination, on copies of the dict rows, and one
-augmented solve, ``solve_columns``, on which ``solve``, ``solve_affine``,
-``left_inverse`` and ``invert`` are built.  ``kernel`` is one elimination
-of m with its column indices reversed: read back in the original order,
-the null vectors are already the reduced echelon basis.
+augmented elimination, ``_augmented_rref``, from which ``solve_columns``
+(and on it ``solve``, ``left_inverse`` and ``invert``), ``solve_affine``,
+``solve_certified`` and ``consistent_columns`` read their answers.
+``kernel`` is one elimination of m with its column indices reversed: read
+back in the original order, the null vectors are already the reduced
+echelon basis.
 """
 
 from __future__ import annotations
@@ -487,25 +489,30 @@ def image(m: Matrix) -> Subspace:
     return Subspace.row_space(m.transpose())
 
 
-def _augmented_rref(m: Matrix, columns: Sequence[Sequence]):
+def _augmented_rref(m: Matrix, columns: Sequence[dict]):
     """RREF of [m | b_1 ... b_k]: (reduced, pivots of m, first inconsistent column).
 
-    The left block of the result is RREF(m), so the pivots below m.cols
-    are m's own; the first pivot in the right-hand block, if any, marks
-    the first column b_i outside the column space of m.
+    Each b_i is a dict {row: nonzero Fraction}.  The left block of the
+    result is RREF(m), so the pivots below m.cols are m's own; the first
+    pivot in the right-hand block, if any, marks the first column b_i
+    outside the column space of m.
     """
-    columns = [to_fractions(b) for b in columns]
-    if any(len(b) != m.rows for b in columns):
-        raise DimensionMismatchError("right-hand side length disagrees with row count")
     rows = [dict(row) for row in m.sparse_rows()]
     for k, b in enumerate(columns, m.cols):
-        for i, x in enumerate(b):
-            if x:
-                rows[i][k] = x
+        for i, x in b.items():
+            rows[i][k] = x
     reduced, pivots = Matrix._of(rows, m.cols + len(columns)).rref()
     rank = bisect_left(pivots, m.cols)
     first_inconsistent = pivots[rank] - m.cols if rank < len(pivots) else None
     return reduced, pivots[:rank], first_inconsistent
+
+
+def _dense_columns(m: Matrix, columns: Sequence[Sequence]) -> list:
+    """Dense right-hand sides of m as the dict columns _augmented_rref takes."""
+    columns = [to_fractions(b) for b in columns]
+    if any(len(b) != m.rows for b in columns):
+        raise DimensionMismatchError("right-hand side length disagrees with row count")
+    return [{i: x for i, x in enumerate(b) if x} for b in columns]
 
 
 def _particular(reduced: Matrix, pivots: Sequence[int], cols: int, i: int) -> tuple:
@@ -527,11 +534,25 @@ def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> tuple:
     ``first_inconsistent`` is the index of the first column outside the
     column space.  ``rank`` is the rank of m.
     """
-    reduced, pivots, first_inconsistent = _augmented_rref(m, columns)
+    reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, columns))
     if first_inconsistent is not None:
         return None, first_inconsistent, len(pivots)
     return (tuple(_particular(reduced, pivots, m.cols, i) for i in range(len(columns))),
             None, len(pivots))
+
+
+def consistent_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
+    """For each column b, given as a dict {row: value}, whether m x = b is solvable.
+
+    [m | b_1 ... b_k] is row-reduced once.  Its rows below rank(m) are
+    zero on the left block, and row operations among them keep their span,
+    so b_k lies in the column space of m exactly when all of them are zero
+    in column k.
+    """
+    columns = Matrix.from_sparse_rows(columns, m.rows).sparse_rows()
+    reduced, pivots, _ = _augmented_rref(m, columns)
+    touched = {j for row in reduced.sparse_rows()[len(pivots):] for j in row}
+    return tuple(m.cols + k not in touched for k in range(len(columns)))
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[tuple]:
@@ -554,6 +575,27 @@ class InconsistencyCertificate:
         return f"reduced row {self.row_index} of the augmented system reads 0 = 1"
 
 
+def _solution_or_certificate(m: Matrix, b: Sequence[Fraction]):
+    """One elimination of [m | b]: (reduced, pivots, particular, certificate)."""
+    reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, [b]))
+    if first_inconsistent is None:
+        return reduced, pivots, _particular(reduced, pivots, m.cols, 0), None
+    # the 0 = 1 row follows the rows of m's pivots
+    idx = len(pivots)
+    row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
+    return reduced, pivots, None, InconsistencyCertificate(idx, row)
+
+
+def solve_certified(m: Matrix, b: Sequence[Fraction]):
+    """Solve m x = b: (particular, None), or (None, certificate) when inconsistent.
+
+    The particular solution and the certificate are the ones solve_affine
+    gives; the homogeneous solution space is not built.
+    """
+    _, _, particular, certificate = _solution_or_certificate(m, b)
+    return particular, certificate
+
+
 def solve_affine(m: Matrix, b: Sequence[Fraction]):
     """Solve m x = b completely.
 
@@ -561,14 +603,8 @@ def solve_affine(m: Matrix, b: Sequence[Fraction]):
     particular solution (or None) and the homogeneous solution space; on
     inconsistency the certificate pinpoints the failing reduced row.
     """
-    reduced, pivots, first_inconsistent = _augmented_rref(m, [b])
-    homogeneous = _null_space(reduced, pivots, m.cols)
-    if first_inconsistent is not None:
-        # the 0 = 1 row follows the rows of m's pivots
-        idx = len(pivots)
-        row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
-        return None, homogeneous, InconsistencyCertificate(idx, row)
-    return _particular(reduced, pivots, m.cols, 0), homogeneous, None
+    reduced, pivots, particular, certificate = _solution_or_certificate(m, b)
+    return particular, _null_space(reduced, pivots, m.cols), certificate
 
 
 def quotient_coordinates(ambient_dim: int, sub: Subspace) -> tuple[Matrix, Matrix]:

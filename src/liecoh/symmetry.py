@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cochains import (Cochain, OuterActionMap, covariant_differential,
-                       increasing_tuples, operator_matrix, pair_act_cochain,
+                       differential_operator, increasing_tuples, pair_act_cochain,
                        transport_cochain)
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
                          differential_matrix, primitive)
@@ -194,7 +194,7 @@ def _pair_system_rows(fs: FactorSystem):
 
     # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
     #   - (d_S gamma)(i, j) = 0
-    d_rows = operator_matrix(g_alg, S.matrices, 1, nd).sparse_rows()
+    d_rows = differential_operator(S, 1).sparse_rows()
     omega_rows = []
     for q, key in enumerate(increasing_tuples(gd, 2)):
         i, j = key

@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from liecoh.catalog import abelian, heisenberg3, sl2
+from liecoh.catalog import abelian, ext_heisenberg_kernel, heisenberg3, sl2
 from liecoh.cochains import (Cochain, EquivariantPairing, HALF, OuterActionMap,
                              cochain_differential, covariant_differential,
-                             curvature, gauge_action, superbracket,
-                             trivial_differential, wedge)
+                             curvature, differential_operator, gauge_action,
+                             operator_matrix, superbracket, trivial_differential, wedge)
+from liecoh.cohomology import differential_matrix
 from liecoh.config import degree_cap
 from liecoh.errors import (DegreeCapExceededError, DegreeMismatchError,
                            DimensionMismatchError, InvariantViolation)
@@ -242,15 +243,17 @@ def test_curvature_explicit_commutator():
 
 
 def test_curvature_routes_disagreeing_raise(monkeypatch):
-    # The calculus route is checked on every call, not only without -O.
+    # The calculus route is checked for every map, not only without -O.  A map
+    # keeps its curvature, so the check runs on the first call for each map.
     from liecoh import cochains
     L = sl2()
     S = OuterActionMap(L, adjoint_rep(L).matrices, target=L)
     assert curvature(S).is_zero()
     monkeypatch.setattr(cochains, "trivial_differential",
                         lambda c: Cochain.zero(c.algebra, c.degree + 1, c.value_dim))
+    assert curvature(S).is_zero()
     with pytest.raises(InvariantViolation, match="curvature formulas disagree"):
-        curvature(S)
+        curvature(OuterActionMap(L, adjoint_rep(L).matrices, target=L))
 
 
 def test_section_curvature_recovers_cocycle():
@@ -405,3 +408,20 @@ def test_from_coordinates_matches_keyed_construction(rng):
         Cochain.from_coordinates(abelian(2), 1, 1, (1, 2, 3))
     with pytest.raises(DegreeCapExceededError):
         Cochain.from_coordinates(abelian(2), degree_cap() + 1, 1, ())
+
+
+def test_operators_and_curvature_are_kept_on_their_object():
+    rep = adjoint_rep(heisenberg3())
+    S = ext_heisenberg_kernel().S
+    for action in (rep, S):
+        for p in range(4):
+            d = differential_operator(action, p)
+            assert differential_operator(action, p) is d
+            assert d == operator_matrix(action.algebra, action.matrices, p, action.space_dim)
+    assert differential_matrix(rep, 2) is differential_operator(rep, 2)
+    assert curvature(S) is curvature(S)
+    # an equal map built anew assembles its own, equal, operators
+    twin = OuterActionMap(S.algebra, S.matrices, target=S.target)
+    assert differential_operator(twin, 2) is not differential_operator(S, 2)
+    assert differential_operator(twin, 2) == differential_operator(S, 2)
+    assert curvature(twin) is not curvature(S) and curvature(twin) == curvature(S)

@@ -242,7 +242,7 @@ def test_theta_constrained_trivial_theta():
     ideal = Subspace.from_vectors(stage.gs.dim,
                                   [unit_vec(stage.gs.dim, i)
                                    for i in range(stage.n_ad.dim)])
-    sol = theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs(), {})
+    sol = theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs, {})
     assert isinstance(sol, AffineCochainSpace)
     assert sol.particular.is_zero()
     # homogeneous = all cocycles vanishing against the ideal; compare dims

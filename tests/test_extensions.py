@@ -458,3 +458,14 @@ def test_perturbing_conditions_breaks_jacobi():
     with pytest.raises(JacobiError) as exc:
         LieAlgebra(4, {(0, 1): {0: -1}, (2, 3): {0: 1}})
     assert exc.value.triple == (1, 2, 3)
+
+
+def test_factor_systems_and_kernels_keep_the_map_they_are_given():
+    fs = ext_heisenberg_kernel()
+    assert FactorSystem(fs.n, fs.g, fs.S, fs.omega).S is fs.S
+    assert GKernel.from_factor_system(fs).S is fs.S
+    # a map without the kernel as its target is wrapped anew
+    plain = OuterActionMap(fs.g, fs.S.matrices, validate=False)
+    kept = FactorSystem(fs.n, fs.g, plain, fs.omega).S
+    assert kept is not plain and kept.target == fs.n and kept.matrices == plain.matrices
+    assert GKernel(fs.n, fs.g, plain, fs.omega).S is not plain

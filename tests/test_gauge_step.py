@@ -10,7 +10,7 @@ functions are the column joins of ``zero_vec``/``unit_vec`` that
 classes, witness and lift matrices and certificates must agree exactly on
 the catalog systems, the curved n4 system, and seeded gauge translates and
 basis changes of them.  A counter pins ``center`` to one call per gauge
-operation.
+operation and per classification.
 """
 
 import random
@@ -28,9 +28,9 @@ from liecoh.crossed import CrossedModule, split_crossed_module, splitting_equiva
 from liecoh.errors import NoGammaError, NotADerivationError
 from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel, Inequivalent,
                                build_extension, build_quotient_stage, center_module,
-                               embed_cochain_from_subspace, equivalent_extensions,
-                               extension_map, obstruction_class, reduce_via_stage,
-                               restrict_cochain_to_subspace)
+                               classify_extensions, embed_cochain_from_subspace,
+                               equivalent_extensions, extension_map, obstruction_class,
+                               reduce_via_stage, restrict_cochain_to_subspace)
 from liecoh.liealg import Representation, center, change_of_basis, derivations, solve_inner
 from liecoh.linalg import (Matrix, invert, linear_combination, solve_affine, unit_vec,
                            vec_add, vec_scale, vec_sub, zero_vec)
@@ -464,6 +464,7 @@ def test_center_runs_once_per_gauge_operation(name, center_calls):
             lambda: automorphism_pair_obstruction(fs, ident_n, ident_g),
         "lifting_cocycle": lambda: lifting_cocycle(*lift_args),
         "equivalent_extensions": lambda: equivalent_extensions(fs, fs),
+        "classify_extensions": lambda: classify_extensions(kernel),
     }
     counts = {}
     for op, run in operations.items():

@@ -12,10 +12,10 @@ from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space,
-                           block_matrix, image, invert, kernel, left_inverse,
-                           quotient_coordinates, solve, solve_affine,
-                           solve_columns, to_fractions, unit_vec, vec_add,
-                           vec_scale, vec_sub, zero_vec)
+                           block_matrix, consistent_columns, image, invert, kernel,
+                           left_inverse, quotient_coordinates, solve, solve_affine,
+                           solve_certified, solve_columns, to_fractions, unit_vec,
+                           vec_add, vec_scale, vec_sub, zero_vec)
 
 from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
@@ -291,6 +291,51 @@ def test_solve_columns_empty_shapes():
     assert solve_columns(Matrix.zero(2, 0), [(0, 0), (0, 1), (1, 0)]) == (None, 1, 0)
     with pytest.raises(DimensionMismatchError):
         solve_columns(Matrix.identity(2), [(1, 0), (1,)])
+
+
+def test_consistent_columns_match_per_column_solves(rng):
+    # rank-0 matrices and zero columns included; columns go in as dicts
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    for trial in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 5)
+        m = (Matrix.zero(rows, cols) if trial % 6 == 0
+             else rand_sparse_matrix(rng, rows, cols, rng.choice((0.3, 1.0))))
+        if m.rows and rng.random() < 0.5:
+            m = m.vstack(m.scale(-2))
+        columns = [zero_vec(m.rows)]
+        for _ in range(rng.randint(0, 5)):
+            x = tuple(rand_fraction(rng) for _ in range(m.cols))
+            columns.append(m.matvec(x) if rng.random() < 0.5
+                           else tuple(rand_fraction(rng) for _ in range(m.rows)))
+        rng.shuffle(columns)
+        sparse = [{i: x for i, x in enumerate(b) if x} for b in columns]
+        got = consistent_columns(m, sparse)
+        assert got == tuple(solve(m, b) is not None for b in columns)
+        for flag in got:
+            outcomes["consistent" if flag else "inconsistent"] += 1
+    assert min(outcomes.values()) >= 20
+
+
+def test_consistent_columns_shapes():
+    assert consistent_columns(Matrix.zero(2, 3), []) == ()
+    assert consistent_columns(Matrix.zero(2, 0), [{}, {1: 1}, {0: 0}]) == (True, False, True)
+    assert consistent_columns(Matrix.zero(0, 2), [{}]) == (True,)
+    with pytest.raises(DimensionMismatchError):
+        consistent_columns(Matrix.identity(2), [{2: 1}])
+
+
+def test_solve_certified_matches_solve_affine(rng):
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    for _ in range(60):
+        m = rand_sparse_matrix(rng, rng.randint(0, 5), rng.randint(0, 5),
+                               rng.choice((0.4, 1.0)))
+        if m.rows and rng.random() < 0.5:
+            m = m.vstack(m.scale(3))
+        b = tuple(rand_fraction(rng) for _ in range(m.rows))
+        particular, _, certificate = solve_affine(m, b)
+        assert solve_certified(m, b) == (particular, certificate)
+        outcomes["consistent" if certificate is None else "inconsistent"] += 1
+    assert min(outcomes.values()) >= 10
 
 
 def test_left_inverse_and_invert_match_former_routines(rng):

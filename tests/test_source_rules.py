@@ -6,6 +6,9 @@ neither may appear in the package.  Elimination is one path: only
 ``linalg.py`` calls ``rref``.  The alternating-sign scatter is one
 module: only ``cochains.py`` calls ``sort_with_sign``.  The inner lift of
 the gauge step is one function: only ``extensions.py`` calls ``solve_inner``.
+Operators have one assembly path: ``operator_matrix`` is called only by
+``differential_operator``, which keeps each one on its Representation or
+OuterActionMap.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -38,9 +41,24 @@ def calls_to(target):
     return rule
 
 
+def calls_outside(target, function):
+    """Rule: calls of ``target`` anywhere but in the body of a function named ``function``."""
+    def rule(tree):
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == function
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == target:
+                    yield node.lineno, f"{target} call outside {function}"
+    return rule
+
+
 rref_calls = calls_to("rref")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
+stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_operator")
 
 
 def global_statements(tree):
@@ -82,6 +100,11 @@ def test_only_cochains_calls_sort_with_sign():
 def test_only_extensions_calls_solve_inner():
     assert violations(solve_inner_calls, exempt=("extensions.py",)) == []
     assert list(solve_inner_calls(ast.parse((PACKAGE / "extensions.py").read_text())))
+
+
+def test_only_the_operator_memo_calls_operator_matrix():
+    assert violations(stray_operator_matrix_calls) == []
+    assert list(calls_to("operator_matrix")(ast.parse((PACKAGE / "cochains.py").read_text())))
 
 
 def test_package_has_no_function_level_imports():
@@ -130,3 +153,14 @@ def test_rule_detects_function_level_imports():
     assert list(function_imports(tree)) == [(3, "import inside a function"),
                                             (5, "import inside a function"),
                                             (8, "import inside a function")]
+
+
+def test_rule_detects_operator_matrix_calls_outside_the_memo():
+    tree = ast.parse("def differential_operator(action, p):\n"
+                     "    return operator_matrix(action.algebra, action.matrices, p, 1)\n"
+                     "def f(rep):\n"
+                     "    return cochains.operator_matrix(rep.algebra, rep.matrices, 1, 1)\n"
+                     "d = operator_matrix(L, [], 0, 1)\n")
+    assert sorted(stray_operator_matrix_calls(tree)) == [
+        (4, "operator_matrix call outside differential_operator"),
+        (5, "operator_matrix call outside differential_operator")]
