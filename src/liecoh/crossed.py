@@ -27,11 +27,11 @@ from .errors import (DimensionMismatchError, FactorizationFailureError,
                      NoOmegaLiftError)
 from .extensions import (FactorSystem, build_extension,
                          restrict_cochain_to_subspace)
-from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
+from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
                      quotient_algebra)
-from .linalg import (Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
-                     quotient_coordinates, solve_columns, to_fractions, unit_vec,
-                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import (ONE, Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
+                     linear_combination, quotient_coordinates, solve_columns, unit_vec,
+                     vec_is_zero, vec_sub, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,7 @@ class CrossedModuleSplitting:
     h_lift: Matrix           # n coordinates -> h, section of alpha into the complement
     f: Cochain               # 2-cochain on n_alg valued in z coordinates
     theta: dict              # (ghat index, n index) -> z coordinates
+    ad_n: tuple              # ad e_x restricted to n, in n coordinates, per ghat index x
     g: LieAlgebra            # ghat / n
     q_proj: Matrix           # ghat -> g
     q_sect: Matrix           # g -> ghat
@@ -153,73 +154,44 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     n_sub = Subspace.from_vectors(ghat.dim, [alpha.column(j) for j in range(h.dim)])
     # complement of z in h: the non-pivot axes of z
     _, h_compl_sect = quotient_coordinates(h.dim, z)
-    # n in its canonical basis, with brackets induced from ghat
+    # n in its canonical basis, with brackets induced from ghat: [n_i, n_j]
+    # is column j of ad n_i restricted to n
     n_dim = n_sub.dim
+    ad_n = tuple(n_sub.restrict(ghat.ad_matrix(x)) for x in range(ghat.dim))
+    if any(m is None for m in ad_n):
+        raise InvariantViolation("the image of alpha is not an ideal")
     table = {}
-    for i in range(n_dim):
-        for j in range(i + 1, n_dim):
-            w = ghat.bracket(n_sub.basis[i], n_sub.basis[j])
-            coords = n_sub.coordinates_of(w)
-            if coords is None:
-                raise InvariantViolation("the image of alpha is not bracket-closed")
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                table[(i, j)] = entry
+    for i, b in enumerate(n_sub.basis):
+        columns = linear_combination(b, ad_n, n_dim, n_dim).transpose().sparse_rows()
+        table.update(((i, j), columns[j]) for j in range(i + 1, n_dim) if columns[j])
     n_alg = LieAlgebra(n_dim, table)
     # lift n -> h landing in the complement of z: solve alpha restricted
     lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
     if first_inconsistent is not None:
         raise InvariantViolation("alpha does not reach its own image")
     h_lift = Matrix.from_columns([h_compl_sect.matvec(x) for x in lifts], rows=h.dim)
-
-    def z_coords_of(v):
-        v = to_fractions(v)
-        coords = z.coordinates_of(vec_sub(v, z.reduce(v)))
-        if coords is None:
-            raise InvariantViolation("vector does not split along the kernel")
-        return coords
-
-    f_table = {}
-    for key in increasing_tuples(n_dim, 2):
-        i, j = key
-        w = h.bracket(h_lift.column(i), h_lift.column(j))
-        w = vec_sub(w, h_lift.matvec(n_alg.bracket_basis(i, j)))
-        coords = z_coords_of(w)
-        if not vec_is_zero(coords):
-            f_table[key] = coords
-    f = Cochain(n_alg, 2, z.dim, f_table)
-
+    # f and theta are the defects of the section h_lift, read in z
+    f = Cochain(n_alg, 2, z.dim, {key: z.split_coordinates(w)
+                                  for key, w in bracket_defect(n_alg, h, h_lift).items()})
     theta = {}
-    for x in range(ghat.dim):
+    for x, (act, ad_x) in enumerate(zip(cm.action.matrices, ad_n)):
+        defect = act @ h_lift - h_lift @ ad_x
         for a in range(n_dim):
-            w = cm.action.act(x, h_lift.column(a))
-            # remove the lifted quotient part: [x, n_a] in n, lifted to h
-            br = ghat.bracket(unit_vec(ghat.dim, x), n_sub.basis[a])
-            br_coords = n_sub.coordinates_of(br)
-            if br_coords is None:
-                raise InvariantViolation("the image of alpha is not an ideal")
-            w = vec_sub(w, h_lift.matvec(br_coords))
-            val = z_coords_of(w)
+            val = z.split_coordinates(defect.column(a))
             if not vec_is_zero(val):
                 theta[(x, a)] = val
 
     g, q_proj, q_sect = quotient_algebra(ghat, n_sub)
-    zhat_mats = []
-    for x in range(ghat.dim):
-        cols = []
-        for b in z.basis:
-            coords = z.coordinates_of(cm.action.act(x, b))
-            if coords is None:
-                raise InvariantViolation("the action does not preserve the kernel")
-            cols.append(coords)
-        zhat_mats.append(Matrix.from_columns(cols, rows=z.dim))
+    zhat_mats = [z.restrict(m) for m in cm.action.matrices]
+    if any(m is None for m in zhat_mats):
+        raise InvariantViolation("the action does not preserve the kernel")
     zhat_rep = Representation(ghat, z.dim, zhat_mats)
     z_mats = [zhat_rep.matrix_of(q_sect.column(i)) for i in range(g.dim)]
     z_rep = Representation(g, z.dim, z_mats)
     for x in range(ghat.dim):
         if zhat_rep.matrices[x] != z_rep.matrix_of(q_proj.column(x)):
             raise InvariantViolation("the kernel action does not factor through the quotient")
-    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, theta, g,
+    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, theta, ad_n, g,
                                 q_proj, q_sect, z_rep, zhat_rep)
     _check_splitting(sp)
     return sp
@@ -227,66 +199,44 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
 
 def _check_splitting(sp: CrossedModuleSplitting) -> None:
     """theta restricts to f, each slot is a derivation datum, and the table
-    satisfies the action cocycle identity."""
-    n_dim = sp.n_alg.dim
-    zd = sp.z.dim
-    ghat = sp.cm.ghat
-    for key, vec in sp.f.coeffs.items():
-        i, j = key
-        got = _theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j))
-        if got != tuple(vec):
+    satisfies the action cocycle identity, for x < y as z x n matrices:
+
+        x.theta_y - y.theta_x - theta_[x,y] + theta_x ad_y - theta_y ad_x = 0.
+    """
+    n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
+    thetas = _theta_matrices(sp)
+    for (i, j), vec in sp.f.coeffs.items():
+        if linear_combination(sp.n_sub.basis[i], thetas, zd, n_dim).column(j) != vec:
             raise InvariantViolation("theta does not restrict to the extension cocycle")
     # one trivial module, so d_1 with trivial coefficients is assembled once
     trivial = Representation.trivial(sp.n_alg, zd)
     for x in range(ghat.dim):
-        theta_x = Cochain(sp.n_alg, 1, zd,
-                          {(a,): sp.theta[(x, a)] for a in range(n_dim)
-                           if (x, a) in sp.theta})
+        theta_x = Cochain(sp.n_alg, 1, zd, {(a,): thetas[x].column(a) for a in range(n_dim)})
         if cochain_differential(trivial, theta_x) != _module_action_on_f(sp, x):
             raise InvariantViolation(
                 f"theta slot {x} is not a derivation datum for the cocycle")
+    zhat, ad_n = sp.zhat_rep.matrices, sp.ad_n
     for x in range(ghat.dim):
         for y in range(x + 1, ghat.dim):
-            bracket_xy = ghat.bracket_basis(x, y)
-            for a in range(n_dim):
-                total = sp.zhat_rep.matrices[x].matvec(
-                    sp.theta.get((y, a), zero_vec(zd)))
-                total = vec_sub(total, sp.zhat_rep.matrices[y].matvec(
-                    sp.theta.get((x, a), zero_vec(zd))))
-                total = vec_sub(total, _theta_value(sp, bracket_xy, unit_vec(n_dim, a)))
-                total = vec_add(total, _theta_value(sp, unit_vec(ghat.dim, x),
-                                                    _bracket_in_n(sp, y, a)))
-                total = vec_sub(total, _theta_value(sp, unit_vec(ghat.dim, y),
-                                                    _bracket_in_n(sp, x, a)))
-                if not vec_is_zero(total):
-                    raise InvariantViolation(
-                        f"theta fails the action cocycle identity at ({x},{y},{a})")
+            defect = (zhat[x] @ thetas[y] - zhat[y] @ thetas[x]
+                      - linear_combination(ghat.bracket_basis(x, y), thetas, zd, n_dim)
+                      + thetas[x] @ ad_n[y] - thetas[y] @ ad_n[x])
+            if not defect.is_zero():
+                a = min(j for row in defect.sparse_rows() for j in row)
+                raise InvariantViolation(
+                    f"theta fails the action cocycle identity at ({x},{y},{a})")
 
 
-def _theta_value(sp: CrossedModuleSplitting, x_coords, n_coords):
-    """theta(x, n), bilinear in ghat coordinates x and n coordinates n."""
-    out = zero_vec(sp.z.dim)
-    for x, c in enumerate(x_coords):
-        if c:
-            for a, d in enumerate(n_coords):
-                if d and (x, a) in sp.theta:
-                    out = vec_add(out, vec_scale(c * d, sp.theta[(x, a)]))
-    return out
-
-
-def _bracket_in_n(sp: CrossedModuleSplitting, x: int, a: int):
-    br = sp.cm.ghat.bracket(unit_vec(sp.cm.ghat.dim, x), sp.n_sub.basis[a])
-    coords = sp.n_sub.coordinates_of(br)
-    if coords is None:
-        raise InvariantViolation("the image of alpha is not an ideal")
-    return coords
+def _theta_matrices(sp: CrossedModuleSplitting) -> list:
+    """theta_x as a z x n matrix, one per basis element x of ghat."""
+    zd, n_dim = sp.z.dim, sp.n_alg.dim
+    return [Matrix.from_columns([sp.theta.get((x, a), zero_vec(zd)) for a in range(n_dim)],
+                                rows=zd) for x in range(sp.cm.ghat.dim)]
 
 
 def _module_action_on_f(sp: CrossedModuleSplitting, x: int) -> Cochain:
     """x.f as a 2-cochain on n: x.(f(a,b)) - f([x,a],b) - f(a,[x,b])."""
-    n_dim = sp.n_alg.dim
-    ad_x = Matrix.from_columns([_bracket_in_n(sp, x, a) for a in range(n_dim)], rows=n_dim)
-    return pair_act_cochain(sp.zhat_rep.matrices[x], ad_x, sp.f)
+    return pair_act_cochain(sp.zhat_rep.matrices[x], sp.ad_n[x], sp.f)
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +249,15 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
     Values on complement pairs are set to zero; everything else is forced
     by alternation and the restriction requirement.
     """
-    ghat = sp.cm.ghat
-    zd = sp.z.dim
+    ghat, zd, n_dim = sp.cm.ghat, sp.z.dim, sp.n_alg.dim
+    thetas = _theta_matrices(sp)
     table = {}
-    for key in increasing_tuples(ghat.dim, 2):
-        i, j = key
+    for i, j in increasing_tuples(ghat.dim, 2):
         u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
-        u_n = sp.n_sub.coordinates_of(vec_sub(u, sp.n_sub.reduce(u)))
-        v_n = sp.n_sub.coordinates_of(vec_sub(v, sp.n_sub.reduce(v)))
-        v_c = sp.n_sub.reduce(v)
+        theta_v_c = linear_combination(sp.n_sub.reduce(v), thetas, zd, n_dim)
         # f_tilde(u, v) = theta(u, v_n) - theta(v_c, u_n)
-        val = vec_sub(_theta_value(sp, u, v_n), _theta_value(sp, v_c, u_n))
-        if not vec_is_zero(val):
-            table[key] = val
+        table[(i, j)] = vec_sub(thetas[i].matvec(sp.n_sub.split_coordinates(v)),
+                                theta_v_c.matvec(sp.n_sub.split_coordinates(u)))
     return Cochain(ghat, 2, zd, table)
 
 
@@ -344,15 +290,14 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
         raise DimensionMismatchError("sigma is not a section of the quotient map")
     S_mats = [cm.action.matrix_of(sigma.column(i)) for i in range(sp.g.dim)]
     S = OuterActionMap(sp.g, S_mats, validate=False, space_dim=h.dim)
-    keys = list(increasing_tuples(sp.g.dim, 2))
-    targets = [vec_sub(ghat.bracket(sigma.column(i), sigma.column(j)),
-                       sigma.matvec(sp.g.bracket_basis(i, j))) for i, j in keys]
-    lifts, first_inconsistent, _ = solve_columns(cm.alpha, targets)
+    # a zero curvature lifts to zero, so only the nonzero keys are solved
+    defect = bracket_defect(sp.g, ghat, sigma)
+    keys = list(defect)
+    lifts, first_inconsistent, _ = solve_columns(cm.alpha, list(defect.values()))
     if first_inconsistent is not None:
         raise NoOmegaLiftError(
             f"section curvature at {keys[first_inconsistent]} misses the image of alpha")
-    omega_table = {key: x for key, x in zip(keys, lifts) if not vec_is_zero(x)}
-    omega = Cochain(sp.g, 2, h.dim, omega_table)
+    omega = Cochain(sp.g, 2, h.dim, dict(zip(keys, lifts)))
     d_s_omega = covariant_differential(S, omega)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, sp.z)
     return cohomology(sp.z_rep, 3).class_of(z_cochain)
@@ -392,9 +337,7 @@ def splitting_equivalence(cm: CrossedModule):
     ext = build_extension(fs)
     total = ext.total
     # embed h = z + n into z + ghat
-    z_part = Matrix.from_columns(
-        [sp.z.coordinates_of(vec_sub(v, sp.z.reduce(v)))
-         for v in (unit_vec(cm.h.dim, i) for i in range(cm.h.dim))], rows=sp.z.dim)
+    z_part = Matrix.from_sparse_rows([{p: ONE} for p in sp.z.pivots], cm.h.dim)
     embedding = block_matrix([[z_part], [cm.alpha]])
     if not bracket_preserving(cm.h, total, embedding):
         raise InvariantViolation("the splitting embedding does not preserve brackets")

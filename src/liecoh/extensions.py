@@ -46,10 +46,10 @@ from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotADerivationError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
-from .liealg import (LieAlgebra, Representation, bracket_preserving, center,
+from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
                      is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, invert,
-                     left_inverse, to_fractions, unit_vec, vec_is_zero, vec_sub, zero_vec)
+from .linalg import (ONE, ZERO, Matrix, Subspace, block_matrix, consistent_columns, invert,
+                     left_inverse, to_fractions, unit_vec, vec_is_zero, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +93,9 @@ def center_module(S: OuterActionMap) -> tuple[Subspace, Representation]:
     if S.target is None:
         raise DimensionMismatchError("restriction needs a target algebra")
     z = center(S.target)
-    mats = []
-    for m in S.matrices:
-        cols = []
-        for b in z.basis:
-            coords = z.coordinates_of(m.matvec(b))
-            if coords is None:
-                raise NotADerivationError("a derivation did not preserve the center")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(cols, rows=z.dim))
+    mats = [z.restrict(m) for m in S.matrices]
+    if any(m is None for m in mats):
+        raise NotADerivationError("a derivation did not preserve the center")
     return z, Representation(S.algebra, z.dim, mats)
 
 
@@ -175,24 +169,32 @@ def _outer_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S) -> OuterActionMap:
     return OuterActionMap(g_alg, S, target=n_alg, validate=False)
 
 
-def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
-                         omega: Cochain) -> FactorSystemReport:
-    """The three defining conditions of (S, omega); S is an OuterActionMap or its matrices."""
+def _factor_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain) -> OuterActionMap:
+    """S as one OuterActionMap, after the shape checks of a factor system (S, omega)."""
     matrices = S.matrices if isinstance(S, OuterActionMap) else tuple(S)
     if len(matrices) != g_alg.dim:
         raise DimensionMismatchError("one action matrix per basis element of g is required")
     if omega.degree != 2 or omega.value_dim != n_alg.dim or omega.algebra != g_alg:
         raise DimensionMismatchError("omega must be a 2-cochain on g valued in n")
-    der_fail = tuple(i for i, m in enumerate(matrices) if not is_derivation(n_alg, m))
-    S = _outer_action(n_alg, g_alg, S)
+    if any(m.rows != n_alg.dim or m.cols != n_alg.dim for m in matrices):
+        raise DimensionMismatchError("derivation candidate has the wrong shape")
+    return _outer_action(n_alg, g_alg, S)
+
+
+def _curvature_failures(S: OuterActionMap, omega: Cochain) -> tuple:
+    """The increasing pairs at which the curvature of S differs from ad(omega)."""
     R = curvature(S)
-    curv_fail = []
-    for key in increasing_tuples(g_alg.dim, 2):
-        if R.component(key) != n_alg.ad(omega.component(key)).flatten():
-            curv_fail.append(key)
-    closed = covariant_differential(S, omega)
-    cocycle_fail = tuple(sorted(closed.coeffs))
-    return FactorSystemReport(der_fail, tuple(curv_fail), cocycle_fail)
+    return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
+                 if R.component(key) != S.target.ad(omega.component(key)).flatten())
+
+
+def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
+                         omega: Cochain) -> FactorSystemReport:
+    """The three defining conditions of (S, omega); S is an OuterActionMap or its matrices."""
+    S = _factor_action(n_alg, g_alg, S, omega)
+    der_fail = tuple(i for i, m in enumerate(S.matrices) if not is_derivation(n_alg, m))
+    cocycle_fail = tuple(sorted(covariant_differential(S, omega).coeffs))
+    return FactorSystemReport(der_fail, _curvature_failures(S, omega), cocycle_fail)
 
 
 class FactorSystem:
@@ -201,12 +203,13 @@ class FactorSystem:
     __slots__ = ("n", "g", "S", "omega")
 
     def __init__(self, n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain):
+        S = _factor_action(n_alg, g_alg, S, omega)
         report = factor_system_report(n_alg, g_alg, S, omega)
         if not report.ok:
             raise InvalidFactorSystemError(report)
         self.n = n_alg
         self.g = g_alg
-        self.S = _outer_action(n_alg, g_alg, S)
+        self.S = S
         self.omega = omega
 
     def gauge(self, gamma: Cochain) -> "FactorSystem":
@@ -314,15 +317,9 @@ def extract_factor_system(ext: ExtensionPresentation,
             w = total.bracket(sa, ext.inclusion.column(i))
             cols.append(ext.ideal_coordinates(w))
         matrices.append(Matrix.from_columns(cols, rows=ext.n.dim))
-    table = {}
-    for a in range(ext.g.dim):
-        for b in range(a + 1, ext.g.dim):
-            w = total.bracket(sigma.column(a), sigma.column(b))
-            w = vec_sub(w, sigma.matvec(ext.g.bracket_basis(a, b)))
-            coords = ext.ideal_coordinates(w)
-            if not vec_is_zero(coords):
-                table[(a, b)] = coords
-    omega = Cochain(ext.g, 2, ext.n.dim, table)
+    omega = Cochain(ext.g, 2, ext.n.dim,
+                    {key: ext.ideal_coordinates(w)
+                     for key, w in bracket_defect(ext.g, total, sigma).items()})
     return FactorSystem(ext.n, ext.g, matrices, omega)
 
 
@@ -467,10 +464,9 @@ class GKernel:
         if omega is None:
             omega = self._solve_omega()
         else:
-            R = curvature(self.S)
-            for key in increasing_tuples(g_alg.dim, 2):
-                if R.component(key) != n_alg.ad(omega.component(key)).flatten():
-                    raise NoLiftError(f"stored omega does not lift the curvature at {key}")
+            failures = _curvature_failures(self.S, omega)
+            if failures:
+                raise NoLiftError(f"stored omega does not lift the curvature at {failures[0]}")
         self.omega = omega
 
     def _solve_omega(self) -> Cochain:
@@ -579,11 +575,7 @@ class QuotientStage:
 
     def z_part(self, v: Sequence[Fraction]) -> tuple:
         """Center coordinates of an n-vector's component along z."""
-        complement = self.sect_ad.matvec(self.proj_ad.matvec(v))
-        coords = self.z.coordinates_of(vec_sub(to_fractions(v), complement))
-        if coords is None:
-            raise InvariantViolation("vector does not split along the center")
-        return coords
+        return self.z.split_coordinates(v)
 
 
 def build_quotient_stage(kernel: GKernel) -> QuotientStage:
@@ -633,18 +625,9 @@ class StageReduction:
 
 def stage_theta(stage: QuotientStage) -> tuple[Cochain, dict]:
     """The center cocycle of n and the action table of the stage on n."""
-    n_ad, sect_ad = stage.n_ad, stage.sect_ad
-    f_table = {}
-    for key in increasing_tuples(n_ad.dim, 2):
-        i, j = key
-        w = stage.kernel.n.bracket(sect_ad.column(i), sect_ad.column(j))
-        w = vec_sub(w, sect_ad.matvec(n_ad.bracket_basis(i, j)))
-        coords = stage.z.coordinates_of(w)
-        if coords is None:
-            raise InvariantViolation("the center cocycle left the center")
-        if not vec_is_zero(coords):
-            f_table[key] = coords
-    f = Cochain(n_ad, 2, stage.z.dim, f_table)
+    n_alg, n_ad, sect_ad = stage.kernel.n, stage.n_ad, stage.sect_ad
+    f = restrict_cochain_to_subspace(
+        Cochain(n_ad, 2, n_alg.dim, bracket_defect(n_ad, n_alg, sect_ad)), stage.z)
     theta = {}
     for i in range(stage.gs.dim):
         for a in range(n_ad.dim):
@@ -664,8 +647,7 @@ def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
     fs_tot = FactorSystem(LieAlgebra(zd), stage.gs, stage.z_rep_on_gs.matrices, f_tilde)
     ext_tot = build_extension(fs_tot)
     # n -> z x n_ad x g; the quotient maps pass through the stage
-    z_part = Matrix.from_columns([stage.z_part(unit_vec(nd, j)) for j in range(nd)],
-                                 rows=zd)
+    z_part = Matrix.from_sparse_rows([{p: ONE} for p in stage.z.pivots], nd)
     inclusion = block_matrix([[z_part], [stage.alpha_matrix]])
     projection = stage.ext.projection @ ext_tot.projection
     section = ext_tot.section @ stage.ext.section
@@ -697,21 +679,10 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
     ghat = build_extension(fs)
     # the canonical lift of the stage into n + g coordinates
     lift = extension_map(stage.sect_ad, Matrix.zero(nd, gd), Matrix.identity(gd))
-    f_tilde_table = {}
-    for key in increasing_tuples(stage.gs.dim, 2):
-        i, j = key
-        w = ghat.total.bracket(lift.column(i), lift.column(j))
-        w = vec_sub(w, lift.matvec(stage.gs.bracket_basis(i, j)))
-        # the difference lies in the center block of the n-part
-        n_part = w[:nd]
-        if not vec_is_zero(w[nd:]):
-            raise InvariantViolation("stage cocycle has a nonzero quotient part")
-        coords = stage.z.coordinates_of(n_part)
-        if coords is None:
-            raise InvariantViolation("stage cocycle left the center")
-        if not vec_is_zero(coords):
-            f_tilde_table[key] = coords
-    f_tilde = Cochain(stage.gs, 2, zd, f_tilde_table)
+    # its cocycle lies in the center block of the n-part
+    z_total = Subspace(nd + gd, stage.z.pairs, stage.z.pivots)
+    f_tilde = restrict_cochain_to_subspace(
+        Cochain(stage.gs, 2, nd + gd, bracket_defect(stage.gs, ghat.total, lift)), z_total)
 
     ideal = Subspace.from_vectors(
         stage.gs.dim, [unit_vec(stage.gs.dim, i) for i in range(nad)])

@@ -18,7 +18,8 @@ from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
                      kernel, linear_combination, quotient_coordinates, solve_columns,
-                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
+                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
+                     zero_vec)
 
 
 class LieAlgebra:
@@ -239,17 +240,28 @@ class LinearLieMap:
         return is_derivation(self.source, self.matrix)
 
 
-def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
-    """True iff m maps source brackets to target brackets on all basis pairs."""
+def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
+    """{(i, j): [m e_i, m e_j] - m[e_i, e_j]} on the increasing pairs where it is nonzero.
+
+    For a linear section m this is the section's cocycle: the failure of
+    m to preserve brackets.
+    """
     if m.cols != source.dim or m.rows != target.dim:
         raise DimensionMismatchError("map shape disagrees with source/target dims")
+    columns = [m.column(i) for i in range(source.dim)]
+    defect = {}
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            lhs = m.matvec(source.bracket_basis(i, j))
-            rhs = target.bracket(m.column(i), m.column(j))
-            if lhs != rhs:
-                return False
-    return True
+            w = vec_sub(target.bracket(columns[i], columns[j]),
+                        m.matvec(source.bracket_basis(i, j)))
+            if not vec_is_zero(w):
+                defect[(i, j)] = w
+    return defect
+
+
+def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
+    """True iff m maps source brackets to target brackets on all basis pairs."""
+    return not bracket_defect(source, target, m)
 
 
 def is_derivation(L: LieAlgebra, d: Matrix) -> bool:

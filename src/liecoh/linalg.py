@@ -389,6 +389,35 @@ class Subspace:
             return None
         return tuple(v[p] for p in self.pivots)
 
+    def split_coordinates(self, v: Sequence[Fraction]) -> tuple:
+        """Coordinates of v's component along the subspace: its entries at the pivots.
+
+        The basis is in reduced echelon form, so v - reduce(v) lies in the
+        subspace and agrees with v at every pivot; this is
+        coordinates_of(v - reduce(v)), and v need not lie in the subspace.
+        """
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError("vector length disagrees with ambient dimension")
+        return to_fractions(v[p] for p in self.pivots)
+
+    def restrict(self, m: Matrix) -> Optional[Matrix]:
+        """The matrix of m on the subspace in its canonical basis, or None
+        when m does not map the subspace into itself."""
+        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
+            raise DimensionMismatchError("endomorphism size disagrees with ambient dimension")
+        columns = m.transpose().sparse_rows()
+        rows = [{} for _ in self.pivots]
+        for c, pairs in enumerate(self.pairs):
+            image = {}
+            for j, x in pairs:
+                _add_scaled(image, x, columns[j].items())
+            if self.reduce_entries(image):
+                return None
+            for row, p in zip(rows, self.pivots):
+                if p in image:
+                    row[c] = image[p]
+        return Matrix._of(rows, self.dim)
+
     def embed(self, coords: Sequence[Fraction]) -> tuple:
         """Ambient vector with the given basis coefficients."""
         if len(coords) != self.dim:

@@ -217,15 +217,11 @@ def _pair_system_rows(fs: FactorSystem):
     return rows, omega_rows, nvars, va, vb
 
 
-def _project_pairs(solution: Subspace, va: int, vb: int, nd: int, gd: int):
-    projected = Subspace.from_vectors(
-        va + vb, [v[:va + vb] for v in solution.basis])
-    pairs = []
-    for v in projected.basis:
-        alpha = Matrix.unflatten(v[:va], nd, nd)
-        beta = Matrix.unflatten(v[va:va + vb], gd, gd)
-        pairs.append((alpha, beta))
-    return projected, tuple(pairs)
+def _project_pairs(vectors, va: int, vb: int, nd: int, gd: int) -> tuple:
+    """The canonical basis of the (alpha, beta) parts of the vectors, as matrix pairs."""
+    projected = Subspace.from_vectors(va + vb, [v[:va + vb] for v in vectors])
+    return tuple((Matrix.unflatten(v[:va], nd, nd), Matrix.unflatten(v[va:], gd, gd))
+                 for v in projected.basis)
 
 
 def extension_derivations(fs: FactorSystem) -> DerivationReport:
@@ -241,7 +237,7 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
 
     rows, omega_rows, nvars, va, vb = _pair_system_rows(fs)
     solution = kernel(Matrix.from_sparse_rows(rows, nvars))
-    _, stabilizer_pairs = _project_pairs(solution, va, vb, nd, gd)
+    stabilizer_pairs = _project_pairs(solution.basis, va, vb, nd, gd)
 
     h2 = cohomology(z_rep, 2)
     gammas = []
@@ -253,8 +249,12 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
         gammas.append(gamma)
         classes.append(h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z)))
 
-    solution_full = kernel(Matrix.from_sparse_rows(rows + omega_rows, nvars))
-    _, image_pairs_ab = _project_pairs(solution_full, va, vb, nd, gd)
+    # ker(rows + omega_rows) is ker(rows) cut by the omega rows: the
+    # combinations c of its basis B with (omega_rows B^T) c = 0
+    basis = Matrix.from_sparse_rows([dict(p) for p in solution.pairs], nvars)
+    cut = kernel(Matrix.from_sparse_rows(omega_rows, nvars) @ basis.transpose())
+    image_vectors = Matrix.from_sparse_rows([dict(p) for p in cut.pairs], solution.dim) @ basis
+    image_pairs_ab = _project_pairs(image_vectors.row_list(), va, vb, nd, gd)
     image_triples = [(alpha, beta, _pair_gamma(fs, alpha, beta)[0])
                      for alpha, beta in image_pairs_ab]
 

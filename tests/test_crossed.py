@@ -9,12 +9,12 @@ from liecoh.catalog import (abelian, ext_heisenberg3, ext_heisenberg_kernel,
 from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
                              pullback_cochain)
 from liecoh.cohomology import classes_equal
-from liecoh.crossed import (CrossedModule, _alternating_extension, _bracket_in_n,
-                            _module_action_on_f, characteristic_class_omega_route,
+from liecoh.crossed import (CrossedModule, _alternating_extension, _module_action_on_f,
+                            characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence, validate_crossed_module)
 from liecoh.errors import (FactorizationFailureError, InvalidCrossedModuleError,
-                           NoOmegaLiftError)
+                           InvariantViolation, NoOmegaLiftError)
 from liecoh.extensions import GKernel, build_extension, build_quotient_stage
 from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_preserving,
                            change_of_basis, derivations)
@@ -253,6 +253,15 @@ def loop_first_unfactored_key(sp, beta, d_f):
         if tuple(expected) != d_f.component(key):
             return key
     return None
+
+
+def _bracket_in_n(sp, x, a):
+    """[e_x, n_a] in n coordinates: the former column reader of crossed.py."""
+    br = sp.cm.ghat.bracket(unit_vec(sp.cm.ghat.dim, x), sp.n_sub.basis[a])
+    coords = sp.n_sub.coordinates_of(br)
+    if coords is None:
+        raise InvariantViolation("the image of alpha is not an ideal")
+    return coords
 
 
 def loop_module_action_on_f(sp, x):

@@ -5,15 +5,15 @@ import pytest
 import random
 
 from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, nonabelian2, sl2
-from liecoh.errors import (JacobiError, NotAHomomorphismError, NotAnIdealError,
-                           RepresentationError)
+from liecoh.errors import (DimensionMismatchError, JacobiError, NotAHomomorphismError,
+                           NotAnIdealError, RepresentationError)
 from liecoh.liealg import (LieAlgebra, LinearLieMap, Representation, adjoint_rep,
-                           bracket_preserving, center, change_of_basis,
+                           bracket_defect, bracket_preserving, center, change_of_basis,
                            check_jacobi, derivations, direct_and_semidirect,
                            is_derivation, product_algebra, quotient_algebra)
-from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, zero_vec
+from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
 
-from conftest import rand_algebra, rand_fraction, rand_invertible
+from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
 
 def test_jacobi_abelian_and_heisenberg():
@@ -373,3 +373,58 @@ def test_semidirect_matches_put_oracle(rng):
     V, s = abelian(2), sl2()
     S = [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]]), Matrix([[1, 0], [0, -1]])]
     assert_product_matches_oracle(V, s, S, {}, direct_and_semidirect(V, s, S))
+
+
+# ---------------------------------------------------------------------------
+# the bracket defect against the former bracket_preserving loop
+# ---------------------------------------------------------------------------
+
+def loop_bracket_preserving(source, target, m):
+    """The former bracket_preserving: compare both sides pair by pair."""
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            if m.matvec(source.bracket_basis(i, j)) != target.bracket(m.column(i), m.column(j)):
+                return False
+    return True
+
+
+def loop_bracket_defect(source, target, m):
+    """[m e_i, m e_j] - m[e_i, e_j] on every increasing pair, zeros dropped."""
+    out = {}
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            w = vec_sub(target.bracket(m.column(i), m.column(j)),
+                        m.matvec(source.bracket_basis(i, j)))
+            if any(w):
+                out[(i, j)] = w
+    return out
+
+
+def seeded_linear_maps(rng):
+    """Homomorphisms (basis changes, quotient maps, zero maps) and seeded
+    perturbations and random maps that mostly are not."""
+    maps = []
+    for _ in range(12):
+        L = rand_algebra(rng)
+        p = rand_invertible(rng, L.dim)
+        maps.append((change_of_basis(L, p), L, p))
+        q, proj, sect = quotient_algebra(L, center(L))
+        maps += [(L, q, proj), (q, L, sect), (L, L, Matrix.zero(L.dim, L.dim))]
+        maps.append((change_of_basis(L, p), L, p + rand_matrix(rng, L.dim, L.dim)))
+        other = rand_algebra(rng)
+        maps.append((L, other, rand_matrix(rng, other.dim, L.dim)))
+    return maps
+
+
+def test_bracket_defect_is_empty_exactly_when_the_loop_preserves_brackets():
+    rng = random.Random(47)
+    verdicts = set()
+    for source, target, m in seeded_linear_maps(rng):
+        defect = bracket_defect(source, target, m)
+        assert defect == loop_bracket_defect(source, target, m)
+        preserving = loop_bracket_preserving(source, target, m)
+        assert (not defect) == preserving == bracket_preserving(source, target, m)
+        verdicts.add(preserving)
+    assert verdicts == {True, False}
+    with pytest.raises(DimensionMismatchError):
+        bracket_defect(sl2(), sl2(), Matrix.identity(2))

@@ -745,3 +745,84 @@ def test_block_matrix_matches_column_oracle():
 def test_block_matrix_rejects_misaligned_blocks(blocks):
     with pytest.raises(DimensionMismatchError):
         block_matrix(blocks)
+
+
+# ---------------------------------------------------------------------------
+# the pivot read-off and the restriction, against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def seeded_subspaces(rng):
+    """Spans of seeded sparse and dense vectors, with the zero and the full subspace."""
+    subs = []
+    for n in (1, 2, 3, 5, 7):
+        subs += [Subspace.zero(n), Subspace.full(n)]
+        for _ in range(6):
+            vectors = rand_sparse_matrix(rng, rng.randint(1, n), n,
+                                         rng.choice((0.3, 0.6, 1.0))).row_list()
+            subs.append(Subspace.from_vectors(n, vectors))
+    subs.append(Subspace.zero(0))
+    return subs
+
+
+def loop_restrict(sub, m):
+    """The former restriction loop: coordinates of m b, column by column."""
+    cols = []
+    for b in sub.basis:
+        coords = sub.coordinates_of(m.matvec(b))
+        if coords is None:
+            return None
+        cols.append(coords)
+    return Matrix.from_columns(cols, rows=sub.dim)
+
+
+def invariant_endomorphism(rng, sub):
+    """Q [[A, C], [0, D]] Q^-1, where Q's first columns are the basis of sub:
+    m maps sub into itself and acts on it by A."""
+    n, k = sub.ambient_dim, sub.dim
+    free = [j for j in range(n) if j not in sub.pivots]
+    q = Matrix.from_columns(list(sub.basis) + [unit_vec(n, j) for j in free], rows=n)
+    a = rand_matrix(rng, k, k)
+    t = block_matrix([[a, rand_matrix(rng, k, n - k)],
+                      [Matrix.zero(n - k, k), rand_matrix(rng, n - k, n - k)]])
+    return q @ t @ invert(q), a
+
+
+def test_split_coordinates_is_the_component_along_the_subspace():
+    rng = random.Random(41)
+    for sub in seeded_subspaces(rng):
+        n = sub.ambient_dim
+        vectors = [zero_vec(n)] + list(sub.basis)
+        vectors += [tuple(rand_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(n))
+                    for _ in range(5)]
+        vectors += [sub.embed([rand_fraction(rng) for _ in range(sub.dim)])]
+        for v in vectors:
+            got = sub.split_coordinates(v)
+            # the identity that makes the former "does not split" checks dead
+            assert got == sub.coordinates_of(vec_sub(v, sub.reduce(v)))
+            assert all_fractions(got)
+            assert vec_add(sub.embed(got), sub.reduce(v)) == to_fractions(v)
+    assert Subspace.from_vectors(2, [(1, 1)]).split_coordinates((1, 0)) == (1,)
+    with pytest.raises(DimensionMismatchError):
+        Subspace.full(2).split_coordinates((1, 0, 0))
+
+
+def test_restrict_matches_the_loop_and_is_none_exactly_off_invariant_maps():
+    rng = random.Random(43)
+    leaves = 0
+    for sub in seeded_subspaces(rng):
+        n = sub.ambient_dim
+        m, a = invariant_endomorphism(rng, sub)
+        assert sub.restrict(m) == a == loop_restrict(sub, m)
+        assert sub.restrict(Matrix.identity(n)) == Matrix.identity(sub.dim)
+        for other in (rand_matrix(rng, n, n), rand_sparse_matrix(rng, n, n, 0.3),
+                      m + rand_sparse_matrix(rng, n, n, 0.2)):
+            got = sub.restrict(other)
+            assert got == loop_restrict(sub, other)
+            leaving = any(not sub.contains(other.matvec(b)) for b in sub.basis)
+            assert (got is None) == leaving
+            leaves += leaving
+            if got is not None:
+                assert all(all_fractions(row) for row in got.row_list())
+    assert leaves >= 40
+    with pytest.raises(DimensionMismatchError):
+        Subspace.full(2).restrict(Matrix.identity(3))

@@ -1,0 +1,434 @@
+"""Section defects, the pivot read-off and the restriction against the loops
+they replaced.
+
+An extension's cocycle and a crossed module's action table are defects of a
+linear section sigma, omega(x, y) = [sigma x, sigma y] - sigma[x, y] and
+theta_x = x.sigma - sigma(x.), read in the coordinates of a subspace.  The
+package computes them with ``liealg.bracket_defect``,
+``Subspace.split_coordinates`` and ``Subspace.restrict``.  The hand-written
+loops those replaced stay here as oracles and must match entry for entry on
+the catalog systems, curved n4, two seeded basis changes of each, the three
+benchmark factor-system kinds at h7, the stage crossed modules of all of
+them and the ``ad: L -> Der(L)`` crossed modules.  Planted theta
+perturbations must fail the check the former loop fails, at the same
+(x, y, a).  A factor system built from matrices validates against the map
+it keeps, so its curvature is computed once.
+"""
+
+import random
+import sys
+from dataclasses import replace
+
+import pytest
+
+from liecoh import cochains
+from liecoh.catalog import catalog
+from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
+                             covariant_differential, increasing_tuples)
+from liecoh.cohomology import cohomology
+from liecoh.crossed import (_alternating_extension, _check_splitting,
+                            characteristic_class_omega_route, split_crossed_module,
+                            splitting_equivalence)
+from liecoh.errors import DimensionMismatchError, InvariantViolation, NoLiftError
+from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quotient_stage,
+                               center_module, extension_map, extract_factor_system,
+                               factor_system_report, reduce_via_stage,
+                               restrict_cochain_to_subspace, stage_theta)
+from liecoh.liealg import LieAlgebra, Representation
+from liecoh.linalg import (Matrix, block_matrix, solve_columns, to_fractions, unit_vec,
+                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+
+from conftest import rand_matrix, rand_vector
+from test_classify import CASE_IDS, CASES
+from test_crossed import (CATALOG_MODULES, _bracket_in_n, loop_module_action_on_f,
+                          oracle_modules, stage_module)
+from test_gauge_step import column_embedding
+
+
+# ---------------------------------------------------------------------------
+# the replaced loops
+# ---------------------------------------------------------------------------
+
+def loop_extract_omega(ext, sigma):
+    """The former omega loop of extract_factor_system."""
+    table = {}
+    for a in range(ext.g.dim):
+        for b in range(a + 1, ext.g.dim):
+            w = ext.total.bracket(sigma.column(a), sigma.column(b))
+            w = vec_sub(w, sigma.matvec(ext.g.bracket_basis(a, b)))
+            coords = ext.ideal_coordinates(w)
+            if not vec_is_zero(coords):
+                table[(a, b)] = coords
+    return Cochain(ext.g, 2, ext.n.dim, table)
+
+
+def loop_restrict(sub, m, message):
+    """The former restriction loops of center_module and split_crossed_module."""
+    cols = []
+    for b in sub.basis:
+        coords = sub.coordinates_of(m.matvec(b))
+        if coords is None:
+            raise InvariantViolation(message)
+        cols.append(coords)
+    return Matrix.from_columns(cols, rows=sub.dim)
+
+
+def loop_z_part(stage, v):
+    """The former QuotientStage.z_part: v minus its complement part, read in z."""
+    complement = stage.sect_ad.matvec(stage.proj_ad.matvec(v))
+    coords = stage.z.coordinates_of(vec_sub(to_fractions(v), complement))
+    if coords is None:
+        raise InvariantViolation("vector does not split along the center")
+    return coords
+
+
+def loop_stage_theta(stage):
+    """The former stage_theta."""
+    n_ad, sect_ad = stage.n_ad, stage.sect_ad
+    f_table = {}
+    for key in increasing_tuples(n_ad.dim, 2):
+        i, j = key
+        w = stage.kernel.n.bracket(sect_ad.column(i), sect_ad.column(j))
+        w = vec_sub(w, sect_ad.matvec(n_ad.bracket_basis(i, j)))
+        coords = stage.z.coordinates_of(w)
+        if coords is None:
+            raise InvariantViolation("the center cocycle left the center")
+        if not vec_is_zero(coords):
+            f_table[key] = coords
+    theta = {}
+    for i in range(stage.gs.dim):
+        for a in range(n_ad.dim):
+            val = loop_z_part(stage, stage.rho.matrices[i].matvec(sect_ad.column(a)))
+            if not vec_is_zero(val):
+                theta[(i, a)] = val
+    return Cochain(n_ad, 2, stage.z.dim, f_table), theta
+
+
+def loop_f_tilde(fs, stage):
+    """The former section cocycle loop of reduce_via_stage."""
+    nd, gd = fs.n.dim, fs.g.dim
+    total = build_extension(fs).total
+    lift = extension_map(stage.sect_ad, Matrix.zero(nd, gd), Matrix.identity(gd))
+    table = {}
+    for key in increasing_tuples(stage.gs.dim, 2):
+        i, j = key
+        w = total.bracket(lift.column(i), lift.column(j))
+        w = vec_sub(w, lift.matvec(stage.gs.bracket_basis(i, j)))
+        if not vec_is_zero(w[nd:]):
+            raise InvariantViolation("stage cocycle has a nonzero quotient part")
+        coords = stage.z.coordinates_of(w[:nd])
+        if coords is None:
+            raise InvariantViolation("stage cocycle left the center")
+        if not vec_is_zero(coords):
+            table[key] = coords
+    return Cochain(stage.gs, 2, stage.z.dim, table)
+
+
+def loop_rebuild_inclusion(stage):
+    """The former inclusion of rebuild_from_cocycle: z_part joined column by column."""
+    nd = stage.kernel.n.dim
+    z_part = Matrix.from_columns([loop_z_part(stage, unit_vec(nd, j)) for j in range(nd)],
+                                 rows=stage.z.dim)
+    return block_matrix([[z_part], [stage.alpha_matrix]])
+
+
+def loop_n_alg(cm, n_sub):
+    """The former bracket table of the image of alpha."""
+    table = {}
+    for i in range(n_sub.dim):
+        for j in range(i + 1, n_sub.dim):
+            coords = n_sub.coordinates_of(cm.ghat.bracket(n_sub.basis[i], n_sub.basis[j]))
+            if coords is None:
+                raise InvariantViolation("the image of alpha is not bracket-closed")
+            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                table[(i, j)] = entry
+    return LieAlgebra(n_sub.dim, table)
+
+
+def loop_split(sp):
+    """The former f, theta and ghat-action on z of split_crossed_module."""
+    cm, z, n_sub, h_lift = sp.cm, sp.z, sp.n_sub, sp.h_lift
+
+    def z_coords_of(v):
+        v = to_fractions(v)
+        coords = z.coordinates_of(vec_sub(v, z.reduce(v)))
+        if coords is None:
+            raise InvariantViolation("vector does not split along the kernel")
+        return coords
+
+    f_table = {}
+    for key in increasing_tuples(n_sub.dim, 2):
+        i, j = key
+        w = cm.h.bracket(h_lift.column(i), h_lift.column(j))
+        w = vec_sub(w, h_lift.matvec(sp.n_alg.bracket_basis(i, j)))
+        coords = z_coords_of(w)
+        if not vec_is_zero(coords):
+            f_table[key] = coords
+    theta = {}
+    for x in range(cm.ghat.dim):
+        for a in range(n_sub.dim):
+            w = cm.action.act(x, h_lift.column(a))
+            w = vec_sub(w, h_lift.matvec(_bracket_in_n(sp, x, a)))
+            val = z_coords_of(w)
+            if not vec_is_zero(val):
+                theta[(x, a)] = val
+    zhat = tuple(loop_restrict(z, m, "the action does not preserve the kernel")
+                 for m in cm.action.matrices)
+    return Cochain(sp.n_alg, 2, z.dim, f_table), theta, zhat
+
+
+def loop_theta_value(sp, x_coords, n_coords):
+    """The former _theta_value: theta(x, n), scalar by scalar."""
+    out = zero_vec(sp.z.dim)
+    for x, c in enumerate(x_coords):
+        if c:
+            for a, d in enumerate(n_coords):
+                if d and (x, a) in sp.theta:
+                    out = vec_add(out, vec_scale(c * d, sp.theta[(x, a)]))
+    return out
+
+
+def loop_check_splitting(sp):
+    """The former _check_splitting, with the per-(x, y, a) identity loop."""
+    n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
+    for (i, j), vec in sp.f.coeffs.items():
+        if loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j)) != tuple(vec):
+            raise InvariantViolation("theta does not restrict to the extension cocycle")
+    trivial = Representation.trivial(sp.n_alg, zd)
+    for x in range(ghat.dim):
+        theta_x = Cochain(sp.n_alg, 1, zd, {(a,): sp.theta[(x, a)] for a in range(n_dim)
+                                            if (x, a) in sp.theta})
+        if cochain_differential(trivial, theta_x) != loop_module_action_on_f(sp, x):
+            raise InvariantViolation(
+                f"theta slot {x} is not a derivation datum for the cocycle")
+    for x in range(ghat.dim):
+        for y in range(x + 1, ghat.dim):
+            bracket_xy = ghat.bracket_basis(x, y)
+            for a in range(n_dim):
+                total = sp.zhat_rep.matrices[x].matvec(sp.theta.get((y, a), zero_vec(zd)))
+                total = vec_sub(total, sp.zhat_rep.matrices[y].matvec(
+                    sp.theta.get((x, a), zero_vec(zd))))
+                total = vec_sub(total, loop_theta_value(sp, bracket_xy, unit_vec(n_dim, a)))
+                total = vec_add(total, loop_theta_value(sp, unit_vec(ghat.dim, x),
+                                                        _bracket_in_n(sp, y, a)))
+                total = vec_sub(total, loop_theta_value(sp, unit_vec(ghat.dim, y),
+                                                        _bracket_in_n(sp, x, a)))
+                if not vec_is_zero(total):
+                    raise InvariantViolation(
+                        f"theta fails the action cocycle identity at ({x},{y},{a})")
+
+
+def loop_alternating_extension(sp):
+    """The former _alternating_extension, reading components by coordinates_of."""
+    ghat, n_sub = sp.cm.ghat, sp.n_sub
+    table = {}
+    for i, j in increasing_tuples(ghat.dim, 2):
+        u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
+        u_n = n_sub.coordinates_of(vec_sub(u, n_sub.reduce(u)))
+        v_n = n_sub.coordinates_of(vec_sub(v, n_sub.reduce(v)))
+        val = vec_sub(loop_theta_value(sp, u, v_n),
+                      loop_theta_value(sp, n_sub.reduce(v), u_n))
+        if not vec_is_zero(val):
+            table[(i, j)] = val
+    return Cochain(ghat, 2, sp.z.dim, table)
+
+
+def loop_omega_route(sp, sigma):
+    """The former characteristic_class_omega_route, solving every key of g."""
+    cm, g = sp.cm, sp.g
+    S = OuterActionMap(g, [cm.action.matrix_of(sigma.column(i)) for i in range(g.dim)],
+                       validate=False, space_dim=cm.h.dim)
+    keys = list(increasing_tuples(g.dim, 2))
+    targets = [vec_sub(cm.ghat.bracket(sigma.column(i), sigma.column(j)),
+                       sigma.matvec(g.bracket_basis(i, j))) for i, j in keys]
+    lifts, first_inconsistent, _ = solve_columns(cm.alpha, targets)
+    assert first_inconsistent is None
+    omega = Cochain(g, 2, cm.h.dim, {key: x for key, x in zip(keys, lifts)
+                                     if not vec_is_zero(x)})
+    d_s_omega = restrict_cochain_to_subspace(covariant_differential(S, omega), sp.z)
+    return cohomology(sp.z_rep, 3).class_of(d_s_omega)
+
+
+# ---------------------------------------------------------------------------
+# extensions and the quotient stage
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
+def test_extension_and_stage_defects_match_the_loops(name, fs):
+    rng = random.Random(53)
+    ext = build_extension(fs)
+    shifted = ext.section + ext.inclusion @ rand_matrix(rng, fs.n.dim, fs.g.dim)
+    for sigma in (ext.section, shifted):
+        assert extract_factor_system(ext, sigma).omega == loop_extract_omega(ext, sigma)
+
+    kernel = GKernel.from_factor_system(fs)
+    z, z_rep = center_module(kernel.S)
+    assert z_rep.matrices == tuple(
+        loop_restrict(z, m, "a derivation did not preserve the center")
+        for m in kernel.S.matrices)
+
+    stage = build_quotient_stage(kernel)
+    assert stage_theta(stage) == loop_stage_theta(stage)
+    nd = fs.n.dim
+    for v in [unit_vec(nd, j) for j in range(nd)] + [rand_vector(rng, nd) for _ in range(3)]:
+        assert stage.z_part(v) == loop_z_part(stage, v)
+
+    reduction = reduce_via_stage(fs)
+    assert reduction.f_tilde == loop_f_tilde(fs, stage)
+    assert reduction.rebuilt.inclusion == loop_rebuild_inclusion(stage)
+
+
+# ---------------------------------------------------------------------------
+# crossed modules
+# ---------------------------------------------------------------------------
+
+def derivation_modules():
+    """The ad: L -> Der(L) modules of test_crossed, in seeded bases."""
+    return oracle_modules()[len(CATALOG_MODULES):]
+
+
+CROSSED = (list(CATALOG_MODULES)
+           + [(f"stage-{name}", lambda fs=fs: stage_module(fs)) for name, fs in CASES]
+           + [(f"derivations-{k}", lambda k=k: derivation_modules()[k]) for k in range(8)])
+
+
+@pytest.mark.parametrize("name, builder", CROSSED, ids=[name for name, _ in CROSSED])
+def test_crossed_defects_match_the_loops(name, builder):
+    cm = builder()
+    sp = split_crossed_module(cm)
+    n_dim = sp.n_alg.dim
+    assert sp.n_alg == loop_n_alg(cm, sp.n_sub)
+    assert sp.ad_n == tuple(
+        Matrix.from_columns([_bracket_in_n(sp, x, a) for a in range(n_dim)], rows=n_dim)
+        for x in range(cm.ghat.dim))
+    f, theta, zhat = loop_split(sp)
+    assert (sp.f, sp.theta, sp.zhat_rep.matrices) == (f, theta, zhat)
+    loop_check_splitting(sp)
+    assert _alternating_extension(sp) == loop_alternating_extension(sp)
+    rng = random.Random(61)
+    for sigma in (sp.q_sect, sp.q_sect + Matrix.from_columns(
+            [sp.n_sub.embed(rand_vector(rng, sp.n_sub.dim)) for _ in range(sp.g.dim)],
+            rows=cm.ghat.dim)):
+        assert characteristic_class_omega_route(sp, sigma) == loop_omega_route(sp, sigma)
+    witness, chi = splitting_equivalence(cm)
+    if chi.is_zero():
+        assert witness.embedding == column_embedding(cm, sp)
+
+
+def outcome(check, sp):
+    try:
+        check(sp)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_planted_theta_perturbations_fail_where_the_loop_fails():
+    rng = random.Random(67)
+    messages = []
+    for cm in [builder() for _, builder in CATALOG_MODULES] + derivation_modules():
+        sp = split_crossed_module(cm)
+        if not sp.z.dim or not sp.n_alg.dim:
+            continue
+        for _ in range(12):
+            theta = dict(sp.theta)
+            for _ in range(rng.randint(1, 2)):
+                slot = (rng.randrange(cm.ghat.dim), rng.randrange(sp.n_alg.dim))
+                value = vec_add(theta.get(slot, zero_vec(sp.z.dim)),
+                                rand_vector(rng, sp.z.dim))
+                theta[slot] = value
+                if vec_is_zero(value):
+                    del theta[slot]
+            planted = replace(sp, theta=theta)
+            want = outcome(loop_check_splitting, planted)
+            assert outcome(_check_splitting, planted) == want
+            messages.append(want)
+    identity = [m for m in messages if m and "action cocycle identity" in m]
+    # the identity failures name several distinct (x, y, a)
+    assert len(identity) >= 10 and len(set(identity)) >= 5
+    assert any(m and "derivation datum" in m for m in messages)
+
+
+# ---------------------------------------------------------------------------
+# one factor-system validation
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def curvature_computations(monkeypatch):
+    """The maps whose curvature is computed (not read from the map), in order."""
+    computed = []
+    real = cochains.curvature
+
+    def counted(S):
+        if S._curvature is None:
+            computed.append(S)
+        return real(S)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "liecoh":
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return computed
+
+
+@pytest.mark.parametrize("name", ["ext-heisenberg3", "ext-filiform4", "ext-heisenberg-kernel",
+                                  "ext-sl2-kernel"])
+def test_a_factor_system_from_matrices_computes_its_curvature_once(name,
+                                                                  curvature_computations):
+    source = catalog(name)
+    curvature_computations.clear()
+    fs = FactorSystem(source.n, source.g, list(source.S.matrices), source.omega)
+    kernel = GKernel.from_factor_system(fs)
+    cochains.curvature(kernel.S)
+    assert len(curvature_computations) == 1
+    assert curvature_computations[0] is fs.S is kernel.S
+
+
+def test_malformed_factor_systems_keep_their_errors():
+    fs = catalog("ext-heisenberg3")
+    n, g, mats, omega = fs.n, fs.g, list(fs.S.matrices), fs.omega
+    wrong_omega = Cochain(g, 1, n.dim)
+    wrong_shape = [Matrix.identity(n.dim + 1)] * g.dim
+    cases = [
+        ((mats[:-1], omega), "one action matrix per basis element of g is required"),
+        ((mats[:-1], wrong_omega), "one action matrix per basis element of g is required"),
+        ((mats, wrong_omega), "omega must be a 2-cochain on g valued in n"),
+        ((wrong_shape, wrong_omega), "omega must be a 2-cochain on g valued in n"),
+        ((wrong_shape, omega), "derivation candidate has the wrong shape"),
+    ]
+    for (S, c), message in cases:
+        for build in (FactorSystem, factor_system_report):
+            with pytest.raises(DimensionMismatchError, match=message):
+                build(n, g, S, c)
+
+
+def loop_gkernel_lift_failure(kernel_S, n_alg, omega):
+    """The former stored-omega check of GKernel: the first key in order."""
+    R = cochains.curvature(kernel_S)
+    for key in increasing_tuples(kernel_S.algebra.dim, 2):
+        if R.component(key) != n_alg.ad(omega.component(key)).flatten():
+            return f"stored omega does not lift the curvature at {key}"
+    return None
+
+
+@pytest.mark.parametrize("name, fs", CASES[:5], ids=CASE_IDS[:5])
+def test_stored_omega_failures_name_the_first_key(name, fs):
+    rng = random.Random(71)
+    keys = list(increasing_tuples(fs.g.dim, 2))
+    raised = 0
+    for _ in range(6):
+        table = dict(fs.omega.coeffs)
+        for key in rng.sample(keys, min(len(keys), 2)):
+            table[key] = vec_add(fs.omega.component(key), rand_vector(rng, fs.n.dim))
+        omega = Cochain(fs.g, 2, fs.n.dim, table)
+        want = loop_gkernel_lift_failure(fs.S, fs.n, omega)
+        if want is None:
+            GKernel(fs.n, fs.g, fs.S, omega)
+            continue
+        raised += 1
+        with pytest.raises(NoLiftError) as info:
+            GKernel(fs.n, fs.g, fs.S, omega)
+        assert info.value.certificate == want
+    assert raised or fs.n.is_abelian() or not keys

@@ -9,6 +9,8 @@ the gauge step is one function: only ``extensions.py`` calls ``solve_inner``.
 Operators have one assembly path: ``operator_matrix`` is called only by
 ``differential_operator``, which keeps each one on its Representation or
 OuterActionMap.
+A component along a subspace is read one way, ``Subspace.split_coordinates``:
+no ``coordinates_of(vec_sub(...))`` call appears in the package.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -53,6 +55,17 @@ def calls_outside(target, function):
                 if name == target:
                     yield node.lineno, f"{target} call outside {function}"
     return rule
+
+
+def component_reads(tree):
+    """Rule: a ``coordinates_of`` call whose first argument is a ``vec_sub`` call."""
+    def name(func):
+        return getattr(func, "attr", getattr(func, "id", None))
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and name(node.func) == "coordinates_of" and node.args
+                and isinstance(node.args[0], ast.Call) and name(node.args[0].func) == "vec_sub"):
+            yield node.lineno, "coordinates_of(vec_sub(...)) call"
 
 
 rref_calls = calls_to("rref")
@@ -105,6 +118,10 @@ def test_only_extensions_calls_solve_inner():
 def test_only_the_operator_memo_calls_operator_matrix():
     assert violations(stray_operator_matrix_calls) == []
     assert list(calls_to("operator_matrix")(ast.parse((PACKAGE / "cochains.py").read_text())))
+
+
+def test_components_are_read_by_split_coordinates():
+    assert violations(component_reads) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -164,3 +181,12 @@ def test_rule_detects_operator_matrix_calls_outside_the_memo():
     assert sorted(stray_operator_matrix_calls(tree)) == [
         (4, "operator_matrix call outside differential_operator"),
         (5, "operator_matrix call outside differential_operator")]
+
+
+def test_rule_detects_coordinates_of_a_difference():
+    tree = ast.parse("def f(z, v, w):\n"
+                     "    a = z.coordinates_of(vec_sub(v, z.reduce(v)))\n"
+                     "    b = coordinates_of(linalg.vec_sub(v, w))\n"
+                     "    return a, b, z.coordinates_of(v), z.split_coordinates(vec_sub(v, w))\n")
+    assert list(component_reads(tree)) == [(2, "coordinates_of(vec_sub(...)) call"),
+                                           (3, "coordinates_of(vec_sub(...)) call")]

@@ -12,14 +12,16 @@ from liecoh.errors import NoGammaError, PreconditionFailedError
 from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_map,
                                equivalent_extensions, extract_factor_system)
 from liecoh.liealg import Representation, bracket_preserving, center
-from liecoh.linalg import Matrix, Subspace, invert, unit_vec, vec_is_zero, vec_sub
-from liecoh.symmetry import (act_on_degree2_class, automorphism_pair_obstruction,
+from liecoh.linalg import Matrix, Subspace, invert, kernel, unit_vec, vec_is_zero, vec_sub
+from liecoh.symmetry import (_pair_system_rows, _project_pairs, act_on_degree2_class,
+                             automorphism_pair_obstruction,
                              check_derivation_triple, derivation_pair_obstruction,
                              extension_derivations, lifting_cocycle,
                              pair_lifts_iff_transport_equivalent,
                              transported_factor_system)
 
 from conftest import rand_algebra, rand_cochain, rand_invertible, rand_matrix
+from test_classify import CASE_IDS, CASES
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +339,19 @@ def test_lifting_pair_action_matches_loop_oracle():
         for c in list(theta) + [rand_cochain(rng, fs.g, 1, fs.n.dim) for _ in range(3)]:
             assert (pair_act_cochain(psi_n[x], psi_g[x], c)
                     == loop_act_on_cochain(psi_n[x], psi_g[x], c))
+
+
+# ---------------------------------------------------------------------------
+# the image pairs against the from-scratch elimination
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
+def test_image_pairs_match_the_from_scratch_kernel(name, fs):
+    """extension_derivations cuts ker(rows) by the omega rows; the former
+    route eliminated rows + omega_rows from scratch."""
+    rows, omega_rows, nvars, va, vb = _pair_system_rows(fs)
+    full = kernel(Matrix.from_sparse_rows(rows + omega_rows, nvars))
+    want = _project_pairs(full.basis, va, vb, fs.n.dim, fs.g.dim)
+    report = extension_derivations(fs)
+    assert tuple((alpha, beta) for alpha, beta, _ in report.image_pairs) == want
+    assert len(want) == report.image_dim
