@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Sequence
 
 from .catalog import InvariantForm, catalog, killing_form
@@ -28,15 +30,39 @@ DEFAULT_MAX_DEGREE = 32
 
 
 class Polynomial:
-    """A rational polynomial in one variable, exact arithmetic."""
+    """A rational polynomial in one variable, exact arithmetic.
 
-    __slots__ = ("coeffs",)
+    Coefficient i is nums[i] / den: integer numerators over one positive
+    denominator, in lowest terms (no trailing zero numerator and
+    gcd(den, *nums) == 1; zero is ((), 1)).  The form is canonical, so
+    equality and hashing read (nums, den), and the arithmetic is integer
+    arithmetic with one gcd per result; Fractions appear only where a
+    coefficient or a value is read out.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        self._set([f.numerator * (den // f.denominator) for f in fracs], den)
+
+    def _set(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def _from_ints(cls, nums: list, den: int) -> "Polynomial":
+        """The polynomial sum(nums[i] t^i) / den, for den > 0."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -47,56 +73,67 @@ class Polynomial:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
+
+    def _common_numerators(self, other: "Polynomial"):
+        """Both numerator tuples over the lcm of the two denominators."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return self.nums, other.nums, d1
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        return [a * s1 for a in self.nums], [b * s2 for b in other.nums], den
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b, den = self._common_numerators(other)
+        return Polynomial._from_ints([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) - other.coeff(i) for i in range(n)])
+        a, b, den = self._common_numerators(other)
+        return Polynomial._from_ints([x - y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
+        a, b = self.nums, other.nums
+        if not a or not b:
             return Polynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial([c * a for a in self.coeffs])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Polynomial._from_ints(out, self.den * other.den)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else ZERO
+        return Fraction(self.nums[i], self.den) if i < len(self.nums) else ZERO
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial._from_ints([i * a for i, a in enumerate(self.nums)][1:], self.den)
 
     def integral01(self) -> Fraction:
-        return sum((c / (i + 1) for i, c in enumerate(self.coeffs)), ZERO)
+        """sum nums[i] / (i + 1) over den, as one Fraction over m * den, m = lcm(1..len)."""
+        m = lcm(*range(1, len(self.nums) + 1))
+        return Fraction(sum(a * (m // i) for i, a in enumerate(self.nums, 1)), m * self.den)
 
     def at_zero(self) -> Fraction:
         return self.coeff(0)
 
     def at_one(self) -> Fraction:
-        return sum(self.coeffs, ZERO)
+        return Fraction(sum(self.nums), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -209,6 +246,8 @@ def _random_vanishing_polynomial(rng: random.Random, max_degree: int = 5) -> Pol
 
 def run_v2_samples(samples: int, seed: int):
     """Randomized current-identity suite on sl2 with the trace form."""
+    if samples < 0:
+        raise InputError(f"the sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
     L = catalog("sl2")
     kappa = killing_form(L)

@@ -479,7 +479,15 @@ class GKernel:
 
     @classmethod
     def from_factor_system(cls, fs: FactorSystem) -> "GKernel":
-        return cls(fs.n, fs.g, fs.S, fs.omega)
+        """The kernel of a factor system, from its validated fields.
+
+        FactorSystem.__init__ has already checked that S is derivation-valued
+        and that omega lifts its curvature, so neither check runs again, and
+        the kernel keeps fs.S with its stored operators and curvature.
+        """
+        kernel = cls.__new__(cls)
+        kernel.n, kernel.g, kernel.S, kernel.omega = fs.n, fs.g, fs.S, fs.omega
+        return kernel
 
     def __repr__(self):
         return f"GKernel(n dim {self.n.dim}, g dim {self.g.dim})"

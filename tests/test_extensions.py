@@ -1,15 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from liecoh import extensions
+from liecoh import io as lio
 from liecoh.catalog import (abelian, ext_filiform4, ext_heisenberg3,
                             ext_heisenberg_kernel, ext_sl2_kernel, filiform4,
                             heisenberg3, nonabelian2, sl2)
 from liecoh.cochains import Cochain, OuterActionMap, gauge_action
 from liecoh.cohomology import classes_equal, cohomology
-from liecoh.errors import (InvalidFactorSystemError, NoLiftError, NotASectionError,
-                           ObstructedError)
+from liecoh.cli import run_command
+from liecoh.errors import (DimensionMismatchError, InvalidFactorSystemError, NoLiftError,
+                           NotASectionError, ObstructedError)
 from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
                                center_module, check_equivalence_map, classify_extensions,
@@ -21,6 +25,7 @@ from liecoh.liealg import Representation, bracket_preserving, center, check_jaco
 from liecoh.linalg import Matrix, Subspace, unit_vec
 
 from conftest import rand_cochain
+from test_classify import pipeline_system
 
 
 def random_gamma(rng, fs):
@@ -469,3 +474,41 @@ def test_factor_systems_and_kernels_keep_the_map_they_are_given():
     kept = FactorSystem(fs.n, fs.g, plain, fs.omega).S
     assert kept is not plain and kept.target == fs.n and kept.matrices == plain.matrices
     assert GKernel(fs.n, fs.g, plain, fs.omega).S is not plain
+
+
+def test_kernel_from_a_factor_system_skips_its_checks(monkeypatch, tmp_path, capsys):
+    # a factor system was validated when it was built, so its kernel runs
+    # neither the derivation sweep nor the curvature comparison again
+    path = tmp_path / "center-h9.json"
+    path.write_text(lio.emit(lio.factor_system_to_json(pipeline_system("center", 4))))
+    calls = {"_curvature_failures": 0, "is_derivation": 0}
+    for name in calls:
+        real = getattr(extensions, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(extensions, name, counted)
+    assert run_command(["extension", "reduce", "--ext", str(path)]) == 0
+    out = capsys.readouterr().out
+    # 5 and 18 when the kernel re-ran both checks; same stdout
+    assert calls == {"_curvature_failures": 4, "is_derivation": 16}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b27257657936e8915d0ecfa9c01a44ab025dbe4b8a38e59d6a4049c2d1b06724")
+    fs = ext_heisenberg_kernel()
+    kernel = GKernel.from_factor_system(fs)
+    assert (kernel.n, kernel.g, kernel.S, kernel.omega) == (fs.n, fs.g, fs.S, fs.omega)
+    assert kernel.S is fs.S and kernel.omega is fs.omega
+
+
+def test_direct_kernels_keep_their_checks():
+    fs = ext_heisenberg_kernel()
+    identity = [Matrix.identity(fs.n.dim)] * fs.g.dim
+    with pytest.raises(DimensionMismatchError, match=r"S\(e0\) is not a derivation of n"):
+        GKernel(fs.n, fs.g, OuterActionMap(fs.g, identity, validate=False))
+    with pytest.raises(DimensionMismatchError, match="S does not map g"):
+        GKernel(fs.g, fs.g, fs.S)
+    bad = fs.omega + Cochain(fs.g, 2, fs.n.dim, {(0, 1): unit_vec(fs.n.dim, 0)})
+    with pytest.raises(NoLiftError) as info:
+        GKernel(fs.n, fs.g, fs.S, bad)
+    assert info.value.certificate == "stored omega does not lift the curvature at (0, 1)"

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,6 @@ def cli_env(**settings):
 # ---------------------------------------------------------------------------
 
 def test_scalar_strings():
-    from fractions import Fraction
     assert lio.scalar_to_str(Fraction(3)) == "3"
     assert lio.scalar_to_str(Fraction(-1, 2)) == "-1/2"
     assert lio.scalar_from_str("7/3") == Fraction(7, 3)
@@ -33,6 +34,23 @@ def test_scalar_strings():
         lio.scalar_from_str("1/0")
     with pytest.raises(ParseError):
         lio.scalar_from_str("0.5e3x")
+
+
+def former_scalar_to_str(x):
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def test_scalar_to_str_matches_the_former_function():
+    big = 3 ** 90
+    values = [0, 1, -1, 7, -12, big, -big, True,
+              Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(big, 7),
+              Fraction(-7, big), Fraction(big, big + 1), Fraction(10, 4),
+              "3/6", "-4", 0.5, -0.125, Decimal("2.75"), Decimal("-10")]
+    for x in values:
+        assert lio.scalar_to_str(x) == former_scalar_to_str(x), x
 
 
 def test_algebra_round_trip_bytes():
@@ -326,6 +344,22 @@ def test_cli_v2_check_deterministic(capsys):
     assert report1["report"]["failures"] == 0
     code, report2 = run_cli(["v2-check", "--samples", "25", "--seed", "3"], capsys)
     assert report1 == report2
+
+
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_cli_v2_check_rejects_negative_samples(capsys, samples):
+    code, report = run_cli(["v2-check", "--samples", samples], capsys)
+    assert code == 1
+    assert report == {"command": "v2-check", "error": {
+        "kind": "InputError",
+        "message": f"the sample count must be nonnegative, got {samples}"}}
+
+
+def test_cli_v2_check_zero_samples(capsys):
+    code, report = run_cli(["v2-check", "--samples", "0"], capsys)
+    assert code == 0
+    assert report["report"]["identity_samples"] == 0
+    assert report["report"]["failures"] == 0
 
 
 def test_cli_reproduce_unknown_bundle(capsys):
