@@ -11,7 +11,7 @@ polynomial current-algebra cocycles.
 
 from .linalg import Matrix, Subspace, Scalar, kernel, image, solve, \
     quotient_coordinates
-from .liealg import LieAlgebra, Representation, LinearLieMap, check_jacobi, \
+from .liealg import LieAlgebra, Representation, check_jacobi, \
     center, adjoint_rep, quotient_algebra, derivations, direct_and_semidirect
 from .cochains import Cochain, EquivariantPairing, OuterActionMap, wedge, \
     superbracket, cochain_differential, trivial_differential, \

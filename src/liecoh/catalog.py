@@ -15,7 +15,7 @@ from .cochains import Cochain, OuterActionMap
 from .errors import InvariantViolation, UnknownNameError
 from .extensions import FactorSystem
 from .liealg import LieAlgebra
-from .linalg import Matrix, ZERO, unit_vec
+from .linalg import Matrix, ZERO
 
 
 def heisenberg3() -> LieAlgebra:
@@ -129,14 +129,13 @@ class InvariantForm:
             raise InvariantViolation("gram matrix shape disagrees with the algebra")
         if gram != gram.transpose():
             raise InvariantViolation("the form is not symmetric")
+        # kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) is entry (j, k) of this
         for i in range(L.dim):
-            for j in range(L.dim):
-                for k in range(L.dim):
-                    lhs = self.value(L.bracket_basis(i, j), unit_vec(L.dim, k))
-                    rhs = self.value(unit_vec(L.dim, j), L.bracket_basis(i, k))
-                    if lhs + rhs != 0:
-                        raise InvariantViolation(
-                            f"the form is not invariant at triple ({i},{j},{k})")
+            ad = L.ad_matrix(i)
+            defect = (ad.transpose() @ gram + gram @ ad).sparse_rows()
+            if any(defect):
+                j, k = min((j, k) for j, row in enumerate(defect) for k in row)
+                raise InvariantViolation(f"the form is not invariant at triple ({i},{j},{k})")
 
     def value(self, u, v) -> Fraction:
         return sum((a * b for a, b in zip(u, self.gram.matvec(v))), ZERO)

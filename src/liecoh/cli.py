@@ -61,7 +61,7 @@ def _load_factor_parts(args):
     if isinstance(s_data, dict):
         s_data = s_data.get("matrices", [])
     mats = [lio.matrix_from_json(m, rows=n_alg.dim, cols=n_alg.dim)
-            for m in s_data]
+            for m in lio.json_list(s_data, "the --S matrices")]
     if len(mats) != g_alg.dim:
         raise ParseError("one S matrix per basis element of g is required")
     if getattr(args, "omega", None):
@@ -255,13 +255,14 @@ def cmd_derivations(args) -> int:
 
 def cmd_lift(args) -> int:
     fs = _factor_system(args)
-    data = lio.load_file(args.pair, "json")
+    data = lio.json_object(lio.load_file(args.pair, "json"), "a pair file")
     h_alg = lio.algebra_from_json(data.get("h"))
     psi_n = [lio.matrix_from_json(m, rows=fs.n.dim, cols=fs.n.dim)
-             for m in data.get("psi_n", [])]
+             for m in lio.json_list(data.get("psi_n", []), "psi_n")]
     psi_g = [lio.matrix_from_json(m, rows=fs.g.dim, cols=fs.g.dim)
-             for m in data.get("psi_g", [])]
-    theta = [lio.cochain_from_json(c, fs.g) for c in data.get("theta", [])]
+             for m in lio.json_list(data.get("psi_g", []), "psi_g")]
+    theta = [lio.cochain_from_json(c, fs.g)
+             for c in lio.json_list(data.get("theta", []), "theta")]
     rep = lifting_cocycle(fs, h_alg, psi_n, psi_g, theta)
     report = {
         "command": "lift",
@@ -275,7 +276,7 @@ def cmd_lift(args) -> int:
 
 def cmd_automorphism(args) -> int:
     fs = _factor_system(args)
-    data = lio.load_file(args.pair, "json")
+    data = lio.json_object(lio.load_file(args.pair, "json"), "a pair file")
     alpha = lio.matrix_from_json(data.get("alpha"), rows=fs.n.dim, cols=fs.n.dim)
     beta = lio.matrix_from_json(data.get("beta"), rows=fs.g.dim, cols=fs.g.dim)
     res = automorphism_pair_obstruction(fs, alpha, beta)

@@ -29,7 +29,7 @@ from .config import degree_cap
 from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
-from .liealg import LieAlgebra, Representation, is_derivation
+from .liealg import LieAlgebra, Representation, is_derivation, law_defect
 from .linalg import (Matrix, ZERO, linear_combination, to_fractions, unit_vec,
                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
@@ -568,16 +568,9 @@ def curvature(S: OuterActionMap) -> Cochain:
     """
     if S._curvature is not None:
         return S._curvature
-    L = S.algebra
     m = S.space_dim
-    table = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            val = (S.matrices[i].commutator(S.matrices[j])
-                   - S.matrix_of(L.bracket_basis(i, j))).flatten()
-            if not vec_is_zero(val):
-                table[(i, j)] = val
-    result = Cochain(L, 2, m * m, table)
+    result = Cochain(S.algebra, 2, m * m,
+                     {key: d.flatten() for key, d in law_defect(S.algebra, S.matrices).items()})
     s_coch = S.as_end_cochain()
     comm = EquivariantPairing.commutator(m)
     calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)

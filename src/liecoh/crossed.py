@@ -90,33 +90,24 @@ class CrossedModule:
         return f"CrossedModule(h dim {self.h.dim}, ghat dim {self.ghat.dim})"
 
 
+def _nonzero_columns(m: Matrix) -> list:
+    """The indices of the columns of m holding a nonzero entry, in increasing order."""
+    return sorted(set().union(*m.sparse_rows()))
+
+
 def _report(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
             action: Representation) -> CrossedModuleReport:
-    cm1 = []
-    for x in range(ghat.dim):
-        for i in range(h.dim):
-            lhs = alpha.matvec(action.act(x, unit_vec(h.dim, i)))
-            rhs = ghat.bracket(unit_vec(ghat.dim, x), alpha.column(i))
-            if lhs != rhs:
-                cm1.append((x, i))
-    cm2 = []
-    for i in range(h.dim):
-        ai = alpha.column(i)
-        for j in range(h.dim):
-            lhs = action.matrix_of(ai).matvec(unit_vec(h.dim, j))
-            rhs = h.bracket_basis(i, j)
-            if lhs != rhs:
-                cm2.append((i, j))
+    # cm1: alpha(x.v) = [x, alpha v]; cm2: (alpha u).v = [u, v]
+    cm1 = [(x, i) for x in range(ghat.dim)
+           for i in _nonzero_columns(alpha @ action.matrices[x] - ghat.ad_matrix(x) @ alpha)]
+    cm2 = [(i, j) for i in range(h.dim)
+           for j in _nonzero_columns(action.matrix_of(alpha.column(i)) - h.ad_matrix(i))]
     im = image(alpha)
-    image_ideal = all(
-        im.contains(ghat.bracket(unit_vec(ghat.dim, x), b))
-        for x in range(ghat.dim) for b in im.basis)
+    image_ideal = all(im.restrict(ghat.ad_matrix(x)) is not None for x in range(ghat.dim))
     ker = mat_kernel(alpha)
     hz = center(h)
     kernel_central = hz.contains_subspace(ker)
-    kernel_submodule = all(
-        ker.contains(action.act(x, b))
-        for x in range(ghat.dim) for b in ker.basis)
+    kernel_submodule = all(ker.restrict(m) is not None for m in action.matrices)
     return CrossedModuleReport(tuple(cm1), tuple(cm2), image_ideal,
                                kernel_central, kernel_submodule)
 
@@ -341,11 +332,7 @@ def splitting_equivalence(cm: CrossedModule):
     embedding = block_matrix([[z_part], [cm.alpha]])
     if not bracket_preserving(cm.h, total, embedding):
         raise InvariantViolation("the splitting embedding does not preserve brackets")
-    for x in range(cm.ghat.dim):
-        x_total = unit_vec(total.dim, sp.z.dim + x)
-        for i in range(cm.h.dim):
-            lhs = embedding.matvec(cm.action.act(x, unit_vec(cm.h.dim, i)))
-            rhs = total.bracket(x_total, embedding.column(i))
-            if lhs != rhs:
-                raise InvariantViolation("the splitting embedding is not equivariant")
+    for x, m in enumerate(cm.action.matrices):
+        if embedding @ m != total.ad_matrix(sp.z.dim + x) @ embedding:
+            raise InvariantViolation("the splitting embedding is not equivariant")
     return SplittingWitness(corrected, total, embedding), chi

@@ -39,6 +39,20 @@ def scalar_from_str(s) -> Fraction:
         raise ParseError(f"invalid rational {s!r}: {exc}") from exc
 
 
+def json_object(data, what: str) -> dict:
+    """data if it is a JSON object; otherwise a ParseError saying what must be one."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be an object")
+    return data
+
+
+def json_list(data, what: str) -> list:
+    """data if it is a JSON list; otherwise a ParseError saying what must be one."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a list")
+    return data
+
+
 def matrix_to_json(m: Matrix) -> list:
     return [[scalar_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
@@ -85,8 +99,10 @@ def algebra_from_json(data) -> LieAlgebra:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid algebra dimension: {exc}") from exc
     labels = data.get("basis")
+    if labels is not None:
+        json_list(labels, "the basis labels")
     table = {}
-    for entry in data.get("brackets", []):
+    for entry in json_list(data.get("brackets", []), "the bracket entries"):
         try:
             i, j = int(entry["i"]), int(entry["j"])
             value = {int(k): scalar_from_str(v) for k, v in entry["value"].items()}
@@ -110,15 +126,14 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data) -> Representation:
-    if not isinstance(data, dict):
-        raise ParseError("a representation must be an object")
+    json_object(data, "a representation")
     algebra = algebra_from_json(data.get("algebra"))
     try:
         space_dim = int(data["space_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid space_dim: {exc}") from exc
     mats = [matrix_from_json(m, rows=space_dim, cols=space_dim)
-            for m in data.get("matrices", [])]
+            for m in json_list(data.get("matrices", []), "the representation matrices")]
     try:
         return Representation(algebra, space_dim, mats)
     except RepresentationError as exc:
@@ -134,20 +149,20 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
-    if not isinstance(data, dict):
-        raise ParseError("a cochain must be an object")
+    json_object(data, "a cochain")
     try:
         degree = int(data["degree"])
         value_dim = int(data["value_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid cochain header: {exc}") from exc
     table = {}
-    for key_str, vec in data.get("coeffs", {}).items():
+    for key_str, vec in json_object(data.get("coeffs", {}), "the cochain coeffs").items():
         try:
             key = tuple(int(s) for s in key_str.split(",")) if key_str else ()
         except ValueError as exc:
             raise ParseError(f"invalid cochain key {key_str!r}") from exc
-        table[key] = [scalar_from_str(x) for x in vec]
+        table[key] = [scalar_from_str(x)
+                      for x in json_list(vec, f"the cochain value at {key_str!r}")]
     try:
         return Cochain(algebra, degree, value_dim, table)
     except Exception as exc:
@@ -165,12 +180,11 @@ def factor_system_to_json(fs: FactorSystem) -> dict:
 
 def factor_system_parts_from_json(data):
     """(n, g, matrices, omega) without the validity check."""
-    if not isinstance(data, dict):
-        raise ParseError("an extension bundle must be an object")
+    json_object(data, "an extension bundle")
     n_alg = algebra_from_json(data.get("n"))
     g_alg = algebra_from_json(data.get("g"))
     mats = [matrix_from_json(m, rows=n_alg.dim, cols=n_alg.dim)
-            for m in data.get("S", [])]
+            for m in json_list(data.get("S", []), "the S matrices")]
     if len(mats) != g_alg.dim:
         raise ParseError("one S matrix per basis element of g is required")
     omega_data = data.get("omega")
@@ -187,13 +201,12 @@ def factor_system_from_json(data) -> FactorSystem:
 
 
 def crossed_module_parts_from_json(data):
-    if not isinstance(data, dict):
-        raise ParseError("a crossed-module bundle must be an object")
+    json_object(data, "a crossed-module bundle")
     h = algebra_from_json(data.get("h"))
     ghat = algebra_from_json(data.get("ghat"))
     alpha = matrix_from_json(data.get("alpha"), rows=ghat.dim, cols=h.dim)
     mats = [matrix_from_json(m, rows=h.dim, cols=h.dim)
-            for m in data.get("action", [])]
+            for m in json_list(data.get("action", []), "the action matrices")]
     if len(mats) != ghat.dim:
         raise ParseError("one action matrix per basis element of ghat is required")
     try:

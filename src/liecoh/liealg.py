@@ -18,7 +18,7 @@ from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
                      kernel, linear_combination, quotient_coordinates, solve_columns,
-                     to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
+                     to_fractions, unit_vec, vec_is_zero, vec_scale, vec_sub,
                      zero_vec)
 
 
@@ -178,9 +178,9 @@ class Representation:
         self.matrices = matrices
         self._operators = {}
         if not _skip_check:
-            pair = self._law_failure()
-            if pair is not None:
-                raise RepresentationError(pair)
+            defect = law_defect(algebra, matrices)
+            if defect:
+                raise RepresentationError(min(defect))
 
     @classmethod
     def trivial(cls, algebra: LieAlgebra, space_dim: int) -> "Representation":
@@ -196,15 +196,6 @@ class Representation:
     def act(self, i: int, v: Sequence[Fraction]) -> tuple:
         return self.matrices[i].matvec(v)
 
-    def _law_failure(self):
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                lhs = self.matrices[i].commutator(self.matrices[j])
-                rhs = self.matrix_of(self.algebra.bracket_basis(i, j))
-                if lhs != rhs:
-                    return (i, j)
-        return None
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Representation) and self.algebra == other.algebra
                 and self.space_dim == other.space_dim and self.matrices == other.matrices)
@@ -216,28 +207,23 @@ class Representation:
         return f"Representation(dim g={self.algebra.dim}, module dim={self.space_dim})"
 
 
-@dataclass(frozen=True)
-class LinearLieMap:
-    """A linear map between Lie algebras, optionally flagged as structured."""
+def law_defect(L: LieAlgebra, matrices: Sequence[Matrix]) -> dict:
+    """{(i, j): [M_i, M_j] - M([e_i, e_j])} on the increasing pairs where it is nonzero.
 
-    source: LieAlgebra
-    target: LieAlgebra
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.cols != self.source.dim or self.matrix.rows != self.target.dim:
-            raise DimensionMismatchError("matrix shape disagrees with source/target dims")
-
-    def apply(self, u: Sequence[Fraction]) -> tuple:
-        return self.matrix.matvec(u)
-
-    def is_homomorphism(self) -> bool:
-        return bracket_preserving(self.source, self.target, self.matrix)
-
-    def is_derivation_map(self) -> bool:
-        if self.source != self.target:
-            raise DimensionMismatchError("the derivation flag needs source = target")
-        return is_derivation(self.source, self.matrix)
+    This is the curvature of the linear map e_i -> M_i from L into gl(V):
+    the matrices are a representation exactly when it is empty.
+    """
+    if len(matrices) != L.dim:
+        raise DimensionMismatchError("one matrix per basis element is required")
+    size = matrices[0].rows if matrices else 0
+    defect = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            d = (matrices[i].commutator(matrices[j])
+                 - linear_combination(L.bracket_basis(i, j), matrices, size, size))
+            if not d.is_zero():
+                defect[(i, j)] = d
+    return defect
 
 
 def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
@@ -265,17 +251,14 @@ def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> boo
 
 
 def is_derivation(L: LieAlgebra, d: Matrix) -> bool:
-    """Leibniz rule d[x,y] = [dx,y] + [x,dy] on all basis pairs."""
+    """Leibniz rule d[x,y] = [dx,y] + [x,dy] on all basis pairs: each row of
+    ``leibniz_rows(L)`` vanishes on the row-major entries of d."""
     if d.rows != L.dim or d.cols != L.dim:
         raise DimensionMismatchError("derivation candidate has the wrong shape")
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = d.matvec(L.bracket_basis(i, j))
-            rhs = vec_add(L.bracket(d.column(i), unit_vec(L.dim, j)),
-                          L.bracket(unit_vec(L.dim, i), d.column(j)))
-            if lhs != rhs:
-                return False
-    return True
+    entries = d.sparse_rows()
+    return not any(sum(c * entries[col // L.dim].get(col % L.dim, ZERO)
+                       for col, c in row.items())
+                   for row in leibniz_rows(L))
 
 
 def ad_stack(L: LieAlgebra) -> Matrix:
@@ -357,10 +340,8 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace):
     if ideal.ambient_dim != L.dim:
         raise DimensionMismatchError("ideal lives in a different space")
     for i in range(L.dim):
-        for b in ideal.basis:
-            if not ideal.contains(L.bracket(unit_vec(L.dim, i), b)):
-                raise NotAnIdealError(
-                    f"[e{i}, subspace] leaves the subspace: not a Lie ideal")
+        if ideal.restrict(L.ad_matrix(i)) is None:
+            raise NotAnIdealError(f"[e{i}, subspace] leaves the subspace: not a Lie ideal")
     projection, section = quotient_coordinates(L.dim, ideal)
     qdim = projection.rows
     table = {}
@@ -438,13 +419,10 @@ def direct_and_semidirect(n_alg: LieAlgebra, g_alg: LieAlgebra,
     for a, m in enumerate(S):
         if not is_derivation(n_alg, m):
             raise NotAHomomorphismError(f"S(e{a}) is not a derivation of n")
-    for a in range(g_alg.dim):
-        for b in range(a + 1, g_alg.dim):
-            lhs = S[a].commutator(S[b])
-            rhs = linear_combination(g_alg.bracket_basis(a, b), S, n_alg.dim, n_alg.dim)
-            if lhs != rhs:
-                raise NotAHomomorphismError(
-                    f"S does not preserve the bracket on basis pair ({a},{b})")
+    defect = law_defect(g_alg, S)
+    if defect:
+        a, b = min(defect)
+        raise NotAHomomorphismError(f"S does not preserve the bracket on basis pair ({a},{b})")
     return product_algebra(n_alg, g_alg, S)
 
 

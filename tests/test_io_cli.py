@@ -247,6 +247,50 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
     assert report["error"]["kind"] in ("ParseError", "DimensionMismatchError")
 
 
+# Each file holds JSON of the wrong kind at one place: a list or a number
+# where an object or a list belongs.  Every one of them used to end in a
+# traceback (AttributeError or TypeError) instead of a ParseError.
+OMEGA_HEADER = {"degree": 2, "value_dim": 1}
+MALFORMED_INPUTS = {
+    "lift-pair-list": (["lift", "--ext", "{fs}", "--pair", "{data}"], [1, 2],
+                       "a pair file must be an object"),
+    "automorphism-pair-list": (["automorphism", "--ext", "{fs}", "--pair", "{data}"], [1, 2],
+                               "a pair file must be an object"),
+    "psi-n-number": (["lift", "--ext", "{fs}", "--pair", "{data}"],
+                     {"h": "abelian2", "psi_n": 3}, "psi_n must be a list"),
+    "s-number": (["extension", "build", "--n", "abelian1", "--g", "abelian2", "--S", "{data}"],
+                 5, "the --S matrices must be a list"),
+    "representation-matrices-number": (["validate", "--rep", "{data}"],
+                                       {"algebra": "heisenberg3", "space_dim": 1,
+                                        "matrices": 5},
+                                       "the representation matrices must be a list"),
+    "omega-coeffs-list": (["extension", "build", "--n", "abelian1", "--g", "abelian2",
+                           "--S", "{zero_s}", "--omega", "{data}"],
+                          dict(OMEGA_HEADER, coeffs=[["1"]]),
+                          "the cochain coeffs must be an object"),
+    "omega-value-scalar": (["extension", "build", "--n", "abelian1", "--g", "abelian2",
+                            "--S", "{zero_s}", "--omega", "{data}"],
+                           dict(OMEGA_HEADER, coeffs={"0,1": 1}),
+                           "the cochain value at '0,1' must be a list"),
+    "algebra-basis-number": (["validate", "--algebra", "{data}"],
+                             {"dim": 1, "basis": 5}, "the basis labels must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, case):
+    argv, data, message = MALFORMED_INPUTS[case]
+    files = {"fs": lio.factor_system_to_json(ext_heisenberg3()),
+             "zero_s": [[["0"]], [["0"]]], "data": data}
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(lio.emit(content))
+    code, report = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert report["error"] == {"kind": "ParseError", "message": message}
+
+
 def test_cli_jacobi_violation_exit_one(tmp_path, capsys):
     bad = tmp_path / "nojacobi.json"
     bad.write_text(lio.emit({"dim": 3, "basis": ["a", "b", "c"], "brackets": [

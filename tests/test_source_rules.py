@@ -11,6 +11,9 @@ Operators have one assembly path: ``operator_matrix`` is called only by
 OuterActionMap.
 A component along a subspace is read one way, ``Subspace.split_coordinates``:
 no ``coordinates_of(vec_sub(...))`` call appears in the package.
+A structure law is read as a matrix identity (``law_defect``, the Leibniz
+rows, ``Subspace.restrict``, ``ad`` products), not one basis vector at a
+time: no ``bracket`` call takes a ``unit_vec(...)`` call as an argument.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -68,6 +71,18 @@ def component_reads(tree):
             yield node.lineno, "coordinates_of(vec_sub(...)) call"
 
 
+def unit_brackets(tree):
+    """Rule: a ``bracket`` call with a ``unit_vec`` call among its arguments."""
+    def name(func):
+        return getattr(func, "attr", getattr(func, "id", None))
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and name(node.func) == "bracket"
+                and any(isinstance(arg, ast.Call) and name(arg.func) == "unit_vec"
+                        for arg in node.args)):
+            yield node.lineno, "bracket(unit_vec(...)) call"
+
+
 rref_calls = calls_to("rref")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
@@ -122,6 +137,10 @@ def test_only_the_operator_memo_calls_operator_matrix():
 
 def test_components_are_read_by_split_coordinates():
     assert violations(component_reads) == []
+
+
+def test_laws_are_not_read_one_unit_vector_at_a_time():
+    assert violations(unit_brackets) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -190,3 +209,13 @@ def test_rule_detects_coordinates_of_a_difference():
                      "    return a, b, z.coordinates_of(v), z.split_coordinates(vec_sub(v, w))\n")
     assert list(component_reads(tree)) == [(2, "coordinates_of(vec_sub(...)) call"),
                                            (3, "coordinates_of(vec_sub(...)) call")]
+
+
+def test_rule_detects_brackets_of_unit_vectors():
+    tree = ast.parse("def f(L, d, i, j):\n"
+                     "    a = L.bracket(unit_vec(L.dim, i), d.column(j))\n"
+                     "    b = bracket(d.column(i), linalg.unit_vec(L.dim, j))\n"
+                     "    u = unit_vec(L.dim, i)\n"
+                     "    return a, b, L.bracket(u, d.column(j)), L.bracket_basis(i, j)\n")
+    assert list(unit_brackets(tree)) == [(2, "bracket(unit_vec(...)) call"),
+                                         (3, "bracket(unit_vec(...)) call")]
