@@ -14,15 +14,17 @@ OuterActionMap it belongs to, so each degree is assembled once per object.
 The square of d_S is wedging with the curvature of S, and curvature is
 computed both from the bracket formula and from the calculus,
 cross-checked once per map and kept on it.  Pulling a cochain back along
-a linear map and the action of a pair of endomorphisms on cochains also
-live here, once each.
+a linear map, evaluating it at vectors and the action of a pair of
+endomorphisms on it are one substitution, _scatter, which sends each
+nonzero term of the cochain through the nonzero matrix entries of its
+slots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Callable, Optional, Sequence
 
 from .config import degree_cap
@@ -30,8 +32,8 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation, law_defect
-from .linalg import (Matrix, ZERO, linear_combination, to_fractions, unit_vec,
-                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, ZERO, linear_combination, to_fractions, vec_add,
+                     vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 HALF = Fraction(1, 2)
 
@@ -127,7 +129,8 @@ class Cochain:
         return vec if sign == 1 else vec_scale(Fraction(-1), vec)
 
     def evaluate(self, args: Sequence[Sequence[Fraction]]) -> tuple:
-        """Fully multilinear alternating evaluation at coefficient vectors."""
+        """Fully multilinear alternating evaluation at coefficient vectors: the
+        pullback along the matrix whose columns are args, read at (0, ..., p-1)."""
         if len(args) != self.degree:
             raise DegreeMismatchError(
                 f"expected {self.degree} arguments, got {len(args)}")
@@ -135,17 +138,10 @@ class Cochain:
         for v in args:
             if len(v) != self.algebra.dim:
                 raise DimensionMismatchError("argument length disagrees with the algebra")
-        supports = [[i for i, x in enumerate(v) if x != 0] for v in args]
-        out = zero_vec(self.value_dim)
-        for idx in product(*supports):
-            val = self.value_at_indices(idx)
-            if vec_is_zero(val):
-                continue
-            c = Fraction(1)
-            for v, i in zip(args, idx):
-                c *= v[i]
-            out = vec_add(out, vec_scale(c, val))
-        return out
+        table = {}
+        _scatter(self, [Matrix.from_columns(args, rows=self.algebra.dim).sparse_rows()]
+                 * self.degree, table)
+        return tuple(table.get(tuple(range(self.degree)), zero_vec(self.value_dim)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -236,47 +232,21 @@ def cochain_space_dim(algebra_dim: int, degree: int, value_dim: int) -> int:
 
 
 class EquivariantPairing:
-    """Bilinear map U x V -> W usable as a wedge multiplier.
+    """Bilinear map U x V -> W usable as a wedge multiplier."""
 
-    When witness representations are supplied they are checked to
-    intertwine the pairing on all basis triples.
-    """
-
-    __slots__ = ("left_dim", "right_dim", "out_dim", "_fn", "witness")
+    __slots__ = ("left_dim", "right_dim", "out_dim", "_fn")
 
     def __init__(self, left_dim: int, right_dim: int, out_dim: int,
-                 fn: Callable[[tuple, tuple], tuple],
-                 witness: Optional[tuple] = None):
+                 fn: Callable[[tuple, tuple], tuple]):
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.out_dim = out_dim
         self._fn = fn
-        self.witness = witness
-        if witness is not None:
-            self._check_equivariance()
 
     def apply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
         if len(u) != self.left_dim or len(v) != self.right_dim:
             raise DimensionMismatchError("pairing arguments have the wrong lengths")
         return tuple(self._fn(tuple(u), tuple(v)))
-
-    def _check_equivariance(self):
-        rep_u, rep_v, rep_w = self.witness
-        if (rep_u.space_dim != self.left_dim or rep_v.space_dim != self.right_dim
-                or rep_w.space_dim != self.out_dim):
-            raise DimensionMismatchError("witness module dimensions disagree with the pairing")
-        g_dim = rep_u.algebra.dim
-        for x in range(g_dim):
-            for i in range(self.left_dim):
-                ui = unit_vec(self.left_dim, i)
-                xui = rep_u.act(x, ui)
-                for j in range(self.right_dim):
-                    vj = unit_vec(self.right_dim, j)
-                    lhs = rep_w.act(x, self.apply(ui, vj))
-                    rhs = vec_add(self.apply(xui, vj), self.apply(ui, rep_v.act(x, vj)))
-                    if lhs != rhs:
-                        raise DimensionMismatchError(
-                            f"pairing is not equivariant at basis triple ({x},{i},{j})")
 
     @classmethod
     def scalar_multiplication(cls) -> "EquivariantPairing":
@@ -441,16 +411,33 @@ def trivial_differential(c: Cochain) -> Cochain:
     return _apply_operator(Representation.trivial(c.algebra, c.value_dim), c)
 
 
+def _scatter(c: Cochain, slots: Sequence[Sequence[dict]], table: dict, sign: int = 1) -> None:
+    """Add sign * c(M_1 ., ..., M_p .) into table, slots[s] being the sparse rows of M_s.
+
+    For each nonzero key K of c and each choice of nonzero entries
+    M_s[K_s][i_s], the term prod_s M_s[K_s][i_s] * c(K) lands at the sorted
+    key of (i_1, ..., i_p) with the sign of sort_with_sign; a choice with a
+    repeated index drops out.  table maps keys to lists of c.value_dim values.
+    """
+    for key, vec in c.coeffs.items():
+        support = [(a, v) for a, v in enumerate(vec) if v]
+        for pick in product(*(slot[k].items() for slot, k in zip(slots, key))):
+            target, s = sort_with_sign([i for i, _ in pick])
+            if target is None:
+                continue
+            coeff = sign * s * prod(x for _, x in pick)
+            acc = table.setdefault(target, [ZERO] * c.value_dim)
+            for a, v in support:
+                acc[a] += coeff * v
+
+
 def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
-    """The cochain c(phi ., ..., phi .) on ``domain``."""
+    """The cochain c(phi ., ..., phi .) on ``domain``: phi in every slot."""
     if phi.rows != c.algebra.dim or phi.cols != domain.dim:
         raise DimensionMismatchError("pullback map has the wrong shape")
     table = {}
-    for key in increasing_tuples(domain.dim, c.degree):
-        val = c.evaluate([phi.column(k) for k in key])
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(domain, c.degree, c.value_dim, table)
+    _scatter(c, [phi.sparse_rows()] * c.degree, table)
+    return Cochain(domain, c.degree, c.value_dim, {key: table[key] for key in sorted(table)})
 
 
 def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
@@ -461,19 +448,15 @@ def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
 
 
 def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
-    """alpha . c - sum over slots of c with beta in one slot."""
-    table = {}
-    n = c.algebra.dim
-    for key in increasing_tuples(n, c.degree):
-        args = [unit_vec(n, k) for k in key]
-        val = alpha.matvec(c.component(key))
-        for slot in range(c.degree):
-            slotted = list(args)
-            slotted[slot] = beta.column(key[slot])
-            val = vec_sub(val, c.evaluate(slotted))
-        if not vec_is_zero(val):
-            table[key] = val
-    return Cochain(c.algebra, c.degree, alpha.rows, table)
+    """alpha . c - sum over slots s of c with beta in slot s and the identity elsewhere."""
+    n, m = c.algebra.dim, c.value_dim
+    if alpha.rows != m or alpha.cols != m or beta.rows != n or beta.cols != n:
+        raise DimensionMismatchError("pair action maps have the wrong shape")
+    table = {key: list(alpha.matvec(vec)) for key, vec in c.coeffs.items()}
+    identity, rows = Matrix.identity(n).sparse_rows(), beta.sparse_rows()
+    for s in range(c.degree):
+        _scatter(c, [identity] * s + [rows] + [identity] * (c.degree - s - 1), table, -1)
+    return Cochain(c.algebra, c.degree, m, {key: table[key] for key in sorted(table)})
 
 
 class OuterActionMap:

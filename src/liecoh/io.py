@@ -39,6 +39,17 @@ def scalar_from_str(s) -> Fraction:
         raise ParseError(f"invalid rational {s!r}: {exc}") from exc
 
 
+def json_int(value, field: str) -> int:
+    """value as an int: an integer, a finite integral number or an integer string.
+    A boolean, a fraction, Infinity or anything else is a ParseError naming field."""
+    if type(value) in (int, str) or type(value) is float and value.is_integer():
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
+
+
 def json_object(data, what: str) -> dict:
     """data if it is a JSON object; otherwise a ParseError saying what must be one."""
     if not isinstance(data, dict):
@@ -94,18 +105,16 @@ def algebra_from_json(data) -> LieAlgebra:
         return obj
     if not isinstance(data, dict):
         raise ParseError("an algebra must be an object or a catalog name")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid algebra dimension: {exc}") from exc
+    dim = json_int(data.get("dim"), "dim")
     labels = data.get("basis")
     if labels is not None:
         json_list(labels, "the basis labels")
     table = {}
     for entry in json_list(data.get("brackets", []), "the bracket entries"):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
-            value = {int(k): scalar_from_str(v) for k, v in entry["value"].items()}
+            i, j = json_int(entry["i"], "bracket i"), json_int(entry["j"], "bracket j")
+            value = {json_int(k, "bracket k"): scalar_from_str(v)
+                     for k, v in entry["value"].items()}
         except ParseError:
             raise
         except Exception as exc:
@@ -128,10 +137,7 @@ def representation_to_json(rep: Representation) -> dict:
 def representation_from_json(data) -> Representation:
     json_object(data, "a representation")
     algebra = algebra_from_json(data.get("algebra"))
-    try:
-        space_dim = int(data["space_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid space_dim: {exc}") from exc
+    space_dim = json_int(data.get("space_dim"), "space_dim")
     mats = [matrix_from_json(m, rows=space_dim, cols=space_dim)
             for m in json_list(data.get("matrices", []), "the representation matrices")]
     try:
@@ -150,11 +156,8 @@ def cochain_to_json(c: Cochain) -> dict:
 
 def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
     json_object(data, "a cochain")
-    try:
-        degree = int(data["degree"])
-        value_dim = int(data["value_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid cochain header: {exc}") from exc
+    degree = json_int(data.get("degree"), "degree")
+    value_dim = json_int(data.get("value_dim"), "value_dim")
     table = {}
     for key_str, vec in json_object(data.get("coeffs", {}), "the cochain coeffs").items():
         try:

@@ -23,9 +23,10 @@ from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, inve
 
 
 class LieAlgebra:
-    """Lie algebra over Q given by a basis and structure constants."""
+    """Lie algebra over Q given by a basis and structure constants; ``_leibniz``
+    keeps its offset-0 Leibniz rows once ``kept_leibniz_rows`` has built them."""
 
-    __slots__ = ("dim", "labels", "_table", "_involving")
+    __slots__ = ("dim", "labels", "_table", "_involving", "_leibniz")
 
     def __init__(self, dim: int, brackets=None, labels: Optional[Sequence[str]] = None,
                  _skip_jacobi: bool = False):
@@ -60,6 +61,7 @@ class LieAlgebra:
             involving[i].append((j, tuple(pairs)))
             involving[j].append((i, tuple((k, -c) for k, c in pairs)))
         self._involving = involving
+        self._leibniz = None
         if not _skip_jacobi:
             triple = self._jacobi_failure()
             if triple is not None:
@@ -252,13 +254,13 @@ def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> boo
 
 def is_derivation(L: LieAlgebra, d: Matrix) -> bool:
     """Leibniz rule d[x,y] = [dx,y] + [x,dy] on all basis pairs: each row of
-    ``leibniz_rows(L)`` vanishes on the row-major entries of d."""
+    the Leibniz system of L vanishes on the row-major entries of d."""
     if d.rows != L.dim or d.cols != L.dim:
         raise DimensionMismatchError("derivation candidate has the wrong shape")
     entries = d.sparse_rows()
     return not any(sum(c * entries[col // L.dim].get(col % L.dim, ZERO)
                        for col, c in row.items())
-                   for row in leibniz_rows(L))
+                   for row in kept_leibniz_rows(L))
 
 
 def ad_stack(L: LieAlgebra) -> Matrix:
@@ -326,6 +328,13 @@ def leibniz_rows(L: LieAlgebra, offset: int = 0) -> list:
     return [row for row in cleaned if row]
 
 
+def kept_leibniz_rows(L: LieAlgebra) -> tuple:
+    """leibniz_rows(L) at offset 0, built on first use and kept on L; read only."""
+    if L._leibniz is None:
+        L._leibniz = tuple(leibniz_rows(L))
+    return L._leibniz
+
+
 def center(L: LieAlgebra) -> Subspace:
     """Kernel of x -> ad x."""
     return kernel(ad_stack(L))
@@ -383,7 +392,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
     coordinates of the inner derivations inside it.
     """
     n = L.dim
-    space = kernel(Matrix.from_sparse_rows(leibniz_rows(L), n * n))
+    space = kernel(Matrix.from_sparse_rows(kept_leibniz_rows(L), n * n))
     mats = tuple(Matrix.unflatten(v, n, n) for v in space.basis)
     d = len(mats)
     table = {}

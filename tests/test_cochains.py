@@ -128,8 +128,7 @@ def test_leibniz_rule(rng):
     for _ in range(25):
         L = rand_algebra(rng)
         rep = adjoint_rep(L)
-        m = EquivariantPairing(L.dim, L.dim, L.dim, L.bracket,
-                               witness=(rep, rep, rep))
+        m = EquivariantPairing(L.dim, L.dim, L.dim, L.bracket)
         p = rng.randint(0, 2)
         q = rng.randint(0, 2)
         if p + q + 1 > L.dim:

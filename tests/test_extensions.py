@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh import extensions
+from liecoh import extensions, liealg, symmetry
 from liecoh import io as lio
 from liecoh.catalog import (abelian, ext_filiform4, ext_heisenberg3,
                             ext_heisenberg_kernel, ext_sl2_kernel, filiform4,
@@ -499,6 +499,36 @@ def test_kernel_from_a_factor_system_skips_its_checks(monkeypatch, tmp_path, cap
     kernel = GKernel.from_factor_system(fs)
     assert (kernel.n, kernel.g, kernel.S, kernel.omega) == (fs.n, fs.g, fs.S, fs.omega)
     assert kernel.S is fs.S and kernel.omega is fs.omega
+
+
+def test_reduce_builds_each_leibniz_system_once(monkeypatch, tmp_path, capsys):
+    # is_derivation reads the Leibniz rows kept on its algebra, so the
+    # validations build them once per algebra, not once per matrix of S
+    path = tmp_path / "center-h9.json"
+    path.write_text(lio.emit(lio.factor_system_to_json(pipeline_system("center", 4))))
+    builds = []
+    real = liealg.leibniz_rows
+
+    def counted(L, offset=0):
+        builds.append(L)
+        return real(L, offset)
+    monkeypatch.setattr(liealg, "leibniz_rows", counted)
+    monkeypatch.setattr(symmetry, "leibniz_rows", counted)
+    assert run_command(["extension", "reduce", "--ext", str(path)]) == 0
+    out = capsys.readouterr().out
+    # 16 builds (4, 2 and 10 on the algebras of dimension 9, 8 and 1) when
+    # every is_derivation call rebuilt the rows; now one per algebra, with
+    # the same stdout
+    assert [L.dim for L in builds] == [9, 8, 1]
+    assert len({id(L) for L in builds}) == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b27257657936e8915d0ecfa9c01a44ab025dbe4b8a38e59d6a4049c2d1b06724")
+    L = pipeline_system("center", 4).n
+    rows = liealg.kept_leibniz_rows(L)
+    assert rows is liealg.kept_leibniz_rows(L) and isinstance(rows, tuple)
+    fresh = liealg.leibniz_rows(L)
+    assert fresh == list(rows) and fresh is not liealg.leibniz_rows(L)
+    assert L == pipeline_system("center", 4).n and hash(L) == hash(pipeline_system("center", 4).n)
 
 
 def test_direct_kernels_keep_their_checks():

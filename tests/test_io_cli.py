@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -289,6 +290,59 @@ def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, case):
     code, report = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert code == 1
     assert report["error"] == {"kind": "ParseError", "message": message}
+
+
+# Integer fields of input files.  int() used to read them: a non-finite
+# number ended in an OverflowError traceback, and a fractional number or a
+# boolean was silently truncated to an integer.
+def ext_text(part, field, value):
+    data = lio.factor_system_to_json(ext_heisenberg3())
+    data[part][field] = value
+    return lio.emit(data)
+
+
+ZERO_REP_MATRICES = [[["0"]], [["0"]], [["0"]]]
+INTEGER_FIELDS = {
+    "ext-n-dim-infinity": ("--ext", ext_text("n", "dim", math.inf),
+                           "dim must be an integer, got Infinity"),
+    "ext-omega-value-dim-infinity": ("--ext", ext_text("omega", "value_dim", math.inf),
+                                     "value_dim must be an integer, got Infinity"),
+    "algebra-dim-1e999": ("--algebra", '{"dim": 1e999}\n',
+                          "dim must be an integer, got Infinity"),
+    "algebra-dim-fractional": ("--algebra", '{"dim": 7.9}\n',
+                               "dim must be an integer, got 7.9"),
+    "ext-omega-degree-fractional": ("--ext", ext_text("omega", "degree", 2.5),
+                                    "degree must be an integer, got 2.5"),
+    "bracket-index-fractional": (
+        "--algebra", '{"dim": 2, "brackets": [{"i": 0.5, "j": 1, "value": {"1": "1"}}]}\n',
+        "bracket i must be an integer, got 0.5"),
+    "space-dim-boolean": ("--rep", lio.emit({"algebra": "heisenberg3", "space_dim": True,
+                                             "matrices": ZERO_REP_MATRICES}),
+                          "space_dim must be an integer, got true"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
+def test_cli_integer_fields_must_be_integers(tmp_path, capsys, case):
+    flag, text, message = INTEGER_FIELDS[case]
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    code, report = run_cli(["validate", flag, str(path)], capsys)
+    assert code == 1
+    assert report["error"] == {"kind": "ParseError", "message": message}
+
+
+def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text('{"dim": "2", "brackets": [{"i": "0", "j": 1.0, "value": {"1": "1"}}]}\n')
+    code, _ = run_cli(["validate", "--algebra", str(path)], capsys)
+    assert code == 0
+    assert lio.algebra_from_json(json.loads(path.read_text())).structure_table() == {
+        (0, 1): (Fraction(0), Fraction(1))}
+    assert [lio.json_int(v, "f") for v in (3, "3", " 3", 3.0, -2)] == [3, 3, 3, 3, -2]
+    for bad in (True, False, None, 3.5, math.inf, -math.inf, math.nan, "3.0", "x", [3], {}):
+        with pytest.raises(ParseError, match="^f must be an integer, got "):
+            lio.json_int(bad, "f")
 
 
 def test_cli_jacobi_violation_exit_one(tmp_path, capsys):

@@ -14,6 +14,8 @@ no ``coordinates_of(vec_sub(...))`` call appears in the package.
 A structure law is read as a matrix identity (``law_defect``, the Leibniz
 rows, ``Subspace.restrict``, ``ad`` products), not one basis vector at a
 time: no ``bracket`` call takes a ``unit_vec(...)`` call as an argument.
+Cochain maps scatter nonzero terms through sparse matrix rows: ``cochains.py``
+makes no ``unit_vec`` or ``.column`` call, and no module calls ``.evaluate``.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -83,7 +85,20 @@ def unit_brackets(tree):
             yield node.lineno, "bracket(unit_vec(...)) call"
 
 
+def method_calls(target):
+    """Rule: calls of ``target`` as a method or attribute (m.f()) only."""
+    def rule(tree):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == target):
+                yield node.lineno, f".{target} call"
+    return rule
+
+
 rref_calls = calls_to("rref")
+unit_vec_calls = calls_to("unit_vec")
+column_calls = method_calls("column")
+evaluate_calls = method_calls("evaluate")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
 stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_operator")
@@ -141,6 +156,12 @@ def test_components_are_read_by_split_coordinates():
 
 def test_laws_are_not_read_one_unit_vector_at_a_time():
     assert violations(unit_brackets) == []
+
+
+def test_cochain_maps_read_no_dense_vectors():
+    tree = ast.parse((PACKAGE / "cochains.py").read_text())
+    assert list(unit_vec_calls(tree)) + list(column_calls(tree)) == []
+    assert violations(evaluate_calls) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -219,3 +240,13 @@ def test_rule_detects_brackets_of_unit_vectors():
                      "    return a, b, L.bracket(u, d.column(j)), L.bracket_basis(i, j)\n")
     assert list(unit_brackets(tree)) == [(2, "bracket(unit_vec(...)) call"),
                                          (3, "bracket(unit_vec(...)) call")]
+
+
+def test_rules_detect_dense_vectors_and_evaluate_calls():
+    tree = ast.parse("def f(c, phi, n, k):\n"
+                     "    args = [unit_vec(n, k), linalg.unit_vec(n, 0)]\n"
+                     "    v = c.evaluate([phi.column(k)] + args)\n"
+                     "    return v, column(phi, k), evaluate(c), phi.columns(k)\n")
+    assert list(unit_vec_calls(tree)) == [(2, "unit_vec call"), (2, "unit_vec call")]
+    assert list(column_calls(tree)) == [(3, ".column call")]
+    assert list(evaluate_calls(tree)) == [(3, ".evaluate call")]
