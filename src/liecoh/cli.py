@@ -181,8 +181,7 @@ def cmd_extension(args) -> int:
             "center_dim": center(ext.total).dim,
         }
         if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(lio.emit(lio.algebra_to_json(ext.total)))
+            lio.write_file(args.emit, lio.algebra_to_json(ext.total))
         _emit(report)
         return EXIT_OK
     if args.action == "classify":
@@ -300,8 +299,7 @@ def cmd_catalog(args) -> int:
         payload = lio.factor_system_to_json(obj)
         kind = "factor-system"
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(lio.emit(payload))
+        lio.write_file(args.emit, payload)
     _emit({"command": "catalog", "name": args.name, "kind": kind,
            "object": payload})
     return EXIT_OK
@@ -440,9 +438,10 @@ def run_command(argv) -> int:
             payload["violations"] = list(violations)
         _emit({"command": args.command, "error": payload})
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
-        _emit({"command": args.command, "error": {
-            "kind": "FileNotFound", "message": str(exc)}})
+    except OSError as exc:
+        # the message names the path; a missing file keeps its former kind
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        _emit({"command": args.command, "error": {"kind": kind, "message": str(exc)}})
         return EXIT_INPUT_ERROR
 
 

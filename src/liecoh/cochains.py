@@ -32,7 +32,7 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation, law_defect
-from .linalg import (Matrix, ZERO, linear_combination, to_fractions, vec_add,
+from .linalg import (Matrix, ZERO, to_fractions, vec_add,
                      vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 HALF = Fraction(1, 2)
@@ -504,9 +504,6 @@ class OuterActionMap:
     def zero(cls, algebra: LieAlgebra, target: LieAlgebra) -> "OuterActionMap":
         z = Matrix.zero(target.dim, target.dim)
         return cls(algebra, [z] * algebra.dim, target=target)
-
-    def matrix_of(self, u: Sequence[Fraction]) -> Matrix:
-        return linear_combination(u, self.matrices, self.space_dim, self.space_dim)
 
     def as_end_cochain(self) -> Cochain:
         m = self.space_dim

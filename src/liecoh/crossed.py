@@ -25,13 +25,13 @@ from .cohomology import CohomologyClass, cohomology, primitive
 from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
                      NoOmegaLiftError)
-from .extensions import (FactorSystem, build_extension,
+from .extensions import (FactorSystem, build_extension, column_table,
                          restrict_cochain_to_subspace)
-from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
-                     quotient_algebra)
-from .linalg import (ONE, Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
-                     linear_combination, quotient_coordinates, solve_columns, unit_vec,
-                     vec_is_zero, vec_sub, zero_vec)
+from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving,
+                     bracket_table, center, quotient_algebra)
+from .linalg import (Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
+                     linear_combination, pullback_family, quotient_coordinates, solve_columns,
+                     unit_vec, vec_sub)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def _report(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
     # cm1: alpha(x.v) = [x, alpha v]; cm2: (alpha u).v = [u, v]
     cm1 = [(x, i) for x in range(ghat.dim)
            for i in _nonzero_columns(alpha @ action.matrices[x] - ghat.ad_matrix(x) @ alpha)]
-    cm2 = [(i, j) for i in range(h.dim)
-           for j in _nonzero_columns(action.matrix_of(alpha.column(i)) - h.ad_matrix(i))]
+    cm2 = [(i, j) for i, m in enumerate(pullback_family(action.matrices, alpha, h.dim))
+           for j in _nonzero_columns(m - h.ad_matrix(i))]
     im = image(alpha)
     image_ideal = all(im.restrict(ghat.ad_matrix(x)) is not None for x in range(ghat.dim))
     ker = mat_kernel(alpha)
@@ -130,6 +130,7 @@ class CrossedModuleSplitting:
     h_lift: Matrix           # n coordinates -> h, section of alpha into the complement
     f: Cochain               # 2-cochain on n_alg valued in z coordinates
     theta: dict              # (ghat index, n index) -> z coordinates
+    theta_matrices: tuple    # theta_x as a z x n matrix, per ghat index x
     ad_n: tuple              # ad e_x restricted to n, in n coordinates, per ghat index x
     g: LieAlgebra            # ghat / n
     q_proj: Matrix           # ghat -> g
@@ -142,20 +143,17 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     """Choose canonical coordinates and extract (f, theta) and the quotient."""
     h, ghat, alpha = cm.h, cm.ghat, cm.alpha
     z = mat_kernel(alpha)
-    n_sub = Subspace.from_vectors(ghat.dim, [alpha.column(j) for j in range(h.dim)])
+    n_sub = image(alpha)
     # complement of z in h: the non-pivot axes of z
     _, h_compl_sect = quotient_coordinates(h.dim, z)
     # n in its canonical basis, with brackets induced from ghat: [n_i, n_j]
-    # is column j of ad n_i restricted to n
+    # lies in the ideal n, so its coordinates are its entries at the pivots
     n_dim = n_sub.dim
     ad_n = tuple(n_sub.restrict(ghat.ad_matrix(x)) for x in range(ghat.dim))
     if any(m is None for m in ad_n):
         raise InvariantViolation("the image of alpha is not an ideal")
-    table = {}
-    for i, b in enumerate(n_sub.basis):
-        columns = linear_combination(b, ad_n, n_dim, n_dim).transpose().sparse_rows()
-        table.update(((i, j), columns[j]) for j in range(i + 1, n_dim) if columns[j])
-    n_alg = LieAlgebra(n_dim, table)
+    basis = Matrix.from_sparse_rows([dict(p) for p in n_sub.pairs], ghat.dim).transpose()
+    n_alg = LieAlgebra(n_dim, bracket_table(ghat, basis, n_sub.split_matrix()))
     # lift n -> h landing in the complement of z: solve alpha restricted
     lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
     if first_inconsistent is not None:
@@ -164,26 +162,20 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     # f and theta are the defects of the section h_lift, read in z
     f = Cochain(n_alg, 2, z.dim, {key: z.split_coordinates(w)
                                   for key, w in bracket_defect(n_alg, h, h_lift).items()})
-    theta = {}
-    for x, (act, ad_x) in enumerate(zip(cm.action.matrices, ad_n)):
-        defect = act @ h_lift - h_lift @ ad_x
-        for a in range(n_dim):
-            val = z.split_coordinates(defect.column(a))
-            if not vec_is_zero(val):
-                theta[(x, a)] = val
+    z_rows = z.split_matrix()
+    theta_matrices = tuple(z_rows @ (act @ h_lift - h_lift @ ad_x)
+                           for act, ad_x in zip(cm.action.matrices, ad_n))
 
     g, q_proj, q_sect = quotient_algebra(ghat, n_sub)
     zhat_mats = [z.restrict(m) for m in cm.action.matrices]
     if any(m is None for m in zhat_mats):
         raise InvariantViolation("the action does not preserve the kernel")
     zhat_rep = Representation(ghat, z.dim, zhat_mats)
-    z_mats = [zhat_rep.matrix_of(q_sect.column(i)) for i in range(g.dim)]
-    z_rep = Representation(g, z.dim, z_mats)
-    for x in range(ghat.dim):
-        if zhat_rep.matrices[x] != z_rep.matrix_of(q_proj.column(x)):
-            raise InvariantViolation("the kernel action does not factor through the quotient")
-    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, theta, ad_n, g,
-                                q_proj, q_sect, z_rep, zhat_rep)
+    z_rep = Representation(g, z.dim, pullback_family(zhat_rep.matrices, q_sect, z.dim))
+    if zhat_rep.matrices != pullback_family(z_rep.matrices, q_proj, z.dim):
+        raise InvariantViolation("the kernel action does not factor through the quotient")
+    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, column_table(theta_matrices),
+                                theta_matrices, ad_n, g, q_proj, q_sect, z_rep, zhat_rep)
     _check_splitting(sp)
     return sp
 
@@ -195,14 +187,16 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
         x.theta_y - y.theta_x - theta_[x,y] + theta_x ad_y - theta_y ad_x = 0.
     """
     n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
-    thetas = _theta_matrices(sp)
+    # theta_x as a z-valued 1-cochain on n, read from the table sp.theta
+    slots = [Cochain(sp.n_alg, 1, zd, {(a,): v for (y, a), v in sp.theta.items() if y == x})
+             for x in range(ghat.dim)]
+    thetas = [theta_x.as_matrix() for theta_x in slots]
     for (i, j), vec in sp.f.coeffs.items():
-        if linear_combination(sp.n_sub.basis[i], thetas, zd, n_dim).column(j) != vec:
+        if linear_combination(sp.n_sub.basis[i], thetas, zd, n_dim).transpose().row(j) != vec:
             raise InvariantViolation("theta does not restrict to the extension cocycle")
     # one trivial module, so d_1 with trivial coefficients is assembled once
     trivial = Representation.trivial(sp.n_alg, zd)
-    for x in range(ghat.dim):
-        theta_x = Cochain(sp.n_alg, 1, zd, {(a,): thetas[x].column(a) for a in range(n_dim)})
+    for x, theta_x in enumerate(slots):
         if cochain_differential(trivial, theta_x) != _module_action_on_f(sp, x):
             raise InvariantViolation(
                 f"theta slot {x} is not a derivation datum for the cocycle")
@@ -216,13 +210,6 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
                 a = min(j for row in defect.sparse_rows() for j in row)
                 raise InvariantViolation(
                     f"theta fails the action cocycle identity at ({x},{y},{a})")
-
-
-def _theta_matrices(sp: CrossedModuleSplitting) -> list:
-    """theta_x as a z x n matrix, one per basis element x of ghat."""
-    zd, n_dim = sp.z.dim, sp.n_alg.dim
-    return [Matrix.from_columns([sp.theta.get((x, a), zero_vec(zd)) for a in range(n_dim)],
-                                rows=zd) for x in range(sp.cm.ghat.dim)]
 
 
 def _module_action_on_f(sp: CrossedModuleSplitting, x: int) -> Cochain:
@@ -241,7 +228,7 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
     by alternation and the restriction requirement.
     """
     ghat, zd, n_dim = sp.cm.ghat, sp.z.dim, sp.n_alg.dim
-    thetas = _theta_matrices(sp)
+    thetas = sp.theta_matrices
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
         u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
@@ -279,8 +266,8 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
         sigma = sp.q_sect
     if (sp.q_proj @ sigma) != Matrix.identity(sp.g.dim):
         raise DimensionMismatchError("sigma is not a section of the quotient map")
-    S_mats = [cm.action.matrix_of(sigma.column(i)) for i in range(sp.g.dim)]
-    S = OuterActionMap(sp.g, S_mats, validate=False, space_dim=h.dim)
+    S = OuterActionMap(sp.g, pullback_family(cm.action.matrices, sigma, h.dim),
+                       validate=False, space_dim=h.dim)
     # a zero curvature lifts to zero, so only the nonzero keys are solved
     defect = bracket_defect(sp.g, ghat, sigma)
     keys = list(defect)
@@ -328,8 +315,7 @@ def splitting_equivalence(cm: CrossedModule):
     ext = build_extension(fs)
     total = ext.total
     # embed h = z + n into z + ghat
-    z_part = Matrix.from_sparse_rows([{p: ONE} for p in sp.z.pivots], cm.h.dim)
-    embedding = block_matrix([[z_part], [cm.alpha]])
+    embedding = block_matrix([[sp.z.split_matrix()], [cm.alpha]])
     if not bracket_preserving(cm.h, total, embedding):
         raise InvariantViolation("the splitting embedding does not preserve brackets")
     for x, m in enumerate(cm.action.matrices):

@@ -48,8 +48,8 @@ from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
                      is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (ONE, ZERO, Matrix, Subspace, block_matrix, consistent_columns, invert,
-                     left_inverse, to_fractions, unit_vec, vec_is_zero, zero_vec)
+from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, image, invert,
+                     left_inverse, pullback_family, to_fractions, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +74,6 @@ def embed_cochain_from_subspace(c: Cochain, sub: Subspace) -> Cochain:
         raise DimensionMismatchError("cochain values do not match the subspace dimension")
     table = {key: sub.embed(vec) for key, vec in c.coeffs.items()}
     return Cochain(c.algebra, c.degree, sub.ambient_dim, table)
-
-
-def transport_outer_action(alpha: Matrix, alpha_inv: Matrix, beta_inv: Matrix,
-                           S: OuterActionMap) -> OuterActionMap:
-    """x -> alpha S(beta^{-1} x) alpha^{-1}."""
-    mats = [alpha @ S.matrix_of(beta_inv.column(i)) @ alpha_inv
-            for i in range(S.algebra.dim)]
-    return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +247,7 @@ class ExtensionPresentation:
         li = left_inverse(inclusion)
         if li is None:
             violations.append("the inclusion is not injective")
-        ideal = Subspace.from_vectors(total.dim,
-                                      [inclusion.column(j) for j in range(n_alg.dim)])
+        ideal = image(inclusion)
         if ideal.dim + g_alg.dim != total.dim:
             violations.append("ideal and quotient dimensions do not add up")
         for i in range(total.dim):
@@ -306,15 +297,15 @@ def extract_factor_system(ext: ExtensionPresentation,
         raise NotASectionError("section has the wrong shape")
     if (ext.projection @ sigma) != Matrix.identity(ext.g.dim):
         raise NotASectionError("the map is not a right inverse of the projection")
-    total = ext.total
+    total, inclusion = ext.total, ext.inclusion
     matrices = []
-    for a in range(ext.g.dim):
-        sa = sigma.column(a)
-        cols = []
-        for i in range(ext.n.dim):
-            w = total.bracket(sa, ext.inclusion.column(i))
-            cols.append(ext.ideal_coordinates(w))
-        matrices.append(Matrix.from_columns(cols, rows=ext.n.dim))
+    # S_a is ad(sigma e_a) on the ideal, read back through the left inverse
+    for ad_sa in pullback_family(total.ad_matrices(), sigma, total.dim):
+        moved = ad_sa @ inclusion
+        coords = ext._left_inv @ moved
+        if inclusion @ coords != moved:
+            raise InvariantViolation("vector does not lie in the ideal")
+        matrices.append(coords)
     omega = Cochain(ext.g, 2, ext.n.dim,
                     {key: ext.ideal_coordinates(w)
                      for key, w in bracket_defect(ext.g, total, sigma).items()})
@@ -324,6 +315,20 @@ def extract_factor_system(ext: ExtensionPresentation,
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
+
+def transported_pair(fs: FactorSystem, alpha: Matrix, beta: Matrix) -> tuple:
+    """(S, omega) moved by an automorphism pair: x -> alpha S(beta^{-1} x) alpha^{-1}
+    and alpha omega(beta^{-1} ., beta^{-1} .)."""
+    alpha_inv = invert(alpha)
+    beta_inv = invert(beta)
+    if alpha_inv is None or not bracket_preserving(fs.n, fs.n, alpha):
+        raise NotAHomomorphismError("alpha is not an automorphism of n")
+    if beta_inv is None or not bracket_preserving(fs.g, fs.g, beta):
+        raise NotAHomomorphismError("beta is not an automorphism of g")
+    mats = [alpha @ m @ alpha_inv for m in pullback_family(fs.S.matrices, beta_inv, fs.n.dim)]
+    return (OuterActionMap(fs.g, mats, target=fs.n, validate=False),
+            transport_cochain(alpha, beta_inv, fs.omega))
+
 
 def check_equivalence_map(alpha: Matrix, beta: Matrix, gamma: Cochain,
                           fs1: FactorSystem, fs2: FactorSystem) -> bool:
@@ -335,14 +340,7 @@ def check_equivalence_map(alpha: Matrix, beta: Matrix, gamma: Cochain,
     """
     if fs1.n != fs2.n or fs1.g != fs2.g:
         raise DimensionMismatchError("factor systems must share kernel and quotient")
-    alpha_inv = invert(alpha)
-    beta_inv = invert(beta)
-    if alpha_inv is None or not bracket_preserving(fs1.n, fs1.n, alpha):
-        raise NotAHomomorphismError("alpha is not an automorphism of n")
-    if beta_inv is None or not bracket_preserving(fs1.g, fs1.g, beta):
-        raise NotAHomomorphismError("beta is not an automorphism of g")
-    lhs_S = transport_outer_action(alpha, alpha_inv, beta_inv, fs1.S)
-    lhs_omega = transport_cochain(alpha, beta_inv, fs1.omega)
+    lhs_S, lhs_omega = transported_pair(fs1, alpha, beta)
     rhs_S, rhs_omega = gauge_action(gamma, fs2.S, fs2.omega)
     ok = lhs_S.matrices == rhs_S.matrices and lhs_omega == rhs_omega
     if ok:
@@ -596,14 +594,12 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     fs = FactorSystem(n_ad, g_alg, s1_mats, omega_bar)
     ext = build_extension(fs)
     gs = ext.total
-    rho_mats = []
-    for i in range(n_ad.dim):
-        rho_mats.append(n_alg.ad(sect_ad.column(i)))
-    for a in range(g_alg.dim):
-        rho_mats.append(kernel.S.matrices[a])
-    rho = Representation(gs, n_alg.dim, rho_mats)
-    z_rep_on_gs = Representation(gs, z.dim, [z_rep.matrix_of(ext.projection.column(i))
-                                             for i in range(gs.dim)])
+    # rho is ad n pulled back along the section of n_ad, then S on g
+    rho = Representation(gs, n_alg.dim,
+                         pullback_family(n_alg.ad_matrices(), sect_ad, n_alg.dim)
+                         + kernel.S.matrices)
+    z_rep_on_gs = Representation(gs, z.dim,
+                                 pullback_family(z_rep.matrices, ext.projection, z.dim))
     alpha_matrix = block_matrix([[proj_ad], [Matrix.zero(g_alg.dim, n_alg.dim)]])
     stage = QuotientStage(kernel, z, z_rep, z_rep_on_gs, n_ad, proj_ad, sect_ad, fs, ext,
                           rho, alpha_matrix)
@@ -634,13 +630,14 @@ def stage_theta(stage: QuotientStage) -> tuple[Cochain, dict]:
     n_alg, n_ad, sect_ad = stage.kernel.n, stage.n_ad, stage.sect_ad
     f = restrict_cochain_to_subspace(
         Cochain(n_ad, 2, n_alg.dim, bracket_defect(n_ad, n_alg, sect_ad)), stage.z)
-    theta = {}
-    for i in range(stage.gs.dim):
-        for a in range(n_ad.dim):
-            val = stage.z_part(stage.rho.matrices[i].matvec(sect_ad.column(a)))
-            if not vec_is_zero(val):
-                theta[(i, a)] = val
-    return f, theta
+    z_rows = stage.z.split_matrix()
+    return f, column_table([z_rows @ m @ sect_ad for m in stage.rho.matrices])
+
+
+def column_table(matrices: Sequence[Matrix]) -> dict:
+    """{(x, a): column a of matrices[x]} on the nonzero columns, as dense tuples."""
+    return {(x, a): t.row(a) for x, t in enumerate([m.transpose() for m in matrices])
+            for a, col in enumerate(t.sparse_rows()) if col}
 
 
 def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
@@ -653,8 +650,7 @@ def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
     fs_tot = FactorSystem(LieAlgebra(zd), stage.gs, stage.z_rep_on_gs.matrices, f_tilde)
     ext_tot = build_extension(fs_tot)
     # n -> z x n_ad x g; the quotient maps pass through the stage
-    z_part = Matrix.from_sparse_rows([{p: ONE} for p in stage.z.pivots], nd)
-    inclusion = block_matrix([[z_part], [stage.alpha_matrix]])
+    inclusion = block_matrix([[stage.z.split_matrix()], [stage.alpha_matrix]])
     projection = stage.ext.projection @ ext_tot.projection
     section = ext_tot.section @ stage.ext.section
     rebuilt = ExtensionPresentation(ext_tot.total, stage.kernel.n, stage.kernel.g,
@@ -690,9 +686,8 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
     f_tilde = restrict_cochain_to_subspace(
         Cochain(stage.gs, 2, nd + gd, bracket_defect(stage.gs, ghat.total, lift)), z_total)
 
-    ideal = Subspace.from_vectors(
-        stage.gs.dim, [unit_vec(stage.gs.dim, i) for i in range(nad)])
-    solutions = theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs, theta)
+    # the n_ad block of the stage is the ideal of its own extension presentation
+    solutions = theta_constrained_cocycles(stage.gs, stage.ext.ideal, stage.z_rep_on_gs, theta)
     if isinstance(solutions, EmptyAffine):
         raise ObstructedError(solutions)
     if not solutions.contains(f_tilde):
@@ -726,7 +721,7 @@ def pullback_extension(ext: ExtensionPresentation, phi: Matrix,
     if not bracket_preserving(h_alg, ext.g, phi):
         raise NotAHomomorphismError("phi must be a Lie algebra homomorphism into g")
     base = extract_factor_system(ext)
-    pulled_S = [base.S.matrix_of(phi.column(a)) for a in range(h_alg.dim)]
+    pulled_S = pullback_family(base.S.matrices, phi, base.n.dim)
     pulled_omega = pullback_cochain(base.omega, phi, h_alg)
     fs = FactorSystem(base.n, h_alg, pulled_S, pulled_omega)
     pulled_ext = build_extension(fs)

@@ -266,10 +266,23 @@ class Workspace:
         return tuple(self._objects)
 
 
+def write_file(path: str, obj) -> None:
+    """Write obj as JSON text to path; an OSError names the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit(obj))
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise
+
+
 def load_file(path: str, kind: str):
     """Parse and validate one JSON file of the given kind."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     data = load_json_text(text)
     if kind == "algebra":
         return algebra_from_json(data)

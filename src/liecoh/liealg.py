@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
-                     kernel, linear_combination, quotient_coordinates, solve_columns,
-                     to_fractions, unit_vec, vec_is_zero, vec_scale, vec_sub,
+                     kernel, linear_combination, pullback_family, quotient_coordinates,
+                     solve_columns, to_fractions, unit_vec, vec_is_zero, vec_scale,
                      zero_vec)
 
 
@@ -92,6 +92,10 @@ class LieAlgebra:
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad e_i: columns are [e_i, e_j]."""
         return self.ad(unit_vec(self.dim, i))
+
+    def ad_matrices(self) -> tuple:
+        """The adjoint family ad e_0, ..., ad e_{n-1}."""
+        return tuple(self.ad_matrix(i) for i in range(self.dim))
 
     def ad(self, u: Sequence[Fraction]) -> Matrix:
         """Matrix of ad u: column j is [u, e_j], scattered into dict rows."""
@@ -192,9 +196,6 @@ class Representation:
     def is_trivial(self) -> bool:
         return all(m.is_zero() for m in self.matrices)
 
-    def matrix_of(self, u: Sequence[Fraction]) -> Matrix:
-        return linear_combination(u, self.matrices, self.space_dim, self.space_dim)
-
     def act(self, i: int, v: Sequence[Fraction]) -> tuple:
         return self.matrices[i].matvec(v)
 
@@ -231,20 +232,33 @@ def law_defect(L: LieAlgebra, matrices: Sequence[Matrix]) -> dict:
 def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
     """{(i, j): [m e_i, m e_j] - m[e_i, e_j]} on the increasing pairs where it is nonzero.
 
-    For a linear section m this is the section's cocycle: the failure of
-    m to preserve brackets.
+    The (i, j) value is column j of ad(m e_i) m - m ad(e_i), where ad(m e_i)
+    is the target's adjoint family pulled back along m.  For a linear
+    section m this is the section's cocycle: the failure of m to preserve
+    brackets.
     """
     if m.cols != source.dim or m.rows != target.dim:
         raise DimensionMismatchError("map shape disagrees with source/target dims")
-    columns = [m.column(i) for i in range(source.dim)]
+    pulled = pullback_family(target.ad_matrices(), m, target.dim)
     defect = {}
-    for i in range(source.dim):
+    for i, (ad_mi, ad_i) in enumerate(zip(pulled, source.ad_matrices())):
+        columns = (ad_mi @ m - m @ ad_i).transpose()
         for j in range(i + 1, source.dim):
-            w = vec_sub(target.bracket(columns[i], columns[j]),
-                        m.matvec(source.bracket_basis(i, j)))
-            if not vec_is_zero(w):
-                defect[(i, j)] = w
+            if columns.sparse_rows()[j]:
+                defect[(i, j)] = columns.row(j)
     return defect
+
+
+def bracket_table(L: LieAlgebra, m: Matrix, read: Matrix) -> dict:
+    """{(i, j): read [m e_i, m e_j]} for i < j, as entry dicts, where nonzero: the
+    bracket table pulled back along m, with [m e_i, m e_j] the bracket defect of
+    m from an abelian source."""
+    table = {}
+    for key, w in bracket_defect(LieAlgebra(m.cols), L, m).items():
+        entry = {k: c for k, c in enumerate(read.matvec(w)) if c}
+        if entry:
+            table[key] = entry
+    return table
 
 
 def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
@@ -341,7 +355,7 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def adjoint_rep(L: LieAlgebra) -> Representation:
-    return Representation(L, L.dim, [L.ad_matrix(i) for i in range(L.dim)])
+    return Representation(L, L.dim, L.ad_matrices())
 
 
 def quotient_algebra(L: LieAlgebra, ideal: Subspace):
@@ -352,15 +366,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace):
         if ideal.restrict(L.ad_matrix(i)) is None:
             raise NotAnIdealError(f"[e{i}, subspace] leaves the subspace: not a Lie ideal")
     projection, section = quotient_coordinates(L.dim, ideal)
-    qdim = projection.rows
-    table = {}
-    for i in range(qdim):
-        for j in range(i + 1, qdim):
-            w = projection.matvec(L.bracket(section.column(i), section.column(j)))
-            entry = {k: c for k, c in enumerate(w) if c != 0}
-            if entry:
-                table[(i, j)] = entry
-    quotient = LieAlgebra(qdim, table)
+    quotient = LieAlgebra(projection.rows, bracket_table(L, section, projection))
     return quotient, projection, section
 
 
@@ -393,7 +399,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
     """
     n = L.dim
     space = kernel(Matrix.from_sparse_rows(kept_leibniz_rows(L), n * n))
-    mats = tuple(Matrix.unflatten(v, n, n) for v in space.basis)
+    mats = tuple(Matrix.from_flat(p, n, n) for p in space.pairs)
     d = len(mats)
     table = {}
     for i in range(d):
@@ -407,14 +413,10 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
             if entry:
                 table[(i, j)] = entry
     der_alg = LieAlgebra(d, table)
-    stack = ad_stack(L)
-    inner = []
-    for i in range(n):
-        coords = space.coordinates_of(stack.column(i))
-        if coords is None:
-            raise NotADerivationError("an inner derivation failed the Leibniz system")
-        inner.append(coords)
-    return DerivationAlgebra(der_alg, mats, space, tuple(inner))
+    inner = tuple(space.coordinates_of(ad.flatten()) for ad in L.ad_matrices())
+    if None in inner:
+        raise NotADerivationError("an inner derivation failed the Leibniz system")
+    return DerivationAlgebra(der_alg, mats, space, inner)
 
 
 def direct_and_semidirect(n_alg: LieAlgebra, g_alg: LieAlgebra,
@@ -471,11 +473,4 @@ def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     P_inv = invert(P)
     if P_inv is None:
         raise DimensionMismatchError("basis change matrix is singular")
-    table = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            w = P_inv.matvec(L.bracket(P.column(i), P.column(j)))
-            entry = {k: c for k, c in enumerate(w) if c != 0}
-            if entry:
-                table[(i, j)] = entry
-    return LieAlgebra(L.dim, table)
+    return LieAlgebra(L.dim, bracket_table(L, P, P_inv))

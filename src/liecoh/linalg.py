@@ -233,10 +233,14 @@ class Matrix:
         return tuple(x for row in self.row_list() for x in row)
 
     @classmethod
-    def unflatten(cls, v: Sequence[Fraction], rows: int, cols: int) -> "Matrix":
-        if len(v) != rows * cols:
-            raise DimensionMismatchError("flat length disagrees with shape")
-        return cls([tuple(v[i * cols:(i + 1) * cols]) for i in range(rows)], cols=cols)
+    def from_flat(cls, pairs: Iterable, rows: int, cols: int, start: int = 0) -> "Matrix":
+        """The matrix with row-major entry k = x for each pair (start + k, x) of a flat
+        vector; zero values and pairs outside start .. start + rows * cols - 1 are skipped."""
+        data = [{} for _ in range(rows)]
+        for k, x in pairs:
+            if x and 0 <= k - start < rows * cols:
+                data[(k - start) // cols][(k - start) % cols] = x
+        return cls._of(data, cols)
 
     def rref(self) -> tuple["Matrix", tuple]:
         """Unique reduced row echelon form and its pivot columns.
@@ -400,6 +404,10 @@ class Subspace:
             raise DimensionMismatchError("vector length disagrees with ambient dimension")
         return to_fractions(v[p] for p in self.pivots)
 
+    def split_matrix(self) -> Matrix:
+        """The matrix of split_coordinates: row r reads the entry at pivot r."""
+        return Matrix._of([{p: ONE} for p in self.pivots], self.ambient_dim)
+
     def restrict(self, m: Matrix) -> Optional[Matrix]:
         """The matrix of m on the subspace in its canonical basis, or None
         when m does not map the subspace into itself."""
@@ -449,6 +457,22 @@ def linear_combination(coeffs: Sequence, matrices: Sequence[Matrix],
             for acc, row in zip(out, m.sparse_rows()):
                 _add_scaled(acc, c, row.items())
     return Matrix._of(out, cols)
+
+
+def pullback_family(family: Sequence[Matrix], phi: Matrix, size: int) -> tuple:
+    """The family x -> M(phi x) of size x size matrices pulled back along phi.
+
+    Matrix a is sum_b phi[b][a] * M_b, scattered from the nonzero entries
+    of phi's rows; ``size`` fixes the shape when the family is empty.
+    """
+    if phi.rows != len(family) or any(m.rows != size or m.cols != size for m in family):
+        raise DimensionMismatchError("family and pullback map shapes disagree")
+    out = [[{} for _ in range(size)] for _ in range(phi.cols)]
+    for m, coeffs in zip(family, phi.sparse_rows()):
+        for a, x in coeffs.items():
+            for acc, row in zip(out[a], m.sparse_rows()):
+                _add_scaled(acc, x, row.items())
+    return tuple(Matrix._of(rows, size) for rows in out)
 
 
 def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:

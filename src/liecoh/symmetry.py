@@ -32,15 +32,15 @@ from .cochains import (Cochain, OuterActionMap, covariant_differential,
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
                          differential_matrix, primitive)
 from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
-                     NotAHomomorphismError, PreconditionFailedError)
+                     PreconditionFailedError)
 from .extensions import (FactorSystem, build_extension, center_module,
                          check_equivalence_map, embed_cochain_from_subspace,
                          equivalent_extensions, extension_map, gauge_remainder,
                          inner_cochain, restrict_cochain_to_subspace,
-                         transport_outer_action)
+                         transported_pair)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
                      center, is_derivation, law_defect, leibniz_rows)
-from .linalg import Matrix, Subspace, invert, kernel, unit_vec, vec_is_zero
+from .linalg import Matrix, Subspace, invert, kernel, pullback_family, unit_vec, vec_is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +49,8 @@ from .linalg import Matrix, Subspace, invert, kernel, unit_vec, vec_is_zero
 
 def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActionMap:
     """x -> [alpha, S(x)] - S(beta x), the derivation action on S."""
-    mats = [alpha.commutator(S.matrices[a]) - S.matrix_of(beta.column(a))
-            for a in range(S.algebra.dim)]
+    pulled = pullback_family(S.matrices, beta, S.space_dim)
+    mats = [alpha.commutator(m) - p for m, p in zip(S.matrices, pulled)]
     return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
 
 
@@ -74,9 +74,9 @@ def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
         raise PreconditionFailedError("alpha is not a derivation of n")
     if not is_derivation(fs.g, beta):
         raise PreconditionFailedError("beta is not a derivation of g")
-    acted_S = pair_act_outer(alpha, beta, fs.S)
-    inner = [fs.n.ad(gamma.component((a,))) for a in range(fs.g.dim)]
-    cond1 = all(acted_S.matrices[a] == inner[a] for a in range(fs.g.dim))
+    # ad(gamma(.)) is the adjoint family of n pulled back along gamma
+    cond1 = (pair_act_outer(alpha, beta, fs.S).matrices
+             == pullback_family(fs.n.ad_matrices(), gamma.as_matrix(), fs.n.dim))
     cond2 = (pair_act_cochain(alpha, beta, fs.omega)
              == covariant_differential(fs.S, gamma))
     ok = cond1 and cond2
@@ -217,10 +217,12 @@ def _pair_system_rows(fs: FactorSystem):
 
 
 def _project_pairs(vectors, va: int, vb: int, nd: int, gd: int) -> tuple:
-    """The canonical basis of the (alpha, beta) parts of the vectors, as matrix pairs."""
-    projected = Subspace.from_vectors(va + vb, [v[:va + vb] for v in vectors])
-    return tuple((Matrix.unflatten(v[:va], nd, nd), Matrix.unflatten(v[va:], gd, gd))
-                 for v in projected.basis)
+    """The canonical basis of the (alpha, beta) parts of the vectors, each given as a
+    dict {index: nonzero value}, as matrix pairs."""
+    projected = Subspace.row_space(Matrix.from_sparse_rows(
+        [{j: x for j, x in v.items() if j < va + vb} for v in vectors], va + vb))
+    return tuple((Matrix.from_flat(p, nd, nd), Matrix.from_flat(p, gd, gd, start=va))
+                 for p in projected.pairs)
 
 
 def extension_derivations(fs: FactorSystem) -> DerivationReport:
@@ -229,14 +231,13 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
     nd, gd = n_alg.dim, g_alg.dim
     z, z_rep = center_module(fs.S)
     z1 = kernel(differential_matrix(z_rep, 1))
-    kernel_cochains = tuple(
-        embed_cochain_from_subspace(
-            Cochain.from_coordinates(g_alg, 1, z.dim, v), z)
-        for v in z1.basis)
+    kernel_cochains = tuple(embed_cochain_from_subspace(Cochain.from_pairs(g_alg, 1, z.dim, p), z)
+                            for p in z1.pairs)
 
     rows, omega_rows, nvars, va, vb = _pair_system_rows(fs)
     solution = kernel(Matrix.from_sparse_rows(rows, nvars))
-    stabilizer_pairs = _project_pairs(solution.basis, va, vb, nd, gd)
+    basis = Matrix.from_sparse_rows([dict(p) for p in solution.pairs], nvars)
+    stabilizer_pairs = _project_pairs(basis.sparse_rows(), va, vb, nd, gd)
 
     h2 = cohomology(z_rep, 2)
     gammas = []
@@ -250,10 +251,9 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
 
     # ker(rows + omega_rows) is ker(rows) cut by the omega rows: the
     # combinations c of its basis B with (omega_rows B^T) c = 0
-    basis = Matrix.from_sparse_rows([dict(p) for p in solution.pairs], nvars)
     cut = kernel(Matrix.from_sparse_rows(omega_rows, nvars) @ basis.transpose())
     image_vectors = Matrix.from_sparse_rows([dict(p) for p in cut.pairs], solution.dim) @ basis
-    image_pairs_ab = _project_pairs(image_vectors.row_list(), va, vb, nd, gd)
+    image_pairs_ab = _project_pairs(image_vectors.sparse_rows(), va, vb, nd, gd)
     image_triples = [(alpha, beta, _pair_gamma(fs, alpha, beta)[0])
                      for alpha, beta in image_pairs_ab]
 
@@ -372,14 +372,10 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             raise InvariantViolation("a value left the cocycle space")
         return coords
 
-    z1_mats = []
-    for x in range(hd):
-        cols = []
-        for v in z1.basis:
-            c = embed_cochain_from_subspace(
-                Cochain.from_coordinates(g_alg, 1, z.dim, v), z)
-            cols.append(z1_coords(pair_act_cochain(psi_n[x], psi_g[x], c)))
-        z1_mats.append(Matrix.from_columns(cols, rows=z1.dim))
+    cocycles = [embed_cochain_from_subspace(Cochain.from_pairs(g_alg, 1, z.dim, p), z)
+                for p in z1.pairs]
+    z1_mats = [Matrix.from_columns([z1_coords(pair_act_cochain(psi_n[x], psi_g[x], c))
+                                    for c in cocycles], rows=z1.dim) for x in range(hd)]
     z1_rep = Representation(h_alg, z1.dim, z1_mats)
 
     values = {}
@@ -426,15 +422,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
 def transported_factor_system(fs: FactorSystem, alpha: Matrix,
                               beta: Matrix) -> FactorSystem:
     """The factor system of the extension re-coordinatized through (alpha, beta)."""
-    alpha_inv = invert(alpha)
-    beta_inv = invert(beta)
-    if alpha_inv is None or not bracket_preserving(fs.n, fs.n, alpha):
-        raise NotAHomomorphismError("alpha is not an automorphism of n")
-    if beta_inv is None or not bracket_preserving(fs.g, fs.g, beta):
-        raise NotAHomomorphismError("beta is not an automorphism of g")
-    S = transport_outer_action(alpha, alpha_inv, beta_inv, fs.S)
-    omega = transport_cochain(alpha, beta_inv, fs.omega)
-    return FactorSystem(fs.n, fs.g, S, omega)
+    return FactorSystem(fs.n, fs.g, *transported_pair(fs, alpha, beta))
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,8 @@ def test_criterion_06_gauge_suite():
         R1 = curvature(fs.S)
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = Matrix.unflatten(R2.component((i, j)), n.dim, n.dim)
-                rhs = (Matrix.unflatten(R1.component((i, j)), n.dim, n.dim)
+                lhs = Matrix.from_flat(enumerate(R2.component((i, j))), n.dim, n.dim)
+                rhs = (Matrix.from_flat(enumerate(R1.component((i, j))), n.dim, n.dim)
                        + n.ad(corr_omega.component((i, j))))
                 if lhs != rhs:
                     failures += 1

@@ -31,6 +31,11 @@ def test_evaluate_alternation(rng):
     assert swapped == tuple(-v for v in straight)
     assert c.value_at_indices((0, 1)) == c.component((0, 1))
     assert c.value_at_indices((1, 0)) == tuple(-v for v in c.component((0, 1)))
+    # a value known to be nonzero, so a read of the reversed key (always zero) fails
+    c = Cochain(L, 2, 2, {(0, 1): (1, -2), (1, 2): (3, 0)})
+    e0, e1 = (1, 0, 0), (0, 1, 0)
+    assert c.evaluate([e0, e1]) == c.component((0, 1)) == (1, -2)
+    assert c.evaluate([e1, e0]) == (-1, 2)
 
 
 def test_degree_errors():
@@ -218,7 +223,7 @@ def test_covariant_square_degree_zero_is_curvature_action(rng):
     dd = covariant_differential(S, covariant_differential(S, Cochain.from_vector(L, v)))
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            r = Matrix.unflatten(R.component((i, j)), V, V)
+            r = Matrix.from_flat(enumerate(R.component((i, j))), V, V)
             assert dd.component((i, j)) == r.matvec(v)
 
 
@@ -238,7 +243,7 @@ def test_curvature_explicit_commutator():
     e21 = Matrix([[0, 0], [1, 0]])
     S = OuterActionMap(L, [e12, e21])
     R = curvature(S)
-    assert Matrix.unflatten(R.component((0, 1)), 2, 2) == Matrix([[1, 0], [0, -1]])
+    assert Matrix.from_flat(enumerate(R.component((0, 1))), 2, 2) == Matrix([[1, 0], [0, -1]])
 
 
 def test_curvature_routes_disagreeing_raise(monkeypatch):
@@ -317,9 +322,9 @@ def test_gauge_curvature_transform(rng):
         rhs = curvature(S)
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
-                r = Matrix.unflatten(rhs.component((i, j)), 3, 3)
+                r = Matrix.from_flat(enumerate(rhs.component((i, j))), 3, 3)
                 expected = r + n.ad(correction.component((i, j)))
-                assert Matrix.unflatten(lhs.component((i, j)), 3, 3) == expected
+                assert Matrix.from_flat(enumerate(lhs.component((i, j))), 3, 3) == expected
 
 
 def test_gauge_invariance_of_relative_differential(rng):

@@ -123,7 +123,8 @@ def loop_automorphism_obstruction(fs, alpha, beta):
 def loop_derivation_obstruction(fs, alpha, beta):
     """The former derivation_pair_obstruction: (gamma, normalized class)."""
     particular, certificate = solve_inner(
-        fs.n, [(alpha.commutator(fs.S.matrices[a]) - fs.S.matrix_of(beta.column(a))).flatten()
+        fs.n, [(alpha.commutator(fs.S.matrices[a])
+                - linear_combination(beta.column(a), fs.S.matrices, fs.n.dim, fs.n.dim)).flatten()
                for a in range(fs.g.dim)])
     if particular is None:
         raise NoGammaError(certificate)
@@ -242,7 +243,8 @@ CATALOG_SYSTEMS = ("ext-heisenberg3", "ext-filiform4", "ext-heisenberg-kernel",
 def change_factor_system(fs, pn, pg):
     """The same extension in the bases given by the columns of pn and pg."""
     pn_inv = invert(pn)
-    mats = [pn_inv @ fs.S.matrix_of(pg.column(b)) @ pn for b in range(fs.g.dim)]
+    mats = [pn_inv @ linear_combination(pg.column(b), fs.S.matrices, fs.n.dim, fs.n.dim) @ pn
+            for b in range(fs.g.dim)]
     omega = Cochain(change_of_basis(fs.g, pg), 2, fs.n.dim, {
         (b, c): pn_inv.matvec(fs.omega.evaluate([pg.column(b), pg.column(c)]))
         for b, c in increasing_tuples(fs.g.dim, 2)})

@@ -476,6 +476,48 @@ def test_cli_byte_determinism(tmp_path):
     assert data["dim_cohomology"] == 1
 
 
+def file_fault(tmp_path, case):
+    """(arguments, path) of a command whose input read or --emit write fails at path."""
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    ext = tmp_path / "fs.json"
+    ext.write_text(lio.emit(lio.factor_system_to_json(ext_heisenberg3())))
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    return {
+        "ext-is-a-directory": (["extension", "build", "--ext", str(directory)], directory),
+        "ext-is-not-utf8": (["extension", "build", "--ext", str(undecodable)], undecodable),
+        "catalog-emit-directory": (["catalog", "heisenberg3", "--emit", str(directory)],
+                                   directory),
+        "build-emit-directory": (["extension", "build", "--ext", str(ext), "--emit",
+                                  str(directory)], directory),
+        "emit-to-a-full-device": (["catalog", "heisenberg3", "--emit", "/dev/full"],
+                                  "/dev/full"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["ext-is-a-directory", "ext-is-not-utf8",
+                                  "catalog-emit-directory", "build-emit-directory",
+                                  pytest.param("emit-to-a-full-device", marks=pytest.mark.skipif(
+                                      not os.path.exists("/dev/full"), reason="no /dev/full"))])
+def test_cli_file_faults_are_one_json_error(tmp_path, case):
+    args, path = file_fault(tmp_path, case)
+    proc = subprocess.run([sys.executable, "-m", "liecoh.cli", *args], capture_output=True,
+                          env=cli_env())
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report) == {"command", "error"}
+    assert str(path) in report["error"]["message"]
+
+
+def test_cli_missing_file_report_is_unchanged(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_command(["extension", "build", "--ext", str(missing)]) == 1
+    assert capsys.readouterr().out == lio.emit({"command": "extension", "error": {
+        "kind": "FileNotFound", "message": f"[Errno 2] No such file or directory: '{missing}'"}})
+
+
 def test_degree_cap_environment(tmp_path):
     env = cli_env(LIECOH_DEGREE_CAP="2")
     cmd = [sys.executable, "-m", "liecoh.cli", "cohomology",

@@ -627,7 +627,7 @@ def test_matrix_operations_match_dense_oracle(rng):
         assert all(m.entry(i, j) == d.data[i][j] for i in range(m.rows) for j in range(m.cols))
         assert m.flatten() == d.flatten() and m.trace() == d.trace()
         assert m.is_zero() == all(x == 0 for x in d.flatten())
-        assert Matrix.unflatten(m.flatten(), m.rows, m.cols) == m
+        assert Matrix.from_flat(enumerate(m.flatten()), m.rows, m.cols) == m
     assert_matches_dense(Matrix.from_columns([(1, 0), (0, "1/2"), (0, 0)]),
                          DenseMatrix([(1, 0, 0), (0, Fraction(1, 2), 0)], 3))
     assert_matches_dense(Matrix.identity(3), DenseMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))

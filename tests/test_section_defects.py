@@ -35,8 +35,9 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quo
                                factor_system_report, reduce_via_stage,
                                restrict_cochain_to_subspace, stage_theta)
 from liecoh.liealg import LieAlgebra, Representation
-from liecoh.linalg import (Matrix, block_matrix, solve_columns, to_fractions, unit_vec,
-                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from liecoh.linalg import (Matrix, block_matrix, linear_combination, solve_columns,
+                           to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
+                           zero_vec)
 
 from conftest import rand_matrix, rand_vector
 from test_classify import CASE_IDS, CASES
@@ -237,8 +238,9 @@ def loop_alternating_extension(sp):
 def loop_omega_route(sp, sigma):
     """The former characteristic_class_omega_route, solving every key of g."""
     cm, g = sp.cm, sp.g
-    S = OuterActionMap(g, [cm.action.matrix_of(sigma.column(i)) for i in range(g.dim)],
-                       validate=False, space_dim=cm.h.dim)
+    h_dim = cm.h.dim
+    S = OuterActionMap(g, [linear_combination(sigma.column(i), cm.action.matrices, h_dim, h_dim)
+                           for i in range(g.dim)], validate=False, space_dim=h_dim)
     keys = list(increasing_tuples(g.dim, 2))
     targets = [vec_sub(cm.ghat.bracket(sigma.column(i), sigma.column(j)),
                        sigma.matvec(g.bracket_basis(i, j))) for i, j in keys]

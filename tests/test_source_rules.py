@@ -16,6 +16,9 @@ rows, ``Subspace.restrict``, ``ad`` products), not one basis vector at a
 time: no ``bracket`` call takes a ``unit_vec(...)`` call as an argument.
 Cochain maps scatter nonzero terms through sparse matrix rows: ``cochains.py``
 makes no ``unit_vec`` or ``.column`` call, and no module calls ``.evaluate``.
+Matrix families and brackets are pulled back along a map's sparse rows
+(``pullback_family``, ``bracket_defect``): no module makes a ``.column`` call
+or names ``matrix_of``.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -95,6 +98,16 @@ def method_calls(target):
     return rule
 
 
+def names(target):
+    """Rule: every definition of, import of, call of or reference to the name ``target``."""
+    def rule(tree):
+        for node in ast.walk(tree):
+            if target in (getattr(node, "name", None), getattr(node, "attr", None),
+                          getattr(node, "id", None)):
+                yield node.lineno, f"{target} name"
+    return rule
+
+
 rref_calls = calls_to("rref")
 unit_vec_calls = calls_to("unit_vec")
 column_calls = method_calls("column")
@@ -102,6 +115,7 @@ evaluate_calls = method_calls("evaluate")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
 stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_operator")
+matrix_of_names = names("matrix_of")
 
 
 def global_statements(tree):
@@ -162,6 +176,11 @@ def test_cochain_maps_read_no_dense_vectors():
     tree = ast.parse((PACKAGE / "cochains.py").read_text())
     assert list(unit_vec_calls(tree)) + list(column_calls(tree)) == []
     assert violations(evaluate_calls) == []
+
+
+def test_families_are_pulled_back_along_sparse_rows():
+    assert violations(column_calls) == []
+    assert violations(matrix_of_names) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -250,3 +269,16 @@ def test_rules_detect_dense_vectors_and_evaluate_calls():
     assert list(unit_vec_calls(tree)) == [(2, "unit_vec call"), (2, "unit_vec call")]
     assert list(column_calls(tree)) == [(3, ".column call")]
     assert list(evaluate_calls(tree)) == [(3, ".evaluate call")]
+
+
+def test_rules_detect_column_reads_and_matrix_of():
+    tree = ast.parse("from .linalg import matrix_of\n"
+                     "class Rep:\n"
+                     "    def matrix_of(self, u):\n"
+                     "        return u\n"
+                     "def f(S, phi, a, columns):\n"
+                     "    m = S.matrix_of(phi.column(a))\n"
+                     "    return m, matrix_of, phi.columns(a), column(phi, a), columns\n")
+    assert list(column_calls(tree)) == [(6, ".column call")]
+    assert sorted(matrix_of_names(tree)) == [(1, "matrix_of name"), (3, "matrix_of name"),
+                                             (6, "matrix_of name"), (7, "matrix_of name")]

@@ -64,8 +64,9 @@ def loop_curvature(S):
     table = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
+            m = S.space_dim
             val = (S.matrices[i].commutator(S.matrices[j])
-                   - S.matrix_of(L.bracket_basis(i, j))).flatten()
+                   - linear_combination(L.bracket_basis(i, j), S.matrices, m, m)).flatten()
             if not vec_is_zero(val):
                 table[(i, j)] = val
     return Cochain(L, 2, S.space_dim ** 2, table)
@@ -154,7 +155,7 @@ def loop_report(h, ghat, alpha, action):
     for i in range(h.dim):
         ai = alpha.column(i)
         for j in range(h.dim):
-            lhs = action.matrix_of(ai).matvec(unit_vec(h.dim, j))
+            lhs = linear_combination(ai, action.matrices, h.dim, h.dim).matvec(unit_vec(h.dim, j))
             rhs = h.bracket_basis(i, j)
             if lhs != rhs:
                 cm2.append((i, j))

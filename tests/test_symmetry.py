@@ -351,7 +351,7 @@ def test_image_pairs_match_the_from_scratch_kernel(name, fs):
     route eliminated rows + omega_rows from scratch."""
     rows, omega_rows, nvars, va, vb = _pair_system_rows(fs)
     full = kernel(Matrix.from_sparse_rows(rows + omega_rows, nvars))
-    want = _project_pairs(full.basis, va, vb, fs.n.dim, fs.g.dim)
+    want = _project_pairs([dict(p) for p in full.pairs], va, vb, fs.n.dim, fs.g.dim)
     report = extension_derivations(fs)
     assert tuple((alpha, beta) for alpha, beta, _ in report.image_pairs) == want
     assert len(want) == report.image_dim
