@@ -148,19 +148,16 @@ def cmd_cohomology(args) -> int:
             raise ParseError("--algebra (or --rep) is required")
         rep = Representation.trivial(_load_algebra(args.algebra), 1)
     space = cohomology(rep, args.degree)
-    algebra = rep.algebra
-    cocycles = [lio.cochain_to_json(
-        Cochain.from_pairs(algebra, args.degree, rep.space_dim, v))
-        for v in space.cocycles.pairs]
+    shape = (rep.algebra.dim, args.degree, rep.space_dim)
     report = {
         "command": "cohomology",
         "degree": args.degree,
         "dim_cocycles": space.dim_cocycles,
         "dim_coboundaries": space.dim_coboundaries,
         "dim_cohomology": space.h_dim,
-        "cocycle_basis": cocycles,
-        "cohomology_representatives": [lio.cochain_to_json(c)
-                                       for c in space.representative_cochains()],
+        "cocycle_basis": [lio.SparseCochain(*shape, v) for v in space.cocycles.pairs],
+        "cohomology_representatives": [lio.SparseCochain(*shape, v)
+                                       for v in space.class_basis.pairs],
     }
     _emit(report)
     return EXIT_OK

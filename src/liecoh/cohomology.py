@@ -29,9 +29,13 @@ def differential_matrix(rep: Representation, p: int) -> Matrix:
 
 
 class CohomologySpace:
-    """Cocycles, coboundaries and canonical class representatives."""
+    """Cocycles, coboundaries and canonical class representatives.
 
-    __slots__ = ("rep", "degree", "cocycles", "coboundaries", "h_dim", "_h_basis")
+    class_basis is the echelon basis of cocycles reduced modulo
+    coboundaries: its pairs are the representatives' coordinates.
+    """
+
+    __slots__ = ("rep", "degree", "cocycles", "coboundaries", "h_dim", "class_basis")
 
     def __init__(self, rep: Representation, degree: int):
         self.rep = rep
@@ -46,7 +50,7 @@ class CohomologySpace:
             raise SpaceMismatchError("coboundaries escape the cocycle space")
         self.h_dim = self.cocycles.dim - self.coboundaries.dim
         reduced = (self.coboundaries.reduce_entries(v) for v in self.cocycles.pairs)
-        self._h_basis = Subspace.row_space(Matrix.from_sparse_rows(
+        self.class_basis = Subspace.row_space(Matrix.from_sparse_rows(
             [v for v in reduced if v], self.cocycles.ambient_dim))
 
     @property
@@ -60,7 +64,7 @@ class CohomologySpace:
     def representative_cochains(self) -> tuple:
         """Canonical cocycles spanning the cohomology, one per class."""
         return tuple(Cochain.from_pairs(self.rep.algebra, self.degree, self.rep.space_dim, v)
-                     for v in self._h_basis.pairs)
+                     for v in self.class_basis.pairs)
 
     def normalize(self, c: Cochain) -> tuple:
         """Canonical coordinates of the class of c (reduce modulo coboundaries)."""

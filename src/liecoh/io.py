@@ -3,6 +3,14 @@
 Rationals serialize as strings "p/q" (or "p" when the denominator is 1).
 Emission is canonical: sorted keys, two-space indent, trailing newline,
 so emit(load(x)) reproduces canonically formed input byte for byte.
+
+emit is the package's one JSON writer: every report on stdout and every
+file written goes through it.  Its text is json.dumps(obj, sort_keys=True,
+indent=2) plus a newline for every value json accepts.  It also writes a
+SparseCochain, a cochain given by its sparse coordinates, as
+cochain_to_json writes that cochain, straight from the (index, value)
+pairs, so a report of basis cochains builds neither a Cochain nor a dict
+per basis vector.
 """
 
 from __future__ import annotations
@@ -10,11 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
+from json.encoder import encode_basestring_ascii
+from math import comb
 from typing import Optional
 
 from .catalog import catalog
 from .cochains import Cochain
-from .errors import InvariantViolation, JacobiError, ParseError, RepresentationError
+from .errors import (DimensionMismatchError, InvariantViolation, JacobiError, ParseError,
+                     RepresentationError)
 from .extensions import FactorSystem
 from .liealg import LieAlgebra, Representation
 from .linalg import Matrix
@@ -228,9 +240,137 @@ def crossed_module_to_json(cm) -> dict:
     }
 
 
+class SparseCochain:
+    """A cochain for emit, given by its sparse coordinates: the algebra's
+    dimension, the degree, value_dim and the nonzero (index, Fraction) pairs
+    of Cochain.coordinates(), in increasing index order."""
+
+    __slots__ = ("algebra_dim", "degree", "value_dim", "pairs")
+
+    def __init__(self, algebra_dim: int, degree: int, value_dim: int, pairs):
+        if pairs and pairs[-1][0] >= comb(algebra_dim, degree) * value_dim:
+            raise DimensionMismatchError("coordinate index out of range")
+        self.algebra_dim = algebra_dim
+        self.degree = degree
+        self.value_dim = value_dim
+        self.pairs = pairs
+
+
 def emit(obj) -> str:
-    """Canonical JSON text: sorted keys, indent 2, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, indent 2, trailing newline.
+
+    The text is json.dumps(obj, sort_keys=True, indent=2) + "\n" for every
+    value json accepts, and a TypeError where json raises one; a
+    SparseCochain is written as cochain_to_json writes its cochain.
+    """
+    out = []
+    _write(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list, key_names: dict) -> None:
+    """Append the text of obj to out; pad is the newline and indent it sits at.
+    key_names holds the quoted cochain keys of each (algebra dim, degree)."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out, key_names)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            _write(value, inner, out, key_names)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, SparseCochain):
+        out.append(_cochain_text(obj, pad, key_names))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: str, float, bool, None or int."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _cochain_text(c: SparseCochain, pad: str, key_names: dict) -> str:
+    """The text of cochain_to_json's dict for c: the nonzero keys in string
+    order (so "0,1,10" comes before "0,1,2"), each value in full with "0"
+    for its zero entries."""
+    names = key_names.get((c.algebra_dim, c.degree))
+    if names is None:
+        names = key_names[(c.algebra_dim, c.degree)] = [
+            '"' + ",".join(map(str, key)) + '"'
+            for key in combinations(range(c.algebra_dim), c.degree)]
+    value_dim = c.value_dim
+    values = {}
+    for i, x in c.pairs:
+        if x:
+            r, slot = divmod(i, value_dim)
+            vec = values.get(r)
+            if vec is None:
+                vec = values[r] = ['"0"'] * value_dim
+            vec[slot] = '"' + scalar_to_str(x) + '"'
+    inner = pad + "  "
+    if values:
+        key_pad = inner + "  "
+        entry_pad = key_pad + "  "
+        entry_sep = "," + entry_pad
+        coeffs = ("{" + ",".join(
+            f"{key_pad}{name}: [{entry_pad}{entry_sep.join(vec)}{key_pad}]"
+            for name, vec in sorted((names[r], vec) for r, vec in values.items()))
+            + inner + "}")
+    else:
+        coeffs = "{}"
+    return (f'{{{inner}"coeffs": {coeffs},{inner}"degree": {c.degree},'
+            f'{inner}"value_dim": {value_dim}{pad}}}')
 
 
 def load_json_text(text: str):

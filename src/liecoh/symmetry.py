@@ -339,6 +339,11 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     hd = h_alg.dim
     if len(psi_n) != hd or len(psi_g) != hd or len(theta) != hd:
         raise DimensionMismatchError("one pair and one theta per basis element of h")
+    for x, t in enumerate(theta):
+        if t.degree != 1 or t.value_dim != n_alg.dim:
+            raise DimensionMismatchError(
+                f"theta at index {x} must be a 1-cochain on g valued in n: got degree "
+                f"{t.degree} and value_dim {t.value_dim}, expected 1 and {n_alg.dim}")
     for x in range(hd):
         if not is_derivation(n_alg, psi_n[x]):
             raise PreconditionFailedError(f"psi_n is not a derivation at index {x}",

@@ -415,6 +415,35 @@ def test_cli_lift_and_automorphism(tmp_path, capsys):
     assert not report["obstruction"]["zero"]
 
 
+@pytest.mark.parametrize("theta, shape", [
+    # value_dim past n.dim with an entry set past n: an IndexError traceback from
+    # LieAlgebra.ad before theta's shape was checked
+    ({"degree": 1, "value_dim": 4, "coeffs": {"0": ["0", "0", "0", "1"]}},
+     "got degree 1 and value_dim 4"),
+    # degree 2: a misleading "x.omega is not the covariant differential" before
+    ({"degree": 2, "value_dim": 1, "coeffs": {"0,1": ["1"]}}, "got degree 2 and value_dim 1"),
+], ids=["value-dim", "degree"])
+def test_cli_lift_rejects_a_misshapen_theta(tmp_path, theta, shape):
+    fs = ext_heisenberg3()
+    bundle = tmp_path / "fs.json"
+    bundle.write_text(lio.emit(lio.factor_system_to_json(fs)))
+    pair = tmp_path / "pair.json"
+    pair.write_text(lio.emit({
+        "h": lio.algebra_to_json(catalog("abelian1")),
+        "psi_n": [lio.matrix_to_json(Matrix.zero(fs.n.dim, fs.n.dim))],
+        "psi_g": [lio.matrix_to_json(Matrix.zero(fs.g.dim, fs.g.dim))],
+        "theta": [theta],
+    }))
+    proc = subprocess.run([sys.executable, "-m", "liecoh.cli", "lift", "--ext", str(bundle),
+                           "--pair", str(pair)], capture_output=True, env=cli_env())
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"command": "lift", "error": {
+        "kind": "DimensionMismatchError",
+        "message": f"theta at index 0 must be a 1-cochain on g valued in n: {shape}, "
+                   "expected 1 and 1"}}
+
+
 def test_cli_crossed_module(tmp_path, capsys):
     from liecoh.extensions import GKernel, build_quotient_stage
     fs = ext_heisenberg_kernel()
