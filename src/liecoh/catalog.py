@@ -8,7 +8,6 @@ the reproduction bundles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cochains import Cochain, OuterActionMap
@@ -116,32 +115,28 @@ def catalog(name: str):
                            f"known: {', '.join(catalog_names())}")
 
 
-@dataclass(frozen=True)
 class InvariantForm:
     """A symmetric bilinear form with the adjoint invariance identity."""
 
-    algebra: LieAlgebra
-    gram: Matrix
+    __slots__ = ("algebra", "gram")
 
-    def __post_init__(self):
-        L, gram = self.algebra, self.gram
-        if gram.rows != L.dim or gram.cols != L.dim:
+    def __init__(self, algebra: LieAlgebra, gram: Matrix):
+        if gram.rows != algebra.dim or gram.cols != algebra.dim:
             raise InvariantViolation("gram matrix shape disagrees with the algebra")
         if gram != gram.transpose():
             raise InvariantViolation("the form is not symmetric")
         # kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) is entry (j, k) of this
-        for i in range(L.dim):
-            ad = L.ad_matrix(i)
+        for i in range(algebra.dim):
+            ad = algebra.ad_matrix(i)
             defect = (ad.transpose() @ gram + gram @ ad).sparse_rows()
             if any(defect):
                 j, k = min((j, k) for j, row in enumerate(defect) for k in row)
                 raise InvariantViolation(f"the form is not invariant at triple ({i},{j},{k})")
+        self.algebra = algebra
+        self.gram = gram
 
     def value(self, u, v) -> Fraction:
         return sum((a * b for a, b in zip(u, self.gram.matvec(v))), ZERO)
-
-    def radical_contains(self, v) -> bool:
-        return all(x == 0 for x in self.gram.matvec(v))
 
 
 def killing_form(L: LieAlgebra) -> InvariantForm:

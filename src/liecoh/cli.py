@@ -94,23 +94,21 @@ def cmd_validate(args) -> int:
     report = {}
     valid = True
     if args.algebra:
-        L = _load_algebra(args.algebra)
-        _register(workspace, "algebra", L, args.algebra)
+        L = _load_registered(workspace, "algebra", args.algebra, "algebra")
         report["algebra"] = {"dim": L.dim, "jacobi": True}
     if args.rep:
-        rep = lio.load_file(args.rep, "representation")
-        _register(workspace, "representation", rep, args.rep)
+        rep = _load_registered(workspace, "representation", args.rep, "representation")
         report["representation"] = {"space_dim": rep.space_dim,
                                     "representation_law": True}
     if args.ext:
-        n_alg, g_alg, mats, omega = lio.load_file(args.ext, "factor-system-parts")
-        _register(workspace, "extension", (n_alg, g_alg), args.ext)
+        n_alg, g_alg, mats, omega = _load_registered(workspace, "extension", args.ext,
+                                                     "factor-system-parts")
         fr = factor_system_report(n_alg, g_alg, mats, omega)
         report["factor_system"] = fr.as_dict()
         valid = valid and fr.ok
     if args.cm:
-        h, ghat, alpha, action = lio.load_file(args.cm, "crossed-module-parts")
-        _register(workspace, "crossed-module", (h, ghat), args.cm)
+        h, ghat, alpha, action = _load_registered(workspace, "crossed-module", args.cm,
+                                                  "crossed-module-parts")
         cr = validate_crossed_module((h, ghat, alpha, action))
         report["crossed_module"] = cr.as_dict()
         valid = valid and cr.ok
@@ -121,15 +119,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 
-def _register(workspace, name, obj, source) -> None:
-    text = None
-    if source and source.endswith(".json"):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            text = None
-    workspace.add(name, obj, source=source, text=text)
+def _load_registered(workspace, name: str, source: str, kind: str):
+    """Load one input and register it with the sha256 of the bytes it was parsed
+    from; an algebra named from the catalog reads no file and has no checksum."""
+    if kind == "algebra" and not source.endswith(".json"):
+        obj, raw = _load_algebra(source), None
+    else:
+        raw = lio.read_file_bytes(source)
+        obj = lio.parse_file_bytes(raw, source, kind)
+    workspace.add(name, obj, source=source, text=raw)
+    return obj
 
 
 def _provenance(workspace) -> dict:

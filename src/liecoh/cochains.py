@@ -102,11 +102,6 @@ class Cochain:
     def zero(cls, algebra: LieAlgebra, degree: int, value_dim: int) -> "Cochain":
         return cls(algebra, degree, value_dim)
 
-    @classmethod
-    def from_vector(cls, algebra: LieAlgebra, vec: Sequence[Fraction]) -> "Cochain":
-        """Degree-0 cochain: a plain vector."""
-        return cls(algebra, 0, len(vec), {(): vec})
-
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
             raise DegreeMismatchError("only degree-1 cochains are matrices")
@@ -247,10 +242,6 @@ class EquivariantPairing:
         if len(u) != self.left_dim or len(v) != self.right_dim:
             raise DimensionMismatchError("pairing arguments have the wrong lengths")
         return tuple(self._fn(tuple(u), tuple(v)))
-
-    @classmethod
-    def scalar_multiplication(cls) -> "EquivariantPairing":
-        return cls(1, 1, 1, lambda u, v: (u[0] * v[0],))
 
     @classmethod
     def lie_bracket(cls, V: LieAlgebra) -> "EquivariantPairing":

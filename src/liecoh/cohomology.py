@@ -10,8 +10,7 @@ as a value carrying the inconsistency certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # operator_matrix is not called here; the perfbench tracer times it as
 # cohomology.operator_matrix
@@ -75,10 +74,6 @@ class CohomologySpace:
 
     def class_of(self, c: Cochain) -> "CohomologyClass":
         return CohomologyClass(self, c)
-
-    def zero_class(self) -> "CohomologyClass":
-        return CohomologyClass(
-            self, Cochain.zero(self.rep.algebra, self.degree, self.rep.space_dim))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CohomologySpace) and self.rep == other.rep
@@ -153,8 +148,7 @@ def classes_equal(a: CohomologyClass, b: CohomologyClass) -> bool:
     return a.normalized == b.normalized
 
 
-@dataclass(frozen=True)
-class AffineCochainSpace:
+class AffineCochainSpace(NamedTuple):
     """Nonempty solution set: particular cochain plus homogeneous basis."""
 
     particular: Cochain
@@ -177,8 +171,7 @@ class AffineCochainSpace:
         return self.homogeneous.contains(diff)
 
 
-@dataclass(frozen=True)
-class EmptyAffine:
+class EmptyAffine(NamedTuple):
     """An inconsistent affine system, with the failing reduced row."""
 
     certificate: InconsistencyCertificate

@@ -15,8 +15,7 @@ agreement is itself exercised by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
                        covariant_differential, increasing_tuples, pair_act_cochain,
@@ -34,8 +33,7 @@ from .linalg import (Matrix, Subspace, block_matrix, image, kernel as mat_kernel
                      unit_vec, vec_sub)
 
 
-@dataclass(frozen=True)
-class CrossedModuleReport:
+class CrossedModuleReport(NamedTuple):
     """Outcome of the two defining checks and their three consequences."""
 
     cm1_failures: tuple
@@ -119,8 +117,7 @@ def validate_crossed_module(cm) -> CrossedModuleReport:
     return _report(h, ghat, alpha, action)
 
 
-@dataclass(frozen=True)
-class CrossedModuleSplitting:
+class CrossedModuleSplitting(NamedTuple):
     """Coordinates for h = z + image(alpha) and the induced quotient data."""
 
     cm: CrossedModule
@@ -281,8 +278,7 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
     return cohomology(sp.z_rep, 3).class_of(z_cochain)
 
 
-@dataclass(frozen=True)
-class SplittingWitness:
+class SplittingWitness(NamedTuple):
     """A cocycle extension of theta and the compatible abelian rewrite."""
 
     f_tilde: Cochain          # cocycle on ghat extending theta

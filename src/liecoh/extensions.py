@@ -31,10 +31,9 @@ for the center-valued correction; and ``extension_map`` assembles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        covariant_differential, curvature, gauge_action,
@@ -114,8 +113,7 @@ def extension_map(alpha: Matrix, C: Matrix, beta: Matrix) -> Matrix:
 # factor systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorSystemReport:
+class FactorSystemReport(NamedTuple):
     """Which of the three defining conditions hold, with witnesses."""
 
     derivation_failures: tuple
@@ -354,8 +352,7 @@ def check_equivalence_map(alpha: Matrix, beta: Matrix, gamma: Cochain,
     return ok
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     gamma: Cochain
     matrix: Matrix
 
@@ -364,8 +361,7 @@ class EquivalenceWitness:
         return True
 
 
-@dataclass(frozen=True)
-class Inequivalent:
+class Inequivalent(NamedTuple):
     stage: str  # "kernel-mismatch" or "class-difference"
     certificate: object
 
@@ -489,15 +485,6 @@ class GKernel:
         return f"GKernel(n dim {self.n.dim}, g dim {self.g.dim})"
 
 
-def kernels_equivalent(k1: GKernel, k2: GKernel) -> Optional[Cochain]:
-    """gamma with S1 = S2 + ad(gamma), or None."""
-    if k1.n != k2.n or k1.g != k2.g:
-        raise DimensionMismatchError("kernels live over different pairs")
-    gamma, _ = inner_cochain(
-        k1.n, k1.g, 1, [(m1 - m2).flatten() for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
-    return gamma
-
-
 def obstruction_class(kernel: GKernel, module=None) -> CohomologyClass:
     """The class of d_S omega in degree-3 cohomology with center coefficients.
 
@@ -511,8 +498,7 @@ def obstruction_class(kernel: GKernel, module=None) -> CohomologyClass:
     return cohomology(z_rep, 3).class_of(z_cochain)
 
 
-@dataclass(frozen=True)
-class ExtensionClassification:
+class ExtensionClassification(NamedTuple):
     """Base point plus simply transitive translations for one kernel class."""
 
     kernel: GKernel
@@ -556,8 +542,7 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
 # the auxiliary quotient-stage algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientStage:
+class QuotientStage(NamedTuple):
     """The algebra built from (ad S, proj omega) on n/z(n) x g, with the
     action of it on n and the inner-quotient map from n."""
 
@@ -576,10 +561,6 @@ class QuotientStage:
     @property
     def gs(self) -> LieAlgebra:
         return self.ext.total
-
-    def z_part(self, v: Sequence[Fraction]) -> tuple:
-        """Center coordinates of an n-vector's component along z."""
-        return self.z.split_coordinates(v)
 
 
 def build_quotient_stage(kernel: GKernel) -> QuotientStage:
@@ -611,8 +592,7 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     return stage
 
 
-@dataclass(frozen=True)
-class StageReduction:
+class StageReduction(NamedTuple):
     """An n-extension of g rewritten as a center-valued extension of the stage."""
 
     stage: QuotientStage
@@ -707,8 +687,7 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
 # pullback
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PullbackResult:
+class PullbackResult(NamedTuple):
     fs: FactorSystem
     ext: ExtensionPresentation
     abelian_class: Optional[CohomologyClass]

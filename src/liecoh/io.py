@@ -388,11 +388,14 @@ class Workspace:
         self._provenance = {}
 
     def add(self, name: str, obj, source: Optional[str] = None,
-            text: Optional[str] = None) -> None:
+            text: Optional[str | bytes] = None) -> None:
+        """Register obj; text is what was read from source, hashed as it was
+        read (bytes) or as UTF-8 (str)."""
         if name in self._objects:
             raise InvariantViolation(f"duplicate workspace name {name!r}")
-        checksum = (hashlib.sha256(text.encode()).hexdigest()
-                    if text is not None else None)
+        if isinstance(text, str):
+            text = text.encode()
+        checksum = hashlib.sha256(text).hexdigest() if text is not None else None
         self._objects[name] = obj
         self._provenance[name] = {"source": source, "sha256": checksum}
 
@@ -418,9 +421,18 @@ def write_file(path: str, obj) -> None:
 
 def load_file(path: str, kind: str):
     """Parse and validate one JSON file of the given kind."""
+    return parse_file_bytes(read_file_bytes(path), path, kind)
+
+
+def read_file_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def parse_file_bytes(raw: bytes, path: str, kind: str):
+    """Parse the bytes read from path, decoded as UTF-8, as a file of the given kind."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     data = load_json_text(text)

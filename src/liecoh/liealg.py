@@ -10,9 +10,8 @@ constructor guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
@@ -193,9 +192,6 @@ class Representation:
         z = Matrix.zero(space_dim, space_dim)
         return cls(algebra, space_dim, [z] * algebra.dim, _skip_check=True)
 
-    def is_trivial(self) -> bool:
-        return all(m.is_zero() for m in self.matrices)
-
     def act(self, i: int, v: Sequence[Fraction]) -> tuple:
         return self.matrices[i].matvec(v)
 
@@ -370,8 +366,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace):
     return quotient, projection, section
 
 
-@dataclass(frozen=True)
-class DerivationAlgebra:
+class DerivationAlgebra(NamedTuple):
     """The derivation algebra of L in matrix form.
 
     ``algebra`` carries the commutator structure constants in the canonical

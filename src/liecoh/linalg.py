@@ -21,9 +21,8 @@ echelon basis.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -351,9 +350,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def reduce_entries(self, entries) -> dict:
         """reduce() on nonzero (index, value) pairs, given and returned as a dict.
 
@@ -614,8 +610,7 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[tuple]:
     return None if solutions is None else solutions[0]
 
 
-@dataclass(frozen=True)
-class InconsistencyCertificate:
+class InconsistencyCertificate(NamedTuple):
     """Witness that an affine system has no solution.
 
     ``row`` is the reduced row of the augmented system reading 0 = 1.

@@ -23,23 +23,21 @@ center-valued correction from ``cohomology.primitive``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, OuterActionMap, covariant_differential,
-                       differential_operator, increasing_tuples, pair_act_cochain,
-                       transport_cochain)
+                       differential_operator, increasing_tuples, pair_act_cochain)
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
                          differential_matrix, primitive)
 from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
                      PreconditionFailedError)
 from .extensions import (FactorSystem, build_extension, center_module,
                          check_equivalence_map, embed_cochain_from_subspace,
-                         equivalent_extensions, extension_map, gauge_remainder,
+                         extension_map, gauge_remainder,
                          inner_cochain, restrict_cochain_to_subspace,
                          transported_pair)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
-                     center, is_derivation, law_defect, leibniz_rows)
+                     is_derivation, law_defect, leibniz_rows)
 from .linalg import Matrix, Subspace, invert, kernel, pullback_family, unit_vec, vec_is_zero
 
 
@@ -93,8 +91,7 @@ def check_derivation_triple(alpha: Matrix, beta: Matrix, gamma: Cochain,
 # the full derivation report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(NamedTuple):
     """Dimensions and witnesses for the derivation sequence of an extension.
 
     kernel: quotient-to-center cocycles acting as shifts along the ideal;
@@ -306,8 +303,7 @@ def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
 # lifting an outside algebra action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftingReport:
+class LiftingReport(NamedTuple):
     """Outcome of lifting an action of h on (n, g) to the extension."""
 
     h: LieAlgebra
@@ -430,8 +426,7 @@ def transported_factor_system(fs: FactorSystem, alpha: Matrix,
     return FactorSystem(fs.n, fs.g, *transported_pair(fs, alpha, beta))
 
 
-@dataclass(frozen=True)
-class AutomorphismObstruction:
+class AutomorphismObstruction(NamedTuple):
     pair: tuple
     gamma: Cochain
     obstruction: CohomologyClass
@@ -462,25 +457,3 @@ def automorphism_pair_obstruction(fs: FactorSystem, alpha: Matrix,
         if not bracket_preserving(total, total, lift) or invert(lift) is None:
             raise InvariantViolation("assembled automorphism fails to verify")
     return AutomorphismObstruction((alpha, beta), gamma, cls, lift)
-
-
-def act_on_degree2_class(fs: FactorSystem, alpha: Matrix, beta: Matrix,
-                         cls: CohomologyClass) -> CohomologyClass:
-    """The automorphism-pair action on degree-2 center classes."""
-    z = center(fs.n)
-    beta_inv = invert(beta)
-    eta = embed_cochain_from_subspace(cls.representative, z)
-    moved = transport_cochain(alpha, beta_inv, eta)
-    return cls.space.class_of(restrict_cochain_to_subspace(moved, z))
-
-
-def pair_lifts_iff_transport_equivalent(fs: FactorSystem, alpha: Matrix,
-                                        beta: Matrix) -> tuple[bool, bool]:
-    """Compare liftability with equivalence of the transported extension."""
-    transported = transported_factor_system(fs, alpha, beta)
-    equivalent = equivalent_extensions(transported, fs).found
-    try:
-        liftable = automorphism_pair_obstruction(fs, alpha, beta).lift_exists
-    except NoGammaError:
-        liftable = False
-    return liftable, equivalent

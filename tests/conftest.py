@@ -1,4 +1,5 @@
-"""Shared generators for the randomized suites.
+"""Shared generators for the randomized suites, and small readings of
+package objects that only the tests need.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -12,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
-from liecoh.cochains import Cochain
+from liecoh.cochains import Cochain, EquivariantPairing
 from liecoh.liealg import LieAlgebra, change_of_basis
 from liecoh.linalg import Matrix
 
@@ -68,6 +69,31 @@ def rand_algebra(rng, max_dim=4):
     choices = [f for _, f in BASE_ALGEBRAS if f().dim <= max_dim]
     L = rng.choice(choices)()
     return change_of_basis(L, rand_invertible(rng, L.dim))
+
+
+def vector_cochain(L, vec):
+    """The degree-0 cochain on L whose value is vec."""
+    return Cochain(L, 0, len(vec), {(): vec})
+
+
+def scalar_multiplication():
+    """The pairing Q x Q -> Q, (u, v) -> uv."""
+    return EquivariantPairing(1, 1, 1, lambda u, v: (u[0] * v[0],))
+
+
+def is_full(sub):
+    """The subspace is its whole ambient space."""
+    return sub.dim == sub.ambient_dim
+
+
+def is_trivial(rep):
+    """Every basis element acts by zero."""
+    return all(m.is_zero() for m in rep.matrices)
+
+
+def zero_class(space):
+    """The zero class of a cohomology space."""
+    return space.class_of(Cochain.zero(space.rep.algebra, space.degree, space.rep.space_dim))
 
 
 @pytest.fixture

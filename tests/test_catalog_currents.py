@@ -67,7 +67,7 @@ def test_killing_form_abelian_zero():
 def test_killing_form_heisenberg_degenerate():
     k = killing_form(heisenberg3())
     assert k.gram.is_zero()
-    assert k.radical_contains((0, 0, 1))
+    assert not any(k.gram.matvec((0, 0, 1)))
 
 
 def test_invariant_form_validation():

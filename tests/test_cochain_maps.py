@@ -34,7 +34,8 @@ from liecoh.linalg import (Matrix, invert, to_fractions, unit_vec, vec_add, vec_
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
-from conftest import rand_algebra, rand_cochain, rand_fraction, rand_invertible
+from conftest import (rand_algebra, rand_cochain, rand_fraction, rand_invertible,
+                      vector_cochain)
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
 # tests that use them: they build their systems at import, through the maps
@@ -251,10 +252,10 @@ def test_degree_zero_zero_maps_and_other_domains():
     rng = random.Random(61)
     L = rand_algebra(rng)
     vec = (Fraction(2), Fraction(-1, 3))
-    c = Cochain.from_vector(L, vec)
+    c = vector_cochain(L, vec)
     for k in range(4):
         phi = sparse_matrix(rng, L.dim, k)
-        assert pullback_cochain(c, phi, abelian(k)) == Cochain.from_vector(abelian(k), vec)
+        assert pullback_cochain(c, phi, abelian(k)) == vector_cochain(abelian(k), vec)
     assert c.evaluate([]) == vec
     alpha = Matrix([[1, 2], [0, 3]])
     assert pair_act_cochain(alpha, sparse_matrix(rng, L.dim, L.dim), c).component(()) == (

@@ -17,7 +17,8 @@ from liecoh.extensions import build_extension, extract_factor_system
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import Matrix, unit_vec
 
-from conftest import rand_algebra, rand_cochain, rand_matrix, rand_vector
+from conftest import (rand_algebra, rand_cochain, rand_matrix, rand_vector,
+                      scalar_multiplication, vector_cochain)
 
 
 def test_evaluate_alternation(rng):
@@ -83,7 +84,7 @@ def test_d_squared_zero_random_modules(rng):
 
 def test_wedge_degree_one_pair():
     L = abelian(2)
-    m = EquivariantPairing.scalar_multiplication()
+    m = scalar_multiplication()
     a = Cochain(L, 1, 1, {(0,): (1,)})
     b = Cochain(L, 1, 1, {(1,): (1,)})
     w = wedge(m, a, b)
@@ -94,7 +95,7 @@ def test_wedge_graded_commutativity(rng):
     # antisymmetric pairings swap with (-1)^{pq+1}, symmetric with (-1)^{pq}
     V = heisenberg3()
     bracket = EquivariantPairing.lie_bracket(V)
-    scalar = EquivariantPairing.scalar_multiplication()
+    scalar = scalar_multiplication()
     for _ in range(40):
         L = rand_algebra(rng)
         p = rng.randint(0, 2)
@@ -197,7 +198,7 @@ def test_covariant_differential_degree_zero(rng):
     V = 2
     S = OuterActionMap(L, [rand_matrix(rng, V, V) for _ in range(L.dim)])
     v = rand_vector(rng, V)
-    d = covariant_differential(S, Cochain.from_vector(L, v))
+    d = covariant_differential(S, vector_cochain(L, v))
     for i in range(L.dim):
         assert d.component((i,)) == S.matrices[i].matvec(v)
 
@@ -220,7 +221,7 @@ def test_covariant_square_degree_zero_is_curvature_action(rng):
     S = OuterActionMap(L, [rand_matrix(rng, V, V) for _ in range(L.dim)])
     v = rand_vector(rng, V)
     R = curvature(S)
-    dd = covariant_differential(S, covariant_differential(S, Cochain.from_vector(L, v)))
+    dd = covariant_differential(S, covariant_differential(S, vector_cochain(L, v)))
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             r = Matrix.from_flat(enumerate(R.component((i, j))), V, V)
@@ -354,7 +355,7 @@ def test_twisted_complex_commuting_values(rng):
     bad = OuterActionMap(L, [S.matrices[0] + Matrix([[0, 1], [0, 0]]),
                              S.matrices[1] + Matrix([[0, 0], [1, 0]])])
     assert not curvature(bad).is_zero()
-    v = Cochain.from_vector(L, (1, 0))
+    v = vector_cochain(L, (1, 0))
     assert not covariant_differential(bad, covariant_differential(bad, v)).is_zero()
 
 
@@ -369,7 +370,7 @@ def test_cochain_coordinates_round_trip(rng):
 
 def test_pairing_dimension_mismatch():
     L = abelian(2)
-    m = EquivariantPairing.scalar_multiplication()
+    m = scalar_multiplication()
     a = Cochain(L, 1, 2, {(0,): (1, 0)})
     b = Cochain(L, 1, 1, {(1,): (1,)})
     with pytest.raises(DimensionMismatchError):

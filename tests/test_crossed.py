@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_pres
                            change_of_basis, derivations)
 from liecoh.linalg import Matrix, unit_vec, vec_is_zero, vec_sub
 
-from conftest import rand_algebra, rand_cochain, rand_invertible
+from conftest import is_trivial, rand_algebra, rand_cochain, rand_invertible
 
 
 def ideal_inclusion_module():
@@ -138,7 +137,7 @@ def test_omega_route_names_the_first_key_that_misses_alpha():
     cm = CrossedModule(abelian(1), abelian(3), Matrix.zero(3, 1),
                        Representation.trivial(abelian(3), 1))
     sp = split_crossed_module(cm)
-    tilted = replace(sp, g=LieAlgebra(3, {(1, 2): {0: 1}}))
+    tilted = sp._replace(g=LieAlgebra(3, {(1, 2): {0: 1}}))
     with pytest.raises(NoOmegaLiftError) as info:
         characteristic_class_omega_route(tilted)
     assert info.value.certificate == "section curvature at (1, 2) misses the image of alpha"
@@ -291,7 +290,7 @@ def test_derivation_modules_of_nilpotent_algebras_have_kernel_and_cokernel():
     for L in (heisenberg3(), filiform4()):
         sp = split_crossed_module(derivation_module(L))
         assert (sp.z.dim, sp.n_alg.dim, sp.g.dim) == (1, L.dim - 1, 4)
-        assert not sp.zhat_rep.is_trivial()
+        assert not is_trivial(sp.zhat_rep)
 
 
 def test_crossed_cochain_calls_match_loop_oracles():

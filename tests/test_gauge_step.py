@@ -162,7 +162,7 @@ def column_rebuild_maps(stage):
     nd, gd = stage.kernel.n.dim, stage.kernel.g.dim
     zd, nad = stage.z.dim, stage.n_ad.dim
     total_dim = zd + nad + gd
-    incl_cols = [tuple(stage.z_part(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
+    incl_cols = [tuple(stage.z.split_coordinates(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
                  + zero_vec(gd) for j in range(nd)]
     proj_cols = [zero_vec(gd)] * (zd + nad) + [unit_vec(gd, a) for a in range(gd)]
     sect_cols = [unit_vec(total_dim, zd + nad + a) for a in range(gd)]
@@ -175,7 +175,7 @@ def column_witness(stage):
     """The former stage rewrite witness of reduce_via_stage."""
     nd, gd = stage.kernel.n.dim, stage.kernel.g.dim
     zd, nad = stage.z.dim, stage.n_ad.dim
-    cols = [tuple(stage.z_part(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
+    cols = [tuple(stage.z.split_coordinates(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
             + zero_vec(gd) for j in range(nd)]
     cols += [zero_vec(zd + nad) + unit_vec(gd, a) for a in range(gd)]
     return Matrix.from_columns(cols, rows=zd + nad + gd)

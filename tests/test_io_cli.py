@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from liecoh.catalog import catalog, ext_heisenberg3, ext_heisenberg_kernel, heis
 from liecoh.cli import run_command
 from liecoh.cochains import Cochain
 from liecoh.errors import ParseError, InvariantViolation
+from liecoh.liealg import adjoint_rep
 from liecoh.linalg import Matrix
 
 
@@ -191,6 +194,35 @@ def test_cli_validate_ext_with_missing_cm_exits_one(tmp_path, capsys):
                             "--cm", str(tmp_path / "missing.json")], capsys)
     assert code == 1
     assert "error" in report
+
+
+def test_cli_validate_hashes_each_input_as_read_in_one_open(tmp_path, capsys, monkeypatch):
+    """The checksum is of the bytes on disk, CRLF line ends included, and each
+    input file is opened once: the bytes hashed are the bytes parsed."""
+    ext, cm = _ext_and_invalid_cm(tmp_path)
+    algebra, rep = tmp_path / "h3.json", tmp_path / "rep.json"
+    algebra.write_text(lio.emit(lio.algebra_to_json(heisenberg3())))
+    rep.write_text(lio.emit(lio.representation_to_json(adjoint_rep(heisenberg3()))))
+    inputs = {"algebra": algebra, "representation": rep, "extension": ext,
+              "crossed-module": cm}
+    for path in inputs.values():
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    code, report = run_cli(["validate", "--algebra", str(algebra), "--rep", str(rep),
+                            "--ext", str(ext), "--cm", str(cm)], capsys)
+    monkeypatch.undo()
+    assert code == 2
+    for name, path in inputs.items():
+        assert opened.count(str(path)) == 1
+        assert report["provenance"][name] == {
+            "source": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_cli_validate_reports_every_flag(tmp_path, capsys):
@@ -516,6 +548,7 @@ def file_fault(tmp_path, case):
     return {
         "ext-is-a-directory": (["extension", "build", "--ext", str(directory)], directory),
         "ext-is-not-utf8": (["extension", "build", "--ext", str(undecodable)], undecodable),
+        "validate-is-not-utf8": (["validate", "--algebra", str(undecodable)], undecodable),
         "catalog-emit-directory": (["catalog", "heisenberg3", "--emit", str(directory)],
                                    directory),
         "build-emit-directory": (["extension", "build", "--ext", str(ext), "--emit",
@@ -525,7 +558,7 @@ def file_fault(tmp_path, case):
     }[case]
 
 
-@pytest.mark.parametrize("case", ["ext-is-a-directory", "ext-is-not-utf8",
+@pytest.mark.parametrize("case", ["ext-is-a-directory", "ext-is-not-utf8", "validate-is-not-utf8",
                                   "catalog-emit-directory", "build-emit-directory",
                                   pytest.param("emit-to-a-full-device", marks=pytest.mark.skipif(
                                       not os.path.exists("/dev/full"), reason="no /dev/full"))])

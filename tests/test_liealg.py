@@ -13,7 +13,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep,
                            is_derivation, product_algebra, quotient_algebra)
 from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
 
-from conftest import rand_algebra, rand_fraction, rand_invertible, rand_matrix
+from conftest import is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix
 
 
 def test_jacobi_abelian_and_heisenberg():
@@ -37,7 +37,7 @@ def test_bracket_antisymmetry_synthesized():
 
 
 def test_center_examples():
-    assert center(abelian(3)).is_full()
+    assert is_full(center(abelian(3)))
     c = center(heisenberg3())
     assert c.basis == ((Fraction(0), Fraction(0), Fraction(1)),)
     assert center(sl2()).is_zero()

@@ -17,7 +17,6 @@ it keeps, so its curvature is computed once.
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -274,7 +273,7 @@ def test_extension_and_stage_defects_match_the_loops(name, fs):
     assert stage_theta(stage) == loop_stage_theta(stage)
     nd = fs.n.dim
     for v in [unit_vec(nd, j) for j in range(nd)] + [rand_vector(rng, nd) for _ in range(3)]:
-        assert stage.z_part(v) == loop_z_part(stage, v)
+        assert stage.z.split_coordinates(v) == loop_z_part(stage, v)
 
     reduction = reduce_via_stage(fs)
     assert reduction.f_tilde == loop_f_tilde(fs, stage)
@@ -342,7 +341,7 @@ def test_planted_theta_perturbations_fail_where_the_loop_fails():
                 theta[slot] = value
                 if vec_is_zero(value):
                     del theta[slot]
-            planted = replace(sp, theta=theta)
+            planted = sp._replace(theta=theta)
             want = outcome(loop_check_splitting, planted)
             assert outcome(_check_splitting, planted) == want
             messages.append(want)

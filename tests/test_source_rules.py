@@ -22,6 +22,10 @@ or names ``matrix_of``.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
+No module imports ``dataclasses``: it loads ``inspect`` and ``ast`` and
+exec-compiles each record's methods in every process that imports the
+package, so result records are ``NamedTuple``s.  API that nothing in the
+package called is deleted, and no module names it again.
 """
 
 import ast
@@ -118,6 +122,35 @@ stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_ope
 matrix_of_names = names("matrix_of")
 
 
+def imports_of(module):
+    """Rule: ``import module`` and ``from module import ...``, at any depth."""
+    def rule(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found = any(a.name.split(".")[0] == module for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found = (node.module or "").split(".")[0] == module and not node.level
+            else:
+                found = False
+            if found:
+                yield node.lineno, f"{module} import"
+    return rule
+
+
+dataclasses_imports = imports_of("dataclasses")
+
+# Deleted because nothing in the package called them; the tests keep their
+# own copies of the last three, which state results of the paper.
+DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
+               "radical_contains", "zero_class", "act_on_degree2_class",
+               "pair_lifts_iff_transport_equivalent", "kernels_equivalent")
+
+
+def deleted_api_names(tree):
+    for target in DELETED_API:
+        yield from names(target)(tree)
+
+
 def global_statements(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
@@ -189,6 +222,14 @@ def test_package_has_no_function_level_imports():
 
 def test_package_has_no_global_statements():
     assert violations(global_statements) == []
+
+
+def test_package_imports_no_dataclasses():
+    assert violations(dataclasses_imports) == []
+
+
+def test_package_names_no_deleted_api():
+    assert violations(deleted_api_names) == []
 
 
 def test_rule_detects_both_forms():
@@ -282,3 +323,30 @@ def test_rules_detect_column_reads_and_matrix_of():
     assert list(column_calls(tree)) == [(6, ".column call")]
     assert sorted(matrix_of_names(tree)) == [(1, "matrix_of name"), (3, "matrix_of name"),
                                              (6, "matrix_of name"), (7, "matrix_of name")]
+
+
+def test_rule_detects_dataclasses_imports():
+    tree = ast.parse("import dataclasses\n"
+                     "import os, dataclasses as dc\n"
+                     "from dataclasses import dataclass\n"
+                     "from .dataclasses import x\n"
+                     "from typing import NamedTuple\n"
+                     "def f():\n"
+                     "    from dataclasses import replace\n")
+    assert list(dataclasses_imports(tree)) == [(1, "dataclasses import"),
+                                               (2, "dataclasses import"),
+                                               (3, "dataclasses import"),
+                                               (7, "dataclasses import")]
+
+
+def test_rule_detects_deleted_api_names():
+    tree = ast.parse("from .symmetry import act_on_degree2_class\n"
+                     "class Stage:\n"
+                     "    def z_part(self, v):\n"
+                     "        return v\n"
+                     "def f(space, rep, sub):\n"
+                     "    return space.zero_class(), rep.is_trivial(), is_full(sub), sub.dim\n")
+    assert sorted(deleted_api_names(tree)) == [(1, "act_on_degree2_class name"),
+                                               (3, "z_part name"),
+                                               (6, "is_full name"), (6, "is_trivial name"),
+                                               (6, "zero_class name")]

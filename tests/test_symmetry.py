@@ -10,14 +10,14 @@ from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.errors import NoGammaError, PreconditionFailedError
 from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_map,
-                               equivalent_extensions, extract_factor_system)
+                               embed_cochain_from_subspace, equivalent_extensions,
+                               extract_factor_system, restrict_cochain_to_subspace)
 from liecoh.liealg import Representation, bracket_preserving, center
 from liecoh.linalg import Matrix, Subspace, invert, kernel, unit_vec, vec_is_zero, vec_sub
-from liecoh.symmetry import (_pair_system_rows, _project_pairs, act_on_degree2_class,
+from liecoh.symmetry import (_pair_system_rows, _project_pairs,
                              automorphism_pair_obstruction,
                              check_derivation_triple, derivation_pair_obstruction,
                              extension_derivations, lifting_cocycle,
-                             pair_lifts_iff_transport_equivalent,
                              transported_factor_system)
 
 from conftest import rand_algebra, rand_cochain, rand_invertible, rand_matrix
@@ -244,6 +244,17 @@ def test_automorphism_swap_pair_obstructed():
     assert not res.obstruction.is_zero()
 
 
+def pair_lifts_iff_transport_equivalent(fs, alpha, beta):
+    """Liftability of (alpha, beta) and equivalence of the transported extension."""
+    transported = transported_factor_system(fs, alpha, beta)
+    equivalent = equivalent_extensions(transported, fs).found
+    try:
+        liftable = automorphism_pair_obstruction(fs, alpha, beta).lift_exists
+    except NoGammaError:
+        liftable = False
+    return liftable, equivalent
+
+
 def test_transport_equivalence_matches_liftability():
     fs = ext_filiform4()
     swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
@@ -253,6 +264,14 @@ def test_transport_equivalence_matches_liftability():
     lift2, equiv2 = pair_lifts_iff_transport_equivalent(
         fs2, Matrix([[-1]]), Matrix([[1, 0], [0, -1]]))
     assert lift2 is True and equiv2 is True
+
+
+def act_on_degree2_class(fs, alpha, beta, cls):
+    """The automorphism-pair action on degree-2 center classes."""
+    z = center(fs.n)
+    eta = embed_cochain_from_subspace(cls.representative, z)
+    moved = transport_cochain(alpha, invert(beta), eta)
+    return cls.space.class_of(restrict_cochain_to_subspace(moved, z))
 
 
 def test_group_cocycle_law():

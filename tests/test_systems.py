@@ -37,7 +37,7 @@ from liecoh.linalg import (ZERO, Matrix, kernel, solve_affine, unit_vec, vec_add
                            vec_is_zero, vec_scale)
 from liecoh.symmetry import _pair_system_rows, extension_derivations
 
-from conftest import rand_algebra, rand_cochain, rand_matrix, rand_vector
+from conftest import is_trivial, rand_algebra, rand_cochain, rand_matrix, rand_vector
 
 
 def dense_leibniz_system(L):
@@ -87,7 +87,7 @@ def loop_cochain_differential(rep, c):
     p = c.degree
     check_degree(p + 1)
     L = c.algebra
-    trivial = rep.is_trivial()
+    trivial = is_trivial(rep)
     table = {}
     for key in increasing_tuples(L.dim, p + 1):
         total = (ZERO,) * c.value_dim
