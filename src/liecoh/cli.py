@@ -10,6 +10,7 @@ failed reproduction check) with a structured certificate in the report,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
 from . import io as lio
@@ -21,8 +22,7 @@ from .crossed import (CrossedModule, characteristic_class_omega_route,
                       validate_crossed_module)
 from .currents import run_v2_samples
 from .errors import (InputError, InvalidFactorSystemError, LiecohError,
-                     NegativeResult, ObstructedError, ParseError, UnknownBundleError,
-                     UnknownNameError)
+                     NegativeResult, ObstructedError, ParseError)
 from .extensions import (FactorSystem, GKernel, build_extension,
                          classify_extensions, factor_system_report,
                          obstruction_class, reduce_via_stage)
@@ -43,10 +43,7 @@ def _emit(report: dict) -> None:
 def _load_algebra(spec: str) -> LieAlgebra:
     if spec.endswith(".json"):
         return lio.load_file(spec, "algebra")
-    obj = catalog(spec)
-    if not isinstance(obj, LieAlgebra):
-        raise ParseError(f"catalog entry {spec!r} is not an algebra")
-    return obj
+    return lio.algebra_from_json(spec)
 
 
 def _load_factor_parts(args):
@@ -90,49 +87,45 @@ def _class_report(cls) -> dict:
 
 def cmd_validate(args) -> int:
     """One report on every input given; exit 2 when any of them is invalid."""
-    workspace = lio.Workspace()
+    provenance = {}
     report = {}
     valid = True
     if args.algebra:
-        L = _load_registered(workspace, "algebra", args.algebra, "algebra")
+        L = _load_recorded(provenance, "algebra", args.algebra, "algebra")
         report["algebra"] = {"dim": L.dim, "jacobi": True}
     if args.rep:
-        rep = _load_registered(workspace, "representation", args.rep, "representation")
+        rep = _load_recorded(provenance, "representation", args.rep, "representation")
         report["representation"] = {"space_dim": rep.space_dim,
                                     "representation_law": True}
     if args.ext:
-        n_alg, g_alg, mats, omega = _load_registered(workspace, "extension", args.ext,
-                                                     "factor-system-parts")
+        n_alg, g_alg, mats, omega = _load_recorded(provenance, "extension", args.ext,
+                                                   "factor-system-parts")
         fr = factor_system_report(n_alg, g_alg, mats, omega)
         report["factor_system"] = fr.as_dict()
         valid = valid and fr.ok
     if args.cm:
-        h, ghat, alpha, action = _load_registered(workspace, "crossed-module", args.cm,
-                                                  "crossed-module-parts")
+        h, ghat, alpha, action = _load_recorded(provenance, "crossed-module", args.cm,
+                                                "crossed-module-parts")
         cr = validate_crossed_module((h, ghat, alpha, action))
         report["crossed_module"] = cr.as_dict()
         valid = valid and cr.ok
     if not report:
         raise ParseError("nothing to validate: pass --algebra, --rep, --ext or --cm")
-    _emit({"command": "validate", "report": report,
-           "provenance": _provenance(workspace)})
+    _emit({"command": "validate", "report": report, "provenance": provenance})
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 
-def _load_registered(workspace, name: str, source: str, kind: str):
-    """Load one input and register it with the sha256 of the bytes it was parsed
-    from; an algebra named from the catalog reads no file and has no checksum."""
+def _load_recorded(provenance: dict, name: str, source: str, kind: str):
+    """Load one input and record its source and the sha256 of the bytes it was
+    parsed from; an algebra named from the catalog reads no file and has no checksum."""
     if kind == "algebra" and not source.endswith(".json"):
-        obj, raw = _load_algebra(source), None
+        obj, checksum = _load_algebra(source), None
     else:
         raw = lio.read_file_bytes(source)
         obj = lio.parse_file_bytes(raw, source, kind)
-    workspace.add(name, obj, source=source, text=raw)
+        checksum = hashlib.sha256(raw).hexdigest()
+    provenance[name] = {"source": source, "sha256": checksum}
     return obj
-
-
-def _provenance(workspace) -> dict:
-    return {name: workspace.provenance(name) for name in workspace.names()}
 
 
 def cmd_cohomology(args) -> int:
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecoh",
         description="exact cohomology, extensions and crossed modules of Lie algebras")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load and re-check structural invariants")
@@ -423,10 +415,6 @@ def run_command(argv) -> int:
         _emit({"command": args.command, "error": {
             "kind": type(exc).__name__, "message": str(exc)}})
         return EXIT_NEGATIVE
-    except (UnknownNameError, UnknownBundleError, ParseError) as exc:
-        _emit({"command": args.command, "error": {
-            "kind": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INPUT_ERROR
     except InputError as exc:
         payload = {"kind": type(exc).__name__, "message": str(exc)}
         violations = getattr(exc, "violations", None)

@@ -32,8 +32,7 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation, law_defect
-from .linalg import (Matrix, ZERO, to_fractions, vec_add,
-                     vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import Matrix, ZERO, to_fractions
 
 HALF = Fraction(1, 2)
 
@@ -94,7 +93,7 @@ class Cochain:
             vec = to_fractions(vec)
             if len(vec) != value_dim:
                 raise DimensionMismatchError("coefficient vector has the wrong length")
-            if not vec_is_zero(vec):
+            if any(vec):
                 table[key] = vec
         self.coeffs = table
 
@@ -109,19 +108,8 @@ class Cochain:
                                    rows=self.value_dim)
 
     def component(self, key) -> tuple:
-        return self.coeffs.get(tuple(key), zero_vec(self.value_dim))
-
-    def value_at_indices(self, idx: Sequence[int]) -> tuple:
-        """Value at a tuple of basis indices, alternation sign included."""
-        if len(idx) != self.degree:
-            raise DegreeMismatchError("index tuple length disagrees with the degree")
-        key, sign = sort_with_sign(idx)
-        if key is None:
-            return zero_vec(self.value_dim)
-        vec = self.coeffs.get(key)
-        if vec is None:
-            return zero_vec(self.value_dim)
-        return vec if sign == 1 else vec_scale(Fraction(-1), vec)
+        # a value is a dense tuple of value_dim entries by format
+        return self.coeffs.get(tuple(key), (ZERO,) * self.value_dim)
 
     def evaluate(self, args: Sequence[Sequence[Fraction]]) -> tuple:
         """Fully multilinear alternating evaluation at coefficient vectors: the
@@ -136,7 +124,7 @@ class Cochain:
         table = {}
         _scatter(self, [Matrix.from_columns(args, rows=self.algebra.dim).sparse_rows()]
                  * self.degree, table)
-        return tuple(table.get(tuple(range(self.degree)), zero_vec(self.value_dim)))
+        return tuple(table.get(tuple(range(self.degree)), (ZERO,) * self.value_dim))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -153,7 +141,8 @@ class Cochain:
         self._compatible(other)
         table = dict(self.coeffs)
         for key, vec in other.coeffs.items():
-            table[key] = vec_add(table.get(key, zero_vec(self.value_dim)), vec)
+            mine = table.get(key)
+            table[key] = vec if mine is None else tuple(a + b for a, b in zip(mine, vec))
         return Cochain(self.algebra, self.degree, self.value_dim, table)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
@@ -167,7 +156,7 @@ class Cochain:
         if c == 0:
             return Cochain(self.algebra, self.degree, self.value_dim)
         return Cochain(self.algebra, self.degree, self.value_dim,
-                       {k: vec_scale(c, v) for k, v in self.coeffs.items()})
+                       {k: tuple(c * x for x in v) for k, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.algebra == other.algebra
@@ -271,7 +260,7 @@ class EquivariantPairing:
     def commutator(cls, m: int) -> "EquivariantPairing":
         comp = cls.composition(m)
         return cls(m * m, m * m, m * m,
-                   lambda u, v: vec_sub(comp.apply(u, v), comp.apply(v, u)))
+                   lambda u, v: tuple(a - b for a, b in zip(comp.apply(u, v), comp.apply(v, u))))
 
 
 def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
@@ -286,7 +275,7 @@ def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
     table = {}
     positions = list(combinations(range(p + q), p))
     for key in increasing_tuples(n, p + q):
-        total = zero_vec(m.out_dim)
+        total = [ZERO] * m.out_dim
         for pos in positions:
             left_key = tuple(key[i] for i in pos)
             va = a.coeffs.get(left_key)
@@ -297,12 +286,11 @@ def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
             vb = b.coeffs.get(right_key)
             if vb is None:
                 continue
-            term = m.apply(va, vb)
-            if shuffle_sign(pos) < 0:
-                term = vec_scale(Fraction(-1), term)
-            total = vec_add(total, term)
-        if not vec_is_zero(total):
-            table[key] = total
+            sign = shuffle_sign(pos)
+            for slot, x in enumerate(m.apply(va, vb)):
+                total[slot] += sign * x
+        if any(total):
+            table[key] = tuple(total)
     return Cochain(a.algebra, p + q, m.out_dim, table)
 
 
@@ -498,6 +486,7 @@ class OuterActionMap:
 
     def as_end_cochain(self) -> Cochain:
         m = self.space_dim
+        # an End-valued value is the dense row-major flattening of its matrix
         return Cochain(self.algebra, 1, m * m,
                        {(i,): mat.flatten() for i, mat in enumerate(self.matrices)})
 
@@ -540,6 +529,7 @@ def curvature(S: OuterActionMap) -> Cochain:
     if S._curvature is not None:
         return S._curvature
     m = S.space_dim
+    # an End-valued value is the dense row-major flattening of its matrix
     result = Cochain(S.algebra, 2, m * m,
                      {key: d.flatten() for key, d in law_defect(S.algebra, S.matrices).items()})
     s_coch = S.as_end_cochain()

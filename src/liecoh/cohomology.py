@@ -18,8 +18,8 @@ from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
                        differential_operator, increasing_tuples, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
-from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
-                     solve_affine, solve_certified, vec_is_zero, vec_sub, zero_vec)
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image, kernel,
+                     solve_affine, solve_certified)
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
@@ -102,7 +102,7 @@ class CohomologyClass:
         self.normalized = space.normalize(representative)
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.normalized)
+        return not any(self.normalized)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CohomologyClass) and self.space == other.space
@@ -167,8 +167,8 @@ class AffineCochainSpace(NamedTuple):
         return out
 
     def contains(self, c: Cochain) -> bool:
-        diff = vec_sub(c.coordinates(), self.particular.coordinates())
-        return self.homogeneous.contains(diff)
+        return not self.homogeneous.reduce_entries(
+            (c - self.particular).sparse_coordinates())
 
 
 class EmptyAffine(NamedTuple):
@@ -244,7 +244,8 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     rhs = []
     for i in range(gS.dim):
         for a, b in enumerate(ideal.pairs):
-            target = theta.get((i, a), zero_vec(zd))
+            # solve_affine reads a dense right-hand side
+            target = theta.get((i, a), (ZERO,) * zd)
             for comp in range(zd):
                 row = {}
                 for j, coeff in b:

@@ -28,9 +28,8 @@ from .extensions import (FactorSystem, build_extension, column_table,
                          restrict_cochain_to_subspace)
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving,
                      bracket_table, center, quotient_algebra)
-from .linalg import (Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
-                     linear_combination, pullback_family, quotient_coordinates, solve_columns,
-                     unit_vec, vec_sub)
+from .linalg import (ONE, ZERO, Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
+                     linear_combination, pullback_family, quotient_coordinates, solve_columns)
 
 
 class CrossedModuleReport(NamedTuple):
@@ -151,7 +150,8 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
         raise InvariantViolation("the image of alpha is not an ideal")
     basis = Matrix.from_sparse_rows([dict(p) for p in n_sub.pairs], ghat.dim).transpose()
     n_alg = LieAlgebra(n_dim, bracket_table(ghat, basis, n_sub.split_matrix()))
-    # lift n -> h landing in the complement of z: solve alpha restricted
+    # lift n -> h landing in the complement of z: solve alpha restricted, on
+    # the dense basis vectors that solve_columns reads as right-hand sides
     lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
     if first_inconsistent is not None:
         raise InvariantViolation("alpha does not reach its own image")
@@ -188,8 +188,11 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
     slots = [Cochain(sp.n_alg, 1, zd, {(a,): v for (y, a), v in sp.theta.items() if y == x})
              for x in range(ghat.dim)]
     thetas = [theta_x.as_matrix() for theta_x in slots]
+    # theta on n_i, from the nonzero pairs of n's basis vector i, transposed
+    on_n = [linear_combination([x for _, x in p], [thetas[k] for k, _ in p], zd, n_dim)
+            .transpose() for p in sp.n_sub.pairs]
     for (i, j), vec in sp.f.coeffs.items():
-        if linear_combination(sp.n_sub.basis[i], thetas, zd, n_dim).transpose().row(j) != vec:
+        if on_n[i].row(j) != vec:  # f's values are dense tuples
             raise InvariantViolation("theta does not restrict to the extension cocycle")
     # one trivial module, so d_1 with trivial coefficients is assembled once
     trivial = Representation.trivial(sp.n_alg, zd)
@@ -222,17 +225,28 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
     """Extend theta to an alternating 2-cochain on ghat.
 
     Values on complement pairs are set to zero; everything else is forced
-    by alternation and the restriction requirement.
+    by alternation and the restriction requirement:
+    f_tilde(e_i, e_j) = theta(e_i, (e_j)_n) - theta((e_j)_c, (e_i)_n), where
+    (e_j)_n is e_r of n when j is the pivot of n's basis vector r and 0
+    otherwise, and (e_j)_c = e_j - (e_j)_n is the reduction of e_j.  Both
+    are read from the pairs of n's basis, and theta from its column table.
     """
-    ghat, zd, n_dim = sp.cm.ghat, sp.z.dim, sp.n_alg.dim
-    thetas = sp.theta_matrices
+    ghat, zd = sp.cm.ghat, sp.z.dim
+    position = {p: r for r, p in enumerate(sp.n_sub.pivots)}
+    # -(e_j)_c: -e_j off the pivots, and at pivot j the tail of j's basis vector
+    minus_reduction = [sp.n_sub.pairs[position[j]][1:] if j in position else ((j, -ONE),)
+                       for j in range(ghat.dim)]
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
-        u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
-        theta_v_c = linear_combination(sp.n_sub.reduce(v), thetas, zd, n_dim)
-        # f_tilde(u, v) = theta(u, v_n) - theta(v_c, u_n)
-        table[(i, j)] = vec_sub(thetas[i].matvec(sp.n_sub.split_coordinates(v)),
-                                theta_v_c.matvec(sp.n_sub.split_coordinates(u)))
+        value = [ZERO] * zd
+        if j in position:
+            for a, x in enumerate(sp.theta.get((i, position[j]), ())):
+                value[a] += x
+        if i in position:
+            for k, y in minus_reduction[j]:
+                for a, x in enumerate(sp.theta.get((k, position[i]), ())):
+                    value[a] += y * x
+        table[(i, j)] = value
     return Cochain(ghat, 2, zd, table)
 
 

@@ -24,7 +24,7 @@ from .cohomology import cohomology
 from .errors import DimensionMismatchError, InputError
 from .io import scalar_to_str
 from .liealg import Representation
-from .linalg import ZERO, unit_vec
+from .linalg import ZERO
 
 DEFAULT_MAX_DEGREE = 32
 
@@ -215,10 +215,13 @@ def cyclic_cocycle_defect(a: Polynomial, b: Polynomial, c: Polynomial) -> Fracti
 def characteristic_cocycle(kappa: InvariantForm) -> Cochain:
     """eta(x, y, z) = (1/2) kappa([x, y], z) as a scalar 3-cochain."""
     L = kappa.algebra
+    gram = kappa.gram.sparse_rows()
     table = {}
     for key in increasing_tuples(L.dim, 3):
         i, j, k = key
-        val = kappa.value(L.bracket_basis(i, j), unit_vec(L.dim, k)) / 2
+        # kappa(u, e_k) is row k of the symmetric gram matrix applied to u
+        val = sum((x * gram[k].get(a, ZERO) for a, x in enumerate(L.bracket_basis(i, j))),
+                  ZERO) / 2
         if val != 0:
             table[key] = (val,)
     return Cochain(L, 3, 1, table)

@@ -48,7 +48,7 @@ from .errors import (DimensionMismatchError, InvalidFactorSystemError,
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
                      is_derivation, product_algebra, quotient_algebra, solve_inner)
 from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, image, invert,
-                     left_inverse, pullback_family, to_fractions, zero_vec)
+                     left_inverse, pullback_family, to_fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,7 @@ def _factor_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain) -> O
 def _curvature_failures(S: OuterActionMap, omega: Cochain) -> tuple:
     """The increasing pairs at which the curvature of S differs from ad(omega)."""
     R = curvature(S)
+    # the curvature's values are dense flattened matrices
     return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
                  if R.component(key) != S.target.ad(omega.component(key)).flatten())
 
@@ -378,6 +379,7 @@ def gauge_remainder(fs1: FactorSystem, fs2: FactorSystem, z: Subspace):
     coordinates of the center z, where it lies.  When S1 - S2 is not
     inner, gamma0 and the remainder are None and the certificate says why.
     """
+    # the inner lift reads each target as a dense flattened matrix
     gamma0, certificate = inner_cochain(
         fs1.n, fs1.g, 1,
         [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
@@ -584,10 +586,12 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     alpha_matrix = block_matrix([[proj_ad], [Matrix.zero(g_alg.dim, n_alg.dim)]])
     stage = QuotientStage(kernel, z, z_rep, z_rep_on_gs, n_ad, proj_ad, sect_ad, fs, ext,
                           rho, alpha_matrix)
-    flat_rho = Matrix.from_columns([m.flatten() for m in rho.matrices],
-                                   rows=n_alg.dim * n_alg.dim)
-    psi = block_matrix([[flat_rho], [ext.projection]])
-    if psi.rank() != gs.dim:
+    # the embedding x -> (rho(x), proj x), transposed: row x is rho(x) flattened
+    # row-major, then column x of the projection
+    nd = n_alg.dim
+    flat_rho = Matrix.from_sparse_rows([{a * nd + b: v for a, row in enumerate(m.sparse_rows())
+                                         for b, v in row.items()} for m in rho.matrices], nd * nd)
+    if block_matrix([[flat_rho, ext.projection.transpose()]]).rank() != gs.dim:
         raise InvariantViolation("the stage embedding into der(n) x g is not injective")
     return stage
 
@@ -615,9 +619,19 @@ def stage_theta(stage: QuotientStage) -> tuple[Cochain, dict]:
 
 
 def column_table(matrices: Sequence[Matrix]) -> dict:
-    """{(x, a): column a of matrices[x]} on the nonzero columns, as dense tuples."""
+    """{(x, a): column a of matrices[x]} on the nonzero columns, as dense tuples:
+    the table's values are right-hand sides and cochain values, dense by format."""
     return {(x, a): t.row(a) for x, t in enumerate([m.transpose() for m in matrices])
             for a, col in enumerate(t.sparse_rows()) if col}
+
+
+def restricts_to(theta: dict, f: Cochain) -> bool:
+    """Whether the table theta, read on the pairs of f's basis indices, is the
+    2-cochain f: theta(i, j) = f(i, j) = -f(j, i), from the nonzero entries of both."""
+    n = f.algebra.dim
+    expected = dict(f.coeffs)
+    expected.update(((j, i), tuple(-x for x in vec)) for (i, j), vec in f.coeffs.items())
+    return {key: vec for key, vec in theta.items() if key[0] < n} == expected
 
 
 def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
@@ -650,13 +664,10 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
     kernel = GKernel.from_factor_system(fs)
     stage = build_quotient_stage(kernel)
     f, theta = stage_theta(stage)
-    nd, gd, nad, zd = fs.n.dim, fs.g.dim, stage.n_ad.dim, stage.z.dim
-
+    nd, gd = fs.n.dim, fs.g.dim
     # theta restricted to the ideal block must reproduce f on all pairs.
-    for i in range(nad):
-        for j in range(nad):
-            if theta.get((i, j), zero_vec(zd)) != f.value_at_indices((i, j)):
-                raise InvariantViolation("theta does not restrict to the center cocycle")
+    if not restricts_to(theta, f):
+        raise InvariantViolation("theta does not restrict to the center cocycle")
 
     ghat = build_extension(fs)
     # the canonical lift of the stage into n + g coordinates

@@ -6,16 +6,16 @@ so emit(load(x)) reproduces canonically formed input byte for byte.
 
 emit is the package's one JSON writer: every report on stdout and every
 file written goes through it.  Its text is json.dumps(obj, sort_keys=True,
-indent=2) plus a newline for every value json accepts.  It also writes a
-SparseCochain, a cochain given by its sparse coordinates, as
-cochain_to_json writes that cochain, straight from the (index, value)
-pairs, so a report of basis cochains builds neither a Cochain nor a dict
-per basis vector.
+indent=2) plus a newline for every value json accepts.  A cochain is
+handed to it as a SparseCochain, the cochain's sparse coordinates, which
+cochain_to_json makes from a Cochain; the cochain format, an object of
+"coeffs", "degree" and "value_dim", lives only in _cochain_text, which
+writes it straight from the (index, value) pairs, so a report of basis
+cochains builds neither a Cochain nor a dict per basis vector.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -77,6 +77,7 @@ def json_list(data, what: str) -> list:
 
 
 def matrix_to_json(m: Matrix) -> list:
+    # the format writes every entry of every row
     return [[scalar_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
@@ -158,12 +159,10 @@ def representation_from_json(data) -> Representation:
         raise InvariantViolation(str(exc), [f"representation law at {exc.pair}"]) from exc
 
 
-def cochain_to_json(c: Cochain) -> dict:
-    coeffs = {}
-    for key in sorted(c.coeffs):
-        coeffs[",".join(str(i) for i in key)] = [scalar_to_str(x)
-                                                 for x in c.coeffs[key]]
-    return {"degree": c.degree, "value_dim": c.value_dim, "coeffs": coeffs}
+def cochain_to_json(c: Cochain) -> SparseCochain:
+    """c for emit: its sparse coordinates, which emit writes in the cochain format."""
+    return SparseCochain(c.algebra.dim, c.degree, c.value_dim,
+                         sorted(c.sparse_coordinates().items()))
 
 
 def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
@@ -261,7 +260,7 @@ def emit(obj) -> str:
 
     The text is json.dumps(obj, sort_keys=True, indent=2) + "\n" for every
     value json accepts, and a TypeError where json raises one; a
-    SparseCochain is written as cochain_to_json writes its cochain.
+    SparseCochain is written in the cochain format of _cochain_text.
     """
     out = []
     _write(obj, "\n", out, {})
@@ -341,9 +340,10 @@ def _key_text(key) -> str:
 
 
 def _cochain_text(c: SparseCochain, pad: str, key_names: dict) -> str:
-    """The text of cochain_to_json's dict for c: the nonzero keys in string
-    order (so "0,1,10" comes before "0,1,2"), each value in full with "0"
-    for its zero entries."""
+    """The text of c in the cochain format: an object of "coeffs" (the
+    nonzero keys, each its indices joined by commas, in string order, so
+    "0,1,10" comes before "0,1,2", each value in full with "0" for its zero
+    entries), "degree" and "value_dim", as json.dumps writes it."""
     names = key_names.get((c.algebra_dim, c.degree))
     if names is None:
         names = key_names[(c.algebra_dim, c.degree)] = [
@@ -378,35 +378,6 @@ def load_json_text(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-
-
-class Workspace:
-    """Loaded objects by name, with source provenance and checksums."""
-
-    def __init__(self):
-        self._objects = {}
-        self._provenance = {}
-
-    def add(self, name: str, obj, source: Optional[str] = None,
-            text: Optional[str | bytes] = None) -> None:
-        """Register obj; text is what was read from source, hashed as it was
-        read (bytes) or as UTF-8 (str)."""
-        if name in self._objects:
-            raise InvariantViolation(f"duplicate workspace name {name!r}")
-        if isinstance(text, str):
-            text = text.encode()
-        checksum = hashlib.sha256(text).hexdigest() if text is not None else None
-        self._objects[name] = obj
-        self._provenance[name] = {"source": source, "sha256": checksum}
-
-    def get(self, name: str):
-        return self._objects[name]
-
-    def provenance(self, name: str) -> dict:
-        return dict(self._provenance[name])
-
-    def names(self) -> tuple:
-        return tuple(self._objects)
 
 
 def write_file(path: str, obj) -> None:

@@ -17,8 +17,7 @@ from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
                      kernel, linear_combination, pullback_family, quotient_coordinates,
-                     solve_columns, to_fractions, unit_vec, vec_is_zero, vec_scale,
-                     zero_vec)
+                     solve_columns, to_fractions)
 
 
 class LieAlgebra:
@@ -27,8 +26,7 @@ class LieAlgebra:
 
     __slots__ = ("dim", "labels", "_table", "_involving", "_leibniz")
 
-    def __init__(self, dim: int, brackets=None, labels: Optional[Sequence[str]] = None,
-                 _skip_jacobi: bool = False):
+    def __init__(self, dim: int, brackets=None, labels: Optional[Sequence[str]] = None):
         """brackets maps (i, j) with i < j to {k: coefficient}."""
         self.dim = dim
         if labels is None:
@@ -43,13 +41,14 @@ class LieAlgebra:
             if not 0 <= i < j < dim:
                 raise DimensionMismatchError(
                     f"bracket key ({i},{j}) is not an increasing pair below {dim}")
-            vec = list(zero_vec(dim))
+            # the table keeps each value as a dense coefficient tuple
+            vec = [ZERO] * dim
             for k, c in entry.items():
                 k = int(k)
                 if not 0 <= k < dim:
                     raise DimensionMismatchError(f"bracket value index {k} out of range")
                 vec[k] = Fraction(c)
-            if not vec_is_zero(vec):
+            if any(vec):
                 table[(i, j)] = tuple(vec)
         self._table = table
         # _involving[i] lists (j, nonzero pairs of [e_i, e_j]) for each
@@ -61,19 +60,16 @@ class LieAlgebra:
             involving[j].append((i, tuple((k, -c) for k, c in pairs)))
         self._involving = involving
         self._leibniz = None
-        if not _skip_jacobi:
-            triple = self._jacobi_failure()
-            if triple is not None:
-                raise JacobiError(triple)
+        triple = self._jacobi_failure()
+        if triple is not None:
+            raise JacobiError(triple)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a coefficient vector."""
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vec(self.dim))
-        v = self._table.get((j, i))
-        return zero_vec(self.dim) if v is None else vec_scale(Fraction(-1), v)
+        """[e_i, e_j] as a dense coefficient tuple, read from the stored table."""
+        v = self._table.get((min(i, j), max(i, j)))
+        if v is None:  # also when i == j: the table has increasing keys only
+            return (ZERO,) * self.dim
+        return v if i < j else tuple(-x for x in v)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
         """Bilinear extension of the bracket to coefficient vectors."""
@@ -89,8 +85,12 @@ class LieAlgebra:
         return tuple(out)
 
     def ad_matrix(self, i: int) -> Matrix:
-        """Matrix of ad e_i: columns are [e_i, e_j]."""
-        return self.ad(unit_vec(self.dim, i))
+        """Matrix of ad e_i: column j is [e_i, e_j], scattered from the bracket index."""
+        rows = [{} for _ in range(self.dim)]
+        for j, pairs in self._involving[i]:
+            for k, w in pairs:
+                rows[k][j] = w
+        return Matrix.from_sparse_rows(rows, self.dim)
 
     def ad_matrices(self) -> tuple:
         """The adjoint family ad e_0, ..., ad e_{n-1}."""
@@ -241,6 +241,7 @@ def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
         columns = (ad_mi @ m - m @ ad_i).transpose()
         for j in range(i + 1, source.dim):
             if columns.sparse_rows()[j]:
+                # a defect is a dense target vector: callers store it as a cochain value
                 defect[(i, j)] = columns.row(j)
     return defect
 
@@ -301,7 +302,8 @@ def solve_inner(L: LieAlgebra, targets: Sequence[Sequence[Fraction]]):
     n, s = L.dim, len(targets)
     solutions, first_inconsistent, rank = solve_columns(ad_stack(L), targets)
     if first_inconsistent is not None:
-        return None, InconsistencyCertificate(s * rank, zero_vec(s * n) + (ONE,))
+        # a certificate row is dense
+        return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
     return tuple(x for solution in solutions for x in solution), None
 
 
@@ -383,6 +385,7 @@ class DerivationAlgebra(NamedTuple):
         return len(self.matrices)
 
     def coordinates_of(self, d: Matrix) -> Optional[tuple]:
+        # the space lives in flattened End(L), and coordinates_of reads dense vectors
         return self.subspace.coordinates_of(d.flatten())
 
 
@@ -399,8 +402,8 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
     table = {}
     for i in range(d):
         for j in range(i + 1, d):
-            comm = mats[i].commutator(mats[j]).flatten()
-            coords = space.coordinates_of(comm)
+            # the space lives in flattened End(L), and coordinates_of reads dense vectors
+            coords = space.coordinates_of(mats[i].commutator(mats[j]).flatten())
             if coords is None:
                 raise NotADerivationError(
                     "commutator of derivations left the solution space")
@@ -408,6 +411,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
             if entry:
                 table[(i, j)] = entry
     der_alg = LieAlgebra(d, table)
+    # the same flattened End(L) vectors, for the inner derivations
     inner = tuple(space.coordinates_of(ad.flatten()) for ad in L.ad_matrices())
     if None in inner:
         raise NotADerivationError("an inner derivation failed the Leibniz system")

@@ -5,14 +5,15 @@ echelon forms are the unique reduced ones, so kernels, images, solution
 picks and quotient splittings are canonical and reproducible: the same
 input always yields byte-identical output.
 
-Storage is sparse: a Matrix keeps one dict {column: value} per row and a
-Subspace keeps each basis vector as its nonzero (index, value) pairs, so
-no zero is stored or touched.  Dense tuples (``Matrix.row_list``,
-``Subspace.basis``) are views built on first use for the callers that
-want them.  There is one elimination, on copies of the dict rows, and one
-augmented elimination, ``_augmented_rref``, from which ``solve_columns``
-(and on it ``solve``, ``left_inverse`` and ``invert``), ``solve_affine``,
-``solve_certified`` and ``consistent_columns`` read their answers.
+Storage is sparse: a Matrix keeps only one dict {column: value} per row
+and a Subspace only the nonzero (index, value) pairs of each basis vector,
+so no zero is stored or touched.  The dense tuples (``Matrix.row``,
+``row_list``, ``flatten``, ``Subspace.basis``) are views built on each
+call and never kept.  There is one elimination, on copies of the dict
+rows, and one augmented elimination, ``_augmented_rref``, from which
+``solve_columns`` (and on it ``solve``), ``left_inverse`` (and on it
+``invert``), ``solve_affine``, ``solve_certified`` and
+``consistent_columns`` read their answers.
 ``kernel`` is one elimination of m with its column indices reversed: read
 back in the original order, the null vectors are already the reduced
 echelon basis.
@@ -46,30 +47,6 @@ def to_fractions(values: Iterable) -> tuple:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple:
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return not any(v)
-
-
-def zero_vec(n: int) -> tuple:
-    return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def _dense(entries: Iterable, n: int) -> tuple:
     """The length-n vector with the given (index, value) pairs, zero elsewhere."""
     v = [ZERO] * n
@@ -91,7 +68,7 @@ def _add_scaled(acc: dict, c: Fraction, entries: Iterable) -> None:
 class Matrix:
     """Immutable matrix of Fractions, one dict {column: nonzero value} per row."""
 
-    __slots__ = ("rows", "cols", "_data", "_dense")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows_data: Iterable[Iterable], cols: Optional[int] = None):
         """A matrix from dense rows; each row is converted once and its zeros dropped."""
@@ -108,13 +85,12 @@ class Matrix:
         self.rows = len(dense)
         self.cols = cols
         self._data = tuple({j: x for j, x in enumerate(row) if x} for row in dense)
-        self._dense = dense
 
     @classmethod
     def _of(cls, data: Sequence[dict], cols: int) -> "Matrix":
         # the matrix takes the dicts over as they are: nonzero Fractions only
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data, m._dense = len(data), cols, tuple(data), None
+        m.rows, m.cols, m._data = len(data), cols, tuple(data)
         return m
 
     @classmethod
@@ -147,13 +123,12 @@ class Matrix:
         return self._data
 
     def row_list(self) -> tuple:
-        """The rows as dense tuples, built on first use and kept."""
-        if self._dense is None:
-            self._dense = tuple(_dense(row.items(), self.cols) for row in self._data)
-        return self._dense
+        """The rows as dense tuples, built on each call."""
+        return tuple(_dense(row.items(), self.cols) for row in self._data)
 
     def row(self, i: int) -> tuple:
-        return self.row_list()[i]
+        """Row i as a dense tuple, built on each call."""
+        return _dense(self._data[i].items(), self.cols)
 
     def column(self, j: int) -> tuple:
         return tuple(row.get(j, ZERO) for row in self._data)
@@ -228,7 +203,7 @@ class Matrix:
         return Matrix._of(self._data + other._data, self.cols)
 
     def flatten(self) -> tuple:
-        """Row-major flattening."""
+        """Row-major flattening, as a dense tuple built on each call."""
         return tuple(x for row in self.row_list() for x in row)
 
     @classmethod
@@ -301,26 +276,24 @@ class Subspace:
 
     Basis vectors are the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces always carry identical bases.
-    Each basis vector is stored as ``pairs``: its nonzero (index, value)
-    pairs in increasing index order.  ``basis`` is the dense view, built on
-    first use; reduction, membership and coordinates touch only the pairs.
+    Each basis vector is stored only as ``pairs``: its nonzero (index,
+    value) pairs in increasing index order.  ``basis`` is the dense view,
+    built on each call; reduction, membership and coordinates touch only
+    the pairs.
     """
 
-    __slots__ = ("ambient_dim", "pairs", "pivots", "_by_pivot", "_basis")
+    __slots__ = ("ambient_dim", "pairs", "pivots", "_by_pivot")
 
     def __init__(self, ambient_dim: int, pairs: Sequence[Sequence], pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
         self.pairs = tuple(tuple(p) for p in pairs)
         self.pivots = tuple(pivots)
         self._by_pivot = dict(zip(self.pivots, self.pairs))
-        self._basis = None
 
     @property
     def basis(self) -> tuple:
-        """The basis vectors as dense tuples."""
-        if self._basis is None:
-            self._basis = tuple(_dense(p, self.ambient_dim) for p in self.pairs)
-        return self._basis
+        """The basis vectors as dense tuples, built on each call."""
+        return tuple(_dense(p, self.ambient_dim) for p in self.pairs)
 
     @classmethod
     def row_space(cls, m: Matrix) -> "Subspace":
@@ -564,12 +537,15 @@ def _dense_columns(m: Matrix, columns: Sequence[Sequence]) -> list:
     return [{i: x for i, x in enumerate(b) if x} for b in columns]
 
 
-def _particular(reduced: Matrix, pivots: Sequence[int], cols: int, i: int) -> tuple:
-    # free variables are zero; pivot variables read right-hand column i
-    x = [ZERO] * cols
+def _particulars(reduced: Matrix, pivots: Sequence[int], cols: int, k: int) -> list:
+    """The particular solution of each of k right-hand columns, as a dict
+    {variable: value}: free variables are zero, pivot variables read the column."""
+    out = [{} for _ in range(k)]
     for p, row in zip(pivots, reduced.sparse_rows()):
-        x[p] = row.get(cols + i, ZERO)
-    return tuple(x)
+        for j, x in row.items():
+            if j >= cols:
+                out[j - cols][p] = x
+    return out
 
 
 def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> tuple:
@@ -586,7 +562,8 @@ def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> tuple:
     reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, columns))
     if first_inconsistent is not None:
         return None, first_inconsistent, len(pivots)
-    return (tuple(_particular(reduced, pivots, m.cols, i) for i in range(len(columns))),
+    return (tuple(_dense(x.items(), m.cols)
+                  for x in _particulars(reduced, pivots, m.cols, len(columns))),
             None, len(pivots))
 
 
@@ -627,8 +604,9 @@ def _solution_or_certificate(m: Matrix, b: Sequence[Fraction]):
     """One elimination of [m | b]: (reduced, pivots, particular, certificate)."""
     reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, [b]))
     if first_inconsistent is None:
-        return reduced, pivots, _particular(reduced, pivots, m.cols, 0), None
-    # the 0 = 1 row follows the rows of m's pivots
+        particular = _particulars(reduced, pivots, m.cols, 1)[0]
+        return reduced, pivots, _dense(particular.items(), m.cols), None
+    # the 0 = 1 row follows the rows of m's pivots; a certificate row is dense
     idx = len(pivots)
     row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
     return reduced, pivots, None, InconsistencyCertificate(idx, row)
@@ -666,25 +644,30 @@ def quotient_coordinates(ambient_dim: int, sub: Subspace) -> tuple[Matrix, Matri
         raise DimensionMismatchError("subspace lives in a different ambient space")
     pivot_set = set(sub.pivots)
     free = [j for j in range(ambient_dim) if j not in pivot_set]
-    proj_cols = []
-    for j in range(ambient_dim):
-        reduced = sub.reduce(unit_vec(ambient_dim, j))
-        proj_cols.append(tuple(reduced[f] for f in free))
-    projection = Matrix.from_columns(proj_cols, rows=len(free))
-    section = Matrix.from_columns([unit_vec(ambient_dim, f) for f in free],
-                                  rows=ambient_dim)
-    return projection, section
+    position = {f: r for r, f in enumerate(free)}
+    # the row of free index f is 1 at f and -x at pivot p for each entry x at f of
+    # p's basis vector; that vector is 1 at p, its first pair, and 0 at other pivots
+    rows = [{f: ONE} for f in free]
+    for p, pairs in zip(sub.pivots, sub.pairs):
+        for f, x in pairs[1:]:
+            rows[position[f]][p] = -x
+    section = [{position[j]: ONE} if j in position else {} for j in range(ambient_dim)]
+    return Matrix._of(rows, ambient_dim), Matrix._of(section, len(free))
 
 
 def left_inverse(m: Matrix) -> Optional[Matrix]:
     """L with L m = identity, for injective m; None when not injective.
 
     Deterministic: row i of L is the pivot-convention solution of
-    m^T x = e_i, and all rows come from one elimination of [m^T | I].
-    m is injective exactly when every e_i is consistent.
+    m^T x = e_i, and all rows come from one elimination of [m^T | I], the
+    columns of I given as the dicts {i: 1}.  m is injective exactly when
+    every e_i is consistent.
     """
-    rows, _, _ = solve_columns(m.transpose(), [unit_vec(m.cols, i) for i in range(m.cols)])
-    return None if rows is None else Matrix(rows, cols=m.rows)
+    reduced, pivots, first_inconsistent = _augmented_rref(
+        m.transpose(), [{i: ONE} for i in range(m.cols)])
+    if first_inconsistent is not None:
+        return None
+    return Matrix._of(_particulars(reduced, pivots, m.rows, m.cols), m.rows)
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

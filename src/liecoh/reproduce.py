@@ -20,6 +20,7 @@ def bundle_example_a9():
     """Derivations of the 3-dimensional nilpotent central extension."""
     fs = catalog("ext-heisenberg3")
     rep = extension_derivations(fs)
+    # Subspace.from_vectors reads dense vectors
     betas = [beta.flatten() for _, beta, _ in rep.image_pairs]
     beta_span = Subspace.from_vectors(4, betas)
     conformal_weights_ok = all(

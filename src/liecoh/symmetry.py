@@ -38,7 +38,7 @@ from .extensions import (FactorSystem, build_extension, center_module,
                          transported_pair)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
                      is_derivation, law_defect, leibniz_rows)
-from .linalg import Matrix, Subspace, invert, kernel, pullback_family, unit_vec, vec_is_zero
+from .linalg import ONE, Matrix, Subspace, invert, kernel, pullback_family
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,7 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
 
 def _pair_gamma(fs: FactorSystem, alpha: Matrix, beta: Matrix):
     """The inner lift gamma of (alpha, beta).S: (gamma, None) or (None, certificate)."""
+    # the inner lift reads each target as a dense flattened matrix
     return inner_cochain(fs.n, fs.g, 1,
                          [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
 
@@ -189,27 +190,26 @@ def _pair_system_rows(fs: FactorSystem):
                 rows.append(row)
 
     # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
-    #   - (d_S gamma)(i, j) = 0
-    d_rows = differential_operator(S, 1).sparse_rows()
-    omega_rows = []
-    for q, key in enumerate(increasing_tuples(gd, 2)):
-        i, j = key
-        w = omega.component(key)
-        for r in range(nd):
-            row = Counter()
-            for k in range(nd):
-                row[r * nd + k] += w[k]
-            for b in range(gd):
-                # omega(e_b, e_j) coefficient of beta_{bi}
-                val = omega.value_at_indices((b, j))
-                if val[r] != 0:
-                    row[va + b * gd + i] -= val[r]
-                val = omega.value_at_indices((i, b))
-                if val[r] != 0:
-                    row[va + b * gd + j] -= val[r]
-            for col, x in d_rows[q * nd + r].items():
-                row[va + vb + col] -= x
-            omega_rows.append(row)
+    #   - (d_S gamma)(i, j) = 0, row q * nd + r for the r-th entry at key q
+    omega_rows = [Counter({va + vb + col: -x for col, x in d_row.items()})
+                  for d_row in differential_operator(S, 1).sparse_rows()]
+    q_of = {key: q for q, key in enumerate(increasing_tuples(gd, 2))}
+    for (s, t), w in omega.coeffs.items():
+        for r, x in enumerate(w):
+            if not x:
+                continue
+            for k in range(nd):  # alpha_{kr} omega(s, t)_r, in row k of key (s, t)
+                omega_rows[q_of[(s, t)] * nd + k][k * nd + r] += x
+            # beta_{bi} omega(e_b, e_j) is +x at (b, j) = (s, t) and -x at (t, s);
+            # beta_{bj} omega(e_i, e_b) is +x at (i, b) = (s, t) and -x at (t, s)
+            for i in range(t):
+                omega_rows[q_of[(i, t)] * nd + r][va + s * gd + i] -= x
+            for i in range(s):
+                omega_rows[q_of[(i, s)] * nd + r][va + t * gd + i] += x
+            for j in range(s + 1, gd):
+                omega_rows[q_of[(s, j)] * nd + r][va + t * gd + j] -= x
+            for j in range(t + 1, gd):
+                omega_rows[q_of[(t, j)] * nd + r][va + s * gd + j] += x
     return rows, omega_rows, nvars, va, vb
 
 
@@ -292,7 +292,7 @@ def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
     h2 = cohomology(z_rep, 2)
     cls = h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z))
     if z.dim > 0 and fs.g.dim > 0:
-        shift = Cochain(fs.g, 1, z.dim, {(0,): unit_vec(z.dim, 0)})
+        shift = Cochain.from_pairs(fs.g, 1, z.dim, [(0, ONE)])
         gamma2 = gamma + embed_cochain_from_subspace(shift, z)
         if h2.class_of(_pair_remainder(fs, alpha, beta, gamma2, z)) != cls:
             raise InvariantViolation("obstruction class depends on the gamma choice")
@@ -390,7 +390,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
                     val = val - theta[k].scale(c)
             values[(x, y)] = val
             coords = z1_coords(val)
-            if not vec_is_zero(coords):
+            if any(coords):
                 coord_table[(x, y)] = coords
     cocycle = Cochain(h_alg, 2, z1.dim, coord_table)
     obstruction = cohomology(z1_rep, 2).class_of(cocycle)

@@ -1,5 +1,7 @@
-"""Shared generators for the randomized suites, and small readings of
-package objects that only the tests need.
+"""Shared generators for the randomized suites, small readings of package
+objects that only the tests need, and the dense vector helpers the package
+no longer has: its core keeps only sparse rows and pairs, and the tests use
+these to build and compare dense coefficient vectors.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -13,9 +15,43 @@ from itertools import combinations
 import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
-from liecoh.cochains import Cochain, EquivariantPairing
+from liecoh.cochains import Cochain, EquivariantPairing, sort_with_sign
 from liecoh.liealg import LieAlgebra, change_of_basis
-from liecoh.linalg import Matrix
+from liecoh.linalg import ONE, ZERO, Matrix
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def vec_is_zero(v):
+    return not any(v)
+
+
+def zero_vec(n):
+    return (ZERO,) * n
+
+
+def unit_vec(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def value_at_indices(c, idx):
+    """The value of the cochain c at a tuple of basis indices, alternation sign included."""
+    assert len(idx) == c.degree
+    key, sign = sort_with_sign(idx)
+    if key is None:
+        return zero_vec(c.value_dim)
+    vec = c.component(key)
+    return vec if sign == 1 else vec_scale(Fraction(-1), vec)
 
 
 def rand_fraction(rng, num=4, den=3):

@@ -21,7 +21,7 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, center_mo
                                rebuild_from_cocycle, reduce_via_stage,
                                restrict_cochain_to_subspace)
 from liecoh.liealg import Representation, adjoint_rep, center
-from liecoh.linalg import Matrix, Subspace, unit_vec
+from liecoh.linalg import Matrix, Subspace
 
 from conftest import rand_algebra, rand_cochain, rand_matrix, rand_vector
 

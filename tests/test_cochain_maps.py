@@ -29,13 +29,13 @@ from liecoh.crossed import (characteristic_class_omega_route,
 from liecoh.errors import DegreeMismatchError, DimensionMismatchError
 from liecoh.extensions import build_extension, equivalent_extensions
 from liecoh.liealg import LieAlgebra
-from liecoh.linalg import (Matrix, invert, to_fractions, unit_vec, vec_add, vec_is_zero,
-                           vec_scale, vec_sub, zero_vec)
+from liecoh.linalg import Matrix, invert, to_fractions
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
-from conftest import (rand_algebra, rand_cochain, rand_fraction, rand_invertible,
-                      vector_cochain)
+from conftest import (rand_algebra, rand_cochain, rand_fraction, rand_invertible, unit_vec,
+                      value_at_indices, vec_add, vec_is_zero, vec_scale, vec_sub, vector_cochain,
+                      zero_vec)
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
 # tests that use them: they build their systems at import, through the maps
@@ -52,7 +52,7 @@ def loop_evaluate(c, args):
     supports = [[i for i, x in enumerate(v) if x != 0] for v in args]
     out = zero_vec(c.value_dim)
     for idx in product(*supports):
-        val = c.value_at_indices(idx)
+        val = value_at_indices(c, idx)
         if vec_is_zero(val):
             continue
         coeff = Fraction(1)

@@ -11,9 +11,9 @@ from liecoh.cohomology import (AffineCochainSpace, EmptyAffine, classes_equal,
                                theta_constrained_cocycles)
 from liecoh.errors import SpaceMismatchError
 from liecoh.liealg import Representation, adjoint_rep, change_of_basis
-from liecoh.linalg import Matrix, Subspace, unit_vec
+from liecoh.linalg import Matrix, Subspace
 
-from conftest import rand_algebra, rand_cochain, rand_invertible, zero_class
+from conftest import rand_algebra, rand_cochain, rand_invertible, unit_vec, zero_class
 
 
 # ---------------------------------------------------------------------------

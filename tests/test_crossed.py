@@ -17,9 +17,10 @@ from liecoh.errors import (FactorizationFailureError, InvalidCrossedModuleError,
 from liecoh.extensions import GKernel, build_extension, build_quotient_stage
 from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_preserving,
                            change_of_basis, derivations)
-from liecoh.linalg import Matrix, unit_vec, vec_is_zero, vec_sub
+from liecoh.linalg import Matrix
 
-from conftest import is_trivial, rand_algebra, rand_cochain, rand_invertible
+from conftest import (is_trivial, rand_algebra, rand_cochain, rand_invertible, unit_vec,
+                      vec_is_zero, vec_sub)
 
 
 def ideal_inclusion_module():
@@ -154,7 +155,6 @@ def test_theta_route_invariant_under_extension_choice(rng):
         shift = rand_cochain(rng, sp.g, 2, sp.z.dim)
         table = {}
         from liecoh.cochains import increasing_tuples
-        from liecoh.linalg import vec_is_zero
         for key in increasing_tuples(cm.ghat.dim, 2):
             val = shift.evaluate([sp.q_proj.column(k) for k in key])
             if not vec_is_zero(val):

@@ -22,9 +22,9 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                obstruction_class, pullback_extension,
                                rebuild_from_cocycle, reduce_via_stage)
 from liecoh.liealg import Representation, bracket_preserving, center, check_jacobi
-from liecoh.linalg import Matrix, Subspace, unit_vec
+from liecoh.linalg import Matrix, Subspace
 
-from conftest import rand_cochain
+from conftest import rand_cochain, unit_vec
 from test_classify import pipeline_system
 
 

@@ -30,11 +30,11 @@ from liecoh.extensions import (ExtensionPresentation, build_extension, build_quo
 from liecoh.liealg import (LieAlgebra, bracket_defect, center, change_of_basis,
                            quotient_algebra)
 from liecoh.linalg import (Matrix, Subspace, image, invert, linear_combination, pullback_family,
-                           quotient_coordinates, vec_is_zero, vec_sub)
+                           quotient_coordinates)
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle, transported_factor_system)
 
-from conftest import BASE_ALGEBRAS, rand_invertible, rand_matrix
+from conftest import BASE_ALGEBRAS, rand_invertible, rand_matrix, vec_is_zero, vec_sub
 from test_cochain_maps import seeded_maps, sparse_matrix
 
 # test_classify, test_crossed and test_gauge_step are imported inside the

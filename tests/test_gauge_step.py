@@ -32,13 +32,13 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel, Inequi
                                equivalent_extensions, extension_map, obstruction_class,
                                reduce_via_stage, restrict_cochain_to_subspace)
 from liecoh.liealg import Representation, center, change_of_basis, derivations, solve_inner
-from liecoh.linalg import (Matrix, invert, linear_combination, solve_affine, unit_vec,
-                           vec_add, vec_scale, vec_sub, zero_vec)
+from liecoh.linalg import Matrix, invert, linear_combination, solve_affine
 from liecoh.symmetry import (automorphism_pair_obstruction, derivation_pair_obstruction,
                              extension_derivations, lifting_cocycle,
                              transported_factor_system)
 
-from conftest import rand_cochain, rand_invertible, rand_matrix, rand_vector
+from conftest import (rand_cochain, rand_invertible, rand_matrix, rand_vector, unit_vec, vec_add,
+                      vec_scale, vec_sub, zero_vec)
 from test_systems import curved_factor_system
 
 

@@ -101,16 +101,6 @@ def test_representation_round_trip():
     assert back == rep
 
 
-def test_workspace_provenance():
-    ws = lio.Workspace()
-    ws.add("h3", heisenberg3(), source="inline", text="xyz")
-    assert ws.names() == ("h3",)
-    assert ws.provenance("h3")["source"] == "inline"
-    assert len(ws.provenance("h3")["sha256"]) == 64
-    with pytest.raises(InvariantViolation):
-        ws.add("h3", heisenberg3())
-
-
 # ---------------------------------------------------------------------------
 # the CLI
 # ---------------------------------------------------------------------------
@@ -142,7 +132,9 @@ def test_cli_catalog_emit(tmp_path, capsys):
 def test_cli_unknown_catalog_name(capsys):
     code, report = run_cli(["catalog", "nope"], capsys)
     assert code == 1
+    assert set(report) == {"command", "error"}
     assert report["error"]["kind"] == "UnknownNameError"
+    assert set(report["error"]) == {"kind", "message"}
 
 
 def test_cli_split_factor_system_flags(tmp_path, capsys):
@@ -328,7 +320,7 @@ def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, case):
 # number ended in an OverflowError traceback, and a fractional number or a
 # boolean was silently truncated to an integer.
 def ext_text(part, field, value):
-    data = lio.factor_system_to_json(ext_heisenberg3())
+    data = json.loads(lio.emit(lio.factor_system_to_json(ext_heisenberg3())))
     data[part][field] = value
     return lio.emit(data)
 
@@ -351,6 +343,10 @@ INTEGER_FIELDS = {
     "space-dim-boolean": ("--rep", lio.emit({"algebra": "heisenberg3", "space_dim": True,
                                              "matrices": ZERO_REP_MATRICES}),
                           "space_dim must be an integer, got true"),
+    # not JSON at all: the ParseError of load_json_text
+    "algebra-malformed-json": ("--algebra", '{"dim": 2,\n',
+                               "invalid JSON: Expecting property name enclosed in double "
+                               "quotes: line 2 column 1 (char 11)"),
 }
 
 
@@ -361,7 +357,7 @@ def test_cli_integer_fields_must_be_integers(tmp_path, capsys, case):
     path.write_text(text)
     code, report = run_cli(["validate", flag, str(path)], capsys)
     assert code == 1
-    assert report["error"] == {"kind": "ParseError", "message": message}
+    assert report == {"command": "validate", "error": {"kind": "ParseError", "message": message}}
 
 
 def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
@@ -524,7 +520,9 @@ def test_cli_v2_check_zero_samples(capsys):
 def test_cli_reproduce_unknown_bundle(capsys):
     code, report = run_cli(["reproduce", "nothing"], capsys)
     assert code == 1
+    assert set(report) == {"command", "error"}
     assert report["error"]["kind"] == "UnknownBundleError"
+    assert set(report["error"]) == {"kind", "message"}
 
 
 def test_cli_byte_determinism(tmp_path):

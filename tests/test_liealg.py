@@ -11,9 +11,10 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep,
                            bracket_defect, bracket_preserving, center, change_of_basis,
                            check_jacobi, derivations, direct_and_semidirect,
                            is_derivation, product_algebra, quotient_algebra)
-from liecoh.linalg import Matrix, Subspace, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
+from liecoh.linalg import Matrix, Subspace
 
-from conftest import is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix
+from conftest import (is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
+                      vec_add, vec_scale, vec_sub, zero_vec)
 
 
 def test_jacobi_abelian_and_heisenberg():
@@ -287,6 +288,13 @@ def nilpotent4():
                           (3, 5): {4: 1}})
 
 
+def unchecked_algebra(dim, table):
+    """LieAlgebra(dim, table) built with the constructor's Jacobi check patched out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LieAlgebra, "_jacobi_failure", lambda self: None)
+        return LieAlgebra(dim, table)
+
+
 def test_jacobi_failure_matches_dense_oracle():
     rng = random.Random(23)
     triples = set()
@@ -299,7 +307,7 @@ def test_jacobi_failure_matches_dense_oracle():
         for _ in range(rng.randint(1, 2)):
             i, j = sorted(rng.sample(range(L.dim), 2))
             table.setdefault((i, j), {})[rng.randrange(L.dim)] = rand_fraction(rng)
-        broken = LieAlgebra(L.dim, table, _skip_jacobi=True)
+        broken = unchecked_algebra(L.dim, table)
         expected = dense_jacobi_failure(broken)
         assert broken._jacobi_failure() == expected
         if expected is None:

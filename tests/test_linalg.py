@@ -11,13 +11,13 @@ from liecoh.cochains import Cochain
 from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
-from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space,
-                           block_matrix, consistent_columns, image, invert, kernel,
-                           left_inverse, quotient_coordinates, solve, solve_affine,
-                           solve_certified, solve_columns, to_fractions, unit_vec,
-                           vec_add, vec_scale, vec_sub, zero_vec)
+from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space, block_matrix,
+                           consistent_columns, image, invert, kernel, left_inverse,
+                           quotient_coordinates, solve, solve_affine, solve_certified,
+                           solve_columns, to_fractions)
 
-from conftest import is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix
+from conftest import (is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
+                      vec_add, vec_scale, vec_sub, zero_vec)
 
 
 def test_rref_identity():
@@ -669,6 +669,17 @@ def test_sparse_core_never_builds_dense_rows():
     values = [x for sub in (null, span) for p in sub.pairs for _, x in p]
     values += [x for mat in (m, reduced) for row in mat.sparse_rows() for x in row.values()]
     assert all_fractions(values) and all(values)
+
+
+def test_one_storage_and_dense_views_built_on_each_call():
+    assert Matrix.__slots__ == ("rows", "cols", "_data")
+    assert Subspace.__slots__ == ("ambient_dim", "pairs", "pivots", "_by_pivot")
+    m = Matrix([[0, 1, 0], [2, 0, "1/2"]])
+    assert m.row(1) == (2, 0, Fraction(1, 2)) and m.row(0) == (0, 1, 0)
+    assert m.row_list() == (m.row(0), m.row(1)) and m.row_list() is not m.row_list()
+    assert m.flatten() == (0, 1, 0, 2, 0, Fraction(1, 2))
+    sub = Subspace.from_vectors(3, [(0, 2, 0), (1, 0, 1)])
+    assert sub.basis == ((1, 0, 1), (0, 1, 0)) and sub.basis is not sub.basis
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ package computes them with ``liealg.bracket_defect``,
 loops those replaced stay here as oracles and must match entry for entry on
 the catalog systems, curved n4, two seeded basis changes of each, the three
 benchmark factor-system kinds at h7, the stage crossed modules of all of
-them and the ``ad: L -> Der(L)`` crossed modules.  Planted theta
+them and the ``ad: L -> Der(L)`` crossed modules; the alternating
+extension of theta, now read from the pivots and pairs of n, also matches
+the dense body it replaced.  Planted theta
 perturbations must fail the check the former loop fails, at the same
 (x, y, a).  A factor system built from matrices validates against the map
 it keeps, so its curvature is computed once.
@@ -34,11 +36,10 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quo
                                factor_system_report, reduce_via_stage,
                                restrict_cochain_to_subspace, stage_theta)
 from liecoh.liealg import LieAlgebra, Representation
-from liecoh.linalg import (Matrix, block_matrix, linear_combination, solve_columns,
-                           to_fractions, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
-                           zero_vec)
+from liecoh.linalg import Matrix, block_matrix, linear_combination, solve_columns, to_fractions
 
-from conftest import rand_matrix, rand_vector
+from conftest import (rand_matrix, rand_vector, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
+                      zero_vec)
 from test_classify import CASE_IDS, CASES
 from test_crossed import (CATALOG_MODULES, _bracket_in_n, loop_module_action_on_f,
                           oracle_modules, stage_module)
@@ -234,6 +235,20 @@ def loop_alternating_extension(sp):
     return Cochain(ghat, 2, sp.z.dim, table)
 
 
+def dense_alternating_extension(sp):
+    """The _alternating_extension the sparse read replaced: dense unit vectors,
+    their reductions and pivot coordinates, and combinations of the theta matrices."""
+    ghat, zd, n_dim = sp.cm.ghat, sp.z.dim, sp.n_alg.dim
+    thetas = sp.theta_matrices
+    table = {}
+    for i, j in increasing_tuples(ghat.dim, 2):
+        u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
+        theta_v_c = linear_combination(sp.n_sub.reduce(v), thetas, zd, n_dim)
+        table[(i, j)] = vec_sub(thetas[i].matvec(sp.n_sub.split_coordinates(v)),
+                                theta_v_c.matvec(sp.n_sub.split_coordinates(u)))
+    return Cochain(ghat, 2, zd, table)
+
+
 def loop_omega_route(sp, sigma):
     """The former characteristic_class_omega_route, solving every key of g."""
     cm, g = sp.cm, sp.g
@@ -306,7 +321,8 @@ def test_crossed_defects_match_the_loops(name, builder):
     f, theta, zhat = loop_split(sp)
     assert (sp.f, sp.theta, sp.zhat_rep.matrices) == (f, theta, zhat)
     loop_check_splitting(sp)
-    assert _alternating_extension(sp) == loop_alternating_extension(sp)
+    f_tilde = _alternating_extension(sp)
+    assert f_tilde == loop_alternating_extension(sp) == dense_alternating_extension(sp)
     rng = random.Random(61)
     for sigma in (sp.q_sect, sp.q_sect + Matrix.from_columns(
             [sp.n_sub.embed(rand_vector(rng, sp.n_sub.dim)) for _ in range(sp.g.dim)],

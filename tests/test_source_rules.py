@@ -25,7 +25,9 @@ heads say and has no cycle hidden in a function body.
 No module imports ``dataclasses``: it loads ``inspect`` and ``ast`` and
 exec-compiles each record's methods in every process that imports the
 package, so result records are ``NamedTuple``s.  API that nothing in the
-package called is deleted, and no module names it again.
+package called is deleted, and no module names it again; so are the dense
+vector helpers, whose callers now read sparse rows and pairs (the tests
+keep their own copies in ``conftest.py``).
 """
 
 import ast
@@ -140,10 +142,13 @@ def imports_of(module):
 dataclasses_imports = imports_of("dataclasses")
 
 # Deleted because nothing in the package called them; the tests keep their
-# own copies of the last three, which state results of the paper.
+# own copies of the last three, which state results of the paper.  Then the
+# dense vector helpers and the unused Workspace store.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
-               "pair_lifts_iff_transport_equivalent", "kernels_equivalent")
+               "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
+               "unit_vec", "zero_vec", "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
+               "value_at_indices", "Workspace")
 
 
 def deleted_api_names(tree):
@@ -350,3 +355,10 @@ def test_rule_detects_deleted_api_names():
                                                (3, "z_part name"),
                                                (6, "is_full name"), (6, "is_trivial name"),
                                                (6, "zero_class name")]
+    tree = ast.parse("from .linalg import unit_vec, vec_sub as sub\n"
+                     "def f(c, lio, n):\n"
+                     "    return c.value_at_indices((1, 0)), lio.Workspace(), zero_vec(n)\n")
+    assert sorted(deleted_api_names(tree)) == [(1, "unit_vec name"), (1, "vec_sub name"),
+                                               (3, "Workspace name"),
+                                               (3, "value_at_indices name"),
+                                               (3, "zero_vec name")]

@@ -32,11 +32,11 @@ from liecoh.extensions import (ExtensionPresentation, FactorSystem, build_extens
 from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, center, change_of_basis,
                            derivations, direct_and_semidirect, is_derivation, law_defect,
                            quotient_algebra)
-from liecoh.linalg import (Matrix, Subspace, image, invert, kernel, linear_combination,
-                           unit_vec, vec_add, vec_is_zero, vec_scale)
+from liecoh.linalg import Matrix, Subspace, image, invert, kernel, linear_combination
 from liecoh.symmetry import lifting_cocycle
 
-from conftest import rand_fraction, rand_invertible, rand_matrix
+from conftest import (rand_fraction, rand_invertible, rand_matrix, unit_vec, vec_add, vec_is_zero,
+                      vec_scale)
 from test_classify import CASES
 from test_crossed import oracle_modules, stage_module
 from test_gauge_step import unipotent

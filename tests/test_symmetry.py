@@ -13,14 +13,15 @@ from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_
                                embed_cochain_from_subspace, equivalent_extensions,
                                extract_factor_system, restrict_cochain_to_subspace)
 from liecoh.liealg import Representation, bracket_preserving, center
-from liecoh.linalg import Matrix, Subspace, invert, kernel, unit_vec, vec_is_zero, vec_sub
+from liecoh.linalg import Matrix, Subspace, invert, kernel
 from liecoh.symmetry import (_pair_system_rows, _project_pairs,
                              automorphism_pair_obstruction,
                              check_derivation_triple, derivation_pair_obstruction,
                              extension_derivations, lifting_cocycle,
                              transported_factor_system)
 
-from conftest import rand_algebra, rand_cochain, rand_invertible, rand_matrix
+from conftest import (rand_algebra, rand_cochain, rand_invertible, rand_matrix, vec_is_zero,
+                      vec_sub)
 from test_classify import CASE_IDS, CASES
 
 

@@ -33,11 +33,11 @@ from liecoh.extensions import ExtensionPresentation, extract_factor_system
 from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
                            center, derivations, direct_and_semidirect,
                            leibniz_rows, solve_inner)
-from liecoh.linalg import (ZERO, Matrix, kernel, solve_affine, unit_vec, vec_add,
-                           vec_is_zero, vec_scale)
+from liecoh.linalg import ZERO, Matrix, kernel, solve_affine
 from liecoh.symmetry import _pair_system_rows, extension_derivations
 
-from conftest import is_trivial, rand_algebra, rand_cochain, rand_matrix, rand_vector
+from conftest import (is_trivial, rand_algebra, rand_cochain, rand_matrix, rand_vector, unit_vec,
+                      value_at_indices, vec_add, vec_is_zero, vec_scale)
 
 
 def dense_leibniz_system(L):
@@ -110,7 +110,7 @@ def loop_cochain_differential(rep, c):
                 for k, coeff in enumerate(bracket):
                     if coeff == 0:
                         continue
-                    val = c.value_at_indices((k,) + rest)
+                    val = value_at_indices(c, (k,) + rest)
                     if vec_is_zero(val):
                         continue
                     total = vec_add(total, vec_scale(sign * coeff, val))
@@ -143,8 +143,8 @@ def hand_omega_rows(fs, va, vb):
             for k in range(nd):
                 row[r * nd + k] += w[k]
             for b in range(gd):
-                row[va + b * gd + i] -= omega.value_at_indices((b, j))[r]
-                row[va + b * gd + j] -= omega.value_at_indices((i, b))[r]
+                row[va + b * gd + i] -= value_at_indices(omega, (b, j))[r]
+                row[va + b * gd + j] -= value_at_indices(omega, (i, b))[r]
             # (d_S gamma)(e_i, e_j) = S_i gamma_j - S_j gamma_i - gamma([e_i, e_j])
             for k in range(nd):
                 row[va + vb + j * nd + k] -= S.matrices[i].entry(r, k)
