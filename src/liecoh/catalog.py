@@ -136,7 +136,9 @@ class InvariantForm:
         self.gram = gram
 
     def value(self, u, v) -> Fraction:
-        return sum((a * b for a, b in zip(u, self.gram.matvec(v))), ZERO)
+        """u^T gram v, over the nonzero entries of u and the sparse rows of gram."""
+        return sum((a * x * v[j] for i, a in enumerate(u) if a
+                    for j, x in self.gram.sparse_rows()[i].items()), ZERO)
 
 
 def killing_form(L: LieAlgebra) -> InvariantForm:

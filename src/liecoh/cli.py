@@ -76,7 +76,7 @@ def _factor_system(args) -> FactorSystem:
 def _class_report(cls) -> dict:
     return {
         "zero": cls.is_zero(),
-        "representative": lio.cochain_to_json(cls.representative),
+        "representative": cls.representative,
         "h_dim": cls.space.h_dim,
     }
 
@@ -140,15 +140,15 @@ def cmd_cohomology(args) -> int:
             raise ParseError("--algebra (or --rep) is required")
         rep = Representation.trivial(_load_algebra(args.algebra), 1)
     space = cohomology(rep, args.degree)
-    shape = (rep.algebra.dim, args.degree, rep.space_dim)
+    shape = (rep.algebra, args.degree, rep.space_dim)
     report = {
         "command": "cohomology",
         "degree": args.degree,
         "dim_cocycles": space.dim_cocycles,
         "dim_coboundaries": space.dim_coboundaries,
         "dim_cohomology": space.h_dim,
-        "cocycle_basis": [lio.SparseCochain(*shape, v) for v in space.cocycles.pairs],
-        "cohomology_representatives": [lio.SparseCochain(*shape, v)
+        "cocycle_basis": [Cochain.from_pairs(*shape, v) for v in space.cocycles.pairs],
+        "cohomology_representatives": [Cochain.from_pairs(*shape, v)
                                        for v in space.class_basis.pairs],
     }
     _emit(report)
@@ -178,9 +178,9 @@ def cmd_extension(args) -> int:
         cls = classify_extensions(kernel)
         report = {
             "command": "extension-classify",
-            "base_omega": lio.cochain_to_json(cls.base.omega),
+            "base_omega": cls.base.omega,
             "translation_dim": cls.h2.h_dim,
-            "translations": [lio.cochain_to_json(t) for t in cls.translations],
+            "translations": cls.translations,
         }
         _emit(report)
         return EXIT_OK
@@ -190,7 +190,7 @@ def cmd_extension(args) -> int:
             "command": "extension-reduce",
             "stage_dim": red.stage.gs.dim,
             "center_dim": red.stage.z.dim,
-            "f_tilde": lio.cochain_to_json(red.f_tilde),
+            "f_tilde": red.f_tilde,
             "solution_translation_dim": red.solutions.dim,
             "round_trip_witnessed": True,
             "witness": lio.matrix_to_json(red.witness),
@@ -203,7 +203,7 @@ def cmd_extension(args) -> int:
 def cmd_obstruction(args) -> int:
     n_alg, g_alg, mats, omega_given = _load_factor_parts(args)
     S = OuterActionMap(g_alg, mats, target=n_alg)
-    omega = omega_given if omega_given.coeffs else None
+    omega = None if omega_given.is_zero() else omega_given
     kernel = GKernel(n_alg, g_alg, S, omega)
     chi = obstruction_class(kernel)
     report = {"command": "obstruction", "obstruction": _class_report(chi)}

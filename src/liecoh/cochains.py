@@ -1,9 +1,12 @@
 """Alternating multilinear calculus on a Lie algebra.
 
 Cochains are stored on strictly increasing index tuples; evaluation at
-arbitrary tuples inserts the permutation sign.  The wedge product is the
-shuffle sum, which equals the Alt formula with its 1/(p!q!) factor but
-never divides: char 0 keeps every identity exact.
+arbitrary tuples inserts the permutation sign.  A Cochain keeps only the
+nonzero (index, Fraction) pairs of its flat coordinates; key_rank and
+key_unrank convert between a key and its position, so no key list is
+built.  The wedge product is the shuffle sum over the nonzero keys, which
+equals the Alt formula with its 1/(p!q!) factor but never divides: char 0
+keeps every identity exact.
 
 The covariant differential of a linear map S into endomorphisms is
 S wedge + d (trivial coefficients); a module's differential is the case
@@ -22,8 +25,9 @@ slots.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, prod
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +36,7 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation, law_defect
-from .linalg import Matrix, ZERO, to_fractions
+from .linalg import Matrix, ZERO, _dense, to_fractions
 
 HALF = Fraction(1, 2)
 
@@ -47,6 +51,24 @@ def check_degree(p: int) -> int:
 def increasing_tuples(n: int, p: int):
     """All strictly increasing p-tuples below n, in lexicographic order."""
     return combinations(range(n), p)
+
+
+def key_rank(key: Sequence[int], n: int) -> int:
+    """The position of an increasing key in increasing_tuples(n, len(key)): the
+    combinatorial number system read on the reversed indices n - 1 - key[i]."""
+    p = len(key)
+    return comb(n, p) - 1 - sum(comb(n - 1 - k, p - i) for i, k in enumerate(key))
+
+
+def key_unrank(r: int, n: int, p: int) -> tuple:
+    """The increasing key at position r of increasing_tuples(n, p)."""
+    key, k = [], 0
+    for left in range(p, 0, -1):
+        while r >= (count := comb(n - 1 - k, left - 1)):  # the keys with k next
+            r, k = r - count, k + 1
+        key.append(k)
+        k += 1
+    return tuple(key)
 
 
 def sort_with_sign(idx: Sequence[int]):
@@ -65,22 +87,15 @@ def sort_with_sign(idx: Sequence[int]):
     return tuple(idx), sign
 
 
-def shuffle_sign(positions: Sequence[int]) -> int:
-    """Sign of the permutation sending (positions, complement) to 0..n-1."""
-    inversions = sum(pos - r for r, pos in enumerate(positions))
-    return -1 if inversions % 2 else 1
-
-
 class Cochain:
-    """Degree-p alternating multilinear map with vector values."""
+    """Degree-p alternating multilinear map with vector values, stored only as
+    ``pairs``: the nonzero (index, Fraction) pairs of coordinates(), in index order."""
 
-    __slots__ = ("algebra", "degree", "value_dim", "coeffs")
+    __slots__ = ("algebra", "degree", "value_dim", "pairs")
 
     def __init__(self, algebra: LieAlgebra, degree: int, value_dim: int, coeffs=None):
+        """The cochain with value coeffs[key] at each increasing key, zero elsewhere."""
         check_degree(degree)
-        self.algebra = algebra
-        self.degree = degree
-        self.value_dim = value_dim
         table = {}
         for key, vec in (coeffs or {}).items():
             key = tuple(key)
@@ -90,44 +105,105 @@ class Cochain:
                 raise DimensionMismatchError(f"key {key} is out of range")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise DimensionMismatchError(f"key {key} is not strictly increasing")
-            vec = to_fractions(vec)
-            if len(vec) != value_dim:
+            table[key] = to_fractions(vec)
+            if len(table[key]) != value_dim:
                 raise DimensionMismatchError("coefficient vector has the wrong length")
-            if any(vec):
-                table[key] = vec
-        self.coeffs = table
+        self.algebra = algebra
+        self.degree = degree
+        self.value_dim = value_dim
+        self.pairs = tuple(sorted((key_rank(key, algebra.dim) * value_dim + slot, x)
+                                  for key, vec in table.items()
+                                  for slot, x in enumerate(vec) if x))
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, degree: int, value_dim: int) -> "Cochain":
         return cls(algebra, degree, value_dim)
 
+    @classmethod
+    def from_pairs(cls, algebra: LieAlgebra, degree: int, value_dim: int,
+                   pairs: Sequence[tuple]) -> "Cochain":
+        """The cochain whose nonzero coordinates are the given (index, Fraction)
+        pairs, in increasing index order; only the last index is checked."""
+        check_degree(degree)
+        if pairs and pairs[-1][0] >= cochain_space_dim(algebra.dim, degree, value_dim):
+            raise DimensionMismatchError("coordinate index out of range")
+        c = cls.__new__(cls)
+        c.algebra, c.degree, c.value_dim, c.pairs = algebra, degree, value_dim, tuple(pairs)
+        return c
+
+    @classmethod
+    def from_coordinates(cls, algebra: LieAlgebra, degree: int, value_dim: int,
+                         coords: Sequence[Fraction]) -> "Cochain":
+        if len(coords) != cochain_space_dim(algebra.dim, degree, value_dim):
+            raise DimensionMismatchError("coordinate vector has the wrong length")
+        return cls.from_pairs(algebra, degree, value_dim,
+                              [(i, x) for i, x in enumerate(to_fractions(coords)) if x])
+
+    def nonzero_values(self) -> list:
+        """(key_rank of the key, {slot: value}) per key with a nonzero value, in key order."""
+        vd = self.value_dim
+        return [(r, {i - r * vd: x for i, x in group})
+                for r, group in groupby(self.pairs, lambda pair: pair[0] // vd)]
+
+    def keys(self) -> tuple:
+        """The increasing keys with a nonzero value, in lexicographic order."""
+        return tuple(key_unrank(r, self.algebra.dim, self.degree)
+                     for r, _ in self.nonzero_values())
+
+    @property
+    def coeffs(self) -> dict:
+        """{key: dense value tuple} on the nonzero keys, built on each call."""
+        return {key_unrank(r, self.algebra.dim, self.degree): _dense(value.items(), self.value_dim)
+                for r, value in self.nonzero_values()}
+
+    def component(self, key) -> tuple:
+        """The value at an increasing key, as a dense tuple built on each call."""
+        key, vd = tuple(key), self.value_dim
+        if len(key) != self.degree or any(a >= b for a, b in zip((-1,) + key,
+                                                                 key + (self.algebra.dim,))):
+            raise DimensionMismatchError(f"{key} is not an increasing key of degree {self.degree}")
+        start = key_rank(key, self.algebra.dim) * vd
+        k = bisect_left(self.pairs, (start,))
+        return _dense(((i - start, x) for i, x in self.pairs[k:k + vd] if i < start + vd), vd)
+
+    def coordinates(self) -> tuple:
+        """Flat coordinates (keys in lexicographic order, values contiguous), built on call."""
+        return _dense(self.pairs, cochain_space_dim(self.algebra.dim, self.degree, self.value_dim))
+
+    def sparse_coordinates(self) -> dict:
+        """coordinates() as a dict {index: value} of its nonzero entries."""
+        return dict(self.pairs)
+
     def as_matrix(self) -> Matrix:
         if self.degree != 1:
             raise DegreeMismatchError("only degree-1 cochains are matrices")
-        return Matrix.from_columns([self.component((i,)) for i in range(self.algebra.dim)],
-                                   rows=self.value_dim)
+        # pair k * value_dim + a is entry (a, k), so the pairs are the transpose row-major
+        return Matrix.from_flat(self.pairs, self.algebra.dim, self.value_dim).transpose()
 
-    def component(self, key) -> tuple:
-        # a value is a dense tuple of value_dim entries by format
-        return self.coeffs.get(tuple(key), (ZERO,) * self.value_dim)
+    def map_values(self, m: Matrix) -> "Cochain":
+        """The cochain m . c(...): the nonzero values, as the rows of one sparse
+        matrix, times the transpose of m."""
+        if m.cols != self.value_dim:
+            raise DimensionMismatchError("the value map does not match the cochain values")
+        nonzero = self.nonzero_values()
+        images = Matrix.from_sparse_rows([value for _, value in nonzero], m.cols) @ m.transpose()
+        return Cochain.from_pairs(self.algebra, self.degree, m.rows, [
+            (r * m.rows + a, y) for (r, _), row in zip(nonzero, images.sparse_rows())
+            for a, y in sorted(row.items())])
 
     def evaluate(self, args: Sequence[Sequence[Fraction]]) -> tuple:
         """Fully multilinear alternating evaluation at coefficient vectors: the
         pullback along the matrix whose columns are args, read at (0, ..., p-1)."""
         if len(args) != self.degree:
-            raise DegreeMismatchError(
-                f"expected {self.degree} arguments, got {len(args)}")
-        args = [to_fractions(v) for v in args]
-        for v in args:
-            if len(v) != self.algebra.dim:
-                raise DimensionMismatchError("argument length disagrees with the algebra")
-        table = {}
-        _scatter(self, [Matrix.from_columns(args, rows=self.algebra.dim).sparse_rows()]
-                 * self.degree, table)
-        return tuple(table.get(tuple(range(self.degree)), (ZERO,) * self.value_dim))
+            raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
+        if any(len(v) != self.algebra.dim for v in args):
+            raise DimensionMismatchError("argument length disagrees with the algebra")
+        pulled = pullback_cochain(self, Matrix.from_columns(args, rows=self.algebra.dim),
+                                  LieAlgebra(self.degree))
+        return pulled.component(tuple(range(self.degree)))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.pairs
 
     def _compatible(self, other: "Cochain") -> None:
         if self.algebra != other.algebra:
@@ -139,11 +215,11 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        table = dict(self.coeffs)
-        for key, vec in other.coeffs.items():
-            mine = table.get(key)
-            table[key] = vec if mine is None else tuple(a + b for a, b in zip(mine, vec))
-        return Cochain(self.algebra, self.degree, self.value_dim, table)
+        total = dict(self.pairs)
+        for i, x in other.pairs:
+            total[i] = total.get(i, ZERO) + x
+        return Cochain.from_pairs(self.algebra, self.degree, self.value_dim,
+                                  sorted((i, x) for i, x in total.items() if x))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
@@ -153,59 +229,16 @@ class Cochain:
 
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
-        if c == 0:
-            return Cochain(self.algebra, self.degree, self.value_dim)
-        return Cochain(self.algebra, self.degree, self.value_dim,
-                       {k: tuple(c * x for x in v) for k, v in self.coeffs.items()})
+        return Cochain.from_pairs(self.algebra, self.degree, self.value_dim,
+                                  [(i, c * x) for i, x in self.pairs] if c else ())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.algebra == other.algebra
                 and self.degree == other.degree and self.value_dim == other.value_dim
-                and self.coeffs == other.coeffs)
+                and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.degree, self.value_dim, tuple(sorted(self.coeffs.items()))))
-
-    def coordinates(self) -> tuple:
-        """Flat coordinates: keys in lexicographic order, values contiguous."""
-        out = []
-        for key in increasing_tuples(self.algebra.dim, self.degree):
-            out.extend(self.component(key))
-        return tuple(out)
-
-    def sparse_coordinates(self) -> dict:
-        """coordinates() as a dict {index: value} of its nonzero entries."""
-        rank = {key: r for r, key in enumerate(increasing_tuples(self.algebra.dim, self.degree))}
-        return {rank[key] * self.value_dim + slot: x
-                for key, vec in self.coeffs.items() for slot, x in enumerate(vec) if x}
-
-    @classmethod
-    def from_coordinates(cls, algebra: LieAlgebra, degree: int, value_dim: int,
-                         coords: Sequence[Fraction]) -> "Cochain":
-        if len(coords) != cochain_space_dim(algebra.dim, degree, value_dim):
-            raise DimensionMismatchError("coordinate vector has the wrong length")
-        return cls.from_pairs(algebra, degree, value_dim,
-                              [(i, x) for i, x in enumerate(to_fractions(coords)) if x])
-
-    @classmethod
-    def from_pairs(cls, algebra: LieAlgebra, degree: int, value_dim: int,
-                   pairs: Sequence[tuple]) -> "Cochain":
-        """The cochain whose nonzero coordinates are the given (index, Fraction) pairs.
-
-        Indices increase and follow coordinates(): keys in lexicographic
-        order, each key's value_dim values contiguous.
-        """
-        keys = list(increasing_tuples(algebra.dim, degree))
-        if pairs and pairs[-1][0] >= len(keys) * value_dim:
-            raise DimensionMismatchError("coordinate index out of range")
-        cochain = cls(algebra, degree, value_dim)
-        # the keys are increasing tuples in range by construction, so the
-        # key checks of __init__ are skipped
-        for i, x in pairs:
-            r, slot = divmod(i, value_dim)
-            cochain.coeffs.setdefault(keys[r], [ZERO] * value_dim)[slot] = x
-        cochain.coeffs = {key: tuple(vec) for key, vec in cochain.coeffs.items()}
-        return cochain
+        return hash((self.degree, self.value_dim, self.pairs))
 
     def __repr__(self):
         return f"Cochain(degree={self.degree}, value_dim={self.value_dim})"
@@ -264,7 +297,11 @@ class EquivariantPairing:
 
 
 def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
-    """Shuffle-sum product of degree p + q."""
+    """Shuffle-sum product of degree p + q, over the nonzero keys of a and b.
+
+    A pair of disjoint keys lands at their sorted union with the sign of
+    sort_with_sign, which is the sign of the shuffle placing a's key first.
+    """
     if a.algebra != b.algebra:
         raise DimensionMismatchError("cochains live over different algebras")
     if a.value_dim != m.left_dim or b.value_dim != m.right_dim:
@@ -272,25 +309,19 @@ def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
     p, q = a.degree, b.degree
     check_degree(p + q)
     n = a.algebra.dim
+    right = [(key_unrank(r, n, q), _dense(value.items(), b.value_dim))
+             for r, value in b.nonzero_values()]
     table = {}
-    positions = list(combinations(range(p + q), p))
-    for key in increasing_tuples(n, p + q):
-        total = [ZERO] * m.out_dim
-        for pos in positions:
-            left_key = tuple(key[i] for i in pos)
-            va = a.coeffs.get(left_key)
-            if va is None:
+    for r, value in a.nonzero_values():
+        left_key, va = key_unrank(r, n, p), _dense(value.items(), a.value_dim)
+        for right_key, vb in right:
+            key, sign = sort_with_sign(left_key + right_key)
+            if key is None:
                 continue
-            pos_set = set(pos)
-            right_key = tuple(key[i] for i in range(p + q) if i not in pos_set)
-            vb = b.coeffs.get(right_key)
-            if vb is None:
-                continue
-            sign = shuffle_sign(pos)
+            acc = table.setdefault(key, [ZERO] * m.out_dim)
             for slot, x in enumerate(m.apply(va, vb)):
-                total[slot] += sign * x
-        if any(total):
-            table[key] = tuple(total)
+                if x:
+                    acc[slot] += x if sign == 1 else -x
     return Cochain(a.algebra, p + q, m.out_dim, table)
 
 
@@ -367,10 +398,13 @@ def differential_operator(action, p: int) -> Matrix:
 
 
 def _apply_operator(action, c: Cochain) -> Cochain:
-    """The differential of action (a Representation or an OuterActionMap) applied to c."""
-    d = differential_operator(action, c.degree)
-    return Cochain.from_coordinates(c.algebra, c.degree + 1, c.value_dim,
-                                    d.matvec(c.coordinates()))
+    """The differential of action (a Representation or an OuterActionMap) applied to c:
+    each row of the operator read at the nonzero coordinates of c only."""
+    coords = dict(c.pairs)
+    rows = differential_operator(action, c.degree).sparse_rows()
+    return Cochain.from_pairs(c.algebra, c.degree + 1, c.value_dim, [
+        (i, total) for i, row in enumerate(rows)
+        if (total := sum(x * coords[j] for j, x in row.items() if j in coords))])
 
 
 def cochain_differential(rep: Representation, c: Cochain) -> Cochain:
@@ -398,9 +432,10 @@ def _scatter(c: Cochain, slots: Sequence[Sequence[dict]], table: dict, sign: int
     key of (i_1, ..., i_p) with the sign of sort_with_sign; a choice with a
     repeated index drops out.  table maps keys to lists of c.value_dim values.
     """
-    for key, vec in c.coeffs.items():
-        support = [(a, v) for a, v in enumerate(vec) if v]
-        for pick in product(*(slot[k].items() for slot, k in zip(slots, key))):
+    n, p = c.algebra.dim, c.degree
+    for r, value in c.nonzero_values():
+        support = list(value.items())
+        for pick in product(*(slot[k].items() for slot, k in zip(slots, key_unrank(r, n, p)))):
             target, s = sort_with_sign([i for i, _ in pick])
             if target is None:
                 continue
@@ -416,14 +451,12 @@ def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
         raise DimensionMismatchError("pullback map has the wrong shape")
     table = {}
     _scatter(c, [phi.sparse_rows()] * c.degree, table)
-    return Cochain(domain, c.degree, c.value_dim, {key: table[key] for key in sorted(table)})
+    return Cochain(domain, c.degree, c.value_dim, table)
 
 
 def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
     """alpha . c(beta^{-1} ., ..., beta^{-1} .) over the same algebra."""
-    pulled = pullback_cochain(c, beta_inv, c.algebra)
-    return Cochain(c.algebra, c.degree, alpha.rows,
-                   {key: alpha.matvec(vec) for key, vec in pulled.coeffs.items()})
+    return pullback_cochain(c, beta_inv, c.algebra).map_values(alpha)
 
 
 def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
@@ -431,11 +464,19 @@ def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
     n, m = c.algebra.dim, c.value_dim
     if alpha.rows != m or alpha.cols != m or beta.rows != n or beta.cols != n:
         raise DimensionMismatchError("pair action maps have the wrong shape")
-    table = {key: list(alpha.matvec(vec)) for key, vec in c.coeffs.items()}
+    table = {}
     identity, rows = Matrix.identity(n).sparse_rows(), beta.sparse_rows()
     for s in range(c.degree):
         _scatter(c, [identity] * s + [rows] + [identity] * (c.degree - s - 1), table, -1)
-    return Cochain(c.algebra, c.degree, m, {key: table[key] for key in sorted(table)})
+    return c.map_values(alpha) + Cochain(c.algebra, c.degree, m, table)
+
+
+def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) -> Cochain:
+    """The End-valued cochain with value matrices[key], flattened row-major, at each key."""
+    return Cochain.from_pairs(algebra, degree, size * size, sorted(
+        (key_rank(key, algebra.dim) * size * size + a * size + b, x)
+        for key, mat in matrices.items() for a, row in enumerate(mat.sparse_rows())
+        for b, x in row.items()))
 
 
 class OuterActionMap:
@@ -485,10 +526,8 @@ class OuterActionMap:
         return cls(algebra, [z] * algebra.dim, target=target)
 
     def as_end_cochain(self) -> Cochain:
-        m = self.space_dim
-        # an End-valued value is the dense row-major flattening of its matrix
-        return Cochain(self.algebra, 1, m * m,
-                       {(i,): mat.flatten() for i, mat in enumerate(self.matrices)})
+        return _end_cochain(self.algebra, 1, self.space_dim,
+                            {(i,): mat for i, mat in enumerate(self.matrices)})
 
     def add_inner(self, gamma: Cochain) -> "OuterActionMap":
         """S + ad(gamma(.)) for an n-valued 1-cochain gamma."""
@@ -496,6 +535,7 @@ class OuterActionMap:
             raise DimensionMismatchError("adding an inner part needs a target algebra")
         if gamma.degree != 1 or gamma.value_dim != self.target.dim:
             raise DimensionMismatchError("gamma must be a 1-cochain valued in the target")
+        # ad reads the value of gamma at e_i as a dense vector
         mats = [m + self.target.ad(gamma.component((i,)))
                 for i, m in enumerate(self.matrices)]
         return OuterActionMap(self.algebra, mats, target=self.target)
@@ -528,12 +568,9 @@ def curvature(S: OuterActionMap) -> Cochain:
     """
     if S._curvature is not None:
         return S._curvature
-    m = S.space_dim
-    # an End-valued value is the dense row-major flattening of its matrix
-    result = Cochain(S.algebra, 2, m * m,
-                     {key: d.flatten() for key, d in law_defect(S.algebra, S.matrices).items()})
+    result = _end_cochain(S.algebra, 2, S.space_dim, law_defect(S.algebra, S.matrices))
     s_coch = S.as_end_cochain()
-    comm = EquivariantPairing.commutator(m)
+    comm = EquivariantPairing.commutator(S.space_dim)
     calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)
     if calculus != result:
         raise InvariantViolation("curvature formulas disagree")

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 # operator_matrix is not called here; the perfbench tracer times it as
 # cohomology.operator_matrix
 from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
-                       differential_operator, increasing_tuples, operator_matrix)
+                       differential_operator, key_rank, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image, kernel,
@@ -67,6 +67,7 @@ class CohomologySpace:
 
     def normalize(self, c: Cochain) -> tuple:
         """Canonical coordinates of the class of c (reduce modulo coboundaries)."""
+        # the normalized coordinates are a dense tuple, compared and hashed as such
         coords = c.coordinates()
         if not self.cocycles.contains(coords):
             raise SpaceMismatchError("the cochain is not a cocycle of this space")
@@ -135,6 +136,7 @@ def primitive(rep: Representation, c: Cochain):
     """
     if c.degree < 1 or c.algebra != rep.algebra or c.value_dim != rep.space_dim:
         raise SpaceMismatchError("the cochain is not a positive-degree cochain of the module")
+    # the solve reads a dense right-hand side
     coords, certificate = solve_certified(differential_matrix(rep, c.degree - 1),
                                          c.coordinates())
     if coords is None:
@@ -202,18 +204,13 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
 
     # ad-lift block: for each increasing pair key, ad(omega(key)) = R(key).
     # Rows that are zero on the left stay: their right-hand side may not be.
-    stack = ad_stack(n_alg)
-    rows = []
-    rhs = []
-    for r, key in enumerate(increasing_tuples(g.dim, 2)):
-        target = R.component(key)
-        for f in range(nd * nd):
-            rows.append({r * nd + k: c for k, c in stack.sparse_rows()[f].items()})
-            rhs.append(target[f])
-
+    # Row r * nd^2 + f reads entry f of ad(omega(key r)); solve_affine reads R densely.
+    stack = ad_stack(n_alg).sparse_rows()
+    rows = [{r * nd + k: c for k, c in stack[f].items()}
+            for r in range(cochain_space_dim(g.dim, 2, 1)) for f in range(nd * nd)]
     d_block = differential_operator(S, 2)
     system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
-    particular, hom, certificate = solve_affine(system, rhs + [0] * d_block.rows)
+    particular, hom, certificate = solve_affine(system, R.coordinates() + (0,) * d_block.rows)
     if particular is None:
         return EmptyAffine(certificate)
     part = Cochain.from_coordinates(g, 2, nd, particular)
@@ -235,8 +232,6 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
         raise DimensionMismatchError("ideal lives in a different space")
     zd = z_rep.space_dim
     c2_dim = cochain_space_dim(gS.dim, 2, zd)
-    pair_keys = list(increasing_tuples(gS.dim, 2))
-    key_index = {key: r for r, key in enumerate(pair_keys)}
 
     # f(e_i, b) = theta(i, b) for every ideal basis vector b; rows that are
     # zero on the left stay, since their right-hand side may not be.
@@ -244,18 +239,10 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     rhs = []
     for i in range(gS.dim):
         for a, b in enumerate(ideal.pairs):
+            rows.extend({key_rank(sorted((i, j)), gS.dim) * zd + comp: c if i < j else -c
+                         for j, c in b if j != i} for comp in range(zd))
             # solve_affine reads a dense right-hand side
-            target = theta.get((i, a), (ZERO,) * zd)
-            for comp in range(zd):
-                row = {}
-                for j, coeff in b:
-                    if j == i:
-                        continue
-                    key = (i, j) if i < j else (j, i)
-                    sign = 1 if i < j else -1
-                    row[key_index[key] * zd + comp] = sign * coeff
-                rows.append(row)
-                rhs.append(target[comp])
+            rhs.extend(theta.get((i, a), (ZERO,) * zd))
     d_mat = differential_matrix(z_rep, 2)
     system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))
     particular, hom, certificate = solve_affine(system, [0] * d_mat.rows + rhs)

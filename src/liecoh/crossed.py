@@ -25,7 +25,7 @@ from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
                      NoOmegaLiftError)
 from .extensions import (FactorSystem, build_extension, column_table,
-                         restrict_cochain_to_subspace)
+                         restrict_cochain_to_subspace, restricts_to)
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving,
                      bracket_table, center, quotient_algebra)
 from .linalg import (ONE, ZERO, Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
@@ -148,8 +148,7 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     ad_n = tuple(n_sub.restrict(ghat.ad_matrix(x)) for x in range(ghat.dim))
     if any(m is None for m in ad_n):
         raise InvariantViolation("the image of alpha is not an ideal")
-    basis = Matrix.from_sparse_rows([dict(p) for p in n_sub.pairs], ghat.dim).transpose()
-    n_alg = LieAlgebra(n_dim, bracket_table(ghat, basis, n_sub.split_matrix()))
+    n_alg = LieAlgebra(n_dim, bracket_table(ghat, n_sub.embed_matrix(), n_sub.split_matrix()))
     # lift n -> h landing in the complement of z: solve alpha restricted, on
     # the dense basis vectors that solve_columns reads as right-hand sides
     lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
@@ -188,12 +187,12 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
     slots = [Cochain(sp.n_alg, 1, zd, {(a,): v for (y, a), v in sp.theta.items() if y == x})
              for x in range(ghat.dim)]
     thetas = [theta_x.as_matrix() for theta_x in slots]
-    # theta on n_i, from the nonzero pairs of n's basis vector i, transposed
+    # theta on n_i, from the nonzero pairs of n's basis vector i, as a z x n
+    # matrix, and its columns as the table of theta on n
     on_n = [linear_combination([x for _, x in p], [thetas[k] for k, _ in p], zd, n_dim)
-            .transpose() for p in sp.n_sub.pairs]
-    for (i, j), vec in sp.f.coeffs.items():
-        if on_n[i].row(j) != vec:  # f's values are dense tuples
-            raise InvariantViolation("theta does not restrict to the extension cocycle")
+            for p in sp.n_sub.pairs]
+    if not restricts_to(column_table(on_n), sp.f):
+        raise InvariantViolation("theta does not restrict to the extension cocycle")
     # one trivial module, so d_1 with trivial coefficients is assembled once
     trivial = Representation.trivial(sp.n_alg, zd)
     for x, theta_x in enumerate(slots):
@@ -261,10 +260,8 @@ def characteristic_class_theta_route(sp: CrossedModuleSplitting,
     # the pullback of beta must reproduce d_f on all of ghat
     pulled = pullback_cochain(beta, sp.q_proj, ghat)
     if pulled != d_f:
-        key = min(k for k in pulled.coeffs.keys() | d_f.coeffs.keys()
-                  if pulled.coeffs.get(k) != d_f.coeffs.get(k))
         raise FactorizationFailureError(
-            f"the differential of the extension does not factor at {key}")
+            f"the differential of the extension does not factor at {(pulled - d_f).keys()[0]}")
     return cohomology(sp.z_rep, 3).class_of(beta)
 
 

@@ -274,7 +274,7 @@ def run_v2_samples(samples: int, seed: int):
     return {
         "identity_samples": samples,
         "failures": failures,
-        "eta_e_f_h": scalar_to_str(eta.component((0, 1, 2))[0]),
+        "eta_e_f_h": scalar_to_str(eta.component((0, 1, 2))[0]),  # the value the report shows
         "eta_class_nonzero": not cls.is_zero(),
         "h3_dim": cls.space.h_dim,
     }

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        covariant_differential, curvature, gauge_action,
-                       increasing_tuples, pullback_cochain, superbracket,
+                       increasing_tuples, key_unrank, pullback_cochain, superbracket,
                        transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
                          EmptyAffine, cohomology, differential_matrix, primitive,
@@ -45,9 +45,9 @@ from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotADerivationError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
-from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving, center,
-                     is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, image, invert,
+from .liealg import (LieAlgebra, Representation, ad_stack, bracket_defect, bracket_preserving,
+                     center, is_derivation, product_algebra, quotient_algebra, solve_inner)
+from .linalg import (Matrix, Subspace, block_matrix, consistent_columns, image, invert,
                      left_inverse, pullback_family, to_fractions)
 
 
@@ -56,23 +56,21 @@ from .linalg import (ZERO, Matrix, Subspace, block_matrix, consistent_columns, i
 # ---------------------------------------------------------------------------
 
 def restrict_cochain_to_subspace(c: Cochain, sub: Subspace) -> Cochain:
-    """Rewrite a cochain whose values lie in ``sub`` in subspace coordinates."""
-    table = {}
-    for key, vec in c.coeffs.items():
-        coords = sub.coordinates_of(vec)
-        if coords is None:
-            raise InvariantViolation(
-                f"cochain value at {key} lies outside the expected subspace")
-        table[key] = coords
-    return Cochain(c.algebra, c.degree, sub.dim, table)
+    """Rewrite a cochain whose values lie in ``sub`` in subspace coordinates: the
+    entries at the pivots, which embed back to the value exactly when it lies in sub."""
+    restricted = c.map_values(sub.split_matrix())
+    outside = embed_cochain_from_subspace(restricted, sub) - c
+    if not outside.is_zero():
+        raise InvariantViolation(
+            f"cochain value at {outside.keys()[0]} lies outside the expected subspace")
+    return restricted
 
 
 def embed_cochain_from_subspace(c: Cochain, sub: Subspace) -> Cochain:
     """Push a subspace-coordinate cochain back into the ambient space."""
     if c.value_dim != sub.dim:
         raise DimensionMismatchError("cochain values do not match the subspace dimension")
-    table = {key: sub.embed(vec) for key, vec in c.coeffs.items()}
-    return Cochain(c.algebra, c.degree, sub.ambient_dim, table)
+    return c.map_values(sub.embed_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +170,9 @@ def _factor_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain) -> O
 
 
 def _curvature_failures(S: OuterActionMap, omega: Cochain) -> tuple:
-    """The increasing pairs at which the curvature of S differs from ad(omega)."""
-    R = curvature(S)
-    # the curvature's values are dense flattened matrices
-    return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
-                 if R.component(key) != S.target.ad(omega.component(key)).flatten())
+    """The increasing pairs at which the curvature of S differs from ad(omega),
+    omega's values sent through ad_stack: the keys where either is nonzero."""
+    return (curvature(S) - omega.map_values(ad_stack(S.target))).keys()
 
 
 def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
@@ -184,7 +180,7 @@ def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
     """The three defining conditions of (S, omega); S is an OuterActionMap or its matrices."""
     S = _factor_action(n_alg, g_alg, S, omega)
     der_fail = tuple(i for i, m in enumerate(S.matrices) if not is_derivation(n_alg, m))
-    cocycle_fail = tuple(sorted(covariant_differential(S, omega).coeffs))
+    cocycle_fail = covariant_differential(S, omega).keys()
     return FactorSystemReport(der_fail, _curvature_failures(S, omega), cocycle_fail)
 
 
@@ -279,6 +275,7 @@ class ExtensionPresentation:
 def build_extension(fs: FactorSystem) -> ExtensionPresentation:
     """The product-coordinate Lie algebra of a factor system."""
     nd, gd = fs.n.dim, fs.g.dim
+    # product_algebra reads omega as a table of n-vectors on g's index pairs
     total = product_algebra(fs.n, fs.g, fs.S.matrices, fs.omega.coeffs)
     inclusion = block_matrix([[Matrix.identity(nd)], [Matrix.zero(gd, nd)]])
     projection = block_matrix([[Matrix.zero(gd, nd), Matrix.identity(gd)]])
@@ -429,10 +426,8 @@ def pairwise_equivalent(systems: Sequence[FactorSystem], module) -> tuple:
     if any(fs.n != first.n or fs.g != first.g or fs.S.matrices != first.S.matrices
            for fs in systems):
         raise DimensionMismatchError("the factor systems must share n, g and S")
-    offsets = [restrict_cochain_to_subspace(fs.omega - first.omega, z).sparse_coordinates()
-               for fs in systems]
-    differences = [{k: a.get(k, ZERO) - b.get(k, ZERO) for k in a.keys() | b.keys()}
-                   for a, b in combinations(offsets, 2)]
+    offsets = [restrict_cochain_to_subspace(fs.omega - first.omega, z) for fs in systems]
+    differences = [(a - b).sparse_coordinates() for a, b in combinations(offsets, 2)]
     return consistent_columns(differential_matrix(z_rep, 1), differences)
 
 
@@ -465,6 +460,7 @@ class GKernel:
 
     def _solve_omega(self) -> Cochain:
         R = curvature(self.S)
+        # solve_inner reads one dense flattened target per key
         omega, certificate = inner_cochain(
             self.n, self.g, 2, [R.component(key) for key in increasing_tuples(self.g.dim, 2)])
         if omega is None:
@@ -571,10 +567,7 @@ def build_quotient_stage(kernel: GKernel) -> QuotientStage:
     z, z_rep = center_module(kernel.S)
     n_ad, proj_ad, sect_ad = quotient_algebra(n_alg, z)
     s1_mats = [proj_ad @ m @ sect_ad for m in kernel.S.matrices]
-    omega_bar = Cochain(g_alg, 2, n_ad.dim,
-                        {key: proj_ad.matvec(vec)
-                         for key, vec in kernel.omega.coeffs.items()})
-    fs = FactorSystem(n_ad, g_alg, s1_mats, omega_bar)
+    fs = FactorSystem(n_ad, g_alg, s1_mats, kernel.omega.map_values(proj_ad))
     ext = build_extension(fs)
     gs = ext.total
     # rho is ad n pulled back along the section of n_ad, then S on g
@@ -626,12 +619,15 @@ def column_table(matrices: Sequence[Matrix]) -> dict:
 
 
 def restricts_to(theta: dict, f: Cochain) -> bool:
-    """Whether the table theta, read on the pairs of f's basis indices, is the
-    2-cochain f: theta(i, j) = f(i, j) = -f(j, i), from the nonzero entries of both."""
-    n = f.algebra.dim
-    expected = dict(f.coeffs)
-    expected.update(((j, i), tuple(-x for x in vec)) for (i, j), vec in f.coeffs.items())
-    return {key: vec for key, vec in theta.items() if key[0] < n} == expected
+    """Whether the table theta, read on the pairs of f's basis indices, is the 2-cochain
+    f: theta(i, j) = f(i, j) = -f(j, i) at every (i, j), on the nonzero entries of both."""
+    n, zd = f.algebra.dim, f.value_dim
+    expected = {}
+    for index, x in f.pairs:
+        (i, j), slot = key_unrank(index // zd, n, 2), index % zd
+        expected[(i, j, slot)], expected[(j, i, slot)] = x, -x
+    return {(i, j, slot): x for (i, j), vec in theta.items() if i < n
+            for slot, x in enumerate(vec) if x} == expected
 
 
 def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):

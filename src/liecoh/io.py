@@ -6,27 +6,24 @@ so emit(load(x)) reproduces canonically formed input byte for byte.
 
 emit is the package's one JSON writer: every report on stdout and every
 file written goes through it.  Its text is json.dumps(obj, sort_keys=True,
-indent=2) plus a newline for every value json accepts.  A cochain is
-handed to it as a SparseCochain, the cochain's sparse coordinates, which
-cochain_to_json makes from a Cochain; the cochain format, an object of
-"coeffs", "degree" and "value_dim", lives only in _cochain_text, which
-writes it straight from the (index, value) pairs, so a report of basis
-cochains builds neither a Cochain nor a dict per basis vector.
+indent=2) plus a newline for every value json accepts.  A Cochain is
+handed to it as it is: the cochain format, an object of "coeffs",
+"degree" and "value_dim", lives only in _cochain_text, which writes it
+straight from the cochain's nonzero (index, value) pairs, naming each key
+by key_unrank once per emit; so a report of basis cochains, each wrapped
+by Cochain.from_pairs, builds no dict per basis vector.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from math import comb
 from typing import Optional
 
 from .catalog import catalog
-from .cochains import Cochain
-from .errors import (DimensionMismatchError, InvariantViolation, JacobiError, ParseError,
-                     RepresentationError)
+from .cochains import Cochain, key_unrank
+from .errors import InvariantViolation, JacobiError, ParseError, RepresentationError
 from .extensions import FactorSystem
 from .liealg import LieAlgebra, Representation
 from .linalg import Matrix
@@ -159,10 +156,9 @@ def representation_from_json(data) -> Representation:
         raise InvariantViolation(str(exc), [f"representation law at {exc.pair}"]) from exc
 
 
-def cochain_to_json(c: Cochain) -> SparseCochain:
-    """c for emit: its sparse coordinates, which emit writes in the cochain format."""
-    return SparseCochain(c.algebra.dim, c.degree, c.value_dim,
-                         sorted(c.sparse_coordinates().items()))
+def cochain_to_json(c: Cochain) -> Cochain:
+    """c for emit, which writes a Cochain in the cochain format."""
+    return c
 
 
 def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
@@ -188,7 +184,7 @@ def factor_system_to_json(fs: FactorSystem) -> dict:
         "n": algebra_to_json(fs.n),
         "g": algebra_to_json(fs.g),
         "S": [matrix_to_json(m) for m in fs.S.matrices],
-        "omega": cochain_to_json(fs.omega),
+        "omega": fs.omega,
     }
 
 
@@ -239,28 +235,12 @@ def crossed_module_to_json(cm) -> dict:
     }
 
 
-class SparseCochain:
-    """A cochain for emit, given by its sparse coordinates: the algebra's
-    dimension, the degree, value_dim and the nonzero (index, Fraction) pairs
-    of Cochain.coordinates(), in increasing index order."""
-
-    __slots__ = ("algebra_dim", "degree", "value_dim", "pairs")
-
-    def __init__(self, algebra_dim: int, degree: int, value_dim: int, pairs):
-        if pairs and pairs[-1][0] >= comb(algebra_dim, degree) * value_dim:
-            raise DimensionMismatchError("coordinate index out of range")
-        self.algebra_dim = algebra_dim
-        self.degree = degree
-        self.value_dim = value_dim
-        self.pairs = pairs
-
-
 def emit(obj) -> str:
     """Canonical JSON text: sorted keys, indent 2, trailing newline.
 
     The text is json.dumps(obj, sort_keys=True, indent=2) + "\n" for every
     value json accepts, and a TypeError where json raises one; a
-    SparseCochain is written in the cochain format of _cochain_text.
+    Cochain is written in the cochain format of _cochain_text.
     """
     out = []
     _write(obj, "\n", out, {})
@@ -270,7 +250,8 @@ def emit(obj) -> str:
 
 def _write(obj, pad: str, out: list, key_names: dict) -> None:
     """Append the text of obj to out; pad is the newline and indent it sits at.
-    key_names holds the quoted cochain keys of each (algebra dim, degree)."""
+    key_names maps each (algebra dim, degree) to the quoted cochain keys named so
+    far, by key index."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -305,7 +286,7 @@ def _write(obj, pad: str, out: list, key_names: dict) -> None:
             _write(value, inner, out, key_names)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(obj, SparseCochain):
+    elif isinstance(obj, Cochain):
         out.append(_cochain_text(obj, pad, key_names))
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
@@ -339,25 +320,22 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _cochain_text(c: SparseCochain, pad: str, key_names: dict) -> str:
+def _cochain_text(c: Cochain, pad: str, key_names: dict) -> str:
     """The text of c in the cochain format: an object of "coeffs" (the
     nonzero keys, each its indices joined by commas, in string order, so
     "0,1,10" comes before "0,1,2", each value in full with "0" for its zero
     entries), "degree" and "value_dim", as json.dumps writes it."""
-    names = key_names.get((c.algebra_dim, c.degree))
-    if names is None:
-        names = key_names[(c.algebra_dim, c.degree)] = [
-            '"' + ",".join(map(str, key)) + '"'
-            for key in combinations(range(c.algebra_dim), c.degree)]
-    value_dim = c.value_dim
+    n, p, value_dim = c.algebra.dim, c.degree, c.value_dim
+    names = key_names.setdefault((n, p), {})
     values = {}
     for i, x in c.pairs:
-        if x:
-            r, slot = divmod(i, value_dim)
-            vec = values.get(r)
-            if vec is None:
-                vec = values[r] = ['"0"'] * value_dim
-            vec[slot] = '"' + scalar_to_str(x) + '"'
+        r, slot = divmod(i, value_dim)
+        vec = values.get(r)
+        if vec is None:
+            vec = values[r] = ['"0"'] * value_dim
+            if r not in names:
+                names[r] = '"' + ",".join(map(str, key_unrank(r, n, p))) + '"'
+        vec[slot] = '"' + scalar_to_str(x) + '"'
     inner = pad + "  "
     if values:
         key_pad = inner + "  "

@@ -377,6 +377,10 @@ class Subspace:
         """The matrix of split_coordinates: row r reads the entry at pivot r."""
         return Matrix._of([{p: ONE} for p in self.pivots], self.ambient_dim)
 
+    def embed_matrix(self) -> Matrix:
+        """The matrix of embed: column r is basis vector r."""
+        return Matrix._of([dict(p) for p in self.pairs], self.ambient_dim).transpose()
+
     def restrict(self, m: Matrix) -> Optional[Matrix]:
         """The matrix of m on the subspace in its canonical basis, or None
         when m does not map the subspace into itself."""

@@ -72,7 +72,7 @@ def bundle_example_a10a():
     """The two commuting shifts do not lift compatibly: the pulled-back
     extension of their plane is not abelian."""
     rep = lifting_cocycle(*_filiform_lift_data())
-    value = rep.cocycle_values[(0, 1)].component((0,))
+    value = rep.cocycle_values[(0, 1)].component((0,))  # the one value the report shows
     report = {
         "splits": rep.is_zero_cocycle,
         "value_on_p": str(value[0]) if value else "0",

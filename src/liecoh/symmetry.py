@@ -26,7 +26,7 @@ from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, OuterActionMap, covariant_differential,
-                       differential_operator, increasing_tuples, pair_act_cochain)
+                       differential_operator, key_rank, key_unrank, pair_act_cochain)
 from .cohomology import (CohomologyClass, CohomologySpace, cohomology,
                          differential_matrix, primitive)
 from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
@@ -193,23 +193,18 @@ def _pair_system_rows(fs: FactorSystem):
     #   - (d_S gamma)(i, j) = 0, row q * nd + r for the r-th entry at key q
     omega_rows = [Counter({va + vb + col: -x for col, x in d_row.items()})
                   for d_row in differential_operator(S, 1).sparse_rows()]
-    q_of = {key: q for q, key in enumerate(increasing_tuples(gd, 2))}
-    for (s, t), w in omega.coeffs.items():
-        for r, x in enumerate(w):
-            if not x:
-                continue
+    for q, value in omega.nonzero_values():
+        s, t = key_unrank(q, gd, 2)
+        for r, x in value.items():
             for k in range(nd):  # alpha_{kr} omega(s, t)_r, in row k of key (s, t)
-                omega_rows[q_of[(s, t)] * nd + k][k * nd + r] += x
-            # beta_{bi} omega(e_b, e_j) is +x at (b, j) = (s, t) and -x at (t, s);
-            # beta_{bj} omega(e_i, e_b) is +x at (i, b) = (s, t) and -x at (t, s)
-            for i in range(t):
-                omega_rows[q_of[(i, t)] * nd + r][va + s * gd + i] -= x
-            for i in range(s):
-                omega_rows[q_of[(i, s)] * nd + r][va + t * gd + i] += x
-            for j in range(s + 1, gd):
-                omega_rows[q_of[(s, j)] * nd + r][va + t * gd + j] -= x
-            for j in range(t + 1, gd):
-                omega_rows[q_of[(t, j)] * nd + r][va + s * gd + j] += x
+                omega_rows[q * nd + k][k * nd + r] += x
+            # omega(e_u, e_w) = y is x at (s, t) and -x at (t, s); it meets
+            # beta_{ui} at key (i, w) and beta_{wj} at key (u, j)
+            for u, w, y in ((s, t, x), (t, s, -x)):
+                for i in range(w):
+                    omega_rows[key_rank((i, w), gd) * nd + r][va + u * gd + i] -= y
+                for j in range(u + 1, gd):
+                    omega_rows[key_rank((u, j), gd) * nd + r][va + w * gd + j] -= y
     return rows, omega_rows, nvars, va, vb
 
 
@@ -348,6 +343,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             raise PreconditionFailedError(f"psi_g is not a derivation at index {x}",
                                           index=x)
         acted = pair_act_outer(psi_n[x], psi_g[x], fs.S)
+        # ad reads the value of theta(x) at e_a as a dense vector
         inner = [n_alg.ad(theta[x].component((a,))) for a in range(g_alg.dim)]
         if any(acted.matrices[a] != inner[a] for a in range(g_alg.dim)):
             raise PreconditionFailedError(
@@ -368,6 +364,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
 
     def z1_coords(c: Cochain):
         cz = restrict_cochain_to_subspace(c, z)
+        # the coordinates are a dense column of z1_mats and of the cocycle table
         coords = z1.coordinates_of(cz.coordinates())
         if coords is None:
             raise InvariantViolation("a value left the cocycle space")
@@ -400,6 +397,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
         corr, _ = primitive(z1_rep, cocycle.scale(-1))
         theta_fixed = []
         for x in range(hd):
+            # z1.embed reads the value of corr at e_x as a dense vector
             shift = embed_cochain_from_subspace(
                 Cochain.from_coordinates(g_alg, 1, z.dim,
                                          z1.embed(corr.component((x,)))), z)

@@ -11,9 +11,15 @@ with two seeded basis changes of each, and the three benchmark
 factor-system kinds at h7 with their stage crossed modules.  Seeded
 property tests pin functoriality of the pullback, d commuting with the
 pullback along a homomorphism, and the Euler identity of the pair action.
+A linear map of a cochain's values is ``Cochain.map_values``, read from its
+nonzero values and the matrix's sparse columns; it and the subspace
+embedding and restriction of a cochain must match the dense builders they
+replaced (``matvec``, ``sub.embed`` and ``coordinates_of`` of every value),
+on seeded cases and in the stage cocycle of ``build_quotient_stage``.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -26,10 +32,10 @@ from liecoh.cochains import (Cochain, increasing_tuples, pair_act_cochain, pullb
 from liecoh.crossed import (characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence)
-from liecoh.errors import DegreeMismatchError, DimensionMismatchError
+from liecoh.errors import DegreeMismatchError, DimensionMismatchError, InvariantViolation
 from liecoh.extensions import build_extension, equivalent_extensions
 from liecoh.liealg import LieAlgebra
-from liecoh.linalg import Matrix, invert, to_fractions
+from liecoh.linalg import Matrix, Subspace, invert, to_fractions
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
@@ -93,6 +99,29 @@ def loop_pair_act(alpha, beta, c):
         if not vec_is_zero(val):
             table[key] = val
     return Cochain(c.algebra, c.degree, alpha.rows, table)
+
+
+def matvec_values(c, m):
+    """The former {key: m.matvec(vec)} value map, as in build_quotient_stage."""
+    return Cochain(c.algebra, c.degree, m.rows,
+                   {key: m.matvec(vec) for key, vec in c.coeffs.items()})
+
+
+def loop_embed(c, sub):
+    """The former embed_cochain_from_subspace: sub.embed of every dense value."""
+    return Cochain(c.algebra, c.degree, sub.ambient_dim,
+                   {key: sub.embed(vec) for key, vec in c.coeffs.items()})
+
+
+def loop_restrict(c, sub):
+    """The former restrict_cochain_to_subspace: coordinates_of every dense value."""
+    table = {}
+    for key, vec in c.coeffs.items():
+        coords = sub.coordinates_of(vec)
+        if coords is None:
+            raise InvariantViolation(f"cochain value at {key} lies outside the expected subspace")
+        table[key] = coords
+    return Cochain(c.algebra, c.degree, sub.dim, table)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +192,48 @@ def test_maps_match_the_loops_on_catalog_systems():
                     == loop_transport(alpha, beta_inv, omega))
 
 
-MAPS = ("pullback_cochain", "transport_cochain", "pair_act_cochain")
+def test_value_maps_match_the_matvec_builders():
+    """map_values against matvec, and the subspace embedding and restriction
+    against sub.embed and coordinates_of, on seeded cochains, maps and subspaces."""
+    rng = random.Random(83)
+    for trial in range(60):
+        L = rand_algebra(rng) if trial % 3 else abelian(rng.randint(0, 5))
+        p, m = rng.randint(0, min(4, L.dim)), rng.randint(1, 3)
+        c = rand_cochain(rng, L, p, m, sparsity=rng.choice((0.0, 0.5, 0.9)))
+        for M in seeded_maps(rng, rng.randint(0, 4), m) + seeded_maps(rng, m, m):
+            assert c.map_values(M) == matvec_values(c, M)
+        ambient = m + rng.randint(0, 2)
+        sub = Subspace.from_vectors(ambient, [tuple(rand_fraction(rng) if rng.random() < 0.6
+                                                    else 0 for _ in range(ambient))
+                                              for _ in range(m)])
+        inside = rand_cochain(rng, L, p, sub.dim, sparsity=0.3)
+        embedded = extensions.embed_cochain_from_subspace(inside, sub)
+        assert embedded == loop_embed(inside, sub)
+        assert extensions.restrict_cochain_to_subspace(embedded, sub) == inside
+        assert loop_restrict(embedded, sub) == inside
+        outside = embedded + rand_cochain(rng, L, p, ambient, sparsity=0.7)
+        try:
+            want = loop_restrict(outside, sub)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation, match=re.escape(str(exc))):
+                extensions.restrict_cochain_to_subspace(outside, sub)
+        else:
+            assert extensions.restrict_cochain_to_subspace(outside, sub) == want
+
+
+@pytest.mark.parametrize("kind", ["center", "grading", "central"])
+def test_the_stage_cocycle_matches_the_matvec_builder(kind):
+    from test_classify import pipeline_system
+    for fs in (pipeline_system(kind, 3), catalog("ext-heisenberg-kernel")):
+        stage = extensions.build_quotient_stage(extensions.GKernel.from_factor_system(fs))
+        assert stage.fs.omega == matvec_values(fs.omega, stage.proj_ad)
+
+
+MAPS = ("pullback_cochain", "transport_cochain", "pair_act_cochain",
+        "embed_cochain_from_subspace", "restrict_cochain_to_subspace")
 ORACLES = {"pullback_cochain": loop_pullback, "transport_cochain": loop_transport,
-           "pair_act_cochain": loop_pair_act}
+           "pair_act_cochain": loop_pair_act, "embed_cochain_from_subspace": loop_embed,
+           "restrict_cochain_to_subspace": loop_restrict}
 
 
 @pytest.mark.parametrize("kind", ["center", "grading", "central"])

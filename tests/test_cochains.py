@@ -7,8 +7,9 @@ import pytest
 from liecoh.catalog import abelian, ext_heisenberg_kernel, heisenberg3, sl2
 from liecoh.cochains import (Cochain, EquivariantPairing, HALF, OuterActionMap,
                              cochain_differential, covariant_differential,
-                             curvature, differential_operator, gauge_action,
-                             operator_matrix, superbracket, trivial_differential, wedge)
+                             curvature, differential_operator, gauge_action, key_rank,
+                             key_unrank, operator_matrix, superbracket, trivial_differential,
+                             wedge)
 from liecoh.cohomology import differential_matrix
 from liecoh.config import degree_cap
 from liecoh.errors import (DegreeCapExceededError, DegreeMismatchError,
@@ -430,3 +431,128 @@ def test_operators_and_curvature_are_kept_on_their_object():
     assert differential_operator(twin, 2) is not differential_operator(S, 2)
     assert differential_operator(twin, 2) == differential_operator(S, 2)
     assert curvature(twin) is not curvature(S) and curvature(twin) == curvature(S)
+
+
+# ---------------------------------------------------------------------------
+# one sparse storage, against the bodies it replaced
+# ---------------------------------------------------------------------------
+
+def test_key_rank_and_unrank_follow_combinations_order():
+    for n in range(13):
+        for p in range(6):
+            keys = list(combinations(range(n), p))
+            assert [key_rank(key, n) for key in keys] == list(range(len(keys)))
+            assert [key_unrank(r, n, p) for r in range(len(keys))] == keys
+    assert key_rank((), 0) == 0 and key_unrank(0, 0, 0) == ()
+
+
+def listing_from_pairs(n, degree, value_dim, pairs):
+    """The former Cochain.from_pairs: every key listed to name an index's key;
+    returns the {key: value tuple} table it stored."""
+    keys = list(combinations(range(n), degree))
+    if pairs and pairs[-1][0] >= len(keys) * value_dim:
+        raise DimensionMismatchError("coordinate index out of range")
+    table = {}
+    for i, x in pairs:
+        r, slot = divmod(i, value_dim)
+        table.setdefault(keys[r], [Fraction(0)] * value_dim)[slot] = x
+    return {key: tuple(vec) for key, vec in table.items()}
+
+
+def listing_sparse_coordinates(n, degree, value_dim, table):
+    """The former Cochain.sparse_coordinates of the stored table: every key
+    listed to rank a key."""
+    rank = {key: r for r, key in enumerate(combinations(range(n), degree))}
+    return {rank[key] * value_dim + slot: x
+            for key, vec in table.items() for slot, x in enumerate(vec) if x}
+
+
+def test_pairs_match_the_key_listing(rng):
+    for _ in range(40):
+        L = rand_algebra(rng) if rng.random() < 0.7 else abelian(rng.randint(0, 7))
+        p, m = rng.randint(0, min(4, L.dim)), rng.randint(1, 3)
+        c = rand_cochain(rng, L, p, m, sparsity=rng.choice((0.0, 0.5, 0.9)))
+        table = {key: vec for key, vec in c.coeffs.items()}
+        pairs = sorted(listing_sparse_coordinates(L.dim, p, m, table).items())
+        assert c.sparse_coordinates() == dict(pairs) and list(c.pairs) == pairs
+        assert Cochain.from_pairs(L, p, m, pairs).coeffs == listing_from_pairs(L.dim, p, m, pairs)
+        assert Cochain.from_pairs(L, p, m, pairs) == c
+        assert all(type(x) is Fraction and x for _, x in c.pairs)
+        for key in combinations(range(L.dim), p):
+            assert c.component(key) == table.get(key, (0,) * m)
+        assert c.keys() == tuple(sorted(table))
+
+
+def test_a_cochain_keeps_only_its_pairs():
+    assert Cochain.__slots__ == ("algebra", "degree", "value_dim", "pairs")
+    c = Cochain(abelian(4), 2, 2, {(1, 3): (0, 2), (0, 1): (0, 0), (0, 2): ("1/2", 0)})
+    assert c.pairs == ((2, Fraction(1, 2)), (9, Fraction(2)))
+    assert c.coeffs == {(0, 2): (Fraction(1, 2), 0), (1, 3): (0, Fraction(2))}
+    assert c.component([1, 3]) == (0, 2) and c.component((2, 3)) == (0, 0)
+    # a key is read through its rank, so a key of another shape is refused
+    for key in ((1, 0), (2, 2), (0, 4), (-1, 2), (1,), (0, 1, 2)):
+        with pytest.raises(DimensionMismatchError, match="is not an increasing key of degree 2"):
+            c.component(key)
+
+
+def dense_apply_operator(action, c):
+    """The former cochains._apply_operator: the operator times c's dense coordinates."""
+    d = differential_operator(action, c.degree)
+    return Cochain.from_coordinates(c.algebra, c.degree + 1, c.value_dim,
+                                    d.matvec(c.coordinates()))
+
+
+def test_differentials_match_the_dense_product(rng):
+    for _ in range(30):
+        L = rand_algebra(rng)
+        p = rng.randint(0, min(3, L.dim))
+        rep = adjoint_rep(L)
+        size = rng.randint(1, 3)
+        S = OuterActionMap(L, [rand_matrix(rng, size, size) for _ in range(L.dim)])
+        for sparsity in (0.0, 0.6, 1.0):
+            c = rand_cochain(rng, L, p, L.dim, sparsity)
+            assert cochain_differential(rep, c) == dense_apply_operator(rep, c)
+            assert trivial_differential(c) == dense_apply_operator(
+                Representation.trivial(L, L.dim), c)
+            e = rand_cochain(rng, L, p, size, sparsity)
+            assert covariant_differential(S, e) == dense_apply_operator(S, e)
+
+
+def shuffle_sign(positions):
+    """Sign of the permutation sending (positions, complement) to 0..n-1."""
+    inversions = sum(pos - r for r, pos in enumerate(positions))
+    return -1 if inversions % 2 else 1
+
+
+def dense_wedge(m, a, b):
+    """The former wedge: every key of degree p + q, every shuffle of its slots."""
+    p, q = a.degree, b.degree
+    table = {}
+    positions = list(combinations(range(p + q), p))
+    a_table, b_table = a.coeffs, b.coeffs
+    for key in combinations(range(a.algebra.dim), p + q):
+        total = [Fraction(0)] * m.out_dim
+        for pos in positions:
+            va = a_table.get(tuple(key[i] for i in pos))
+            vb = b_table.get(tuple(key[i] for i in range(p + q) if i not in pos))
+            if va is None or vb is None:
+                continue
+            for slot, x in enumerate(m.apply(va, vb)):
+                total[slot] += shuffle_sign(pos) * x
+        table[key] = total
+    return Cochain(a.algebra, p + q, m.out_dim, table)
+
+
+def test_wedge_matches_the_shuffle_sum_over_every_key(rng):
+    for _ in range(30):
+        L = rand_algebra(rng)
+        V = rng.randint(1, 2)
+        p, q = rng.randint(0, 2), rng.randint(0, 2)
+        if p + q > L.dim:
+            continue
+        for m, left, right in ((EquivariantPairing.composition(V), V * V, V * V),
+                               (EquivariantPairing.evaluation(V), V * V, V),
+                               (EquivariantPairing.lie_bracket(L), L.dim, L.dim)):
+            a = rand_cochain(rng, L, p, left, sparsity=0.4)
+            b = rand_cochain(rng, L, q, right, sparsity=0.4)
+            assert wedge(m, a, b) == dense_wedge(m, a, b)

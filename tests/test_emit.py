@@ -2,17 +2,18 @@
 
 ``dumps_text`` is the former ``emit``, kept here as the oracle: for every
 value ``json`` accepts, ``emit`` must give its text byte for byte, and it
-must raise ``TypeError`` where ``json`` does.  A ``SparseCochain`` must be
-written as ``json.dumps`` writes ``cochain_dict`` of the same cochain
-(``as_dicts``); ``cochain_dict`` is the former ``io.cochain_to_json``, which
-built the dict before the cochain format moved into ``emit``, and every
-cochain in a report, ``cochain_to_json``'s included, now reaches ``emit`` as
-a ``SparseCochain``.  The oracle runs on every report of the benchmark's three
-workloads (inputs from ``perfbench/gen.py`` at seed 5), on every catalog
-``--emit`` file and on hand-made values that need care: empty containers,
-degree-0 and empty cochains, two-digit keys, strings that need escaping,
-booleans next to ints, floats and non-string keys.  The sha256 pins below
-were recorded with the ``json.dumps`` writer.
+must raise ``TypeError`` where ``json`` does.  A ``Cochain`` must be
+written as ``json.dumps`` writes ``cochain_dict`` of it (``as_dicts``);
+``cochain_dict`` is the former ``io.cochain_to_json``, which built the dict
+before the cochain format moved into ``emit``, reading the cochain's pairs
+through the key listing of the former ``Cochain.from_pairs``.  Every
+cochain in a report reaches ``emit`` as a ``Cochain``, the basis cochains of
+``cohomology`` wrapped by ``Cochain.from_pairs``.  The oracle runs on every
+report of the benchmark's three workloads (inputs from ``perfbench/gen.py``
+at seed 5), on every catalog ``--emit`` file and on hand-made values that
+need care: empty containers, degree-0 and empty cochains, two-digit keys,
+strings that need escaping, booleans next to ints, floats and non-string
+keys.  The sha256 pins below were recorded with the ``json.dumps`` writer.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import LieAlgebra, adjoint_rep
 
 from conftest import rand_cochain
+from test_cochains import listing_from_pairs
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -62,20 +64,19 @@ def dumps_text(obj) -> str:
 
 
 def cochain_dict(c):
-    """The former io.cochain_to_json: the cochain format as a dict."""
+    """The former io.cochain_to_json: the cochain format as a dict, with the
+    stored table of the former Cochain.from_pairs."""
+    table = listing_from_pairs(c.algebra.dim, c.degree, c.value_dim, c.pairs)
     coeffs = {}
-    for key in sorted(c.coeffs):
-        coeffs[",".join(str(i) for i in key)] = [lio.scalar_to_str(x)
-                                                 for x in c.coeffs[key]]
+    for key in sorted(table):
+        coeffs[",".join(str(i) for i in key)] = [lio.scalar_to_str(x) for x in table[key]]
     return {"degree": c.degree, "value_dim": c.value_dim, "coeffs": coeffs}
 
 
 def as_dicts(obj):
-    """obj with every SparseCochain replaced by cochain_dict of its Cochain."""
-    if isinstance(obj, lio.SparseCochain):
-        L = LieAlgebra(obj.algebra_dim)
-        c = Cochain.from_pairs(L, obj.degree, obj.value_dim, obj.pairs)
-        return cochain_dict(Cochain(L, obj.degree, obj.value_dim, c.coeffs))
+    """obj with every Cochain replaced by its cochain_dict."""
+    if isinstance(obj, Cochain):
+        return cochain_dict(obj)
     if isinstance(obj, dict):
         return {key: as_dicts(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -129,8 +130,7 @@ def test_every_workload_report_matches_the_oracle(inputs, workload, monkeypatch)
     for obj, text in written:
         assert text == dumps_text(as_dicts(obj))
     if workload == "cohomology-ladder":
-        assert all(isinstance(c, lio.SparseCochain)
-                   for obj, _ in written for c in obj["cocycle_basis"])
+        assert all(isinstance(c, Cochain) for obj, _ in written for c in obj["cocycle_basis"])
 
 
 def test_catalog_emit_files_are_unchanged(tmp_path):
@@ -160,10 +160,15 @@ def test_cohomology_stdout_pins(tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == H3_ADJOINT_D2
 
 
-def test_cohomology_builds_no_cochain_and_no_dict_tree(tmp_path, monkeypatch):
+def test_cohomology_builds_no_dict_and_reads_no_dense_view(tmp_path, monkeypatch):
+    """Each basis vector is wrapped by Cochain.from_pairs and written from its
+    pairs: no key table is built, and no dense view is read."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the cohomology command built a cochain value")
-    monkeypatch.setattr(Cochain, "from_pairs", refuse)
+        raise AssertionError("the cohomology command built a dict or a dense cochain view")
+    for name in ("__init__", "component", "coordinates", "sparse_coordinates",
+                 "nonzero_values"):
+        monkeypatch.setattr(Cochain, name, refuse)
+    monkeypatch.setattr(Cochain, "coeffs", property(refuse))
     monkeypatch.setattr(lio, "cochain_to_json", refuse)
     rep = h3_adjoint_file(tmp_path)
     code, out = stdout_of(["cohomology", "--algebra", "abelian12", "--degree", "2"])
@@ -176,19 +181,24 @@ def test_cohomology_builds_no_cochain_and_no_dict_tree(tmp_path, monkeypatch):
 
 F = Fraction
 
+def sparse(n, degree, value_dim, pairs):
+    return Cochain.from_pairs(LieAlgebra(n), degree, value_dim, pairs)
+
+
 COCHAINS = {
-    "degree-0": lio.SparseCochain(3, 0, 2, ((1, F(3)),)),
-    "degree-0-empty": lio.SparseCochain(0, 0, 1, ()),
-    "value-dim-0": lio.SparseCochain(4, 2, 0, ()),
-    "value-dim-1": lio.SparseCochain(4, 2, 1, ((0, F(1)), (3, F(-2)), (5, F(1, 3)))),
-    "no-nonzero-pair": lio.SparseCochain(4, 2, 3, ()),
-    "only-zero-pairs": lio.SparseCochain(4, 2, 3, ((2, F(0)), (7, F(0)))),
+    "degree-0": sparse(3, 0, 2, ((1, F(3)),)),
+    "degree-0-empty": sparse(0, 0, 1, ()),
+    "value-dim-0": sparse(4, 2, 0, ()),
+    "value-dim-1": sparse(4, 2, 1, ((0, F(1)), (3, F(-2)), (5, F(1, 3)))),
+    "no-nonzero-pair": sparse(4, 2, 3, ()),
+    # the values at (0,1) and (0,3) are zero, so the cochain keeps no pair
+    "only-zero-pairs": Cochain(LieAlgebra(4), 2, 3, {(0, 1): (0, 0, 0), (0, 3): (0, 0, 0)}),
     # keys (0,1) (0,2) (0,10) (0,11) (1,11) (10,11): string order differs from index order
-    "two-digit-keys": lio.SparseCochain(12, 2, 2, (
+    "two-digit-keys": sparse(12, 2, 2, (
         (0, F(1)), (3, F(-1)), (19, F(5, 2)), (21, F(7)), (40, F(-3, 4)), (131, F(2)))),
-    "degree-3-two-digit": lio.SparseCochain(11, 3, 1, tuple(
+    "degree-3-two-digit": sparse(11, 3, 1, tuple(
         (i, F((-1) ** i * (i + 1), 1 + i % 3)) for i in range(0, 165, 7))),
-    "negative-and-fractional": lio.SparseCochain(3, 1, 3, (
+    "negative-and-fractional": sparse(3, 1, 3, (
         (0, F(-1)), (2, F(1, 2)), (4, F(-7, 3)), (8, F(10 ** 20, 3)))),
 }
 
@@ -214,16 +224,16 @@ def test_cochain_to_json_is_written_as_the_former_dict():
                  for degree in range(4) for value_dim in (1, 3) for sparsity in (0.0, 0.6)]
     for c in cochains:
         obj = lio.cochain_to_json(c)
-        assert isinstance(obj, lio.SparseCochain)
+        assert obj is c
         assert lio.emit(obj) == dumps_text(cochain_dict(c))
         assert lio.emit({"c": [obj]}) == dumps_text({"c": [cochain_dict(c)]})
 
 
 def test_a_sparse_cochain_checks_its_indices():
     with pytest.raises(DimensionMismatchError):
-        lio.SparseCochain(3, 2, 2, ((6, F(1)),))
+        sparse(3, 2, 2, ((6, F(1)),))
     with pytest.raises(DimensionMismatchError):
-        lio.SparseCochain(3, 1, 0, ((0, F(1)),))
+        sparse(3, 1, 0, ((0, F(1)),))
 
 
 class Level(IntEnum):
@@ -287,7 +297,6 @@ UNSUPPORTED = {
     "nested": {"a": [1, {"b": Fraction(1, 3)}]},
     "tuple-key": {(1, 2): "x"},
     "mixed-keys": {1: "a", "b": 2},
-    "cochain-in-dumps": Cochain(heisenberg3(), 1, 1),
 }
 
 

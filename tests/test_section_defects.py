@@ -13,8 +13,15 @@ them and the ``ad: L -> Der(L)`` crossed modules; the alternating
 extension of theta, now read from the pivots and pairs of n, also matches
 the dense body it replaced.  Planted theta
 perturbations must fail the check the former loop fails, at the same
-(x, y, a).  A factor system built from matrices validates against the map
-it keeps, so its curvature is computed once.
+(x, y, a).  The theta|f check compares theta on n with f's alternation at
+every (i, j), as ``extensions.restricts_to`` does for the stage, so a theta
+that differs from f on the diagonal, below it or where f vanishes is
+rejected; the former comparison, which looked only where f is nonzero and
+i < j, stays here as ``holed_restriction`` to show those plants passed it.
+A factor system built from matrices validates against the map it keeps, so
+its curvature is computed once, and the curvature failures, now read from
+the nonzero keys of curvature minus ad(omega), match the former dense
+comparison of every key.
 """
 
 import random
@@ -22,7 +29,7 @@ import sys
 
 import pytest
 
-from liecoh import cochains
+from liecoh import cochains, extensions
 from liecoh.catalog import catalog
 from liecoh.cochains import (Cochain, OuterActionMap, cochain_differential,
                              covariant_differential, increasing_tuples)
@@ -38,8 +45,8 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quo
 from liecoh.liealg import LieAlgebra, Representation
 from liecoh.linalg import Matrix, block_matrix, linear_combination, solve_columns, to_fractions
 
-from conftest import (rand_matrix, rand_vector, unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
-                      zero_vec)
+from conftest import (rand_matrix, rand_vector, unit_vec, value_at_indices, vec_add, vec_is_zero,
+                      vec_scale, vec_sub, zero_vec)
 from test_classify import CASE_IDS, CASES
 from test_crossed import (CATALOG_MODULES, _bracket_in_n, loop_module_action_on_f,
                           oracle_modules, stage_module)
@@ -190,12 +197,24 @@ def loop_theta_value(sp, x_coords, n_coords):
     return out
 
 
+def holed_restriction(sp):
+    """The theta|f comparison _check_splitting made before: only on the pairs
+    i < j where f is nonzero, so theta on the diagonal, below it and where f
+    vanishes went unchecked."""
+    n_dim = sp.n_alg.dim
+    return all(loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j)) == tuple(vec)
+               for (i, j), vec in sp.f.coeffs.items())
+
+
 def loop_check_splitting(sp):
-    """The former _check_splitting, with the per-(x, y, a) identity loop."""
+    """The former _check_splitting, with the per-(x, y, a) identity loop and
+    theta(n_i, n_j) compared with f(i, j), alternation included, at every (i, j)."""
     n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
-    for (i, j), vec in sp.f.coeffs.items():
-        if loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j)) != tuple(vec):
-            raise InvariantViolation("theta does not restrict to the extension cocycle")
+    for i in range(n_dim):
+        for j in range(n_dim):
+            if (loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j))
+                    != value_at_indices(sp.f, (i, j))):
+                raise InvariantViolation("theta does not restrict to the extension cocycle")
     trivial = Representation.trivial(sp.n_alg, zd)
     for x in range(ghat.dim):
         theta_x = Cochain(sp.n_alg, 1, zd, {(a,): sp.theta[(x, a)] for a in range(n_dim)
@@ -341,30 +360,78 @@ def outcome(check, sp):
     return None
 
 
+def planted(sp, rng, slots):
+    """sp with a random vector added to theta at each slot (x, a)."""
+    theta = dict(sp.theta)
+    for slot in slots:
+        value = vec_add(theta.get(slot, zero_vec(sp.z.dim)), rand_vector(rng, sp.z.dim))
+        theta[slot] = value
+        if vec_is_zero(value):
+            del theta[slot]
+    return sp._replace(theta=theta)
+
+
+def splittings_with_theta():
+    sps = [split_crossed_module(builder()) for _, builder in CATALOG_MODULES]
+    sps += [split_crossed_module(cm) for cm in derivation_modules()]
+    return [sp for sp in sps if sp.z.dim and sp.n_alg.dim]
+
+
 def test_planted_theta_perturbations_fail_where_the_loop_fails():
     rng = random.Random(67)
     messages = []
-    for cm in [builder() for _, builder in CATALOG_MODULES] + derivation_modules():
-        sp = split_crossed_module(cm)
-        if not sp.z.dim or not sp.n_alg.dim:
-            continue
+    for sp in splittings_with_theta():
         for _ in range(12):
-            theta = dict(sp.theta)
+            case = sp
             for _ in range(rng.randint(1, 2)):
-                slot = (rng.randrange(cm.ghat.dim), rng.randrange(sp.n_alg.dim))
-                value = vec_add(theta.get(slot, zero_vec(sp.z.dim)),
-                                rand_vector(rng, sp.z.dim))
-                theta[slot] = value
-                if vec_is_zero(value):
-                    del theta[slot]
-            planted = sp._replace(theta=theta)
-            want = outcome(loop_check_splitting, planted)
-            assert outcome(_check_splitting, planted) == want
+                case = planted(case, rng, [(rng.randrange(sp.cm.ghat.dim),
+                                            rng.randrange(sp.n_alg.dim))])
+            want = outcome(loop_check_splitting, case)
+            assert outcome(_check_splitting, case) == want
+            messages.append(want)
+    # The checks after theta|f see only a theta that restricts to f: plants on
+    # the slots x outside every basis vector of n leave theta on n alone.
+    rng = random.Random(71)
+    for sp in splittings_with_theta():
+        off_n = sorted(set(range(sp.cm.ghat.dim)) - {j for p in sp.n_sub.pairs for j, _ in p})
+        for _ in range(12 if off_n else 0):
+            slots = [(rng.choice(off_n), rng.randrange(sp.n_alg.dim))
+                     for _ in range(rng.randint(1, 2))]
+            case = planted(sp, rng, slots)
+            want = outcome(loop_check_splitting, case)
+            assert outcome(_check_splitting, case) == want
+            assert want is None or "restrict" not in want
             messages.append(want)
     identity = [m for m in messages if m and "action cocycle identity" in m]
     # the identity failures name several distinct (x, y, a)
     assert len(identity) >= 10 and len(set(identity)) >= 5
     assert any(m and "derivation datum" in m for m in messages)
+
+
+def test_theta_off_f_is_rejected_on_the_diagonal_below_it_and_where_f_vanishes():
+    """A plant at slot (pivot of n_i, j) changes theta on n at (n_i, n_j) alone,
+    since n's basis is in reduced echelon form.  Each plant where the former
+    comparison did not look (i == j, i > j, or i < j with f(i, j) = 0) passes
+    it, and both the check and its oracle reject it."""
+    rng = random.Random(73)
+    seen = set()
+    for sp in splittings_with_theta():
+        n_dim = sp.n_alg.dim
+        for i in range(n_dim):
+            for j in range(n_dim):
+                where = ("diagonal" if i == j else "below" if i > j
+                         else "f-zero" if vec_is_zero(sp.f.component((i, j))) else None)
+                if where is None:
+                    continue
+                case = planted(sp, rng, [(sp.n_sub.pivots[i], j)])
+                if case.theta == sp.theta:
+                    continue
+                assert holed_restriction(case)
+                message = "theta does not restrict to the extension cocycle"
+                assert outcome(_check_splitting, case) == message
+                assert outcome(loop_check_splitting, case) == message
+                seen.add(where)
+    assert seen == {"diagonal", "below", "f-zero"}
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +516,37 @@ def test_stored_omega_failures_name_the_first_key(name, fs):
             GKernel(fs.n, fs.g, fs.S, omega)
         assert info.value.certificate == want
     assert raised or fs.n.is_abelian() or not keys
+
+
+def dense_curvature_failures(S, omega):
+    """The former extensions._curvature_failures: every increasing pair, with the
+    curvature's dense value against the dense flattening of ad(omega)."""
+    R = cochains.curvature(S)
+    return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
+                 if R.component(key) != S.target.ad(omega.component(key)).flatten())
+
+
+@pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
+def test_curvature_failures_match_the_dense_comparison(name, fs):
+    """On the valid omega, on omega moved off the curvature at up to three
+    keys (the keys where the curvature vanishes among them), on the zero
+    omega and on omega moved by a center-valued cochain, which still lifts."""
+    rng = random.Random(79)
+    keys = list(increasing_tuples(fs.g.dim, 2))
+    z, _ = center_module(fs.S)
+    omegas = [fs.omega, Cochain(fs.g, 2, fs.n.dim)]
+    for _ in range(6):
+        table = dict(fs.omega.coeffs)
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
+            table[key] = vec_add(fs.omega.component(key), rand_vector(rng, fs.n.dim))
+        omegas.append(Cochain(fs.g, 2, fs.n.dim, table))
+    if z.dim and keys:
+        shift = {key: z.embed(rand_vector(rng, z.dim)) for key in keys}
+        omegas.append(fs.omega + Cochain(fs.g, 2, fs.n.dim, shift))
+        assert extensions._curvature_failures(fs.S, omegas[-1]) == ()
+    failing = 0
+    for omega in omegas:
+        got = extensions._curvature_failures(fs.S, omega)
+        assert got == dense_curvature_failures(fs.S, omega)
+        failing += bool(got)
+    assert failing or fs.n.is_abelian() or not keys

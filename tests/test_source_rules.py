@@ -19,6 +19,8 @@ makes no ``unit_vec`` or ``.column`` call, and no module calls ``.evaluate``.
 Matrix families and brackets are pulled back along a map's sparse rows
 (``pullback_family``, ``bracket_defect``): no module makes a ``.column`` call
 or names ``matrix_of``.
+A cochain is applied to by its nonzero coordinates: no ``matvec`` call takes
+a ``.coordinates()`` call, the dense view of a cochain, as its argument.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -94,6 +96,15 @@ def unit_brackets(tree):
             yield node.lineno, "bracket(unit_vec(...)) call"
 
 
+def dense_cochain_products(tree):
+    """Rule: a ``matvec`` call with a ``.coordinates()`` call among its arguments."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matvec"
+                and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                        and arg.func.attr == "coordinates" for arg in node.args)):
+            yield node.lineno, "matvec(c.coordinates()) call"
+
+
 def method_calls(target):
     """Rule: calls of ``target`` as a method or attribute (m.f()) only."""
     def rule(tree):
@@ -143,12 +154,13 @@ dataclasses_imports = imports_of("dataclasses")
 
 # Deleted because nothing in the package called them; the tests keep their
 # own copies of the last three, which state results of the paper.  Then the
-# dense vector helpers and the unused Workspace store.
+# dense vector helpers, the unused Workspace store and SparseCochain, the
+# second storage of a cochain.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
                "unit_vec", "zero_vec", "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
-               "value_at_indices", "Workspace")
+               "value_at_indices", "Workspace", "SparseCochain")
 
 
 def deleted_api_names(tree):
@@ -219,6 +231,10 @@ def test_cochain_maps_read_no_dense_vectors():
 def test_families_are_pulled_back_along_sparse_rows():
     assert violations(column_calls) == []
     assert violations(matrix_of_names) == []
+
+
+def test_cochains_are_not_applied_through_dense_coordinates():
+    assert violations(dense_cochain_products) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -362,3 +378,17 @@ def test_rule_detects_deleted_api_names():
                                                (3, "Workspace name"),
                                                (3, "value_at_indices name"),
                                                (3, "zero_vec name")]
+    tree = ast.parse("from .io import SparseCochain\n"
+                     "def f(lio, c):\n"
+                     "    return lio.SparseCochain(3, 1, 1, c.pairs)\n")
+    assert sorted(deleted_api_names(tree)) == [(1, "SparseCochain name"),
+                                               (3, "SparseCochain name")]
+
+
+def test_rule_detects_matvec_of_dense_coordinates():
+    tree = ast.parse("def f(d, c, v):\n"
+                     "    a = d.matvec(c.coordinates())\n"
+                     "    b = Cochain.from_coordinates(L, 1, 1, d.matvec(c.coordinates()))\n"
+                     "    return a, b, d.matvec(v), matvec(c.coordinates()), c.coordinates()\n")
+    assert list(dense_cochain_products(tree)) == [(2, "matvec(c.coordinates()) call"),
+                                                  (3, "matvec(c.coordinates()) call")]
