@@ -11,8 +11,9 @@ h3 = catalog("heisenberg3")
 print("basis:", h3.labels)
 print("[p, q] =", h3.bracket_basis(0, 1), " (the central element)")
 
-# The center falls out of one exact kernel computation.
-print("center:", center(h3).basis)
+# The center falls out of one exact kernel computation; a subspace keeps
+# each basis vector as its nonzero (index, value) pairs.
+print("center:", center(h3).pairs)
 
 # Derivations solve the Leibniz system over End(L); the 3-dimensional
 # nilpotent algebra has a 6-dimensional derivation algebra.

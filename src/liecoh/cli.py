@@ -156,6 +156,9 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_extension(args) -> int:
+    if args.emit and args.action != "build":
+        raise ParseError(f"--emit writes the built algebra, so it applies to build, "
+                         f"not to {args.action}")
     if args.action == "check":
         n_alg, g_alg, mats, omega = _load_factor_parts(args)
         fr = factor_system_report(n_alg, g_alg, mats, omega)

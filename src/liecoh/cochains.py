@@ -41,6 +41,15 @@ from .linalg import Matrix, ZERO, _dense, to_fractions
 HALF = Fraction(1, 2)
 
 
+def check_shape(degree: int, value_dim: int) -> None:
+    """A cochain's degree and value dimension are nonnegative and the degree is
+    within the cap."""
+    if degree < 0 or value_dim < 0:
+        raise DimensionMismatchError(
+            f"cochain degree {degree} and value dimension {value_dim} must be nonnegative")
+    check_degree(degree)
+
+
 def check_degree(p: int) -> int:
     cap = degree_cap()
     if p > cap:
@@ -89,13 +98,14 @@ def sort_with_sign(idx: Sequence[int]):
 
 class Cochain:
     """Degree-p alternating multilinear map with vector values, stored only as
-    ``pairs``: the nonzero (index, Fraction) pairs of coordinates(), in index order."""
+    ``pairs``: the nonzero (index, Fraction) pairs of its flat coordinates (keys
+    in lexicographic order, each key's values contiguous), in index order."""
 
     __slots__ = ("algebra", "degree", "value_dim", "pairs")
 
     def __init__(self, algebra: LieAlgebra, degree: int, value_dim: int, coeffs=None):
         """The cochain with value coeffs[key] at each increasing key, zero elsewhere."""
-        check_degree(degree)
+        check_shape(degree, value_dim)
         table = {}
         for key, vec in (coeffs or {}).items():
             key = tuple(key)
@@ -124,20 +134,12 @@ class Cochain:
                    pairs: Sequence[tuple]) -> "Cochain":
         """The cochain whose nonzero coordinates are the given (index, Fraction)
         pairs, in increasing index order; only the last index is checked."""
-        check_degree(degree)
+        check_shape(degree, value_dim)
         if pairs and pairs[-1][0] >= cochain_space_dim(algebra.dim, degree, value_dim):
             raise DimensionMismatchError("coordinate index out of range")
         c = cls.__new__(cls)
         c.algebra, c.degree, c.value_dim, c.pairs = algebra, degree, value_dim, tuple(pairs)
         return c
-
-    @classmethod
-    def from_coordinates(cls, algebra: LieAlgebra, degree: int, value_dim: int,
-                         coords: Sequence[Fraction]) -> "Cochain":
-        if len(coords) != cochain_space_dim(algebra.dim, degree, value_dim):
-            raise DimensionMismatchError("coordinate vector has the wrong length")
-        return cls.from_pairs(algebra, degree, value_dim,
-                              [(i, x) for i, x in enumerate(to_fractions(coords)) if x])
 
     def nonzero_values(self) -> list:
         """(key_rank of the key, {slot: value}) per key with a nonzero value, in key order."""
@@ -166,12 +168,8 @@ class Cochain:
         k = bisect_left(self.pairs, (start,))
         return _dense(((i - start, x) for i, x in self.pairs[k:k + vd] if i < start + vd), vd)
 
-    def coordinates(self) -> tuple:
-        """Flat coordinates (keys in lexicographic order, values contiguous), built on call."""
-        return _dense(self.pairs, cochain_space_dim(self.algebra.dim, self.degree, self.value_dim))
-
     def sparse_coordinates(self) -> dict:
-        """coordinates() as a dict {index: value} of its nonzero entries."""
+        """The flat coordinates as a dict {index: value} of the nonzero entries."""
         return dict(self.pairs)
 
     def as_matrix(self) -> Matrix:
@@ -343,7 +341,7 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
     covariant differential of an OuterActionMap (covariant_differential)
     and, with zero matrices, the trivial-coefficient differential alike;
     this is the only place the formula is evaluated.  Rows and columns use
-    the coordinates of Cochain.coordinates(): keys in lexicographic order,
+    the flat coordinates of a Cochain: keys in lexicographic order,
     each key's value_dim values contiguous.  A bracket term c(e_k, rest) is
     read at the increasing key of (k,) + rest with the sign of
     sort_with_sign.  Each row is scattered from the stored bracket table
@@ -474,9 +472,8 @@ def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
 def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) -> Cochain:
     """The End-valued cochain with value matrices[key], flattened row-major, at each key."""
     return Cochain.from_pairs(algebra, degree, size * size, sorted(
-        (key_rank(key, algebra.dim) * size * size + a * size + b, x)
-        for key, mat in matrices.items() for a, row in enumerate(mat.sparse_rows())
-        for b, x in row.items()))
+        (key_rank(key, algebra.dim) * size * size + k, x)
+        for key, mat in matrices.items() for k, x in mat.flat_pairs()))
 
 
 class OuterActionMap:

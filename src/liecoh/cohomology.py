@@ -18,7 +18,7 @@ from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
                        differential_operator, key_rank, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
-from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image, kernel,
+from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
                      solve_affine, solve_certified)
 
 
@@ -66,12 +66,11 @@ class CohomologySpace:
                      for v in self.class_basis.pairs)
 
     def normalize(self, c: Cochain) -> tuple:
-        """Canonical coordinates of the class of c (reduce modulo coboundaries)."""
-        # the normalized coordinates are a dense tuple, compared and hashed as such
-        coords = c.coordinates()
-        if not self.cocycles.contains(coords):
+        """Canonical coordinates of the class of c, c reduced modulo coboundaries,
+        as its nonzero (index, value) pairs in index order."""
+        if self.cocycles.reduce_entries(c.pairs):
             raise SpaceMismatchError("the cochain is not a cocycle of this space")
-        return self.coboundaries.reduce(coords)
+        return tuple(sorted(self.coboundaries.reduce_entries(c.pairs).items()))
 
     def class_of(self, c: Cochain) -> "CohomologyClass":
         return CohomologyClass(self, c)
@@ -103,7 +102,7 @@ class CohomologyClass:
         self.normalized = space.normalize(representative)
 
     def is_zero(self) -> bool:
-        return not any(self.normalized)
+        return not self.normalized
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CohomologyClass) and self.space == other.space
@@ -136,12 +135,11 @@ def primitive(rep: Representation, c: Cochain):
     """
     if c.degree < 1 or c.algebra != rep.algebra or c.value_dim != rep.space_dim:
         raise SpaceMismatchError("the cochain is not a positive-degree cochain of the module")
-    # the solve reads a dense right-hand side
-    coords, certificate = solve_certified(differential_matrix(rep, c.degree - 1),
-                                         c.coordinates())
+    coords, certificate = solve_certified(differential_matrix(rep, c.degree - 1), dict(c.pairs))
     if coords is None:
         return None, certificate
-    return Cochain.from_coordinates(rep.algebra, c.degree - 1, rep.space_dim, coords), None
+    return Cochain.from_pairs(rep.algebra, c.degree - 1, rep.space_dim,
+                              sorted(coords.items())), None
 
 
 def classes_equal(a: CohomologyClass, b: CohomologyClass) -> bool:
@@ -204,16 +202,17 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
 
     # ad-lift block: for each increasing pair key, ad(omega(key)) = R(key).
     # Rows that are zero on the left stay: their right-hand side may not be.
-    # Row r * nd^2 + f reads entry f of ad(omega(key r)); solve_affine reads R densely.
+    # Row r * nd^2 + f reads entry f of ad(omega(key r)), so its right-hand
+    # side is R's coordinate r * nd^2 + f.
     stack = ad_stack(n_alg).sparse_rows()
     rows = [{r * nd + k: c for k, c in stack[f].items()}
             for r in range(cochain_space_dim(g.dim, 2, 1)) for f in range(nd * nd)]
     d_block = differential_operator(S, 2)
     system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
-    particular, hom, certificate = solve_affine(system, R.coordinates() + (0,) * d_block.rows)
+    particular, hom, certificate = solve_affine(system, dict(R.pairs))
     if particular is None:
         return EmptyAffine(certificate)
-    part = Cochain.from_coordinates(g, 2, nd, particular)
+    part = Cochain.from_pairs(g, 2, nd, sorted(particular.items()))
     basis = tuple(Cochain.from_pairs(g, 2, nd, v) for v in hom.pairs)
     return AffineCochainSpace(part, basis, hom)
 
@@ -233,21 +232,22 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     zd = z_rep.space_dim
     c2_dim = cochain_space_dim(gS.dim, 2, zd)
 
-    # f(e_i, b) = theta(i, b) for every ideal basis vector b; rows that are
-    # zero on the left stay, since their right-hand side may not be.
+    # f(e_i, b) = theta(i, b) for every ideal basis vector b, below the rows
+    # of d_2; rows that are zero on the left stay, since their right-hand
+    # side may not be.
+    d_mat = differential_matrix(z_rep, 2)
     rows = []
-    rhs = []
+    rhs = {}
     for i in range(gS.dim):
         for a, b in enumerate(ideal.pairs):
+            rhs.update((d_mat.rows + len(rows) + comp, x)
+                       for comp, x in enumerate(theta.get((i, a), ())) if x)
             rows.extend({key_rank(sorted((i, j)), gS.dim) * zd + comp: c if i < j else -c
                          for j, c in b if j != i} for comp in range(zd))
-            # solve_affine reads a dense right-hand side
-            rhs.extend(theta.get((i, a), (ZERO,) * zd))
-    d_mat = differential_matrix(z_rep, 2)
     system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))
-    particular, hom, certificate = solve_affine(system, [0] * d_mat.rows + rhs)
+    particular, hom, certificate = solve_affine(system, rhs)
     if particular is None:
         return EmptyAffine(certificate)
-    part = Cochain.from_coordinates(gS, 2, zd, particular)
+    part = Cochain.from_pairs(gS, 2, zd, sorted(particular.items()))
     basis = tuple(Cochain.from_pairs(gS, 2, zd, v) for v in hom.pairs)
     return AffineCochainSpace(part, basis, hom)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
-                       covariant_differential, increasing_tuples, pair_act_cochain,
-                       pullback_cochain)
+                       covariant_differential, increasing_tuples, key_rank,
+                       pair_act_cochain, pullback_cochain)
 from .cohomology import CohomologyClass, cohomology, primitive
 from .errors import (DimensionMismatchError, FactorizationFailureError,
                      InvalidCrossedModuleError, InvariantViolation,
@@ -149,12 +149,13 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     if any(m is None for m in ad_n):
         raise InvariantViolation("the image of alpha is not an ideal")
     n_alg = LieAlgebra(n_dim, bracket_table(ghat, n_sub.embed_matrix(), n_sub.split_matrix()))
-    # lift n -> h landing in the complement of z: solve alpha restricted, on
-    # the dense basis vectors that solve_columns reads as right-hand sides
-    lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect, n_sub.basis)
+    # lift n -> h landing in the complement of z: solve alpha restricted, with
+    # n's basis vectors as right-hand sides; the solutions are the columns
+    lifts, first_inconsistent, _ = solve_columns(alpha @ h_compl_sect,
+                                                 [dict(p) for p in n_sub.pairs])
     if first_inconsistent is not None:
         raise InvariantViolation("alpha does not reach its own image")
-    h_lift = Matrix.from_columns([h_compl_sect.matvec(x) for x in lifts], rows=h.dim)
+    h_lift = h_compl_sect @ Matrix.from_sparse_rows(lifts, h_compl_sect.cols).transpose()
     # f and theta are the defects of the section h_lift, read in z
     f = Cochain(n_alg, 2, z.dim, {key: z.split_coordinates(w)
                                   for key, w in bracket_defect(n_alg, h, h_lift).items()})
@@ -279,11 +280,14 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
     # a zero curvature lifts to zero, so only the nonzero keys are solved
     defect = bracket_defect(sp.g, ghat, sigma)
     keys = list(defect)
-    lifts, first_inconsistent, _ = solve_columns(cm.alpha, list(defect.values()))
+    lifts, first_inconsistent, _ = solve_columns(
+        cm.alpha, Matrix(list(defect.values()), cols=ghat.dim).sparse_rows())
     if first_inconsistent is not None:
         raise NoOmegaLiftError(
             f"section curvature at {keys[first_inconsistent]} misses the image of alpha")
-    omega = Cochain(sp.g, 2, h.dim, dict(zip(keys, lifts)))
+    omega = Cochain.from_pairs(sp.g, 2, h.dim, sorted(
+        (key_rank(key, sp.g.dim) * h.dim + k, x) for key, lift in zip(keys, lifts)
+        for k, x in lift.items()))
     d_s_omega = covariant_differential(S, omega)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, sp.z)
     return cohomology(sp.z_rep, 3).class_of(z_cochain)

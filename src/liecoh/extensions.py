@@ -36,9 +36,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
-                       covariant_differential, curvature, gauge_action,
-                       increasing_tuples, key_unrank, pullback_cochain, superbracket,
-                       transport_cochain)
+                       cochain_space_dim, covariant_differential, curvature, gauge_action,
+                       key_unrank, pullback_cochain, superbracket, transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
                          EmptyAffine, cohomology, differential_matrix, primitive,
                          relative_cocycles, theta_constrained_cocycles)
@@ -89,17 +88,17 @@ def center_module(S: OuterActionMap) -> tuple[Subspace, Representation]:
 
 
 def inner_cochain(n_alg: LieAlgebra, g_alg: LieAlgebra, degree: int,
-                  targets: Sequence[Sequence[Fraction]]):
+                  targets: Sequence[Matrix]):
     """The n-valued degree-p cochain on g with ad(value at key r) = targets[r].
 
-    Each target is an n x n matrix flattened row-major, one per increasing
-    key in lexicographic order.  Returns (cochain, None), or (None,
-    certificate) when some target is not inner.
+    Each target is an n x n matrix, one per increasing key in lexicographic
+    order.  Returns (cochain, None), or (None, certificate) when some
+    target is not inner.
     """
     particular, certificate = solve_inner(n_alg, targets)
     if particular is None:
         return None, certificate
-    return Cochain.from_coordinates(g_alg, degree, n_alg.dim, particular), None
+    return Cochain.from_pairs(g_alg, degree, n_alg.dim, particular), None
 
 
 def extension_map(alpha: Matrix, C: Matrix, beta: Matrix) -> Matrix:
@@ -376,10 +375,8 @@ def gauge_remainder(fs1: FactorSystem, fs2: FactorSystem, z: Subspace):
     coordinates of the center z, where it lies.  When S1 - S2 is not
     inner, gamma0 and the remainder are None and the certificate says why.
     """
-    # the inner lift reads each target as a dense flattened matrix
     gamma0, certificate = inner_cochain(
-        fs1.n, fs1.g, 1,
-        [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
+        fs1.n, fs1.g, 1, [m1 - m2 for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
     if gamma0 is None:
         return None, None, certificate
     delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
@@ -459,10 +456,11 @@ class GKernel:
         self.omega = omega
 
     def _solve_omega(self) -> Cochain:
-        R = curvature(self.S)
-        # solve_inner reads one dense flattened target per key
-        omega, certificate = inner_cochain(
-            self.n, self.g, 2, [R.component(key) for key in increasing_tuples(self.g.dim, 2)])
+        # the curvature's value at key r, an End(n) vector, is the target of key r
+        nd, values = self.n.dim, dict(curvature(self.S).nonzero_values())
+        omega, certificate = inner_cochain(self.n, self.g, 2, [
+            Matrix.from_flat(values.get(r, {}).items(), nd, nd)
+            for r in range(cochain_space_dim(self.g.dim, 2, 1))])
         if omega is None:
             raise NoLiftError(certificate)
         return omega

@@ -28,6 +28,8 @@ class LieAlgebra:
 
     def __init__(self, dim: int, brackets=None, labels: Optional[Sequence[str]] = None):
         """brackets maps (i, j) with i < j to {k: coefficient}."""
+        if dim < 0:
+            raise DimensionMismatchError(f"algebra dimension {dim} is negative")
         self.dim = dim
         if labels is None:
             labels = tuple(f"e{i}" for i in range(dim))
@@ -173,6 +175,8 @@ class Representation:
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices: Sequence[Matrix],
                  _skip_check: bool = False):
         matrices = tuple(matrices)
+        if space_dim < 0:
+            raise DimensionMismatchError(f"module dimension {space_dim} is negative")
         if len(matrices) != algebra.dim:
             raise DimensionMismatchError("one action matrix per basis element is required")
         for m in matrices:
@@ -288,23 +292,28 @@ def ad_stack(L: LieAlgebra) -> Matrix:
     return Matrix.from_sparse_rows(rows, n)
 
 
-def solve_inner(L: LieAlgebra, targets: Sequence[Sequence[Fraction]]):
+def solve_inner(L: LieAlgebra, targets: Sequence[Matrix]):
     """Solve ad(x_r) = targets[r] for every slot r; returns (particular, certificate).
 
-    Each target is an n x n matrix flattened row-major.  The answer is the
-    one solve_affine gives for the block-diagonal system with one
-    ad_stack(L) block per slot: the blocks share no columns, so its
+    Each target is an n x n matrix, read as its row-major entries.  The
+    answer is the one solve_affine gives for the block-diagonal system with
+    one ad_stack(L) block per slot: the blocks share no columns, so its
     pivot-convention solution is the slots' solutions joined in order,
-    and when a slot is inconsistent its certificate is the reduced row
-    s * rank reading 0 = 1.  All slots are eliminated together as extra
-    right-hand-side columns of the single ad_stack matrix.
+    here the nonzero (r * n + k, value) pairs, and when a slot is
+    inconsistent its certificate is the reduced row s * rank reading 0 = 1.
+    All slots are eliminated together as extra right-hand-side columns of
+    the single ad_stack matrix.
     """
     n, s = L.dim, len(targets)
-    solutions, first_inconsistent, rank = solve_columns(ad_stack(L), targets)
+    if any(t.rows != n or t.cols != n for t in targets):
+        raise DimensionMismatchError("inner-lift targets must be n x n matrices")
+    solutions, first_inconsistent, rank = solve_columns(
+        ad_stack(L), [dict(t.flat_pairs()) for t in targets])
     if first_inconsistent is not None:
         # a certificate row is dense
         return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
-    return tuple(x for solution in solutions for x in solution), None
+    return [(r * n + k, x) for r, solution in enumerate(solutions)
+            for k, x in sorted(solution.items())], None
 
 
 def leibniz_rows(L: LieAlgebra, offset: int = 0) -> list:
@@ -385,8 +394,9 @@ class DerivationAlgebra(NamedTuple):
         return len(self.matrices)
 
     def coordinates_of(self, d: Matrix) -> Optional[tuple]:
-        # the space lives in flattened End(L), and coordinates_of reads dense vectors
-        return self.subspace.coordinates_of(d.flatten())
+        """Coordinates of d in ``matrices``, or None when d is not a derivation;
+        End(L) is read through the row-major entries of d."""
+        return self.subspace.coordinates_of(d.flat_pairs())
 
 
 def derivations(L: LieAlgebra) -> DerivationAlgebra:
@@ -402,8 +412,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
     table = {}
     for i in range(d):
         for j in range(i + 1, d):
-            # the space lives in flattened End(L), and coordinates_of reads dense vectors
-            coords = space.coordinates_of(mats[i].commutator(mats[j]).flatten())
+            coords = space.coordinates_of(mats[i].commutator(mats[j]).flat_pairs())
             if coords is None:
                 raise NotADerivationError(
                     "commutator of derivations left the solution space")
@@ -411,8 +420,7 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
             if entry:
                 table[(i, j)] = entry
     der_alg = LieAlgebra(d, table)
-    # the same flattened End(L) vectors, for the inner derivations
-    inner = tuple(space.coordinates_of(ad.flatten()) for ad in L.ad_matrices())
+    inner = tuple(space.coordinates_of(ad.flat_pairs()) for ad in L.ad_matrices())
     if None in inner:
         raise NotADerivationError("an inner derivation failed the Leibniz system")
     return DerivationAlgebra(der_alg, mats, space, inner)

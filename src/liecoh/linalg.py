@@ -7,12 +7,14 @@ input always yields byte-identical output.
 
 Storage is sparse: a Matrix keeps only one dict {column: value} per row
 and a Subspace only the nonzero (index, value) pairs of each basis vector,
-so no zero is stored or touched.  The dense tuples (``Matrix.row``,
-``row_list``, ``flatten``, ``Subspace.basis``) are views built on each
-call and never kept.  There is one elimination, on copies of the dict
-rows, and one augmented elimination, ``_augmented_rref``, from which
-``solve_columns`` (and on it ``solve``), ``left_inverse`` (and on it
-``invert``), ``solve_affine``, ``solve_certified`` and
+so no zero is stored or touched.  Vectors cross this boundary in the same
+form: a right-hand side is a dict {row: value}, a particular solution a
+dict {variable: value}, and a vector handed to a Subspace its (index,
+value) pairs.  The dense tuples (``Matrix.row``, ``row_list``) are views
+built on each call and never kept.  There is one elimination, on copies
+of the dict rows, and one augmented elimination, ``_augmented_rref``,
+from which ``solve_columns`` (and on it ``solve``), ``left_inverse`` (and
+on it ``invert``), ``solve_affine``, ``solve_certified`` and
 ``consistent_columns`` read their answers.
 ``kernel`` is one elimination of m with its column indices reversed: read
 back in the original order, the null vectors are already the reduced
@@ -202,9 +204,11 @@ class Matrix:
             raise DimensionMismatchError("column counts differ")
         return Matrix._of(self._data + other._data, self.cols)
 
-    def flatten(self) -> tuple:
-        """Row-major flattening, as a dense tuple built on each call."""
-        return tuple(x for row in self.row_list() for x in row)
+    def flat_pairs(self) -> tuple:
+        """The nonzero entries as (row-major index, value) pairs in index order;
+        from_flat turns them back into the matrix."""
+        return tuple((i * self.cols + j, x) for i, row in enumerate(self._data)
+                     for j, x in sorted(row.items()))
 
     @classmethod
     def from_flat(cls, pairs: Iterable, rows: int, cols: int, start: int = 0) -> "Matrix":
@@ -277,9 +281,8 @@ class Subspace:
     Basis vectors are the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces always carry identical bases.
     Each basis vector is stored only as ``pairs``: its nonzero (index,
-    value) pairs in increasing index order.  ``basis`` is the dense view,
-    built on each call; reduction, membership and coordinates touch only
-    the pairs.
+    value) pairs in increasing index order, and reduction and coordinates
+    read the vectors handed to them as pairs too.
     """
 
     __slots__ = ("ambient_dim", "pairs", "pivots", "_by_pivot")
@@ -289,11 +292,6 @@ class Subspace:
         self.pairs = tuple(tuple(p) for p in pairs)
         self.pivots = tuple(pivots)
         self._by_pivot = dict(zip(self.pivots, self.pairs))
-
-    @property
-    def basis(self) -> tuple:
-        """The basis vectors as dense tuples, built on each call."""
-        return tuple(_dense(p, self.ambient_dim) for p in self.pairs)
 
     @classmethod
     def row_space(cls, m: Matrix) -> "Subspace":
@@ -324,7 +322,9 @@ class Subspace:
         return not self.pairs
 
     def reduce_entries(self, entries) -> dict:
-        """reduce() on nonzero (index, value) pairs, given and returned as a dict.
+        """The canonical representative of a vector modulo the subspace, the
+        vector given as nonzero (index, value) pairs and returned as a dict;
+        it is empty exactly when the vector lies in the subspace.
 
         A basis vector is 0 at every other pivot, so subtracting it leaves
         the other pivot entries alone: the pivots to clear are those the
@@ -335,39 +335,29 @@ class Subspace:
             _add_scaled(out, -out[p], self._by_pivot[p])
         return out
 
-    def reduce(self, v: Sequence[Fraction]) -> tuple:
-        """Canonical representative of v modulo the subspace."""
-        v = to_fractions(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector length disagrees with ambient dimension")
-        entries = self.reduce_entries((j, x) for j, x in enumerate(v) if x)
-        return _dense(entries.items(), self.ambient_dim)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(v))
-
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("subspaces live in different ambient spaces")
         return not any(self.reduce_entries(p) for p in other.pairs)
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> Optional[tuple]:
-        """Coefficients of v in the canonical basis, or None if outside.
+    def coordinates_of(self, entries) -> Optional[tuple]:
+        """Coefficients in the canonical basis of the vector with the given
+        nonzero (index, value) pairs, or None if it lies outside.
 
         The basis is in reduced echelon form, so the coefficient of each
-        basis vector is the entry of v at its pivot.
+        basis vector is the entry of the vector at its pivot.
         """
-        v = to_fractions(v)
-        if not self.contains(v):
+        entries = dict(entries)
+        if self.reduce_entries(entries.items()):
             return None
-        return tuple(v[p] for p in self.pivots)
+        return tuple(entries.get(p, ZERO) for p in self.pivots)
 
     def split_coordinates(self, v: Sequence[Fraction]) -> tuple:
         """Coordinates of v's component along the subspace: its entries at the pivots.
 
-        The basis is in reduced echelon form, so v - reduce(v) lies in the
-        subspace and agrees with v at every pivot; this is
-        coordinates_of(v - reduce(v)), and v need not lie in the subspace.
+        The basis is in reduced echelon form, so v minus its reduction
+        (reduce_entries) lies in the subspace and agrees with v at every
+        pivot; v need not lie in the subspace.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length disagrees with ambient dimension")
@@ -378,7 +368,8 @@ class Subspace:
         return Matrix._of([{p: ONE} for p in self.pivots], self.ambient_dim)
 
     def embed_matrix(self) -> Matrix:
-        """The matrix of embed: column r is basis vector r."""
+        """The matrix taking basis coefficients to the ambient vector: column r
+        is basis vector r."""
         return Matrix._of([dict(p) for p in self.pairs], self.ambient_dim).transpose()
 
     def restrict(self, m: Matrix) -> Optional[Matrix]:
@@ -398,17 +389,6 @@ class Subspace:
                 if p in image:
                     row[c] = image[p]
         return Matrix._of(rows, self.dim)
-
-    def embed(self, coords: Sequence[Fraction]) -> tuple:
-        """Ambient vector with the given basis coefficients."""
-        if len(coords) != self.dim:
-            raise DimensionMismatchError("coordinate length disagrees with dimension")
-        out = [ZERO] * self.ambient_dim
-        for c, pairs in zip(to_fractions(coords), self.pairs):
-            if c:
-                for j, x in pairs:
-                    out[j] += c * x
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -518,12 +498,14 @@ def image(m: Matrix) -> Subspace:
 def _augmented_rref(m: Matrix, columns: Sequence[dict]):
     """RREF of [m | b_1 ... b_k]: (reduced, pivots of m, first inconsistent column).
 
-    Each b_i is a dict {row: nonzero Fraction}.  The left block of the
-    result is RREF(m), so the pivots below m.cols are m's own; the first
-    pivot in the right-hand block, if any, marks the first column b_i
-    outside the column space of m.
+    Each b_i is a dict {row: value}; zero values are dropped and a row
+    outside m raises DimensionMismatchError.  The left block of the result
+    is RREF(m), so the pivots below m.cols are m's own; the first pivot in
+    the right-hand block, if any, marks the first column b_i outside the
+    column space of m.
     """
     rows = [dict(row) for row in m.sparse_rows()]
+    columns = Matrix.from_sparse_rows(columns, m.rows).sparse_rows()
     for k, b in enumerate(columns, m.cols):
         for i, x in b.items():
             rows[i][k] = x
@@ -531,14 +513,6 @@ def _augmented_rref(m: Matrix, columns: Sequence[dict]):
     rank = bisect_left(pivots, m.cols)
     first_inconsistent = pivots[rank] - m.cols if rank < len(pivots) else None
     return reduced, pivots[:rank], first_inconsistent
-
-
-def _dense_columns(m: Matrix, columns: Sequence[Sequence]) -> list:
-    """Dense right-hand sides of m as the dict columns _augmented_rref takes."""
-    columns = [to_fractions(b) for b in columns]
-    if any(len(b) != m.rows for b in columns):
-        raise DimensionMismatchError("right-hand side length disagrees with row count")
-    return [{i: x for i, x in enumerate(b) if x} for b in columns]
 
 
 def _particulars(reduced: Matrix, pivots: Sequence[int], cols: int, k: int) -> list:
@@ -552,23 +526,22 @@ def _particulars(reduced: Matrix, pivots: Sequence[int], cols: int, k: int) -> l
     return out
 
 
-def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> tuple:
-    """Solve m x = b for every column b: (solutions, first_inconsistent, rank).
+def solve_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
+    """Solve m x = b for every column b, a dict {row: value}:
+    (solutions, first_inconsistent, rank).
 
     [m | b_1 ... b_k] is row-reduced once.  When every column is
-    consistent, ``solutions`` holds each column's particular solution with
-    the free variables set to zero and ``first_inconsistent`` is None; the
-    left-block row operations depend on m alone, so each solution is the
-    one a single-column solve gives.  Otherwise ``solutions`` is None and
-    ``first_inconsistent`` is the index of the first column outside the
-    column space.  ``rank`` is the rank of m.
+    consistent, ``solutions`` holds each column's particular solution, a
+    dict {variable: nonzero value} with the free variables set to zero, and
+    ``first_inconsistent`` is None; the left-block row operations depend on
+    m alone, so each solution is the one a single-column solve gives.
+    Otherwise ``solutions`` is None and ``first_inconsistent`` is the index
+    of the first column outside the column space.  ``rank`` is the rank of m.
     """
-    reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, columns))
+    reduced, pivots, first_inconsistent = _augmented_rref(m, columns)
     if first_inconsistent is not None:
         return None, first_inconsistent, len(pivots)
-    return (tuple(_dense(x.items(), m.cols)
-                  for x in _particulars(reduced, pivots, m.cols, len(columns))),
-            None, len(pivots))
+    return tuple(_particulars(reduced, pivots, m.cols, len(columns))), None, len(pivots)
 
 
 def consistent_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
@@ -579,14 +552,14 @@ def consistent_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
     so b_k lies in the column space of m exactly when all of them are zero
     in column k.
     """
-    columns = Matrix.from_sparse_rows(columns, m.rows).sparse_rows()
     reduced, pivots, _ = _augmented_rref(m, columns)
     touched = {j for row in reduced.sparse_rows()[len(pivots):] for j in row}
     return tuple(m.cols + k not in touched for k in range(len(columns)))
 
 
-def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[tuple]:
-    """Particular solution of m x = b with free variables set to zero."""
+def solve(m: Matrix, b: dict) -> Optional[dict]:
+    """Particular solution {variable: value} of m x = b, b a dict {row: value},
+    with free variables set to zero; None when inconsistent."""
     solutions, _, _ = solve_columns(m, [b])
     return None if solutions is None else solutions[0]
 
@@ -604,34 +577,36 @@ class InconsistencyCertificate(NamedTuple):
         return f"reduced row {self.row_index} of the augmented system reads 0 = 1"
 
 
-def _solution_or_certificate(m: Matrix, b: Sequence[Fraction]):
+def _solution_or_certificate(m: Matrix, b: dict):
     """One elimination of [m | b]: (reduced, pivots, particular, certificate)."""
-    reduced, pivots, first_inconsistent = _augmented_rref(m, _dense_columns(m, [b]))
+    reduced, pivots, first_inconsistent = _augmented_rref(m, [b])
     if first_inconsistent is None:
-        particular = _particulars(reduced, pivots, m.cols, 1)[0]
-        return reduced, pivots, _dense(particular.items(), m.cols), None
+        return reduced, pivots, _particulars(reduced, pivots, m.cols, 1)[0], None
     # the 0 = 1 row follows the rows of m's pivots; a certificate row is dense
     idx = len(pivots)
     row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
     return reduced, pivots, None, InconsistencyCertificate(idx, row)
 
 
-def solve_certified(m: Matrix, b: Sequence[Fraction]):
-    """Solve m x = b: (particular, None), or (None, certificate) when inconsistent.
+def solve_certified(m: Matrix, b: dict):
+    """Solve m x = b, b a dict {row: value}: (particular, None), or (None,
+    certificate) when inconsistent.
 
-    The particular solution and the certificate are the ones solve_affine
-    gives; the homogeneous solution space is not built.
+    The particular solution (a dict {variable: value}) and the certificate
+    are the ones solve_affine gives; the homogeneous solution space is not
+    built.
     """
     _, _, particular, certificate = _solution_or_certificate(m, b)
     return particular, certificate
 
 
-def solve_affine(m: Matrix, b: Sequence[Fraction]):
-    """Solve m x = b completely.
+def solve_affine(m: Matrix, b: dict):
+    """Solve m x = b completely, b a dict {row: value}.
 
     Returns (particular, kernel_subspace, certificate): the deterministic
-    particular solution (or None) and the homogeneous solution space; on
-    inconsistency the certificate pinpoints the failing reduced row.
+    particular solution as a dict {variable: value} (or None) and the
+    homogeneous solution space; on inconsistency the certificate pinpoints
+    the failing reduced row.
     """
     reduced, pivots, particular, certificate = _solution_or_certificate(m, b)
     return particular, _null_space(reduced, pivots, m.cols), certificate

@@ -20,9 +20,8 @@ def bundle_example_a9():
     """Derivations of the 3-dimensional nilpotent central extension."""
     fs = catalog("ext-heisenberg3")
     rep = extension_derivations(fs)
-    # Subspace.from_vectors reads dense vectors
-    betas = [beta.flatten() for _, beta, _ in rep.image_pairs]
-    beta_span = Subspace.from_vectors(4, betas)
+    beta_span = Subspace.row_space(Matrix.from_sparse_rows(
+        [dict(beta.flat_pairs()) for _, beta, _ in rep.image_pairs], 4))
     conformal_weights_ok = all(
         alpha.entry(0, 0) == beta.trace() for alpha, beta, _ in rep.image_pairs)
     gamma_zero = all(g.is_zero() for _, _, g in rep.image_pairs)

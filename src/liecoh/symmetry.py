@@ -54,9 +54,7 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
 
 def _pair_gamma(fs: FactorSystem, alpha: Matrix, beta: Matrix):
     """The inner lift gamma of (alpha, beta).S: (gamma, None) or (None, certificate)."""
-    # the inner lift reads each target as a dense flattened matrix
-    return inner_cochain(fs.n, fs.g, 1,
-                         [m.flatten() for m in pair_act_outer(alpha, beta, fs.S).matrices])
+    return inner_cochain(fs.n, fs.g, 1, pair_act_outer(alpha, beta, fs.S).matrices)
 
 
 def _pair_remainder(fs: FactorSystem, alpha: Matrix, beta: Matrix, gamma: Cochain,
@@ -249,9 +247,8 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
     image_triples = [(alpha, beta, _pair_gamma(fs, alpha, beta)[0])
                      for alpha, beta in image_pairs_ab]
 
-    i_image = Subspace.from_vectors(
-        h2.cocycles.ambient_dim,
-        [cls.normalized for cls in classes if not cls.is_zero()])
+    i_image = Subspace.row_space(Matrix.from_sparse_rows(
+        [dict(cls.normalized) for cls in classes], h2.cocycles.ambient_dim))
 
     brute = _brute_force_ideal_derivations(fs)
     return DerivationReport(fs, z1, kernel_cochains, stabilizer_pairs,
@@ -365,7 +362,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     def z1_coords(c: Cochain):
         cz = restrict_cochain_to_subspace(c, z)
         # the coordinates are a dense column of z1_mats and of the cocycle table
-        coords = z1.coordinates_of(cz.coordinates())
+        coords = z1.coordinates_of(cz.pairs)
         if coords is None:
             raise InvariantViolation("a value left the cocycle space")
         return coords
@@ -395,12 +392,12 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     lift = None
     if obstruction.is_zero():
         corr, _ = primitive(z1_rep, cocycle.scale(-1))
+        # the value of corr at e_x, embedded from z1, is the coordinates of a 1-cochain
+        shifts = dict(corr.map_values(z1.embed_matrix()).nonzero_values())
         theta_fixed = []
         for x in range(hd):
-            # z1.embed reads the value of corr at e_x as a dense vector
             shift = embed_cochain_from_subspace(
-                Cochain.from_coordinates(g_alg, 1, z.dim,
-                                         z1.embed(corr.component((x,)))), z)
+                Cochain.from_pairs(g_alg, 1, z.dim, sorted(shifts.get(x, {}).items())), z)
             theta_fixed.append(theta[x] + shift)
         total = build_extension(fs).total
         mats = [extension_map(psi_n[x], theta_fixed[x].as_matrix(), psi_g[x])

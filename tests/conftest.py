@@ -1,7 +1,11 @@
 """Shared generators for the randomized suites, small readings of package
 objects that only the tests need, and the dense vector helpers the package
 no longer has: its core keeps only sparse rows and pairs, and the tests use
-these to build and compare dense coefficient vectors.
+these to build and compare dense coefficient vectors.  The dense views
+that left the package (``Matrix.flatten``, ``Subspace.basis``, ``reduce``,
+``contains``, ``embed``, the dense ``coordinates_of``, and
+``Cochain.coordinates``/``from_coordinates``) are kept here with their
+former bodies, read through the pairs the package now exposes.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -15,9 +19,11 @@ from itertools import combinations
 import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
-from liecoh.cochains import Cochain, EquivariantPairing, sort_with_sign
-from liecoh.liealg import LieAlgebra, change_of_basis
-from liecoh.linalg import ONE, ZERO, Matrix
+from liecoh.cochains import Cochain, EquivariantPairing, cochain_space_dim, sort_with_sign
+from liecoh.errors import DimensionMismatchError
+from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis
+from liecoh.linalg import (ONE, ZERO, InconsistencyCertificate, Matrix, _augmented_rref,
+                           _null_space, _particulars, to_fractions)
 
 
 def vec_add(u, v):
@@ -42,6 +48,131 @@ def zero_vec(n):
 
 def unit_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def dense(entries, n):
+    """The length-n vector with the given (index, value) pairs or dict entries."""
+    v = [ZERO] * n
+    for j, x in (entries.items() if isinstance(entries, dict) else entries):
+        v[j] = x
+    return tuple(v)
+
+
+def nonzero_pairs(v):
+    """The nonzero (index, Fraction) pairs of a dense vector."""
+    return [(j, x) for j, x in enumerate(to_fractions(v)) if x]
+
+
+def as_column(v):
+    """A dense vector as the dict {row: value} a solve takes."""
+    return dict(nonzero_pairs(v))
+
+
+def flat(m):
+    """The former Matrix.flatten: the row-major entries as a dense tuple."""
+    return tuple(x for row in m.row_list() for x in row)
+
+
+def basis_of(sub):
+    """The former Subspace.basis: the basis vectors as dense tuples."""
+    return tuple(dense(p, sub.ambient_dim) for p in sub.pairs)
+
+
+def reduce_vec(sub, v):
+    """The former Subspace.reduce: the canonical representative of v modulo sub."""
+    v = to_fractions(v)
+    if len(v) != sub.ambient_dim:
+        raise DimensionMismatchError("vector length disagrees with ambient dimension")
+    return dense(sub.reduce_entries(nonzero_pairs(v)).items(), sub.ambient_dim)
+
+
+def contains_vec(sub, v):
+    """The former Subspace.contains."""
+    return not any(reduce_vec(sub, v))
+
+
+def coordinates_of_vec(sub, v):
+    """The former dense Subspace.coordinates_of: the entries at the pivots, or None."""
+    v = to_fractions(v)
+    if not contains_vec(sub, v):
+        return None
+    return tuple(v[p] for p in sub.pivots)
+
+
+def embed(sub, coords):
+    """The former Subspace.embed: the ambient vector with the given basis coefficients."""
+    if len(coords) != sub.dim:
+        raise DimensionMismatchError("coordinate length disagrees with dimension")
+    out = [ZERO] * sub.ambient_dim
+    for c, pairs in zip(to_fractions(coords), sub.pairs):
+        for j, x in pairs:
+            out[j] += c * x
+    return tuple(out)
+
+
+def coordinates(c):
+    """The former Cochain.coordinates: the flat coordinates as a dense tuple."""
+    return dense(c.pairs, cochain_space_dim(c.algebra.dim, c.degree, c.value_dim))
+
+
+def from_coordinates(algebra, degree, value_dim, coords):
+    """The former Cochain.from_coordinates: the cochain with dense flat coordinates."""
+    if len(coords) != cochain_space_dim(algebra.dim, degree, value_dim):
+        raise DimensionMismatchError("coordinate vector has the wrong length")
+    return Cochain.from_pairs(algebra, degree, value_dim, nonzero_pairs(coords))
+
+
+# the former dense solves, kept as oracles for the dict-column ones: dense
+# right-hand sides go in and dense solutions come out
+
+def dense_columns(m, columns):
+    """The former linalg._dense_columns: dense right-hand sides as dict columns."""
+    columns = [to_fractions(b) for b in columns]
+    if any(len(b) != m.rows for b in columns):
+        raise DimensionMismatchError("right-hand side length disagrees with row count")
+    return [{i: x for i, x in enumerate(b) if x} for b in columns]
+
+
+def dense_solve_columns(m, columns):
+    """The former solve_columns: (dense solutions, first_inconsistent, rank)."""
+    reduced, pivots, first_inconsistent = _augmented_rref(m, dense_columns(m, columns))
+    if first_inconsistent is not None:
+        return None, first_inconsistent, len(pivots)
+    return (tuple(dense(x, m.cols) for x in _particulars(reduced, pivots, m.cols, len(columns))),
+            None, len(pivots))
+
+
+def dense_solution_or_certificate(m, b):
+    """The former _solution_or_certificate: (reduced, pivots, dense particular, certificate)."""
+    reduced, pivots, first_inconsistent = _augmented_rref(m, dense_columns(m, [b]))
+    if first_inconsistent is None:
+        particular = _particulars(reduced, pivots, m.cols, 1)[0]
+        return reduced, pivots, dense(particular, m.cols), None
+    idx = len(pivots)
+    row = dense(reduced.sparse_rows()[idx], reduced.cols)
+    return reduced, pivots, None, InconsistencyCertificate(idx, row)
+
+
+def dense_solve_certified(m, b):
+    """The former solve_certified: (dense particular, None) or (None, certificate)."""
+    _, _, particular, certificate = dense_solution_or_certificate(m, b)
+    return particular, certificate
+
+
+def dense_solve_affine(m, b):
+    """The former solve_affine: (dense particular, homogeneous space, certificate)."""
+    reduced, pivots, particular, certificate = dense_solution_or_certificate(m, b)
+    return particular, _null_space(reduced, pivots, m.cols), certificate
+
+
+def dense_solve_inner(L, targets):
+    """The former solve_inner: row-major flattened dense targets in, the slots'
+    solutions joined into one dense tuple out, or the certificate of row s * rank."""
+    n, s = L.dim, len(targets)
+    solutions, first_inconsistent, rank = dense_solve_columns(ad_stack(L), targets)
+    if first_inconsistent is not None:
+        return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
+    return tuple(x for solution in solutions for x in solution), None
 
 
 def value_at_indices(c, idx):

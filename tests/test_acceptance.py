@@ -23,7 +23,7 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, center_mo
 from liecoh.liealg import Representation, adjoint_rep, center
 from liecoh.linalg import Matrix, Subspace
 
-from conftest import rand_algebra, rand_cochain, rand_matrix, rand_vector
+from conftest import embed, flat, rand_algebra, rand_cochain, rand_matrix, rand_vector
 
 
 def report_line(number, ok, text):
@@ -267,14 +267,14 @@ def test_criterion_06_gauge_suite():
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 if (R3.component((i, j))
-                        != n.ad(o3.component((i, j))).flatten()):
+                        != flat(n.ad(o3.component((i, j))))):
                     failures += 1
         # (3): d_S omega is center-valued and closed; take a lift with a
         # twisted omega so the value is not identically zero
         z = center(n)
         twist = rand_cochain(rng, g, 2, z.dim, sparsity=0.2)
         omega_t = fs.omega + Cochain(
-            g, 2, n.dim, {k: z.embed(v) for k, v in twist.coeffs.items()})
+            g, 2, n.dim, {k: embed(z, v) for k, v in twist.coeffs.items()})
         d_s_omega = covariant_differential(fs.S, omega_t)
         try:
             z_val = restrict_cochain_to_subspace(d_s_omega, z)
@@ -347,7 +347,7 @@ def test_criterion_08_obstruction_invariance():
         if z.dim:
             twist = rand_cochain(rng, fs.g, 2, z.dim, sparsity=0.2)
             omega2 = fs.omega + Cochain(
-                fs.g, 2, fs.n.dim, {k: z.embed(v) for k, v in twist.coeffs.items()})
+                fs.g, 2, fs.n.dim, {k: embed(z, v) for k, v in twist.coeffs.items()})
             other = GKernel(fs.n, fs.g, fs.S, omega2)
             if not classes_equal(base, obstruction_class(other)):
                 failures += 1

@@ -39,7 +39,7 @@ from liecoh.linalg import Matrix, Subspace, invert, to_fractions
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
-from conftest import (rand_algebra, rand_cochain, rand_fraction, rand_invertible, unit_vec,
+from conftest import (coordinates_of_vec, embed, rand_algebra, rand_cochain, rand_fraction, rand_invertible, unit_vec,
                       value_at_indices, vec_add, vec_is_zero, vec_scale, vec_sub, vector_cochain,
                       zero_vec)
 
@@ -110,14 +110,14 @@ def matvec_values(c, m):
 def loop_embed(c, sub):
     """The former embed_cochain_from_subspace: sub.embed of every dense value."""
     return Cochain(c.algebra, c.degree, sub.ambient_dim,
-                   {key: sub.embed(vec) for key, vec in c.coeffs.items()})
+                   {key: embed(sub, vec) for key, vec in c.coeffs.items()})
 
 
 def loop_restrict(c, sub):
     """The former restrict_cochain_to_subspace: coordinates_of every dense value."""
     table = {}
     for key, vec in c.coeffs.items():
-        coords = sub.coordinates_of(vec)
+        coords = coordinates_of_vec(sub, vec)
         if coords is None:
             raise InvariantViolation(f"cochain value at {key} lies outside the expected subspace")
         table[key] = coords

@@ -13,7 +13,8 @@ from liecoh.errors import SpaceMismatchError
 from liecoh.liealg import Representation, adjoint_rep, change_of_basis
 from liecoh.linalg import Matrix, Subspace
 
-from conftest import rand_algebra, rand_cochain, rand_invertible, unit_vec, zero_class
+from conftest import (contains_vec, coordinates, dense, flat, nonzero_pairs, rand_algebra,
+                      rand_cochain, rand_invertible, reduce_vec, unit_vec, zero_class)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,73 @@ def test_classes_equal():
     assert classes_equal(a, space.class_of(shifted))
 
 
+def dense_normalize(space, c):
+    """The former CohomologySpace.normalize: the dense coordinates of c, tested
+    for membership in the cocycles and reduced modulo the coboundaries."""
+    coords = coordinates(c)
+    if not contains_vec(space.cocycles, coords):
+        raise SpaceMismatchError("the cochain is not a cocycle of this space")
+    return reduce_vec(space.coboundaries, coords)
+
+
+def sympy_rank(m):
+    return sympy.Matrix(m.rows, m.cols, [x for row in m.row_list() for x in row]).rank()
+
+
+def test_normalize_matches_the_dense_reduction():
+    """Seeded cocycles (representative combinations plus coboundaries, zero
+    classes among them) and seeded cochains that are not cocycles, over
+    random algebras in random bases with trivial and adjoint coefficients:
+    the pair-valued class coordinates equal the former dense ones, class
+    equality and the zero test agree with them, non-cocycles are rejected
+    alike, and the class dimension agrees with sympy ranks."""
+    rng = random.Random(23)
+    seen = {"zero": 0, "nonzero": 0, "equal": 0, "different": 0, "rejected": 0}
+    for _ in range(8):
+        L = rand_algebra(rng, max_dim=3)
+        for rep in (Representation.trivial(L, 1), adjoint_rep(L)):
+            for p in range(L.dim + 1):
+                space = cohomology(rep, p)
+                d_p = differential_matrix(rep, p)
+                below = sympy_rank(differential_matrix(rep, p - 1)) if p else 0
+                assert space.h_dim == d_p.cols - sympy_rank(d_p) - below
+                cocycles = []
+                for _ in range(3):
+                    c = Cochain.zero(L, p, rep.space_dim)
+                    for r in space.representative_cochains():
+                        c = c + r.scale(rng.choice((0, 0, 1, -2, Fraction(1, 3))))
+                    if p:
+                        c = c + cochain_differential(rep, rand_cochain(rng, L, p - 1,
+                                                                       rep.space_dim))
+                    cocycles.append(c)
+                classes = [space.class_of(c) for c in cocycles]
+                oracle = [dense_normalize(space, c) for c in cocycles]
+                for cls, want in zip(classes, oracle):
+                    assert cls.normalized == tuple(nonzero_pairs(want))
+                    assert dense(cls.normalized, d_p.cols) == want
+                    assert cls.is_zero() == (not any(want))
+                    seen["zero" if cls.is_zero() else "nonzero"] += 1
+                for i in range(len(classes)):
+                    for j in range(len(classes)):
+                        assert (classes[i] == classes[j]) == (oracle[i] == oracle[j])
+                        assert classes_equal(classes[i], classes[j]) == (oracle[i] == oracle[j])
+                        if i < j:
+                            seen["equal" if oracle[i] == oracle[j] else "different"] += 1
+                        if oracle[i] == oracle[j]:
+                            assert hash(classes[i]) == hash(classes[j])
+                other = rand_cochain(rng, L, p, rep.space_dim, sparsity=0.5)
+                if not contains_vec(space.cocycles, coordinates(other)):
+                    seen["rejected"] += 1
+                    with pytest.raises(SpaceMismatchError):
+                        space.class_of(other)
+                    with pytest.raises(SpaceMismatchError):
+                        dense_normalize(space, other)
+                else:
+                    assert space.normalize(other) == tuple(
+                        nonzero_pairs(dense_normalize(space, other)))
+    assert min(seen.values()) >= 5, seen
+
+
 def test_classes_space_mismatch():
     L = heisenberg3()
     rep = Representation.trivial(L, 1)
@@ -228,7 +296,7 @@ def test_relative_cocycles_solution_satisfies_equations(rng):
         for i in range(fs.g.dim):
             for j in range(i + 1, fs.g.dim):
                 assert (R.component((i, j))
-                        == fs.n.ad(omega.component((i, j))).flatten())
+                        == flat(fs.n.ad(omega.component((i, j)))))
         assert covariant_differential(fs.S, omega).is_zero()
 
 

@@ -19,7 +19,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_pres
                            change_of_basis, derivations)
 from liecoh.linalg import Matrix
 
-from conftest import (is_trivial, rand_algebra, rand_cochain, rand_invertible, unit_vec,
+from conftest import (basis_of, contains_vec, coordinates_of_vec, embed, is_trivial, rand_algebra, rand_cochain, rand_invertible, unit_vec,
                       vec_is_zero, vec_sub)
 
 
@@ -171,8 +171,8 @@ def test_omega_route_invariant_under_section_shift(rng):
     for _ in range(5):
         # shift the section by an image-valued correction
         corr = Matrix.from_columns(
-            [sp.n_sub.embed(tuple(Fraction(rng.randint(-2, 2))
-                                  for _ in range(sp.n_sub.dim)))
+            [embed(sp.n_sub, tuple(Fraction(rng.randint(-2, 2))
+                                   for _ in range(sp.n_sub.dim)))
              for _ in range(sp.g.dim)], rows=cm.ghat.dim)
         sigma = sp.q_sect + corr
         cls = characteristic_class_omega_route(sp, sigma)
@@ -193,9 +193,9 @@ def test_class_invariant_under_central_cocycle_change(rng):
         phi_rows = [[Fraction(1) if r == c else Fraction(0) for c in range(hd)]
                     for r in range(hd)]
         # gamma shifts the center coordinate by the complement coordinates
-        for p, b in zip(sp.z.pivots, sp.z.basis):
+        for p, b in zip(sp.z.pivots, basis_of(sp.z)):
             for j in range(hd):
-                if not sp.z.contains(unit_vec(hd, j)):
+                if not contains_vec(sp.z, unit_vec(hd, j)):
                     phi_rows[p][j] = Fraction(rng.randint(-3, 3))
         phi = Matrix(phi_rows, cols=hd)
         phi_inv = invert(phi)
@@ -256,8 +256,8 @@ def loop_first_unfactored_key(sp, beta, d_f):
 
 def _bracket_in_n(sp, x, a):
     """[e_x, n_a] in n coordinates: the former column reader of crossed.py."""
-    br = sp.cm.ghat.bracket(unit_vec(sp.cm.ghat.dim, x), sp.n_sub.basis[a])
-    coords = sp.n_sub.coordinates_of(br)
+    br = sp.cm.ghat.bracket(unit_vec(sp.cm.ghat.dim, x), basis_of(sp.n_sub)[a])
+    coords = coordinates_of_vec(sp.n_sub, br)
     if coords is None:
         raise InvariantViolation("the image of alpha is not an ideal")
     return coords

@@ -31,13 +31,15 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel, Inequi
                                classify_extensions, embed_cochain_from_subspace,
                                equivalent_extensions, extension_map, obstruction_class,
                                reduce_via_stage, restrict_cochain_to_subspace)
-from liecoh.liealg import Representation, center, change_of_basis, derivations, solve_inner
-from liecoh.linalg import Matrix, invert, linear_combination, solve_affine
+from liecoh.liealg import Representation, center, change_of_basis, derivations
+from liecoh.linalg import Matrix, invert, linear_combination
 from liecoh.symmetry import (automorphism_pair_obstruction, derivation_pair_obstruction,
                              extension_derivations, lifting_cocycle,
                              transported_factor_system)
 
-from conftest import (rand_cochain, rand_invertible, rand_matrix, rand_vector, unit_vec, vec_add,
+from conftest import (basis_of, coordinates, coordinates_of_vec, dense_solve_affine,
+                      dense_solve_inner, embed, flat, from_coordinates, rand_cochain,
+                      rand_invertible, rand_matrix, rand_vector, reduce_vec, unit_vec, vec_add,
                       vec_scale, vec_sub, zero_vec)
 from test_systems import curved_factor_system
 
@@ -52,8 +54,8 @@ def restrict_to_center(S):
     mats = []
     for m in S.matrices:
         cols = []
-        for b in z.basis:
-            coords = z.coordinates_of(m.matvec(b))
+        for b in basis_of(z):
+            coords = coordinates_of_vec(z, m.matvec(b))
             if coords is None:
                 raise NotADerivationError("a derivation did not preserve the center")
             cols.append(coords)
@@ -65,21 +67,20 @@ def loop_equivalent_extensions(fs1, fs2):
     """The former equivalent_extensions, without its verification."""
     n_alg, g_alg = fs1.n, fs1.g
     nd, gd = n_alg.dim, g_alg.dim
-    particular, certificate = solve_inner(
-        n_alg, [(m1 - m2).flatten() for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
+    particular, certificate = dense_solve_inner(
+        n_alg, [flat(m1 - m2) for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
     if particular is None:
         return Inequivalent("kernel-mismatch", certificate)
-    gamma0 = Cochain.from_coordinates(g_alg, 1, nd, particular)
+    gamma0 = from_coordinates(g_alg, 1, nd, particular)
     delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
              - superbracket(n_alg, gamma0, gamma0).scale(HALF))
     z = center(n_alg)
     delta_z = restrict_cochain_to_subspace(delta, z)
     d1 = differential_matrix(restrict_to_center(fs2.S), 1)
-    zeta_coords, _, certificate = solve_affine(d1, delta_z.coordinates())
+    zeta_coords, _, certificate = dense_solve_affine(d1, coordinates(delta_z))
     if zeta_coords is None:
         return Inequivalent("class-difference", certificate)
-    zeta = embed_cochain_from_subspace(
-        Cochain.from_coordinates(g_alg, 1, z.dim, zeta_coords), z)
+    zeta = embed_cochain_from_subspace(from_coordinates(g_alg, 1, z.dim, zeta_coords), z)
     gamma = gamma0 + zeta
     cols = [unit_vec(nd + gd, i) for i in range(nd)]
     for a in range(gd):
@@ -100,11 +101,11 @@ def column_pair_map(alpha, beta, gamma):
 def loop_automorphism_obstruction(fs, alpha, beta):
     """The former automorphism_pair_obstruction: (gamma, normalized class, lift)."""
     transported = transported_factor_system(fs, alpha, beta)
-    particular, certificate = solve_inner(
-        fs.n, [(m1 - m2).flatten() for m1, m2 in zip(transported.S.matrices, fs.S.matrices)])
+    particular, certificate = dense_solve_inner(
+        fs.n, [flat(m1 - m2) for m1, m2 in zip(transported.S.matrices, fs.S.matrices)])
     if particular is None:
         raise NoGammaError(certificate)
-    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
+    gamma = from_coordinates(fs.g, 1, fs.n.dim, particular)
     delta = (transported.omega - fs.omega - covariant_differential(fs.S, gamma)
              - superbracket(fs.n, gamma, gamma).scale(HALF))
     z = center(fs.n)
@@ -112,23 +113,22 @@ def loop_automorphism_obstruction(fs, alpha, beta):
     cls = cohomology(restrict_to_center(fs.S), 2).class_of(delta_z)
     lift = None
     if cls.is_zero():
-        zeta_coords, _, _ = solve_affine(differential_matrix(restrict_to_center(fs.S), 1),
-                                         delta_z.coordinates())
-        zeta = embed_cochain_from_subspace(
-            Cochain.from_coordinates(fs.g, 1, z.dim, zeta_coords), z)
+        zeta_coords, _, _ = dense_solve_affine(
+            differential_matrix(restrict_to_center(fs.S), 1), coordinates(delta_z))
+        zeta = embed_cochain_from_subspace(from_coordinates(fs.g, 1, z.dim, zeta_coords), z)
         lift = column_pair_map(alpha, beta, gamma + zeta)
     return gamma, cls.normalized, lift
 
 
 def loop_derivation_obstruction(fs, alpha, beta):
     """The former derivation_pair_obstruction: (gamma, normalized class)."""
-    particular, certificate = solve_inner(
-        fs.n, [(alpha.commutator(fs.S.matrices[a])
-                - linear_combination(beta.column(a), fs.S.matrices, fs.n.dim, fs.n.dim)).flatten()
+    particular, certificate = dense_solve_inner(
+        fs.n, [flat(alpha.commutator(fs.S.matrices[a])
+                    - linear_combination(beta.column(a), fs.S.matrices, fs.n.dim, fs.n.dim))
                for a in range(fs.g.dim)])
     if particular is None:
         raise NoGammaError(certificate)
-    gamma = Cochain.from_coordinates(fs.g, 1, fs.n.dim, particular)
+    gamma = from_coordinates(fs.g, 1, fs.n.dim, particular)
     delta = pair_act_cochain(alpha, beta, fs.omega) - covariant_differential(fs.S, gamma)
     delta_z = restrict_cochain_to_subspace(delta, center(fs.n))
     return gamma, cohomology(restrict_to_center(fs.S), 2).class_of(delta_z).normalized
@@ -202,7 +202,7 @@ def loop_stage_cocycle(fs, stage):
     for i, j in increasing_tuples(stage.gs.dim, 2):
         w = vec_sub(total.bracket(section_vec(i), section_vec(j)),
                     section_apply(stage.gs.bracket_basis(i, j)))
-        coords = stage.z.coordinates_of(w[:nd])
+        coords = coordinates_of_vec(stage.z, w[:nd])
         if any(coords):
             table[(i, j)] = coords
     return Cochain(stage.gs, 2, stage.z.dim, table)
@@ -213,7 +213,7 @@ def column_embedding(cm, sp):
     cols = []
     for i in range(cm.h.dim):
         v = unit_vec(cm.h.dim, i)
-        cols.append(tuple(sp.z.coordinates_of(vec_sub(v, sp.z.reduce(v))))
+        cols.append(tuple(coordinates_of_vec(sp.z, vec_sub(v, reduce_vec(sp.z, v))))
                     + tuple(cm.alpha.column(i)))
     return Matrix.from_columns(cols, rows=sp.z.dim + cm.ghat.dim)
 
@@ -221,13 +221,13 @@ def column_embedding(cm, sp):
 def loop_lift_matrices(fs, report, psi_n, psi_g, theta):
     """The former lift of lifting_cocycle, from its cocycle and Z^1 data."""
     z = center(fs.n)
-    corr_coords, _, _ = solve_affine(differential_matrix(report.z1_rep, 1),
-                                     vec_scale(-1, report.cocycle.coordinates()))
-    corr = Cochain.from_coordinates(report.h, 1, report.z1.dim, corr_coords)
+    corr_coords, _, _ = dense_solve_affine(differential_matrix(report.z1_rep, 1),
+                                           vec_scale(-1, coordinates(report.cocycle)))
+    corr = from_coordinates(report.h, 1, report.z1.dim, corr_coords)
     mats = []
     for x in range(report.h.dim):
-        shift = embed_cochain_from_subspace(Cochain.from_coordinates(
-            fs.g, 1, z.dim, report.z1.embed(corr.component((x,)))), z)
+        shift = embed_cochain_from_subspace(from_coordinates(
+            fs.g, 1, z.dim, embed(report.z1, corr.component((x,)))), z)
         mats.append(column_pair_map(psi_n[x], psi_g[x], theta[x] + shift))
     return tuple(mats)
 
@@ -340,8 +340,8 @@ def test_equivalence_matches_oracle(name, fs):
     z, z_rep = center_module(fs.S)
     others = [fs, fs.gauge(rand_cochain(rng, fs.g, 1, fs.n.dim, sparsity=0.3))]
     # center-valued cocycle shifts: some are coboundaries, some are not
-    for v in cohomology(z_rep, 2).cocycles.basis:
-        shift = Cochain.from_coordinates(fs.g, 2, z.dim, vec_scale(rng.randint(1, 3), v))
+    for v in basis_of(cohomology(z_rep, 2).cocycles):
+        shift = from_coordinates(fs.g, 2, z.dim, vec_scale(rng.randint(1, 3), v))
         others.append(FactorSystem(fs.n, fs.g, fs.S, fs.omega + embed_cochain_from_subspace(shift, z)))
     for alpha, beta in automorphism_pairs(name, fs, rng):
         others.append(transported_factor_system(fs, alpha, beta))
@@ -397,7 +397,7 @@ def test_extension_map_matches_column_join():
     for _ in range(20):
         nd, gd = rng.randint(0, 3), rng.randint(0, 3)
         alpha, beta = rand_matrix(rng, nd, nd), rand_matrix(rng, gd, gd)
-        gamma = Cochain.from_coordinates(abelian(gd), 1, nd, rand_vector(rng, gd * nd))
+        gamma = from_coordinates(abelian(gd), 1, nd, rand_vector(rng, gd * nd))
         assert (extension_map(alpha, gamma.as_matrix() @ beta, beta)
                 == column_pair_map(alpha, beta, gamma))
 

@@ -272,6 +272,56 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
     assert report["error"]["kind"] in ("ParseError", "DimensionMismatchError")
 
 
+def test_cli_negative_algebra_dimension_exit_one(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text('{"dim": -2, "brackets": []}')
+    code, report = run_cli(["validate", "--algebra", str(path)], capsys)
+    assert (code, report["error"]) == (1, {"kind": "DimensionMismatchError",
+                                           "message": "algebra dimension -2 is negative"})
+
+
+def test_cli_negative_module_dimension_exit_one(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text('{"algebra": {"dim": 0}, "space_dim": -1, "matrices": []}')
+    for argv in (["validate", "--rep", str(path)],
+                 ["cohomology", "--rep", str(path), "--degree", "0"]):
+        code, report = run_cli(argv, capsys)
+        assert (code, report["error"]) == (1, {"kind": "DimensionMismatchError",
+                                               "message": "module dimension -1 is negative"})
+
+
+@pytest.mark.parametrize("degree, value_dim", [(-1, 1), (2, -1), (-1, -1)])
+def test_cli_negative_cochain_sizes_exit_one(tmp_path, capsys, degree, value_dim):
+    header = {"degree": degree, "value_dim": value_dim}
+    omega, zero_s = tmp_path / "omega.json", tmp_path / "S.json"
+    omega.write_text(lio.emit(dict(header, coeffs={})))
+    zero_s.write_text(lio.emit([[["0"]], [["0"]]]))
+    code, report = run_cli(["extension", "build", "--n", "abelian1", "--g", "abelian2",
+                            "--S", str(zero_s), "--omega", str(omega)], capsys)
+    assert code == 1 and report["error"]["kind"] == "ParseError"
+    assert report["error"]["message"] == (
+        f"invalid cochain: cochain degree {degree} and value dimension {value_dim} "
+        "must be nonnegative")
+    with pytest.raises(ParseError):
+        lio.cochain_from_json(dict(header, coeffs={}), catalog("abelian2"))
+
+
+def test_cli_emit_applies_to_extension_build_only(tmp_path, capsys):
+    bundle, target = tmp_path / "fs.json", tmp_path / "total.json"
+    bundle.write_text(lio.emit(lio.factor_system_to_json(ext_heisenberg3())))
+    for action in ("check", "classify", "reduce"):
+        code, report = run_cli(["extension", action, "--ext", str(bundle),
+                                "--emit", str(target)], capsys)
+        assert (code, report["error"]["kind"]) == (1, "ParseError")
+        assert report["error"]["message"] == (
+            f"--emit writes the built algebra, so it applies to build, not to {action}")
+        assert not target.exists()
+    code, report = run_cli(["extension", "build", "--ext", str(bundle),
+                            "--emit", str(target)], capsys)
+    assert code == 0
+    assert json.loads(target.read_text()) == report["total"]
+
+
 # Each file holds JSON of the wrong kind at one place: a list or a number
 # where an object or a list belongs.  Every one of them used to end in a
 # traceback (AttributeError or TypeError) instead of a ParseError.

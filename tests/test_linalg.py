@@ -16,8 +16,10 @@ from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_spa
                            quotient_coordinates, solve, solve_affine, solve_certified,
                            solve_columns, to_fractions)
 
-from conftest import (is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
-                      vec_add, vec_scale, vec_sub, zero_vec)
+from conftest import (as_column, basis_of, contains_vec, coordinates_of_vec, dense,
+                      dense_solve_affine, dense_solve_certified, dense_solve_columns, embed, flat,
+                      is_full, nonzero_pairs, rand_algebra, rand_fraction, rand_invertible,
+                      rand_matrix, reduce_vec, unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 
 
 def test_rref_identity():
@@ -65,19 +67,20 @@ def test_kernel_examples():
     assert kernel(Matrix.identity(3)).is_zero()
     assert is_full(kernel(Matrix.zero(4, 4)))
     k = kernel(Matrix([[1, 1]]))
-    assert k.basis == ((Fraction(1), Fraction(-1)),)
+    assert basis_of(k) == ((Fraction(1), Fraction(-1)),)
 
 
 def test_image_examples():
     assert is_full(image(Matrix.identity(2)))
     assert image(Matrix.zero(3, 2)).is_zero()
-    assert image(Matrix([[1], [2]])).basis == ((Fraction(1), Fraction(2)),)
+    assert basis_of(image(Matrix([[1], [2]]))) == ((Fraction(1), Fraction(2)),)
 
 
 def test_solve_examples():
-    assert solve(Matrix.identity(2), (5, -7)) == (Fraction(5), Fraction(-7))
-    assert solve(Matrix.zero(2, 2), (1, 0)) is None
-    assert solve(Matrix([[1, 1]]), (2,)) == (Fraction(2), Fraction(0))
+    assert solve(Matrix.identity(2), {0: 5, 1: -7}) == {0: Fraction(5), 1: Fraction(-7)}
+    assert solve(Matrix.zero(2, 2), {0: 1}) is None
+    assert solve(Matrix([[1, 1]]), {0: 2, 1: 0}) == {0: Fraction(2)}
+    assert all(type(x) is Fraction for x in solve(Matrix([[2]]), {0: "1/2"}).values())
 
 
 def test_solve_is_exact(rng):
@@ -85,13 +88,13 @@ def test_solve_is_exact(rng):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols))
         b = m.matvec(x0)
-        x = solve(m, b)
-        assert x is not None
-        assert m.matvec(x) == b
+        x = solve(m, as_column(b))
+        assert x is not None and all(x.values())
+        assert m.matvec(dense(x, m.cols)) == b
 
 
 def test_solve_affine_certificate():
-    particular, hom, cert = solve_affine(Matrix.zero(1, 1), (1,))
+    particular, hom, cert = solve_affine(Matrix.zero(1, 1), {0: 1})
     assert particular is None
     assert isinstance(cert, InconsistencyCertificate)
     assert is_full(hom)
@@ -133,10 +136,10 @@ def test_subspace_membership_and_coordinates(rng):
                 for _ in range(rng.randint(1, n))]
         sub = Subspace.from_vectors(n, vecs)
         for v in vecs:
-            assert sub.contains(v)
-            coords = sub.coordinates_of(v)
+            assert not sub.reduce_entries(nonzero_pairs(v))
+            coords = sub.coordinates_of(nonzero_pairs(v))
             assert coords is not None
-            assert sub.embed(coords) == v
+            assert embed(sub, coords) == v
 
 
 def test_left_inverse(rng):
@@ -273,24 +276,29 @@ def test_solve_columns_matches_one_column_solves(rng):
             columns.append(m.matvec(x) if rng.random() < 0.7
                            else tuple(rand_fraction(rng) for _ in range(m.rows)))
         oracle = [one_column_solve(m, b) for b in columns]
-        solutions, first_inconsistent, rank = solve_columns(m, columns)
-        assert rank == m.rank()
-        assert [solve(m, b) for b in columns] == oracle
+        solutions, first_inconsistent, rank = solve_columns(m, [as_column(b) for b in columns])
+        assert rank == m.rank() == sympy_rank(m)
+        singles = [solve(m, as_column(b)) for b in columns]
+        assert [x if x is None else dense(x, m.cols) for x in singles] == oracle
         if None in oracle:
             assert solutions is None
             assert first_inconsistent == oracle.index(None)
         else:
-            assert solutions == tuple(oracle) and first_inconsistent is None
+            assert tuple(dense(x, m.cols) for x in solutions) == tuple(oracle)
+            assert first_inconsistent is None and all(all(x.values()) for x in solutions)
+        # the former dense solve_columns: the same solutions, column and rank
+        dense_solutions = solutions and tuple(dense(x, m.cols) for x in solutions)
+        assert (dense_solutions, first_inconsistent, rank) == dense_solve_columns(m, columns)
         outcomes["consistent" if first_inconsistent is None else "inconsistent"] += 1
     assert min(outcomes.values()) >= 10
 
 
 def test_solve_columns_empty_shapes():
     assert solve_columns(Matrix.zero(2, 3), []) == ((), None, 0)
-    assert solve_columns(Matrix.zero(0, 2), [(), ()]) == (((0, 0), (0, 0)), None, 0)
-    assert solve_columns(Matrix.zero(2, 0), [(0, 0), (0, 1), (1, 0)]) == (None, 1, 0)
+    assert solve_columns(Matrix.zero(0, 2), [{}, {}]) == (({}, {}), None, 0)
+    assert solve_columns(Matrix.zero(2, 0), [{0: 0}, {1: 1}, {0: 1}]) == (None, 1, 0)
     with pytest.raises(DimensionMismatchError):
-        solve_columns(Matrix.identity(2), [(1, 0), (1,)])
+        solve_columns(Matrix.identity(2), [{0: 1}, {2: 1}])
 
 
 def test_consistent_columns_match_per_column_solves(rng):
@@ -310,7 +318,7 @@ def test_consistent_columns_match_per_column_solves(rng):
         rng.shuffle(columns)
         sparse = [{i: x for i, x in enumerate(b) if x} for b in columns]
         got = consistent_columns(m, sparse)
-        assert got == tuple(solve(m, b) is not None for b in columns)
+        assert got == tuple(solve(m, column) is not None for column in sparse)
         for flag in got:
             outcomes["consistent" if flag else "inconsistent"] += 1
     assert min(outcomes.values()) >= 20
@@ -332,8 +340,16 @@ def test_solve_certified_matches_solve_affine(rng):
         if m.rows and rng.random() < 0.5:
             m = m.vstack(m.scale(3))
         b = tuple(rand_fraction(rng) for _ in range(m.rows))
-        particular, _, certificate = solve_affine(m, b)
-        assert solve_certified(m, b) == (particular, certificate)
+        particular, hom, certificate = solve_affine(m, as_column(b))
+        assert solve_certified(m, as_column(b)) == (particular, certificate)
+        # the former dense solves: the same particular solution, null space
+        # and certificate, the 0 = 1 row of the augmented system included
+        dense_particular = particular if particular is None else dense(particular, m.cols)
+        assert dense_solve_affine(m, b) == (dense_particular, hom, certificate)
+        assert dense_solve_certified(m, b) == (dense_particular, certificate)
+        assert hom.dim == m.cols - sympy_rank(m)
+        if certificate is not None:
+            assert certificate.row[-1] == 1 and not any(certificate.row[:-1])
         outcomes["consistent" if certificate is None else "inconsistent"] += 1
     assert min(outcomes.values()) >= 10
 
@@ -357,7 +373,7 @@ def test_empty_shapes():
     assert Matrix.zero(0, 3).rref()[1] == ()
     assert is_full(kernel(Matrix.zero(0, 3)))
     assert image(Matrix.zero(3, 0)).is_zero()
-    assert solve(Matrix.zero(0, 2), ()) == (Fraction(0), Fraction(0))
+    assert solve(Matrix.zero(0, 2), {}) == {}
 
 
 def test_solve_affine_homogeneous_space_is_the_kernel(rng):
@@ -368,7 +384,7 @@ def test_solve_affine_homogeneous_space_is_the_kernel(rng):
         if rng.random() < 0.5:
             m = m.vstack(m.scale(2))
         b = tuple(rand_fraction(rng) for _ in range(m.rows))
-        particular, hom, certificate = solve_affine(m, b)
+        particular, hom, certificate = solve_affine(m, as_column(b))
         assert hom == kernel(m)
         outcomes["consistent" if particular is not None else "inconsistent"] += 1
         assert (particular is None) == (certificate is not None)
@@ -388,8 +404,8 @@ def test_exact_type_invariant(rng):
                 assert all(all_fractions(row) for row in d.row_list())
                 reduced, _ = d.rref()
                 assert all(all_fractions(row) for row in reduced.row_list())
-                assert all(all_fractions(v) for v in kernel(d).basis)
-                assert all(all_fractions(v) for v in image(d).basis)
+                assert all(all_fractions(v) for v in basis_of(kernel(d)))
+                assert all(all_fractions(v) for v in basis_of(image(d)))
         for c in (Cochain(L, 2, 2, {(0, 1): (1, "1/2")}),
                   Cochain(L, 1, 2, {(0,): (Fraction(3, 4), 0), (1,): (-1, 2)})):
             assert c.coeffs and all(all_fractions(v) for v in c.coeffs.values())
@@ -414,10 +430,10 @@ def test_conversion_of_int_str_and_fraction_inputs():
 
     sub = Subspace.from_vectors(len(MIXED), [MIXED])
     assert sub == Subspace.from_vectors(len(MIXED), [expected])
-    assert sub.basis == (tuple(x / Fraction(3) for x in expected),)
-    assert all_fractions(sub.basis[0])
-    assert sub.reduce(MIXED) == (Fraction(0),) * len(MIXED)
-    assert sub.coordinates_of(MIXED) == (Fraction(3),)
+    assert basis_of(sub) == (tuple(x / Fraction(3) for x in expected),)
+    assert all_fractions(basis_of(sub)[0])
+    assert sub.reduce_entries(nonzero_pairs(MIXED)) == {}
+    assert sub.coordinates_of(nonzero_pairs(MIXED)) == (Fraction(3),)
 
     c = Cochain(abelian(2), 1, len(MIXED), {(0,): MIXED, (1,): expected})
     assert c.coeffs[(0,)] == c.coeffs[(1,)] == expected
@@ -431,7 +447,7 @@ def test_conversion_of_int_str_and_fraction_inputs():
 def dense_reduce(sub, v):
     """The former Subspace.reduce: dense subtraction over the whole vector."""
     v = to_fractions(v)
-    for b, p in zip(sub.basis, sub.pivots):
+    for b, p in zip(basis_of(sub), sub.pivots):
         c = v[p]
         if c != 0:
             v = vec_sub(v, vec_scale(c, b))
@@ -443,7 +459,7 @@ def dense_coordinates_of(sub, v):
     v = to_fractions(v)
     coords = tuple(v[p] for p in sub.pivots)
     residual = v
-    for c, b in zip(coords, sub.basis):
+    for c, b in zip(coords, basis_of(sub)):
         if c != 0:
             residual = vec_sub(residual, vec_scale(c, b))
     return coords if all(a == 0 for a in residual) else None
@@ -452,7 +468,7 @@ def dense_coordinates_of(sub, v):
 def dense_embed(sub, coords):
     """The former Subspace.embed."""
     v = zero_vec(sub.ambient_dim)
-    for c, b in zip(coords, sub.basis):
+    for c, b in zip(coords, basis_of(sub)):
         if c != 0:
             v = vec_add(v, vec_scale(Fraction(c), b))
     return v
@@ -488,11 +504,11 @@ def test_kernel_matches_two_step_oracle(rng):
     for m in oracle_matrices(rng):
         k = kernel(m)
         oracle = two_step_kernel(m)
-        assert (k.ambient_dim, k.basis, k.pivots) == (
-            oracle.ambient_dim, oracle.basis, oracle.pivots)
+        assert (k.ambient_dim, k.pairs, k.pivots) == (
+            oracle.ambient_dim, oracle.pairs, oracle.pivots)
         assert k.dim + sympy_rank(m) == m.cols
         zero = zero_vec(m.rows)
-        for v in k.basis:
+        for v in basis_of(k):
             assert m.matvec(v) == zero
             assert all_fractions(v)
 
@@ -516,36 +532,43 @@ def test_subspace_reduction_matches_dense_oracle(rng):
     for m in oracle_matrices(rng):
         n = m.cols
         for sub in (Subspace.from_vectors(n, m.row_list()), kernel(m)):
-            inside = [sub.embed([rand_fraction(rng) for _ in range(sub.dim)])
+            inside = [embed(sub, [rand_fraction(rng) for _ in range(sub.dim)])
                       for _ in range(3)]
             outside = [tuple(rand_fraction(rng) if rng.random() < 0.4 else 0
                              for _ in range(n)) for _ in range(3)]
-            for v in list(sub.basis) + inside + outside + [zero_vec(n)]:
-                reduced = sub.reduce(v)
-                assert reduced == dense_reduce(sub, v) and all_fractions(reduced)
-                assert sub.contains(v) == all(a == 0 for a in reduced)
-                coords = sub.coordinates_of(v)
-                assert coords == dense_coordinates_of(sub, v)
+            for v in list(basis_of(sub)) + inside + outside + [zero_vec(n)]:
+                entries = sub.reduce_entries(nonzero_pairs(v))
+                reduced = dense(entries, n)
+                # the former dense reduce and contains, and the loop before them
+                assert reduced == reduce_vec(sub, v) == dense_reduce(sub, v)
+                assert all_fractions(reduced) and all(entries.values())
+                assert contains_vec(sub, v) == (not entries)
+                coords = sub.coordinates_of(nonzero_pairs(v))
+                assert coords == coordinates_of_vec(sub, v) == dense_coordinates_of(sub, v)
                 if coords is not None:
                     assert all_fractions(coords)
-            assert all(sub.contains(v) for v in inside)
+            assert not any(sub.reduce_entries(nonzero_pairs(v)) for v in inside)
             for _ in range(3):
                 coords = [rand_fraction(rng) if rng.random() < 0.5 else 0
                           for _ in range(sub.dim)]
-                embedded = sub.embed(coords)
+                embedded = embed(sub, coords)
                 assert embedded == dense_embed(sub, coords) and all_fractions(embedded)
-                assert sub.coordinates_of(embedded) == tuple(coords)
+                assert sub.coordinates_of(nonzero_pairs(embedded)) == tuple(coords)
             assert sub.contains_subspace(sub)
 
 
 def test_coordinates_of_checks_the_length():
+    """A dense vector read through the former views must have the ambient
+    length; a pair past the ambient space is a vector outside the subspace."""
     sub = Subspace.from_vectors(3, [(1, 0, 0)])
     for bad in ((1,), (1, 0, 0, 0)):
-        for method in (sub.coordinates_of, sub.reduce, sub.contains):
+        for method in (coordinates_of_vec, reduce_vec, contains_vec):
             with pytest.raises(DimensionMismatchError):
-                method(bad)
+                method(sub, bad)
     with pytest.raises(DimensionMismatchError):
-        sub.embed((1, 0))
+        embed(sub, (1, 0))
+    assert sub.coordinates_of([(0, Fraction(2)), (3, Fraction(1))]) is None
+    assert sub.coordinates_of([(0, Fraction(2))]) == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +648,10 @@ def test_matrix_operations_match_dense_oracle(rng):
         assert [m.column(j) for j in range(m.cols)] == [d.column(j) for j in range(d.cols)]
         assert [m.row(i) for i in range(m.rows)] == list(d.data)
         assert all(m.entry(i, j) == d.data[i][j] for i in range(m.rows) for j in range(m.cols))
-        assert m.flatten() == d.flatten() and m.trace() == d.trace()
+        assert flat(m) == d.flatten() and m.trace() == d.trace()
+        assert m.flat_pairs() == tuple(nonzero_pairs(d.flatten()))
         assert m.is_zero() == all(x == 0 for x in d.flatten())
-        assert Matrix.from_flat(enumerate(m.flatten()), m.rows, m.cols) == m
+        assert Matrix.from_flat(m.flat_pairs(), m.rows, m.cols) == m
     assert_matches_dense(Matrix.from_columns([(1, 0), (0, "1/2"), (0, 0)]),
                          DenseMatrix([(1, 0, 0), (0, Fraction(1, 2), 0)], 3))
     assert_matches_dense(Matrix.identity(3), DenseMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
@@ -639,9 +663,9 @@ def test_subspace_pairs_are_the_sorted_nonzeros_of_the_basis(rng):
     for m in oracle_matrices(rng):
         for sub in (Subspace.from_vectors(m.cols, m.row_list()), kernel(m), image(m)):
             assert sub.pairs == tuple(tuple((j, x) for j, x in enumerate(b) if x)
-                                      for b in sub.basis)
+                                      for b in basis_of(sub))
             assert all(p[0] == (q, Fraction(1)) for p, q in zip(sub.pairs, sub.pivots))
-            assert Subspace.from_vectors(sub.ambient_dim, sub.basis) == sub
+            assert Subspace.from_vectors(sub.ambient_dim, basis_of(sub)) == sub
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +701,12 @@ def test_one_storage_and_dense_views_built_on_each_call():
     m = Matrix([[0, 1, 0], [2, 0, "1/2"]])
     assert m.row(1) == (2, 0, Fraction(1, 2)) and m.row(0) == (0, 1, 0)
     assert m.row_list() == (m.row(0), m.row(1)) and m.row_list() is not m.row_list()
-    assert m.flatten() == (0, 1, 0, 2, 0, Fraction(1, 2))
+    assert m.flat_pairs() == ((1, 1), (3, 2), (5, Fraction(1, 2)))
     sub = Subspace.from_vectors(3, [(0, 2, 0), (1, 0, 1)])
-    assert sub.basis == ((1, 0, 1), (0, 1, 0)) and sub.basis is not sub.basis
+    assert sub.pairs == (((0, 1), (2, 1)), ((1, 1),))
+    # the dense vector views are gone: vectors cross as pairs and dicts
+    assert not hasattr(m, "flatten")
+    assert not any(hasattr(sub, name) for name in ("basis", "reduce", "contains", "embed"))
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +805,8 @@ def seeded_subspaces(rng):
 def loop_restrict(sub, m):
     """The former restriction loop: coordinates of m b, column by column."""
     cols = []
-    for b in sub.basis:
-        coords = sub.coordinates_of(m.matvec(b))
+    for b in basis_of(sub):
+        coords = coordinates_of_vec(sub, m.matvec(b))
         if coords is None:
             return None
         cols.append(coords)
@@ -791,7 +818,7 @@ def invariant_endomorphism(rng, sub):
     m maps sub into itself and acts on it by A."""
     n, k = sub.ambient_dim, sub.dim
     free = [j for j in range(n) if j not in sub.pivots]
-    q = Matrix.from_columns(list(sub.basis) + [unit_vec(n, j) for j in free], rows=n)
+    q = Matrix.from_columns(list(basis_of(sub)) + [unit_vec(n, j) for j in free], rows=n)
     a = rand_matrix(rng, k, k)
     t = block_matrix([[a, rand_matrix(rng, k, n - k)],
                       [Matrix.zero(n - k, k), rand_matrix(rng, n - k, n - k)]])
@@ -802,16 +829,16 @@ def test_split_coordinates_is_the_component_along_the_subspace():
     rng = random.Random(41)
     for sub in seeded_subspaces(rng):
         n = sub.ambient_dim
-        vectors = [zero_vec(n)] + list(sub.basis)
+        vectors = [zero_vec(n)] + list(basis_of(sub))
         vectors += [tuple(rand_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(n))
                     for _ in range(5)]
-        vectors += [sub.embed([rand_fraction(rng) for _ in range(sub.dim)])]
+        vectors += [embed(sub, [rand_fraction(rng) for _ in range(sub.dim)])]
         for v in vectors:
             got = sub.split_coordinates(v)
             # the identity that makes the former "does not split" checks dead
-            assert got == sub.coordinates_of(vec_sub(v, sub.reduce(v)))
+            assert got == coordinates_of_vec(sub, vec_sub(v, reduce_vec(sub, v)))
             assert all_fractions(got)
-            assert vec_add(sub.embed(got), sub.reduce(v)) == to_fractions(v)
+            assert vec_add(embed(sub, got), reduce_vec(sub, v)) == to_fractions(v)
     assert Subspace.from_vectors(2, [(1, 1)]).split_coordinates((1, 0)) == (1,)
     with pytest.raises(DimensionMismatchError):
         Subspace.full(2).split_coordinates((1, 0, 0))
@@ -829,7 +856,7 @@ def test_restrict_matches_the_loop_and_is_none_exactly_off_invariant_maps():
                       m + rand_sparse_matrix(rng, n, n, 0.2)):
             got = sub.restrict(other)
             assert got == loop_restrict(sub, other)
-            leaving = any(not sub.contains(other.matvec(b)) for b in sub.basis)
+            leaving = any(not contains_vec(sub, other.matvec(b)) for b in basis_of(sub))
             assert (got is None) == leaving
             leaves += leaving
             if got is not None:

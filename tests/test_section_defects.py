@@ -43,9 +43,10 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quo
                                factor_system_report, reduce_via_stage,
                                restrict_cochain_to_subspace, stage_theta)
 from liecoh.liealg import LieAlgebra, Representation
-from liecoh.linalg import Matrix, block_matrix, linear_combination, solve_columns, to_fractions
+from liecoh.linalg import Matrix, block_matrix, linear_combination, to_fractions
 
-from conftest import (rand_matrix, rand_vector, unit_vec, value_at_indices, vec_add, vec_is_zero,
+from conftest import (basis_of, coordinates_of_vec, dense_solve_columns, embed, flat, rand_matrix,
+                      rand_vector, reduce_vec, unit_vec, value_at_indices, vec_add, vec_is_zero,
                       vec_scale, vec_sub, zero_vec)
 from test_classify import CASE_IDS, CASES
 from test_crossed import (CATALOG_MODULES, _bracket_in_n, loop_module_action_on_f,
@@ -73,8 +74,8 @@ def loop_extract_omega(ext, sigma):
 def loop_restrict(sub, m, message):
     """The former restriction loops of center_module and split_crossed_module."""
     cols = []
-    for b in sub.basis:
-        coords = sub.coordinates_of(m.matvec(b))
+    for b in basis_of(sub):
+        coords = coordinates_of_vec(sub, m.matvec(b))
         if coords is None:
             raise InvariantViolation(message)
         cols.append(coords)
@@ -84,7 +85,7 @@ def loop_restrict(sub, m, message):
 def loop_z_part(stage, v):
     """The former QuotientStage.z_part: v minus its complement part, read in z."""
     complement = stage.sect_ad.matvec(stage.proj_ad.matvec(v))
-    coords = stage.z.coordinates_of(vec_sub(to_fractions(v), complement))
+    coords = coordinates_of_vec(stage.z, vec_sub(to_fractions(v), complement))
     if coords is None:
         raise InvariantViolation("vector does not split along the center")
     return coords
@@ -98,7 +99,7 @@ def loop_stage_theta(stage):
         i, j = key
         w = stage.kernel.n.bracket(sect_ad.column(i), sect_ad.column(j))
         w = vec_sub(w, sect_ad.matvec(n_ad.bracket_basis(i, j)))
-        coords = stage.z.coordinates_of(w)
+        coords = coordinates_of_vec(stage.z, w)
         if coords is None:
             raise InvariantViolation("the center cocycle left the center")
         if not vec_is_zero(coords):
@@ -124,7 +125,7 @@ def loop_f_tilde(fs, stage):
         w = vec_sub(w, lift.matvec(stage.gs.bracket_basis(i, j)))
         if not vec_is_zero(w[nd:]):
             raise InvariantViolation("stage cocycle has a nonzero quotient part")
-        coords = stage.z.coordinates_of(w[:nd])
+        coords = coordinates_of_vec(stage.z, w[:nd])
         if coords is None:
             raise InvariantViolation("stage cocycle left the center")
         if not vec_is_zero(coords):
@@ -143,9 +144,10 @@ def loop_rebuild_inclusion(stage):
 def loop_n_alg(cm, n_sub):
     """The former bracket table of the image of alpha."""
     table = {}
+    basis = basis_of(n_sub)
     for i in range(n_sub.dim):
         for j in range(i + 1, n_sub.dim):
-            coords = n_sub.coordinates_of(cm.ghat.bracket(n_sub.basis[i], n_sub.basis[j]))
+            coords = coordinates_of_vec(n_sub, cm.ghat.bracket(basis[i], basis[j]))
             if coords is None:
                 raise InvariantViolation("the image of alpha is not bracket-closed")
             entry = {k: c for k, c in enumerate(coords) if c != 0}
@@ -160,7 +162,7 @@ def loop_split(sp):
 
     def z_coords_of(v):
         v = to_fractions(v)
-        coords = z.coordinates_of(vec_sub(v, z.reduce(v)))
+        coords = coordinates_of_vec(z, vec_sub(v, reduce_vec(z, v)))
         if coords is None:
             raise InvariantViolation("vector does not split along the kernel")
         return coords
@@ -202,7 +204,7 @@ def holed_restriction(sp):
     i < j where f is nonzero, so theta on the diagonal, below it and where f
     vanishes went unchecked."""
     n_dim = sp.n_alg.dim
-    return all(loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j)) == tuple(vec)
+    return all(loop_theta_value(sp, basis_of(sp.n_sub)[i], unit_vec(n_dim, j)) == tuple(vec)
                for (i, j), vec in sp.f.coeffs.items())
 
 
@@ -212,7 +214,7 @@ def loop_check_splitting(sp):
     n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
     for i in range(n_dim):
         for j in range(n_dim):
-            if (loop_theta_value(sp, sp.n_sub.basis[i], unit_vec(n_dim, j))
+            if (loop_theta_value(sp, basis_of(sp.n_sub)[i], unit_vec(n_dim, j))
                     != value_at_indices(sp.f, (i, j))):
                 raise InvariantViolation("theta does not restrict to the extension cocycle")
     trivial = Representation.trivial(sp.n_alg, zd)
@@ -245,10 +247,10 @@ def loop_alternating_extension(sp):
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
         u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
-        u_n = n_sub.coordinates_of(vec_sub(u, n_sub.reduce(u)))
-        v_n = n_sub.coordinates_of(vec_sub(v, n_sub.reduce(v)))
+        u_n = coordinates_of_vec(n_sub, vec_sub(u, reduce_vec(n_sub, u)))
+        v_n = coordinates_of_vec(n_sub, vec_sub(v, reduce_vec(n_sub, v)))
         val = vec_sub(loop_theta_value(sp, u, v_n),
-                      loop_theta_value(sp, n_sub.reduce(v), u_n))
+                      loop_theta_value(sp, reduce_vec(n_sub, v), u_n))
         if not vec_is_zero(val):
             table[(i, j)] = val
     return Cochain(ghat, 2, sp.z.dim, table)
@@ -262,7 +264,7 @@ def dense_alternating_extension(sp):
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
         u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
-        theta_v_c = linear_combination(sp.n_sub.reduce(v), thetas, zd, n_dim)
+        theta_v_c = linear_combination(reduce_vec(sp.n_sub, v), thetas, zd, n_dim)
         table[(i, j)] = vec_sub(thetas[i].matvec(sp.n_sub.split_coordinates(v)),
                                 theta_v_c.matvec(sp.n_sub.split_coordinates(u)))
     return Cochain(ghat, 2, zd, table)
@@ -277,7 +279,7 @@ def loop_omega_route(sp, sigma):
     keys = list(increasing_tuples(g.dim, 2))
     targets = [vec_sub(cm.ghat.bracket(sigma.column(i), sigma.column(j)),
                        sigma.matvec(g.bracket_basis(i, j))) for i, j in keys]
-    lifts, first_inconsistent, _ = solve_columns(cm.alpha, targets)
+    lifts, first_inconsistent, _ = dense_solve_columns(cm.alpha, targets)
     assert first_inconsistent is None
     omega = Cochain(g, 2, cm.h.dim, {key: x for key, x in zip(keys, lifts)
                                      if not vec_is_zero(x)})
@@ -344,7 +346,7 @@ def test_crossed_defects_match_the_loops(name, builder):
     assert f_tilde == loop_alternating_extension(sp) == dense_alternating_extension(sp)
     rng = random.Random(61)
     for sigma in (sp.q_sect, sp.q_sect + Matrix.from_columns(
-            [sp.n_sub.embed(rand_vector(rng, sp.n_sub.dim)) for _ in range(sp.g.dim)],
+            [embed(sp.n_sub, rand_vector(rng, sp.n_sub.dim)) for _ in range(sp.g.dim)],
             rows=cm.ghat.dim)):
         assert characteristic_class_omega_route(sp, sigma) == loop_omega_route(sp, sigma)
     witness, chi = splitting_equivalence(cm)
@@ -492,7 +494,7 @@ def loop_gkernel_lift_failure(kernel_S, n_alg, omega):
     """The former stored-omega check of GKernel: the first key in order."""
     R = cochains.curvature(kernel_S)
     for key in increasing_tuples(kernel_S.algebra.dim, 2):
-        if R.component(key) != n_alg.ad(omega.component(key)).flatten():
+        if R.component(key) != flat(n_alg.ad(omega.component(key))):
             return f"stored omega does not lift the curvature at {key}"
     return None
 
@@ -523,7 +525,7 @@ def dense_curvature_failures(S, omega):
     curvature's dense value against the dense flattening of ad(omega)."""
     R = cochains.curvature(S)
     return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
-                 if R.component(key) != S.target.ad(omega.component(key)).flatten())
+                 if R.component(key) != flat(S.target.ad(omega.component(key))))
 
 
 @pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
@@ -541,7 +543,7 @@ def test_curvature_failures_match_the_dense_comparison(name, fs):
             table[key] = vec_add(fs.omega.component(key), rand_vector(rng, fs.n.dim))
         omegas.append(Cochain(fs.g, 2, fs.n.dim, table))
     if z.dim and keys:
-        shift = {key: z.embed(rand_vector(rng, z.dim)) for key in keys}
+        shift = {key: embed(z, rand_vector(rng, z.dim)) for key in keys}
         omegas.append(fs.omega + Cochain(fs.g, 2, fs.n.dim, shift))
         assert extensions._curvature_failures(fs.S, omegas[-1]) == ()
     failing = 0

@@ -21,6 +21,10 @@ Matrix families and brackets are pulled back along a map's sparse rows
 or names ``matrix_of``.
 A cochain is applied to by its nonzero coordinates: no ``matvec`` call takes
 a ``.coordinates()`` call, the dense view of a cochain, as its argument.
+Vectors cross the linear-algebra boundary as dicts and (index, value) pairs:
+no ``solve*``, ``inner_cochain``, ``coordinates_of`` or ``Subspace.from_vectors``
+call is handed a ``.flatten()``, ``.coordinates()`` or ``.basis`` value, either
+directly or through a name assigned from one in the same function.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -28,8 +32,11 @@ No module imports ``dataclasses``: it loads ``inspect`` and ``ast`` and
 exec-compiles each record's methods in every process that imports the
 package, so result records are ``NamedTuple``s.  API that nothing in the
 package called is deleted, and no module names it again; so are the dense
-vector helpers, whose callers now read sparse rows and pairs (the tests
-keep their own copies in ``conftest.py``).
+vector helpers, whose callers now read sparse rows and pairs, and the dense
+views that solves and subspace reads took (the tests keep their own copies
+in ``conftest.py``).  A deleted method whose bare name another class still
+uses is listed as ``Class.name``: neither a definition of it in that class
+nor a ``Class.name`` reference may appear.
 """
 
 import ast
@@ -105,6 +112,37 @@ def dense_cochain_products(tree):
             yield node.lineno, "matvec(c.coordinates()) call"
 
 
+def dense_solve_inputs(tree):
+    """Rule: a ``solve``/``solve_*``, ``inner_cochain``, ``coordinates_of`` or
+    ``from_vectors`` call with an argument that holds a ``.flatten()`` or
+    ``.coordinates()`` call or a ``.basis`` read, or a name that the same
+    function assigned from one."""
+    def dense(expr, tainted):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                   in ("flatten", "coordinates")
+                   or isinstance(n, ast.Attribute) and n.attr == "basis"
+                   or isinstance(n, ast.Name) and n.id in tainted
+                   for n in ast.walk(expr))
+
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tainted = {t.id for node in ast.walk(scope)
+                   if isinstance(node, ast.Assign) and dense(node.value, ())
+                   for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None)) or ""
+            if ((name == "solve" or name.startswith("solve_")
+                 or name in ("inner_cochain", "coordinates_of", "from_vectors"))
+                    and any(dense(arg, tainted)
+                            for arg in node.args + [k.value for k in node.keywords])):
+                found.add((node.lineno, f"{name} call on a dense vector"))
+    yield from sorted(found)
+
+
 def method_calls(target):
     """Rule: calls of ``target`` as a method or attribute (m.f()) only."""
     def rule(tree):
@@ -155,17 +193,39 @@ dataclasses_imports = imports_of("dataclasses")
 # Deleted because nothing in the package called them; the tests keep their
 # own copies of the last three, which state results of the paper.  Then the
 # dense vector helpers, the unused Workspace store and SparseCochain, the
-# second storage of a cochain.
+# second storage of a cochain.  Then the dense views of the solve and
+# subspace boundary, whose callers now pass dicts and pairs.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
                "unit_vec", "zero_vec", "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
-               "value_at_indices", "Workspace", "SparseCochain")
+               "value_at_indices", "Workspace", "SparseCochain",
+               "_dense_columns", "flatten", "coordinates", "from_coordinates", "reduce",
+               "embed", "Subspace.basis", "Subspace.contains")
+
+
+def deleted_member(target):
+    """Rule for a deleted ``Class.name``: a definition of ``name`` in the body of
+    ``class Class``, or a ``Class.name`` reference."""
+    cls, member = target.split(".")
+
+    def rule(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                for item in node.body:
+                    targets = getattr(item, "targets", [getattr(item, "target", None)])
+                    if member in [getattr(item, "name", None)] + [getattr(t, "id", None)
+                                                                  for t in targets]:
+                        yield item.lineno, f"{target} name"
+            elif (isinstance(node, ast.Attribute) and node.attr == member
+                  and getattr(node.value, "id", None) == cls):
+                yield node.lineno, f"{target} name"
+    return rule
 
 
 def deleted_api_names(tree):
     for target in DELETED_API:
-        yield from names(target)(tree)
+        yield from (deleted_member(target) if "." in target else names(target))(tree)
 
 
 def global_statements(tree):
@@ -235,6 +295,10 @@ def test_families_are_pulled_back_along_sparse_rows():
 
 def test_cochains_are_not_applied_through_dense_coordinates():
     assert violations(dense_cochain_products) == []
+
+
+def test_solves_and_subspace_reads_take_no_dense_vectors():
+    assert violations(dense_solve_inputs) == []
 
 
 def test_package_has_no_function_level_imports():
@@ -392,3 +456,41 @@ def test_rule_detects_matvec_of_dense_coordinates():
                      "    return a, b, d.matvec(v), matvec(c.coordinates()), c.coordinates()\n")
     assert list(dense_cochain_products(tree)) == [(2, "matvec(c.coordinates()) call"),
                                                   (3, "matvec(c.coordinates()) call")]
+
+
+def test_rule_detects_dense_vectors_handed_to_solves():
+    tree = ast.parse("def f(L, g, ms, sub, c, space, system, d, n_sub, alpha):\n"
+                     "    a = inner_cochain(L, g, 1, [m.flatten() for m in ms])\n"
+                     "    b = solve_columns(alpha, n_sub.basis)\n"
+                     "    x = space.coordinates_of(d.flatten())\n"
+                     "    y = linalg.solve_affine(system, c.coordinates() + (0,) * 3)\n"
+                     "    betas = [m.flatten() for m in ms]\n"
+                     "    span = Subspace.from_vectors(4, vectors=betas)\n"
+                     "    z = solve(system, b=dict(c.pairs))\n"
+                     "    return solve_inner(L, ms), space.coordinates_of(d.flat_pairs()), c.basis\n"
+                     "def h(space, coords):\n"
+                     "    return space.coordinates_of(coords)\n")
+    assert list(dense_solve_inputs(tree)) == [
+        (2, "inner_cochain call on a dense vector"), (3, "solve_columns call on a dense vector"),
+        (4, "coordinates_of call on a dense vector"), (5, "solve_affine call on a dense vector"),
+        (7, "from_vectors call on a dense vector")]
+
+
+def test_rule_detects_deleted_dense_views():
+    tree = ast.parse("from .linalg import _dense_columns\n"
+                     "class Subspace:\n"
+                     "    basis = None\n"
+                     "    def contains(self, v):\n"
+                     "        return not any(self.reduce(v))\n"
+                     "class AffineCochainSpace:\n"
+                     "    basis: tuple\n"
+                     "    def contains(self, c):\n"
+                     "        return c\n"
+                     "def f(m, c, sub, space):\n"
+                     "    v = Cochain.from_coordinates(L, 1, 1, c.coordinates())\n"
+                     "    return m.flatten(), sub.embed(v), Subspace.basis, space.basis\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (1, "_dense_columns name"), (3, "Subspace.basis name"),
+        (4, "Subspace.contains name"), (5, "reduce name"), (11, "coordinates name"),
+        (11, "from_coordinates name"), (12, "Subspace.basis name"), (12, "embed name"),
+        (12, "flatten name")]

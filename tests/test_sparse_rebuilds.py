@@ -30,8 +30,8 @@ from liecoh.liealg import center, change_of_basis, derivations
 from liecoh.linalg import Matrix, Subspace, image, left_inverse, quotient_coordinates, solve_columns
 from liecoh.symmetry import _pair_system_rows
 
-from conftest import (rand_algebra, rand_invertible, rand_matrix, rand_vector, unit_vec,
-                      value_at_indices, vec_add, vec_is_zero, zero_vec)
+from conftest import (as_column, flat, rand_algebra, rand_invertible, rand_matrix, rand_vector,
+                      reduce_vec, unit_vec, value_at_indices, vec_add, vec_is_zero, zero_vec)
 from test_classify import CASE_IDS, CASES
 from test_linalg import rand_sparse_matrix, seeded_subspaces
 
@@ -49,7 +49,7 @@ def dense_quotient_coordinates(ambient_dim, sub):
     free = [j for j in range(ambient_dim) if j not in pivot_set]
     proj_cols = []
     for j in range(ambient_dim):
-        reduced = sub.reduce(unit_vec(ambient_dim, j))
+        reduced = reduce_vec(sub, unit_vec(ambient_dim, j))
         proj_cols.append(tuple(reduced[f] for f in free))
     projection = Matrix.from_columns(proj_cols, rows=len(free))
     section = Matrix.from_columns([unit_vec(ambient_dim, f) for f in free],
@@ -63,9 +63,10 @@ def dense_ad_matrix(L, i):
 
 
 def dense_left_inverse(m):
-    """The former left_inverse: solve_columns on the dense unit vectors."""
-    rows, _, _ = solve_columns(m.transpose(), [unit_vec(m.cols, i) for i in range(m.cols)])
-    return None if rows is None else Matrix(rows, cols=m.rows)
+    """The former left_inverse: solve_columns on the unit vectors."""
+    rows, _, _ = solve_columns(m.transpose(),
+                               [as_column(unit_vec(m.cols, i)) for i in range(m.cols)])
+    return None if rows is None else Matrix.from_sparse_rows(rows, m.rows)
 
 
 def loop_restricts(theta, f, nad, zd):
@@ -159,7 +160,7 @@ def test_left_inverse_matches_the_unit_vector_solve():
     assert found[True] >= 10 and found[False] >= 10
     for L in ALGEBRAS[:8]:
         der = derivations(L)
-        basis = Matrix.from_columns([m.flatten() for m in der.matrices], rows=L.dim * L.dim)
+        basis = Matrix.from_columns([flat(m) for m in der.matrices], rows=L.dim * L.dim)
         assert left_inverse(basis) == dense_left_inverse(basis)
 
 

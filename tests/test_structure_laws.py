@@ -35,7 +35,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, center, chan
 from liecoh.linalg import Matrix, Subspace, image, invert, kernel, linear_combination
 from liecoh.symmetry import lifting_cocycle
 
-from conftest import (rand_fraction, rand_invertible, rand_matrix, unit_vec, vec_add, vec_is_zero,
+from conftest import (basis_of, contains_vec, flat, rand_fraction, rand_invertible, rand_matrix, unit_vec, vec_add, vec_is_zero,
                       vec_scale)
 from test_classify import CASES
 from test_crossed import oracle_modules, stage_module
@@ -65,8 +65,8 @@ def loop_curvature(S):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             m = S.space_dim
-            val = (S.matrices[i].commutator(S.matrices[j])
-                   - linear_combination(L.bracket_basis(i, j), S.matrices, m, m)).flatten()
+            val = flat(S.matrices[i].commutator(S.matrices[j])
+                       - linear_combination(L.bracket_basis(i, j), S.matrices, m, m))
             if not vec_is_zero(val):
                 table[(i, j)] = val
     return Cochain(L, 2, S.space_dim ** 2, table)
@@ -125,8 +125,8 @@ def loop_lift_is_homomorphism(h_alg, mats, size):
 def loop_ideal_failure(L, ideal):
     """The former ideal check of quotient_algebra: the first e_i moving the subspace."""
     for i in range(L.dim):
-        for b in ideal.basis:
-            if not ideal.contains(L.bracket(unit_vec(L.dim, i), b)):
+        for b in basis_of(ideal):
+            if not contains_vec(ideal, L.bracket(unit_vec(L.dim, i), b)):
                 return i
     return None
 
@@ -135,8 +135,8 @@ def loop_presentation_ideal(total, ideal):
     """The former ideal loop of ExtensionPresentation: one violation per failing e_i."""
     violations = []
     for i in range(total.dim):
-        for b in ideal.basis:
-            if not ideal.contains(total.bracket(unit_vec(total.dim, i), b)):
+        for b in basis_of(ideal):
+            if not contains_vec(ideal, total.bracket(unit_vec(total.dim, i), b)):
                 violations.append(f"the image of n is not an ideal (fails at e{i})")
                 break
     return violations
@@ -161,13 +161,13 @@ def loop_report(h, ghat, alpha, action):
                 cm2.append((i, j))
     im = image(alpha)
     image_ideal = all(
-        im.contains(ghat.bracket(unit_vec(ghat.dim, x), b))
-        for x in range(ghat.dim) for b in im.basis)
+        contains_vec(im, ghat.bracket(unit_vec(ghat.dim, x), b))
+        for x in range(ghat.dim) for b in basis_of(im))
     ker = kernel(alpha)
     kernel_central = center(h).contains_subspace(ker)
     kernel_submodule = all(
-        ker.contains(action.act(x, b))
-        for x in range(ghat.dim) for b in ker.basis)
+        contains_vec(ker, action.act(x, b))
+        for x in range(ghat.dim) for b in basis_of(ker))
     return CrossedModuleReport(tuple(cm1), tuple(cm2), image_ideal,
                                kernel_central, kernel_submodule)
 

@@ -20,7 +20,7 @@ from liecoh.symmetry import (_pair_system_rows, _project_pairs,
                              extension_derivations, lifting_cocycle,
                              transported_factor_system)
 
-from conftest import (rand_algebra, rand_cochain, rand_invertible, rand_matrix, vec_is_zero,
+from conftest import (basis_of, embed, from_coordinates, rand_algebra, rand_cochain, rand_invertible, rand_matrix, vec_is_zero,
                       vec_sub)
 from test_classify import CASE_IDS, CASES
 
@@ -192,8 +192,8 @@ def test_lifting_theta_shift_moves_cocycle_by_coboundary():
     fs, b_alg, psi_n, psi_g, theta = _filiform_lift_data()
     base = lifting_cocycle(fs, b_alg, psi_n, psi_g, theta)
     # shift theta by a cocycle-valued 1-cochain on h
-    z1_vec = base.z1.basis[0]
-    shift_cochain = Cochain.from_coordinates(fs.g, 1, 1, base.z1.embed(
+    z1_vec = basis_of(base.z1)[0]
+    shift_cochain = from_coordinates(fs.g, 1, 1, embed(base.z1, 
         tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(base.z1.dim))))
     theta2 = [theta[0] + shift_cochain, theta[1]]
     moved = lifting_cocycle(fs, b_alg, psi_n, psi_g, theta2)

@@ -33,11 +33,12 @@ from liecoh.extensions import ExtensionPresentation, extract_factor_system
 from liecoh.liealg import (LieAlgebra, Representation, ad_stack, adjoint_rep,
                            center, derivations, direct_and_semidirect,
                            leibniz_rows, solve_inner)
-from liecoh.linalg import ZERO, Matrix, kernel, solve_affine
+from liecoh.linalg import ZERO, Matrix, kernel
 from liecoh.symmetry import _pair_system_rows, extension_derivations
 
-from conftest import (is_trivial, rand_algebra, rand_cochain, rand_matrix, rand_vector, unit_vec,
-                      value_at_indices, vec_add, vec_is_zero, vec_scale)
+from conftest import (basis_of, coordinates, dense, dense_solve_affine, dense_solve_inner, flat,
+                      is_trivial, nonzero_pairs, rand_algebra, rand_cochain, rand_matrix,
+                      rand_vector, unit_vec, value_at_indices, vec_add, vec_is_zero, vec_scale)
 
 
 def dense_leibniz_system(L):
@@ -64,21 +65,23 @@ def dense_leibniz_system(L):
 
 
 def stacked_inner_solve(L, targets):
-    """ad(x_r) = targets[r] as one block-diagonal system of s ad blocks."""
+    """ad(x_r) = targets[r] as one block-diagonal system of s ad blocks, solved
+    densely; the particular solution comes back as its nonzero pairs."""
     nd, s = L.dim, len(targets)
-    ad_cols = [L.ad_matrix(k).flatten() for k in range(nd)]
+    ad_cols = [flat(L.ad_matrix(k)) for k in range(nd)]
     rows = []
     rhs = []
     for a in range(s):
+        target = flat(targets[a])
         for flat_idx in range(nd * nd):
             row = [0] * (s * nd)
             for k in range(nd):
                 row[a * nd + k] = ad_cols[k][flat_idx]
             rows.append(row)
-            rhs.append(targets[a][flat_idx])
+            rhs.append(target[flat_idx])
     system = Matrix(rows, cols=s * nd) if rows else Matrix.zero(0, s * nd)
-    particular, _, certificate = solve_affine(system, rhs)
-    return particular, certificate
+    particular, _, certificate = dense_solve_affine(system, rhs)
+    return (None if particular is None else nonzero_pairs(particular)), certificate
 
 
 def loop_cochain_differential(rep, c):
@@ -162,7 +165,7 @@ def column_operator_matrix(fn, algebra, p, value_dim):
         for comp in range(value_dim):
             vec = [0] * value_dim
             vec[comp] = 1
-            cols.append(fn(Cochain(algebra, p, value_dim, {key: vec})).coordinates())
+            cols.append(coordinates(fn(Cochain(algebra, p, value_dim, {key: vec}))))
     return Matrix.from_columns(cols, rows=cochain_space_dim(algebra.dim, p + 1, value_dim))
 
 
@@ -347,7 +350,7 @@ def test_ad_stack_columns_are_flattened_ad_matrices(rng):
         stack = ad_stack(L)
         assert (stack.rows, stack.cols) == (L.dim * L.dim, L.dim)
         for k in range(L.dim):
-            assert stack.column(k) == L.ad_matrix(k).flatten()
+            assert stack.column(k) == flat(L.ad_matrix(k))
         assert center(L) == kernel(stack)
 
 
@@ -365,10 +368,13 @@ def test_leibniz_rows_offset_and_sparsity():
     assert rows and all(col >= 3 and c != 0 for row in rows for col, c in row.items())
     dense = dense_leibniz_system(L)
     shifted = Matrix.from_sparse_rows(rows, n * n + 3)
-    assert kernel(shifted).basis[3:] == tuple((ZERO,) * 3 + v for v in kernel(dense).basis)
+    assert basis_of(kernel(shifted))[3:] == tuple((ZERO,) * 3 + v for v in basis_of(kernel(dense)))
 
 
 def test_solve_inner_matches_stacked_oracle():
+    """solve_inner on target matrices against the block-diagonal system and
+    against the former dense solve_inner on flattened targets: equal
+    particular solutions, and equal certificates where a target is not inner."""
     rng = random.Random(7)
     outcomes = {"consistent": 0, "inconsistent": 0}
     for _ in range(60):
@@ -377,11 +383,16 @@ def test_solve_inner_matches_stacked_oracle():
         targets = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.7:
-                targets.append(L.ad(rand_vector(rng, n)).flatten())
+                targets.append(L.ad(rand_vector(rng, n)))
             else:
-                targets.append(rand_vector(rng, n * n))
+                targets.append(Matrix.from_flat(enumerate(rand_vector(rng, n * n)), n, n))
         got = solve_inner(L, targets)
         assert got == stacked_inner_solve(L, targets)
+        particular, certificate = dense_solve_inner(L, [flat(t) for t in targets])
+        assert certificate == got[1]
+        if particular is not None:
+            assert dense(got[0], len(targets) * n) == particular
+            assert got[0] == nonzero_pairs(particular)
         outcomes["consistent" if got[0] is not None else "inconsistent"] += 1
         if got[0] is None:
             rank = ad_stack(L).rank()
