@@ -141,6 +141,15 @@ class Cochain:
         c.algebra, c.degree, c.value_dim, c.pairs = algebra, degree, value_dim, tuple(pairs)
         return c
 
+    @classmethod
+    def from_columns(cls, algebra: LieAlgebra, degree: int, value_dim: int,
+                     columns: dict) -> "Cochain":
+        """The cochain with value columns[key], a dict {slot: nonzero value}, at each
+        increasing key, zero elsewhere."""
+        return cls.from_pairs(algebra, degree, value_dim, sorted(
+            (key_rank(key, algebra.dim) * value_dim + k, x)
+            for key, column in columns.items() for k, x in column.items()))
+
     def nonzero_values(self) -> list:
         """(key_rank of the key, {slot: value}) per key with a nonzero value, in key order."""
         vd = self.value_dim
@@ -471,9 +480,8 @@ def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
 
 def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) -> Cochain:
     """The End-valued cochain with value matrices[key], flattened row-major, at each key."""
-    return Cochain.from_pairs(algebra, degree, size * size, sorted(
-        (key_rank(key, algebra.dim) * size * size + k, x)
-        for key, mat in matrices.items() for k, x in mat.flat_pairs()))
+    return Cochain.from_columns(algebra, degree, size * size,
+                                {key: dict(mat.flat_pairs()) for key, mat in matrices.items()})
 
 
 class OuterActionMap:

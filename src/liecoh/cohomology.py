@@ -222,8 +222,9 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     """2-cocycles on gS restricting to theta against the ideal.
 
     ``theta`` maps (basis index of gS, basis index of the ideal) to a
-    value-space vector.  Solutions are returned as a particular cocycle
-    plus the homogeneous space of cocycles vanishing against the ideal.
+    value-space vector, a dict {slot: nonzero value}.  Solutions are
+    returned as a particular cocycle plus the homogeneous space of
+    cocycles vanishing against the ideal.
     """
     if z_rep.algebra != gS:
         raise DimensionMismatchError("the coefficient module must be a gS-module")
@@ -241,7 +242,7 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     for i in range(gS.dim):
         for a, b in enumerate(ideal.pairs):
             rhs.update((d_mat.rows + len(rows) + comp, x)
-                       for comp, x in enumerate(theta.get((i, a), ())) if x)
+                       for comp, x in theta.get((i, a), {}).items())
             rows.extend({key_rank(sorted((i, j)), gS.dim) * zd + comp: c if i < j else -c
                          for j, c in b if j != i} for comp in range(zd))
     system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .cochains import (Cochain, OuterActionMap, cochain_differential,
-                       covariant_differential, increasing_tuples, key_rank,
+                       covariant_differential, increasing_tuples,
                        pair_act_cochain, pullback_cochain)
 from .cohomology import CohomologyClass, cohomology, primitive
 from .errors import (DimensionMismatchError, FactorizationFailureError,
@@ -125,7 +125,7 @@ class CrossedModuleSplitting(NamedTuple):
     n_sub: Subspace          # image of alpha, inside ghat
     h_lift: Matrix           # n coordinates -> h, section of alpha into the complement
     f: Cochain               # 2-cochain on n_alg valued in z coordinates
-    theta: dict              # (ghat index, n index) -> z coordinates
+    theta: dict              # (ghat index, n index) -> {z index: nonzero value}
     theta_matrices: tuple    # theta_x as a z x n matrix, per ghat index x
     ad_n: tuple              # ad e_x restricted to n, in n coordinates, per ghat index x
     g: LieAlgebra            # ghat / n
@@ -157,9 +157,8 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
         raise InvariantViolation("alpha does not reach its own image")
     h_lift = h_compl_sect @ Matrix.from_sparse_rows(lifts, h_compl_sect.cols).transpose()
     # f and theta are the defects of the section h_lift, read in z
-    f = Cochain(n_alg, 2, z.dim, {key: z.split_coordinates(w)
-                                  for key, w in bracket_defect(n_alg, h, h_lift).items()})
     z_rows = z.split_matrix()
+    f = Cochain.from_columns(n_alg, 2, h.dim, bracket_defect(n_alg, h, h_lift)).map_values(z_rows)
     theta_matrices = tuple(z_rows @ (act @ h_lift - h_lift @ ad_x)
                            for act, ad_x in zip(cm.action.matrices, ad_n))
 
@@ -185,7 +184,8 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
     """
     n_dim, zd, ghat = sp.n_alg.dim, sp.z.dim, sp.cm.ghat
     # theta_x as a z-valued 1-cochain on n, read from the table sp.theta
-    slots = [Cochain(sp.n_alg, 1, zd, {(a,): v for (y, a), v in sp.theta.items() if y == x})
+    slots = [Cochain.from_columns(sp.n_alg, 1, zd,
+                                  {(a,): v for (y, a), v in sp.theta.items() if y == x})
              for x in range(ghat.dim)]
     thetas = [theta_x.as_matrix() for theta_x in slots]
     # theta on n_i, from the nonzero pairs of n's basis vector i, as a z x n
@@ -240,11 +240,11 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
     for i, j in increasing_tuples(ghat.dim, 2):
         value = [ZERO] * zd
         if j in position:
-            for a, x in enumerate(sp.theta.get((i, position[j]), ())):
+            for a, x in sp.theta.get((i, position[j]), {}).items():
                 value[a] += x
         if i in position:
             for k, y in minus_reduction[j]:
-                for a, x in enumerate(sp.theta.get((k, position[i]), ())):
+                for a, x in sp.theta.get((k, position[i]), {}).items():
                     value[a] += y * x
         table[(i, j)] = value
     return Cochain(ghat, 2, zd, table)
@@ -280,14 +280,11 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
     # a zero curvature lifts to zero, so only the nonzero keys are solved
     defect = bracket_defect(sp.g, ghat, sigma)
     keys = list(defect)
-    lifts, first_inconsistent, _ = solve_columns(
-        cm.alpha, Matrix(list(defect.values()), cols=ghat.dim).sparse_rows())
+    lifts, first_inconsistent, _ = solve_columns(cm.alpha, list(defect.values()))
     if first_inconsistent is not None:
         raise NoOmegaLiftError(
             f"section curvature at {keys[first_inconsistent]} misses the image of alpha")
-    omega = Cochain.from_pairs(sp.g, 2, h.dim, sorted(
-        (key_rank(key, sp.g.dim) * h.dim + k, x) for key, lift in zip(keys, lifts)
-        for k, x in lift.items()))
+    omega = Cochain.from_columns(sp.g, 2, h.dim, dict(zip(keys, lifts)))
     d_s_omega = covariant_differential(S, omega)
     z_cochain = restrict_cochain_to_subspace(d_s_omega, sp.z)
     return cohomology(sp.z_rep, 3).class_of(z_cochain)

@@ -31,7 +31,6 @@ for the center-valued correction; and ``extension_map`` assembles
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
@@ -47,7 +46,7 @@ from .errors import (DimensionMismatchError, InvalidFactorSystemError,
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_defect, bracket_preserving,
                      center, is_derivation, product_algebra, quotient_algebra, solve_inner)
 from .linalg import (Matrix, Subspace, block_matrix, consistent_columns, image, invert,
-                     left_inverse, pullback_family, to_fractions)
+                     left_inverse, pullback_family)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +258,6 @@ class ExtensionPresentation:
         self.provenance = provenance
         self._left_inv = li
 
-    def ideal_coordinates(self, v: Sequence[Fraction]) -> tuple:
-        """n-coordinates of a total vector lying in the ideal."""
-        coords = self._left_inv.matvec(v)
-        if self.inclusion.matvec(coords) != to_fractions(v):
-            raise InvariantViolation("vector does not lie in the ideal")
-        return coords
-
     def __repr__(self):
         return (f"ExtensionPresentation(total dim {self.total.dim}, "
                 f"n dim {self.n.dim}, g dim {self.g.dim})")
@@ -301,9 +293,10 @@ def extract_factor_system(ext: ExtensionPresentation,
         if inclusion @ coords != moved:
             raise InvariantViolation("vector does not lie in the ideal")
         matrices.append(coords)
-    omega = Cochain(ext.g, 2, ext.n.dim,
-                    {key: ext.ideal_coordinates(w)
-                     for key, w in bracket_defect(ext.g, total, sigma).items()})
+    defect = Cochain.from_columns(ext.g, 2, total.dim, bracket_defect(ext.g, total, sigma))
+    omega = defect.map_values(ext._left_inv)
+    if omega.map_values(inclusion) != defect:
+        raise InvariantViolation("vector does not lie in the ideal")
     return FactorSystem(ext.n, ext.g, matrices, omega)
 
 
@@ -592,7 +585,7 @@ class StageReduction(NamedTuple):
 
     stage: QuotientStage
     f: Cochain        # 2-cochain on n_ad, center coordinates
-    theta: dict       # (gs basis index, n_ad basis index) -> center coordinates
+    theta: dict       # (gs basis index, n_ad basis index) -> {center index: value}
     f_tilde: Cochain  # 2-cocycle on gs extending theta
     solutions: AffineCochainSpace
     rebuilt: ExtensionPresentation
@@ -604,16 +597,16 @@ def stage_theta(stage: QuotientStage) -> tuple[Cochain, dict]:
     """The center cocycle of n and the action table of the stage on n."""
     n_alg, n_ad, sect_ad = stage.kernel.n, stage.n_ad, stage.sect_ad
     f = restrict_cochain_to_subspace(
-        Cochain(n_ad, 2, n_alg.dim, bracket_defect(n_ad, n_alg, sect_ad)), stage.z)
+        Cochain.from_columns(n_ad, 2, n_alg.dim, bracket_defect(n_ad, n_alg, sect_ad)), stage.z)
     z_rows = stage.z.split_matrix()
     return f, column_table([z_rows @ m @ sect_ad for m in stage.rho.matrices])
 
 
 def column_table(matrices: Sequence[Matrix]) -> dict:
-    """{(x, a): column a of matrices[x]} on the nonzero columns, as dense tuples:
-    the table's values are right-hand sides and cochain values, dense by format."""
-    return {(x, a): t.row(a) for x, t in enumerate([m.transpose() for m in matrices])
-            for a, col in enumerate(t.sparse_rows()) if col}
+    """{(x, a): column a of matrices[x]} on the nonzero columns, each a dict
+    {row: nonzero value}."""
+    return {(x, a): dict(col) for x, m in enumerate(matrices)
+            for a, col in enumerate(m.transpose().sparse_rows()) if col}
 
 
 def restricts_to(theta: dict, f: Cochain) -> bool:
@@ -624,8 +617,8 @@ def restricts_to(theta: dict, f: Cochain) -> bool:
     for index, x in f.pairs:
         (i, j), slot = key_unrank(index // zd, n, 2), index % zd
         expected[(i, j, slot)], expected[(j, i, slot)] = x, -x
-    return {(i, j, slot): x for (i, j), vec in theta.items() if i < n
-            for slot, x in enumerate(vec) if x} == expected
+    return {(i, j, slot): x for (i, j), column in theta.items() if i < n
+            for slot, x in column.items()} == expected
 
 
 def rebuild_from_cocycle(stage: QuotientStage, f_tilde: Cochain):
@@ -668,8 +661,9 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
     lift = extension_map(stage.sect_ad, Matrix.zero(nd, gd), Matrix.identity(gd))
     # its cocycle lies in the center block of the n-part
     z_total = Subspace(nd + gd, stage.z.pairs, stage.z.pivots)
+    defect = bracket_defect(stage.gs, ghat.total, lift)
     f_tilde = restrict_cochain_to_subspace(
-        Cochain(stage.gs, 2, nd + gd, bracket_defect(stage.gs, ghat.total, lift)), z_total)
+        Cochain.from_columns(stage.gs, 2, nd + gd, defect), z_total)
 
     # the n_ad block of the stage is the ideal of its own extension presentation
     solutions = theta_constrained_cocycles(stage.gs, stage.ext.ideal, stage.z_rep_on_gs, theta)

@@ -230,7 +230,8 @@ def law_defect(L: LieAlgebra, matrices: Sequence[Matrix]) -> dict:
 
 
 def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
-    """{(i, j): [m e_i, m e_j] - m[e_i, e_j]} on the increasing pairs where it is nonzero.
+    """{(i, j): [m e_i, m e_j] - m[e_i, e_j]} on the increasing pairs where it is
+    nonzero, each value a dict {target index: nonzero coefficient}.
 
     The (i, j) value is column j of ad(m e_i) m - m ad(e_i), where ad(m e_i)
     is the target's adjoint family pulled back along m.  For a linear
@@ -245,8 +246,7 @@ def bracket_defect(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> dict:
         columns = (ad_mi @ m - m @ ad_i).transpose()
         for j in range(i + 1, source.dim):
             if columns.sparse_rows()[j]:
-                # a defect is a dense target vector: callers store it as a cochain value
-                defect[(i, j)] = columns.row(j)
+                defect[(i, j)] = dict(columns.sparse_rows()[j])
     return defect
 
 
@@ -254,12 +254,10 @@ def bracket_table(L: LieAlgebra, m: Matrix, read: Matrix) -> dict:
     """{(i, j): read [m e_i, m e_j]} for i < j, as entry dicts, where nonzero: the
     bracket table pulled back along m, with [m e_i, m e_j] the bracket defect of
     m from an abelian source."""
-    table = {}
-    for key, w in bracket_defect(LieAlgebra(m.cols), L, m).items():
-        entry = {k: c for k, c in enumerate(read.matvec(w)) if c}
-        if entry:
-            table[key] = entry
-    return table
+    defect = bracket_defect(LieAlgebra(m.cols), L, m)
+    read_rows = Matrix.from_sparse_rows(defect.values(), L.dim) @ read.transpose()
+    return {key: dict(sorted(entry.items()))
+            for key, entry in zip(defect, read_rows.sparse_rows()) if entry}
 
 
 def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
@@ -392,11 +390,6 @@ class DerivationAlgebra(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.matrices)
-
-    def coordinates_of(self, d: Matrix) -> Optional[tuple]:
-        """Coordinates of d in ``matrices``, or None when d is not a derivation;
-        End(L) is read through the row-major entries of d."""
-        return self.subspace.coordinates_of(d.flat_pairs())
 
 
 def derivations(L: LieAlgebra) -> DerivationAlgebra:

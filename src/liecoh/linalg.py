@@ -352,19 +352,14 @@ class Subspace:
             return None
         return tuple(entries.get(p, ZERO) for p in self.pivots)
 
-    def split_coordinates(self, v: Sequence[Fraction]) -> tuple:
-        """Coordinates of v's component along the subspace: its entries at the pivots.
+    def split_matrix(self) -> Matrix:
+        """The coordinates of a vector's component along the subspace: row r reads
+        the entry at pivot r.
 
         The basis is in reduced echelon form, so v minus its reduction
         (reduce_entries) lies in the subspace and agrees with v at every
         pivot; v need not lie in the subspace.
         """
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector length disagrees with ambient dimension")
-        return to_fractions(v[p] for p in self.pivots)
-
-    def split_matrix(self) -> Matrix:
-        """The matrix of split_coordinates: row r reads the entry at pivot r."""
         return Matrix._of([{p: ONE} for p in self.pivots], self.ambient_dim)
 
     def embed_matrix(self) -> Matrix:

@@ -3,7 +3,8 @@ objects that only the tests need, and the dense vector helpers the package
 no longer has: its core keeps only sparse rows and pairs, and the tests use
 these to build and compare dense coefficient vectors.  The dense views
 that left the package (``Matrix.flatten``, ``Subspace.basis``, ``reduce``,
-``contains``, ``embed``, the dense ``coordinates_of``, and
+``contains``, ``embed``, ``split_coordinates``, the dense ``coordinates_of``,
+``ExtensionPresentation.ideal_coordinates`` and
 ``Cochain.coordinates``/``from_coordinates``) are kept here with their
 former bodies, read through the pairs the package now exposes.
 
@@ -20,7 +21,7 @@ import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
 from liecoh.cochains import Cochain, EquivariantPairing, cochain_space_dim, sort_with_sign
-from liecoh.errors import DimensionMismatchError
+from liecoh.errors import DimensionMismatchError, InvariantViolation
 from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis
 from liecoh.linalg import (ONE, ZERO, InconsistencyCertificate, Matrix, _augmented_rref,
                            _null_space, _particulars, to_fractions)
@@ -97,6 +98,23 @@ def coordinates_of_vec(sub, v):
     if not contains_vec(sub, v):
         return None
     return tuple(v[p] for p in sub.pivots)
+
+
+def split_coordinates(sub, v):
+    """The former Subspace.split_coordinates: the entries of v at the pivots, the
+    coordinates of its component along sub."""
+    if len(v) != sub.ambient_dim:
+        raise DimensionMismatchError("vector length disagrees with ambient dimension")
+    return to_fractions(v[p] for p in sub.pivots)
+
+
+def ideal_coordinates(ext, v):
+    """The former ExtensionPresentation.ideal_coordinates: n-coordinates of a
+    total vector lying in the ideal."""
+    coords = ext._left_inv.matvec(v)
+    if ext.inclusion.matvec(coords) != to_fractions(v):
+        raise InvariantViolation("vector does not lie in the ideal")
+    return coords
 
 
 def embed(sub, coords):

@@ -326,7 +326,7 @@ def test_theta_constrained_empty_certificate():
     g = abelian(2)
     ideal = Subspace.from_vectors(2, [(1, 0)])
     z_rep = Representation.trivial(g, 1)
-    sol = theta_constrained_cocycles(g, ideal, z_rep, {(0, 0): (1,)})
+    sol = theta_constrained_cocycles(g, ideal, z_rep, {(0, 0): {0: Fraction(1)}})
     assert isinstance(sol, EmptyAffine)
     assert "0 = 1" in sol.describe()
 

@@ -24,7 +24,7 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
 from liecoh.liealg import Representation, bracket_preserving, center, check_jacobi
 from liecoh.linalg import Matrix, Subspace
 
-from conftest import contains_vec, flat, rand_cochain, unit_vec
+from conftest import as_column, contains_vec, flat, rand_cochain, unit_vec
 from test_classify import pipeline_system
 
 
@@ -358,7 +358,7 @@ def test_reduce_theta_restricts_to_f():
     fs = ext_heisenberg_kernel()
     red = reduce_via_stage(fs)
     for key, vec in red.f.coeffs.items():
-        assert red.theta.get(key) == tuple(vec)
+        assert red.theta.get(key) == as_column(vec)
 
 
 def test_translated_cocycles_change_class():

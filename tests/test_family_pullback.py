@@ -34,7 +34,8 @@ from liecoh.linalg import (Matrix, Subspace, image, invert, linear_combination, 
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle, transported_factor_system)
 
-from conftest import BASE_ALGEBRAS, rand_invertible, rand_matrix, vec_is_zero, vec_sub
+from conftest import (BASE_ALGEBRAS, as_column, ideal_coordinates, rand_invertible, rand_matrix,
+                      vec_is_zero, vec_sub)
 from test_cochain_maps import seeded_maps, sparse_matrix
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
@@ -52,7 +53,8 @@ def loop_pullback_family(family, phi, size):
 
 
 def loop_bracket_defect(source, target, m):
-    """The former bracket_defect: target brackets of dense columns of m."""
+    """The former bracket_defect: target brackets of dense columns of m, read
+    back as dict columns."""
     columns = [m.column(i) for i in range(source.dim)]
     defect = {}
     for i in range(source.dim):
@@ -60,7 +62,7 @@ def loop_bracket_defect(source, target, m):
             w = vec_sub(target.bracket(columns[i], columns[j]),
                         m.matvec(source.bracket_basis(i, j)))
             if not vec_is_zero(w):
-                defect[(i, j)] = w
+                defect[(i, j)] = as_column(w)
     return defect
 
 
@@ -90,7 +92,7 @@ def loop_extract_action(ext, sigma):
     read in the ideal, one column at a time."""
     matrices = []
     for a in range(ext.g.dim):
-        cols = [ext.ideal_coordinates(ext.total.bracket(sigma.column(a), ext.inclusion.column(i)))
+        cols = [ideal_coordinates(ext, ext.total.bracket(sigma.column(a), ext.inclusion.column(i)))
                 for i in range(ext.n.dim)]
         matrices.append(Matrix.from_columns(cols, rows=ext.n.dim))
     return tuple(matrices)

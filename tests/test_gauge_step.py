@@ -39,8 +39,8 @@ from liecoh.symmetry import (automorphism_pair_obstruction, derivation_pair_obst
 
 from conftest import (basis_of, coordinates, coordinates_of_vec, dense_solve_affine,
                       dense_solve_inner, embed, flat, from_coordinates, rand_cochain,
-                      rand_invertible, rand_matrix, rand_vector, reduce_vec, unit_vec, vec_add,
-                      vec_scale, vec_sub, zero_vec)
+                      rand_invertible, rand_matrix, rand_vector, reduce_vec, split_coordinates,
+                      unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 from test_systems import curved_factor_system
 
 
@@ -162,8 +162,8 @@ def column_rebuild_maps(stage):
     nd, gd = stage.kernel.n.dim, stage.kernel.g.dim
     zd, nad = stage.z.dim, stage.n_ad.dim
     total_dim = zd + nad + gd
-    incl_cols = [tuple(stage.z.split_coordinates(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
-                 + zero_vec(gd) for j in range(nd)]
+    incl_cols = [tuple(split_coordinates(stage.z, unit_vec(nd, j)))
+                 + tuple(stage.proj_ad.column(j)) + zero_vec(gd) for j in range(nd)]
     proj_cols = [zero_vec(gd)] * (zd + nad) + [unit_vec(gd, a) for a in range(gd)]
     sect_cols = [unit_vec(total_dim, zd + nad + a) for a in range(gd)]
     return (Matrix.from_columns(incl_cols, rows=total_dim),
@@ -175,8 +175,8 @@ def column_witness(stage):
     """The former stage rewrite witness of reduce_via_stage."""
     nd, gd = stage.kernel.n.dim, stage.kernel.g.dim
     zd, nad = stage.z.dim, stage.n_ad.dim
-    cols = [tuple(stage.z.split_coordinates(unit_vec(nd, j))) + tuple(stage.proj_ad.column(j))
-            + zero_vec(gd) for j in range(nd)]
+    cols = [tuple(split_coordinates(stage.z, unit_vec(nd, j)))
+            + tuple(stage.proj_ad.column(j)) + zero_vec(gd) for j in range(nd)]
     cols += [zero_vec(zd + nad) + unit_vec(gd, a) for a in range(gd)]
     return Matrix.from_columns(cols, rows=zd + nad + gd)
 

@@ -13,7 +13,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep,
                            is_derivation, product_algebra, quotient_algebra)
 from liecoh.linalg import Matrix, Subspace
 
-from conftest import (basis_of, contains_vec, is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
+from conftest import (as_column, basis_of, contains_vec, is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
                       vec_add, vec_scale, vec_sub, zero_vec)
 
 
@@ -393,14 +393,15 @@ def loop_bracket_preserving(source, target, m):
 
 
 def loop_bracket_defect(source, target, m):
-    """[m e_i, m e_j] - m[e_i, e_j] on every increasing pair, zeros dropped."""
+    """[m e_i, m e_j] - m[e_i, e_j] on every increasing pair, zeros dropped, as
+    dict columns."""
     out = {}
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
             w = vec_sub(target.bracket(m.column(i), m.column(j)),
                         m.matvec(source.bracket_basis(i, j)))
             if any(w):
-                out[(i, j)] = w
+                out[(i, j)] = as_column(w)
     return out
 
 

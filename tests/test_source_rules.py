@@ -9,7 +9,7 @@ the gauge step is one function: only ``extensions.py`` calls ``solve_inner``.
 Operators have one assembly path: ``operator_matrix`` is called only by
 ``differential_operator``, which keeps each one on its Representation or
 OuterActionMap.
-A component along a subspace is read one way, ``Subspace.split_coordinates``:
+A component along a subspace is read one way, ``Subspace.split_matrix``:
 no ``coordinates_of(vec_sub(...))`` call appears in the package.
 A structure law is read as a matrix identity (``law_defect``, the Leibniz
 rows, ``Subspace.restrict``, ``ad`` products), not one basis vector at a
@@ -23,8 +23,10 @@ A cochain is applied to by its nonzero coordinates: no ``matvec`` call takes
 a ``.coordinates()`` call, the dense view of a cochain, as its argument.
 Vectors cross the linear-algebra boundary as dicts and (index, value) pairs:
 no ``solve*``, ``inner_cochain``, ``coordinates_of`` or ``Subspace.from_vectors``
-call is handed a ``.flatten()``, ``.coordinates()`` or ``.basis`` value, either
-directly or through a name assigned from one in the same function.
+call is handed a dense value (a ``.flatten()``, ``.coordinates()``, ``.row()``,
+``.row_list()``, ``.column()`` or ``.matvec()`` call, a ``.basis`` read or a
+``Matrix(...)`` built from dense rows), either directly or through a name
+assigned from one in the same function.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -114,12 +116,14 @@ def dense_cochain_products(tree):
 
 def dense_solve_inputs(tree):
     """Rule: a ``solve``/``solve_*``, ``inner_cochain``, ``coordinates_of`` or
-    ``from_vectors`` call with an argument that holds a ``.flatten()`` or
-    ``.coordinates()`` call or a ``.basis`` read, or a name that the same
-    function assigned from one."""
+    ``from_vectors`` call with an argument that holds a dense view (a
+    ``.flatten()``, ``.coordinates()``, ``.row()``, ``.row_list()``,
+    ``.column()`` or ``.matvec()`` call, a ``.basis`` read or a ``Matrix(...)``
+    call), or a name that the same function assigned from one."""
     def dense(expr, tainted):
         return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None)
-                   in ("flatten", "coordinates")
+                   in ("flatten", "coordinates", "row", "row_list", "column", "matvec")
+                   or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Matrix"
                    or isinstance(n, ast.Attribute) and n.attr == "basis"
                    or isinstance(n, ast.Name) and n.id in tainted
                    for n in ast.walk(expr))
@@ -201,7 +205,8 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "unit_vec", "zero_vec", "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
                "value_at_indices", "Workspace", "SparseCochain",
                "_dense_columns", "flatten", "coordinates", "from_coordinates", "reduce",
-               "embed", "Subspace.basis", "Subspace.contains")
+               "embed", "Subspace.basis", "Subspace.contains", "split_coordinates",
+               "ideal_coordinates", "DerivationAlgebra.coordinates_of")
 
 
 def deleted_member(target):
@@ -372,7 +377,7 @@ def test_rule_detects_coordinates_of_a_difference():
     tree = ast.parse("def f(z, v, w):\n"
                      "    a = z.coordinates_of(vec_sub(v, z.reduce(v)))\n"
                      "    b = coordinates_of(linalg.vec_sub(v, w))\n"
-                     "    return a, b, z.coordinates_of(v), z.split_coordinates(vec_sub(v, w))\n")
+                     "    return a, b, z.coordinates_of(v), z.split_matrix().matvec(v)\n")
     assert list(component_reads(tree)) == [(2, "coordinates_of(vec_sub(...)) call"),
                                            (3, "coordinates_of(vec_sub(...)) call")]
 
@@ -468,12 +473,17 @@ def test_rule_detects_dense_vectors_handed_to_solves():
                      "    span = Subspace.from_vectors(4, vectors=betas)\n"
                      "    z = solve(system, b=dict(c.pairs))\n"
                      "    return solve_inner(L, ms), space.coordinates_of(d.flat_pairs()), c.basis\n"
-                     "def h(space, coords):\n"
-                     "    return space.coordinates_of(coords)\n")
+                     "def h(space, coords, alpha, defect, m, v):\n"
+                     "    lifts = solve_columns(alpha, Matrix(list(defect.values())).sparse_rows())\n"
+                     "    w = m.matvec(v)\n"
+                     "    x = solve(m, {i: a for i, a in enumerate(m.row(0)) if a})\n"
+                     "    y = solve_columns(alpha, list(defect.values()))\n"
+                     "    return space.coordinates_of(coords), space.coordinates_of(w), lifts\n")
     assert list(dense_solve_inputs(tree)) == [
         (2, "inner_cochain call on a dense vector"), (3, "solve_columns call on a dense vector"),
         (4, "coordinates_of call on a dense vector"), (5, "solve_affine call on a dense vector"),
-        (7, "from_vectors call on a dense vector")]
+        (7, "from_vectors call on a dense vector"), (11, "solve_columns call on a dense vector"),
+        (13, "solve call on a dense vector"), (15, "coordinates_of call on a dense vector")]
 
 
 def test_rule_detects_deleted_dense_views():
@@ -488,9 +498,15 @@ def test_rule_detects_deleted_dense_views():
                      "        return c\n"
                      "def f(m, c, sub, space):\n"
                      "    v = Cochain.from_coordinates(L, 1, 1, c.coordinates())\n"
-                     "    return m.flatten(), sub.embed(v), Subspace.basis, space.basis\n")
+                     "    return m.flatten(), sub.embed(v), Subspace.basis, space.basis\n"
+                     "class DerivationAlgebra:\n"
+                     "    def coordinates_of(self, d):\n"
+                     "        return self.subspace.coordinates_of(d.flat_pairs())\n"
+                     "def g(z, ext, v):\n"
+                     "    return z.split_coordinates(v), ext.ideal_coordinates(v)\n")
     assert sorted(deleted_api_names(tree)) == [
         (1, "_dense_columns name"), (3, "Subspace.basis name"),
         (4, "Subspace.contains name"), (5, "reduce name"), (11, "coordinates name"),
         (11, "from_coordinates name"), (12, "Subspace.basis name"), (12, "embed name"),
-        (12, "flatten name")]
+        (12, "flatten name"), (14, "DerivationAlgebra.coordinates_of name"),
+        (17, "ideal_coordinates name"), (17, "split_coordinates name")]

@@ -30,8 +30,8 @@ from liecoh.liealg import center, change_of_basis, derivations
 from liecoh.linalg import Matrix, Subspace, image, left_inverse, quotient_coordinates, solve_columns
 from liecoh.symmetry import _pair_system_rows
 
-from conftest import (as_column, flat, rand_algebra, rand_invertible, rand_matrix, rand_vector,
-                      reduce_vec, unit_vec, value_at_indices, vec_add, vec_is_zero, zero_vec)
+from conftest import (as_column, dense, flat, rand_algebra, rand_invertible, rand_matrix,
+                      rand_vector, reduce_vec, unit_vec, value_at_indices, vec_add, vec_is_zero)
 from test_classify import CASE_IDS, CASES
 from test_linalg import rand_sparse_matrix, seeded_subspaces
 
@@ -73,7 +73,7 @@ def loop_restricts(theta, f, nad, zd):
     """The former theta|f loop of reduce_via_stage, every index pair of n_ad read."""
     for i in range(nad):
         for j in range(nad):
-            if theta.get((i, j), zero_vec(zd)) != value_at_indices(f, (i, j)):
+            if dense(theta.get((i, j), {}), zd) != value_at_indices(f, (i, j)):
                 return False
     return True
 
@@ -186,8 +186,8 @@ def test_theta_restriction_matches_the_pair_loop(name, fs):
     for _ in range(12):
         planted = dict(theta)
         slot = (rng.randrange(stage.gs.dim), rng.randrange(nad))
-        value = vec_add(planted.get(slot, zero_vec(zd)), rand_vector(rng, zd))
-        planted[slot] = value
+        value = vec_add(dense(planted.get(slot, {}), zd), rand_vector(rng, zd))
+        planted[slot] = as_column(value)
         if vec_is_zero(value):
             del planted[slot]
         want = loop_restricts(planted, f, nad, zd)
