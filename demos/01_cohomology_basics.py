@@ -6,10 +6,12 @@ Run:  python3 demos/01_cohomology_basics.py
 from liecoh import catalog, center, cohomology, derivations
 from liecoh.liealg import Representation
 
-# Every algebra is a basis plus structure constants over exact rationals.
+# Every algebra is a basis plus structure constants over exact rationals;
+# a bracket is kept as the nonzero (index, coefficient) pairs of its value.
 h3 = catalog("heisenberg3")
 print("basis:", h3.labels)
-print("[p, q] =", h3.bracket_basis(0, 1), " (the central element)")
+print("[p, q] =", " + ".join(f"{c} {h3.labels[k]}" for k, c in h3.bracket_basis(0, 1)),
+      " (the central element)")
 
 # The center falls out of one exact kernel computation; a subspace keeps
 # each basis vector as its nonzero (index, value) pairs.

@@ -17,8 +17,9 @@ print("killing(h, h) =", kappa.gram.entry(2, 2), " killing(e, f) =",
 # Tensor sl2 with polynomials vanishing at 0; the two-slot cocycle
 # (a, b) -> (1/2) I(a b' - b a') kappa(x, y) has a cyclic differential
 # that collapses to a closed form on the quotient.
+# Elements of sl2 are dicts {basis index: nonzero coefficient}.
 t = Polynomial.t()
-e, f, h = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+e, f, h = {0: 1}, {1: 1}, {2: 1}
 lhs, rhs, equal = v2_cocycle_identity(kappa, t, t, t, e, f, h)
 print(f"cyclic differential at (t e, t f, t h): {lhs} == {rhs}: {equal}")
 

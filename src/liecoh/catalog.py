@@ -135,10 +135,12 @@ class InvariantForm:
         self.algebra = algebra
         self.gram = gram
 
-    def value(self, u, v) -> Fraction:
-        """u^T gram v, over the nonzero entries of u and the sparse rows of gram."""
-        return sum((a * x * v[j] for i, a in enumerate(u) if a
-                    for j, x in self.gram.sparse_rows()[i].items()), ZERO)
+    def value(self, u: dict, v: dict) -> Fraction:
+        """u^T gram v for vectors given as dicts {index: nonzero value}, over the
+        sparse rows of gram."""
+        rows = self.gram.sparse_rows()
+        return sum((a * x * v.get(j, ZERO) for i, a in u.items() for j, x in rows[i].items()),
+                   ZERO)
 
 
 def killing_form(L: LieAlgebra) -> InvariantForm:

@@ -6,7 +6,9 @@ nonzero (index, Fraction) pairs of its flat coordinates; key_rank and
 key_unrank convert between a key and its position, so no key list is
 built.  The wedge product is the shuffle sum over the nonzero keys, which
 equals the Alt formula with its 1/(p!q!) factor but never divides: char 0
-keeps every identity exact.
+keeps every identity exact.  Its pairing takes and returns values as dicts
+{slot: nonzero value}, the form nonzero_values gives, so no value is made
+dense; the one dense read left is ``component``.
 
 The covariant differential of a linear map S into endomorphisms is
 S wedge + d (trivial coefficients); a module's differential is the case
@@ -36,7 +38,7 @@ from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation,
                      NotADerivationError)
 from .liealg import LieAlgebra, Representation, is_derivation, law_defect
-from .linalg import Matrix, ZERO, _dense, to_fractions
+from .linalg import Matrix, ZERO, _add_scaled, _dense, pullback_family, to_fractions
 
 HALF = Fraction(1, 2)
 
@@ -161,12 +163,6 @@ class Cochain:
         return tuple(key_unrank(r, self.algebra.dim, self.degree)
                      for r, _ in self.nonzero_values())
 
-    @property
-    def coeffs(self) -> dict:
-        """{key: dense value tuple} on the nonzero keys, built on each call."""
-        return {key_unrank(r, self.algebra.dim, self.degree): _dense(value.items(), self.value_dim)
-                for r, value in self.nonzero_values()}
-
     def component(self, key) -> tuple:
         """The value at an increasing key, as a dense tuple built on each call."""
         key, vd = tuple(key), self.value_dim
@@ -256,21 +252,27 @@ def cochain_space_dim(algebra_dim: int, degree: int, value_dim: int) -> int:
 
 
 class EquivariantPairing:
-    """Bilinear map U x V -> W usable as a wedge multiplier."""
+    """Bilinear map U x V -> W usable as a wedge multiplier; its function takes
+    and returns vectors as dicts {index: nonzero value}."""
 
     __slots__ = ("left_dim", "right_dim", "out_dim", "_fn")
 
     def __init__(self, left_dim: int, right_dim: int, out_dim: int,
-                 fn: Callable[[tuple, tuple], tuple]):
+                 fn: Callable[[dict, dict], dict]):
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.out_dim = out_dim
         self._fn = fn
 
-    def apply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        if len(u) != self.left_dim or len(v) != self.right_dim:
-            raise DimensionMismatchError("pairing arguments have the wrong lengths")
-        return tuple(self._fn(tuple(u), tuple(v)))
+    def apply(self, u: dict, v: dict) -> dict:
+        """The pairing of u and v as a dict {index: nonzero value}."""
+        if any(not 0 <= i < self.left_dim for i in u) or any(
+                not 0 <= j < self.right_dim for j in v):
+            raise DimensionMismatchError("pairing arguments have indices out of range")
+        out = {k: x for k, x in self._fn(u, v).items() if x}
+        if any(not 0 <= k < self.out_dim for k in out):
+            raise DimensionMismatchError("pairing value has an index out of range")
+        return out
 
     @classmethod
     def lie_bracket(cls, V: LieAlgebra) -> "EquivariantPairing":
@@ -278,11 +280,11 @@ class EquivariantPairing:
 
     @classmethod
     def evaluation(cls, m: int) -> "EquivariantPairing":
-        """End(V) x V -> V on row-major flattened endomorphisms."""
+        """End(V) x V -> V on row-major flattened endomorphisms, V read as m x 1 matrices."""
 
         def fn(u, v):
-            return tuple(sum((u[k * m + l] * v[l] for l in range(m)), ZERO)
-                         for k in range(m))
+            return dict((Matrix.from_flat(u.items(), m, m)
+                         @ Matrix.from_flat(v.items(), m, 1)).flat_pairs())
 
         return cls(m * m, m, m, fn)
 
@@ -291,23 +293,28 @@ class EquivariantPairing:
         """End(V) x End(V) -> End(V) on row-major flattened endomorphisms."""
 
         def fn(u, v):
-            return tuple(sum((u[i * m + l] * v[l * m + j] for l in range(m)), ZERO)
-                         for i in range(m) for j in range(m))
+            return dict((Matrix.from_flat(u.items(), m, m)
+                         @ Matrix.from_flat(v.items(), m, m)).flat_pairs())
 
         return cls(m * m, m * m, m * m, fn)
 
     @classmethod
     def commutator(cls, m: int) -> "EquivariantPairing":
-        comp = cls.composition(m)
-        return cls(m * m, m * m, m * m,
-                   lambda u, v: tuple(a - b for a, b in zip(comp.apply(u, v), comp.apply(v, u))))
+        """uv - vu on row-major flattened endomorphisms."""
+
+        def fn(u, v):
+            return dict(Matrix.from_flat(u.items(), m, m)
+                        .commutator(Matrix.from_flat(v.items(), m, m)).flat_pairs())
+
+        return cls(m * m, m * m, m * m, fn)
 
 
 def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
     """Shuffle-sum product of degree p + q, over the nonzero keys of a and b.
 
     A pair of disjoint keys lands at their sorted union with the sign of
-    sort_with_sign, which is the sign of the shuffle placing a's key first.
+    sort_with_sign, which is the sign of the shuffle placing a's key first;
+    the pairing reads the nonzero values of a and b as they are stored.
     """
     if a.algebra != b.algebra:
         raise DimensionMismatchError("cochains live over different algebras")
@@ -316,20 +323,15 @@ def wedge(m: EquivariantPairing, a: Cochain, b: Cochain) -> Cochain:
     p, q = a.degree, b.degree
     check_degree(p + q)
     n = a.algebra.dim
-    right = [(key_unrank(r, n, q), _dense(value.items(), b.value_dim))
-             for r, value in b.nonzero_values()]
+    right = [(key_unrank(r, n, q), value) for r, value in b.nonzero_values()]
     table = {}
-    for r, value in a.nonzero_values():
-        left_key, va = key_unrank(r, n, p), _dense(value.items(), a.value_dim)
+    for r, va in a.nonzero_values():
+        left_key = key_unrank(r, n, p)
         for right_key, vb in right:
             key, sign = sort_with_sign(left_key + right_key)
-            if key is None:
-                continue
-            acc = table.setdefault(key, [ZERO] * m.out_dim)
-            for slot, x in enumerate(m.apply(va, vb)):
-                if x:
-                    acc[slot] += x if sign == 1 else -x
-    return Cochain(a.algebra, p + q, m.out_dim, table)
+            if key is not None:
+                _add_scaled(table.setdefault(key, {}), sign, m.apply(va, vb).items())
+    return Cochain.from_columns(a.algebra, p + q, m.out_dim, table)
 
 
 def superbracket(V: LieAlgebra, a: Cochain, b: Cochain) -> Cochain:
@@ -359,8 +361,7 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
     check_degree(p + 1)
     col_base = {key: r * value_dim
                 for r, key in enumerate(increasing_tuples(algebra.dim, p))}
-    brackets = {pair: [(k, c) for k, c in enumerate(vec) if c != 0]
-                for pair, vec in algebra.structure_table().items()}
+    brackets = algebra.structure_table()
     action = [[(a, b, x) for a, row in enumerate(m.sparse_rows()) for b, x in row.items()]
               for m in matrices]
     rows = []
@@ -540,9 +541,8 @@ class OuterActionMap:
             raise DimensionMismatchError("adding an inner part needs a target algebra")
         if gamma.degree != 1 or gamma.value_dim != self.target.dim:
             raise DimensionMismatchError("gamma must be a 1-cochain valued in the target")
-        # ad reads the value of gamma at e_i as a dense vector
-        mats = [m + self.target.ad(gamma.component((i,)))
-                for i, m in enumerate(self.matrices)]
+        inner = pullback_family(self.target.ad_matrices(), gamma.as_matrix(), self.target.dim)
+        mats = [m + ad for m, ad in zip(self.matrices, inner)]
         return OuterActionMap(self.algebra, mats, target=self.target)
 
     def __eq__(self, other) -> bool:

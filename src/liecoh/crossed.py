@@ -203,8 +203,10 @@ def _check_splitting(sp: CrossedModuleSplitting) -> None:
     zhat, ad_n = sp.zhat_rep.matrices, sp.ad_n
     for x in range(ghat.dim):
         for y in range(x + 1, ghat.dim):
+            pairs = ghat.bracket_basis(x, y)
             defect = (zhat[x] @ thetas[y] - zhat[y] @ thetas[x]
-                      - linear_combination(ghat.bracket_basis(x, y), thetas, zd, n_dim)
+                      - linear_combination([c for _, c in pairs], [thetas[k] for k, _ in pairs],
+                                           zd, n_dim)
                       + thetas[x] @ ad_n[y] - thetas[y] @ ad_n[x])
             if not defect.is_zero():
                 a = min(j for row in defect.sparse_rows() for j in row)

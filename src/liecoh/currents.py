@@ -220,8 +220,7 @@ def characteristic_cocycle(kappa: InvariantForm) -> Cochain:
     for key in increasing_tuples(L.dim, 3):
         i, j, k = key
         # kappa(u, e_k) is row k of the symmetric gram matrix applied to u
-        val = sum((x * gram[k].get(a, ZERO) for a, x in enumerate(L.bracket_basis(i, j))),
-                  ZERO) / 2
+        val = sum((x * gram[k].get(a, ZERO) for a, x in L.bracket_basis(i, j)), ZERO) / 2
         if val != 0:
             table[key] = (val,)
     return Cochain(L, 3, 1, table)
@@ -259,9 +258,8 @@ def run_v2_samples(samples: int, seed: int):
         a = _random_vanishing_polynomial(rng)
         a1 = _random_vanishing_polynomial(rng)
         a2 = _random_vanishing_polynomial(rng)
-        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        x1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        x2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        x, x1, x2 = ({i: c for i in range(3) if (c := Fraction(rng.randint(-3, 3)))}
+                     for _ in range(3))
         _, _, equal = v2_cocycle_identity(kappa, a, a1, a2, x, x1, x2)
         if not equal:
             failures += 1

@@ -266,8 +266,9 @@ class ExtensionPresentation:
 def build_extension(fs: FactorSystem) -> ExtensionPresentation:
     """The product-coordinate Lie algebra of a factor system."""
     nd, gd = fs.n.dim, fs.g.dim
-    # product_algebra reads omega as a table of n-vectors on g's index pairs
-    total = product_algebra(fs.n, fs.g, fs.S.matrices, fs.omega.coeffs)
+    # product_algebra reads omega as dict columns on g's index pairs
+    omega = {key_unrank(r, gd, 2): value for r, value in fs.omega.nonzero_values()}
+    total = product_algebra(fs.n, fs.g, fs.S.matrices, omega)
     inclusion = block_matrix([[Matrix.identity(nd)], [Matrix.zero(gd, nd)]])
     projection = block_matrix([[Matrix.zero(gd, nd), Matrix.identity(gd)]])
     section = block_matrix([[Matrix.zero(nd, gd)], [Matrix.identity(gd)]])

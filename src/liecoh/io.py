@@ -38,9 +38,11 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def scalar_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    """s as a Fraction: an integer or a rational string.  A boolean, which Python
+    counts as an int, or anything else is a ParseError."""
+    if type(s) is int:
         return Fraction(s)
-    if not isinstance(s, str):
+    if type(s) is not str:
         raise ParseError(f"expected a rational string, got {type(s).__name__}")
     try:
         return Fraction(s)
@@ -98,11 +100,11 @@ def matrix_from_json(data, rows: Optional[int] = None,
 
 def algebra_to_json(L: LieAlgebra) -> dict:
     brackets = []
-    for (i, j), vec in sorted(L.structure_table().items()):
+    for (i, j), pairs in sorted(L.structure_table().items()):
         brackets.append({
             "i": i,
             "j": j,
-            "value": {str(k): scalar_to_str(c) for k, c in enumerate(vec) if c != 0},
+            "value": {str(k): scalar_to_str(c) for k, c in pairs},
         })
     return {"dim": L.dim, "basis": list(L.labels), "brackets": brackets}
 
@@ -123,12 +125,18 @@ def algebra_from_json(data) -> LieAlgebra:
     for entry in json_list(data.get("brackets", []), "the bracket entries"):
         try:
             i, j = json_int(entry["i"], "bracket i"), json_int(entry["j"], "bracket j")
-            value = {json_int(k, "bracket k"): scalar_from_str(v)
-                     for k, v in entry["value"].items()}
+            value = {}
+            for k_text, v in entry["value"].items():
+                k = json_int(k_text, "bracket k")
+                if k in value:
+                    raise ParseError(f"bracket ({i},{j}) names value index {k} twice")
+                value[k] = scalar_from_str(v)
         except ParseError:
             raise
         except Exception as exc:
             raise ParseError(f"invalid bracket entry {entry!r}: {exc}") from exc
+        if (i, j) in table:
+            raise ParseError(f"bracket ({i},{j}) is given twice")
         table[(i, j)] = value
     try:
         return LieAlgebra(dim, table, labels=labels)
@@ -165,12 +173,15 @@ def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
     json_object(data, "a cochain")
     degree = json_int(data.get("degree"), "degree")
     value_dim = json_int(data.get("value_dim"), "value_dim")
-    table = {}
+    table, names = {}, {}
     for key_str, vec in json_object(data.get("coeffs", {}), "the cochain coeffs").items():
         try:
             key = tuple(int(s) for s in key_str.split(",")) if key_str else ()
         except ValueError as exc:
             raise ParseError(f"invalid cochain key {key_str!r}") from exc
+        if key in table:
+            raise ParseError(f"cochain keys {names[key]!r} and {key_str!r} both read as {key}")
+        names[key] = key_str
         table[key] = [scalar_from_str(x)
                       for x in json_list(vec, f"the cochain value at {key_str!r}")]
     try:

@@ -1,8 +1,10 @@
 """Finite-dimensional Lie algebras as structure constants.
 
-An algebra stores its bracket table for index pairs i < j only; the
-antisymmetric closure is synthesized, so inconsistent tables cannot be
-expressed.  The Jacobi identity is checked at construction and every
+An algebra stores its bracket table for index pairs i < j only, each
+bracket as the nonzero (k, coefficient) pairs of its value, sorted by k;
+the antisymmetric closure is synthesized, so inconsistent tables cannot
+be expressed.  A vector crosses its methods as a dict {index: nonzero
+value}.  The Jacobi identity is checked at construction and every
 representation is checked against the bracket, which turns downstream
 facts (quotients are algebras, adjoints are representations) into
 constructor guarantees.
@@ -17,7 +19,7 @@ from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
                      kernel, linear_combination, pullback_family, quotient_coordinates,
-                     solve_columns, to_fractions)
+                     solve_columns)
 
 
 class LieAlgebra:
@@ -43,22 +45,21 @@ class LieAlgebra:
             if not 0 <= i < j < dim:
                 raise DimensionMismatchError(
                     f"bracket key ({i},{j}) is not an increasing pair below {dim}")
-            # the table keeps each value as a dense coefficient tuple
-            vec = [ZERO] * dim
+            value = {}
             for k, c in entry.items():
                 k = int(k)
                 if not 0 <= k < dim:
                     raise DimensionMismatchError(f"bracket value index {k} out of range")
-                vec[k] = Fraction(c)
-            if any(vec):
-                table[(i, j)] = tuple(vec)
+                value[k] = Fraction(c)
+            pairs = tuple(sorted((k, c) for k, c in value.items() if c))
+            if pairs:
+                table[(i, j)] = pairs
         self._table = table
         # _involving[i] lists (j, nonzero pairs of [e_i, e_j]) for each
         # table entry with i in its key, so a bracket never scans the table
         involving = [[] for _ in range(dim)]
-        for (i, j), w in table.items():
-            pairs = [(k, c) for k, c in enumerate(w) if c]
-            involving[i].append((j, tuple(pairs)))
+        for (i, j), pairs in table.items():
+            involving[i].append((j, pairs))
             involving[j].append((i, tuple((k, -c) for k, c in pairs)))
         self._involving = involving
         self._leibniz = None
@@ -67,24 +68,23 @@ class LieAlgebra:
             raise JacobiError(triple)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a dense coefficient tuple, read from the stored table."""
-        v = self._table.get((min(i, j), max(i, j)))
-        if v is None:  # also when i == j: the table has increasing keys only
-            return (ZERO,) * self.dim
-        return v if i < j else tuple(-x for x in v)
+        """[e_i, e_j] as its nonzero (k, coefficient) pairs, sorted by k."""
+        # empty also when i == j: the table has increasing keys only
+        pairs = self._table.get((min(i, j), max(i, j)), ())
+        return pairs if i < j else tuple((k, -c) for k, c in pairs)
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        """Bilinear extension of the bracket to coefficient vectors."""
-        out = [ZERO] * self.dim
-        for i, a in enumerate(u):
-            if a:
-                for j, pairs in self._involving[i]:
-                    b = v[j]
-                    if b:
-                        c = a * b
-                        for k, w in pairs:
-                            out[k] += c * w
-        return tuple(out)
+    def bracket(self, u: dict, v: dict) -> dict:
+        """Bilinear extension of the bracket to vectors given as dicts
+        {index: nonzero value}; the result is one too."""
+        out = {}
+        for i, a in u.items():
+            for j, pairs in self._involving[i]:
+                b = v.get(j)
+                if b:
+                    c = a * b
+                    for k, w in pairs:
+                        out[k] = out.get(k, ZERO) + c * w
+        return {k: x for k, x in out.items() if x}
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad e_i: column j is [e_i, e_j], scattered from the bracket index."""
@@ -98,21 +98,11 @@ class LieAlgebra:
         """The adjoint family ad e_0, ..., ad e_{n-1}."""
         return tuple(self.ad_matrix(i) for i in range(self.dim))
 
-    def ad(self, u: Sequence[Fraction]) -> Matrix:
-        """Matrix of ad u: column j is [u, e_j], scattered into dict rows."""
-        rows = [{} for _ in range(self.dim)]
-        for i, a in enumerate(to_fractions(u)):
-            if a:
-                for j, pairs in self._involving[i]:
-                    for k, w in pairs:
-                        rows[k][j] = rows[k].get(j, ZERO) + a * w
-        return Matrix.from_sparse_rows(rows, self.dim)
-
     def is_abelian(self) -> bool:
         return not self._table
 
     def structure_table(self) -> dict:
-        """The stored i < j bracket table (nonzero entries only)."""
+        """The stored i < j bracket table: {(i, j): nonzero (k, coefficient) pairs}."""
         return dict(self._table)
 
     def _jacobi_failure(self):
@@ -196,9 +186,6 @@ class Representation:
         z = Matrix.zero(space_dim, space_dim)
         return cls(algebra, space_dim, [z] * algebra.dim, _skip_check=True)
 
-    def act(self, i: int, v: Sequence[Fraction]) -> tuple:
-        return self.matrices[i].matvec(v)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Representation) and self.algebra == other.algebra
                 and self.space_dim == other.space_dim and self.matrices == other.matrices)
@@ -222,8 +209,9 @@ def law_defect(L: LieAlgebra, matrices: Sequence[Matrix]) -> dict:
     defect = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            d = (matrices[i].commutator(matrices[j])
-                 - linear_combination(L.bracket_basis(i, j), matrices, size, size))
+            pairs = L.bracket_basis(i, j)
+            d = matrices[i].commutator(matrices[j]) - linear_combination(
+                [c for _, c in pairs], [matrices[k] for k, _ in pairs], size, size)
             if not d.is_zero():
                 defect[(i, j)] = d
     return defect
@@ -256,8 +244,7 @@ def bracket_table(L: LieAlgebra, m: Matrix, read: Matrix) -> dict:
     m from an abelian source."""
     defect = bracket_defect(LieAlgebra(m.cols), L, m)
     read_rows = Matrix.from_sparse_rows(defect.values(), L.dim) @ read.transpose()
-    return {key: dict(sorted(entry.items()))
-            for key, entry in zip(defect, read_rows.sparse_rows()) if entry}
+    return {key: entry for key, entry in zip(defect, read_rows.sparse_rows()) if entry}
 
 
 def bracket_preserving(source: LieAlgebra, target: LieAlgebra, m: Matrix) -> bool:
@@ -333,10 +320,8 @@ def leibniz_rows(L: LieAlgebra, offset: int = 0) -> list:
         row = rows.setdefault((i, j, a), {})
         row[offset + col] = row.get(offset + col, 0) + c
 
-    for (x, y), w in L._table.items():
-        for k, c in enumerate(w):
-            if c == 0:
-                continue
+    for (x, y), pairs in L._table.items():
+        for k, c in pairs:
             for a in range(n):
                 add(x, y, a, a * n + k, c)  # D([e_x, e_y])_a
             for p, q, cpq in ((x, y, c), (y, x, -c)):  # [e_p, e_q]_k = cpq
@@ -442,14 +427,14 @@ def product_algebra(n_alg: LieAlgebra, g_alg: LieAlgebra, S: Sequence[Matrix],
     """n x g with [(n,x),(n',x')] = ([n,n'] + S(x)n' - S(x')n + omega(x,x'), [x,x']).
 
     S holds one matrix per basis element of g and omega maps increasing
-    pairs of g indices to n-vectors (zero when absent).  The table is
-    scattered from the stored brackets and the nonzero entries of S; the
-    callers validate S and omega, and the constructor checks Jacobi.
+    pairs of g indices to n-vectors, each a dict {k: nonzero value} (zero
+    when absent).  The table is scattered from the stored brackets and the
+    nonzero entries of S; the callers validate S and omega, and the
+    constructor checks Jacobi.
     """
     nd = n_alg.dim
     omega = omega or {}
-    table = {pair: {k: c for k, c in enumerate(w) if c}
-             for pair, w in sorted(n_alg.structure_table().items())}
+    table = {pair: dict(pairs) for pair, pairs in sorted(n_alg.structure_table().items())}
     columns = [m.transpose().sparse_rows() for m in S]
     for i in range(nd):
         for a, cols in enumerate(columns):
@@ -458,8 +443,8 @@ def product_algebra(n_alg: LieAlgebra, g_alg: LieAlgebra, S: Sequence[Matrix],
                 table[(i, nd + a)] = {k: -c for k, c in cols[i].items()}
     g_table = g_alg.structure_table()
     for a, b in sorted(g_table.keys() | omega.keys()):
-        entry = {k: c for k, c in enumerate(omega.get((a, b), ())) if c}
-        entry.update((nd + k, c) for k, c in enumerate(g_table.get((a, b), ())) if c)
+        entry = dict(omega.get((a, b), {}))
+        entry.update((nd + k, c) for k, c in g_table.get((a, b), ()))
         if entry:
             table[(nd + a, nd + b)] = entry
     labels = tuple(f"n.{l}" for l in n_alg.labels) + tuple(f"g.{l}" for l in g_alg.labels)

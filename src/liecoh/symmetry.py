@@ -332,6 +332,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             raise DimensionMismatchError(
                 f"theta at index {x} must be a 1-cochain on g valued in n: got degree "
                 f"{t.degree} and value_dim {t.value_dim}, expected 1 and {n_alg.dim}")
+    ad_n = n_alg.ad_matrices()
     for x in range(hd):
         if not is_derivation(n_alg, psi_n[x]):
             raise PreconditionFailedError(f"psi_n is not a derivation at index {x}",
@@ -340,9 +341,7 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             raise PreconditionFailedError(f"psi_g is not a derivation at index {x}",
                                           index=x)
         acted = pair_act_outer(psi_n[x], psi_g[x], fs.S)
-        # ad reads the value of theta(x) at e_a as a dense vector
-        inner = [n_alg.ad(theta[x].component((a,))) for a in range(g_alg.dim)]
-        if any(acted.matrices[a] != inner[a] for a in range(g_alg.dim)):
+        if acted.matrices != pullback_family(ad_n, theta[x].as_matrix(), n_alg.dim):
             raise PreconditionFailedError(
                 f"psi(x).S is not ad(theta(x)) at index {x}", index=x)
         if (pair_act_cochain(psi_n[x], psi_g[x], fs.omega)
@@ -379,9 +378,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
         for y in range(x + 1, hd):
             val = (pair_act_cochain(psi_n[x], psi_g[x], theta[y])
                    - pair_act_cochain(psi_n[y], psi_g[y], theta[x]))
-            for k, c in enumerate(h_alg.bracket_basis(x, y)):
-                if c != 0:
-                    val = val - theta[k].scale(c)
+            for k, c in h_alg.bracket_basis(x, y):
+                val = val - theta[k].scale(c)
             values[(x, y)] = val
             coords = z1_coords(val)
             if any(coords):

@@ -6,7 +6,11 @@ that left the package (``Matrix.flatten``, ``Subspace.basis``, ``reduce``,
 ``contains``, ``embed``, ``split_coordinates``, the dense ``coordinates_of``,
 ``ExtensionPresentation.ideal_coordinates`` and
 ``Cochain.coordinates``/``from_coordinates``) are kept here with their
-former bodies, read through the pairs the package now exposes.
+former bodies, read through the pairs the package now exposes.  So are
+the dense forms of a bracket and a pairing (``LieAlgebra.ad``, the dense
+``bracket`` and ``bracket_basis``, ``Representation.act``,
+``Cochain.coeffs``, the dense-closure pairings and ``wedge``), which the
+package replaced by nonzero (k, c) pairs and dicts {index: value}.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -20,7 +24,8 @@ from itertools import combinations
 import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
-from liecoh.cochains import Cochain, EquivariantPairing, cochain_space_dim, sort_with_sign
+from liecoh.cochains import (Cochain, EquivariantPairing, check_degree, cochain_space_dim,
+                             key_unrank, sort_with_sign)
 from liecoh.errors import DimensionMismatchError, InvariantViolation
 from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis
 from liecoh.linalg import (ONE, ZERO, InconsistencyCertificate, Matrix, _augmented_rref,
@@ -203,6 +208,113 @@ def value_at_indices(c, idx):
     return vec if sign == 1 else vec_scale(Fraction(-1), vec)
 
 
+# the former dense bracket, adjoint, action and cochain table: the package
+# hands brackets over as nonzero (k, c) pairs and vectors as dicts
+
+def dense_bracket_basis(L, i, j):
+    """The former LieAlgebra.bracket_basis: [e_i, e_j] as a dense tuple."""
+    return dense(L.bracket_basis(i, j), L.dim)
+
+
+def dense_bracket(L, u, v):
+    """The former LieAlgebra.bracket: dense coefficient vectors in and out."""
+    out = [ZERO] * L.dim
+    for i, a in enumerate(u):
+        if a:
+            for j, pairs in L._involving[i]:
+                b = v[j]
+                if b:
+                    c = a * b
+                    for k, w in pairs:
+                        out[k] += c * w
+    return tuple(out)
+
+
+def dense_ad(L, u):
+    """The former LieAlgebra.ad: the matrix of ad u, column j being [u, e_j]."""
+    rows = [{} for _ in range(L.dim)]
+    for i, a in enumerate(to_fractions(u)):
+        if a:
+            for j, pairs in L._involving[i]:
+                for k, w in pairs:
+                    rows[k][j] = rows[k].get(j, ZERO) + a * w
+    return Matrix.from_sparse_rows(rows, L.dim)
+
+
+def dense_act(rep, i, v):
+    """The former Representation.act: e_i acting on a dense vector."""
+    return rep.matrices[i].matvec(v)
+
+
+def dense_coeffs(c):
+    """The former Cochain.coeffs: {key: dense value tuple} on the nonzero keys."""
+    return {key_unrank(r, c.algebra.dim, c.degree): dense(value, c.value_dim)
+            for r, value in c.nonzero_values()}
+
+
+class DensePairing:
+    """The former EquivariantPairing: its function takes and returns dense tuples."""
+
+    def __init__(self, left_dim, right_dim, out_dim, fn):
+        self.left_dim, self.right_dim, self.out_dim, self._fn = left_dim, right_dim, out_dim, fn
+
+    def apply(self, u, v):
+        if len(u) != self.left_dim or len(v) != self.right_dim:
+            raise DimensionMismatchError("pairing arguments have the wrong lengths")
+        return tuple(self._fn(tuple(u), tuple(v)))
+
+    @classmethod
+    def lie_bracket(cls, V):
+        return cls(V.dim, V.dim, V.dim, lambda u, v: dense_bracket(V, u, v))
+
+    @classmethod
+    def evaluation(cls, m):
+        def fn(u, v):
+            return tuple(sum((u[k * m + l] * v[l] for l in range(m)), ZERO)
+                         for k in range(m))
+
+        return cls(m * m, m, m, fn)
+
+    @classmethod
+    def composition(cls, m):
+        def fn(u, v):
+            return tuple(sum((u[i * m + l] * v[l * m + j] for l in range(m)), ZERO)
+                         for i in range(m) for j in range(m))
+
+        return cls(m * m, m * m, m * m, fn)
+
+    @classmethod
+    def commutator(cls, m):
+        comp = cls.composition(m)
+        return cls(m * m, m * m, m * m,
+                   lambda u, v: tuple(a - b for a, b in zip(comp.apply(u, v), comp.apply(v, u))))
+
+
+def dense_wedge(m, a, b):
+    """The former wedge: each nonzero value of a and b made dense for a DensePairing."""
+    if a.algebra != b.algebra:
+        raise DimensionMismatchError("cochains live over different algebras")
+    if a.value_dim != m.left_dim or b.value_dim != m.right_dim:
+        raise DimensionMismatchError("cochain values do not match the pairing")
+    p, q = a.degree, b.degree
+    check_degree(p + q)
+    n = a.algebra.dim
+    right = [(key_unrank(r, n, q), dense(value, b.value_dim))
+             for r, value in b.nonzero_values()]
+    table = {}
+    for r, value in a.nonzero_values():
+        left_key, va = key_unrank(r, n, p), dense(value, a.value_dim)
+        for right_key, vb in right:
+            key, sign = sort_with_sign(left_key + right_key)
+            if key is None:
+                continue
+            acc = table.setdefault(key, [ZERO] * m.out_dim)
+            for slot, x in enumerate(m.apply(va, vb)):
+                if x:
+                    acc[slot] += x if sign == 1 else -x
+    return Cochain(a.algebra, p + q, m.out_dim, table)
+
+
 def rand_fraction(rng, num=4, den=3):
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
@@ -263,7 +375,7 @@ def vector_cochain(L, vec):
 
 def scalar_multiplication():
     """The pairing Q x Q -> Q, (u, v) -> uv."""
-    return EquivariantPairing(1, 1, 1, lambda u, v: (u[0] * v[0],))
+    return EquivariantPairing(1, 1, 1, lambda u, v: {0: u.get(0, ZERO) * v.get(0, ZERO)})
 
 
 def is_full(sub):

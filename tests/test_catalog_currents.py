@@ -36,7 +36,7 @@ def test_catalog_entries():
     assert h3.dim == 3 and not h3.is_abelian()
     assert catalog("abelian2").is_abelian()
     assert catalog("abelian5").dim == 5
-    assert catalog("nonabelian2").bracket_basis(0, 1) == (1, 0)
+    assert catalog("nonabelian2").bracket_basis(0, 1) == ((0, 1),)
     assert catalog("filiform4").dim == 4
     for name in ("ext-heisenberg3", "ext-filiform4", "ext-heisenberg-kernel",
                  "ext-sl2-kernel"):
@@ -224,11 +224,16 @@ def test_polynomial_canonical_form():
 # the current-cocycle identity
 # ---------------------------------------------------------------------------
 
+def rand_element(rng):
+    """An element of sl2 with entries drawn from -3..3, as a dict of its nonzero entries."""
+    return {i: c for i in range(3) if (c := Fraction(rng.randint(-3, 3)))}
+
+
 def test_identity_e_f_h_value():
     kappa = killing_form(sl2())
     t = Polynomial.t()
     lhs, rhs, equal = v2_cocycle_identity(kappa, t, t, t,
-                                          (1, 0, 0), (0, 1, 0), (0, 0, 1))
+                                          {0: 1}, {1: 1}, {2: 1})
     assert equal
     assert rhs == Fraction(4) * character(t * t * t)
 
@@ -240,9 +245,7 @@ def test_identity_vanishes_on_character_kernel(rng):
         a = a - Polynomial((0, a.at_one()))  # dies at 0 and 1
         b = rand_vanishing_poly(rng)
         c = rand_vanishing_poly(rng)
-        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        y = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        z = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        x, y, z = (rand_element(rng) for _ in range(3))
         lhs, rhs, equal = v2_cocycle_identity(kappa, a, b, c, x, y, z)
         assert equal and rhs == 0
 
@@ -251,9 +254,7 @@ def test_identity_random_samples(rng):
     kappa = killing_form(sl2())
     for _ in range(100):
         a, b, c = (rand_vanishing_poly(rng) for _ in range(3))
-        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        y = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        z = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        x, y, z = (rand_element(rng) for _ in range(3))
         _, _, equal = v2_cocycle_identity(kappa, a, b, c, x, y, z)
         assert equal
 
@@ -262,10 +263,10 @@ def test_identity_flags_nonvanishing_inputs():
     kappa = killing_form(sl2())
     one = Polynomial.constant(1)
     with pytest.raises(InputError):
-        v2_cocycle_identity(kappa, one, one, one, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        v2_cocycle_identity(kappa, one, one, one, {0: 1}, {1: 1}, {2: 1})
     # the boundary-adjusted convention accepts them and balances exactly
     lhs, rhs, equal = v2_cocycle_identity(kappa, one, one, one,
-                                          (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                          {0: 1}, {1: 1}, {2: 1},
                                           strict=False)
     assert equal and lhs == 0
 
@@ -274,7 +275,7 @@ def test_identity_degree_bound():
     kappa = killing_form(sl2())
     big = Polynomial([0] * 40 + [1])
     with pytest.raises(InputError):
-        v2_cocycle_identity(kappa, big, big, big, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        v2_cocycle_identity(kappa, big, big, big, {0: 1}, {1: 1}, {2: 1})
 
 
 def test_cyclic_cocycle_property(rng):

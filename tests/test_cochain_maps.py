@@ -39,9 +39,9 @@ from liecoh.linalg import Matrix, Subspace, invert, to_fractions
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
-from conftest import (coordinates_of_vec, embed, rand_algebra, rand_cochain, rand_fraction, rand_invertible, unit_vec,
-                      value_at_indices, vec_add, vec_is_zero, vec_scale, vec_sub, vector_cochain,
-                      zero_vec)
+from conftest import (coordinates_of_vec, dense_coeffs, embed, rand_algebra, rand_cochain,
+                      rand_fraction, rand_invertible, unit_vec, value_at_indices, vec_add,
+                      vec_is_zero, vec_scale, vec_sub, vector_cochain, zero_vec)
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
 # tests that use them: they build their systems at import, through the maps
@@ -82,7 +82,7 @@ def loop_transport(alpha, beta_inv, c):
     """transport_cochain on the former pullback."""
     pulled = loop_pullback(c, beta_inv, c.algebra)
     return Cochain(c.algebra, c.degree, alpha.rows,
-                   {key: alpha.matvec(vec) for key, vec in pulled.coeffs.items()})
+                   {key: alpha.matvec(vec) for key, vec in dense_coeffs(pulled).items()})
 
 
 def loop_pair_act(alpha, beta, c):
@@ -104,19 +104,19 @@ def loop_pair_act(alpha, beta, c):
 def matvec_values(c, m):
     """The former {key: m.matvec(vec)} value map, as in build_quotient_stage."""
     return Cochain(c.algebra, c.degree, m.rows,
-                   {key: m.matvec(vec) for key, vec in c.coeffs.items()})
+                   {key: m.matvec(vec) for key, vec in dense_coeffs(c).items()})
 
 
 def loop_embed(c, sub):
     """The former embed_cochain_from_subspace: sub.embed of every dense value."""
     return Cochain(c.algebra, c.degree, sub.ambient_dim,
-                   {key: embed(sub, vec) for key, vec in c.coeffs.items()})
+                   {key: embed(sub, vec) for key, vec in dense_coeffs(c).items()})
 
 
 def loop_restrict(c, sub):
     """The former restrict_cochain_to_subspace: coordinates_of every dense value."""
     table = {}
-    for key, vec in c.coeffs.items():
+    for key, vec in dense_coeffs(c).items():
         coords = coordinates_of_vec(sub, vec)
         if coords is None:
             raise InvariantViolation(f"cochain value at {key} lies outside the expected subspace")

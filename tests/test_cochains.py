@@ -18,8 +18,9 @@ from liecoh.extensions import build_extension, extract_factor_system
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import Matrix
 
-from conftest import (coordinates, from_coordinates, rand_algebra, rand_cochain, rand_matrix, rand_vector, scalar_multiplication,
-                      value_at_indices, vector_cochain)
+from conftest import (DensePairing, coordinates, dense_ad, dense_bracket, dense_coeffs,
+                      dense_wedge, from_coordinates, rand_algebra, rand_cochain, rand_matrix,
+                      rand_vector, scalar_multiplication, value_at_indices, vector_cochain)
 
 
 def test_evaluate_alternation(rng):
@@ -272,7 +273,7 @@ def test_section_curvature_recovers_cocycle():
         for j in range(i + 1, 2):
             si = ext.section.column(i)
             sj = ext.section.column(j)
-            r = total.bracket(si, sj)
+            r = dense_bracket(total, si, sj)
             expected = tuple(fs.omega.component((i, j))) + (0, 0)
             assert r == expected
 
@@ -282,7 +283,7 @@ def test_bianchi_identity(rng):
         L = rand_algebra(rng)
         V = rng.choice((heisenberg3(), sl2()))
         sigma = rand_cochain(rng, L, 1, V.dim)
-        S = OuterActionMap(L, [V.ad(sigma.component((i,))) for i in range(L.dim)],
+        S = OuterActionMap(L, [dense_ad(V, sigma.component((i,))) for i in range(L.dim)],
                            target=V)
         R = trivial_differential(sigma) + superbracket(V, sigma, sigma).scale(HALF)
         assert covariant_differential(S, R).is_zero()
@@ -325,7 +326,7 @@ def test_gauge_curvature_transform(rng):
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
                 r = Matrix.from_flat(enumerate(rhs.component((i, j))), 3, 3)
-                expected = r + n.ad(correction.component((i, j)))
+                expected = r + dense_ad(n, correction.component((i, j)))
                 assert Matrix.from_flat(enumerate(lhs.component((i, j))), 3, 3) == expected
 
 
@@ -402,12 +403,12 @@ def test_from_coordinates_matches_keyed_construction(rng):
         got = from_coordinates(L, p, m, coords)
         keyed = Cochain(L, p, m, {key: coords[r * m:(r + 1) * m]
                                   for r, key in enumerate(keys)})
-        assert got == keyed and got.coeffs == keyed.coeffs
-        assert all(type(x) is Fraction for v in got.coeffs.values() for x in v)
-        assert all(any(v) for v in got.coeffs.values())
+        assert got == keyed and dense_coeffs(got) == dense_coeffs(keyed)
+        assert all(type(x) is Fraction for v in dense_coeffs(got).values() for x in v)
+        assert all(any(v) for v in dense_coeffs(got).values())
         assert coordinates(got) == tuple(Fraction(x) for x in coords)
         pairs = [(i, Fraction(x)) for i, x in enumerate(coords) if x]
-        assert Cochain.from_pairs(L, p, m, pairs).coeffs == keyed.coeffs
+        assert dense_coeffs(Cochain.from_pairs(L, p, m, pairs)) == dense_coeffs(keyed)
     with pytest.raises(DimensionMismatchError, match="coordinate index out of range"):
         Cochain.from_pairs(abelian(2), 1, 1, [(0, Fraction(1)), (2, Fraction(1))])
     with pytest.raises(DimensionMismatchError, match="coordinate vector has the wrong length"):
@@ -472,10 +473,11 @@ def test_pairs_match_the_key_listing(rng):
         L = rand_algebra(rng) if rng.random() < 0.7 else abelian(rng.randint(0, 7))
         p, m = rng.randint(0, min(4, L.dim)), rng.randint(1, 3)
         c = rand_cochain(rng, L, p, m, sparsity=rng.choice((0.0, 0.5, 0.9)))
-        table = {key: vec for key, vec in c.coeffs.items()}
+        table = {key: vec for key, vec in dense_coeffs(c).items()}
         pairs = sorted(listing_sparse_coordinates(L.dim, p, m, table).items())
         assert c.sparse_coordinates() == dict(pairs) and list(c.pairs) == pairs
-        assert Cochain.from_pairs(L, p, m, pairs).coeffs == listing_from_pairs(L.dim, p, m, pairs)
+        assert (dense_coeffs(Cochain.from_pairs(L, p, m, pairs))
+                == listing_from_pairs(L.dim, p, m, pairs))
         assert Cochain.from_pairs(L, p, m, pairs) == c
         assert all(type(x) is Fraction and x for _, x in c.pairs)
         for key in combinations(range(L.dim), p):
@@ -487,7 +489,7 @@ def test_a_cochain_keeps_only_its_pairs():
     assert Cochain.__slots__ == ("algebra", "degree", "value_dim", "pairs")
     c = Cochain(abelian(4), 2, 2, {(1, 3): (0, 2), (0, 1): (0, 0), (0, 2): ("1/2", 0)})
     assert c.pairs == ((2, Fraction(1, 2)), (9, Fraction(2)))
-    assert c.coeffs == {(0, 2): (Fraction(1, 2), 0), (1, 3): (0, Fraction(2))}
+    assert dense_coeffs(c) == {(0, 2): (Fraction(1, 2), 0), (1, 3): (0, Fraction(2))}
     assert c.component([1, 3]) == (0, 2) and c.component((2, 3)) == (0, 0)
     # a key is read through its rank, so a key of another shape is refused
     for key in ((1, 0), (2, 2), (0, 4), (-1, 2), (1,), (0, 1, 2)):
@@ -523,12 +525,13 @@ def shuffle_sign(positions):
     return -1 if inversions % 2 else 1
 
 
-def dense_wedge(m, a, b):
-    """The former wedge: every key of degree p + q, every shuffle of its slots."""
+def every_key_wedge(m, a, b):
+    """An earlier wedge: every key of degree p + q, every shuffle of its slots, for a
+    DensePairing."""
     p, q = a.degree, b.degree
     table = {}
     positions = list(combinations(range(p + q), p))
-    a_table, b_table = a.coeffs, b.coeffs
+    a_table, b_table = dense_coeffs(a), dense_coeffs(b)
     for key in combinations(range(a.algebra.dim), p + q):
         total = [Fraction(0)] * m.out_dim
         for pos in positions:
@@ -549,9 +552,67 @@ def test_wedge_matches_the_shuffle_sum_over_every_key(rng):
         p, q = rng.randint(0, 2), rng.randint(0, 2)
         if p + q > L.dim:
             continue
-        for m, left, right in ((EquivariantPairing.composition(V), V * V, V * V),
-                               (EquivariantPairing.evaluation(V), V * V, V),
-                               (EquivariantPairing.lie_bracket(L), L.dim, L.dim)):
+        for name, arg, left, right in (("composition", V, V * V, V * V),
+                                       ("evaluation", V, V * V, V),
+                                       ("lie_bracket", L, L.dim, L.dim)):
+            m, oracle = getattr(EquivariantPairing, name)(arg), getattr(DensePairing, name)(arg)
             a = rand_cochain(rng, L, p, left, sparsity=0.4)
             b = rand_cochain(rng, L, q, right, sparsity=0.4)
-            assert wedge(m, a, b) == dense_wedge(m, a, b)
+            assert wedge(m, a, b) == every_key_wedge(oracle, a, b)
+
+
+PAIRINGS = ("lie_bracket", "evaluation", "composition", "commutator")
+
+
+def test_wedge_matches_the_dense_pairing_oracle(rng):
+    """The four pairings on dict values against the former dense closures, on
+    cochains of degree 0 to 3, zero cochains included."""
+    for _ in range(12):
+        L = rand_algebra(rng)
+        V = rng.choice((heisenberg3(), sl2(), L))
+        m = rng.randint(1, 3)
+        dims = {"lie_bracket": (V.dim, V.dim), "evaluation": (m * m, m),
+                "composition": (m * m, m * m), "commutator": (m * m, m * m)}
+        for name in PAIRINGS:
+            arg = V if name == "lie_bracket" else m
+            pairing = getattr(EquivariantPairing, name)(arg)
+            oracle = getattr(DensePairing, name)(arg)
+            left, right = dims[name]
+            for p in range(4):
+                for q in range(4):
+                    a = rand_cochain(rng, L, p, left, sparsity=rng.choice((0.0, 0.5, 1.0)))
+                    b = rand_cochain(rng, L, q, right, sparsity=rng.choice((0.0, 0.5, 1.0)))
+                    got = wedge(pairing, a, b)
+                    assert got == dense_wedge(oracle, a, b)
+                    assert (got.degree, got.value_dim) == (p + q, pairing.out_dim)
+                    assert all(type(x) is Fraction and x for _, x in got.pairs)
+    zero = Cochain.zero(heisenberg3(), 1, 3)
+    assert wedge(EquivariantPairing.lie_bracket(heisenberg3()), zero, zero) == Cochain.zero(
+        heisenberg3(), 2, 3)
+
+
+def test_pairings_take_and_return_nonzero_dicts():
+    V = heisenberg3()
+    assert EquivariantPairing.lie_bracket(V).apply({0: 1}, {1: 2}) == {2: 2}
+    assert EquivariantPairing.lie_bracket(V).apply({0: 1}, {0: 2}) == {}
+    # (E_01) e_1 = e_0 and [E_01, E_10] = E_00 - E_11 on 2 x 2 matrices
+    assert EquivariantPairing.evaluation(2).apply({1: 1}, {1: 3}) == {0: 3}
+    assert EquivariantPairing.composition(2).apply({1: 1}, {2: 1}) == {0: 1}
+    assert EquivariantPairing.commutator(2).apply({1: 1}, {2: 1}) == {0: 1, 3: -1}
+    with pytest.raises(DimensionMismatchError, match="indices out of range"):
+        EquivariantPairing.evaluation(2).apply({4: 1}, {0: 1})
+    bad = EquivariantPairing(1, 1, 1, lambda u, v: {1: 1})
+    with pytest.raises(DimensionMismatchError, match="index out of range"):
+        bad.apply({0: 1}, {0: 1})
+
+
+def test_add_inner_matches_the_ad_of_each_value(rng):
+    """S + ad(gamma(.)) against the former loop of dense ad over gamma's components."""
+    for _ in range(25):
+        L = rand_algebra(rng)
+        V = rng.choice((heisenberg3(), sl2(), rand_algebra(rng)))
+        S = OuterActionMap(L, [dense_ad(V, rand_vector(rng, V.dim)) for _ in range(L.dim)],
+                           target=V)
+        gamma = rand_cochain(rng, L, 1, V.dim, sparsity=rng.choice((0.0, 0.5, 1.0)))
+        expected = [m + dense_ad(V, gamma.component((i,))) for i, m in enumerate(S.matrices)]
+        assert S.add_inner(gamma).matrices == tuple(expected)

@@ -19,8 +19,8 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, bracket_pres
                            change_of_basis, derivations)
 from liecoh.linalg import Matrix
 
-from conftest import (basis_of, contains_vec, coordinates_of_vec, embed, is_trivial, rand_algebra, rand_cochain, rand_invertible, unit_vec,
-                      vec_is_zero, vec_sub)
+from conftest import (basis_of, contains_vec, coordinates_of_vec, dense_bracket, embed, is_trivial,
+                      rand_algebra, rand_cochain, rand_invertible, unit_vec, vec_is_zero, vec_sub)
 
 
 def ideal_inclusion_module():
@@ -256,7 +256,7 @@ def loop_first_unfactored_key(sp, beta, d_f):
 
 def _bracket_in_n(sp, x, a):
     """[e_x, n_a] in n coordinates: the former column reader of crossed.py."""
-    br = sp.cm.ghat.bracket(unit_vec(sp.cm.ghat.dim, x), basis_of(sp.n_sub)[a])
+    br = dense_bracket(sp.cm.ghat, unit_vec(sp.cm.ghat.dim, x), basis_of(sp.n_sub)[a])
     coords = coordinates_of_vec(sp.n_sub, br)
     if coords is None:
         raise InvariantViolation("the image of alpha is not an ideal")

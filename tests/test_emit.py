@@ -165,10 +165,9 @@ def test_cohomology_builds_no_dict_and_reads_no_dense_view(tmp_path, monkeypatch
     pairs: no key table is built, and no dense view is read."""
     def refuse(*args, **kwargs):
         raise AssertionError("the cohomology command built a dict or a dense cochain view")
-    # Cochain.coordinates, the dense flat view, is deleted from the package
+    # Cochain.coordinates and Cochain.coeffs, the dense views, are deleted from the package
     for name in ("__init__", "component", "sparse_coordinates", "nonzero_values"):
         monkeypatch.setattr(Cochain, name, refuse)
-    monkeypatch.setattr(Cochain, "coeffs", property(refuse))
     monkeypatch.setattr(lio, "cochain_to_json", refuse)
     rep = h3_adjoint_file(tmp_path)
     code, out = stdout_of(["cohomology", "--algebra", "abelian12", "--degree", "2"])

@@ -34,8 +34,8 @@ from liecoh.linalg import (Matrix, Subspace, image, invert, linear_combination, 
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle, transported_factor_system)
 
-from conftest import (BASE_ALGEBRAS, as_column, ideal_coordinates, rand_invertible, rand_matrix,
-                      vec_is_zero, vec_sub)
+from conftest import (BASE_ALGEBRAS, as_column, dense_bracket, dense_bracket_basis,
+                      ideal_coordinates, rand_invertible, rand_matrix, vec_is_zero, vec_sub)
 from test_cochain_maps import seeded_maps, sparse_matrix
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
@@ -59,8 +59,8 @@ def loop_bracket_defect(source, target, m):
     defect = {}
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            w = vec_sub(target.bracket(columns[i], columns[j]),
-                        m.matvec(source.bracket_basis(i, j)))
+            w = vec_sub(dense_bracket(target, columns[i], columns[j]),
+                        m.matvec(dense_bracket_basis(source, i, j)))
             if not vec_is_zero(w):
                 defect[(i, j)] = as_column(w)
     return defect
@@ -71,7 +71,7 @@ def loop_table(L, m, read):
     table = {}
     for i in range(m.cols):
         for j in range(i + 1, m.cols):
-            w = read.matvec(L.bracket(m.column(i), m.column(j)))
+            w = read.matvec(dense_bracket(L, m.column(i), m.column(j)))
             entry = {k: c for k, c in enumerate(w) if c != 0}
             if entry:
                 table[(i, j)] = entry
@@ -92,7 +92,8 @@ def loop_extract_action(ext, sigma):
     read in the ideal, one column at a time."""
     matrices = []
     for a in range(ext.g.dim):
-        cols = [ideal_coordinates(ext, ext.total.bracket(sigma.column(a), ext.inclusion.column(i)))
+        cols = [ideal_coordinates(ext, dense_bracket(ext.total, sigma.column(a),
+                                                     ext.inclusion.column(i)))
                 for i in range(ext.n.dim)]
         matrices.append(Matrix.from_columns(cols, rows=ext.n.dim))
     return tuple(matrices)
@@ -174,7 +175,8 @@ def test_bracket_reads_match_the_loops_on_catalog_algebras():
             P = rand_invertible(rng, L.dim)
             assert change_of_basis(L, P) == loop_change_of_basis(L, P)
         for ideal in (center(L), Subspace.zero(L.dim), Subspace.full(L.dim), image(
-                Matrix.from_columns([L.bracket(u, v) for u in Matrix.identity(L.dim).row_list()
+                Matrix.from_columns([dense_bracket(L, u, v)
+                                     for u in Matrix.identity(L.dim).row_list()
                                      for v in Matrix.identity(L.dim).row_list()],
                                     rows=L.dim))):
             assert quotient_algebra(L, ideal) == loop_quotient_algebra(L, ideal)

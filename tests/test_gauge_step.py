@@ -37,10 +37,11 @@ from liecoh.symmetry import (automorphism_pair_obstruction, derivation_pair_obst
                              extension_derivations, lifting_cocycle,
                              transported_factor_system)
 
-from conftest import (basis_of, coordinates, coordinates_of_vec, dense_solve_affine,
-                      dense_solve_inner, embed, flat, from_coordinates, rand_cochain,
-                      rand_invertible, rand_matrix, rand_vector, reduce_vec, split_coordinates,
-                      unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
+from conftest import (basis_of, coordinates, coordinates_of_vec, dense_ad, dense_bracket,
+                      dense_bracket_basis, dense_solve_affine, dense_solve_inner, embed, flat,
+                      from_coordinates, rand_cochain, rand_invertible, rand_matrix, rand_vector,
+                      reduce_vec, split_coordinates, unit_vec, vec_add, vec_scale, vec_sub,
+                      zero_vec)
 from test_systems import curved_factor_system
 
 
@@ -200,8 +201,8 @@ def loop_stage_cocycle(fs, stage):
     total = build_extension(fs).total
     table = {}
     for i, j in increasing_tuples(stage.gs.dim, 2):
-        w = vec_sub(total.bracket(section_vec(i), section_vec(j)),
-                    section_apply(stage.gs.bracket_basis(i, j)))
+        w = vec_sub(dense_bracket(total, section_vec(i), section_vec(j)),
+                    section_apply(dense_bracket_basis(stage.gs, i, j)))
         coords = coordinates_of_vec(stage.z, w[:nd])
         if any(coords):
             table[(i, j)] = coords
@@ -285,7 +286,7 @@ SYSTEM_IDS = [name for name, _ in SYSTEMS]
 
 def unipotent(L, x):
     """exp(ad x) when ad x is nilpotent, else None: an automorphism of L."""
-    ad = L.ad(x)
+    ad = dense_ad(L, x)
     term, total = Matrix.identity(L.dim), Matrix.identity(L.dim)
     for k in range(1, L.dim + 1):
         term = (term @ ad).scale(Fraction(1, k))

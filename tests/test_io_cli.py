@@ -400,6 +400,40 @@ INTEGER_FIELDS = {
 }
 
 
+# a JSON boolean is not a rational, and no entry may silently overwrite an
+# earlier one that reads as the same key
+REJECTED_ENTRIES = {
+    "matrix-entry-boolean": ("--rep", lio.emit({"algebra": "abelian1", "space_dim": 1,
+                                                "matrices": [[[True]]]}),
+                             "expected a rational string, got bool"),
+    "bracket-value-boolean": (
+        "--algebra", '{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": {"2": true}}]}\n',
+        "expected a rational string, got bool"),
+    "cochain-value-boolean": ("--ext", ext_text("omega", "coeffs", {"0,1": [False]}),
+                              "expected a rational string, got bool"),
+    "bracket-pair-twice": (
+        "--algebra", '{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": {"2": "1"}}, '
+                     '{"i": 0, "j": 1, "value": {"2": "2"}}]}\n',
+        "bracket (0,1) is given twice"),
+    "bracket-value-index-twice": (
+        "--algebra",
+        '{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": {"2": "1", "02": "3"}}]}\n',
+        "bracket (0,1) names value index 2 twice"),
+    "cochain-key-twice": ("--ext", ext_text("omega", "coeffs", {"0,1": ["1"], "00,1": ["2"]}),
+                          "cochain keys '0,1' and '00,1' both read as (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_ENTRIES))
+def test_cli_rejects_booleans_and_repeated_keys(tmp_path, capsys, case):
+    flag, text, message = REJECTED_ENTRIES[case]
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    code, report = run_cli(["validate", flag, str(path)], capsys)
+    assert code == 1
+    assert report == {"command": "validate", "error": {"kind": "ParseError", "message": message}}
+
+
 @pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
 def test_cli_integer_fields_must_be_integers(tmp_path, capsys, case):
     flag, text, message = INTEGER_FIELDS[case]
@@ -416,7 +450,7 @@ def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
     code, _ = run_cli(["validate", "--algebra", str(path)], capsys)
     assert code == 0
     assert lio.algebra_from_json(json.loads(path.read_text())).structure_table() == {
-        (0, 1): (Fraction(0), Fraction(1))}
+        (0, 1): ((1, Fraction(1)),)}
     assert [lio.json_int(v, "f") for v in (3, "3", " 3", 3.0, -2)] == [3, 3, 3, 3, -2]
     for bad in (True, False, None, 3.5, math.inf, -math.inf, math.nan, "3.0", "x", [3], {}):
         with pytest.raises(ParseError, match="^f must be an integer, got "):

@@ -11,10 +11,12 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep,
                            bracket_defect, bracket_preserving, center, change_of_basis,
                            check_jacobi, derivations, direct_and_semidirect,
                            is_derivation, product_algebra, quotient_algebra)
-from liecoh.linalg import Matrix, Subspace
+from liecoh.linalg import ONE, Matrix, Subspace, invert, pullback_family
 
-from conftest import (as_column, basis_of, contains_vec, is_full, rand_algebra, rand_fraction, rand_invertible, rand_matrix, unit_vec,
-                      vec_add, vec_scale, vec_sub, zero_vec)
+from conftest import (as_column, basis_of, contains_vec, dense, dense_ad, dense_bracket,
+                      dense_bracket_basis, dense_coeffs, is_full, nonzero_pairs, rand_algebra,
+                      rand_fraction, rand_invertible, rand_matrix, unit_vec, vec_add, vec_scale,
+                      vec_sub, zero_vec)
 
 
 def test_jacobi_abelian_and_heisenberg():
@@ -31,10 +33,11 @@ def test_jacobi_violation_rejected():
 
 def test_bracket_antisymmetry_synthesized():
     L = heisenberg3()
-    assert L.bracket_basis(0, 1) == (0, 0, 1)
-    assert L.bracket_basis(1, 0) == (0, 0, -1)
-    assert L.bracket_basis(1, 1) == (0, 0, 0)
-    assert L.bracket((1, 0, 0), (1, 0, 0)) == (0, 0, 0)
+    assert L.bracket_basis(0, 1) == ((2, 1),)
+    assert L.bracket_basis(1, 0) == ((2, -1),)
+    assert L.bracket_basis(1, 1) == ()
+    assert L.bracket({0: 1}, {0: 1}) == {}
+    assert L.bracket({0: 1}, {1: 2}) == {2: 2}
 
 
 def test_center_examples():
@@ -123,7 +126,7 @@ def test_direct_sum_and_semidirect():
     # k acting on k by the identity: the nonabelian 2-dim algebra
     L = direct_and_semidirect(abelian(1), abelian(1), [Matrix([[1]])])
     assert not L.is_abelian()
-    assert L.bracket_basis(0, 1) == (-1, 0)
+    assert L.bracket_basis(0, 1) == ((0, -1),)
 
     # the plane under its defining sl2 action
     V = abelian(2)
@@ -186,7 +189,7 @@ def scan_bracket(L, u, v):
                 continue
             c = a * v[y] if x == i else -a * v[x]
             if c != 0:
-                out = vec_add(out, vec_scale(c, w))
+                out = vec_add(out, vec_scale(c, dense(w, L.dim)))
     return out
 
 
@@ -203,15 +206,17 @@ def test_bracket_matches_table_scan(rng):
         vectors = units + [sparse_vector(rng, n) for _ in range(6)]
         for u in vectors:
             for v in vectors:
-                got = L.bracket(u, v)
-                assert got == scan_bracket(L, u, v)
-                assert all(type(x) is Fraction for x in got)
-            ad = L.ad(u)
+                got = L.bracket(as_column(u), as_column(v))
+                assert dense(got, n) == scan_bracket(L, u, v) == dense_bracket(L, u, v)
+                assert all(type(x) is Fraction and x for x in got.values())
+            # ad u as the package reads it: the adjoint family pulled back along u
+            ad = pullback_family(L.ad_matrices(), Matrix.from_columns([u], rows=n), n)[0]
+            assert ad == dense_ad(L, u)
             assert ad == Matrix.from_columns([scan_bracket(L, u, e) for e in units], rows=n)
         for i in range(n):
-            assert L.bracket(units[i], units[i]) == zero_vec(n)
+            assert L.bracket({i: ONE}, {i: ONE}) == {}
             for j in range(n):
-                assert L.bracket(units[i], units[j]) == L.bracket_basis(i, j)
+                assert L.bracket({i: ONE}, {j: ONE}) == dict(L.bracket_basis(i, j))
 
 
 def dense_law_failure(algebra, matrices):
@@ -228,7 +233,7 @@ def dense_law_failure(algebra, matrices):
             ab, ba = product(rows[i], rows[j]), product(rows[j], rows[i])
             lhs = [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
             rhs = [[Fraction(0)] * size for _ in range(size)]
-            for k, c in enumerate(algebra.bracket_basis(i, j)):
+            for k, c in enumerate(dense_bracket_basis(algebra, i, j)):
                 for r in range(size):
                     for col in range(size):
                         rhs[r][col] += c * rows[k][r][col]
@@ -272,11 +277,13 @@ def dense_jacobi_failure(L):
     """The former Jacobi check: three dense brackets per triple i < j < k."""
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            eij = L.bracket_basis(i, j)
+            eij = dense_bracket_basis(L, i, j)
             for k in range(j + 1, L.dim):
-                total = L.bracket(eij, unit_vec(L.dim, k))
-                total = vec_add(total, L.bracket(L.bracket_basis(j, k), unit_vec(L.dim, i)))
-                total = vec_add(total, L.bracket(L.bracket_basis(k, i), unit_vec(L.dim, j)))
+                total = dense_bracket(L, eij, unit_vec(L.dim, k))
+                total = vec_add(total, dense_bracket(L, dense_bracket_basis(L, j, k),
+                                                     unit_vec(L.dim, i)))
+                total = vec_add(total, dense_bracket(L, dense_bracket_basis(L, k, i),
+                                                     unit_vec(L.dim, j)))
                 if any(total):
                     return (i, j, k)
     return None
@@ -303,7 +310,7 @@ def test_jacobi_failure_matches_dense_oracle():
              lambda: direct_and_semidirect(heisenberg3(), nonabelian2()))
     for _ in range(150):
         L = rng.choice(bases)()
-        table = {pair: dict(enumerate(w)) for pair, w in L.structure_table().items()}
+        table = {pair: dict(w) for pair, w in L.structure_table().items()}
         for _ in range(rng.randint(1, 2)):
             i, j = sorted(rng.sample(range(L.dim), 2))
             table.setdefault((i, j), {})[rng.randrange(L.dim)] = rand_fraction(rng)
@@ -333,14 +340,14 @@ def put_product_table(n_alg, g_alg, S, omega):
 
     for i in range(nd):
         for j in range(i + 1, nd):
-            put(i, j, tuple(n_alg.bracket_basis(i, j)) + zero_vec(gd))
+            put(i, j, tuple(dense_bracket_basis(n_alg, i, j)) + zero_vec(gd))
     for i in range(nd):
         for a in range(gd):
             put(i, nd + a, tuple(vec_scale(Fraction(-1), S[a].column(i))) + zero_vec(gd))
     for a in range(gd):
         for b in range(a + 1, gd):
             put(nd + a, nd + b,
-                tuple(omega.get((a, b), zero_vec(nd))) + tuple(g_alg.bracket_basis(a, b)))
+                tuple(omega.get((a, b), zero_vec(nd))) + tuple(dense_bracket_basis(g_alg, a, b)))
     return table
 
 
@@ -357,11 +364,12 @@ def assert_product_matches_oracle(n_alg, g_alg, S, omega, got):
 def test_product_algebra_matches_put_oracle_catalog_systems(name):
     from liecoh.extensions import build_extension
     fs = catalog(name)
-    omega = fs.omega.coeffs
+    omega = dense_coeffs(fs.omega)
     assert_product_matches_oracle(fs.n, fs.g, fs.S.matrices, omega,
                                   build_extension(fs).total)
+    columns = {key: as_column(vec) for key, vec in omega.items()}
     assert_product_matches_oracle(fs.n, fs.g, fs.S.matrices, omega,
-                                  product_algebra(fs.n, fs.g, fs.S.matrices, omega))
+                                  product_algebra(fs.n, fs.g, fs.S.matrices, columns))
 
 
 def test_semidirect_matches_put_oracle(rng):
@@ -387,7 +395,8 @@ def loop_bracket_preserving(source, target, m):
     """The former bracket_preserving: compare both sides pair by pair."""
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            if m.matvec(source.bracket_basis(i, j)) != target.bracket(m.column(i), m.column(j)):
+            if (m.matvec(dense_bracket_basis(source, i, j))
+                    != dense_bracket(target, m.column(i), m.column(j))):
                 return False
     return True
 
@@ -398,8 +407,8 @@ def loop_bracket_defect(source, target, m):
     out = {}
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            w = vec_sub(target.bracket(m.column(i), m.column(j)),
-                        m.matvec(source.bracket_basis(i, j)))
+            w = vec_sub(dense_bracket(target, m.column(i), m.column(j)),
+                        m.matvec(dense_bracket_basis(source, i, j)))
             if any(w):
                 out[(i, j)] = as_column(w)
     return out
@@ -433,3 +442,97 @@ def test_bracket_defect_is_empty_exactly_when_the_loop_preserves_brackets():
     assert verdicts == {True, False}
     with pytest.raises(DimensionMismatchError):
         bracket_defect(sl2(), sl2(), Matrix.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# the stored nonzero pairs against the former dense table
+# ---------------------------------------------------------------------------
+
+def former_table(dim, brackets):
+    """The former LieAlgebra table: one dense coefficient tuple per nonzero bracket."""
+    table = {}
+    for (i, j), entry in brackets.items():
+        vec = [Fraction(0)] * dim
+        for k, c in entry.items():
+            vec[int(k)] = Fraction(c)
+        if any(vec):
+            table[(i, j)] = tuple(vec)
+    return table
+
+
+def former_bracket_basis(table, dim, i, j):
+    """The former LieAlgebra.bracket_basis, read from a former table."""
+    v = table.get((min(i, j), max(i, j)))
+    if v is None:
+        return zero_vec(dim)
+    return v if i < j else vec_scale(Fraction(-1), v)
+
+
+def former_change_of_basis(table, dim, P):
+    """The former table of the algebra in the basis of P's columns:
+    P^-1 [P e_i, P e_j], expanded over dense basis brackets."""
+    P_inv = invert(P)
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = zero_vec(dim)
+            for a in range(dim):
+                for b in range(dim):
+                    c = P.entry(a, i) * P.entry(b, j)
+                    if c:
+                        w = vec_add(w, vec_scale(c, former_bracket_basis(table, dim, a, b)))
+            w = P_inv.matvec(w)
+            if any(w):
+                out[(i, j)] = w
+    return out
+
+
+def assert_pairs_match(L, table):
+    assert L.structure_table() == {pair: tuple(nonzero_pairs(v)) for pair, v in table.items()}
+    for i in range(L.dim):
+        for j in range(L.dim):
+            expected = tuple(nonzero_pairs(former_bracket_basis(table, L.dim, i, j)))
+            assert L.bracket_basis(i, j) == expected
+            assert all(type(c) is Fraction for _, c in expected)
+
+
+def family_inputs():
+    """(dim, brackets) of the catalog algebras as their docstrings state them, of
+    the Heisenberg, nilpotent and filiform families, and of tables with zero
+    and unsorted value entries."""
+    inputs = [(3, {(0, 1): {2: 1}}), (3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}),
+              (2, {(0, 1): {0: 1}}), (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}), (3, {}),
+              (3, {(0, 1): {2: 0}}), (3, {(0, 1): {1: 0, 2: "1/2"}}),
+              (4, {(0, 1): {3: 1, 2: -1}, (0, 2): {3: Fraction(2, 3)}})]
+    for k in range(1, 4):
+        inputs.append((2 * k + 1, {(i, k + i): {2 * k: 1} for i in range(k)}))
+    for k in range(2, 5):
+        units = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        table = {}
+        for i, (a, b) in enumerate(units):
+            for j in range(i + 1, len(units)):
+                c, d = units[j]
+                entry = {}
+                if b == c:
+                    entry[units.index((a, d))] = 1
+                if d == a:
+                    entry[units.index((c, b))] = -1
+                if entry:
+                    table[(i, j)] = entry
+        inputs.append((len(units), table))
+    for n in range(3, 7):
+        inputs.append((n, {(0, i): {i + 1: 1} for i in range(1, n - 1)}))
+    return inputs
+
+
+def test_stored_pairs_match_the_former_dense_table(rng):
+    for name, (dim, brackets) in zip(("heisenberg3", "sl2", "nonabelian2", "filiform4"),
+                                     family_inputs()):
+        assert catalog(name) == LieAlgebra(dim, brackets)
+    for dim, brackets in family_inputs():
+        L = LieAlgebra(dim, brackets)
+        table = former_table(dim, brackets)
+        assert_pairs_match(L, table)
+        for _ in range(3):
+            P = rand_invertible(rng, dim)
+            assert_pairs_match(change_of_basis(L, P), former_change_of_basis(table, dim, P))

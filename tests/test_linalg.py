@@ -16,7 +16,7 @@ from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_spa
                            quotient_coordinates, solve, solve_affine, solve_certified,
                            solve_columns, to_fractions)
 
-from conftest import (as_column, basis_of, contains_vec, coordinates_of_vec, dense,
+from conftest import (as_column, basis_of, contains_vec, coordinates_of_vec, dense, dense_coeffs,
                       dense_solve_affine, dense_solve_certified, dense_solve_columns, embed, flat,
                       is_full, nonzero_pairs, rand_algebra, rand_fraction, rand_invertible,
                       rand_matrix, reduce_vec, unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
@@ -408,7 +408,7 @@ def test_exact_type_invariant(rng):
                 assert all(all_fractions(v) for v in basis_of(image(d)))
         for c in (Cochain(L, 2, 2, {(0, 1): (1, "1/2")}),
                   Cochain(L, 1, 2, {(0,): (Fraction(3, 4), 0), (1,): (-1, 2)})):
-            assert c.coeffs and all(all_fractions(v) for v in c.coeffs.values())
+            assert dense_coeffs(c) and all(all_fractions(v) for v in dense_coeffs(c).values())
 
 
 MIXED = (3, "1/2", Fraction(-2, 3), "-4", 0, 0.25, Fraction(6, 4))
@@ -436,8 +436,8 @@ def test_conversion_of_int_str_and_fraction_inputs():
     assert sub.coordinates_of(nonzero_pairs(MIXED)) == (Fraction(3),)
 
     c = Cochain(abelian(2), 1, len(MIXED), {(0,): MIXED, (1,): expected})
-    assert c.coeffs[(0,)] == c.coeffs[(1,)] == expected
-    assert all_fractions(c.coeffs[(0,)])
+    assert dense_coeffs(c)[(0,)] == dense_coeffs(c)[(1,)] == expected
+    assert all_fractions(dense_coeffs(c)[(0,)])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, build_quo
 from liecoh.liealg import LieAlgebra, Representation
 from liecoh.linalg import Matrix, block_matrix, linear_combination, to_fractions
 
-from conftest import (as_column, basis_of, coordinates_of_vec, dense, dense_solve_columns, embed,
+from conftest import (as_column, basis_of, coordinates_of_vec, dense, dense_act, dense_ad,
+                      dense_bracket, dense_bracket_basis, dense_coeffs, dense_solve_columns, embed,
                       flat, ideal_coordinates, rand_matrix, rand_vector, reduce_vec,
                       split_coordinates, unit_vec, value_at_indices, vec_add, vec_is_zero,
                       vec_scale, vec_sub, zero_vec)
@@ -64,8 +65,8 @@ def loop_extract_omega(ext, sigma):
     table = {}
     for a in range(ext.g.dim):
         for b in range(a + 1, ext.g.dim):
-            w = ext.total.bracket(sigma.column(a), sigma.column(b))
-            w = vec_sub(w, sigma.matvec(ext.g.bracket_basis(a, b)))
+            w = dense_bracket(ext.total, sigma.column(a), sigma.column(b))
+            w = vec_sub(w, sigma.matvec(dense_bracket_basis(ext.g, a, b)))
             coords = ideal_coordinates(ext, w)
             if not vec_is_zero(coords):
                 table[(a, b)] = coords
@@ -98,8 +99,8 @@ def loop_stage_theta(stage):
     f_table = {}
     for key in increasing_tuples(n_ad.dim, 2):
         i, j = key
-        w = stage.kernel.n.bracket(sect_ad.column(i), sect_ad.column(j))
-        w = vec_sub(w, sect_ad.matvec(n_ad.bracket_basis(i, j)))
+        w = dense_bracket(stage.kernel.n, sect_ad.column(i), sect_ad.column(j))
+        w = vec_sub(w, sect_ad.matvec(dense_bracket_basis(n_ad, i, j)))
         coords = coordinates_of_vec(stage.z, w)
         if coords is None:
             raise InvariantViolation("the center cocycle left the center")
@@ -122,8 +123,8 @@ def loop_f_tilde(fs, stage):
     table = {}
     for key in increasing_tuples(stage.gs.dim, 2):
         i, j = key
-        w = total.bracket(lift.column(i), lift.column(j))
-        w = vec_sub(w, lift.matvec(stage.gs.bracket_basis(i, j)))
+        w = dense_bracket(total, lift.column(i), lift.column(j))
+        w = vec_sub(w, lift.matvec(dense_bracket_basis(stage.gs, i, j)))
         if not vec_is_zero(w[nd:]):
             raise InvariantViolation("stage cocycle has a nonzero quotient part")
         coords = coordinates_of_vec(stage.z, w[:nd])
@@ -148,7 +149,7 @@ def loop_n_alg(cm, n_sub):
     basis = basis_of(n_sub)
     for i in range(n_sub.dim):
         for j in range(i + 1, n_sub.dim):
-            coords = coordinates_of_vec(n_sub, cm.ghat.bracket(basis[i], basis[j]))
+            coords = coordinates_of_vec(n_sub, dense_bracket(cm.ghat, basis[i], basis[j]))
             if coords is None:
                 raise InvariantViolation("the image of alpha is not bracket-closed")
             entry = {k: c for k, c in enumerate(coords) if c != 0}
@@ -171,15 +172,15 @@ def loop_split(sp):
     f_table = {}
     for key in increasing_tuples(n_sub.dim, 2):
         i, j = key
-        w = cm.h.bracket(h_lift.column(i), h_lift.column(j))
-        w = vec_sub(w, h_lift.matvec(sp.n_alg.bracket_basis(i, j)))
+        w = dense_bracket(cm.h, h_lift.column(i), h_lift.column(j))
+        w = vec_sub(w, h_lift.matvec(dense_bracket_basis(sp.n_alg, i, j)))
         coords = z_coords_of(w)
         if not vec_is_zero(coords):
             f_table[key] = coords
     theta = {}
     for x in range(cm.ghat.dim):
         for a in range(n_sub.dim):
-            w = cm.action.act(x, h_lift.column(a))
+            w = dense_act(cm.action, x, h_lift.column(a))
             w = vec_sub(w, h_lift.matvec(_bracket_in_n(sp, x, a)))
             val = z_coords_of(w)
             if not vec_is_zero(val):
@@ -206,7 +207,7 @@ def holed_restriction(sp):
     vanishes went unchecked."""
     n_dim = sp.n_alg.dim
     return all(loop_theta_value(sp, basis_of(sp.n_sub)[i], unit_vec(n_dim, j)) == tuple(vec)
-               for (i, j), vec in sp.f.coeffs.items())
+               for (i, j), vec in dense_coeffs(sp.f).items())
 
 
 def loop_check_splitting(sp):
@@ -227,7 +228,7 @@ def loop_check_splitting(sp):
                 f"theta slot {x} is not a derivation datum for the cocycle")
     for x in range(ghat.dim):
         for y in range(x + 1, ghat.dim):
-            bracket_xy = ghat.bracket_basis(x, y)
+            bracket_xy = dense_bracket_basis(ghat, x, y)
             for a in range(n_dim):
                 total = sp.zhat_rep.matrices[x].matvec(dense(sp.theta.get((y, a), {}), zd))
                 total = vec_sub(total, sp.zhat_rep.matrices[y].matvec(
@@ -278,8 +279,8 @@ def loop_omega_route(sp, sigma):
     S = OuterActionMap(g, [linear_combination(sigma.column(i), cm.action.matrices, h_dim, h_dim)
                            for i in range(g.dim)], validate=False, space_dim=h_dim)
     keys = list(increasing_tuples(g.dim, 2))
-    targets = [vec_sub(cm.ghat.bracket(sigma.column(i), sigma.column(j)),
-                       sigma.matvec(g.bracket_basis(i, j))) for i, j in keys]
+    targets = [vec_sub(dense_bracket(cm.ghat, sigma.column(i), sigma.column(j)),
+                       sigma.matvec(dense_bracket_basis(g, i, j))) for i, j in keys]
     lifts, first_inconsistent, _ = dense_solve_columns(cm.alpha, targets)
     assert first_inconsistent is None
     omega = Cochain(g, 2, cm.h.dim, {key: x for key, x in zip(keys, lifts)
@@ -495,7 +496,7 @@ def loop_gkernel_lift_failure(kernel_S, n_alg, omega):
     """The former stored-omega check of GKernel: the first key in order."""
     R = cochains.curvature(kernel_S)
     for key in increasing_tuples(kernel_S.algebra.dim, 2):
-        if R.component(key) != flat(n_alg.ad(omega.component(key))):
+        if R.component(key) != flat(dense_ad(n_alg, omega.component(key))):
             return f"stored omega does not lift the curvature at {key}"
     return None
 
@@ -506,7 +507,7 @@ def test_stored_omega_failures_name_the_first_key(name, fs):
     keys = list(increasing_tuples(fs.g.dim, 2))
     raised = 0
     for _ in range(6):
-        table = dict(fs.omega.coeffs)
+        table = dict(dense_coeffs(fs.omega))
         for key in rng.sample(keys, min(len(keys), 2)):
             table[key] = vec_add(fs.omega.component(key), rand_vector(rng, fs.n.dim))
         omega = Cochain(fs.g, 2, fs.n.dim, table)
@@ -526,7 +527,7 @@ def dense_curvature_failures(S, omega):
     curvature's dense value against the dense flattening of ad(omega)."""
     R = cochains.curvature(S)
     return tuple(key for key in increasing_tuples(S.algebra.dim, 2)
-                 if R.component(key) != flat(S.target.ad(omega.component(key))))
+                 if R.component(key) != flat(dense_ad(S.target, omega.component(key))))
 
 
 @pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
@@ -539,7 +540,7 @@ def test_curvature_failures_match_the_dense_comparison(name, fs):
     z, _ = center_module(fs.S)
     omegas = [fs.omega, Cochain(fs.g, 2, fs.n.dim)]
     for _ in range(6):
-        table = dict(fs.omega.coeffs)
+        table = dict(dense_coeffs(fs.omega))
         for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
             table[key] = vec_add(fs.omega.component(key), rand_vector(rng, fs.n.dim))
         omegas.append(Cochain(fs.g, 2, fs.n.dim, table))

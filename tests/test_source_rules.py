@@ -21,6 +21,9 @@ Matrix families and brackets are pulled back along a map's sparse rows
 or names ``matrix_of``.
 A cochain is applied to by its nonzero coordinates: no ``matvec`` call takes
 a ``.coordinates()`` call, the dense view of a cochain, as its argument.
+A value is made dense in two places only: ``_dense`` is called in
+``linalg.py`` and in ``Cochain.component``, so ``wedge`` hands a pairing
+the nonzero values as they are stored.
 Vectors cross the linear-algebra boundary as dicts and (index, value) pairs:
 no ``solve*``, ``inner_cochain``, ``coordinates_of`` or ``Subspace.from_vectors``
 call is handed a dense value (a ``.flatten()``, ``.coordinates()``, ``.row()``,
@@ -36,9 +39,11 @@ package, so result records are ``NamedTuple``s.  API that nothing in the
 package called is deleted, and no module names it again; so are the dense
 vector helpers, whose callers now read sparse rows and pairs, and the dense
 views that solves and subspace reads took (the tests keep their own copies
-in ``conftest.py``).  A deleted method whose bare name another class still
-uses is listed as ``Class.name``: neither a definition of it in that class
-nor a ``Class.name`` reference may appear.
+in ``conftest.py``), and the dense bracket views ``LieAlgebra.ad``,
+``Representation.act`` and ``Cochain.coeffs``, now that brackets and
+pairings pass nonzero pairs.  A deleted method whose bare name another
+class still uses is listed as ``Class.name``: neither a definition of it in
+that class nor a ``Class.name`` reference may appear.
 """
 
 import ast
@@ -174,6 +179,7 @@ evaluate_calls = method_calls("evaluate")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
 stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_operator")
+stray_dense_calls = calls_outside("_dense", "component")
 matrix_of_names = names("matrix_of")
 
 
@@ -198,7 +204,8 @@ dataclasses_imports = imports_of("dataclasses")
 # own copies of the last three, which state results of the paper.  Then the
 # dense vector helpers, the unused Workspace store and SparseCochain, the
 # second storage of a cochain.  Then the dense views of the solve and
-# subspace boundary, whose callers now pass dicts and pairs.
+# subspace boundary, whose callers now pass dicts and pairs.  Then the dense
+# bracket views, whose callers now read nonzero pairs.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
@@ -206,7 +213,8 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "value_at_indices", "Workspace", "SparseCochain",
                "_dense_columns", "flatten", "coordinates", "from_coordinates", "reduce",
                "embed", "Subspace.basis", "Subspace.contains", "split_coordinates",
-               "ideal_coordinates", "DerivationAlgebra.coordinates_of")
+               "ideal_coordinates", "DerivationAlgebra.coordinates_of",
+               "LieAlgebra.ad", "Representation.act", "Cochain.coeffs")
 
 
 def deleted_member(target):
@@ -277,6 +285,11 @@ def test_only_extensions_calls_solve_inner():
 def test_only_the_operator_memo_calls_operator_matrix():
     assert violations(stray_operator_matrix_calls) == []
     assert list(calls_to("operator_matrix")(ast.parse((PACKAGE / "cochains.py").read_text())))
+
+
+def test_values_are_made_dense_only_in_linalg_and_component():
+    assert violations(stray_dense_calls, exempt=("linalg.py",)) == []
+    assert list(calls_to("_dense")(ast.parse((PACKAGE / "cochains.py").read_text())))
 
 
 def test_components_are_read_by_split_coordinates():
@@ -510,3 +523,38 @@ def test_rule_detects_deleted_dense_views():
         (11, "from_coordinates name"), (12, "Subspace.basis name"), (12, "embed name"),
         (12, "flatten name"), (14, "DerivationAlgebra.coordinates_of name"),
         (17, "ideal_coordinates name"), (17, "split_coordinates name")]
+
+
+def test_rule_detects_dense_calls_outside_component():
+    tree = ast.parse("class Cochain:\n"
+                     "    def component(self, key):\n"
+                     "        return _dense(self.pairs, self.value_dim)\n"
+                     "def wedge(m, a, b):\n"
+                     "    va = _dense(a.pairs, a.value_dim)\n"
+                     "    return m.apply(va, linalg._dense(b.pairs, b.value_dim))\n"
+                     "def dense(pairs, n):\n"
+                     "    return pairs\n")
+    assert list(stray_dense_calls(tree)) == [(5, "_dense call outside component"),
+                                             (6, "_dense call outside component")]
+
+
+def test_rule_detects_deleted_bracket_views():
+    tree = ast.parse("class LieAlgebra:\n"
+                     "    def ad(self, u):\n"
+                     "        return u\n"
+                     "class Representation:\n"
+                     "    def act(self, i, v):\n"
+                     "        return v\n"
+                     "class Cochain:\n"
+                     "    @property\n"
+                     "    def coeffs(self):\n"
+                     "        return {}\n"
+                     "class Polynomial:\n"
+                     "    def coeffs(self):\n"
+                     "        return self.coeffs\n"
+                     "def f(L, rep, c, p):\n"
+                     "    return (LieAlgebra.ad, Cochain.coeffs,\n"
+                     "            L.ad, rep.act, c.coeffs, p.coeffs)\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (2, "LieAlgebra.ad name"), (5, "Representation.act name"), (9, "Cochain.coeffs name"),
+        (15, "Cochain.coeffs name"), (15, "LieAlgebra.ad name")]

@@ -30,8 +30,9 @@ from liecoh.liealg import center, change_of_basis, derivations
 from liecoh.linalg import Matrix, Subspace, image, left_inverse, quotient_coordinates, solve_columns
 from liecoh.symmetry import _pair_system_rows
 
-from conftest import (as_column, dense, flat, rand_algebra, rand_invertible, rand_matrix,
-                      rand_vector, reduce_vec, unit_vec, value_at_indices, vec_add, vec_is_zero)
+from conftest import (as_column, dense, dense_ad, dense_bracket, flat, rand_algebra,
+                      rand_invertible, rand_matrix, rand_vector, reduce_vec, unit_vec,
+                      value_at_indices, vec_add, vec_is_zero)
 from test_classify import CASE_IDS, CASES
 from test_linalg import rand_sparse_matrix, seeded_subspaces
 
@@ -59,7 +60,7 @@ def dense_quotient_coordinates(ambient_dim, sub):
 
 def dense_ad_matrix(L, i):
     """The former LieAlgebra.ad_matrix: ad of the dense unit vector e_i."""
-    return L.ad(unit_vec(L.dim, i))
+    return dense_ad(L, unit_vec(L.dim, i))
 
 
 def dense_left_inverse(m):
@@ -134,7 +135,7 @@ def test_quotient_coordinates_match_the_reduced_unit_vectors():
     for L in ALGEBRAS:
         # the center, the derived algebra and a seeded span
         subs += [center(L), image(Matrix.from_columns(
-            [L.bracket(rand_vector(rng, L.dim), rand_vector(rng, L.dim)) for _ in range(3)],
+            [dense_bracket(L, rand_vector(rng, L.dim), rand_vector(rng, L.dim)) for _ in range(3)],
             rows=L.dim)), Subspace.from_vectors(L.dim, [rand_vector(rng, L.dim)])]
     shapes = set()
     for sub in subs:
