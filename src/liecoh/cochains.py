@@ -4,11 +4,15 @@ Cochains are stored on strictly increasing index tuples; evaluation at
 arbitrary tuples inserts the permutation sign.  A Cochain keeps only the
 nonzero (index, Fraction) pairs of its flat coordinates; key_rank and
 key_unrank convert between a key and its position, so no key list is
-built.  The wedge product is the shuffle sum over the nonzero keys, which
-equals the Alt formula with its 1/(p!q!) factor but never divides: char 0
-keeps every identity exact.  Its pairing takes and returns values as dicts
-{slot: nonzero value}, the form nonzero_values gives, so no value is made
-dense; the one dense read left is ``component``.
+built.  Every cochain the package computes is built one way: its values go
+to from_columns as dict columns {key: {slot: nonzero value}} (or its pairs
+to from_pairs); the dense Cochain(...), the input form of files and
+literals, ranks its values through from_columns too.  The wedge product is
+the shuffle sum over the nonzero keys, which equals the Alt formula with
+its 1/(p!q!) factor but never divides: char 0 keeps every identity exact.
+Its pairing takes and returns values as dicts {slot: nonzero value}, the
+form nonzero_values gives, so no value is made dense; the one dense read
+left is ``component``.
 
 The covariant differential of a linear map S into endomorphisms is
 S wedge + d (trivial coefficients); a module's differential is the case
@@ -22,7 +26,7 @@ cross-checked once per map and kept on it.  Pulling a cochain back along
 a linear map, evaluating it at vectors and the action of a pair of
 endomorphisms on it are one substitution, _scatter, which sends each
 nonzero term of the cochain through the nonzero matrix entries of its
-slots.
+slots into dict columns.
 """
 
 from __future__ import annotations
@@ -106,9 +110,10 @@ class Cochain:
     __slots__ = ("algebra", "degree", "value_dim", "pairs")
 
     def __init__(self, algebra: LieAlgebra, degree: int, value_dim: int, coeffs=None):
-        """The cochain with value coeffs[key] at each increasing key, zero elsewhere."""
+        """The cochain with value coeffs[key], a dense vector, at each increasing key,
+        zero elsewhere: the input form, for cochains read from files and literals."""
         check_shape(degree, value_dim)
-        table = {}
+        columns = {}
         for key, vec in (coeffs or {}).items():
             key = tuple(key)
             if len(key) != degree:
@@ -117,19 +122,15 @@ class Cochain:
                 raise DimensionMismatchError(f"key {key} is out of range")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise DimensionMismatchError(f"key {key} is not strictly increasing")
-            table[key] = to_fractions(vec)
-            if len(table[key]) != value_dim:
+            if len(vec := to_fractions(vec)) != value_dim:
                 raise DimensionMismatchError("coefficient vector has the wrong length")
-        self.algebra = algebra
-        self.degree = degree
-        self.value_dim = value_dim
-        self.pairs = tuple(sorted((key_rank(key, algebra.dim) * value_dim + slot, x)
-                                  for key, vec in table.items()
-                                  for slot, x in enumerate(vec) if x))
+            columns[key] = {slot: x for slot, x in enumerate(vec) if x}
+        self.algebra, self.degree, self.value_dim = algebra, degree, value_dim
+        self.pairs = Cochain.from_columns(algebra, degree, value_dim, columns).pairs
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, degree: int, value_dim: int) -> "Cochain":
-        return cls(algebra, degree, value_dim)
+        return cls.from_pairs(algebra, degree, value_dim, ())
 
     @classmethod
     def from_pairs(cls, algebra: LieAlgebra, degree: int, value_dim: int,
@@ -147,7 +148,7 @@ class Cochain:
     def from_columns(cls, algebra: LieAlgebra, degree: int, value_dim: int,
                      columns: dict) -> "Cochain":
         """The cochain with value columns[key], a dict {slot: nonzero value}, at each
-        increasing key, zero elsewhere."""
+        increasing key, zero elsewhere: the one way the package builds a cochain."""
         return cls.from_pairs(algebra, degree, value_dim, sorted(
             (key_rank(key, algebra.dim) * value_dim + k, x)
             for key, column in columns.items() for k, x in column.items()))
@@ -438,19 +439,16 @@ def _scatter(c: Cochain, slots: Sequence[Sequence[dict]], table: dict, sign: int
     For each nonzero key K of c and each choice of nonzero entries
     M_s[K_s][i_s], the term prod_s M_s[K_s][i_s] * c(K) lands at the sorted
     key of (i_1, ..., i_p) with the sign of sort_with_sign; a choice with a
-    repeated index drops out.  table maps keys to lists of c.value_dim values.
+    repeated index drops out.  table maps keys to dict columns {slot: nonzero value}.
     """
     n, p = c.algebra.dim, c.degree
     for r, value in c.nonzero_values():
         support = list(value.items())
         for pick in product(*(slot[k].items() for slot, k in zip(slots, key_unrank(r, n, p)))):
             target, s = sort_with_sign([i for i, _ in pick])
-            if target is None:
-                continue
-            coeff = sign * s * prod(x for _, x in pick)
-            acc = table.setdefault(target, [ZERO] * c.value_dim)
-            for a, v in support:
-                acc[a] += coeff * v
+            if target is not None:
+                _add_scaled(table.setdefault(target, {}), sign * s * prod(x for _, x in pick),
+                            support)
 
 
 def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
@@ -459,7 +457,7 @@ def pullback_cochain(c: Cochain, phi: Matrix, domain: LieAlgebra) -> Cochain:
         raise DimensionMismatchError("pullback map has the wrong shape")
     table = {}
     _scatter(c, [phi.sparse_rows()] * c.degree, table)
-    return Cochain(domain, c.degree, c.value_dim, table)
+    return Cochain.from_columns(domain, c.degree, c.value_dim, table)
 
 
 def transport_cochain(alpha: Matrix, beta_inv: Matrix, c: Cochain) -> Cochain:
@@ -476,7 +474,7 @@ def pair_act_cochain(alpha: Matrix, beta: Matrix, c: Cochain) -> Cochain:
     identity, rows = Matrix.identity(n).sparse_rows(), beta.sparse_rows()
     for s in range(c.degree):
         _scatter(c, [identity] * s + [rows] + [identity] * (c.degree - s - 1), table, -1)
-    return c.map_values(alpha) + Cochain(c.algebra, c.degree, m, table)
+    return c.map_values(alpha) + Cochain.from_columns(c.algebra, c.degree, m, table)
 
 
 def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) -> Cochain:

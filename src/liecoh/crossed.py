@@ -28,7 +28,7 @@ from .extensions import (FactorSystem, build_extension, column_table,
                          restrict_cochain_to_subspace, restricts_to)
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving,
                      bracket_table, center, quotient_algebra)
-from .linalg import (ONE, ZERO, Matrix, Subspace, block_matrix, image, kernel as mat_kernel,
+from .linalg import (ONE, Matrix, Subspace, _add_scaled, block_matrix, image, kernel as mat_kernel,
                      linear_combination, pullback_family, quotient_coordinates, solve_columns)
 
 
@@ -240,16 +240,13 @@ def _alternating_extension(sp: CrossedModuleSplitting) -> Cochain:
                        for j in range(ghat.dim)]
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
-        value = [ZERO] * zd
+        value = table[(i, j)] = {}
         if j in position:
-            for a, x in sp.theta.get((i, position[j]), {}).items():
-                value[a] += x
+            _add_scaled(value, ONE, sp.theta.get((i, position[j]), {}).items())
         if i in position:
             for k, y in minus_reduction[j]:
-                for a, x in sp.theta.get((k, position[i]), {}).items():
-                    value[a] += y * x
-        table[(i, j)] = value
-    return Cochain(ghat, 2, zd, table)
+                _add_scaled(value, y, sp.theta.get((k, position[i]), {}).items())
+    return Cochain.from_columns(ghat, 2, zd, table)
 
 
 def characteristic_class_theta_route(sp: CrossedModuleSplitting,

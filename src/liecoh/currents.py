@@ -19,12 +19,12 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .catalog import InvariantForm, catalog, killing_form
-from .cochains import Cochain, cochain_differential, increasing_tuples
+from .cochains import Cochain, cochain_differential
 from .cohomology import cohomology
 from .errors import DimensionMismatchError, InputError
 from .io import scalar_to_str
 from .liealg import Representation
-from .linalg import ZERO
+from .linalg import ZERO, _add_scaled
 
 DEFAULT_MAX_DEGREE = 32
 
@@ -213,17 +213,17 @@ def cyclic_cocycle_defect(a: Polynomial, b: Polynomial, c: Polynomial) -> Fracti
 
 
 def characteristic_cocycle(kappa: InvariantForm) -> Cochain:
-    """eta(x, y, z) = (1/2) kappa([x, y], z) as a scalar 3-cochain."""
+    """eta(x, y, z) = (1/2) kappa([x, y], z) as a scalar 3-cochain, scattered from each
+    stored bracket [e_i, e_j] and the symmetric gram matrix's rows at k > j."""
     L = kappa.algebra
     gram = kappa.gram.sparse_rows()
     table = {}
-    for key in increasing_tuples(L.dim, 3):
-        i, j, k = key
-        # kappa(u, e_k) is row k of the symmetric gram matrix applied to u
-        val = sum((x * gram[k].get(a, ZERO) for a, x in L.bracket_basis(i, j)), ZERO) / 2
-        if val != 0:
-            table[key] = (val,)
-    return Cochain(L, 3, 1, table)
+    for (i, j), pairs in L.structure_table().items():
+        values = {}
+        for a, c in pairs:
+            _add_scaled(values, c, ((k, x) for k, x in gram[a].items() if k > j))
+        table.update(((i, j, k), {0: x / 2}) for k, x in values.items())
+    return Cochain.from_columns(L, 3, 1, table)
 
 
 def v2_characteristic_cocycle(kappa: InvariantForm):
@@ -276,3 +276,9 @@ def run_v2_samples(samples: int, seed: int):
         "eta_class_nonzero": not cls.is_zero(),
         "h3_dim": cls.space.h_dim,
     }
+
+
+def v2_passed(report: dict) -> bool:
+    """No failed identity, eta(e, f, h) = 4, a nonzero class and dim H^3(sl2) = 1."""
+    return (report["failures"] == 0 and report["eta_e_f_h"] == "4"
+            and report["eta_class_nonzero"] and report["h3_dim"] == 1)

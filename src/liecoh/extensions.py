@@ -217,11 +217,10 @@ class ExtensionPresentation:
     """A total algebra with a distinguished split ideal and quotient maps."""
 
     __slots__ = ("total", "n", "g", "inclusion", "projection", "section",
-                 "ideal", "provenance", "_left_inv")
+                 "ideal", "_left_inv")
 
     def __init__(self, total: LieAlgebra, n_alg: LieAlgebra, g_alg: LieAlgebra,
-                 inclusion: Matrix, projection: Matrix, section: Matrix,
-                 provenance: Optional[FactorSystem] = None):
+                 inclusion: Matrix, projection: Matrix, section: Matrix):
         violations = []
         if inclusion.rows != total.dim or inclusion.cols != n_alg.dim:
             raise DimensionMismatchError("inclusion shape disagrees with n/total")
@@ -255,7 +254,6 @@ class ExtensionPresentation:
         self.projection = projection
         self.section = section
         self.ideal = ideal
-        self.provenance = provenance
         self._left_inv = li
 
     def __repr__(self):
@@ -272,8 +270,7 @@ def build_extension(fs: FactorSystem) -> ExtensionPresentation:
     inclusion = block_matrix([[Matrix.identity(nd)], [Matrix.zero(gd, nd)]])
     projection = block_matrix([[Matrix.zero(gd, nd), Matrix.identity(gd)]])
     section = block_matrix([[Matrix.zero(nd, gd)], [Matrix.identity(gd)]])
-    return ExtensionPresentation(total, fs.n, fs.g, inclusion, projection, section,
-                                 provenance=fs)
+    return ExtensionPresentation(total, fs.n, fs.g, inclusion, projection, section)
 
 
 def extract_factor_system(ext: ExtensionPresentation,

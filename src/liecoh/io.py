@@ -17,6 +17,7 @@ by Cochain.from_pairs, builds no dict per basis vector.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -27,6 +28,9 @@ from .errors import InvariantViolation, JacobiError, ParseError, RepresentationE
 from .extensions import FactorSystem
 from .liealg import LieAlgebra, Representation
 from .linalg import Matrix
+
+# an index string: int() would also read "1_0" as 10, and " 3", "+3" and "３" as 3
+INDEX_TEXT = re.compile(r"-?[0-9]+")
 
 
 def scalar_to_str(x: Fraction) -> str:
@@ -51,13 +55,11 @@ def scalar_from_str(s) -> Fraction:
 
 
 def json_int(value, field: str) -> int:
-    """value as an int: an integer, a finite integral number or an integer string.
+    """value as an int: an integer, a finite integral number or an INDEX_TEXT string.
     A boolean, a fraction, Infinity or anything else is a ParseError naming field."""
-    if type(value) in (int, str) or type(value) is float and value.is_integer():
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if (type(value) is int or type(value) is float and value.is_integer()
+            or type(value) is str and INDEX_TEXT.fullmatch(value)):
+        return int(value)
     raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
 
 
@@ -175,10 +177,10 @@ def cochain_from_json(data, algebra: LieAlgebra) -> Cochain:
     value_dim = json_int(data.get("value_dim"), "value_dim")
     table, names = {}, {}
     for key_str, vec in json_object(data.get("coeffs", {}), "the cochain coeffs").items():
-        try:
-            key = tuple(int(s) for s in key_str.split(",")) if key_str else ()
-        except ValueError as exc:
-            raise ParseError(f"invalid cochain key {key_str!r}") from exc
+        indices = key_str.split(",") if key_str else []
+        if not all(map(INDEX_TEXT.fullmatch, indices)):
+            raise ParseError(f"invalid cochain key {key_str!r}")
+        key = tuple(map(int, indices))
         if key in table:
             raise ParseError(f"cochain keys {names[key]!r} and {key_str!r} both read as {key}")
         names[key] = key_str
@@ -362,9 +364,19 @@ def _cochain_text(c: Cochain, pad: str, key_names: dict) -> str:
             f'{inner}"value_dim": {value_dim}{pad}}}')
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ParseError (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        last = {key: i for i, (key, _) in enumerate(pairs)}
+        key = next(key for i, (key, _) in enumerate(pairs) if last[key] != i)
+        raise ParseError(f"invalid JSON: key {json.dumps(key)} is given twice in one object")
+    return obj
+
+
 def load_json_text(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 

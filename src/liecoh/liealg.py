@@ -364,7 +364,8 @@ class DerivationAlgebra(NamedTuple):
     """The derivation algebra of L in matrix form.
 
     ``algebra`` carries the commutator structure constants in the canonical
-    basis ``matrices``; ``inner_coords`` expresses each ad e_i in that basis.
+    basis ``matrices``; ``inner_coords`` expresses each ad e_i in that basis,
+    as a dict {basis position: nonzero coefficient}.
     """
 
     algebra: LieAlgebra
@@ -394,9 +395,8 @@ def derivations(L: LieAlgebra) -> DerivationAlgebra:
             if coords is None:
                 raise NotADerivationError(
                     "commutator of derivations left the solution space")
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                table[(i, j)] = entry
+            if coords:
+                table[(i, j)] = coords
     der_alg = LieAlgebra(d, table)
     inner = tuple(space.coordinates_of(ad.flat_pairs()) for ad in L.ad_matrices())
     if None in inner:

@@ -340,17 +340,15 @@ class Subspace:
             raise DimensionMismatchError("subspaces live in different ambient spaces")
         return not any(self.reduce_entries(p) for p in other.pairs)
 
-    def coordinates_of(self, entries) -> Optional[tuple]:
-        """Coefficients in the canonical basis of the vector with the given
-        nonzero (index, value) pairs, or None if it lies outside.
-
-        The basis is in reduced echelon form, so the coefficient of each
-        basis vector is the entry of the vector at its pivot.
-        """
+    def coordinates_of(self, entries) -> Optional[dict]:
+        """The coefficients in the canonical basis of the vector with the given nonzero
+        (index, value) pairs, as a dict {basis position: nonzero value}, or None if it
+        lies outside.  The basis is in reduced echelon form, so the coefficient of
+        each basis vector is the entry of the vector at its pivot."""
         entries = dict(entries)
         if self.reduce_entries(entries.items()):
             return None
-        return tuple(entries.get(p, ZERO) for p in self.pivots)
+        return {r: x for r, p in enumerate(self.pivots) if (x := entries.get(p))}
 
     def split_matrix(self) -> Matrix:
         """The coordinates of a vector's component along the subspace: row r reads

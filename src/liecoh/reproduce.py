@@ -6,7 +6,7 @@ from __future__ import annotations
 from .catalog import catalog
 from .cochains import Cochain, cochain_differential, pullback_cochain
 from .cohomology import cohomology
-from .currents import run_v2_samples
+from .currents import run_v2_samples, v2_passed
 from .errors import UnknownBundleError
 from .extensions import (GKernel, center_module, classify_extensions,
                          equivalent_extensions, extension_map, rebuild_from_cocycle,
@@ -133,9 +133,7 @@ def bundle_remark_iv5():
 def bundle_example_v2():
     """Randomized current-identity suite plus the degree-3 class values."""
     report = run_v2_samples(100, 0)
-    passed = (report["failures"] == 0 and report["eta_e_f_h"] == "4"
-              and report["eta_class_nonzero"] and report["h3_dim"] == 1)
-    return report, passed
+    return report, v2_passed(report)
 
 
 def bundle_theorem_iv4_roundtrip():

@@ -22,7 +22,6 @@ center-valued correction from ``cohomology.primitive``.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, OuterActionMap, covariant_differential,
@@ -36,9 +35,9 @@ from .extensions import (FactorSystem, build_extension, center_module,
                          extension_map, gauge_remainder,
                          inner_cochain, restrict_cochain_to_subspace,
                          transported_pair)
-from .liealg import (LieAlgebra, Representation, ad_stack, bracket_preserving,
-                     is_derivation, law_defect, leibniz_rows)
-from .linalg import ONE, Matrix, Subspace, invert, kernel, pullback_family
+from .liealg import (LieAlgebra, Representation, ad_stack, is_derivation, law_defect,
+                     leibniz_rows)
+from .linalg import ONE, Matrix, Subspace, _add_scaled, invert, kernel, pullback_family
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +168,39 @@ def _pair_system_rows(fs: FactorSystem):
     nvars = va + vb + gd * nd
     rows = leibniz_rows(n_alg, 0) + leibniz_rows(g_alg, va)
 
-    stack = ad_stack(n_alg)
-    # [alpha, S_a] - S(beta e_a) - ad(gamma_a) = 0
+    # [alpha, S_a] - S(beta e_a) - ad(gamma_a) = 0, row (r, c) of each a, from nonzero entries
+    s_rows = [m.sparse_rows() for m in S.matrices]
+    s_cols = [m.transpose().sparse_rows() for m in S.matrices]
+    stack = ad_stack(n_alg).sparse_rows()
     for a in range(gd):
-        Sa = S.matrices[a]
         for r in range(nd):
             for c in range(nd):
-                row = Counter()
-                for k in range(nd):
-                    # (alpha Sa)_{rc} involves alpha_{rk} Sa_{kc}
-                    row[r * nd + k] += Sa.entry(k, c)
-                    # (Sa alpha)_{rc} involves Sa_{rk} alpha_{kc}
-                    row[k * nd + c] -= Sa.entry(r, k)
-                for b in range(gd):
-                    row[va + b * gd + a] -= S.matrices[b].entry(r, c)
-                for k, x in stack.sparse_rows()[r * nd + c].items():
-                    row[va + vb + a * nd + k] -= x
+                # alpha_{rk} S_a[k][c] - S_a[r][k] alpha_{kc}; both meet at alpha_{rc}
+                row = {r * nd + k: x for k, x in s_cols[a][c].items()}
+                _add_scaled(row, -ONE, ((k * nd + c, x) for k, x in s_rows[a][r].items()))
+                # beta_{ba} S_b[r][c] and ad(gamma_a), each in columns of its own
+                row.update((va + b * gd + a, -x) for b, m in enumerate(s_rows)
+                           if (x := m[r].get(c)))
+                row.update((va + vb + a * nd + k, -x) for k, x in stack[r * nd + c].items())
                 rows.append(row)
 
     # alpha(omega(i,j)) - omega(beta e_i, e_j) - omega(e_i, beta e_j)
-    #   - (d_S gamma)(i, j) = 0, row q * nd + r for the r-th entry at key q
-    omega_rows = [Counter({va + vb + col: -x for col, x in d_row.items()})
+    #   - (d_S gamma)(i, j) = 0, row q * nd + r for the r-th entry at key q; each
+    # term meets its (row, column) once, so it is set, not added
+    omega_rows = [{va + vb + col: -x for col, x in d_row.items()}
                   for d_row in differential_operator(S, 1).sparse_rows()]
     for q, value in omega.nonzero_values():
         s, t = key_unrank(q, gd, 2)
         for r, x in value.items():
             for k in range(nd):  # alpha_{kr} omega(s, t)_r, in row k of key (s, t)
-                omega_rows[q * nd + k][k * nd + r] += x
+                omega_rows[q * nd + k][k * nd + r] = x
             # omega(e_u, e_w) = y is x at (s, t) and -x at (t, s); it meets
             # beta_{ui} at key (i, w) and beta_{wj} at key (u, j)
             for u, w, y in ((s, t, x), (t, s, -x)):
                 for i in range(w):
-                    omega_rows[key_rank((i, w), gd) * nd + r][va + u * gd + i] -= y
+                    omega_rows[key_rank((i, w), gd) * nd + r][va + u * gd + i] = -y
                 for j in range(u + 1, gd):
-                    omega_rows[key_rank((u, j), gd) * nd + r][va + w * gd + j] -= y
+                    omega_rows[key_rank((u, j), gd) * nd + r][va + w * gd + j] = -y
     return rows, omega_rows, nvars, va, vb
 
 
@@ -358,9 +356,9 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
     z, z_rep = center_module(fs.S)
     z1 = kernel(differential_matrix(z_rep, 1))
 
-    def z1_coords(c: Cochain):
+    def z1_coords(c: Cochain) -> dict:
         cz = restrict_cochain_to_subspace(c, z)
-        # the coordinates are a dense column of z1_mats and of the cocycle table
+        # the coordinates are a sparse column of z1_mats and of the cocycle table
         coords = z1.coordinates_of(cz.pairs)
         if coords is None:
             raise InvariantViolation("a value left the cocycle space")
@@ -368,8 +366,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
 
     cocycles = [embed_cochain_from_subspace(Cochain.from_pairs(g_alg, 1, z.dim, p), z)
                 for p in z1.pairs]
-    z1_mats = [Matrix.from_columns([z1_coords(pair_act_cochain(psi_n[x], psi_g[x], c))
-                                    for c in cocycles], rows=z1.dim) for x in range(hd)]
+    z1_mats = [Matrix.from_sparse_rows([z1_coords(pair_act_cochain(psi_n[x], psi_g[x], c))
+                                        for c in cocycles], z1.dim).transpose() for x in range(hd)]
     z1_rep = Representation(h_alg, z1.dim, z1_mats)
 
     values = {}
@@ -381,10 +379,8 @@ def lifting_cocycle(fs: FactorSystem, h_alg: LieAlgebra, psi_n: Sequence[Matrix]
             for k, c in h_alg.bracket_basis(x, y):
                 val = val - theta[k].scale(c)
             values[(x, y)] = val
-            coords = z1_coords(val)
-            if any(coords):
-                coord_table[(x, y)] = coords
-    cocycle = Cochain(h_alg, 2, z1.dim, coord_table)
+            coord_table[(x, y)] = z1_coords(val)
+    cocycle = Cochain.from_columns(h_alg, 2, z1.dim, coord_table)
     obstruction = cohomology(z1_rep, 2).class_of(cocycle)
 
     lift = None
@@ -445,8 +441,8 @@ def automorphism_pair_obstruction(fs: FactorSystem, alpha: Matrix,
         gamma_full = gamma + embed_cochain_from_subspace(zeta, z)
         if not check_equivalence_map(alpha, beta, gamma_full, fs, fs):
             raise InvariantViolation("zero class but the lift conditions fail")
+        # check_equivalence_map verified that this map preserves the brackets
         lift = extension_map(alpha, gamma_full.as_matrix() @ beta, beta)
-        total = build_extension(fs).total
-        if not bracket_preserving(total, total, lift) or invert(lift) is None:
+        if invert(lift) is None:
             raise InvariantViolation("assembled automorphism fails to verify")
     return AutomorphismObstruction((alpha, beta), gamma, cls, lift)

@@ -10,7 +10,11 @@ former bodies, read through the pairs the package now exposes.  So are
 the dense forms of a bracket and a pairing (``LieAlgebra.ad``, the dense
 ``bracket`` and ``bracket_basis``, ``Representation.act``,
 ``Cochain.coeffs``, the dense-closure pairings and ``wedge``), which the
-package replaced by nonzero (k, c) pairs and dicts {index: value}.
+package replaced by nonzero (k, c) pairs and dicts {index: value}, and the
+dense constructions of the exact core (the list accumulator of ``_scatter``, the
+``Counter`` rows of ``_pair_system_rows``, the all-keys
+``characteristic_cocycle`` and the tuple ``coordinates_of``), which the
+package replaced by dict columns and nonzero entries.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -18,16 +22,18 @@ to tolerance.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
 from liecoh.cochains import (Cochain, EquivariantPairing, check_degree, cochain_space_dim,
-                             key_unrank, sort_with_sign)
+                             differential_operator, key_rank, key_unrank, sort_with_sign)
 from liecoh.errors import DimensionMismatchError, InvariantViolation
-from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis
+from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis, leibniz_rows
 from liecoh.linalg import (ONE, ZERO, InconsistencyCertificate, Matrix, _augmented_rref,
                            _null_space, _particulars, to_fractions)
 
@@ -313,6 +319,103 @@ def dense_wedge(m, a, b):
                 if x:
                     acc[slot] += x if sign == 1 else -x
     return Cochain(a.algebra, p + q, m.out_dim, table)
+
+
+# the former dense constructions of the exact core, kept as oracles for the ones
+# that scatter dict columns into Cochain.from_columns and read only nonzero
+# entries: the list accumulator of _scatter under pullback_cochain and
+# pair_act_cochain, the Counter rows of _pair_system_rows, the all-keys
+# characteristic_cocycle and the dense Subspace.coordinates_of
+
+def dense_scatter(c, slots, table, sign=1):
+    """The former cochains._scatter: table maps keys to lists of c.value_dim values."""
+    n, p = c.algebra.dim, c.degree
+    for r, value in c.nonzero_values():
+        support = list(value.items())
+        for pick in product(*(slot[k].items() for slot, k in zip(slots, key_unrank(r, n, p)))):
+            target, s = sort_with_sign([i for i, _ in pick])
+            if target is None:
+                continue
+            coeff = sign * s * prod(x for _, x in pick)
+            acc = table.setdefault(target, [ZERO] * c.value_dim)
+            for a, v in support:
+                acc[a] += coeff * v
+
+
+def dense_pullback_cochain(c, phi, domain):
+    """The former pullback_cochain, through the dense Cochain constructor."""
+    table = {}
+    dense_scatter(c, [phi.sparse_rows()] * c.degree, table)
+    return Cochain(domain, c.degree, c.value_dim, table)
+
+
+def dense_pair_act_cochain(alpha, beta, c):
+    """The former pair_act_cochain, through the dense Cochain constructor."""
+    n, m = c.algebra.dim, c.value_dim
+    table = {}
+    identity, rows = Matrix.identity(n).sparse_rows(), beta.sparse_rows()
+    for s in range(c.degree):
+        dense_scatter(c, [identity] * s + [rows] + [identity] * (c.degree - s - 1), table, -1)
+    return c.map_values(alpha) + Cochain(c.algebra, c.degree, m, table)
+
+
+def dense_pair_system_rows(fs):
+    """The former symmetry._pair_system_rows: Counter rows, the [alpha, S_a] block
+    read entry by entry through Matrix.entry, zeros included."""
+    n_alg, g_alg, S, omega = fs.n, fs.g, fs.S, fs.omega
+    nd, gd = n_alg.dim, g_alg.dim
+    va, vb = nd * nd, gd * gd
+    nvars = va + vb + gd * nd
+    rows = leibniz_rows(n_alg, 0) + leibniz_rows(g_alg, va)
+    stack = ad_stack(n_alg)
+    for a in range(gd):
+        Sa = S.matrices[a]
+        for r in range(nd):
+            for c in range(nd):
+                row = Counter()
+                for k in range(nd):
+                    row[r * nd + k] += Sa.entry(k, c)
+                    row[k * nd + c] -= Sa.entry(r, k)
+                for b in range(gd):
+                    row[va + b * gd + a] -= S.matrices[b].entry(r, c)
+                for k, x in stack.sparse_rows()[r * nd + c].items():
+                    row[va + vb + a * nd + k] -= x
+                rows.append(row)
+    omega_rows = [Counter({va + vb + col: -x for col, x in d_row.items()})
+                  for d_row in differential_operator(S, 1).sparse_rows()]
+    for q, value in omega.nonzero_values():
+        s, t = key_unrank(q, gd, 2)
+        for r, x in value.items():
+            for k in range(nd):
+                omega_rows[q * nd + k][k * nd + r] += x
+            for u, w, y in ((s, t, x), (t, s, -x)):
+                for i in range(w):
+                    omega_rows[key_rank((i, w), gd) * nd + r][va + u * gd + i] -= y
+                for j in range(u + 1, gd):
+                    omega_rows[key_rank((u, j), gd) * nd + r][va + w * gd + j] -= y
+    return rows, omega_rows, nvars, va, vb
+
+
+def all_keys_characteristic_cocycle(kappa):
+    """The former currents.characteristic_cocycle: every increasing triple read."""
+    L = kappa.algebra
+    gram = kappa.gram.sparse_rows()
+    table = {}
+    for key in combinations(range(L.dim), 3):
+        i, j, k = key
+        val = sum((x * gram[k].get(a, ZERO) for a, x in L.bracket_basis(i, j)), ZERO) / 2
+        if val != 0:
+            table[key] = (val,)
+    return Cochain(L, 3, 1, table)
+
+
+def tuple_coordinates_of(sub, entries):
+    """The former Subspace.coordinates_of: nonzero (index, value) pairs in, the
+    coefficients as a dense tuple out, or None."""
+    entries = dict(entries)
+    if sub.reduce_entries(entries.items()):
+        return None
+    return tuple(entries.get(p, ZERO) for p in sub.pivots)
 
 
 def rand_fraction(rng, num=4, den=3):

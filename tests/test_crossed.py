@@ -54,7 +54,8 @@ def stage_module(fs):
 def derivation_module(L):
     """ad: L -> Der(L) with Der(L) acting on L: kernel the center of L."""
     der = derivations(L)
-    alpha = Matrix.from_columns(der.inner_coords, rows=der.dim)
+    # inner_coords[i] is the sparse column of ad e_i in the basis of Der(L)
+    alpha = Matrix.from_sparse_rows(der.inner_coords, der.dim).transpose()
     return CrossedModule(L, der.algebra, alpha, Representation(der.algebra, L.dim,
                                                                 der.matrices))
 

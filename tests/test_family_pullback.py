@@ -211,7 +211,7 @@ def not_an_ideal_presentation():
     ext.inclusion = Matrix([[1], [0], [0]])
     ext.projection = Matrix([[0, 1, 0], [0, 0, 1]])
     ext.section = Matrix([[0, 0], [1, 0], [0, 1]])
-    ext.ideal, ext.provenance = image(ext.inclusion), None
+    ext.ideal = image(ext.inclusion)
     ext._left_inv = Matrix([[1, 0, 0]])
     return ext
 

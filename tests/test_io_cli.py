@@ -434,6 +434,53 @@ def test_cli_rejects_booleans_and_repeated_keys(tmp_path, capsys, case):
     assert report == {"command": "validate", "error": {"kind": "ParseError", "message": message}}
 
 
+# json.loads keeps the last of two equal keys in one object, so each of these
+# validated with the repeated key's last value
+REPEATED_KEYS = {
+    "bracket-value-index": (
+        "--algebra", '{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": {"2": "1", "2": "5"}}]}\n',
+        '"2"'),
+    "top-level-field": ("--algebra", '{"dim": 3, "dim": 4, "brackets": []}\n', '"dim"'),
+    "cochain-key": ("--ext", ext_text("omega", "coeffs", {"0,1": ["1"], "1,1": ["2"]})
+                    .replace('"1,1"', '"0,1"'), '"0,1"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_cli_rejects_a_key_given_twice_in_one_object(tmp_path, capsys, case):
+    flag, text, key = REPEATED_KEYS[case]
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    code, report = run_cli(["validate", flag, str(path)], capsys)
+    assert code == 1
+    assert report == {"command": "validate", "error": {
+        "kind": "ParseError", "message": f"invalid JSON: key {key} is given twice in one object"}}
+
+
+# int() reads each of these as an index: "1_0" as 10, " 3", "+3" and the
+# full-width "３" as 3, in a bracket value and in a cochain key alike
+INDEX_FORMS = {"underscore": ("1_0", "0_1"), "space": (" 3", " 1"), "plus": ("+3", "+1"),
+               "full-width": ("\uff13", "\uff11")}
+
+
+@pytest.mark.parametrize("form", sorted(INDEX_FORMS))
+def test_cli_rejects_index_strings_that_are_not_plain_digits(tmp_path, capsys, form):
+    in_bracket, in_key = INDEX_FORMS[form]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 11, "brackets": [{"i": 0, "j": 1,
+                                                         "value": {in_bracket: "1"}}]}))
+    code, report = run_cli(["validate", "--algebra", str(path)], capsys)
+    assert code == 1
+    assert report["error"] == {"kind": "ParseError", "message":
+                               f"bracket k must be an integer, got {json.dumps(in_bracket)}"}
+    path = tmp_path / "ext.json"
+    path.write_text(ext_text("omega", "coeffs", {"0," + in_key: ["1"]}))
+    code, report = run_cli(["validate", "--ext", str(path)], capsys)
+    assert code == 1
+    assert report["error"] == {"kind": "ParseError",
+                               "message": f"invalid cochain key {'0,' + in_key!r}"}
+
+
 @pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
 def test_cli_integer_fields_must_be_integers(tmp_path, capsys, case):
     flag, text, message = INTEGER_FIELDS[case]
@@ -451,8 +498,9 @@ def test_integer_strings_and_integral_numbers_still_parse(tmp_path, capsys):
     assert code == 0
     assert lio.algebra_from_json(json.loads(path.read_text())).structure_table() == {
         (0, 1): ((1, Fraction(1)),)}
-    assert [lio.json_int(v, "f") for v in (3, "3", " 3", 3.0, -2)] == [3, 3, 3, 3, -2]
-    for bad in (True, False, None, 3.5, math.inf, -math.inf, math.nan, "3.0", "x", [3], {}):
+    assert [lio.json_int(v, "f") for v in (3, "3", "03", "-2", 3.0, -2)] == [3, 3, 3, -2, 3, -2]
+    for bad in (True, False, None, 3.5, math.inf, -math.inf, math.nan, "3.0", "x", [3], {},
+                " 3", "3 ", "+3", "1_0", "\uff13", "", "-", "--3"):
         with pytest.raises(ParseError, match="^f must be an integer, got "):
             lio.json_int(bad, "f")
 

@@ -13,7 +13,7 @@ from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep,
                            is_derivation, product_algebra, quotient_algebra)
 from liecoh.linalg import ONE, Matrix, Subspace, invert, pullback_family
 
-from conftest import (as_column, basis_of, contains_vec, dense, dense_ad, dense_bracket,
+from conftest import (as_column, basis_of, dense, dense_ad, dense_bracket,
                       dense_bracket_basis, dense_coeffs, is_full, nonzero_pairs, rand_algebra,
                       rand_fraction, rand_invertible, rand_matrix, unit_vec, vec_add, vec_scale,
                       vec_sub, zero_vec)
@@ -99,7 +99,7 @@ def test_derivations_dims():
 def test_derivations_contain_inner_as_ideal():
     for L in (heisenberg3(), sl2(), nonabelian2()):
         d = derivations(L)
-        inner = Subspace.from_vectors(d.dim, d.inner_coords)
+        inner = Subspace.row_space(Matrix.from_sparse_rows(d.inner_coords, d.dim))
         # the bracket of any derivation with an inner one stays inner
         for i in range(d.dim):
             for v in basis_of(inner):
@@ -110,12 +110,12 @@ def test_derivations_contain_inner_as_ideal():
                 comm = d.matrices[i].commutator(inner_mat)
                 coords = d.subspace.coordinates_of(comm.flat_pairs())
                 assert coords is not None
-                assert contains_vec(inner, coords)
+                assert not inner.reduce_entries(coords.items())
 
 
 def test_derivations_of_semisimple_are_inner():
     d = derivations(sl2())
-    inner = Subspace.from_vectors(d.dim, d.inner_coords)
+    inner = Subspace.row_space(Matrix.from_sparse_rows(d.inner_coords, d.dim))
     assert inner.dim == 3 == d.dim
 
 

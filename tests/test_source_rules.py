@@ -30,6 +30,13 @@ call is handed a dense value (a ``.flatten()``, ``.coordinates()``, ``.row()``,
 ``.row_list()``, ``.column()`` or ``.matvec()`` call, a ``.basis`` read or a
 ``Matrix(...)`` built from dense rows), either directly or through a name
 assigned from one in the same function.
+A cochain is built one way: the package scatters dict columns into
+``Cochain.from_columns`` (or hands nonzero pairs to ``from_pairs``), and the
+dense ``Cochain(...)`` constructor, the input form, is called only in
+``io.py``, ``catalog.py``, ``reproduce.py`` and ``cli.py``.  No dense
+accumulator ``[ZERO] * n`` appears outside ``linalg._dense``, and the
+stabilizer rows of ``symmetry.py`` are read from nonzero entries: no
+``Counter`` and no ``.entry`` call appears there.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.
@@ -41,7 +48,8 @@ vector helpers, whose callers now read sparse rows and pairs, and the dense
 views that solves and subspace reads took (the tests keep their own copies
 in ``conftest.py``), and the dense bracket views ``LieAlgebra.ad``,
 ``Representation.act`` and ``Cochain.coeffs``, now that brackets and
-pairings pass nonzero pairs.  A deleted method whose bare name another
+pairings pass nonzero pairs, and the ``provenance`` slot of an
+``ExtensionPresentation``, which nothing read.  A deleted method whose bare name another
 class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
 """
@@ -200,12 +208,40 @@ def imports_of(module):
 
 dataclasses_imports = imports_of("dataclasses")
 
+
+def zero_lists_outside(function):
+    """Rule: a dense accumulator ``[ZERO] * n`` (or ``n * [ZERO]``) outside the body
+    of a function named ``function`` (anywhere when it is None)."""
+    def rule(tree):
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == function
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and id(node) not in inside
+                    and any(isinstance(side, ast.List) and len(side.elts) == 1
+                            and "ZERO" in (getattr(side.elts[0], "id", None),
+                                           getattr(side.elts[0], "attr", None))
+                            for side in (node.left, node.right))):
+                yield node.lineno, "[ZERO] * n accumulator"
+    return rule
+
+
+zero_lists = zero_lists_outside(None)
+stray_zero_lists = zero_lists_outside("_dense")
+cochain_constructor_calls = calls_to("Cochain")
+# the modules that read cochains from files and literals, the dense input form
+COCHAIN_INPUT_MODULES = ("io.py", "catalog.py", "reproduce.py", "cli.py")
+counter_names = names("Counter")
+entry_calls = method_calls("entry")
+
 # Deleted because nothing in the package called them; the tests keep their
 # own copies of the last three, which state results of the paper.  Then the
 # dense vector helpers, the unused Workspace store and SparseCochain, the
 # second storage of a cochain.  Then the dense views of the solve and
 # subspace boundary, whose callers now pass dicts and pairs.  Then the dense
-# bracket views, whose callers now read nonzero pairs.
+# bracket views, whose callers now read nonzero pairs.  Then the provenance
+# slot of an ExtensionPresentation, written by build_extension and never read.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
@@ -214,12 +250,14 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "_dense_columns", "flatten", "coordinates", "from_coordinates", "reduce",
                "embed", "Subspace.basis", "Subspace.contains", "split_coordinates",
                "ideal_coordinates", "DerivationAlgebra.coordinates_of",
-               "LieAlgebra.ad", "Representation.act", "Cochain.coeffs")
+               "LieAlgebra.ad", "Representation.act", "Cochain.coeffs",
+               "ExtensionPresentation.provenance")
 
 
 def deleted_member(target):
     """Rule for a deleted ``Class.name``: a definition of ``name`` in the body of
-    ``class Class``, or a ``Class.name`` reference."""
+    ``class Class``, a ``self.name`` or ``"name"`` slot in its methods and
+    ``__slots__``, or a ``Class.name`` reference."""
     cls, member = target.split(".")
 
     def rule(tree):
@@ -230,6 +268,12 @@ def deleted_member(target):
                     if member in [getattr(item, "name", None)] + [getattr(t, "id", None)
                                                                   for t in targets]:
                         yield item.lineno, f"{target} name"
+                    for inner in ast.walk(item):
+                        if (isinstance(inner, ast.Attribute) and inner.attr == member
+                                and getattr(inner.value, "id", None) == "self"
+                                or "__slots__" in [getattr(t, "id", None) for t in targets]
+                                and isinstance(inner, ast.Constant) and inner.value == member):
+                            yield inner.lineno, f"{target} name"
             elif (isinstance(node, ast.Attribute) and node.attr == member
                   and getattr(node.value, "id", None) == cls):
                 yield node.lineno, f"{target} name"
@@ -333,6 +377,22 @@ def test_package_imports_no_dataclasses():
 
 def test_package_names_no_deleted_api():
     assert violations(deleted_api_names) == []
+
+
+def test_dense_accumulators_live_only_in_linalg_dense():
+    assert violations(stray_zero_lists) == []
+    assert violations(zero_lists, exempt=("linalg.py",)) == []
+    assert len(list(zero_lists(ast.parse((PACKAGE / "linalg.py").read_text())))) == 1
+
+
+def test_cochains_are_built_from_columns_outside_the_input_modules():
+    assert violations(cochain_constructor_calls, exempt=COCHAIN_INPUT_MODULES) == []
+    assert list(cochain_constructor_calls(ast.parse((PACKAGE / "io.py").read_text())))
+
+
+def test_stabilizer_rows_read_only_nonzero_entries():
+    tree = ast.parse((PACKAGE / "symmetry.py").read_text())
+    assert list(counter_names(tree)) + list(entry_calls(tree)) == []
 
 
 def test_rule_detects_both_forms():
@@ -558,3 +618,58 @@ def test_rule_detects_deleted_bracket_views():
     assert sorted(deleted_api_names(tree)) == [
         (2, "LieAlgebra.ad name"), (5, "Representation.act name"), (9, "Cochain.coeffs name"),
         (15, "Cochain.coeffs name"), (15, "LieAlgebra.ad name")]
+
+
+def test_rule_detects_dense_accumulators():
+    tree = ast.parse("def _dense(entries, n):\n"
+                     "    v = [ZERO] * n\n"
+                     "    return v\n"
+                     "def _scatter(c, table, target):\n"
+                     "    acc = table.setdefault(target, [ZERO] * c.value_dim)\n"
+                     "    return acc, c.value_dim * [linalg.ZERO], 3 * [ZERO], [ONE] * 3\n"
+                     "value = [ZERO, ZERO] * 2, [0] * 3\n")
+    assert list(stray_zero_lists(tree)) == [(5, "[ZERO] * n accumulator"),
+                                            (6, "[ZERO] * n accumulator"),
+                                            (6, "[ZERO] * n accumulator")]
+    assert len(list(zero_lists(tree))) == 4
+
+
+def test_rule_detects_dense_cochain_constructor_calls():
+    tree = ast.parse("def pullback_cochain(c, phi, domain, table):\n"
+                     "    zero = cochains.Cochain(domain, 1, 1)\n"
+                     "    return Cochain(domain, c.degree, c.value_dim, table), zero\n"
+                     "class Cochain:\n"
+                     "    @classmethod\n"
+                     "    def zero(cls, algebra, degree, value_dim):\n"
+                     "        return cls.from_pairs(algebra, degree, value_dim, ())\n"
+                     "    def __repr__(self):\n"
+                     "        return f'Cochain(degree={self.degree})'\n"
+                     "c = Cochain.from_columns(L, 2, 1, {}), Cochain.from_pairs(L, 2, 1, ())\n")
+    assert list(cochain_constructor_calls(tree)) == [(2, "Cochain call"), (3, "Cochain call")]
+
+
+def test_rules_detect_counter_rows_and_entry_reads():
+    tree = ast.parse("from collections import Counter\n"
+                     "import collections\n"
+                     "def rows(S, a, r, c, k):\n"
+                     "    row = collections.Counter()\n"
+                     "    row[r] += S.matrices[a].entry(k, c)\n"
+                     "    return row, entry(S, k), S.sparse_rows()[r].get(c)\n")
+    assert sorted(counter_names(tree)) == [(1, "Counter name"), (4, "Counter name")]
+    assert list(entry_calls(tree)) == [(5, ".entry call")]
+
+
+def test_rule_detects_the_deleted_provenance_slot():
+    tree = ast.parse("class ExtensionPresentation:\n"
+                     "    __slots__ = ('total', 'provenance')\n"
+                     "    def __init__(self, total, provenance=None):\n"
+                     "        self.total = total\n"
+                     "        self.provenance = provenance\n"
+                     "def build(fs, args):\n"
+                     "    provenance = {'algebra': args.algebra}\n"
+                     "    ext = ExtensionPresentation(fs, provenance=fs)\n"
+                     "    return ext.provenance, ExtensionPresentation.provenance, provenance\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (2, "ExtensionPresentation.provenance name"),
+        (5, "ExtensionPresentation.provenance name"),
+        (9, "ExtensionPresentation.provenance name")]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from liecoh.catalog import (abelian, catalog, ext_filiform4, ext_heisenberg3,
                             ext_heisenberg_kernel, heisenberg3)
 from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
                              pair_act_cochain, transport_cochain)
+from liecoh import extensions, io as lio, symmetry
+from liecoh.cli import run_command
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.errors import NoGammaError, PreconditionFailedError
 from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_map,
@@ -375,3 +378,45 @@ def test_image_pairs_match_the_from_scratch_kernel(name, fs):
     report = extension_derivations(fs)
     assert tuple((alpha, beta) for alpha, beta, _ in report.image_pairs) == want
     assert len(want) == report.image_dim
+
+
+# stdout sha256 of `liecoh automorphism` recorded at the commit where the
+# lift's bracket check ran twice, on its own build of the total algebra
+AUTOMORPHISM_STDOUT = {
+    ("ext-heisenberg3", "identity"):
+        "a3879709a74818ff6ce5ff5427adfa42fb5f9cd587115ac841b4d32d02302a89",
+    ("ext-heisenberg3", "shear"):
+        "93637a95c942e9ac7ddb71366aa56022000361cad1ff29ba5687aaa89e485c2e",
+    ("ext-filiform4", "identity"):
+        "53f47be84379dec92d2f37b2188a62ec57873a0e8d7705194900afec4fe038be",
+    ("ext-heisenberg-kernel", "identity"):
+        "97f3e9592b3523ecd03b23cb41b8144718345dbcde375078fedbce0e3ba852d5",
+    ("ext-sl2-kernel", "identity"):
+        "44abe262e52088438295247a036d5512db47e499b13c2fa584b985845a6d82c6",
+}
+
+
+@pytest.mark.parametrize("name, pair", sorted(AUTOMORPHISM_STDOUT))
+def test_automorphism_builds_each_total_once_per_check(monkeypatch, tmp_path, capsys,
+                                                       name, pair):
+    # check_equivalence_map builds the total of fs and of fs again and checks
+    # that the lift preserves brackets; the lift is that same matrix, so
+    # automorphism_pair_obstruction builds no third total and repeats no check
+    fs = catalog(name)
+    ext, pair_file = tmp_path / "fs.json", tmp_path / "pair.json"
+    ext.write_text(lio.emit(lio.factor_system_to_json(fs)))
+    beta = Matrix.identity(fs.g.dim) if pair == "identity" else Matrix([[1, 1], [0, 1]])
+    pair_file.write_text(lio.emit({"alpha": lio.matrix_to_json(Matrix.identity(fs.n.dim)),
+                                   "beta": lio.matrix_to_json(beta)}))
+    builds = []
+    real = extensions.build_extension
+
+    def counted(fs):
+        builds.append(fs)
+        return real(fs)
+    monkeypatch.setattr(extensions, "build_extension", counted)
+    monkeypatch.setattr(symmetry, "build_extension", counted)
+    assert run_command(["automorphism", "--ext", str(ext), "--pair", str(pair_file)]) == 0
+    out = capsys.readouterr().out
+    assert len(builds) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHISM_STDOUT[(name, pair)]
