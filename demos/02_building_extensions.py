@@ -6,7 +6,7 @@ Run:  python3 demos/02_building_extensions.py
 from liecoh import (build_extension, catalog, center, classify_extensions,
                     equivalent_extensions, extract_factor_system)
 from liecoh.cochains import Cochain
-from liecoh.extensions import FactorSystem, GKernel
+from liecoh.extensions import FactorSystem
 
 # A factor system is a pair (S, omega): an action of the quotient on the
 # kernel by derivations, plus a 2-cochain absorbing the curvature.  The
@@ -28,7 +28,8 @@ print("area form vs zero form equivalent:", verdict.found,
       "| stage:", verdict.stage if not verdict.found else "-")
 
 # The classes realizing a kernel form an affine space over the degree-2
-# center-valued cohomology: one base point, one translation here.
-cls = classify_extensions(GKernel.from_factor_system(fs))
+# center-valued cohomology: one base point, one translation here.  A factor
+# system is itself a kernel, the one its S and omega define.
+cls = classify_extensions(fs)
 print("translation group dim:", cls.h2.h_dim,
       "| representatives:", len(cls.representatives))

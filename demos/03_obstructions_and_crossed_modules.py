@@ -7,17 +7,17 @@ from liecoh import catalog, obstruction_class, reduce_via_stage
 from liecoh.crossed import (CrossedModule, characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence)
-from liecoh.extensions import GKernel, build_quotient_stage
+from liecoh.extensions import build_quotient_stage
 
 # A kernel class [S] carries a degree-3 obstruction with center
-# coefficients; it vanishes exactly when some extension realizes it.
+# coefficients; it vanishes exactly when some extension realizes it.  A
+# factor system is a kernel whose omega is closed, so it is passed as one.
 fs = catalog("ext-heisenberg-kernel")
-kernel = GKernel.from_factor_system(fs)
-print("obstruction vanishes:", obstruction_class(kernel).is_zero())
+print("obstruction vanishes:", obstruction_class(fs).is_zero())
 
 # The quotient stage: the extension of g by n/z(n) built from (ad S, proj
 # omega).  Mapping n onto its inner part gives a crossed module.
-stage = build_quotient_stage(kernel)
+stage = build_quotient_stage(fs)
 print("stage dim:", stage.gs.dim)
 cm = CrossedModule(fs.n, stage.gs, stage.alpha_matrix, stage.rho)
 

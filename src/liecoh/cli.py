@@ -15,7 +15,7 @@ import sys
 
 from . import io as lio
 from .catalog import catalog
-from .cochains import Cochain, OuterActionMap
+from .cochains import Cochain
 from .cohomology import EmptyAffine, cohomology
 from .crossed import (CrossedModule, characteristic_class_omega_route,
                       characteristic_class_theta_route, split_crossed_module,
@@ -106,7 +106,7 @@ def cmd_validate(args) -> int:
     if args.cm:
         h, ghat, alpha, action = _load_recorded(provenance, "crossed-module", args.cm,
                                                 "crossed-module-parts")
-        cr = validate_crossed_module((h, ghat, alpha, action))
+        cr = validate_crossed_module(h, ghat, alpha, action)
         report["crossed_module"] = cr.as_dict()
         valid = valid and cr.ok
     if not report:
@@ -177,8 +177,7 @@ def cmd_extension(args) -> int:
         _emit(report)
         return EXIT_OK
     if args.action == "classify":
-        kernel = GKernel.from_factor_system(fs)
-        cls = classify_extensions(kernel)
+        cls = classify_extensions(fs)
         report = {
             "command": "extension-classify",
             "base_omega": cls.base.omega,
@@ -205,9 +204,8 @@ def cmd_extension(args) -> int:
 
 def cmd_obstruction(args) -> int:
     n_alg, g_alg, mats, omega_given = _load_factor_parts(args)
-    S = OuterActionMap(g_alg, mats, target=n_alg)
     omega = None if omega_given.is_zero() else omega_given
-    kernel = GKernel(n_alg, g_alg, S, omega)
+    kernel = GKernel(n_alg, g_alg, mats, omega)
     chi = obstruction_class(kernel)
     report = {"command": "obstruction", "obstruction": _class_report(chi)}
     _emit(report)
@@ -217,7 +215,7 @@ def cmd_obstruction(args) -> int:
 def cmd_crossed_module(args) -> int:
     h, ghat, alpha, action = lio.load_file(args.cm, "crossed-module-parts")
     if args.action == "validate":
-        cr = validate_crossed_module((h, ghat, alpha, action))
+        cr = validate_crossed_module(h, ghat, alpha, action)
         _emit({"command": "crossed-module-validate", "report": cr.as_dict()})
         return EXIT_OK if cr.ok else EXIT_NEGATIVE
     cm = CrossedModule(h, ghat, alpha, action)

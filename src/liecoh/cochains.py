@@ -39,9 +39,8 @@ from typing import Callable, Optional, Sequence
 
 from .config import degree_cap
 from .errors import (DegreeCapExceededError, DegreeMismatchError,
-                     DimensionMismatchError, InvariantViolation,
-                     NotADerivationError)
-from .liealg import LieAlgebra, Representation, is_derivation, law_defect
+                     DimensionMismatchError, InvariantViolation)
+from .liealg import LieAlgebra, Representation, law_defect
 from .linalg import Matrix, ZERO, _add_scaled, _dense, pullback_family, to_fractions
 
 HALF = Fraction(1, 2)
@@ -486,9 +485,10 @@ def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) ->
 class OuterActionMap:
     """A linear map from the algebra into endomorphisms of a value space.
 
-    With ``target`` set, each matrix is checked to be a derivation of the
-    target algebra; without it the map lands in plain endomorphisms.
-    ``_operators`` (degree -> covariant differential matrix) and
+    ``target``, when set, is the algebra the value space carries; only its
+    dimension is checked here.  Whether each matrix is a derivation of it is a
+    condition of a kernel, checked by ``extensions.GKernel`` and its factor
+    systems.  ``_operators`` (degree -> covariant differential matrix) and
     ``_curvature`` are filled on first use by ``differential_operator`` and
     ``curvature``.
     """
@@ -496,8 +496,7 @@ class OuterActionMap:
     __slots__ = ("algebra", "matrices", "space_dim", "target", "_operators", "_curvature")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence[Matrix],
-                 target: Optional[LieAlgebra] = None, validate: bool = True,
-                 space_dim: Optional[int] = None):
+                 target: Optional[LieAlgebra] = None, space_dim: Optional[int] = None):
         matrices = tuple(matrices)
         if len(matrices) != algebra.dim:
             raise DimensionMismatchError("one matrix per basis element is required")
@@ -510,13 +509,8 @@ class OuterActionMap:
         for m in matrices:
             if m.rows != space_dim or m.cols != space_dim:
                 raise DimensionMismatchError("endomorphism matrices must be square and equal-sized")
-        if target is not None:
-            if target.dim != space_dim:
-                raise DimensionMismatchError("target dimension disagrees with the matrices")
-            if validate:
-                for i, m in enumerate(matrices):
-                    if not is_derivation(target, m):
-                        raise NotADerivationError(f"S(e{i}) is not a derivation of the target")
+        if target is not None and target.dim != space_dim:
+            raise DimensionMismatchError("target dimension disagrees with the matrices")
         self.algebra = algebra
         self.matrices = matrices
         self.space_dim = space_dim

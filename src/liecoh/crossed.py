@@ -79,7 +79,7 @@ class CrossedModule:
         self.ghat = ghat
         self.alpha = alpha
         self.action = action
-        report = validate_crossed_module(self)
+        report = validate_crossed_module(h, ghat, alpha, action)
         if not report.ok:
             raise InvalidCrossedModuleError(report)
 
@@ -92,8 +92,8 @@ def _nonzero_columns(m: Matrix) -> list:
     return sorted(set().union(*m.sparse_rows()))
 
 
-def _report(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
-            action: Representation) -> CrossedModuleReport:
+def validate_crossed_module(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
+                            action: Representation) -> CrossedModuleReport:
     # cm1: alpha(x.v) = [x, alpha v]; cm2: (alpha u).v = [u, v]
     cm1 = [(x, i) for x in range(ghat.dim)
            for i in _nonzero_columns(alpha @ action.matrices[x] - ghat.ad_matrix(x) @ alpha)]
@@ -109,13 +109,6 @@ def _report(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
                                kernel_central, kernel_submodule)
 
 
-def validate_crossed_module(cm) -> CrossedModuleReport:
-    if isinstance(cm, CrossedModule):
-        return _report(cm.h, cm.ghat, cm.alpha, cm.action)
-    h, ghat, alpha, action = cm
-    return _report(h, ghat, alpha, action)
-
-
 class CrossedModuleSplitting(NamedTuple):
     """Coordinates for h = z + image(alpha) and the induced quotient data."""
 
@@ -126,7 +119,6 @@ class CrossedModuleSplitting(NamedTuple):
     h_lift: Matrix           # n coordinates -> h, section of alpha into the complement
     f: Cochain               # 2-cochain on n_alg valued in z coordinates
     theta: dict              # (ghat index, n index) -> {z index: nonzero value}
-    theta_matrices: tuple    # theta_x as a z x n matrix, per ghat index x
     ad_n: tuple              # ad e_x restricted to n, in n coordinates, per ghat index x
     g: LieAlgebra            # ghat / n
     q_proj: Matrix           # ghat -> g
@@ -159,8 +151,8 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     # f and theta are the defects of the section h_lift, read in z
     z_rows = z.split_matrix()
     f = Cochain.from_columns(n_alg, 2, h.dim, bracket_defect(n_alg, h, h_lift)).map_values(z_rows)
-    theta_matrices = tuple(z_rows @ (act @ h_lift - h_lift @ ad_x)
-                           for act, ad_x in zip(cm.action.matrices, ad_n))
+    theta = column_table([z_rows @ (act @ h_lift - h_lift @ ad_x)
+                          for act, ad_x in zip(cm.action.matrices, ad_n)])
 
     g, q_proj, q_sect = quotient_algebra(ghat, n_sub)
     zhat_mats = [z.restrict(m) for m in cm.action.matrices]
@@ -170,8 +162,8 @@ def split_crossed_module(cm: CrossedModule) -> CrossedModuleSplitting:
     z_rep = Representation(g, z.dim, pullback_family(zhat_rep.matrices, q_sect, z.dim))
     if zhat_rep.matrices != pullback_family(z_rep.matrices, q_proj, z.dim):
         raise InvariantViolation("the kernel action does not factor through the quotient")
-    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, column_table(theta_matrices),
-                                theta_matrices, ad_n, g, q_proj, q_sect, z_rep, zhat_rep)
+    sp = CrossedModuleSplitting(cm, z, n_alg, n_sub, h_lift, f, theta, ad_n, g, q_proj,
+                                q_sect, z_rep, zhat_rep)
     _check_splitting(sp)
     return sp
 
@@ -275,7 +267,7 @@ def characteristic_class_omega_route(sp: CrossedModuleSplitting,
     if (sp.q_proj @ sigma) != Matrix.identity(sp.g.dim):
         raise DimensionMismatchError("sigma is not a section of the quotient map")
     S = OuterActionMap(sp.g, pullback_family(cm.action.matrices, sigma, h.dim),
-                       validate=False, space_dim=h.dim)
+                       space_dim=h.dim)
     # a zero curvature lifts to zero, so only the nonzero keys are solved
     defect = bracket_defect(sp.g, ghat, sigma)
     keys = list(defect)

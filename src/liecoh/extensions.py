@@ -106,7 +106,7 @@ def extension_map(alpha: Matrix, C: Matrix, beta: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# factor systems
+# kernels and factor systems
 # ---------------------------------------------------------------------------
 
 class FactorSystemReport(NamedTuple):
@@ -134,37 +134,37 @@ class FactorSystemReport(NamedTuple):
     def as_dict(self) -> dict:
         return {
             "valid": self.ok,
-            "derivation_failures": [list(x) if isinstance(x, tuple) else x
-                                    for x in self.derivation_failures],
+            "derivation_failures": list(self.derivation_failures),
             "curvature_failures": [list(x) for x in self.curvature_failures],
             "cocycle_failures": [list(x) for x in self.cocycle_failures],
         }
 
 
-def _outer_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S) -> OuterActionMap:
-    """S, an OuterActionMap or its matrices, as a map from g into endomorphisms of n.
+def _kernel_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
+                   omega: Optional[Cochain] = None) -> OuterActionMap:
+    """S, an OuterActionMap or its matrices, as one map from g into endomorphisms
+    of n, after the shape checks of a kernel (S, omega); omega may be None.
 
     A map whose algebra is g and whose target is n is kept as it is, so the
-    differentials and curvature it holds serve every factor system sharing
-    it; anything else is wrapped anew.  The caller has checked the matrices.
+    differentials and curvature it holds serve every kernel sharing it;
+    anything else is wrapped anew.
     """
-    if isinstance(S, OuterActionMap):
-        if S.algebra == g_alg and S.target == n_alg:
-            return S
-        S = S.matrices
-    return OuterActionMap(g_alg, S, target=n_alg, validate=False)
-
-
-def _factor_action(n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain) -> OuterActionMap:
-    """S as one OuterActionMap, after the shape checks of a factor system (S, omega)."""
     matrices = S.matrices if isinstance(S, OuterActionMap) else tuple(S)
     if len(matrices) != g_alg.dim:
         raise DimensionMismatchError("one action matrix per basis element of g is required")
-    if omega.degree != 2 or omega.value_dim != n_alg.dim or omega.algebra != g_alg:
+    if omega is not None and (omega.degree != 2 or omega.value_dim != n_alg.dim
+                              or omega.algebra != g_alg):
         raise DimensionMismatchError("omega must be a 2-cochain on g valued in n")
     if any(m.rows != n_alg.dim or m.cols != n_alg.dim for m in matrices):
         raise DimensionMismatchError("derivation candidate has the wrong shape")
-    return _outer_action(n_alg, g_alg, S)
+    if isinstance(S, OuterActionMap) and S.algebra == g_alg and S.target == n_alg:
+        return S
+    return OuterActionMap(g_alg, matrices, target=n_alg)
+
+
+def _derivation_failures(S: OuterActionMap) -> tuple:
+    """The indices i at which S(e_i) is not a derivation of S's target."""
+    return tuple(i for i, m in enumerate(S.matrices) if not is_derivation(S.target, m))
 
 
 def _curvature_failures(S: OuterActionMap, omega: Cochain) -> tuple:
@@ -173,23 +173,71 @@ def _curvature_failures(S: OuterActionMap, omega: Cochain) -> tuple:
     return (curvature(S) - omega.map_values(ad_stack(S.target))).keys()
 
 
+def _factor_report(S: OuterActionMap, omega: Cochain) -> FactorSystemReport:
+    return FactorSystemReport(_derivation_failures(S), _curvature_failures(S, omega),
+                              covariant_differential(S, omega).keys())
+
+
 def factor_system_report(n_alg: LieAlgebra, g_alg: LieAlgebra, S,
                          omega: Cochain) -> FactorSystemReport:
     """The three defining conditions of (S, omega); S is an OuterActionMap or its matrices."""
-    S = _factor_action(n_alg, g_alg, S, omega)
-    der_fail = tuple(i for i, m in enumerate(S.matrices) if not is_derivation(n_alg, m))
-    cocycle_fail = covariant_differential(S, omega).keys()
-    return FactorSystemReport(der_fail, _curvature_failures(S, omega), cocycle_fail)
+    return _factor_report(_kernel_action(n_alg, g_alg, S, omega), omega)
 
 
-class FactorSystem:
-    """A validated pair (S, omega) encoding an n-extension of g."""
+class GKernel:
+    """A g-kernel: S, an OuterActionMap or its matrices, maps g into derivations
+    of n, and omega lifts its curvature to ad(omega).  The shape checks, one
+    derivation sweep of S and the lift (solved when omega is None) run here.
+    """
 
     __slots__ = ("n", "g", "S", "omega")
 
+    def __init__(self, n_alg: LieAlgebra, g_alg: LieAlgebra, S,
+                 omega: Optional[Cochain] = None):
+        S = _kernel_action(n_alg, g_alg, S, omega)
+        failures = _derivation_failures(S)
+        if failures:
+            raise NotADerivationError(f"S(e{failures[0]}) is not a derivation of the target")
+        self.n = n_alg
+        self.g = g_alg
+        self.S = S
+        if omega is None:
+            omega = self._solve_omega()
+        else:
+            failures = _curvature_failures(S, omega)
+            if failures:
+                raise NoLiftError(f"stored omega does not lift the curvature at {failures[0]}")
+        self.omega = omega
+
+    def _solve_omega(self) -> Cochain:
+        # the curvature's value at key r, an End(n) vector, is the target of key r
+        nd, values = self.n.dim, dict(curvature(self.S).nonzero_values())
+        omega, certificate = inner_cochain(self.n, self.g, 2, [
+            Matrix.from_flat(values.get(r, {}).items(), nd, nd)
+            for r in range(cochain_space_dim(self.g.dim, 2, 1))])
+        if omega is None:
+            raise NoLiftError(certificate)
+        return omega
+
+    @classmethod
+    def from_factor_system(cls, fs: "FactorSystem") -> "GKernel":
+        """fs itself: a factor system is a kernel.  Kept for callers written
+        before FactorSystem became a subclass, such as perfbench/gen.py."""
+        return fs
+
+    def __repr__(self):
+        return f"GKernel(n dim {self.n.dim}, g dim {self.g.dim})"
+
+
+class FactorSystem(GKernel):
+    """A g-kernel whose omega is closed, d_S omega = 0: an n-extension of g.  S is
+    wrapped once and all three conditions are read from one report."""
+
+    __slots__ = ()
+
     def __init__(self, n_alg: LieAlgebra, g_alg: LieAlgebra, S, omega: Cochain):
-        S = _factor_action(n_alg, g_alg, S, omega)
-        report = factor_system_report(n_alg, g_alg, S, omega)
+        S = _kernel_action(n_alg, g_alg, S, omega)
+        report = _factor_report(S, omega)
         if not report.ok:
             raise InvalidFactorSystemError(report)
         self.n = n_alg
@@ -312,7 +360,7 @@ def transported_pair(fs: FactorSystem, alpha: Matrix, beta: Matrix) -> tuple:
     if beta_inv is None or not bracket_preserving(fs.g, fs.g, beta):
         raise NotAHomomorphismError("beta is not an automorphism of g")
     mats = [alpha @ m @ alpha_inv for m in pullback_family(fs.S.matrices, beta_inv, fs.n.dim)]
-    return (OuterActionMap(fs.g, mats, target=fs.n, validate=False),
+    return (OuterActionMap(fs.g, mats, target=fs.n),
             transport_cochain(alpha, beta_inv, fs.omega))
 
 
@@ -332,7 +380,7 @@ def check_equivalence_map(alpha: Matrix, beta: Matrix, gamma: Cochain,
     if ok:
         phi = extension_map(alpha, gamma.as_matrix() @ beta, beta)
         total1 = build_extension(fs1).total
-        total2 = build_extension(fs2).total
+        total2 = total1 if fs2 is fs1 else build_extension(fs2).total
         if not bracket_preserving(total1, total2, phi):
             raise InvariantViolation(
                 "equivalence conditions hold but the assembled map fails; "
@@ -420,57 +468,8 @@ def pairwise_equivalent(systems: Sequence[FactorSystem], module) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# kernels and obstructions
+# obstructions and classification
 # ---------------------------------------------------------------------------
-
-class GKernel:
-    """An outer action with a stored curvature lift omega."""
-
-    __slots__ = ("n", "g", "S", "omega")
-
-    def __init__(self, n_alg: LieAlgebra, g_alg: LieAlgebra, S: OuterActionMap,
-                 omega: Optional[Cochain] = None):
-        if S.algebra != g_alg or S.space_dim != n_alg.dim:
-            raise DimensionMismatchError("S does not map g into endomorphisms of n")
-        for i, m in enumerate(S.matrices):
-            if not is_derivation(n_alg, m):
-                raise DimensionMismatchError(f"S(e{i}) is not a derivation of n")
-        self.n = n_alg
-        self.g = g_alg
-        self.S = _outer_action(n_alg, g_alg, S)
-        if omega is None:
-            omega = self._solve_omega()
-        else:
-            failures = _curvature_failures(self.S, omega)
-            if failures:
-                raise NoLiftError(f"stored omega does not lift the curvature at {failures[0]}")
-        self.omega = omega
-
-    def _solve_omega(self) -> Cochain:
-        # the curvature's value at key r, an End(n) vector, is the target of key r
-        nd, values = self.n.dim, dict(curvature(self.S).nonzero_values())
-        omega, certificate = inner_cochain(self.n, self.g, 2, [
-            Matrix.from_flat(values.get(r, {}).items(), nd, nd)
-            for r in range(cochain_space_dim(self.g.dim, 2, 1))])
-        if omega is None:
-            raise NoLiftError(certificate)
-        return omega
-
-    @classmethod
-    def from_factor_system(cls, fs: FactorSystem) -> "GKernel":
-        """The kernel of a factor system, from its validated fields.
-
-        FactorSystem.__init__ has already checked that S is derivation-valued
-        and that omega lifts its curvature, so neither check runs again, and
-        the kernel keeps fs.S with its stored operators and curvature.
-        """
-        kernel = cls.__new__(cls)
-        kernel.n, kernel.g, kernel.S, kernel.omega = fs.n, fs.g, fs.S, fs.omega
-        return kernel
-
-    def __repr__(self):
-        return f"GKernel(n dim {self.n.dim}, g dim {self.g.dim})"
-
 
 def obstruction_class(kernel: GKernel, module=None) -> CohomologyClass:
     """The class of d_S omega in degree-3 cohomology with center coefficients.
@@ -646,8 +645,7 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
     and the rebuilt algebra is matched to the original by an explicit
     bracket-preserving isomorphism.
     """
-    kernel = GKernel.from_factor_system(fs)
-    stage = build_quotient_stage(kernel)
+    stage = build_quotient_stage(fs)
     f, theta = stage_theta(stage)
     nd, gd = fs.n.dim, fs.g.dim
     # theta restricted to the ideal block must reproduce f on all pairs.

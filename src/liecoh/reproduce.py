@@ -8,9 +8,8 @@ from .cochains import Cochain, cochain_differential, pullback_cochain
 from .cohomology import cohomology
 from .currents import run_v2_samples, v2_passed
 from .errors import UnknownBundleError
-from .extensions import (GKernel, center_module, classify_extensions,
-                         equivalent_extensions, extension_map, rebuild_from_cocycle,
-                         reduce_via_stage)
+from .extensions import (center_module, classify_extensions, equivalent_extensions,
+                         extension_map, rebuild_from_cocycle, reduce_via_stage)
 from .liealg import Representation
 from .linalg import Matrix, Subspace
 from .symmetry import derivation_pair_obstruction, extension_derivations, lifting_cocycle
@@ -114,13 +113,12 @@ def bundle_remark_ii10():
 def bundle_remark_iv5():
     """A center-free kernel admits exactly one extension, its stage algebra."""
     fs = catalog("ext-sl2-kernel")
-    kernel = GKernel.from_factor_system(fs)
-    cls = classify_extensions(kernel)
+    cls = classify_extensions(fs)
     red = reduce_via_stage(fs)
     report = {
         "center_dim": red.stage.z.dim,
         "h2_dim": cls.h2.h_dim,
-        "h3_dim": cohomology(center_module(kernel.S)[1], 3).h_dim,
+        "h3_dim": cohomology(center_module(fs.S)[1], 3).h_dim,
         "unique": not cls.translations,
         "stage_equivalent": equivalent_extensions(fs, red.rebuilt_fs).found,
     }

@@ -48,7 +48,7 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
     """x -> [alpha, S(x)] - S(beta x), the derivation action on S."""
     pulled = pullback_family(S.matrices, beta, S.space_dim)
     mats = [alpha.commutator(m) - p for m, p in zip(S.matrices, pulled)]
-    return OuterActionMap(S.algebra, mats, target=S.target, validate=False)
+    return OuterActionMap(S.algebra, mats, target=S.target)
 
 
 def _pair_gamma(fs: FactorSystem, alpha: Matrix, beta: Matrix):

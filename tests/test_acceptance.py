@@ -113,7 +113,7 @@ def _suite_bianchi(rng):
         V = rng.choice(values)
         sigma = rand_cochain(rng, L, 1, V.dim, sparsity=0.3)
         S = OuterActionMap(L, [dense_ad(V, sigma.component((i,))) for i in range(L.dim)],
-                           target=V, validate=False)
+                           target=V)
         R = trivial_differential(sigma) + superbracket(V, sigma, sigma).scale(HALF)
         if not covariant_differential(S, R).is_zero():
             failures += 1

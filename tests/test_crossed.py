@@ -80,7 +80,7 @@ def _semidirect_fs():
 @pytest.mark.parametrize("name,builder", CATALOG_MODULES)
 def test_validate_catalog_modules(name, builder):
     cm = builder()
-    report = validate_crossed_module(cm)
+    report = validate_crossed_module(cm.h, cm.ghat, cm.alpha, cm.action)
     assert report.ok
     assert report.image_ideal and report.kernel_central and report.kernel_submodule
 

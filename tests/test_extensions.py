@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh import extensions, liealg, symmetry
+from liecoh import cochains, extensions, liealg, symmetry
 from liecoh import io as lio
 from liecoh.catalog import (abelian, ext_filiform4, ext_heisenberg3,
                             ext_heisenberg_kernel, ext_sl2_kernel, filiform4,
@@ -13,7 +13,7 @@ from liecoh.cochains import Cochain, OuterActionMap, gauge_action
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.cli import run_command
 from liecoh.errors import (DimensionMismatchError, InvalidFactorSystemError, NoLiftError,
-                           NotASectionError, ObstructedError)
+                           NotADerivationError, NotASectionError, ObstructedError)
 from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
                                center_module, check_equivalence_map, classify_extensions,
@@ -479,7 +479,7 @@ def test_factor_systems_and_kernels_keep_the_map_they_are_given():
     assert FactorSystem(fs.n, fs.g, fs.S, fs.omega).S is fs.S
     assert GKernel.from_factor_system(fs).S is fs.S
     # a map without the kernel as its target is wrapped anew
-    plain = OuterActionMap(fs.g, fs.S.matrices, validate=False)
+    plain = OuterActionMap(fs.g, fs.S.matrices)
     kept = FactorSystem(fs.n, fs.g, plain, fs.omega).S
     assert kept is not plain and kept.target == fs.n and kept.matrices == plain.matrices
     assert GKernel(fs.n, fs.g, plain, fs.omega).S is not plain
@@ -540,12 +540,42 @@ def test_reduce_builds_each_leibniz_system_once(monkeypatch, tmp_path, capsys):
     assert L == pipeline_system("center", 4).n and hash(L) == hash(pipeline_system("center", 4).n)
 
 
+def test_a_factor_system_is_its_own_kernel():
+    fs = ext_heisenberg_kernel()
+    assert isinstance(fs, GKernel)
+    assert GKernel.from_factor_system(fs) is fs
+    assert obstruction_class(fs).is_zero()
+    assert classify_extensions(fs).kernel is fs
+
+
+def test_obstruction_sweeps_each_derivation_once(monkeypatch, tmp_path, capsys):
+    # GKernel is the one place S is checked for derivations: the command
+    # makes one is_derivation call per matrix of S, where the OuterActionMap
+    # it built before ran a second sweep (4 calls); same stdout
+    path = tmp_path / "kernel.json"
+    path.write_text(lio.emit(lio.factor_system_to_json(ext_heisenberg_kernel())))
+    calls = []
+    real = liealg.is_derivation
+
+    def counted(L, d):
+        calls.append(d)
+        return real(L, d)
+    for module in (extensions, cochains):
+        if getattr(module, "is_derivation", None) is real:
+            monkeypatch.setattr(module, "is_derivation", counted)
+    assert run_command(["obstruction", "--ext", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 2 == ext_heisenberg_kernel().g.dim
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "244de27e3240805196d3146c75317155971a29ff0da02990e4149b97095a9a45")
+
+
 def test_direct_kernels_keep_their_checks():
     fs = ext_heisenberg_kernel()
     identity = [Matrix.identity(fs.n.dim)] * fs.g.dim
-    with pytest.raises(DimensionMismatchError, match=r"S\(e0\) is not a derivation of n"):
-        GKernel(fs.n, fs.g, OuterActionMap(fs.g, identity, validate=False))
-    with pytest.raises(DimensionMismatchError, match="S does not map g"):
+    with pytest.raises(NotADerivationError, match=r"S\(e0\) is not a derivation of the target"):
+        GKernel(fs.n, fs.g, OuterActionMap(fs.g, identity))
+    with pytest.raises(DimensionMismatchError, match="derivation candidate has the wrong shape"):
         GKernel(fs.g, fs.g, fs.S)
     bad = fs.omega + Cochain(fs.g, 2, fs.n.dim, {(0, 1): unit_vec(fs.n.dim, 0)})
     with pytest.raises(NoLiftError) as info:

@@ -260,9 +260,11 @@ def loop_alternating_extension(sp):
 
 def dense_alternating_extension(sp):
     """The _alternating_extension the sparse read replaced: dense unit vectors,
-    their reductions and pivot coordinates, and combinations of the theta matrices."""
+    their reductions and pivot coordinates, and combinations of the theta matrices,
+    rebuilt as z x n matrices from the table sp.theta."""
     ghat, zd, n_dim = sp.cm.ghat, sp.z.dim, sp.n_alg.dim
-    thetas = sp.theta_matrices
+    thetas = [Matrix.from_sparse_rows([sp.theta.get((x, a), {}) for a in range(n_dim)],
+                                      zd).transpose() for x in range(ghat.dim)]
     table = {}
     for i, j in increasing_tuples(ghat.dim, 2):
         u, v = unit_vec(ghat.dim, i), unit_vec(ghat.dim, j)
@@ -277,7 +279,7 @@ def loop_omega_route(sp, sigma):
     cm, g = sp.cm, sp.g
     h_dim = cm.h.dim
     S = OuterActionMap(g, [linear_combination(sigma.column(i), cm.action.matrices, h_dim, h_dim)
-                           for i in range(g.dim)], validate=False, space_dim=h_dim)
+                           for i in range(g.dim)], space_dim=h_dim)
     keys = list(increasing_tuples(g.dim, 2))
     targets = [vec_sub(dense_bracket(cm.ghat, sigma.column(i), sigma.column(j)),
                        sigma.matvec(dense_bracket_basis(g, i, j))) for i, j in keys]

@@ -6,6 +6,11 @@ neither may appear in the package.  Elimination is one path: only
 ``linalg.py`` calls ``rref``.  The alternating-sign scatter is one
 module: only ``cochains.py`` calls ``sort_with_sign``.  The inner lift of
 the gauge step is one function: only ``extensions.py`` calls ``solve_inner``.
+A kernel's map S is checked for derivations in one place: ``cochains.py``
+makes no ``is_derivation`` call, and ``extensions.py`` makes one only in
+``_derivation_failures``, which ``GKernel``, ``FactorSystem`` and
+``factor_system_report`` read.  A kernel is only built through its
+constructor: ``extensions.py`` makes no ``__new__`` call.
 Operators have one assembly path: ``operator_matrix`` is called only by
 ``differential_operator``, which keeps each one on its Representation or
 OuterActionMap.
@@ -48,8 +53,9 @@ vector helpers, whose callers now read sparse rows and pairs, and the dense
 views that solves and subspace reads took (the tests keep their own copies
 in ``conftest.py``), and the dense bracket views ``LieAlgebra.ad``,
 ``Representation.act`` and ``Cochain.coeffs``, now that brackets and
-pairings pass nonzero pairs, and the ``provenance`` slot of an
-``ExtensionPresentation``, which nothing read.  A deleted method whose bare name another
+pairings pass nonzero pairs, the ``provenance`` slot of an
+``ExtensionPresentation``, which nothing read, and the ``theta_matrices``
+field of a ``CrossedModuleSplitting``, which held the table ``theta`` twice.  A deleted method whose bare name another
 class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
 """
@@ -186,6 +192,8 @@ column_calls = method_calls("column")
 evaluate_calls = method_calls("evaluate")
 sort_with_sign_calls = calls_to("sort_with_sign")
 solve_inner_calls = calls_to("solve_inner")
+stray_is_derivation_calls = calls_outside("is_derivation", "_derivation_failures")
+new_calls = calls_to("__new__")
 stray_operator_matrix_calls = calls_outside("operator_matrix", "differential_operator")
 stray_dense_calls = calls_outside("_dense", "component")
 matrix_of_names = names("matrix_of")
@@ -242,6 +250,7 @@ entry_calls = method_calls("entry")
 # subspace boundary, whose callers now pass dicts and pairs.  Then the dense
 # bracket views, whose callers now read nonzero pairs.  Then the provenance
 # slot of an ExtensionPresentation, written by build_extension and never read.
+# Then the theta matrices of a CrossedModuleSplitting, the table theta kept twice.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
@@ -251,7 +260,7 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "embed", "Subspace.basis", "Subspace.contains", "split_coordinates",
                "ideal_coordinates", "DerivationAlgebra.coordinates_of",
                "LieAlgebra.ad", "Representation.act", "Cochain.coeffs",
-               "ExtensionPresentation.provenance")
+               "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices")
 
 
 def deleted_member(target):
@@ -324,6 +333,21 @@ def test_only_cochains_calls_sort_with_sign():
 def test_only_extensions_calls_solve_inner():
     assert violations(solve_inner_calls, exempt=("extensions.py",)) == []
     assert list(solve_inner_calls(ast.parse((PACKAGE / "extensions.py").read_text())))
+
+
+def module_violations(rule, name):
+    return [f"{name}:{line}: {what}"
+            for line, what in rule(ast.parse((PACKAGE / name).read_text(), name))]
+
+
+def test_derivations_are_swept_only_in_the_kernel_helper():
+    assert module_violations(calls_to("is_derivation"), "cochains.py") == []
+    assert module_violations(stray_is_derivation_calls, "extensions.py") == []
+    assert module_violations(calls_to("is_derivation"), "extensions.py")
+
+
+def test_kernels_are_built_only_by_their_constructors():
+    assert module_violations(new_calls, "extensions.py") == []
 
 
 def test_only_the_operator_memo_calls_operator_matrix():
@@ -419,6 +443,34 @@ def test_rule_detects_solve_inner_calls():
     tree = ast.parse("def f(L, t):\n    return solve_inner(L, t), liealg.solve_inner(L, t)\n")
     assert list(solve_inner_calls(tree)) == [(2, "solve_inner call"),
                                              (2, "solve_inner call")]
+
+
+def test_rules_detect_derivation_sweeps_and_new_calls():
+    # the three sweeps and the field copy that bypassed GKernel.__init__
+    tree = ast.parse("def _derivation_failures(S):\n"
+                     "    return [i for i, m in enumerate(S) if not is_derivation(n, m)]\n"
+                     "class GKernel:\n"
+                     "    def __init__(self, n, S):\n"
+                     "        if not liealg.is_derivation(n, S[0]):\n"
+                     "            raise ValueError\n"
+                     "    @classmethod\n"
+                     "    def from_factor_system(cls, fs):\n"
+                     "        kernel = cls.__new__(cls)\n"
+                     "        return kernel, object.__new__(cls)\n")
+    assert list(stray_is_derivation_calls(tree)) == [
+        (5, "is_derivation call outside _derivation_failures")]
+    assert list(new_calls(tree)) == [(9, "__new__ call"), (10, "__new__ call")]
+
+
+def test_rule_detects_the_deleted_theta_matrices_field():
+    tree = ast.parse("class CrossedModuleSplitting(NamedTuple):\n"
+                     "    theta: dict\n"
+                     "    theta_matrices: tuple\n"
+                     "def f(sp, theta_matrices):\n"
+                     "    return sp.theta, CrossedModuleSplitting.theta_matrices, theta_matrices\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (3, "CrossedModuleSplitting.theta_matrices name"),
+        (5, "CrossedModuleSplitting.theta_matrices name")]
 
 
 def test_rule_detects_function_level_imports():

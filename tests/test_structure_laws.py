@@ -24,10 +24,10 @@ from liecoh.catalog import InvariantForm, catalog, killing_form
 from liecoh.cochains import Cochain, OuterActionMap, curvature
 from liecoh.crossed import (CrossedModule, CrossedModuleReport, split_crossed_module,
                             splitting_equivalence, validate_crossed_module)
-from liecoh.errors import (InvalidCrossedModuleError, InvariantViolation,
+from liecoh.errors import (InvalidCrossedModuleError, InvariantViolation, NoLiftError,
                            NotADerivationError, NotAHomomorphismError, NotAnIdealError,
                            PreconditionFailedError, RepresentationError)
-from liecoh.extensions import (ExtensionPresentation, FactorSystem, build_extension,
+from liecoh.extensions import (ExtensionPresentation, FactorSystem, GKernel, build_extension,
                                factor_system_report)
 from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, center, change_of_basis,
                            derivations, direct_and_semidirect, is_derivation, law_defect,
@@ -285,7 +285,7 @@ def test_curvature_matches_the_loop(name, fs):
     assert curvature(fs.S) == loop_curvature(fs.S)
     for _ in range(3):
         mats = [shifted(rng, m) if rng.random() < 0.5 else m for m in fs.S.matrices]
-        S = OuterActionMap(fs.g, mats, validate=False, space_dim=fs.n.dim)
+        S = OuterActionMap(fs.g, mats, space_dim=fs.n.dim)
         assert curvature(S) == loop_curvature(S)
 
 
@@ -386,14 +386,17 @@ def test_is_derivation_matches_the_loop():
             assert is_derivation(L, d) == loop_is_derivation(L, d)
         if L.is_abelian():
             continue
-        # OuterActionMap names the first slot that is not a derivation
+        # GKernel names the first slot that is not a derivation; with every
+        # slot a derivation, the curvature may still have no lift
         mats = [rng.choice(der) for _ in range(4)]
         for k in rng.sample(range(4), rng.randint(1, 2)):
             mats[k] = shifted(rng, mats[k])
         first = next((i for i, m in enumerate(mats) if not loop_is_derivation(L, m)), None)
-        got = raised(OuterActionMap, LieAlgebra(4), mats, L)
-        assert got == (None if first is None else
-                       (NotADerivationError, f"S(e{first}) is not a derivation of the target"))
+        got = raised(GKernel, L, LieAlgebra(4), mats)
+        if first is None:
+            assert got is None or got[0] is NoLiftError
+        else:
+            assert got == (NotADerivationError, f"S(e{first}) is not a derivation of the target")
         indices.append(first)
     failing = [i for i in indices if i is not None]
     assert len(failing) >= 10 and len(set(failing)) >= 3
@@ -464,7 +467,8 @@ def test_crossed_module_reports_match_the_loops():
     flags = set()
     for cm in crossed_modules():
         h, ghat = cm.h, cm.ghat
-        assert validate_crossed_module(cm) == loop_report(h, ghat, cm.alpha, cm.action)
+        assert (validate_crossed_module(h, ghat, cm.alpha, cm.action)
+                == loop_report(h, ghat, cm.alpha, cm.action))
         for _ in range(3):
             alpha, action = cm.alpha, cm.action
             if rng.random() < 0.6:
@@ -475,7 +479,7 @@ def test_crossed_module_reports_match_the_loops():
                 action = Representation(ghat, h.dim,
                                         [invert(P) @ m @ P for m in action.matrices])
             want = loop_report(h, ghat, alpha, action)
-            assert validate_crossed_module((h, ghat, alpha, action)) == want
+            assert validate_crossed_module(h, ghat, alpha, action) == want
             if want.ok:
                 CrossedModule(h, ghat, alpha, action)
             else:

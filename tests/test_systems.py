@@ -242,8 +242,7 @@ def test_covariant_block_matches_column_oracle_unvalidated_maps(rng):
     for _ in range(6):
         g = rand_algebra(rng)
         m = rng.randint(1, 3)
-        S = OuterActionMap(g, [rand_matrix(rng, m, m) for _ in range(g.dim)],
-                           validate=False)
+        S = OuterActionMap(g, [rand_matrix(rng, m, m) for _ in range(g.dim)])
         assert not curvature(S).is_zero()
         assert_covariant_blocks_match(S, range(4))
 
@@ -293,8 +292,7 @@ def test_differentials_match_loop_and_wedge_oracles(rng):
     for _ in range(12):
         L = rand_algebra(rng)
         m = rng.randint(1, 3)
-        maps = [OuterActionMap(L, [rand_matrix(rng, m, m) for _ in range(L.dim)],
-                               validate=False),
+        maps = [OuterActionMap(L, [rand_matrix(rng, m, m) for _ in range(L.dim)]),
                 OuterActionMap(L, adjoint_rep(L).matrices)]
         reps = [Representation.trivial(L, m), adjoint_rep(L)]
         for p in range(4):
