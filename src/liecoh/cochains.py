@@ -289,16 +289,6 @@ class EquivariantPairing:
         return cls(m * m, m, m, fn)
 
     @classmethod
-    def composition(cls, m: int) -> "EquivariantPairing":
-        """End(V) x End(V) -> End(V) on row-major flattened endomorphisms."""
-
-        def fn(u, v):
-            return dict((Matrix.from_flat(u.items(), m, m)
-                         @ Matrix.from_flat(v.items(), m, m)).flat_pairs())
-
-        return cls(m * m, m * m, m * m, fn)
-
-    @classmethod
     def commutator(cls, m: int) -> "EquivariantPairing":
         """uv - vu on row-major flattened endomorphisms."""
 

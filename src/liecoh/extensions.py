@@ -22,31 +22,34 @@ on n/z(n) x g.
 
 Equivalence, and the automorphism and derivation lifting built on it in
 ``symmetry``, all take one gauge step, each piece implemented once here:
-``inner_cochain`` lifts an S-difference to ad(gamma); ``gauge_remainder``
-pushes omega1 - omega2 - d_S gamma - [gamma, gamma]/2 into the center,
-whose module ``center_module`` computes; ``cohomology.primitive`` solves
-for the center-valued correction; and ``extension_map`` assembles
+``inner_cochains`` lifts a batch of S-differences to ad(gamma), all in one
+elimination of ad_stack(n); ``gauge_remainder`` pushes
+omega1 - omega2 - d_S gamma - [gamma, gamma]/2 into the center, whose
+module ``center_module`` computes; ``cohomology.primitive`` solves for the
+center-valued correction; and ``extension_map`` assembles
 (n, x) -> (alpha n + C x, beta x) as the block matrix [[alpha, C], [0, beta]].
+
+Classification validates its base alone as a factor system and checks all
+of its translations with one rank test (``classify_extensions``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        cochain_space_dim, covariant_differential, curvature, gauge_action,
                        key_unrank, pullback_cochain, superbracket, transport_cochain)
 from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
-                         EmptyAffine, cohomology, differential_matrix, primitive,
-                         relative_cocycles, theta_constrained_cocycles)
+                         EmptyAffine, cohomology, primitive, relative_cocycles,
+                         theta_constrained_cocycles)
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotADerivationError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_defect, bracket_preserving,
                      center, is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (Matrix, Subspace, block_matrix, consistent_columns, image, invert,
-                     left_inverse, pullback_family)
+from .linalg import (Matrix, Subspace, block_matrix, image, invert, left_inverse,
+                     pullback_family)
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +89,28 @@ def center_module(S: OuterActionMap) -> tuple[Subspace, Representation]:
     return z, Representation(S.algebra, z.dim, mats)
 
 
-def inner_cochain(n_alg: LieAlgebra, g_alg: LieAlgebra, degree: int,
-                  targets: Sequence[Matrix]):
-    """The n-valued degree-p cochain on g with ad(value at key r) = targets[r].
+def inner_cochains(n_alg: LieAlgebra, g_alg: LieAlgebra, degree: int,
+                   groups: Sequence[Sequence[Matrix]]):
+    """The n-valued degree-p cochains on g, one per group of targets, with
+    ad(value at key r) = group[r].
 
     Each target is an n x n matrix, one per increasing key in lexicographic
-    order.  Returns (cochain, None), or (None, certificate) when some
-    target is not inner.
+    order.  Every target of every group is a right-hand side of one
+    ``solve_inner`` call, one elimination of ad_stack(n), and each cochain
+    is the one a solve of its group alone gives.  Returns (cochains, None),
+    or (None, certificate) when some target is not inner.
     """
-    particular, certificate = solve_inner(n_alg, targets)
+    particular, certificate = solve_inner(n_alg, [t for group in groups for t in group])
     if particular is None:
         return None, certificate
-    return Cochain.from_pairs(g_alg, degree, n_alg.dim, particular), None
+    nd = n_alg.dim
+    # slot s of the joined targets is key r of group q
+    slots = [(q, r) for q, group in enumerate(groups) for r in range(len(group))]
+    split = [[] for _ in groups]
+    for index, x in particular:
+        q, r = slots[index // nd]
+        split[q].append((r * nd + index % nd, x))
+    return [Cochain.from_pairs(g_alg, degree, nd, pairs) for pairs in split], None
 
 
 def extension_map(alpha: Matrix, C: Matrix, beta: Matrix) -> Matrix:
@@ -212,12 +225,12 @@ class GKernel:
     def _solve_omega(self) -> Cochain:
         # the curvature's value at key r, an End(n) vector, is the target of key r
         nd, values = self.n.dim, dict(curvature(self.S).nonzero_values())
-        omega, certificate = inner_cochain(self.n, self.g, 2, [
+        omegas, certificate = inner_cochains(self.n, self.g, 2, [[
             Matrix.from_flat(values.get(r, {}).items(), nd, nd)
-            for r in range(cochain_space_dim(self.g.dim, 2, 1))])
-        if omega is None:
+            for r in range(cochain_space_dim(self.g.dim, 2, 1))]])
+        if omegas is None:
             raise NoLiftError(certificate)
-        return omega
+        return omegas[0]
 
     @classmethod
     def from_factor_system(cls, fs: "FactorSystem") -> "GKernel":
@@ -414,10 +427,11 @@ def gauge_remainder(fs1: FactorSystem, fs2: FactorSystem, z: Subspace):
     coordinates of the center z, where it lies.  When S1 - S2 is not
     inner, gamma0 and the remainder are None and the certificate says why.
     """
-    gamma0, certificate = inner_cochain(
-        fs1.n, fs1.g, 1, [m1 - m2 for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)])
-    if gamma0 is None:
+    gammas, certificate = inner_cochains(
+        fs1.n, fs1.g, 1, [[m1 - m2 for m1, m2 in zip(fs1.S.matrices, fs2.S.matrices)]])
+    if gammas is None:
         return None, None, certificate
+    gamma0 = gammas[0]
     delta = (fs1.omega - fs2.omega - covariant_differential(fs2.S, gamma0)
              - superbracket(fs1.n, gamma0, gamma0).scale(HALF))
     return gamma0, restrict_cochain_to_subspace(delta, z), None
@@ -447,26 +461,6 @@ def equivalent_extensions(fs1: FactorSystem, fs2: FactorSystem):
     return EquivalenceWitness(gamma, extension_map(ident_n, gamma.as_matrix(), ident_g))
 
 
-def pairwise_equivalent(systems: Sequence[FactorSystem], module) -> tuple:
-    """Whether each pair of a nonempty list of factor systems sharing one S
-    is equivalent, pairs in the order of itertools.combinations.
-
-    ``module`` is center_module(S).  With S shared, the inner lift of every
-    pair is zero, so (i, j) is equivalent exactly when omega_i - omega_j,
-    in center coordinates, is d_1 of a center-valued 1-cochain, with the
-    same d_1 for every pair: one elimination of d_1 with every pair's
-    difference as a right-hand side column decides them all.
-    """
-    z, z_rep = module
-    first = systems[0]
-    if any(fs.n != first.n or fs.g != first.g or fs.S.matrices != first.S.matrices
-           for fs in systems):
-        raise DimensionMismatchError("the factor systems must share n, g and S")
-    offsets = [restrict_cochain_to_subspace(fs.omega - first.omega, z) for fs in systems]
-    differences = [(a - b).sparse_coordinates() for a, b in combinations(offsets, 2)]
-    return consistent_columns(differential_matrix(z_rep, 1), differences)
-
-
 # ---------------------------------------------------------------------------
 # obstructions and classification
 # ---------------------------------------------------------------------------
@@ -491,14 +485,26 @@ class ExtensionClassification(NamedTuple):
     base: FactorSystem
     h2: CohomologySpace
     translations: tuple  # n-valued 2-cochains, one per degree-2 class
-    representatives: tuple  # FactorSystem per translation (base included first)
+
+    @property
+    def representatives(self) -> tuple:
+        """A FactorSystem per class, the base first and then base + t for each
+        translation t, each validated as it is built."""
+        base = self.base
+        return (base,) + tuple(FactorSystem(base.n, base.g, base.S, base.omega + t)
+                               for t in self.translations)
 
 
 def classify_extensions(kernel: GKernel) -> ExtensionClassification:
     """Affine description of all extension classes realizing the kernel.
 
-    The representatives share S, and ``pairwise_equivalent`` cross-checks
-    them to be pairwise inequivalent in one elimination.
+    Only the base is validated as a factor system.  Each translation t is
+    checked to be center-valued, so ad(omega + t) = ad(omega) and the
+    curvature condition still holds, and closed, so d_S(omega + t) = 0;
+    then base + t is a factor system.  The translations' classes, reduced
+    modulo the coboundaries, must have full rank: the k representatives
+    beyond the base are then pairwise inequivalent and inequivalent to it,
+    which is the rank test rank[B^2; t_1 ... t_k] = dim B^2 + k.
     """
     z, z_rep = center_module(kernel.S)
     chi = obstruction_class(kernel, (z, z_rep))
@@ -509,19 +515,25 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
         raise InvariantViolation(
             "vanishing obstruction but empty relative cocycle space: "
             + solutions.describe())
-    base_omega = solutions.particular
-    base = FactorSystem(kernel.n, kernel.g, kernel.S, base_omega)
+    base = FactorSystem(kernel.n, kernel.g, kernel.S, solutions.particular)
     h2 = cohomology(z_rep, 2)
     translations = tuple(embed_cochain_from_subspace(rep, z)
                          for rep in h2.representative_cochains())
-    representatives = [base]
+    classes = []
     for t in translations:
-        representatives.append(FactorSystem(kernel.n, kernel.g, kernel.S,
-                                            base_omega + t))
-    if any(pairwise_equivalent(representatives, (z, z_rep))):
-        raise InvariantViolation("distinct degree-2 classes produced equivalent extensions")
-    return ExtensionClassification(kernel, base, h2, translations,
-                                   tuple(representatives))
+        try:
+            t_z = restrict_cochain_to_subspace(t, z)
+        except InvariantViolation as err:
+            raise InvariantViolation(
+                f"classify: a translation is not center-valued: {err}") from err
+        # closed means in the cocycle space h2 already holds
+        if h2.cocycles.reduce_entries(t_z.pairs):
+            raise InvariantViolation("classify: a translation is not closed")
+        classes.append(dict(h2.normalize(t_z)))
+    if Matrix.from_sparse_rows(classes, h2.cocycles.ambient_dim).rank() != len(classes):
+        raise InvariantViolation("classify: distinct degree-2 classes produced "
+                                 "equivalent extensions")
+    return ExtensionClassification(kernel, base, h2, translations)
 
 
 # ---------------------------------------------------------------------------

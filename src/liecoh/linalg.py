@@ -14,8 +14,8 @@ value) pairs.  The dense tuples (``Matrix.row``, ``row_list``) are views
 built on each call and never kept.  There is one elimination, on copies
 of the dict rows, and one augmented elimination, ``_augmented_rref``,
 from which ``solve_columns`` (and on it ``solve``), ``left_inverse`` (and
-on it ``invert``), ``solve_affine``, ``solve_certified`` and
-``consistent_columns`` read their answers.
+on it ``invert``), ``solve_affine`` and ``solve_certified`` read their
+answers.
 ``kernel`` is one elimination of m with its column indices reversed: read
 back in the original order, the null vectors are already the reduced
 echelon basis.
@@ -535,19 +535,6 @@ def solve_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
     if first_inconsistent is not None:
         return None, first_inconsistent, len(pivots)
     return tuple(_particulars(reduced, pivots, m.cols, len(columns))), None, len(pivots)
-
-
-def consistent_columns(m: Matrix, columns: Sequence[dict]) -> tuple:
-    """For each column b, given as a dict {row: value}, whether m x = b is solvable.
-
-    [m | b_1 ... b_k] is row-reduced once.  Its rows below rank(m) are
-    zero on the left block, and row operations among them keep their span,
-    so b_k lies in the column space of m exactly when all of them are zero
-    in column k.
-    """
-    reduced, pivots, _ = _augmented_rref(m, columns)
-    touched = {j for row in reduced.sparse_rows()[len(pivots):] for j in row}
-    return tuple(m.cols + k not in touched for k in range(len(columns)))
 
 
 def solve(m: Matrix, b: dict) -> Optional[dict]:

@@ -14,10 +14,12 @@ The gauge step is the one of ``extensions``.  Automorphism pairs take its
 finite form, ``gauge_remainder`` on the transported factor system, as
 equivalence does.  Derivation pairs take its infinitesimal form, shared
 by ``extension_derivations`` and ``derivation_pair_obstruction``:
-``_pair_gamma`` lifts (alpha, beta).S to ad(gamma) and ``_pair_remainder``
-pushes (alpha, beta).omega - d_S gamma into the center.  Either way the
-center module comes from ``center_module``, once per call, and the
-center-valued correction from ``cohomology.primitive``.
+``_pair_gammas`` lifts (alpha, beta).S to ad(gamma) for a batch of pairs,
+every stabilizer and image pair of a derivation report in one
+``inner_cochains`` call, and ``_pair_remainder`` pushes
+(alpha, beta).omega - d_S gamma into the center.  Either way the center
+module comes from ``center_module``, once per call, and the center-valued
+correction from ``cohomology.primitive``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (DimensionMismatchError, InvariantViolation, NoGammaError,
 from .extensions import (FactorSystem, build_extension, center_module,
                          check_equivalence_map, embed_cochain_from_subspace,
                          extension_map, gauge_remainder,
-                         inner_cochain, restrict_cochain_to_subspace,
+                         inner_cochains, restrict_cochain_to_subspace,
                          transported_pair)
 from .liealg import (LieAlgebra, Representation, ad_stack, is_derivation, law_defect,
                      leibniz_rows)
@@ -51,9 +53,11 @@ def pair_act_outer(alpha: Matrix, beta: Matrix, S: OuterActionMap) -> OuterActio
     return OuterActionMap(S.algebra, mats, target=S.target)
 
 
-def _pair_gamma(fs: FactorSystem, alpha: Matrix, beta: Matrix):
-    """The inner lift gamma of (alpha, beta).S: (gamma, None) or (None, certificate)."""
-    return inner_cochain(fs.n, fs.g, 1, pair_act_outer(alpha, beta, fs.S).matrices)
+def _pair_gammas(fs: FactorSystem, pairs: Sequence[tuple]):
+    """The inner lift gamma of (alpha, beta).S for every pair, in one solve:
+    (gammas, None) or (None, certificate)."""
+    return inner_cochains(fs.n, fs.g, 1, [pair_act_outer(alpha, beta, fs.S).matrices
+                                          for alpha, beta in pairs])
 
 
 def _pair_remainder(fs: FactorSystem, alpha: Matrix, beta: Matrix, gamma: Cochain,
@@ -227,30 +231,28 @@ def extension_derivations(fs: FactorSystem) -> DerivationReport:
     basis = Matrix.from_sparse_rows([dict(p) for p in solution.pairs], nvars)
     stabilizer_pairs = _project_pairs(basis.sparse_rows(), va, vb, nd, gd)
 
-    h2 = cohomology(z_rep, 2)
-    gammas = []
-    classes = []
-    for alpha, beta in stabilizer_pairs:
-        gamma, _ = _pair_gamma(fs, alpha, beta)
-        if gamma is None:
-            raise InvariantViolation("projected stabilizer pair admits no gamma")
-        gammas.append(gamma)
-        classes.append(h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z)))
-
     # ker(rows + omega_rows) is ker(rows) cut by the omega rows: the
     # combinations c of its basis B with (omega_rows B^T) c = 0
     cut = kernel(Matrix.from_sparse_rows(omega_rows, nvars) @ basis.transpose())
     image_vectors = Matrix.from_sparse_rows([dict(p) for p in cut.pairs], solution.dim) @ basis
-    image_pairs_ab = _project_pairs(image_vectors.sparse_rows(), va, vb, nd, gd)
-    image_triples = [(alpha, beta, _pair_gamma(fs, alpha, beta)[0])
-                     for alpha, beta in image_pairs_ab]
+    image_pairs = _project_pairs(image_vectors.sparse_rows(), va, vb, nd, gd)
+
+    gammas, _ = _pair_gammas(fs, stabilizer_pairs + image_pairs)
+    if gammas is None:
+        raise InvariantViolation("projected stabilizer pair admits no gamma")
+    split = len(stabilizer_pairs)
+    h2 = cohomology(z_rep, 2)
+    classes = tuple(h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z))
+                    for (alpha, beta), gamma in zip(stabilizer_pairs, gammas))
+    image_triples = tuple((alpha, beta, gamma)
+                          for (alpha, beta), gamma in zip(image_pairs, gammas[split:]))
 
     i_image = Subspace.row_space(Matrix.from_sparse_rows(
         [dict(cls.normalized) for cls in classes], h2.cocycles.ambient_dim))
 
     brute = _brute_force_ideal_derivations(fs)
     return DerivationReport(fs, z1, kernel_cochains, stabilizer_pairs,
-                            tuple(gammas), tuple(classes), tuple(image_triples),
+                            tuple(gammas[:split]), classes, image_triples,
                             h2, i_image.dim, brute)
 
 
@@ -275,9 +277,10 @@ def derivation_pair_obstruction(fs: FactorSystem, alpha: Matrix,
         raise PreconditionFailedError("alpha is not a derivation of n")
     if not is_derivation(fs.g, beta):
         raise PreconditionFailedError("beta is not a derivation of g")
-    gamma, certificate = _pair_gamma(fs, alpha, beta)
-    if gamma is None:
+    gammas, certificate = _pair_gammas(fs, [(alpha, beta)])
+    if gammas is None:
         raise NoGammaError(certificate)
+    gamma = gammas[0]
     z, z_rep = center_module(fs.S)
     h2 = cohomology(z_rep, 2)
     cls = h2.class_of(_pair_remainder(fs, alpha, beta, gamma, z))

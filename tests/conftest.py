@@ -14,7 +14,10 @@ package replaced by nonzero (k, c) pairs and dicts {index: value}, and the
 dense constructions of the exact core (the list accumulator of ``_scatter``, the
 ``Counter`` rows of ``_pair_system_rows``, the all-keys
 ``characteristic_cocycle`` and the tuple ``coordinates_of``), which the
-package replaced by dict columns and nonzero entries.
+package replaced by dict columns and nonzero entries.  The per-element
+paths that batched solves replaced (``inner_cochain``, ``pairwise_equivalent``
+with ``consistent_columns``) and ``EquivariantPairing.composition``, which
+nothing in the package called, stay here as oracles and test helpers.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -22,6 +25,7 @@ to tolerance.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,8 +36,10 @@ import pytest
 from liecoh.catalog import abelian, filiform4, heisenberg3, nonabelian2, sl2
 from liecoh.cochains import (Cochain, EquivariantPairing, check_degree, cochain_space_dim,
                              differential_operator, key_rank, key_unrank, sort_with_sign)
+from liecoh.cohomology import differential_matrix
 from liecoh.errors import DimensionMismatchError, InvariantViolation
-from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis, leibniz_rows
+from liecoh.extensions import restrict_cochain_to_subspace
+from liecoh.liealg import LieAlgebra, ad_stack, change_of_basis, leibniz_rows, solve_inner
 from liecoh.linalg import (ONE, ZERO, InconsistencyCertificate, Matrix, _augmented_rref,
                            _null_space, _particulars, to_fractions)
 
@@ -202,6 +208,59 @@ def dense_solve_inner(L, targets):
     if first_inconsistent is not None:
         return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
     return tuple(x for solution in solutions for x in solution), None
+
+
+# the former per-element paths, kept as oracles for the batched ones
+
+def consistent_columns(m, columns):
+    """The former linalg.consistent_columns: for each column b, a dict {row: value},
+    whether m x = b is solvable, read from one elimination of [m | b_1 ... b_k].
+
+    Its rows below rank(m) are zero on the left block, so b_k lies in the
+    column space of m exactly when all of them are zero in column k.
+    """
+    reduced, pivots, _ = _augmented_rref(m, columns)
+    touched = {j for row in reduced.sparse_rows()[len(pivots):] for j in row}
+    return tuple(m.cols + k not in touched for k in range(len(columns)))
+
+
+def inner_cochain(n_alg, g_alg, degree, targets):
+    """The former extensions.inner_cochain: one solve_inner call for one cochain,
+    (cochain, None) or (None, certificate)."""
+    particular, certificate = solve_inner(n_alg, targets)
+    if particular is None:
+        return None, certificate
+    return Cochain.from_pairs(g_alg, degree, n_alg.dim, particular), None
+
+
+def pairwise_equivalent(systems, module):
+    """The former extensions.pairwise_equivalent: whether each pair of factor
+    systems sharing one S is equivalent, pairs in the order of combinations.
+
+    ``module`` is center_module(S).  With S shared, (i, j) is equivalent
+    exactly when omega_i - omega_j, in center coordinates, is d_1 of a
+    center-valued 1-cochain: one elimination of d_1 with every pair's
+    difference as a column decides them all.
+    """
+    z, z_rep = module
+    first = systems[0]
+    if any(fs.n != first.n or fs.g != first.g or fs.S.matrices != first.S.matrices
+           for fs in systems):
+        raise DimensionMismatchError("the factor systems must share n, g and S")
+    offsets = [restrict_cochain_to_subspace(fs.omega - first.omega, z) for fs in systems]
+    differences = [(a - b).sparse_coordinates() for a, b in combinations(offsets, 2)]
+    return consistent_columns(differential_matrix(z_rep, 1), differences)
+
+
+def composition(m):
+    """The former EquivariantPairing.composition: End(V) x End(V) -> End(V) on
+    row-major flattened endomorphisms."""
+
+    def fn(u, v):
+        return dict((Matrix.from_flat(u.items(), m, m)
+                     @ Matrix.from_flat(v.items(), m, m)).flat_pairs())
+
+    return EquivariantPairing(m * m, m * m, m * m, fn)
 
 
 def value_at_indices(c, idx):
@@ -494,6 +553,30 @@ def is_trivial(rep):
 def zero_class(space):
     """The zero class of a cohomology space."""
     return space.class_of(Cochain.zero(space.rep.algebra, space.degree, space.rep.space_dim))
+
+
+@pytest.fixture
+def liecoh_calls(monkeypatch):
+    """Count calls of the named liecoh functions through every module that imported them."""
+
+    def install(*names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            module_name, _, attr = name.rpartition(".")
+            real = getattr(sys.modules[f"liecoh.{module_name}"], attr)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").partition(".")[0] == "liecoh":
+                    for key, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, key, counted)
+        return calls
+
+    return install
 
 
 @pytest.fixture

@@ -23,8 +23,8 @@ from liecoh.extensions import (FactorSystem, GKernel, build_extension, center_mo
 from liecoh.liealg import Representation, adjoint_rep, center
 from liecoh.linalg import Matrix, Subspace
 
-from conftest import (dense_ad, dense_coeffs, embed, flat, rand_algebra, rand_cochain, rand_matrix,
-                      rand_vector)
+from conftest import (composition, dense_ad, dense_coeffs, embed, flat, rand_algebra, rand_cochain,
+                      rand_matrix, rand_vector)
 
 
 def report_line(number, ok, text):
@@ -202,7 +202,7 @@ def _suite_associativity(rng):
     while count < CASES:
         L = rand_algebra(rng)
         V = rng.randint(1, 2)
-        comp = EquivariantPairing.composition(V)
+        comp = composition(V)
         ev = EquivariantPairing.evaluation(V)
         degrees = [rng.randint(0, 2) for _ in range(3)]
         if sum(degrees) > L.dim:

@@ -1,33 +1,38 @@
-"""The classification's pair check against the per-pair equivalence solve.
+"""The classification's independence check against the pair checks it replaced.
 
-``loop_pair_check`` is the cross-check ``classify_extensions`` ran before
-it batched the pairs: a full ``equivalent_extensions`` solve on every pair
-of representatives.  It stays here as the oracle.  ``pairwise_equivalent``
-must agree with it pair by pair, on the representatives and on planted
-copies that are equivalent to one of them, over the catalog systems, two
-seeded basis changes of each, and the three benchmark factor-system kinds
-at h7.  A planted repeated class must still raise, and the work classify
-does must not grow with the number of classes.
+``loop_pair_check`` is the cross-check ``classify_extensions`` ran first: a
+full ``equivalent_extensions`` solve on every pair of representatives.
+``pairwise_equivalent`` (kept in ``conftest.py``) replaced it with one
+elimination of d_1 whose columns are every pair's difference.  Both stay
+here as oracles, and they must agree pair by pair, on the representatives
+and on planted copies that are equivalent to one of them.  The catalog
+systems, two seeded basis changes of each, and the three benchmark
+factor-system kinds at h7 are the cases.  classify now checks each
+translation to be center-valued and closed, and all of their classes to be
+independent modulo the coboundaries, in one rank test.  On every case its
+verdict must be the oracle's, with and without a planted copy of a class.
+Planted defects must raise: a repeated class, the sum of two classes (which
+no pair check sees), a translation that is not closed and one that is not
+center-valued.  The work classify does must not grow with the number of
+classes.
 """
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from liecoh import cochains
+from liecoh import cochains, extensions
 from liecoh.cochains import Cochain
 from liecoh.cohomology import CohomologySpace
 from liecoh.errors import DimensionMismatchError, InvariantViolation
 from liecoh.extensions import (FactorSystem, GKernel, center_module, classify_extensions,
-                               embed_cochain_from_subspace, equivalent_extensions,
-                               pairwise_equivalent)
+                               embed_cochain_from_subspace, equivalent_extensions)
 from liecoh.liealg import LieAlgebra
 from liecoh.linalg import Matrix
 
-from conftest import rand_cochain
+from conftest import pairwise_equivalent, rand_cochain
 from test_gauge_step import SYSTEMS, SYSTEM_IDS
 
 
@@ -122,42 +127,110 @@ def test_planted_duplicate_class_raises(monkeypatch, repeat):
         classify_extensions(kernel)
 
 
-@pytest.fixture
-def liecoh_calls(monkeypatch):
-    """Count calls of the named liecoh functions through every module that imported them."""
-
-    def install(*names):
-        calls = {name: 0 for name in names}
-        for name in names:
-            module_name, _, attr = name.rpartition(".")
-            real = getattr(sys.modules[f"liecoh.{module_name}"], attr)
-
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            for module in list(sys.modules.values()):
-                if getattr(module, "__name__", "").partition(".")[0] == "liecoh":
-                    for key, value in list(vars(module).items()):
-                        if value is real:
-                            monkeypatch.setattr(module, key, counted)
-        return calls
-
-    return install
+def plant(monkeypatch, extra):
+    """Make representative_cochains return its classes plus extra(space, reps)."""
+    real = CohomologySpace.representative_cochains
+    monkeypatch.setattr(CohomologySpace, "representative_cochains",
+                        lambda space: real(space) + extra(space, real(space)))
 
 
-def test_classify_work_does_not_grow_with_the_classes(liecoh_calls):
+def representatives_with(kernel, extra):
+    """The representatives classify would form from its classes plus the extra
+    center-coordinate cochains, each validated as a FactorSystem."""
+    cls = classify_extensions(kernel)
+    z, _ = center_module(kernel.S)
+    return list(cls.representatives) + [
+        FactorSystem(kernel.n, kernel.g, kernel.S,
+                     cls.base.omega + embed_cochain_from_subspace(t, z)) for t in extra]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["classes", "planted-copy"])
+@pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
+def test_independence_verdict_matches_pair_oracle(monkeypatch, name, fs, planted):
+    """classify accepts exactly when the pairwise oracle finds no equivalent
+    pair: on its own classes, and with a coboundary-moved copy of its last
+    class planted among them."""
+    kernel = GKernel.from_factor_system(fs)
+    h2 = classify_extensions(kernel).h2
+    extra = ()
+    if planted and h2.h_dim:
+        zeta = rand_cochain(random.Random(41), kernel.g, 1, h2.rep.space_dim)
+        extra = (h2.representative_cochains()[-1]
+                 + cochains.cochain_differential(h2.rep, zeta),)
+    want = any(pairwise_equivalent(representatives_with(kernel, extra),
+                                   center_module(kernel.S)))
+    assert want == bool(extra)
+    plant(monkeypatch, lambda space, reps: extra)
+    try:
+        classify_extensions(kernel)
+        got = False
+    except InvariantViolation:
+        got = True
+    assert got == want
+
+
+def test_planted_sum_of_two_classes_raises(monkeypatch):
+    """t1 + t2 is inequivalent to the base, t1 and t2 one pair at a time, so
+    the pair check passed it; its class is not independent of theirs."""
+    kernel = GKernel.from_factor_system(pipeline_system("central", 2))
+    reps = classify_extensions(kernel).h2.representative_cochains()
+    extra = (reps[0] + reps[1],)
+    assert not any(pairwise_equivalent(representatives_with(kernel, extra),
+                                       center_module(kernel.S)))
+    plant(monkeypatch, lambda space, reps: extra)
+    with pytest.raises(InvariantViolation,
+                       match="distinct degree-2 classes produced equivalent extensions"):
+        classify_extensions(kernel)
+
+
+def test_planted_translation_that_is_not_closed_raises(monkeypatch):
+    kernel = GKernel.from_factor_system(pipeline_system("central", 2))
+    # e0* ^ e4* on h5, whose center is e4: d e4* = -(e0* ^ e2* + e1* ^ e3*)
+    bad = Cochain(kernel.g, 2, 1, {(0, 4): [1]})
+    assert not cochains.cochain_differential(center_module(kernel.S)[1], bad).is_zero()
+    plant(monkeypatch, lambda space, reps: (bad,))
+    with pytest.raises(InvariantViolation, match="classify: a translation is not closed"):
+        classify_extensions(kernel)
+
+
+def test_planted_translation_that_is_not_center_valued_raises(monkeypatch):
+    """A class in center coordinates always embeds into the center, so the
+    planted one is also moved off it by an e0-valued term as it is embedded."""
+    kernel = GKernel.from_factor_system(pipeline_system("center", 2))
+    planted = classify_extensions(kernel).h2.representative_cochains()[0].scale(2)
+    off_center = Cochain(kernel.g, 2, kernel.n.dim, {(0, 1): [1] + [0] * (kernel.n.dim - 1)})
+    real = extensions.embed_cochain_from_subspace
+
+    def leaky(c, sub):
+        return real(c, sub) + off_center if c is planted else real(c, sub)
+
+    plant(monkeypatch, lambda space, reps: (planted,))
+    monkeypatch.setattr(extensions, "embed_cochain_from_subspace", leaky)
+    with pytest.raises(InvariantViolation, match="classify: a translation is not center-valued"):
+        classify_extensions(kernel)
+
+
+def test_classify_work_does_not_grow_with_the_classes(monkeypatch, liecoh_calls):
     calls = liecoh_calls("cochains.operator_matrix", "liealg.center",
-                         "extensions.equivalent_extensions")
+                         "extensions.equivalent_extensions", "extensions._factor_report")
+    calls["Matrix.rref"], real = 0, Matrix.rref
+
+    def counted(self):
+        calls["Matrix.rref"] += 1
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
     counts = {}
     for k in (2, 3):
         kernel = GKernel.from_factor_system(pipeline_system("central", k))
         for name in calls:
             calls[name] = 0
         cls = classify_extensions(kernel)
-        counts[k] = (len(cls.representatives), dict(calls))
+        counts[k] = (len(cls.translations), dict(calls))
     (small, at_h5), (large, at_h7) = counts[2], counts[3]
     assert small < large
     assert at_h5 == at_h7
     assert at_h7["extensions.equivalent_extensions"] == 0
     assert at_h7["liealg.center"] == 1
+    # the base is the one factor system classify builds
+    assert at_h7["extensions._factor_report"] == 1

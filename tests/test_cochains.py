@@ -18,9 +18,10 @@ from liecoh.extensions import build_extension, extract_factor_system
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import Matrix
 
-from conftest import (DensePairing, coordinates, dense_ad, dense_bracket, dense_coeffs,
-                      dense_wedge, from_coordinates, rand_algebra, rand_cochain, rand_matrix,
-                      rand_vector, scalar_multiplication, value_at_indices, vector_cochain)
+from conftest import (DensePairing, composition, coordinates, dense_ad, dense_bracket,
+                      dense_coeffs, dense_wedge, from_coordinates, rand_algebra, rand_cochain,
+                      rand_matrix, rand_vector, scalar_multiplication, value_at_indices,
+                      vector_cochain)
 
 
 def test_evaluate_alternation(rng):
@@ -117,7 +118,7 @@ def test_wedge_associativity_endomorphism_pairings(rng):
     for _ in range(25):
         L = rand_algebra(rng)
         V = rng.randint(1, 3)
-        comp = EquivariantPairing.composition(V)
+        comp = composition(V)
         ev = EquivariantPairing.evaluation(V)
         p = rng.randint(0, 2)
         q = rng.randint(0, 2)
@@ -555,13 +556,18 @@ def test_wedge_matches_the_shuffle_sum_over_every_key(rng):
         for name, arg, left, right in (("composition", V, V * V, V * V),
                                        ("evaluation", V, V * V, V),
                                        ("lie_bracket", L, L.dim, L.dim)):
-            m, oracle = getattr(EquivariantPairing, name)(arg), getattr(DensePairing, name)(arg)
+            m, oracle = make_pairing(name, arg), getattr(DensePairing, name)(arg)
             a = rand_cochain(rng, L, p, left, sparsity=0.4)
             b = rand_cochain(rng, L, q, right, sparsity=0.4)
             assert wedge(m, a, b) == every_key_wedge(oracle, a, b)
 
 
 PAIRINGS = ("lie_bracket", "evaluation", "composition", "commutator")
+
+
+def make_pairing(name, arg):
+    """The named EquivariantPairing; composition comes from the test helper."""
+    return composition(arg) if name == "composition" else getattr(EquivariantPairing, name)(arg)
 
 
 def test_wedge_matches_the_dense_pairing_oracle(rng):
@@ -575,7 +581,7 @@ def test_wedge_matches_the_dense_pairing_oracle(rng):
                 "composition": (m * m, m * m), "commutator": (m * m, m * m)}
         for name in PAIRINGS:
             arg = V if name == "lie_bracket" else m
-            pairing = getattr(EquivariantPairing, name)(arg)
+            pairing = make_pairing(name, arg)
             oracle = getattr(DensePairing, name)(arg)
             left, right = dims[name]
             for p in range(4):
@@ -597,7 +603,7 @@ def test_pairings_take_and_return_nonzero_dicts():
     assert EquivariantPairing.lie_bracket(V).apply({0: 1}, {0: 2}) == {}
     # (E_01) e_1 = e_0 and [E_01, E_10] = E_00 - E_11 on 2 x 2 matrices
     assert EquivariantPairing.evaluation(2).apply({1: 1}, {1: 3}) == {0: 3}
-    assert EquivariantPairing.composition(2).apply({1: 1}, {2: 1}) == {0: 1}
+    assert composition(2).apply({1: 1}, {2: 1}) == {0: 1}
     assert EquivariantPairing.commutator(2).apply({1: 1}, {2: 1}) == {0: 1, 3: -1}
     with pytest.raises(DimensionMismatchError, match="indices out of range"):
         EquivariantPairing.evaluation(2).apply({4: 1}, {0: 1})

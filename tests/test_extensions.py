@@ -18,7 +18,7 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
                                center_module, check_equivalence_map, classify_extensions,
                                equivalent_extensions, extract_factor_system,
-                               factor_system_report, inner_cochain,
+                               factor_system_report, inner_cochains,
                                obstruction_class, pullback_extension,
                                rebuild_from_cocycle, reduce_via_stage)
 from liecoh.liealg import Representation, bracket_preserving, center, check_jacobi
@@ -199,9 +199,9 @@ def kernels_equivalent(k1, k2):
     """gamma with S1 = S2 + ad(gamma), or None."""
     if k1.n != k2.n or k1.g != k2.g:
         raise DimensionMismatchError("kernels live over different pairs")
-    gamma, _ = inner_cochain(
-        k1.n, k1.g, 1, [m1 - m2 for m1, m2 in zip(k1.S.matrices, k2.S.matrices)])
-    return gamma
+    gammas, _ = inner_cochains(
+        k1.n, k1.g, 1, [[m1 - m2 for m1, m2 in zip(k1.S.matrices, k2.S.matrices)]])
+    return None if gammas is None else gammas[0]
 
 
 def test_kernels_equivalent_inner_shift(rng):

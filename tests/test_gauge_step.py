@@ -3,7 +3,7 @@
 ``restrict_to_center``, ``loop_equivalent_extensions``,
 ``loop_automorphism_obstruction`` and ``loop_derivation_obstruction`` are
 the bodies the package ran before each piece of the gauge step got one
-implementation (``center_module``, ``inner_cochain``, ``gauge_remainder``,
+implementation (``center_module``, ``inner_cochains``, ``gauge_remainder``,
 ``cohomology.primitive`` and ``extension_map``), and the ``column_*``
 functions are the column joins of ``zero_vec``/``unit_vec`` that
 ``block_matrix`` replaced.  They stay here as oracles: gamma, normalized

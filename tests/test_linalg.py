@@ -12,12 +12,13 @@ from liecoh.cohomology import CohomologySpace, differential_matrix
 from liecoh.errors import DimensionMismatchError
 from liecoh.liealg import Representation, adjoint_rep
 from liecoh.linalg import (InconsistencyCertificate, Matrix, Subspace, _null_space, block_matrix,
-                           consistent_columns, image, invert, kernel, left_inverse,
+                           image, invert, kernel, left_inverse,
                            quotient_coordinates, solve, solve_affine, solve_certified,
                            solve_columns, to_fractions)
 
-from conftest import (as_column, basis_of, contains_vec, coordinates_of_vec, dense, dense_coeffs,
-                      dense_solve_affine, dense_solve_certified, dense_solve_columns, embed, flat,
+from conftest import (as_column, basis_of, consistent_columns, contains_vec, coordinates_of_vec,
+                      dense, dense_coeffs, dense_solve_affine, dense_solve_certified,
+                      dense_solve_columns, embed, flat,
                       is_full, nonzero_pairs, rand_algebra, rand_fraction, rand_invertible,
                       rand_matrix, reduce_vec, unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 

@@ -30,7 +30,7 @@ A value is made dense in two places only: ``_dense`` is called in
 ``linalg.py`` and in ``Cochain.component``, so ``wedge`` hands a pairing
 the nonzero values as they are stored.
 Vectors cross the linear-algebra boundary as dicts and (index, value) pairs:
-no ``solve*``, ``inner_cochain``, ``coordinates_of`` or ``Subspace.from_vectors``
+no ``solve*``, ``inner_cochains``, ``coordinates_of`` or ``Subspace.from_vectors``
 call is handed a dense value (a ``.flatten()``, ``.coordinates()``, ``.row()``,
 ``.row_list()``, ``.column()`` or ``.matvec()`` call, a ``.basis`` read or a
 ``Matrix(...)`` built from dense rows), either directly or through a name
@@ -55,8 +55,13 @@ in ``conftest.py``), and the dense bracket views ``LieAlgebra.ad``,
 ``Representation.act`` and ``Cochain.coeffs``, now that brackets and
 pairings pass nonzero pairs, the ``provenance`` slot of an
 ``ExtensionPresentation``, which nothing read, and the ``theta_matrices``
-field of a ``CrossedModuleSplitting``, which held the table ``theta`` twice.  A deleted method whose bare name another
-class still uses is listed as ``Class.name``: neither a definition of it in
+field of a ``CrossedModuleSplitting``, which held the table ``theta`` twice.
+So are the per-element paths that batched solves replaced:
+``inner_cochain`` and ``_pair_gamma``, now that one ``inner_cochains`` call
+lifts a batch, and ``pairwise_equivalent`` with ``consistent_columns``, now
+that classify checks its translations with one rank test; and
+``EquivariantPairing.composition``, which nothing called.  A deleted
+method whose bare name another class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
 """
 
@@ -134,7 +139,7 @@ def dense_cochain_products(tree):
 
 
 def dense_solve_inputs(tree):
-    """Rule: a ``solve``/``solve_*``, ``inner_cochain``, ``coordinates_of`` or
+    """Rule: a ``solve``/``solve_*``, ``inner_cochains``, ``coordinates_of`` or
     ``from_vectors`` call with an argument that holds a dense view (a
     ``.flatten()``, ``.coordinates()``, ``.row()``, ``.row_list()``,
     ``.column()`` or ``.matvec()`` call, a ``.basis`` read or a ``Matrix(...)``
@@ -159,7 +164,7 @@ def dense_solve_inputs(tree):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None)) or ""
             if ((name == "solve" or name.startswith("solve_")
-                 or name in ("inner_cochain", "coordinates_of", "from_vectors"))
+                 or name in ("inner_cochains", "coordinates_of", "from_vectors"))
                     and any(dense(arg, tainted)
                             for arg in node.args + [k.value for k in node.keywords])):
                 found.add((node.lineno, f"{name} call on a dense vector"))
@@ -260,7 +265,9 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "embed", "Subspace.basis", "Subspace.contains", "split_coordinates",
                "ideal_coordinates", "DerivationAlgebra.coordinates_of",
                "LieAlgebra.ad", "Representation.act", "Cochain.coeffs",
-               "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices")
+               "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices",
+               "pairwise_equivalent", "consistent_columns", "inner_cochain", "_pair_gamma",
+               "EquivariantPairing.composition")
 
 
 def deleted_member(target):
@@ -579,6 +586,21 @@ def test_rule_detects_deleted_api_names():
                                                (3, "SparseCochain name")]
 
 
+def test_rule_detects_the_deleted_per_element_paths():
+    tree = ast.parse("from .linalg import consistent_columns\n"
+                     "class EquivariantPairing:\n"
+                     "    def composition(cls, m):\n"
+                     "        return cls\n"
+                     "def f(fs, a, b, L, g, ts, systems, module):\n"
+                     "    x = _pair_gamma(fs, a, b), inner_cochain(L, g, 1, ts)\n"
+                     "    y = inner_cochains(L, g, 1, [ts]), EquivariantPairing.composition(2)\n"
+                     "    return x, y, extensions.pairwise_equivalent(systems, module)\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (1, "consistent_columns name"), (3, "EquivariantPairing.composition name"),
+        (6, "_pair_gamma name"), (6, "inner_cochain name"),
+        (7, "EquivariantPairing.composition name"), (8, "pairwise_equivalent name")]
+
+
 def test_rule_detects_matvec_of_dense_coordinates():
     tree = ast.parse("def f(d, c, v):\n"
                      "    a = d.matvec(c.coordinates())\n"
@@ -590,7 +612,7 @@ def test_rule_detects_matvec_of_dense_coordinates():
 
 def test_rule_detects_dense_vectors_handed_to_solves():
     tree = ast.parse("def f(L, g, ms, sub, c, space, system, d, n_sub, alpha):\n"
-                     "    a = inner_cochain(L, g, 1, [m.flatten() for m in ms])\n"
+                     "    a = inner_cochains(L, g, 1, [[m.flatten() for m in ms]])\n"
                      "    b = solve_columns(alpha, n_sub.basis)\n"
                      "    x = space.coordinates_of(d.flatten())\n"
                      "    y = linalg.solve_affine(system, c.coordinates() + (0,) * 3)\n"
@@ -605,7 +627,7 @@ def test_rule_detects_dense_vectors_handed_to_solves():
                      "    y = solve_columns(alpha, list(defect.values()))\n"
                      "    return space.coordinates_of(coords), space.coordinates_of(w), lifts\n")
     assert list(dense_solve_inputs(tree)) == [
-        (2, "inner_cochain call on a dense vector"), (3, "solve_columns call on a dense vector"),
+        (2, "inner_cochains call on a dense vector"), (3, "solve_columns call on a dense vector"),
         (4, "coordinates_of call on a dense vector"), (5, "solve_affine call on a dense vector"),
         (7, "from_vectors call on a dense vector"), (11, "solve_columns call on a dense vector"),
         (13, "solve call on a dense vector"), (15, "coordinates_of call on a dense vector")]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from liecoh.cochains import (Cochain, cochain_differential, increasing_tuples,
 from liecoh import extensions, io as lio, symmetry
 from liecoh.cli import run_command
 from liecoh.cohomology import classes_equal, cohomology
-from liecoh.errors import NoGammaError, PreconditionFailedError
+from liecoh.errors import InvariantViolation, NoGammaError, PreconditionFailedError
 from liecoh.extensions import (FactorSystem, build_extension, check_equivalence_map,
                                embed_cochain_from_subspace, equivalent_extensions,
                                extract_factor_system, restrict_cochain_to_subspace)
@@ -20,12 +21,12 @@ from liecoh.linalg import Matrix, Subspace, invert, kernel
 from liecoh.symmetry import (_pair_system_rows, _project_pairs,
                              automorphism_pair_obstruction,
                              check_derivation_triple, derivation_pair_obstruction,
-                             extension_derivations, lifting_cocycle,
+                             extension_derivations, lifting_cocycle, pair_act_outer,
                              transported_factor_system)
 
-from conftest import (basis_of, embed, from_coordinates, rand_algebra, rand_cochain, rand_invertible, rand_matrix, vec_is_zero,
-                      vec_sub)
-from test_classify import CASE_IDS, CASES
+from conftest import (basis_of, embed, from_coordinates, inner_cochain, rand_algebra, rand_cochain,
+                      rand_invertible, rand_matrix, vec_is_zero, vec_sub)
+from test_classify import CASE_IDS, CASES, pipeline_system
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,82 @@ def test_image_pairs_match_the_from_scratch_kernel(name, fs):
     report = extension_derivations(fs)
     assert tuple((alpha, beta) for alpha, beta, _ in report.image_pairs) == want
     assert len(want) == report.image_dim
+
+
+# ---------------------------------------------------------------------------
+# every gamma of a derivation report in one solve
+# ---------------------------------------------------------------------------
+
+def pair_gamma(fs, alpha, beta):
+    """The former _pair_gamma: the inner lift of (alpha, beta).S, one solve per pair."""
+    return inner_cochain(fs.n, fs.g, 1, pair_act_outer(alpha, beta, fs.S).matrices)
+
+
+@pytest.mark.parametrize("name, fs", CASES, ids=CASE_IDS)
+def test_batched_gammas_match_the_per_pair_oracle(name, fs):
+    report = extension_derivations(fs)
+    assert len(report.stabilizer_gammas) == report.stabilizer_dim
+    for (alpha, beta), gamma in zip(report.stabilizer_pairs, report.stabilizer_gammas):
+        assert gamma == pair_gamma(fs, alpha, beta)[0]
+    for alpha, beta, gamma in report.image_pairs:
+        assert gamma == pair_gamma(fs, alpha, beta)[0]
+
+
+def test_image_pair_without_gamma_raises(monkeypatch):
+    """An image pair that admits no gamma raises as a stabilizer pair does;
+    the planted pair (0, 1) moves S to -S, a grading that is not inner."""
+    fs = pipeline_system("grading", 1)
+    bad = (Matrix.zero(fs.n.dim, fs.n.dim), Matrix.identity(fs.g.dim))
+    assert pair_gamma(fs, *bad)[0] is None
+    real, projections = symmetry._project_pairs, []
+
+    def plant_in_image(*args):
+        projections.append(args)
+        pairs = real(*args)
+        return pairs + (bad,) if len(projections) == 2 else pairs
+
+    monkeypatch.setattr(symmetry, "_project_pairs", plant_in_image)
+    with pytest.raises(InvariantViolation, match="admits no gamma"):
+        extension_derivations(fs)
+
+
+# stdout sha256 of `liecoh derivations` on the benchmark's factor-system kinds
+# at h5 and h7, recorded at the commit where each gamma took its own solve
+DERIVATIONS_STDOUT = {
+    ("center", 2): "19950fa446c080bf84d4b2b7166454b63df1b9315806838924e5b0cc914e9840",
+    ("center", 3): "fb643c1598a483ac590891fc65dafbb90f910ae7bbc48cd37fb66a03ab39a9a5",
+    ("grading", 2): "62bb2035f32a0eeb797ffe8e120264b2a097764f14d61f2bc50c7cc2fe14951b",
+    ("grading", 3): "214aac2620ac1d99d8a514c6912df3c8391a607ed74451f5e939800f7591d41c",
+    ("central", 2): "1e6b429ff486bc051c2589d58962048d1806ff61a3253cb06cbe86fa80ec564e",
+    ("central", 3): "752ee8d21bb3ead560511d6b638a7236ccf3e8daf31b130968acf4a8e6334ddf",
+}
+
+
+@pytest.mark.parametrize("kind", ["center", "grading", "central"])
+def test_derivations_solve_every_gamma_in_one_call(monkeypatch, tmp_path, capsys,
+                                                   liecoh_calls, kind):
+    calls = liecoh_calls("liealg.solve_inner")
+    real, rrefs = Matrix.rref, []
+
+    def counted(self):
+        rrefs.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    seen = {}
+    for k in (2, 3):
+        ext = tmp_path / f"{kind}-h{2 * k + 1}.json"
+        ext.write_text(lio.emit(lio.factor_system_to_json(pipeline_system(kind, k))))
+        calls["liealg.solve_inner"] = 0
+        rrefs.clear()
+        assert run_command(["derivations", "--ext", str(ext)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DERIVATIONS_STDOUT[(kind, k)]
+        assert calls["liealg.solve_inner"] == 1
+        seen[k] = (json.loads(out)["report"]["stabilizer_dim"], len(rrefs))
+    (pairs_h5, rref_h5), (pairs_h7, rref_h7) = seen[2], seen[3]
+    assert pairs_h5 < pairs_h7
+    assert rref_h5 == rref_h7
 
 
 # stdout sha256 of `liecoh automorphism` recorded at the commit where the
