@@ -97,6 +97,10 @@ _EXTENSIONS = {
 }
 
 
+# LieAlgebra(n) builds n-entry tables before any size check, so abelian<n> caps n
+MAX_ABELIAN_DIM = 1000
+
+
 def catalog_names() -> tuple:
     return (tuple(sorted(_ALGEBRAS)) + ("abelian<n>",)
             + tuple(sorted(_EXTENSIONS)))
@@ -108,9 +112,13 @@ def catalog(name: str):
         return _ALGEBRAS[name]()
     if name in _EXTENSIONS:
         return _EXTENSIONS[name]()
-    m = re.fullmatch(r"abelian(\d+)", name)
+    m = re.fullmatch(r"abelian0*([0-9]+)", name)
     if m:
-        return abelian(int(m.group(1)))
+        digits = m.group(1)
+        if len(digits) > len(str(MAX_ABELIAN_DIM)) or int(digits) > MAX_ABELIAN_DIM:
+            raise UnknownNameError(f"catalog entry {name!r}: abelian<n> takes n at most "
+                                   f"{MAX_ABELIAN_DIM}")
+        return abelian(int(digits))
     raise UnknownNameError(f"unknown catalog entry {name!r}; "
                            f"known: {', '.join(catalog_names())}")
 

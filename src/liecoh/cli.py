@@ -16,7 +16,7 @@ import sys
 from . import io as lio
 from .catalog import catalog
 from .cochains import Cochain
-from .cohomology import EmptyAffine, cohomology
+from .cohomology import cohomology
 from .crossed import (CrossedModule, characteristic_class_omega_route,
                       characteristic_class_theta_route, split_crossed_module,
                       validate_crossed_module)
@@ -404,11 +404,8 @@ def run_command(argv) -> int:
         }})
         return EXIT_NEGATIVE
     except ObstructedError as exc:
-        certificate = (exc.obstruction.describe()
-                       if isinstance(exc.obstruction, EmptyAffine)
-                       else _class_report(exc.obstruction))
         _emit({"command": args.command, "error": {
-            "kind": "Obstructed", "certificate": certificate}})
+            "kind": "Obstructed", "certificate": _class_report(exc.obstruction)}})
         return EXIT_NEGATIVE
     except NegativeResult as exc:
         _emit({"command": args.command, "error": {

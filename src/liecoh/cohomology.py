@@ -4,8 +4,10 @@ Cochain spaces are coordinatized in lexicographic key order, so every
 kernel and image inherits the canonical echelon basis of the linear
 algebra core and class representatives are reproducible.  Relative
 spaces (cocycles with prescribed curvature, cocycles with a prescribed
-restriction) are solved as affine-linear systems; emptiness is returned
-as a value carrying the inconsistency certificate.
+restriction) are solved as affine-linear systems, and each answers with
+one of two values: an AffineCochainSpace (a particular cochain and the
+homogeneous solution space) or, when the system is empty, the
+InconsistencyCertificate naming its 0 = 1 row.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
                        differential_operator, key_rank, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .liealg import LieAlgebra, Representation, ad_stack
-from .linalg import (InconsistencyCertificate, Matrix, Subspace, image, kernel,
-                     solve_affine, solve_certified)
+from .linalg import Matrix, Subspace, image, kernel, solve_affine, solve_certified
 
 
 def differential_matrix(rep: Representation, p: int) -> Matrix:
@@ -149,21 +150,22 @@ def classes_equal(a: CohomologyClass, b: CohomologyClass) -> bool:
 
 
 class AffineCochainSpace(NamedTuple):
-    """Nonempty solution set: particular cochain plus homogeneous basis."""
+    """Nonempty solution set: particular cochain plus homogeneous solution space."""
 
     particular: Cochain
-    basis: tuple
     homogeneous: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.homogeneous.dim
 
     def element(self, coords: Sequence) -> Cochain:
-        out = self.particular
-        for c, b in zip(coords, self.basis):
+        """The particular cochain plus coords[r] times homogeneous basis vector r."""
+        p = self.particular
+        out = p
+        for c, pairs in zip(coords, self.homogeneous.pairs):
             if c != 0:
-                out = out + b.scale(c)
+                out = out + Cochain.from_pairs(p.algebra, p.degree, p.value_dim, pairs).scale(c)
         return out
 
     def contains(self, c: Cochain) -> bool:
@@ -171,17 +173,14 @@ class AffineCochainSpace(NamedTuple):
             (c - self.particular).sparse_coordinates())
 
 
-class EmptyAffine(NamedTuple):
-    """An inconsistent affine system, with the failing reduced row."""
-
-    certificate: InconsistencyCertificate
-
-    @property
-    def dim(self) -> int:
-        return -1
-
-    def describe(self) -> str:
-        return self.certificate.describe()
+def _affine_cochains(system: Matrix, rhs: dict, algebra: LieAlgebra, value_dim: int):
+    """The solutions of system x = rhs, x the coordinates of a 2-cochain: an
+    AffineCochainSpace, or the InconsistencyCertificate when there are none."""
+    particular, hom, certificate = solve_affine(system, rhs)
+    if certificate is not None:
+        return certificate
+    return AffineCochainSpace(
+        Cochain.from_pairs(algebra, 2, value_dim, sorted(particular.items())), hom)
 
 
 def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
@@ -189,7 +188,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
 
     The unknown is a 2-cochain valued in n; the system couples the inner
     lift of the curvature with closedness under the covariant
-    differential.  Returns an AffineCochainSpace or EmptyAffine.
+    differential.  Returns an AffineCochainSpace or an InconsistencyCertificate.
     """
     if S.target is not None and S.target != n_alg:
         raise DimensionMismatchError("S does not act on the given algebra")
@@ -209,12 +208,7 @@ def relative_cocycles(S: OuterActionMap, n_alg: LieAlgebra):
             for r in range(cochain_space_dim(g.dim, 2, 1)) for f in range(nd * nd)]
     d_block = differential_operator(S, 2)
     system = Matrix.from_sparse_rows(rows, c2_dim).vstack(d_block)
-    particular, hom, certificate = solve_affine(system, dict(R.pairs))
-    if particular is None:
-        return EmptyAffine(certificate)
-    part = Cochain.from_pairs(g, 2, nd, sorted(particular.items()))
-    basis = tuple(Cochain.from_pairs(g, 2, nd, v) for v in hom.pairs)
-    return AffineCochainSpace(part, basis, hom)
+    return _affine_cochains(system, dict(R.pairs), g, nd)
 
 
 def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
@@ -224,7 +218,8 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
     ``theta`` maps (basis index of gS, basis index of the ideal) to a
     value-space vector, a dict {slot: nonzero value}.  Solutions are
     returned as a particular cocycle plus the homogeneous space of
-    cocycles vanishing against the ideal.
+    cocycles vanishing against the ideal, or as the InconsistencyCertificate
+    of the system when there are none.
     """
     if z_rep.algebra != gS:
         raise DimensionMismatchError("the coefficient module must be a gS-module")
@@ -246,9 +241,4 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
             rows.extend({key_rank(sorted((i, j)), gS.dim) * zd + comp: c if i < j else -c
                          for j, c in b if j != i} for comp in range(zd))
     system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))
-    particular, hom, certificate = solve_affine(system, rhs)
-    if particular is None:
-        return EmptyAffine(certificate)
-    part = Cochain.from_pairs(gS, 2, zd, sorted(particular.items()))
-    basis = tuple(Cochain.from_pairs(gS, 2, zd, v) for v in hom.pairs)
-    return AffineCochainSpace(part, basis, hom)
+    return _affine_cochains(system, rhs, gS, zd)

@@ -40,16 +40,15 @@ from typing import NamedTuple, Optional, Sequence
 from .cochains import (Cochain, HALF, OuterActionMap, cochain_differential,
                        cochain_space_dim, covariant_differential, curvature, gauge_action,
                        key_unrank, pullback_cochain, superbracket, transport_cochain)
-from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace,
-                         EmptyAffine, cohomology, primitive, relative_cocycles,
-                         theta_constrained_cocycles)
+from .cohomology import (AffineCochainSpace, CohomologyClass, CohomologySpace, cohomology,
+                         primitive, relative_cocycles, theta_constrained_cocycles)
 from .errors import (DimensionMismatchError, InvalidFactorSystemError,
                      InvariantViolation, NoLiftError, NotADerivationError,
                      NotAHomomorphismError, NotASectionError, ObstructedError)
 from .liealg import (LieAlgebra, Representation, ad_stack, bracket_defect, bracket_preserving,
                      center, is_derivation, product_algebra, quotient_algebra, solve_inner)
-from .linalg import (Matrix, Subspace, block_matrix, image, invert, left_inverse,
-                     pullback_family)
+from .linalg import (InconsistencyCertificate, Matrix, Subspace, block_matrix, image, invert,
+                     left_inverse, pullback_family)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +510,7 @@ def classify_extensions(kernel: GKernel) -> ExtensionClassification:
     if not chi.is_zero():
         raise ObstructedError(chi)
     solutions = relative_cocycles(kernel.S, kernel.n)
-    if isinstance(solutions, EmptyAffine):
+    if isinstance(solutions, InconsistencyCertificate):
         raise InvariantViolation(
             "vanishing obstruction but empty relative cocycle space: "
             + solutions.describe())
@@ -675,8 +674,10 @@ def reduce_via_stage(fs: FactorSystem) -> StageReduction:
 
     # the n_ad block of the stage is the ideal of its own extension presentation
     solutions = theta_constrained_cocycles(stage.gs, stage.ext.ideal, stage.z_rep_on_gs, theta)
-    if isinstance(solutions, EmptyAffine):
-        raise ObstructedError(solutions)
+    # f_tilde must lie in this set, so an empty one is an internal inconsistency
+    if isinstance(solutions, InconsistencyCertificate):
+        raise InvariantViolation("reduce: empty theta-constrained cocycle system: "
+                                 + solutions.describe())
     if not solutions.contains(f_tilde):
         raise InvariantViolation("the section cocycle misses the solution space")
 

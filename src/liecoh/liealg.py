@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
                      NotAHomomorphismError, NotAnIdealError, RepresentationError)
-from .linalg import (ZERO, InconsistencyCertificate, Matrix, ONE, Subspace, invert,
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, invert,
                      kernel, linear_combination, pullback_family, quotient_coordinates,
                      solve_columns)
 
@@ -284,8 +284,9 @@ def solve_inner(L: LieAlgebra, targets: Sequence[Matrix]):
     answer is the one solve_affine gives for the block-diagonal system with
     one ad_stack(L) block per slot: the blocks share no columns, so its
     pivot-convention solution is the slots' solutions joined in order,
-    here the nonzero (r * n + k, value) pairs, and when a slot is
-    inconsistent its certificate is the reduced row s * rank reading 0 = 1.
+    here the nonzero (r * n + k, value) pairs.  When a slot is
+    inconsistent the certificate holds only the index of the 0 = 1 row:
+    that system has rank s * rank(ad_stack(L)), so it is row s * rank.
     All slots are eliminated together as extra right-hand-side columns of
     the single ad_stack matrix.
     """
@@ -295,8 +296,7 @@ def solve_inner(L: LieAlgebra, targets: Sequence[Matrix]):
     solutions, first_inconsistent, rank = solve_columns(
         ad_stack(L), [dict(t.flat_pairs()) for t in targets])
     if first_inconsistent is not None:
-        # a certificate row is dense
-        return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
+        return None, InconsistencyCertificate(s * rank)
     return [(r * n + k, x) for r, solution in enumerate(solutions)
             for k, x in sorted(solution.items())], None
 

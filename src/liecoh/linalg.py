@@ -545,13 +545,10 @@ def solve(m: Matrix, b: dict) -> Optional[dict]:
 
 
 class InconsistencyCertificate(NamedTuple):
-    """Witness that an affine system has no solution.
-
-    ``row`` is the reduced row of the augmented system reading 0 = 1.
-    """
+    """Witness that an affine system has no solution: reduced row
+    ``row_index`` of the augmented system reads 0 = 1."""
 
     row_index: int
-    row: tuple
 
     def describe(self) -> str:
         return f"reduced row {self.row_index} of the augmented system reads 0 = 1"
@@ -562,10 +559,8 @@ def _solution_or_certificate(m: Matrix, b: dict):
     reduced, pivots, first_inconsistent = _augmented_rref(m, [b])
     if first_inconsistent is None:
         return reduced, pivots, _particulars(reduced, pivots, m.cols, 1)[0], None
-    # the 0 = 1 row follows the rows of m's pivots; a certificate row is dense
-    idx = len(pivots)
-    row = _dense(reduced.sparse_rows()[idx].items(), reduced.cols)
-    return reduced, pivots, None, InconsistencyCertificate(idx, row)
+    # the 0 = 1 row follows the rows of m's pivots
+    return reduced, pivots, None, InconsistencyCertificate(len(pivots))
 
 
 def solve_certified(m: Matrix, b: dict):

@@ -183,9 +183,7 @@ def dense_solution_or_certificate(m, b):
     if first_inconsistent is None:
         particular = _particulars(reduced, pivots, m.cols, 1)[0]
         return reduced, pivots, dense(particular, m.cols), None
-    idx = len(pivots)
-    row = dense(reduced.sparse_rows()[idx], reduced.cols)
-    return reduced, pivots, None, InconsistencyCertificate(idx, row)
+    return reduced, pivots, None, InconsistencyCertificate(len(pivots))
 
 
 def dense_solve_certified(m, b):
@@ -203,10 +201,10 @@ def dense_solve_affine(m, b):
 def dense_solve_inner(L, targets):
     """The former solve_inner: row-major flattened dense targets in, the slots'
     solutions joined into one dense tuple out, or the certificate of row s * rank."""
-    n, s = L.dim, len(targets)
+    s = len(targets)
     solutions, first_inconsistent, rank = dense_solve_columns(ad_stack(L), targets)
     if first_inconsistent is not None:
-        return None, InconsistencyCertificate(s * rank, (ZERO,) * (s * n) + (ONE,))
+        return None, InconsistencyCertificate(s * rank)
     return tuple(x for solution in solutions for x in solution), None
 
 

@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -9,7 +12,7 @@ from math import gcd
 import pytest
 
 from liecoh import currents
-from liecoh.catalog import (InvariantForm, abelian, catalog, heisenberg3,
+from liecoh.catalog import (MAX_ABELIAN_DIM, InvariantForm, abelian, catalog, heisenberg3,
                             killing_form, nonabelian2, sl2)
 from liecoh.cli import run_command
 from liecoh.cochains import Cochain
@@ -47,6 +50,42 @@ def test_catalog_entries():
 def test_catalog_unknown_name():
     with pytest.raises(UnknownNameError):
         catalog("exceptional-e8")
+
+
+def test_catalog_refuses_a_large_abelian_before_building_it(monkeypatch, capsys):
+    # nothing of that size is built: building an algebra here fails the test
+    def refuse(n):
+        raise AssertionError(f"abelian({n}) was built")
+    # liecoh.catalog, the package attribute, is the function of that name
+    monkeypatch.setattr(sys.modules[catalog.__module__], "abelian", refuse)
+    start = time.perf_counter()
+    assert run_command(["catalog", "abelian99999999"]) == 1
+    assert time.perf_counter() - start < 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "UnknownNameError",
+                     "message": "catalog entry 'abelian99999999': abelian<n> takes n at most "
+                                f"{MAX_ABELIAN_DIM}"}
+    # past int()'s 4300-digit limit, and just past the cap
+    for name in ("abelian" + "9" * 5000, f"abelian{MAX_ABELIAN_DIM + 1}",
+                 f"abelian000{MAX_ABELIAN_DIM + 1}"):
+        with pytest.raises(UnknownNameError, match="takes n at most"):
+            catalog(name)
+
+
+@pytest.mark.parametrize("name", ["abelian\uff13", "abelian\u0663", "abelian 3", "abelian+3",
+                                  "abelian", "abelian-1"])
+def test_catalog_abelian_takes_ascii_digits_only(name):
+    with pytest.raises(UnknownNameError, match="unknown catalog entry"):
+        catalog(name)
+
+
+def test_catalog_abelian_up_to_the_cap(capsys):
+    assert run_command(["catalog", "abelian40"]) == 0
+    assert json.loads(capsys.readouterr().out)["object"]["dim"] == 40
+    for name, dim in (("abelian0", 0), ("abelian007", 7),
+                      (f"abelian{MAX_ABELIAN_DIM}", MAX_ABELIAN_DIM)):
+        L = catalog(name)
+        assert L.dim == dim and L.is_abelian()
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import sympy
 
 from liecoh.catalog import abelian, heisenberg3, nonabelian2, sl2
 from liecoh.cochains import Cochain, OuterActionMap, cochain_differential
-from liecoh.cohomology import (AffineCochainSpace, EmptyAffine, classes_equal,
-                               cohomology, differential_matrix, relative_cocycles,
+from liecoh.cohomology import (AffineCochainSpace, classes_equal, cohomology,
+                               differential_matrix, relative_cocycles,
                                theta_constrained_cocycles)
 from liecoh.errors import SpaceMismatchError
 from liecoh.liealg import Representation, adjoint_rep, change_of_basis
-from liecoh.linalg import Matrix, Subspace
+from liecoh.linalg import InconsistencyCertificate, Matrix, Subspace
 
 from conftest import (contains_vec, coordinates, dense, dense_ad, dense_bracket_basis, flat,
                       nonzero_pairs, rand_algebra, rand_cochain, rand_invertible, reduce_vec,
@@ -271,8 +271,8 @@ def test_relative_cocycles_empty_certificate():
     e21 = Matrix([[0, 0], [1, 0]])
     S = OuterActionMap(g, [e12, e21], target=n)
     sol = relative_cocycles(S, n)
-    assert isinstance(sol, EmptyAffine)
-    assert "0 = 1" in sol.describe()
+    assert isinstance(sol, InconsistencyCertificate)
+    assert sol.describe() == f"reduced row {sol.row_index} of the augmented system reads 0 = 1"
 
 
 def test_relative_cocycles_one_dimensional_quotient():
@@ -328,8 +328,57 @@ def test_theta_constrained_empty_certificate():
     ideal = Subspace.from_vectors(2, [(1, 0)])
     z_rep = Representation.trivial(g, 1)
     sol = theta_constrained_cocycles(g, ideal, z_rep, {(0, 0): {0: Fraction(1)}})
-    assert isinstance(sol, EmptyAffine)
-    assert "0 = 1" in sol.describe()
+    assert isinstance(sol, InconsistencyCertificate)
+    assert sol.describe() == f"reduced row {sol.row_index} of the augmented system reads 0 = 1"
+
+
+def seeded_affine_systems():
+    """The nonempty relative and theta-constrained systems of the tests above,
+    and the relative cocycles of every catalog factor system."""
+    from liecoh.catalog import catalog
+    from liecoh.extensions import GKernel, build_quotient_stage
+    g, n = abelian(2), abelian(1)
+    yield relative_cocycles(OuterActionMap(g, [Matrix([[1]]), Matrix([[0]])], target=n), n)
+    D = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    yield relative_cocycles(OuterActionMap(abelian(1), [D], target=heisenberg3()),
+                            heisenberg3())
+    for name in ("ext-heisenberg-kernel", "ext-heisenberg3", "ext-filiform4", "ext-sl2-kernel"):
+        fs = catalog(name)
+        yield relative_cocycles(fs.S, fs.n)
+    stage = build_quotient_stage(GKernel.from_factor_system(catalog("ext-heisenberg-kernel")))
+    ideal = Subspace.from_vectors(stage.gs.dim, [unit_vec(stage.gs.dim, i)
+                                                 for i in range(stage.n_ad.dim)])
+    yield theta_constrained_cocycles(stage.gs, ideal, stage.z_rep_on_gs, {})
+
+
+def test_affine_element_matches_the_eager_basis_sum():
+    """element reads the homogeneous space as the former eagerly built basis
+    cochains did: particular + sum of coords[r] * basis cochain r, and its
+    coordinates are the dense particular plus the scaled basis vectors."""
+    rng = random.Random(29)
+    dims = []
+    for sol in seeded_affine_systems():
+        assert isinstance(sol, AffineCochainSpace)
+        p = sol.particular
+        basis = tuple(Cochain.from_pairs(p.algebra, 2, p.value_dim, v)
+                      for v in sol.homogeneous.pairs)
+        assert sol.dim == len(basis) == sol.homogeneous.dim
+        dims.append(sol.dim)
+        for _ in range(4):
+            coords = [rng.choice((0, 1, -2, Fraction(1, 3), Fraction(-5, 2)))
+                      for _ in range(sol.dim)]
+            former = p
+            for c, b in zip(coords, basis):
+                if c != 0:
+                    former = former + b.scale(c)
+            got = sol.element(coords)
+            assert got == former and sol.contains(got)
+            want = coordinates(p)
+            for c, b in zip(coords, basis):
+                want = tuple(x + c * y for x, y in zip(want, coordinates(b)))
+            assert coordinates(got) == want
+        assert sol.element([0] * sol.dim) == p
+    assert max(dims) >= 3 and 0 in dims
 
 
 def test_degree_zero_and_overflow_edges():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from liecoh.catalog import (abelian, ext_filiform4, ext_heisenberg3,
 from liecoh.cochains import Cochain, OuterActionMap, gauge_action
 from liecoh.cohomology import classes_equal, cohomology
 from liecoh.cli import run_command
-from liecoh.errors import (DimensionMismatchError, InvalidFactorSystemError, NoLiftError,
-                           NotADerivationError, NotASectionError, ObstructedError)
+from liecoh.errors import (DimensionMismatchError, InvalidFactorSystemError,
+                           InvariantViolation, NoLiftError, NotADerivationError,
+                           NotASectionError, ObstructedError)
 from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                Inequivalent, build_extension, build_quotient_stage,
                                center_module, check_equivalence_map, classify_extensions,
@@ -22,7 +24,7 @@ from liecoh.extensions import (EquivalenceWitness, FactorSystem, GKernel,
                                obstruction_class, pullback_extension,
                                rebuild_from_cocycle, reduce_via_stage)
 from liecoh.liealg import Representation, bracket_preserving, center, check_jacobi
-from liecoh.linalg import Matrix, Subspace
+from liecoh.linalg import InconsistencyCertificate, Matrix, Subspace
 
 from conftest import as_column, contains_vec, dense_coeffs, flat, rand_cochain, unit_vec
 from test_classify import pipeline_system
@@ -343,6 +345,23 @@ def test_reduce_round_trip_exact():
         assert red.rebuilt_fs.S == fs.S
         assert red.rebuilt_fs.omega == fs.omega
         assert red.solutions.contains(red.f_tilde)
+
+
+def test_reduce_calls_an_empty_constrained_system_an_invariant_violation(
+        monkeypatch, tmp_path, capsys):
+    # f_tilde lies in the theta-constrained set, so an empty set is an internal
+    # inconsistency, not an obstruction; the empty answer is planted here
+    monkeypatch.setattr(extensions, "theta_constrained_cocycles",
+                        lambda *args: InconsistencyCertificate(7))
+    with pytest.raises(InvariantViolation, match=(
+            r"^reduce: .* reduced row 7 of the augmented system reads 0 = 1$")):
+        reduce_via_stage(ext_heisenberg_kernel())
+    path = tmp_path / "ext.json"
+    path.write_text(lio.emit(lio.factor_system_to_json(ext_heisenberg_kernel())))
+    assert run_command(["extension", "reduce", "--ext", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "InvariantViolation"
+    assert error["message"].endswith("reduced row 7 of the augmented system reads 0 = 1")
 
 
 def test_reduce_semidirect_case():

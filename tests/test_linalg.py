@@ -350,7 +350,10 @@ def test_solve_certified_matches_solve_affine(rng):
         assert dense_solve_certified(m, b) == (dense_particular, certificate)
         assert hom.dim == m.cols - sympy_rank(m)
         if certificate is not None:
-            assert certificate.row[-1] == 1 and not any(certificate.row[:-1])
+            # the 0 = 1 row follows one row per pivot of m
+            assert certificate.row_index == sympy_rank(m)
+            augmented = Matrix([row + (x,) for row, x in zip(m.row_list(), b)], cols=m.cols + 1)
+            assert sympy_rank(augmented) == certificate.row_index + 1
         outcomes["consistent" if certificate is None else "inconsistent"] += 1
     assert min(outcomes.values()) >= 10
 

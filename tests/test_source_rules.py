@@ -39,8 +39,8 @@ A cochain is built one way: the package scatters dict columns into
 ``Cochain.from_columns`` (or hands nonzero pairs to ``from_pairs``), and the
 dense ``Cochain(...)`` constructor, the input form, is called only in
 ``io.py``, ``catalog.py``, ``reproduce.py`` and ``cli.py``.  No dense
-accumulator ``[ZERO] * n`` appears outside ``linalg._dense``, and the
-stabilizer rows of ``symmetry.py`` are read from nonzero entries: no
+accumulator ``[ZERO] * n`` or ``(ZERO,) * n`` appears outside ``linalg._dense``,
+and the stabilizer rows of ``symmetry.py`` are read from nonzero entries: no
 ``Counter`` and no ``.entry`` call appears there.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
@@ -60,7 +60,12 @@ So are the per-element paths that batched solves replaced:
 ``inner_cochain`` and ``_pair_gamma``, now that one ``inner_cochains`` call
 lifts a batch, and ``pairwise_equivalent`` with ``consistent_columns``, now
 that classify checks its translations with one rank test; and
-``EquivariantPairing.composition``, which nothing called.  A deleted
+``EquivariantPairing.composition``, which nothing called.  So are the second
+and third forms of a linear system's answer: ``EmptyAffine``, now that an
+empty system answers with its ``InconsistencyCertificate``,
+``AffineCochainSpace.basis``, the homogeneous space held twice, and
+``InconsistencyCertificate.row``, a dense row that always read (0, ..., 0, 1).
+A deleted
 method whose bare name another class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
 """
@@ -223,8 +228,9 @@ dataclasses_imports = imports_of("dataclasses")
 
 
 def zero_lists_outside(function):
-    """Rule: a dense accumulator ``[ZERO] * n`` (or ``n * [ZERO]``) outside the body
-    of a function named ``function`` (anywhere when it is None)."""
+    """Rule: a dense accumulator ``[ZERO] * n`` or ``(ZERO,) * n`` (or ``n * [ZERO]``,
+    ``n * (ZERO,)``) outside the body of a function named ``function`` (anywhere
+    when it is None)."""
     def rule(tree):
         inside = {id(node) for f in ast.walk(tree)
                   if isinstance(f, ast.FunctionDef) and f.name == function
@@ -232,7 +238,7 @@ def zero_lists_outside(function):
         for node in ast.walk(tree):
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                     and id(node) not in inside
-                    and any(isinstance(side, ast.List) and len(side.elts) == 1
+                    and any(isinstance(side, (ast.List, ast.Tuple)) and len(side.elts) == 1
                             and "ZERO" in (getattr(side.elts[0], "id", None),
                                            getattr(side.elts[0], "attr", None))
                             for side in (node.left, node.right))):
@@ -256,6 +262,9 @@ entry_calls = method_calls("entry")
 # bracket views, whose callers now read nonzero pairs.  Then the provenance
 # slot of an ExtensionPresentation, written by build_extension and never read.
 # Then the theta matrices of a CrossedModuleSplitting, the table theta kept twice.
+# Then the second form of an empty affine system, the basis cochains of an
+# affine space, which held its homogeneous space twice, and the dense row of
+# an inconsistency certificate, which always read (0, ..., 0, 1).
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
@@ -267,7 +276,8 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "LieAlgebra.ad", "Representation.act", "Cochain.coeffs",
                "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices",
                "pairwise_equivalent", "consistent_columns", "inner_cochain", "_pair_gamma",
-               "EquivariantPairing.composition")
+               "EquivariantPairing.composition", "EmptyAffine", "AffineCochainSpace.basis",
+               "InconsistencyCertificate.row")
 
 
 def deleted_member(target):
@@ -653,10 +663,29 @@ def test_rule_detects_deleted_dense_views():
                      "    return z.split_coordinates(v), ext.ideal_coordinates(v)\n")
     assert sorted(deleted_api_names(tree)) == [
         (1, "_dense_columns name"), (3, "Subspace.basis name"),
-        (4, "Subspace.contains name"), (5, "reduce name"), (11, "coordinates name"),
+        (4, "Subspace.contains name"), (5, "reduce name"), (7, "AffineCochainSpace.basis name"),
+        (11, "coordinates name"),
         (11, "from_coordinates name"), (12, "Subspace.basis name"), (12, "embed name"),
         (12, "flatten name"), (14, "DerivationAlgebra.coordinates_of name"),
         (17, "ideal_coordinates name"), (17, "split_coordinates name")]
+
+
+def test_rule_detects_deleted_affine_forms():
+    tree = ast.parse("from .cohomology import EmptyAffine\n"
+                     "class InconsistencyCertificate:\n"
+                     "    row_index: int\n"
+                     "    row: tuple\n"
+                     "class AffineCochainSpace:\n"
+                     "    def dim(self):\n"
+                     "        return len(self.basis)\n"
+                     "def f(sol, cert, m):\n"
+                     "    return isinstance(sol, EmptyAffine), AffineCochainSpace.basis\n"
+                     "def g(sol, cert, m):\n"
+                     "    return cert.row_index, m.row(0), sol.homogeneous.pairs\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (1, "EmptyAffine name"), (4, "InconsistencyCertificate.row name"),
+        (7, "AffineCochainSpace.basis name"), (9, "AffineCochainSpace.basis name"),
+        (9, "EmptyAffine name")]
 
 
 def test_rule_detects_dense_calls_outside_component():
@@ -701,11 +730,15 @@ def test_rule_detects_dense_accumulators():
                      "def _scatter(c, table, target):\n"
                      "    acc = table.setdefault(target, [ZERO] * c.value_dim)\n"
                      "    return acc, c.value_dim * [linalg.ZERO], 3 * [ZERO], [ONE] * 3\n"
-                     "value = [ZERO, ZERO] * 2, [0] * 3\n")
+                     "value = [ZERO, ZERO] * 2, [0] * 3, (ZERO, ZERO) * 2, (ONE,) * 3\n"
+                     "def solve_inner(s, n):\n"
+                     "    return (ZERO,) * (s * n) + (ONE,), n * (linalg.ZERO,)\n")
     assert list(stray_zero_lists(tree)) == [(5, "[ZERO] * n accumulator"),
                                             (6, "[ZERO] * n accumulator"),
-                                            (6, "[ZERO] * n accumulator")]
-    assert len(list(zero_lists(tree))) == 4
+                                            (6, "[ZERO] * n accumulator"),
+                                            (9, "[ZERO] * n accumulator"),
+                                            (9, "[ZERO] * n accumulator")]
+    assert len(list(zero_lists(tree))) == 6
 
 
 def test_rule_detects_dense_cochain_constructor_calls():

@@ -20,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liecoh import extensions, symmetry
 from liecoh.catalog import abelian, catalog, filiform4, heisenberg3, sl2
@@ -65,9 +66,9 @@ def dense_leibniz_system(L):
     return Matrix(rows, cols=n * n) if rows else Matrix.zero(0, n * n)
 
 
-def stacked_inner_solve(L, targets):
-    """ad(x_r) = targets[r] as one block-diagonal system of s ad blocks, solved
-    densely; the particular solution comes back as its nonzero pairs."""
+def stacked_inner_system(L, targets):
+    """ad(x_r) = targets[r] as one block-diagonal system of s ad blocks: its
+    dense rows and right-hand side."""
     nd, s = L.dim, len(targets)
     ad_cols = [flat(L.ad_matrix(k)) for k in range(nd)]
     rows = []
@@ -80,7 +81,15 @@ def stacked_inner_solve(L, targets):
                 row[a * nd + k] = ad_cols[k][flat_idx]
             rows.append(row)
             rhs.append(target[flat_idx])
-    system = Matrix(rows, cols=s * nd) if rows else Matrix.zero(0, s * nd)
+    return rows, rhs
+
+
+def stacked_inner_solve(L, targets):
+    """The block-diagonal system of stacked_inner_system, solved densely; the
+    particular solution comes back as its nonzero pairs."""
+    rows, rhs = stacked_inner_system(L, targets)
+    cols = L.dim * len(targets)
+    system = Matrix(rows, cols=cols) if rows else Matrix.zero(0, cols)
     particular, _, certificate = dense_solve_affine(system, rhs)
     return (None if particular is None else nonzero_pairs(particular)), certificate
 
@@ -396,7 +405,12 @@ def test_solve_inner_matches_stacked_oracle():
         if got[0] is None:
             rank = ad_stack(L).rank()
             assert got[1].row_index == len(targets) * rank
-            assert got[1].row == unit_vec(len(targets) * n + 1, len(targets) * n)
+            # the 0 = 1 row follows one row per pivot of the stacked system:
+            # its index is the system's rank, one less than the augmented rank
+            rows, rhs = stacked_inner_system(L, targets)
+            assert got[1].row_index == sympy.Matrix(rows).rank()
+            assert (sympy.Matrix([row + [b] for row, b in zip(rows, rhs)]).rank()
+                    == got[1].row_index + 1)
     assert min(outcomes.values()) >= 10
 
 
