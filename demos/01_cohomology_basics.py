@@ -3,8 +3,9 @@
 Run:  python3 demos/01_cohomology_basics.py
 """
 
-from liecoh import catalog, center, cohomology, derivations
-from liecoh.liealg import Representation
+from liecoh.catalog import catalog
+from liecoh.cohomology import cohomology
+from liecoh.liealg import Representation, center, derivations
 
 # Every algebra is a basis plus structure constants over exact rationals;
 # a bracket is kept as the nonzero (index, coefficient) pairs of its value.

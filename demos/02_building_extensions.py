@@ -3,10 +3,11 @@
 Run:  python3 demos/02_building_extensions.py
 """
 
-from liecoh import (build_extension, catalog, center, classify_extensions,
-                    equivalent_extensions, extract_factor_system)
+from liecoh.catalog import catalog
 from liecoh.cochains import Cochain
-from liecoh.extensions import FactorSystem
+from liecoh.extensions import (FactorSystem, build_extension, classify_extensions,
+                               equivalent_extensions, extract_factor_system)
+from liecoh.liealg import center
 
 # A factor system is a pair (S, omega): an action of the quotient on the
 # kernel by derivations, plus a 2-cochain absorbing the curvature.  The

@@ -3,11 +3,11 @@
 Run:  python3 demos/03_obstructions_and_crossed_modules.py
 """
 
-from liecoh import catalog, obstruction_class, reduce_via_stage
+from liecoh.catalog import catalog
 from liecoh.crossed import (CrossedModule, characteristic_class_omega_route,
                             characteristic_class_theta_route, split_crossed_module,
                             splitting_equivalence)
-from liecoh.extensions import build_quotient_stage
+from liecoh.extensions import build_quotient_stage, obstruction_class, reduce_via_stage
 
 # A kernel class [S] carries a degree-3 obstruction with center
 # coefficients; it vanishes exactly when some extension realizes it.  A

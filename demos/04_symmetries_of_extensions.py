@@ -3,7 +3,7 @@
 Run:  python3 demos/04_symmetries_of_extensions.py
 """
 
-from liecoh import catalog
+from liecoh.catalog import catalog
 from liecoh.cochains import Cochain
 from liecoh.linalg import Matrix
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,

@@ -3,7 +3,7 @@
 Run:  python3 demos/05_current_algebra_cocycles.py
 """
 
-from liecoh import catalog, killing_form
+from liecoh.catalog import catalog, killing_form
 from liecoh.cohomology import cohomology
 from liecoh.currents import (Polynomial, v2_characteristic_cocycle,
                              v2_cocycle_identity)

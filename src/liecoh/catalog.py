@@ -2,45 +2,22 @@
 
 The names here feed the CLI and the test fixtures: small nilpotent,
 abelian, simple and solvable algebras plus the factor systems used by
-the reproduction bundles.
+the reproduction bundles.  The algebras themselves, with the list of
+catalog names, live in ``liealg`` so that reading an algebra loads no
+extension code; ``catalog`` is the one lookup of every name.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .cochains import Cochain, OuterActionMap
-from .errors import InvariantViolation, UnknownNameError
+from .errors import InvariantViolation
 from .extensions import FactorSystem
-from .liealg import LieAlgebra
+# MAX_ABELIAN_DIM, catalog_names, filiform4 and nonabelian2 are read from here too
+from .liealg import (MAX_ABELIAN_DIM, NAMED_ALGEBRAS, LieAlgebra, abelian, abelian_dim,
+                     catalog_names, filiform4, heisenberg3, nonabelian2, sl2)
 from .linalg import Matrix, ZERO
-
-
-def heisenberg3() -> LieAlgebra:
-    """Basis p, q, z with [p, q] = z."""
-    return LieAlgebra(3, {(0, 1): {2: 1}}, labels=("p", "q", "z"))
-
-
-def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n)
-
-
-def sl2() -> LieAlgebra:
-    """Basis e, f, h with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
-    return LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
-                      labels=("e", "f", "h"))
-
-
-def nonabelian2() -> LieAlgebra:
-    """The unique nonabelian 2-dimensional algebra, [x, y] = x."""
-    return LieAlgebra(2, {(0, 1): {0: 1}}, labels=("x", "y"))
-
-
-def filiform4() -> LieAlgebra:
-    """Basis p, q, z, c with [p, q] = z and [p, z] = c."""
-    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
-                      labels=("p", "q", "z", "c"))
 
 
 def ext_heisenberg3() -> FactorSystem:
@@ -82,13 +59,6 @@ def ext_sl2_kernel() -> FactorSystem:
     return FactorSystem(n, g, S, omega)
 
 
-_ALGEBRAS = {
-    "heisenberg3": heisenberg3,
-    "sl2": sl2,
-    "nonabelian2": nonabelian2,
-    "filiform4": filiform4,
-}
-
 _EXTENSIONS = {
     "ext-heisenberg3": ext_heisenberg3,
     "ext-filiform4": ext_filiform4,
@@ -97,30 +67,13 @@ _EXTENSIONS = {
 }
 
 
-# LieAlgebra(n) builds n-entry tables before any size check, so abelian<n> caps n
-MAX_ABELIAN_DIM = 1000
-
-
-def catalog_names() -> tuple:
-    return (tuple(sorted(_ALGEBRAS)) + ("abelian<n>",)
-            + tuple(sorted(_EXTENSIONS)))
-
-
 def catalog(name: str):
     """A named algebra or factor system; raises UnknownNameError."""
-    if name in _ALGEBRAS:
-        return _ALGEBRAS[name]()
     if name in _EXTENSIONS:
         return _EXTENSIONS[name]()
-    m = re.fullmatch(r"abelian0*([0-9]+)", name)
-    if m:
-        digits = m.group(1)
-        if len(digits) > len(str(MAX_ABELIAN_DIM)) or int(digits) > MAX_ABELIAN_DIM:
-            raise UnknownNameError(f"catalog entry {name!r}: abelian<n> takes n at most "
-                                   f"{MAX_ABELIAN_DIM}")
-        return abelian(int(digits))
-    raise UnknownNameError(f"unknown catalog entry {name!r}; "
-                           f"known: {', '.join(catalog_names())}")
+    if name in NAMED_ALGEBRAS:
+        return NAMED_ALGEBRAS[name]()
+    return abelian(abelian_dim(name))
 
 
 class InvariantForm:

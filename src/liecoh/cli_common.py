@@ -1,0 +1,60 @@
+"""What the command handlers share: the exit codes, the report writer and
+the readers of algebra and factor-system arguments.
+
+It loads no more than reading an algebra does (``io`` and what ``io``
+imports), so every command can import it, ``cohomology`` included.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from . import io as lio
+from .cochains import Cochain
+from .errors import ParseError
+from .liealg import LieAlgebra
+
+EXIT_OK = 0
+EXIT_INPUT_ERROR = 1
+EXIT_NEGATIVE = 2
+EXIT_INTERNAL = 3
+
+
+def write_report(report: dict) -> None:
+    sys.stdout.write(lio.emit(report))
+
+
+def load_algebra(spec: str) -> LieAlgebra:
+    if spec.endswith(".json"):
+        return lio.load_file(spec, "algebra")
+    return lio.algebra_from_json(spec)
+
+
+def load_factor_parts(args):
+    """(n, g, matrices, omega) from --ext or from --n/--g/--S/--omega."""
+    if getattr(args, "ext", None):
+        return lio.load_file(args.ext, "factor-system-parts")
+    if not (args.n and args.g and args.S):
+        raise ParseError("either --ext or all of --n, --g, --S are required")
+    n_alg = load_algebra(args.n)
+    g_alg = load_algebra(args.g)
+    s_data = lio.load_file(args.S, "json")
+    if isinstance(s_data, dict):
+        s_data = s_data.get("matrices", [])
+    mats = [lio.matrix_from_json(m, rows=n_alg.dim, cols=n_alg.dim)
+            for m in lio.json_list(s_data, "the --S matrices")]
+    if len(mats) != g_alg.dim:
+        raise ParseError("one S matrix per basis element of g is required")
+    if getattr(args, "omega", None):
+        omega = lio.cochain_from_json(lio.load_file(args.omega, "json"), g_alg)
+    else:
+        omega = Cochain(g_alg, 2, n_alg.dim)
+    return n_alg, g_alg, mats, omega
+
+
+def class_report(cls) -> dict:
+    return {
+        "zero": cls.is_zero(),
+        "representative": cls.representative,
+        "h_dim": cls.space.h_dim,
+    }

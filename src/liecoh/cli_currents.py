@@ -1,0 +1,15 @@
+"""The ``v2-check`` command: the randomized current-identity suite."""
+
+from __future__ import annotations
+
+from .cli_common import EXIT_NEGATIVE, EXIT_OK, write_report
+from .currents import run_v2_samples, v2_passed
+from .errors import ParseError
+
+
+def cmd_v2_check(args) -> int:
+    if args.algebra not in (None, "sl2"):
+        raise ParseError("the current-identity suite runs on the sl2 catalog entry")
+    report = run_v2_samples(args.samples, args.seed)
+    write_report({"command": "v2-check", "report": report})
+    return EXIT_OK if v2_passed(report) else EXIT_NEGATIVE

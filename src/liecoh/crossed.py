@@ -10,7 +10,9 @@ Two independent computations of that class are provided: extending the
 action table to an alternating 2-cochain and factoring its differential
 through the quotient, and lifting the section curvature through alpha
 and taking the covariant differential.  They agree classwise, and the
-agreement is itself exercised by the test suite.
+agreement is itself exercised by the test suite.  The defining laws are
+checked by ``liealg.validate_crossed_module``, which needs no extension
+code, so ``liecoh validate --cm`` loads none of this module.
 """
 
 from __future__ import annotations
@@ -27,41 +29,9 @@ from .errors import (DimensionMismatchError, FactorizationFailureError,
 from .extensions import (FactorSystem, build_extension, column_table,
                          restrict_cochain_to_subspace, restricts_to)
 from .liealg import (LieAlgebra, Representation, bracket_defect, bracket_preserving,
-                     bracket_table, center, quotient_algebra)
+                     bracket_table, quotient_algebra, validate_crossed_module)
 from .linalg import (ONE, Matrix, Subspace, _add_scaled, block_matrix, image, kernel as mat_kernel,
                      linear_combination, pullback_family, quotient_coordinates, solve_columns)
-
-
-class CrossedModuleReport(NamedTuple):
-    """Outcome of the two defining checks and their three consequences."""
-
-    cm1_failures: tuple
-    cm2_failures: tuple
-    image_ideal: bool
-    kernel_central: bool
-    kernel_submodule: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.cm1_failures and not self.cm2_failures
-
-    def describe(self) -> str:
-        parts = []
-        if self.cm1_failures:
-            parts.append(f"equivariance fails at pairs {self.cm1_failures}")
-        if self.cm2_failures:
-            parts.append(f"the action along alpha is not adjoint at pairs {self.cm2_failures}")
-        return "; ".join(parts) if parts else "valid"
-
-    def as_dict(self) -> dict:
-        return {
-            "valid": self.ok,
-            "cm1_failures": [list(x) for x in self.cm1_failures],
-            "cm2_failures": [list(x) for x in self.cm2_failures],
-            "image_is_ideal": self.image_ideal,
-            "kernel_is_central": self.kernel_central,
-            "kernel_is_submodule": self.kernel_submodule,
-        }
 
 
 class CrossedModule:
@@ -85,28 +55,6 @@ class CrossedModule:
 
     def __repr__(self):
         return f"CrossedModule(h dim {self.h.dim}, ghat dim {self.ghat.dim})"
-
-
-def _nonzero_columns(m: Matrix) -> list:
-    """The indices of the columns of m holding a nonzero entry, in increasing order."""
-    return sorted(set().union(*m.sparse_rows()))
-
-
-def validate_crossed_module(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
-                            action: Representation) -> CrossedModuleReport:
-    # cm1: alpha(x.v) = [x, alpha v]; cm2: (alpha u).v = [u, v]
-    cm1 = [(x, i) for x in range(ghat.dim)
-           for i in _nonzero_columns(alpha @ action.matrices[x] - ghat.ad_matrix(x) @ alpha)]
-    cm2 = [(i, j) for i, m in enumerate(pullback_family(action.matrices, alpha, h.dim))
-           for j in _nonzero_columns(m - h.ad_matrix(i))]
-    im = image(alpha)
-    image_ideal = all(im.restrict(ghat.ad_matrix(x)) is not None for x in range(ghat.dim))
-    ker = mat_kernel(alpha)
-    hz = center(h)
-    kernel_central = hz.contains_subspace(ker)
-    kernel_submodule = all(ker.restrict(m) is not None for m in action.matrices)
-    return CrossedModuleReport(tuple(cm1), tuple(cm2), image_ideal,
-                               kernel_central, kernel_submodule)
 
 
 class CrossedModuleSplitting(NamedTuple):

@@ -20,14 +20,15 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .catalog import catalog
 from .cochains import Cochain, key_unrank
 from .errors import InvariantViolation, JacobiError, ParseError, RepresentationError
-from .extensions import FactorSystem
-from .liealg import LieAlgebra, Representation
+from .liealg import EXTENSION_NAMES, LieAlgebra, Representation, named_algebra
 from .linalg import Matrix
+
+if TYPE_CHECKING:
+    from .extensions import FactorSystem
 
 # an index string: int() would also read "1_0" as 10, and " 3", "+3" and "３" as 3
 INDEX_TEXT = re.compile(r"-?[0-9]+")
@@ -113,10 +114,9 @@ def algebra_to_json(L: LieAlgebra) -> dict:
 
 def algebra_from_json(data) -> LieAlgebra:
     if isinstance(data, str):
-        obj = catalog(data)
-        if not isinstance(obj, LieAlgebra):
+        if data in EXTENSION_NAMES:
             raise ParseError(f"catalog entry {data!r} is not an algebra")
-        return obj
+        return named_algebra(data)
     if not isinstance(data, dict):
         raise ParseError("an algebra must be an object or a catalog name")
     dim = json_int(data.get("dim"), "dim")
@@ -216,11 +216,6 @@ def factor_system_parts_from_json(data):
     else:
         omega = cochain_from_json(omega_data, g_alg)
     return n_alg, g_alg, mats, omega
-
-
-def factor_system_from_json(data) -> FactorSystem:
-    n_alg, g_alg, mats, omega = factor_system_parts_from_json(data)
-    return FactorSystem(n_alg, g_alg, mats, omega)
 
 
 def crossed_module_parts_from_json(data):
@@ -412,8 +407,6 @@ def parse_file_bytes(raw: bytes, path: str, kind: str):
         return algebra_from_json(data)
     if kind == "representation":
         return representation_from_json(data)
-    if kind == "factor-system":
-        return factor_system_from_json(data)
     if kind == "factor-system-parts":
         return factor_system_parts_from_json(data)
     if kind == "crossed-module-parts":

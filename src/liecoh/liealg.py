@@ -7,17 +7,20 @@ be expressed.  A vector crosses its methods as a dict {index: nonzero
 value}.  The Jacobi identity is checked at construction and every
 representation is checked against the bracket, which turns downstream
 facts (quotients are algebras, adjoints are representations) into
-constructor guarantees.
+constructor guarantees.  The named algebras of the catalog live here, so
+that reading an algebra or a representation needs no extension code.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
-                     NotAHomomorphismError, NotAnIdealError, RepresentationError)
-from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, invert,
+                     NotAHomomorphismError, NotAnIdealError, RepresentationError,
+                     UnknownNameError)
+from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image, invert,
                      kernel, linear_combination, pullback_family, quotient_coordinates,
                      solve_columns)
 
@@ -360,6 +363,62 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace):
     return quotient, projection, section
 
 
+class CrossedModuleReport(NamedTuple):
+    """Outcome of the two defining checks of a crossed module and their three
+    consequences."""
+
+    cm1_failures: tuple
+    cm2_failures: tuple
+    image_ideal: bool
+    kernel_central: bool
+    kernel_submodule: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.cm1_failures and not self.cm2_failures
+
+    def describe(self) -> str:
+        parts = []
+        if self.cm1_failures:
+            parts.append(f"equivariance fails at pairs {self.cm1_failures}")
+        if self.cm2_failures:
+            parts.append(f"the action along alpha is not adjoint at pairs {self.cm2_failures}")
+        return "; ".join(parts) if parts else "valid"
+
+    def as_dict(self) -> dict:
+        return {
+            "valid": self.ok,
+            "cm1_failures": [list(x) for x in self.cm1_failures],
+            "cm2_failures": [list(x) for x in self.cm2_failures],
+            "image_is_ideal": self.image_ideal,
+            "kernel_is_central": self.kernel_central,
+            "kernel_is_submodule": self.kernel_submodule,
+        }
+
+
+def _nonzero_columns(m: Matrix) -> list:
+    """The indices of the columns of m holding a nonzero entry, in increasing order."""
+    return sorted(set().union(*m.sparse_rows()))
+
+
+def validate_crossed_module(h: LieAlgebra, ghat: LieAlgebra, alpha: Matrix,
+                            action: Representation) -> CrossedModuleReport:
+    """The crossed-module laws of alpha: h -> ghat under a ghat-action on h."""
+    # cm1: alpha(x.v) = [x, alpha v]; cm2: (alpha u).v = [u, v]
+    cm1 = [(x, i) for x in range(ghat.dim)
+           for i in _nonzero_columns(alpha @ action.matrices[x] - ghat.ad_matrix(x) @ alpha)]
+    cm2 = [(i, j) for i, m in enumerate(pullback_family(action.matrices, alpha, h.dim))
+           for j in _nonzero_columns(m - h.ad_matrix(i))]
+    im = image(alpha)
+    image_ideal = all(im.restrict(ghat.ad_matrix(x)) is not None for x in range(ghat.dim))
+    ker = kernel(alpha)
+    hz = center(h)
+    kernel_central = hz.contains_subspace(ker)
+    kernel_submodule = all(ker.restrict(m) is not None for m in action.matrices)
+    return CrossedModuleReport(tuple(cm1), tuple(cm2), image_ideal,
+                               kernel_central, kernel_submodule)
+
+
 class DerivationAlgebra(NamedTuple):
     """The derivation algebra of L in matrix form.
 
@@ -459,3 +518,74 @@ def change_of_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     if P_inv is None:
         raise DimensionMismatchError("basis change matrix is singular")
     return LieAlgebra(L.dim, bracket_table(L, P, P_inv))
+
+
+# ---------------------------------------------------------------------------
+# named algebras
+# ---------------------------------------------------------------------------
+
+def heisenberg3() -> LieAlgebra:
+    """Basis p, q, z with [p, q] = z."""
+    return LieAlgebra(3, {(0, 1): {2: 1}}, labels=("p", "q", "z"))
+
+
+def abelian(n: int) -> LieAlgebra:
+    return LieAlgebra(n)
+
+
+def sl2() -> LieAlgebra:
+    """Basis e, f, h with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+    return LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
+                      labels=("e", "f", "h"))
+
+
+def nonabelian2() -> LieAlgebra:
+    """The unique nonabelian 2-dimensional algebra, [x, y] = x."""
+    return LieAlgebra(2, {(0, 1): {0: 1}}, labels=("x", "y"))
+
+
+def filiform4() -> LieAlgebra:
+    """Basis p, q, z, c with [p, q] = z and [p, z] = c."""
+    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
+                      labels=("p", "q", "z", "c"))
+
+
+NAMED_ALGEBRAS = {
+    "heisenberg3": heisenberg3,
+    "sl2": sl2,
+    "nonabelian2": nonabelian2,
+    "filiform4": filiform4,
+}
+
+# the factor systems that catalog.catalog builds, sorted: an unknown name is
+# answered with the whole catalog, and reading an algebra refuses these names
+EXTENSION_NAMES = ("ext-filiform4", "ext-heisenberg-kernel", "ext-heisenberg3",
+                   "ext-sl2-kernel")
+
+# LieAlgebra(n) builds n-entry tables before any size check, so abelian<n> caps n
+MAX_ABELIAN_DIM = 1000
+
+
+def catalog_names() -> tuple:
+    return tuple(sorted(NAMED_ALGEBRAS)) + ("abelian<n>",) + EXTENSION_NAMES
+
+
+def abelian_dim(name: str) -> int:
+    """n for the catalog name abelian<n>: ASCII digits, leading zeros allowed, n at
+    most MAX_ABELIAN_DIM.  Any other name is an UnknownNameError."""
+    m = re.fullmatch(r"abelian0*([0-9]+)", name)
+    if not m:
+        raise UnknownNameError(f"unknown catalog entry {name!r}; "
+                               f"known: {', '.join(catalog_names())}")
+    digits = m.group(1)
+    if len(digits) > len(str(MAX_ABELIAN_DIM)) or int(digits) > MAX_ABELIAN_DIM:
+        raise UnknownNameError(f"catalog entry {name!r}: abelian<n> takes n at most "
+                               f"{MAX_ABELIAN_DIM}")
+    return int(digits)
+
+
+def named_algebra(name: str) -> LieAlgebra:
+    """The catalog algebra of that name: a named algebra or abelian<n>."""
+    if name in NAMED_ALGEBRAS:
+        return NAMED_ALGEBRAS[name]()
+    return abelian(abelian_dim(name))

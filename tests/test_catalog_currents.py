@@ -11,7 +11,8 @@ from math import gcd
 
 import pytest
 
-from liecoh import currents
+import liecoh.catalog as catalog_module
+from liecoh import currents, io as lio
 from liecoh.catalog import (MAX_ABELIAN_DIM, InvariantForm, abelian, catalog, heisenberg3,
                             killing_form, nonabelian2, sl2)
 from liecoh.cli import run_command
@@ -20,8 +21,8 @@ from liecoh.cohomology import cohomology
 from liecoh.currents import (Polynomial, character, cyclic_cocycle_defect,
                              functional, run_v2_samples, v2_characteristic_cocycle,
                              v2_cocycle_identity)
-from liecoh.errors import InputError, InvariantViolation, UnknownNameError
-from liecoh.liealg import Representation, check_jacobi
+from liecoh.errors import InputError, InvariantViolation, ParseError, UnknownNameError
+from liecoh.liealg import EXTENSION_NAMES, Representation, check_jacobi
 from liecoh.linalg import ZERO, Matrix
 
 
@@ -56,8 +57,7 @@ def test_catalog_refuses_a_large_abelian_before_building_it(monkeypatch, capsys)
     # nothing of that size is built: building an algebra here fails the test
     def refuse(n):
         raise AssertionError(f"abelian({n}) was built")
-    # liecoh.catalog, the package attribute, is the function of that name
-    monkeypatch.setattr(sys.modules[catalog.__module__], "abelian", refuse)
+    monkeypatch.setattr(catalog_module, "abelian", refuse)
     start = time.perf_counter()
     assert run_command(["catalog", "abelian99999999"]) == 1
     assert time.perf_counter() - start < 1
@@ -70,6 +70,24 @@ def test_catalog_refuses_a_large_abelian_before_building_it(monkeypatch, capsys)
                  f"abelian000{MAX_ABELIAN_DIM + 1}"):
         with pytest.raises(UnknownNameError, match="takes n at most"):
             catalog(name)
+
+
+def test_the_catalog_names_every_factor_system_it_builds():
+    # liealg lists them for the unknown-name message without loading extensions
+    assert EXTENSION_NAMES == tuple(sorted(catalog_module._EXTENSIONS))
+    for name in EXTENSION_NAMES:
+        with pytest.raises(ParseError, match="is not an algebra"):
+            lio.algebra_from_json(name)
+
+
+def test_package_attributes_are_its_submodules(monkeypatch):
+    # the package binds no function over a submodule of the same name
+    from liecoh import catalog as catalog_attr, cohomology as cohomology_attr
+    assert catalog_attr is catalog_module is sys.modules["liecoh.catalog"]
+    assert cohomology_attr is sys.modules["liecoh.cohomology"]
+    # so a dotted path reaches the module, and the lookup calls what it patched
+    monkeypatch.setattr("liecoh.catalog.abelian", lambda n: ("patched", n))
+    assert catalog("abelian0003") == ("patched", 3)
 
 
 @pytest.mark.parametrize("name", ["abelian\uff13", "abelian\u0663", "abelian 3", "abelian+3",

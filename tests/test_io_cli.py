@@ -16,6 +16,7 @@ from liecoh.catalog import catalog, ext_heisenberg3, ext_heisenberg_kernel, heis
 from liecoh.cli import run_command
 from liecoh.cochains import Cochain
 from liecoh.errors import ParseError, InvariantViolation
+from liecoh.extensions import FactorSystem
 from liecoh.liealg import adjoint_rep
 from liecoh.linalg import Matrix
 
@@ -88,7 +89,7 @@ def test_cochain_round_trip():
 def test_factor_system_round_trip():
     fs = ext_heisenberg_kernel()
     text = lio.emit(lio.factor_system_to_json(fs))
-    back = lio.factor_system_from_json(json.loads(text))
+    back = FactorSystem(*lio.factor_system_parts_from_json(json.loads(text)))
     assert back.S == fs.S and back.omega == fs.omega
     assert lio.emit(lio.factor_system_to_json(back)) == text
 
@@ -623,6 +624,39 @@ def test_cli_crossed_module(tmp_path, capsys):
     code, report = run_cli(["crossed-module", "class", "--cm", str(path)], capsys)
     assert code == 0
     assert report["routes_agree"] and report["theta_route"]["zero"]
+
+
+def test_cli_internal_failure_exits_3_with_one_json_error(tmp_path, capsys, monkeypatch):
+    # plant a pullback along the quotient map that misses d f by one coordinate,
+    # so the theta route raises FactorizationFailureError at its factoring check
+    from liecoh import crossed
+    from liecoh.extensions import GKernel, build_quotient_stage
+    real = crossed.pullback_cochain
+
+    def planted(c, phi, domain):
+        out = real(c, phi, domain)
+        if domain.dim > c.algebra.dim:
+            out = out + Cochain.from_pairs(domain, c.degree, c.value_dim, ((0, Fraction(1)),))
+        return out
+
+    monkeypatch.setattr(crossed, "pullback_cochain", planted)
+    fs = ext_heisenberg_kernel()
+    stage = build_quotient_stage(GKernel.from_factor_system(fs))
+    path = tmp_path / "cm.json"
+    path.write_text(lio.emit({
+        "h": lio.algebra_to_json(fs.n),
+        "ghat": lio.algebra_to_json(stage.gs),
+        "alpha": lio.matrix_to_json(stage.alpha_matrix),
+        "action": [lio.matrix_to_json(m) for m in stage.rho.matrices],
+    }))
+    assert run_command(["crossed-module", "class", "--cm", str(path)]) == 3
+    out, err = capsys.readouterr()
+    error = json.loads(out)
+    assert error["command"] == "crossed-module"
+    assert error["error"]["kind"] == "FactorizationFailureError"
+    assert error["error"]["message"].startswith(
+        "the differential of the extension does not factor at ")
+    assert "Traceback" not in err
 
 
 def test_cli_v2_check_deterministic(capsys):

@@ -38,13 +38,20 @@ assigned from one in the same function.
 A cochain is built one way: the package scatters dict columns into
 ``Cochain.from_columns`` (or hands nonzero pairs to ``from_pairs``), and the
 dense ``Cochain(...)`` constructor, the input form, is called only in
-``io.py``, ``catalog.py``, ``reproduce.py`` and ``cli.py``.  No dense
+``io.py``, ``catalog.py``, ``reproduce.py`` and ``cli_common.py`` (which holds
+the command handlers' reader of factor-system arguments).  No dense
 accumulator ``[ZERO] * n`` or ``(ZERO,) * n`` appears outside ``linalg._dense``,
 and the stabilizer rows of ``symmetry.py`` are read from nonzero entries: no
 ``Counter`` and no ``.entry`` call appears there.
 No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
-heads say and has no cycle hidden in a function body.
+heads say and has no cycle hidden in a function body.  The one import made
+at run time is table-driven: ``cli.run_command`` hands ``importlib.import_module``
+the module that the ``COMMANDS`` table names for the parsed subcommand, so a
+process loads only the handler module of its command and what that module's
+head imports.  No other ``import_module`` or ``__import__`` call appears, no
+module imports ``cli``, and every subcommand of the parser has one table
+entry, whose module defines its handler ``cmd_<name>``.
 No module imports ``dataclasses``: it loads ``inspect`` and ``ast`` and
 exec-compiles each record's methods in every process that imports the
 package, so result records are ``NamedTuple``s.  API that nothing in the
@@ -65,15 +72,19 @@ and third forms of a linear system's answer: ``EmptyAffine``, now that an
 empty system answers with its ``InconsistencyCertificate``,
 ``AffineCochainSpace.basis``, the homogeneous space held twice, and
 ``InconsistencyCertificate.row``, a dense row that always read (0, ..., 0, 1).
+So is ``io.factor_system_from_json``, which nothing in the package called and
+which made reading any input load the extension code.
 A deleted
 method whose bare name another class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import liecoh
+from liecoh.cli import build_parser
 
 PACKAGE = Path(liecoh.__file__).resolve().parent
 
@@ -250,7 +261,7 @@ zero_lists = zero_lists_outside(None)
 stray_zero_lists = zero_lists_outside("_dense")
 cochain_constructor_calls = calls_to("Cochain")
 # the modules that read cochains from files and literals, the dense input form
-COCHAIN_INPUT_MODULES = ("io.py", "catalog.py", "reproduce.py", "cli.py")
+COCHAIN_INPUT_MODULES = ("io.py", "catalog.py", "reproduce.py", "cli_common.py")
 counter_names = names("Counter")
 entry_calls = method_calls("entry")
 
@@ -264,7 +275,8 @@ entry_calls = method_calls("entry")
 # Then the theta matrices of a CrossedModuleSplitting, the table theta kept twice.
 # Then the second form of an empty affine system, the basis cochains of an
 # affine space, which held its homogeneous space twice, and the dense row of
-# an inconsistency certificate, which always read (0, ..., 0, 1).
+# an inconsistency certificate, which always read (0, ..., 0, 1).  Then the
+# factor-system reader of io, which nothing called.
 DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_trivial",
                "radical_contains", "zero_class", "act_on_degree2_class",
                "pair_lifts_iff_transport_equivalent", "kernels_equivalent",
@@ -277,7 +289,7 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices",
                "pairwise_equivalent", "consistent_columns", "inner_cochain", "_pair_gamma",
                "EquivariantPairing.composition", "EmptyAffine", "AffineCochainSpace.basis",
-               "InconsistencyCertificate.row")
+               "InconsistencyCertificate.row", "factor_system_from_json")
 
 
 def deleted_member(target):
@@ -323,6 +335,79 @@ def function_imports(tree):
              for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))}
     for line in sorted(lines):
         yield line, "import inside a function"
+
+
+def dynamic_imports(tree):
+    """Rule: ``import_module`` and ``__import__`` calls, except in the body of
+    ``run_command`` with a ``COMMANDS[...]`` read in the first argument."""
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "run_command"
+              for node in ast.walk(f)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in ("import_module", "__import__"):
+            continue
+        from_table = node.args and any(
+            isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == "COMMANDS"
+            for n in ast.walk(node.args[0]))
+        if id(node) not in inside or not from_table:
+            yield node.lineno, f"{name} call not driven by the command table"
+
+
+def cli_imports(tree):
+    """Rule: an import of the ``cli`` module, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found = any(a.name == "liecoh.cli" or a.name.startswith("liecoh.cli.")
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            package = module == "" if node.level else module == "liecoh"
+            found = (module == "cli" and node.level == 1 or module == "liecoh.cli"
+                     or package and any(a.name == "cli" for a in node.names))
+        else:
+            found = False
+        if found:
+            yield node.lineno, "cli import"
+
+
+def command_table_problems(cli_tree, subcommands, handlers_of):
+    """Problems of the ``COMMANDS`` table in cli_tree: a parser subcommand with
+    no entry or with more than one, an entry for no subcommand, and an entry
+    whose module does not define ``cmd_<name>`` (``-`` read as ``_``).
+    handlers_of(module) gives the names of the functions that module defines."""
+    tables = [node.value for node in cli_tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["COMMANDS"]]
+    if len(tables) != 1 or not isinstance(tables[0], ast.Dict):
+        return ["COMMANDS is not one dict literal"]
+    entries = [(k.value, v.value) for k, v in zip(tables[0].keys, tables[0].values)]
+    problems = []
+    for name in subcommands:
+        count = sum(1 for key, _ in entries if key == name)
+        if count != 1:
+            problems.append(f"{name}: {count} table entries")
+    for name, module in entries:
+        if name not in subcommands:
+            problems.append(f"{name}: no such subcommand")
+        elif "cmd_" + name.replace("-", "_") not in handlers_of(module):
+            problems.append(f"{name}: {module} does not define its handler")
+    return problems
+
+
+def defined_functions(module):
+    path = PACKAGE / f"{module}.py"
+    if not path.exists():
+        return set()
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def parser_subcommands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
 
 
 def violations(rule, exempt=()):
@@ -406,6 +491,25 @@ def test_solves_and_subspace_reads_take_no_dense_vectors():
 
 def test_package_has_no_function_level_imports():
     assert violations(function_imports) == []
+
+
+def test_only_the_command_table_drives_an_import():
+    assert violations(dynamic_imports) == []
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "import_module"]
+    assert len(calls) == 1
+
+
+def test_no_module_imports_cli():
+    assert violations(cli_imports) == []
+
+
+def test_every_subcommand_has_one_table_entry_and_a_handler():
+    subcommands = parser_subcommands()
+    assert len(subcommands) == 11
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert command_table_problems(tree, subcommands, defined_functions) == []
 
 
 def test_package_has_no_global_statements():
@@ -780,3 +884,59 @@ def test_rule_detects_the_deleted_provenance_slot():
         (2, "ExtensionPresentation.provenance name"),
         (5, "ExtensionPresentation.provenance name"),
         (9, "ExtensionPresentation.provenance name")]
+
+
+def test_rule_detects_imports_outside_the_command_table():
+    tree = ast.parse("import importlib\n"
+                     "def run_command(args):\n"
+                     "    module = importlib.import_module(f'.{COMMANDS[args.command]}', 'liecoh')\n"
+                     "    extra = importlib.import_module('.symmetry', 'liecoh')\n"
+                     "    return module, extra\n"
+                     "def load(name):\n"
+                     "    return import_module(COMMANDS[name]), __import__('liecoh.crossed')\n"
+                     "codec = __import__('json')\n")
+    assert sorted(dynamic_imports(tree)) == [
+        (4, "import_module call not driven by the command table"),
+        (7, "__import__ call not driven by the command table"),
+        (7, "import_module call not driven by the command table"),
+        (8, "__import__ call not driven by the command table")]
+
+
+def test_rule_detects_cli_imports():
+    tree = ast.parse("from .cli import run_command\n"
+                     "from . import io, cli\n"
+                     "import liecoh.cli\n"
+                     "from liecoh import cli as entry\n"
+                     "from liecoh.cli import main\n"
+                     "from .cli_common import write_report\n"
+                     "from . import cli_common\n"
+                     "from .io import cli\n")
+    assert list(cli_imports(tree)) == [(1, "cli import"), (2, "cli import"), (3, "cli import"),
+                                       (4, "cli import"), (5, "cli import")]
+
+
+def test_rule_detects_command_table_problems():
+    tree = ast.parse("COMMANDS = {\n"
+                     "    'cohomology': 'cli_cohomology',\n"
+                     "    'extension': 'cli_extensions',\n"
+                     "    'extension': 'cli_symmetry',\n"
+                     "    'lift': 'cli_extensions',\n"
+                     "    'frobnicate': 'cli_extensions',\n"
+                     "}\n")
+    handlers = {"cli_cohomology": {"cmd_cohomology"}, "cli_extensions": {"cmd_extension"},
+                "cli_symmetry": {"cmd_lift"}}
+    assert command_table_problems(tree, ["cohomology", "extension", "lift", "v2-check"],
+                                  lambda module: handlers.get(module, set())) == [
+        "extension: 2 table entries", "v2-check: 0 table entries",
+        "extension: cli_symmetry does not define its handler",
+        "lift: cli_extensions does not define its handler",
+        "frobnicate: no such subcommand"]
+    assert command_table_problems(ast.parse("COMMANDS = dict(lift='cli_symmetry')\n"),
+                                  ["lift"], lambda module: set()) == [
+        "COMMANDS is not one dict literal"]
+
+
+def test_rule_detects_the_deleted_factor_system_reader():
+    tree = ast.parse("def load(lio, data):\n"
+                     "    return lio.factor_system_from_json(data)\n")
+    assert list(deleted_api_names(tree)) == [(2, "factor_system_from_json name")]

@@ -1,13 +1,25 @@
-"""Start-up guard: what ``import liecoh.cli`` loads beyond a bare interpreter.
+"""Start-up guard: what a ``liecoh`` process loads beyond a bare interpreter.
 
-Every command is its own process, so every module the import pulls in is
-paid on each command.  ``dataclasses`` loads ``inspect`` (and with it
-``ast``, ``dis`` and ``tokenize``) and exec-compiles each record's methods
-at class creation; the package's records are ``NamedTuple``s instead.
+Every command is its own process, so every module it loads is paid on
+each command.  ``dataclasses`` loads ``inspect`` (and with it ``ast``,
+``dis`` and ``tokenize``) and exec-compiles each record's methods at class
+creation; the package's records are ``NamedTuple``s instead.  And
+``cli.run_command`` imports only the module that holds the handler of the
+parsed subcommand, so each command loads what it runs: the guards below
+run each subcommand as ``python -m liecoh.cli`` and name what it must not
+load.
 """
 
 import subprocess
 import sys
+
+import pytest
+
+from liecoh import io as lio
+from liecoh.catalog import catalog, heisenberg3
+from liecoh.cli import COMMANDS
+from liecoh.extensions import GKernel, build_quotient_stage
+from liecoh.liealg import adjoint_rep
 
 from test_io_cli import cli_env
 
@@ -18,6 +30,25 @@ import liecoh.cli
 print("\\n".join(sorted(set(sys.modules) - bare)))
 """
 
+# runs sys.argv[1:] as `python -m liecoh.cli` does, after an optional planted
+# import, and writes the names of the loaded modules to stderr
+LOADED_BY_COMMAND = """\
+import runpy, sys
+{plant}
+try:
+    runpy.run_module("liecoh.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\n".join(sorted(sys.modules)))
+"""
+
+NOT_FOR_COHOMOLOGY = {"liecoh.extensions", "liecoh.crossed", "liecoh.symmetry",
+                      "liecoh.currents", "liecoh.reproduce", "liecoh.catalog", "hashlib"}
+NOT_FOR_EXTENSIONS = {"liecoh.crossed", "liecoh.symmetry", "liecoh.currents",
+                      "liecoh.reproduce"}
+NOT_FOR_CROSSED = {"liecoh.symmetry", "liecoh.currents", "liecoh.reproduce"}
+NOT_FOR_V2_CHECK = {"liecoh.crossed", "liecoh.symmetry", "liecoh.reproduce"}
+NOT_FOR_ANY = {"dataclasses", "inspect"}
+
 
 def modules_loaded_by_cli_import():
     out = subprocess.run([sys.executable, "-c", LOADED_BY_IMPORT], capture_output=True,
@@ -25,7 +56,62 @@ def modules_loaded_by_cli_import():
     return set(out.split())
 
 
+def modules_loaded_by_command(argv, cwd, plant=""):
+    """(exit code, names of the modules loaded) of one command process."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY_COMMAND.format(plant=plant),
+                           *argv], capture_output=True, text=True, cwd=cwd, env=cli_env())
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, set(proc.stderr.split())
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """An algebra file, a representation file, a factor-system file and a
+    crossed-module file, in one directory."""
+    root = tmp_path_factory.mktemp("startup")
+    fs = catalog("ext-heisenberg-kernel")
+    stage = build_quotient_stage(GKernel.from_factor_system(fs))
+    lio.write_file(root / "h3.json", lio.algebra_to_json(heisenberg3()))
+    lio.write_file(root / "rep.json", lio.representation_to_json(adjoint_rep(heisenberg3())))
+    lio.write_file(root / "ext.json", lio.factor_system_to_json(fs))
+    lio.write_file(root / "cm.json", {
+        "h": lio.algebra_to_json(fs.n),
+        "ghat": lio.algebra_to_json(stage.gs),
+        "alpha": lio.matrix_to_json(stage.alpha_matrix),
+        "action": [lio.matrix_to_json(m) for m in stage.rho.matrices],
+    })
+    return root
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = modules_loaded_by_cli_import()
     assert "liecoh.cli" in loaded
     assert {"dataclasses", "inspect"} & loaded == set()
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["cohomology", "--algebra", "h3.json", "--degree", "2"], NOT_FOR_COHOMOLOGY),
+    (["cohomology", "--rep", "rep.json", "--degree", "1"], NOT_FOR_COHOMOLOGY),
+    (["cohomology", "--algebra", "sl2", "--degree", "1"], NOT_FOR_COHOMOLOGY),
+    (["extension", "check", "--ext", "ext.json"], NOT_FOR_EXTENSIONS),
+    (["obstruction", "--ext", "ext.json"], NOT_FOR_EXTENSIONS),
+    (["crossed-module", "class", "--cm", "cm.json"], NOT_FOR_CROSSED),
+    (["v2-check", "--samples", "2"], NOT_FOR_V2_CHECK),
+])
+def test_each_command_loads_only_what_it_runs(inputs, argv, not_loaded):
+    code, loaded = modules_loaded_by_command(argv, inputs)
+    assert code == 0
+    assert f"liecoh.{COMMANDS[argv[0]]}" in loaded
+    assert (not_loaded | NOT_FOR_ANY) & loaded == set()
+
+
+def test_validate_hashes_its_inputs(inputs):
+    code, loaded = modules_loaded_by_command(["validate", "--algebra", "h3.json"], inputs)
+    assert code == 0 and "hashlib" in loaded
+
+
+def test_guard_sees_a_planted_import(inputs):
+    argv = ["cohomology", "--algebra", "h3.json", "--degree", "1"]
+    code, loaded = modules_loaded_by_command(argv, inputs, plant="import liecoh.symmetry")
+    assert code == 0
+    assert NOT_FOR_COHOMOLOGY & loaded >= {"liecoh.symmetry", "liecoh.extensions"}

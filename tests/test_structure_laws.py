@@ -22,16 +22,16 @@ import pytest
 from liecoh import crossed
 from liecoh.catalog import InvariantForm, catalog, killing_form
 from liecoh.cochains import Cochain, OuterActionMap, curvature
-from liecoh.crossed import (CrossedModule, CrossedModuleReport, split_crossed_module,
-                            splitting_equivalence, validate_crossed_module)
+from liecoh.crossed import (CrossedModule, split_crossed_module, splitting_equivalence,
+                            validate_crossed_module)
 from liecoh.errors import (InvalidCrossedModuleError, InvariantViolation, NoLiftError,
                            NotADerivationError, NotAHomomorphismError, NotAnIdealError,
                            PreconditionFailedError, RepresentationError)
 from liecoh.extensions import (ExtensionPresentation, FactorSystem, GKernel, build_extension,
                                factor_system_report)
-from liecoh.liealg import (LieAlgebra, Representation, adjoint_rep, center, change_of_basis,
-                           derivations, direct_and_semidirect, is_derivation, law_defect,
-                           quotient_algebra)
+from liecoh.liealg import (CrossedModuleReport, LieAlgebra, Representation, adjoint_rep,
+                           center, change_of_basis, derivations, direct_and_semidirect,
+                           is_derivation, law_defect, quotient_algebra)
 from liecoh.linalg import Matrix, Subspace, image, invert, kernel, linear_combination
 from liecoh.symmetry import lifting_cocycle
 
