@@ -5,8 +5,9 @@ mathematical success, 2 for a mathematically meaningful negative answer
 (obstructed kernel, inequivalent extensions, invalid factor system, a
 failed reproduction check) with a structured certificate in the report,
 1 for malformed input, and 3 for an internal failure: a computation that
-broke one of its own guarantees (``FactorizationFailureError``), reported
-as one JSON error naming its kind.
+broke one of its own guarantees (any ``LiecohError`` that is neither bad
+input nor a negative answer, such as ``FactorizationFailureError``),
+reported as one JSON error naming its kind.
 
 Each subcommand's handler, ``cmd_<name>`` with ``-`` read as ``_``, lives
 in the module that ``COMMANDS`` names for it, and ``run_command`` imports
@@ -21,8 +22,8 @@ import sys
 
 from .cli_common import (EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                          class_report, write_report)
-from .errors import (FactorizationFailureError, InputError, InvalidFactorSystemError,
-                     NegativeResult, ObstructedError)
+from .errors import (InputError, InvalidFactorSystemError, LiecohError, NegativeResult,
+                     ObstructedError)
 
 # subcommand -> the module of this package that defines its handler; grouped
 # by what the handlers load
@@ -133,10 +134,6 @@ def run_command(argv) -> int:
         write_report({"command": args.command, "error": {
             "kind": type(exc).__name__, "message": str(exc)}})
         return EXIT_NEGATIVE
-    except FactorizationFailureError as exc:
-        write_report({"command": args.command, "error": {
-            "kind": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INTERNAL
     except InputError as exc:
         payload = {"kind": type(exc).__name__, "message": str(exc)}
         violations = getattr(exc, "violations", None)
@@ -144,6 +141,10 @@ def run_command(argv) -> int:
             payload["violations"] = list(violations)
         write_report({"command": args.command, "error": payload})
         return EXIT_INPUT_ERROR
+    except LiecohError as exc:
+        write_report({"command": args.command, "error": {
+            "kind": type(exc).__name__, "message": str(exc)}})
+        return EXIT_INTERNAL
     except OSError as exc:
         # the message names the path; a missing file keeps its former kind
         kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__

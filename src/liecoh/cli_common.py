@@ -10,7 +10,6 @@ from __future__ import annotations
 import sys
 
 from . import io as lio
-from .cochains import Cochain
 from .errors import ParseError
 from .liealg import LieAlgebra
 
@@ -41,15 +40,10 @@ def load_factor_parts(args):
     s_data = lio.load_file(args.S, "json")
     if isinstance(s_data, dict):
         s_data = s_data.get("matrices", [])
-    mats = [lio.matrix_from_json(m, rows=n_alg.dim, cols=n_alg.dim)
-            for m in lio.json_list(s_data, "the --S matrices")]
-    if len(mats) != g_alg.dim:
-        raise ParseError("one S matrix per basis element of g is required")
-    if getattr(args, "omega", None):
-        omega = lio.cochain_from_json(lio.load_file(args.omega, "json"), g_alg)
-    else:
-        omega = Cochain(g_alg, 2, n_alg.dim)
-    return n_alg, g_alg, mats, omega
+    omega_path = getattr(args, "omega", None)
+    return lio.factor_parts_from_json(
+        n_alg, g_alg, s_data, "the --S matrices",
+        (lambda: lio.load_file(omega_path, "json")) if omega_path else None)
 
 
 def class_report(cls) -> dict:

@@ -21,14 +21,13 @@ def cmd_crossed_module(args) -> int:
     sp = split_crossed_module(cm)
     c_theta = characteristic_class_theta_route(sp)
     c_omega = characteristic_class_omega_route(sp)
-    agree = c_theta.normalized == c_omega.normalized
-    report = {
+    # checked before anything is written, so a disagreement is one JSON error
+    if c_theta.normalized != c_omega.normalized:
+        raise LiecohError("characteristic class routes disagree")
+    write_report({
         "command": "crossed-module-class",
         "theta_route": class_report(c_theta),
         "omega_route": class_report(c_omega),
-        "routes_agree": agree,
-    }
-    write_report(report)
-    if not agree:
-        raise LiecohError("characteristic class routes disagree")
+        "routes_agree": True,
+    })
     return EXIT_OK if c_theta.is_zero() else EXIT_NEGATIVE

@@ -14,19 +14,21 @@ Its pairing takes and returns values as dicts {slot: nonzero value}, the
 form nonzero_values gives, so no value is made dense; the one dense read
 left is ``component``.
 
-The covariant differential of a linear map S into endomorphisms is
-S wedge + d (trivial coefficients); a module's differential is the case
-where S is a representation and the trivial one the case S = 0.  All
-three apply the one matrix that operator_matrix scatters, and
-differential_operator keeps that matrix on the Representation or
-OuterActionMap it belongs to, so each degree is assembled once per object.
-The square of d_S is wedging with the curvature of S, and curvature is
-computed both from the bracket formula and from the calculus,
-cross-checked once per map and kept on it.  Pulling a cochain back along
-a linear map, evaluating it at vectors and the action of a pair of
-endomorphisms on it are one substitution, _scatter, which sends each
-nonzero term of the cochain through the nonzero matrix entries of its
-slots into dict columns.
+The one action type is ``liealg.OuterActionMap``, a linear map S from the
+algebra into endomorphisms; a ``Representation`` is the subclass whose
+curvature vanishes.  The covariant differential of S is S wedge + d
+(trivial coefficients); a module's differential is the case where S is a
+representation and the trivial one the case S = 0.  All three apply the
+one matrix that operator_matrix scatters, through one checked path,
+_apply_operator, and differential_operator keeps that matrix on the map
+it belongs to, so each degree is assembled once per map.  The square of
+d_S is wedging with the curvature of S, and curvature is computed both
+from the bracket formula and from the calculus, cross-checked once per
+map and kept on it.  Pulling a cochain back along a linear map,
+evaluating it at vectors and the action of a pair of endomorphisms on it
+are one substitution, _scatter, which sends each nonzero term of the
+cochain through the nonzero matrix entries of its slots into dict
+columns.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import comb, prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .config import degree_cap
 from .errors import (DegreeCapExceededError, DegreeMismatchError,
                      DimensionMismatchError, InvariantViolation)
-from .liealg import LieAlgebra, Representation, law_defect
+# OuterActionMap is read from here too
+from .liealg import LieAlgebra, OuterActionMap, Representation, law_defect
 from .linalg import Matrix, ZERO, _add_scaled, _dense, pullback_family, to_fractions
 
 HALF = Fraction(1, 2)
@@ -338,9 +341,9 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
     (rho wedge c + d c)(x_0..x_p) = sum_j (-1)^j rho(x_j) c(..omit j..)
                                   + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..omit i,j..),
 
-    the differential of a Representation (cochain_differential), the
-    covariant differential of an OuterActionMap (covariant_differential)
-    and, with zero matrices, the trivial-coefficient differential alike;
+    the differential of a module (cochain_differential), the covariant
+    differential of any OuterActionMap (covariant_differential) and, with
+    zero matrices, the trivial-coefficient differential alike;
     this is the only place the formula is evaluated.  Rows and columns use
     the flat coordinates of a Cochain: keys in lexicographic order,
     each key's value_dim values contiguous.  A bracket term c(e_k, rest) is
@@ -382,8 +385,8 @@ def operator_matrix(algebra: LieAlgebra, matrices: Sequence[Matrix], p: int,
     return Matrix.from_sparse_rows(rows, len(col_base) * value_dim)
 
 
-def differential_operator(action, p: int) -> Matrix:
-    """The degree-p operator_matrix of a Representation or an OuterActionMap.
+def differential_operator(action: OuterActionMap, p: int) -> Matrix:
+    """The degree-p operator_matrix of an OuterActionMap.
 
     It is assembled on first use and kept in the object's ``_operators``,
     so it lives as long as the object and each degree is built once.
@@ -395,9 +398,13 @@ def differential_operator(action, p: int) -> Matrix:
     return d
 
 
-def _apply_operator(action, c: Cochain) -> Cochain:
-    """The differential of action (a Representation or an OuterActionMap) applied to c:
-    each row of the operator read at the nonzero coordinates of c only."""
+def _apply_operator(action: OuterActionMap, c: Cochain) -> Cochain:
+    """The differential of action applied to c, after the algebra and value-size
+    checks: each row of the operator read at the nonzero coordinates of c only."""
+    if action.algebra != c.algebra:
+        raise DimensionMismatchError("representation and cochain algebras differ")
+    if action.space_dim != c.value_dim:
+        raise DimensionMismatchError("module dimension disagrees with cochain values")
     coords = dict(c.pairs)
     rows = differential_operator(action, c.degree).sparse_rows()
     return Cochain.from_pairs(c.algebra, c.degree + 1, c.value_dim, [
@@ -411,10 +418,6 @@ def cochain_differential(rep: Representation, c: Cochain) -> Cochain:
     (df)(x_0..x_p) = sum_j (-1)^j x_j.f(..omit j..)
                    + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..omit i,j..).
     """
-    if rep.algebra != c.algebra:
-        raise DimensionMismatchError("representation and cochain algebras differ")
-    if rep.space_dim != c.value_dim:
-        raise DimensionMismatchError("module dimension disagrees with cochain values")
     return _apply_operator(rep, c)
 
 
@@ -472,78 +475,8 @@ def _end_cochain(algebra: LieAlgebra, degree: int, size: int, matrices: dict) ->
                                 {key: dict(mat.flat_pairs()) for key, mat in matrices.items()})
 
 
-class OuterActionMap:
-    """A linear map from the algebra into endomorphisms of a value space.
-
-    ``target``, when set, is the algebra the value space carries; only its
-    dimension is checked here.  Whether each matrix is a derivation of it is a
-    condition of a kernel, checked by ``extensions.GKernel`` and its factor
-    systems.  ``_operators`` (degree -> covariant differential matrix) and
-    ``_curvature`` are filled on first use by ``differential_operator`` and
-    ``curvature``.
-    """
-
-    __slots__ = ("algebra", "matrices", "space_dim", "target", "_operators", "_curvature")
-
-    def __init__(self, algebra: LieAlgebra, matrices: Sequence[Matrix],
-                 target: Optional[LieAlgebra] = None, space_dim: Optional[int] = None):
-        matrices = tuple(matrices)
-        if len(matrices) != algebra.dim:
-            raise DimensionMismatchError("one matrix per basis element is required")
-        if matrices:
-            space_dim = matrices[0].rows
-        elif target is not None:
-            space_dim = target.dim
-        elif space_dim is None:
-            raise DimensionMismatchError("cannot infer the value dimension")
-        for m in matrices:
-            if m.rows != space_dim or m.cols != space_dim:
-                raise DimensionMismatchError("endomorphism matrices must be square and equal-sized")
-        if target is not None and target.dim != space_dim:
-            raise DimensionMismatchError("target dimension disagrees with the matrices")
-        self.algebra = algebra
-        self.matrices = matrices
-        self.space_dim = space_dim
-        self.target = target
-        self._operators = {}
-        self._curvature = None
-
-    @classmethod
-    def zero(cls, algebra: LieAlgebra, target: LieAlgebra) -> "OuterActionMap":
-        z = Matrix.zero(target.dim, target.dim)
-        return cls(algebra, [z] * algebra.dim, target=target)
-
-    def as_end_cochain(self) -> Cochain:
-        return _end_cochain(self.algebra, 1, self.space_dim,
-                            {(i,): mat for i, mat in enumerate(self.matrices)})
-
-    def add_inner(self, gamma: Cochain) -> "OuterActionMap":
-        """S + ad(gamma(.)) for an n-valued 1-cochain gamma."""
-        if self.target is None:
-            raise DimensionMismatchError("adding an inner part needs a target algebra")
-        if gamma.degree != 1 or gamma.value_dim != self.target.dim:
-            raise DimensionMismatchError("gamma must be a 1-cochain valued in the target")
-        inner = pullback_family(self.target.ad_matrices(), gamma.as_matrix(), self.target.dim)
-        mats = [m + ad for m, ad in zip(self.matrices, inner)]
-        return OuterActionMap(self.algebra, mats, target=self.target)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OuterActionMap) and self.algebra == other.algebra
-                and self.matrices == other.matrices)
-
-    def __hash__(self):
-        return hash((self.algebra, self.matrices))
-
-    def __repr__(self):
-        return f"OuterActionMap(dim g={self.algebra.dim}, space={self.space_dim})"
-
-
 def covariant_differential(S: OuterActionMap, c: Cochain) -> Cochain:
     """S wedge c plus the trivial-coefficient differential."""
-    if S.algebra != c.algebra:
-        raise DimensionMismatchError("map and cochain algebras differ")
-    if S.space_dim != c.value_dim:
-        raise DimensionMismatchError("endomorphism size disagrees with cochain values")
     return _apply_operator(S, c)
 
 
@@ -556,7 +489,8 @@ def curvature(S: OuterActionMap) -> Cochain:
     if S._curvature is not None:
         return S._curvature
     result = _end_cochain(S.algebra, 2, S.space_dim, law_defect(S.algebra, S.matrices))
-    s_coch = S.as_end_cochain()
+    s_coch = _end_cochain(S.algebra, 1, S.space_dim,
+                          {(i,): mat for i, mat in enumerate(S.matrices)})
     comm = EquivariantPairing.commutator(S.space_dim)
     calculus = trivial_differential(s_coch) + wedge(comm, s_coch, s_coch).scale(HALF)
     if calculus != result:
@@ -574,6 +508,8 @@ def gauge_action(gamma: Cochain, S: OuterActionMap, omega: Cochain):
         raise DimensionMismatchError("gamma must be a 1-cochain valued in the kernel algebra")
     if omega.degree != 2 or omega.value_dim != n_alg.dim:
         raise DimensionMismatchError("omega must be a 2-cochain valued in the kernel algebra")
-    new_S = S.add_inner(gamma)
+    inner = pullback_family(n_alg.ad_matrices(), gamma.as_matrix(), n_alg.dim)
+    new_S = OuterActionMap(S.algebra, [m + ad for m, ad in zip(S.matrices, inner)],
+                           target=n_alg)
     correction = covariant_differential(S, gamma) + superbracket(n_alg, gamma, gamma).scale(HALF)
     return new_S, omega + correction

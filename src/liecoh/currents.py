@@ -18,12 +18,11 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
-from .catalog import InvariantForm, catalog, killing_form
 from .cochains import Cochain, cochain_differential
 from .cohomology import cohomology
 from .errors import DimensionMismatchError, InputError
 from .io import scalar_to_str
-from .liealg import Representation
+from .liealg import InvariantForm, Representation, killing_form, sl2
 from .linalg import ZERO, _add_scaled
 
 DEFAULT_MAX_DEGREE = 32
@@ -251,7 +250,7 @@ def run_v2_samples(samples: int, seed: int):
     if samples < 0:
         raise InputError(f"the sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
-    L = catalog("sl2")
+    L = sl2()
     kappa = killing_form(L)
     failures = 0
     for _ in range(samples):

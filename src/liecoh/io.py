@@ -202,19 +202,27 @@ def factor_system_to_json(fs: FactorSystem) -> dict:
 
 
 def factor_system_parts_from_json(data):
-    """(n, g, matrices, omega) without the validity check."""
+    """(n, g, matrices, omega) of an extension bundle, without the validity check."""
     json_object(data, "an extension bundle")
     n_alg = algebra_from_json(data.get("n"))
     g_alg = algebra_from_json(data.get("g"))
+    omega_data = data.get("omega")
+    return factor_parts_from_json(n_alg, g_alg, data.get("S", []), "the S matrices",
+                                  None if omega_data is None else lambda: omega_data)
+
+
+def factor_parts_from_json(n_alg: LieAlgebra, g_alg: LieAlgebra, s_data, what: str,
+                           read_omega):
+    """(n, g, matrices, omega): the list s_data, named ``what`` in its error, read as
+    one n x n matrix per basis element of g, and omega the zero 2-cochain on g when
+    read_omega is None, else the cochain read from the JSON read_omega() returns,
+    which runs only after S is checked."""
     mats = [matrix_from_json(m, rows=n_alg.dim, cols=n_alg.dim)
-            for m in json_list(data.get("S", []), "the S matrices")]
+            for m in json_list(s_data, what)]
     if len(mats) != g_alg.dim:
         raise ParseError("one S matrix per basis element of g is required")
-    omega_data = data.get("omega")
-    if omega_data is None:
-        omega = Cochain(g_alg, 2, n_alg.dim)
-    else:
-        omega = cochain_from_json(omega_data, g_alg)
+    omega = (Cochain(g_alg, 2, n_alg.dim) if read_omega is None
+             else cochain_from_json(read_omega(), g_alg))
     return n_alg, g_alg, mats, omega
 
 

@@ -4,11 +4,14 @@ An algebra stores its bracket table for index pairs i < j only, each
 bracket as the nonzero (k, coefficient) pairs of its value, sorted by k;
 the antisymmetric closure is synthesized, so inconsistent tables cannot
 be expressed.  A vector crosses its methods as a dict {index: nonzero
-value}.  The Jacobi identity is checked at construction and every
-representation is checked against the bracket, which turns downstream
-facts (quotients are algebras, adjoints are representations) into
-constructor guarantees.  The named algebras of the catalog live here, so
-that reading an algebra or a representation needs no extension code.
+value}.  The Jacobi identity is checked at construction.  A linear map
+e_i -> M_i into endomorphisms has one class, OuterActionMap, and a
+Representation is the subclass whose curvature vanishes: it is checked
+against the bracket at construction, which turns downstream facts
+(quotients are algebras, adjoints are representations) into constructor
+guarantees.  The named algebras of the catalog and the invariant forms
+live here, so that reading an algebra or a representation, or checking a
+current identity, needs no extension code.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (DimensionMismatchError, JacobiError, NotADerivationError,
-                     NotAHomomorphismError, NotAnIdealError, RepresentationError,
-                     UnknownNameError)
+from .errors import (DimensionMismatchError, InvariantViolation, JacobiError,
+                     NotADerivationError, NotAHomomorphismError, NotAnIdealError,
+                     RepresentationError, UnknownNameError)
 from .linalg import (ZERO, InconsistencyCertificate, Matrix, Subspace, image, invert,
                      kernel, linear_combination, pullback_family, quotient_coordinates,
                      solve_columns)
@@ -155,32 +158,66 @@ def check_jacobi(L: LieAlgebra) -> bool:
     return L._jacobi_failure() is None
 
 
-class Representation:
-    """Linear action of a LieAlgebra on a coordinate space.
+class OuterActionMap:
+    """A linear map e_i -> M_i from a LieAlgebra into endomorphisms of a
+    coordinate space of dimension ``space_dim``.
 
-    ``_operators`` maps a degree p to the matrix of the module's
-    differential on p-cochains; ``cochains.differential_operator`` fills it
-    on first use, so each degree is assembled once per representation.
+    ``target``, when set, is the algebra the space carries; only its
+    dimension is checked here.  Whether each matrix is a derivation of it is a
+    condition of a kernel, checked by ``extensions.GKernel`` and its factor
+    systems.  ``_operators`` (degree -> differential matrix) and
+    ``_curvature`` are filled on first use by ``cochains.differential_operator``
+    and ``cochains.curvature``, so each is built once per map.
     """
 
-    __slots__ = ("algebra", "space_dim", "matrices", "_operators")
+    __slots__ = ("algebra", "matrices", "space_dim", "target", "_operators", "_curvature")
 
-    def __init__(self, algebra: LieAlgebra, space_dim: int, matrices: Sequence[Matrix],
-                 _skip_check: bool = False):
+    def __init__(self, algebra: LieAlgebra, matrices: Sequence[Matrix],
+                 target: Optional[LieAlgebra] = None, space_dim: Optional[int] = None):
         matrices = tuple(matrices)
-        if space_dim < 0:
+        if space_dim is not None and space_dim < 0:
             raise DimensionMismatchError(f"module dimension {space_dim} is negative")
         if len(matrices) != algebra.dim:
             raise DimensionMismatchError("one action matrix per basis element is required")
+        if space_dim is None:
+            if not matrices and target is None:
+                raise DimensionMismatchError("cannot infer the value dimension")
+            space_dim = matrices[0].rows if matrices else target.dim
         for m in matrices:
             if m.rows != space_dim or m.cols != space_dim:
                 raise DimensionMismatchError("action matrices must be square of the module size")
+        if target is not None and target.dim != space_dim:
+            raise DimensionMismatchError("target dimension disagrees with the matrices")
         self.algebra = algebra
-        self.space_dim = space_dim
         self.matrices = matrices
+        self.space_dim = space_dim
+        self.target = target
         self._operators = {}
+        self._curvature = None
+
+    def __eq__(self, other) -> bool:
+        # the target is metadata; equality is the map itself
+        return (isinstance(other, OuterActionMap) and self.algebra == other.algebra
+                and self.space_dim == other.space_dim and self.matrices == other.matrices)
+
+    def __hash__(self):
+        return hash((self.algebra, self.space_dim, self.matrices))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim g={self.algebra.dim}, module dim={self.space_dim})"
+
+
+class Representation(OuterActionMap):
+    """An OuterActionMap whose curvature vanishes: a module of its algebra,
+    checked against the bracket at construction."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra: LieAlgebra, space_dim: int, matrices: Sequence[Matrix],
+                 _skip_check: bool = False):
+        super().__init__(algebra, matrices, space_dim=space_dim)
         if not _skip_check:
-            defect = law_defect(algebra, matrices)
+            defect = law_defect(algebra, self.matrices)
             if defect:
                 raise RepresentationError(min(defect))
 
@@ -188,16 +225,6 @@ class Representation:
     def trivial(cls, algebra: LieAlgebra, space_dim: int) -> "Representation":
         z = Matrix.zero(space_dim, space_dim)
         return cls(algebra, space_dim, [z] * algebra.dim, _skip_check=True)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Representation) and self.algebra == other.algebra
-                and self.space_dim == other.space_dim and self.matrices == other.matrices)
-
-    def __hash__(self):
-        return hash((self.algebra, self.space_dim, self.matrices))
-
-    def __repr__(self):
-        return f"Representation(dim g={self.algebra.dim}, module dim={self.space_dim})"
 
 
 def law_defect(L: LieAlgebra, matrices: Sequence[Matrix]) -> dict:
@@ -537,6 +564,42 @@ def sl2() -> LieAlgebra:
     """Basis e, f, h with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
     return LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
                       labels=("e", "f", "h"))
+
+
+class InvariantForm:
+    """A symmetric bilinear form with the adjoint invariance identity."""
+
+    __slots__ = ("algebra", "gram")
+
+    def __init__(self, algebra: LieAlgebra, gram: Matrix):
+        if gram.rows != algebra.dim or gram.cols != algebra.dim:
+            raise InvariantViolation("gram matrix shape disagrees with the algebra")
+        if gram != gram.transpose():
+            raise InvariantViolation("the form is not symmetric")
+        # kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k]) is entry (j, k) of this
+        for i in range(algebra.dim):
+            ad = algebra.ad_matrix(i)
+            defect = (ad.transpose() @ gram + gram @ ad).sparse_rows()
+            if any(defect):
+                j, k = min((j, k) for j, row in enumerate(defect) for k in row)
+                raise InvariantViolation(f"the form is not invariant at triple ({i},{j},{k})")
+        self.algebra = algebra
+        self.gram = gram
+
+    def value(self, u: dict, v: dict) -> Fraction:
+        """u^T gram v for vectors given as dicts {index: nonzero value}, over the
+        sparse rows of gram."""
+        rows = self.gram.sparse_rows()
+        return sum((a * x * v.get(j, ZERO) for i, a in u.items() for j, x in rows[i].items()),
+                   ZERO)
+
+
+def killing_form(L: LieAlgebra) -> InvariantForm:
+    """kappa(x, y) = trace(ad x . ad y)."""
+    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    gram = Matrix([[(ads[i] @ ads[j]).trace() for j in range(L.dim)]
+                   for i in range(L.dim)], cols=L.dim)
+    return InvariantForm(L, gram)
 
 
 def nonabelian2() -> LieAlgebra:

@@ -17,7 +17,9 @@ dense constructions of the exact core (the list accumulator of ``_scatter``, the
 package replaced by dict columns and nonzero entries.  The per-element
 paths that batched solves replaced (``inner_cochain``, ``pairwise_equivalent``
 with ``consistent_columns``) and ``EquivariantPairing.composition``, which
-nothing in the package called, stay here as oracles and test helpers.
+nothing in the package called, stay here as oracles and test helpers, and
+so does ``OuterActionMap.as_end_cochain`` (``end_cochain``), which
+``curvature`` now builds in place.
 
 All randomness is drawn from explicitly seeded random.Random instances
 so every run is reproducible; identities are asserted exactly, never up
@@ -531,6 +533,12 @@ def rand_algebra(rng, max_dim=4):
 def vector_cochain(L, vec):
     """The degree-0 cochain on L whose value is vec."""
     return Cochain(L, 0, len(vec), {(): vec})
+
+
+def end_cochain(S):
+    """S as an End-valued 1-cochain, each S(e_i) flattened row-major."""
+    return Cochain.from_columns(S.algebra, 1, S.space_dim ** 2,
+                                {(i,): dict(m.flat_pairs()) for i, m in enumerate(S.matrices)})
 
 
 def scalar_multiplication():

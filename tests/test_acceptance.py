@@ -299,7 +299,7 @@ def test_criterion_06_gauge_suite():
 def test_criterion_07_classification_on_plane_by_line():
     n = abelian(1)
     g = abelian(2)
-    S0 = OuterActionMap.zero(g, n)
+    S0 = Representation.trivial(g, n.dim)
     omega0 = Cochain(g, 2, 1)
     area = Cochain(g, 2, 1, {(0, 1): (1,)})
     fs_flat = FactorSystem(n, g, S0, omega0)

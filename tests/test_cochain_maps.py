@@ -39,9 +39,9 @@ from liecoh.linalg import Matrix, Subspace, invert, to_fractions
 from liecoh.symmetry import (automorphism_pair_obstruction, extension_derivations,
                              lifting_cocycle)
 
-from conftest import (coordinates_of_vec, dense_coeffs, embed, rand_algebra, rand_cochain,
-                      rand_fraction, rand_invertible, unit_vec, value_at_indices, vec_add,
-                      vec_is_zero, vec_scale, vec_sub, vector_cochain, zero_vec)
+from conftest import (coordinates_of_vec, dense_coeffs, embed, end_cochain, rand_algebra,
+                      rand_cochain, rand_fraction, rand_invertible, unit_vec, value_at_indices,
+                      vec_add, vec_is_zero, vec_scale, vec_sub, vector_cochain, zero_vec)
 
 # test_classify, test_crossed and test_gauge_step are imported inside the
 # tests that use them: they build their systems at import, through the maps
@@ -182,7 +182,7 @@ def test_maps_match_the_loops_on_catalog_systems():
     rng = random.Random(43)
     cases, pairs = systems()
     for name, fs in cases:
-        for c in (fs.omega, fs.S.as_end_cochain(), rand_cochain(rng, fs.g, 1, fs.n.dim)):
+        for c in (fs.omega, end_cochain(fs.S), rand_cochain(rng, fs.g, 1, fs.n.dim)):
             assert_maps_match(rng, c, fs.g)
         for alpha, beta in pairs.get(name, ()):
             omega = fs.omega

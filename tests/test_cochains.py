@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from liecoh.catalog import abelian, ext_heisenberg_kernel, heisenberg3, sl2
+from liecoh.catalog import (abelian, ext_heisenberg_kernel, filiform4, heisenberg3,
+                            nonabelian2, sl2)
 from liecoh.cochains import (Cochain, EquivariantPairing, HALF, OuterActionMap,
                              cochain_differential, covariant_differential,
                              curvature, differential_operator, gauge_action, key_rank,
@@ -15,7 +16,7 @@ from liecoh.config import degree_cap
 from liecoh.errors import (DegreeCapExceededError, DegreeMismatchError,
                            DimensionMismatchError, InvariantViolation)
 from liecoh.extensions import build_extension, extract_factor_system
-from liecoh.liealg import Representation, adjoint_rep
+from liecoh.liealg import LieAlgebra, Representation, adjoint_rep
 from liecoh.linalg import Matrix
 
 from conftest import (DensePairing, composition, coordinates, dense_ad, dense_bracket,
@@ -435,6 +436,33 @@ def test_operators_and_curvature_are_kept_on_their_object():
     assert curvature(twin) is not curvature(S) and curvature(twin) == curvature(S)
 
 
+def test_action_maps_with_different_space_dims_differ():
+    maps = [OuterActionMap(LieAlgebra(0), [], space_dim=d) for d in (2, 3)]
+    assert maps[0] != maps[1] and hash(maps[0]) != hash(maps[1])
+    assert maps[0] == OuterActionMap(LieAlgebra(0), [], space_dim=2)
+    assert Representation.trivial(LieAlgebra(0), 2) == maps[0]
+
+
+def test_a_representation_is_the_action_map_of_its_matrices():
+    """A module and the plain OuterActionMap of its matrices give entry-equal
+    differentials in degrees 0-3, and cochain_differential agrees with
+    covariant_differential on them."""
+    rng = random.Random(29)
+    reps = [adjoint_rep(L) for L in (heisenberg3(), sl2(), filiform4(), nonabelian2())]
+    for _ in range(6):
+        L = rand_algebra(rng)
+        reps += [adjoint_rep(L), Representation.trivial(L, rng.randint(1, 2))]
+    for rep in reps:
+        plain = OuterActionMap(rep.algebra, rep.matrices)
+        assert plain == rep and hash(plain) == hash(rep)
+        for p in range(4):
+            assert (differential_operator(plain, p).row_list()
+                    == differential_operator(rep, p).row_list())
+            c = rand_cochain(rng, rep.algebra, p, rep.space_dim)
+            assert cochain_differential(rep, c) == covariant_differential(plain, c)
+            assert cochain_differential(rep, c) == covariant_differential(rep, c)
+
+
 # ---------------------------------------------------------------------------
 # one sparse storage, against the bodies it replaced
 # ---------------------------------------------------------------------------
@@ -613,7 +641,8 @@ def test_pairings_take_and_return_nonzero_dicts():
 
 
 def test_add_inner_matches_the_ad_of_each_value(rng):
-    """S + ad(gamma(.)) against the former loop of dense ad over gamma's components."""
+    """The new S of gauge_action is S + ad(gamma(.)), against the former loop of
+    dense ad over gamma's components."""
     for _ in range(25):
         L = rand_algebra(rng)
         V = rng.choice((heisenberg3(), sl2(), rand_algebra(rng)))
@@ -621,4 +650,5 @@ def test_add_inner_matches_the_ad_of_each_value(rng):
                            target=V)
         gamma = rand_cochain(rng, L, 1, V.dim, sparsity=rng.choice((0.0, 0.5, 1.0)))
         expected = [m + dense_ad(V, gamma.component((i,))) for i, m in enumerate(S.matrices)]
-        assert S.add_inner(gamma).matrices == tuple(expected)
+        new_S, _ = gauge_action(gamma, S, Cochain.zero(L, 2, V.dim))
+        assert new_S.matrices == tuple(expected) and new_S.target == V

@@ -162,7 +162,7 @@ def test_gauge_orbit_always_equivalent(rng):
 def test_inequivalent_cocycles_certificate():
     n = abelian(1)
     g = abelian(2)
-    S = OuterActionMap.zero(g, n)
+    S = Representation.trivial(g, n.dim)
     fs1 = FactorSystem(n, g, S, Cochain(g, 2, 1))
     fs2 = FactorSystem(n, g, S, Cochain(g, 2, 1, {(0, 1): (1,)}))
     result = equivalent_extensions(fs1, fs2)
@@ -186,7 +186,7 @@ def test_coboundary_difference_has_witness():
 def test_kernel_mismatch_detected():
     n = heisenberg3()
     g = abelian(1)
-    S1 = OuterActionMap.zero(g, n)
+    S1 = Representation.trivial(g, n.dim)
     # a non-inner derivation: the grading derivation diag(1,1,2)
     D = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     S2 = OuterActionMap(g, [D], target=n)

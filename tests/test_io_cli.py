@@ -659,6 +659,36 @@ def test_cli_internal_failure_exits_3_with_one_json_error(tmp_path, capsys, monk
     assert "Traceback" not in err
 
 
+def test_cli_disagreeing_class_routes_exit_3_with_one_json_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    # plant an omega route whose class differs from the theta route's: the
+    # command must report one JSON error, not a class report and a traceback
+    from liecoh import cli_crossed
+    from liecoh.extensions import GKernel, build_quotient_stage
+    real = cli_crossed.characteristic_class_omega_route
+
+    def planted(sp):
+        cls = real(sp)
+        cls.normalized = (*cls.normalized, (-1, Fraction(1)))
+        return cls
+
+    monkeypatch.setattr(cli_crossed, "characteristic_class_omega_route", planted)
+    fs = ext_heisenberg_kernel()
+    stage = build_quotient_stage(GKernel.from_factor_system(fs))
+    path = tmp_path / "cm.json"
+    path.write_text(lio.emit({
+        "h": lio.algebra_to_json(fs.n),
+        "ghat": lio.algebra_to_json(stage.gs),
+        "alpha": lio.matrix_to_json(stage.alpha_matrix),
+        "action": [lio.matrix_to_json(m) for m in stage.rho.matrices],
+    }))
+    assert run_command(["crossed-module", "class", "--cm", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"command": "crossed-module", "error": {
+        "kind": "LiecohError", "message": "characteristic class routes disagree"}}
+    assert "Traceback" not in err
+
+
 def test_cli_v2_check_deterministic(capsys):
     code, report1 = run_cli(["v2-check", "--samples", "25", "--seed", "3"], capsys)
     assert code == 0

@@ -12,8 +12,8 @@ makes no ``is_derivation`` call, and ``extensions.py`` makes one only in
 ``factor_system_report`` read.  A kernel is only built through its
 constructor: ``extensions.py`` makes no ``__new__`` call.
 Operators have one assembly path: ``operator_matrix`` is called only by
-``differential_operator``, which keeps each one on its Representation or
-OuterActionMap.
+``differential_operator``, which keeps each one on its OuterActionMap (a
+Representation is one).
 A component along a subspace is read one way, ``Subspace.split_matrix``:
 no ``coordinates_of(vec_sub(...))`` call appears in the package.
 A structure law is read as a matrix identity (``law_defect``, the Leibniz
@@ -38,8 +38,8 @@ assigned from one in the same function.
 A cochain is built one way: the package scatters dict columns into
 ``Cochain.from_columns`` (or hands nonzero pairs to ``from_pairs``), and the
 dense ``Cochain(...)`` constructor, the input form, is called only in
-``io.py``, ``catalog.py``, ``reproduce.py`` and ``cli_common.py`` (which holds
-the command handlers' reader of factor-system arguments).  No dense
+``io.py`` (whose one reader of factor-system parts serves the command
+flags and the bundles alike), ``catalog.py`` and ``reproduce.py``.  No dense
 accumulator ``[ZERO] * n`` or ``(ZERO,) * n`` appears outside ``linalg._dense``,
 and the stabilizer rows of ``symmetry.py`` are read from nonzero entries: no
 ``Counter`` and no ``.entry`` call appears there.
@@ -73,7 +73,11 @@ empty system answers with its ``InconsistencyCertificate``,
 ``AffineCochainSpace.basis``, the homogeneous space held twice, and
 ``InconsistencyCertificate.row``, a dense row that always read (0, ..., 0, 1).
 So is ``io.factor_system_from_json``, which nothing in the package called and
-which made reading any input load the extension code.
+which made reading any input load the extension code.  So are the methods
+of ``OuterActionMap`` that needed ``cochains`` once the class moved into
+``liealg``: ``as_end_cochain`` and ``add_inner``, each inlined at its one
+caller (``curvature``, ``gauge_action``), and ``zero``, now
+``Representation.trivial``.
 A deleted
 method whose bare name another class still uses is listed as ``Class.name``: neither a definition of it in
 that class nor a ``Class.name`` reference may appear.
@@ -261,7 +265,7 @@ zero_lists = zero_lists_outside(None)
 stray_zero_lists = zero_lists_outside("_dense")
 cochain_constructor_calls = calls_to("Cochain")
 # the modules that read cochains from files and literals, the dense input form
-COCHAIN_INPUT_MODULES = ("io.py", "catalog.py", "reproduce.py", "cli_common.py")
+COCHAIN_INPUT_MODULES = ("io.py", "catalog.py", "reproduce.py")
 counter_names = names("Counter")
 entry_calls = method_calls("entry")
 
@@ -289,7 +293,9 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "ExtensionPresentation.provenance", "CrossedModuleSplitting.theta_matrices",
                "pairwise_equivalent", "consistent_columns", "inner_cochain", "_pair_gamma",
                "EquivariantPairing.composition", "EmptyAffine", "AffineCochainSpace.basis",
-               "InconsistencyCertificate.row", "factor_system_from_json")
+               "InconsistencyCertificate.row", "factor_system_from_json",
+               "OuterActionMap.as_end_cochain", "OuterActionMap.add_inner",
+               "OuterActionMap.zero")
 
 
 def deleted_member(target):
@@ -940,3 +946,18 @@ def test_rule_detects_the_deleted_factor_system_reader():
     tree = ast.parse("def load(lio, data):\n"
                      "    return lio.factor_system_from_json(data)\n")
     assert list(deleted_api_names(tree)) == [(2, "factor_system_from_json name")]
+
+
+def test_rule_detects_the_deleted_action_map_methods():
+    tree = ast.parse("class OuterActionMap:\n"
+                     "    @classmethod\n"
+                     "    def zero(cls, algebra, target):\n"
+                     "        return cls(algebra, [], target=target)\n"
+                     "    def as_end_cochain(self):\n"
+                     "        return self.add_inner(None)\n"
+                     "def f(g, n, S, gamma):\n"
+                     "    z = OuterActionMap.zero(g, n), Cochain.zero(g, 2, 1)\n"
+                     "    return z, S.add_inner(gamma), S.as_end_cochain()\n")
+    assert sorted(deleted_api_names(tree)) == [
+        (3, "OuterActionMap.zero name"), (5, "OuterActionMap.as_end_cochain name"),
+        (6, "OuterActionMap.add_inner name"), (8, "OuterActionMap.zero name")]

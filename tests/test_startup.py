@@ -46,7 +46,8 @@ NOT_FOR_COHOMOLOGY = {"liecoh.extensions", "liecoh.crossed", "liecoh.symmetry",
 NOT_FOR_EXTENSIONS = {"liecoh.crossed", "liecoh.symmetry", "liecoh.currents",
                       "liecoh.reproduce"}
 NOT_FOR_CROSSED = {"liecoh.symmetry", "liecoh.currents", "liecoh.reproduce"}
-NOT_FOR_V2_CHECK = {"liecoh.crossed", "liecoh.symmetry", "liecoh.reproduce"}
+NOT_FOR_V2_CHECK = {"liecoh.extensions", "liecoh.catalog", "liecoh.crossed",
+                    "liecoh.symmetry", "liecoh.reproduce"}
 NOT_FOR_ANY = {"dataclasses", "inspect"}
 
 

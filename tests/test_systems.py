@@ -38,9 +38,9 @@ from liecoh.linalg import ZERO, Matrix, kernel
 from liecoh.symmetry import _pair_system_rows, extension_derivations
 
 from conftest import (basis_of, coordinates, dense, dense_act, dense_ad, dense_bracket_basis,
-                      dense_coeffs, dense_solve_affine, dense_solve_inner, flat, is_trivial,
-                      nonzero_pairs, rand_algebra, rand_cochain, rand_matrix, rand_vector,
-                      unit_vec, value_at_indices, vec_add, vec_is_zero, vec_scale)
+                      dense_coeffs, dense_solve_affine, dense_solve_inner, end_cochain, flat,
+                      is_trivial, nonzero_pairs, rand_algebra, rand_cochain, rand_matrix,
+                      rand_vector, unit_vec, value_at_indices, vec_add, vec_is_zero, vec_scale)
 
 
 def dense_leibniz_system(L):
@@ -139,7 +139,7 @@ def loop_trivial_differential(c):
 def wedge_covariant_differential(S, c):
     """S wedge c through the evaluation pairing, plus the trivial differential."""
     ev = EquivariantPairing.evaluation(S.space_dim)
-    return wedge(ev, S.as_end_cochain(), c) + loop_trivial_differential(c)
+    return wedge(ev, end_cochain(S), c) + loop_trivial_differential(c)
 
 
 def hand_omega_rows(fs, va, vb):
