@@ -14,9 +14,15 @@ from .cochains import Cochain
 from .extensions import FactorSystem
 # MAX_ABELIAN_DIM, catalog_names, filiform4, nonabelian2, InvariantForm and
 # killing_form are read from here too
-from .liealg import (MAX_ABELIAN_DIM, NAMED_ALGEBRAS, InvariantForm, Representation, abelian,
-                     abelian_dim, catalog_names, filiform4, heisenberg3, killing_form,
-                     nonabelian2, sl2)
+from .liealg import (MAX_ABELIAN_DIM, NAMED_ALGEBRAS, InvariantForm, abelian, abelian_dim,
+                     catalog_names, filiform4, heisenberg3, killing_form, nonabelian2, sl2)
+from .linalg import Matrix
+
+
+def _zero_action(n, g) -> list:
+    """The matrices of the zero action of g on n: the factor system builds its
+    one action map from them."""
+    return [Matrix.zero(n.dim, n.dim)] * g.dim
 
 
 def ext_heisenberg3() -> FactorSystem:
@@ -24,7 +30,7 @@ def ext_heisenberg3() -> FactorSystem:
     extension of the abelian plane by the standard area form."""
     n = abelian(1)
     g = abelian(2)
-    S = Representation.trivial(g, n.dim)
+    S = _zero_action(n, g)
     omega = Cochain(g, 2, 1, {(0, 1): (1,)})
     return FactorSystem(n, g, S, omega)
 
@@ -34,7 +40,7 @@ def ext_filiform4() -> FactorSystem:
     3-dimensional nilpotent algebra by the cocycle pairing p with z."""
     n = abelian(1)
     g = heisenberg3()
-    S = Representation.trivial(g, n.dim)
+    S = _zero_action(n, g)
     omega = Cochain(g, 2, 1, {(0, 2): (1,)})
     return FactorSystem(n, g, S, omega)
 
@@ -44,7 +50,7 @@ def ext_heisenberg_kernel() -> FactorSystem:
     algebra, quotient the plane, zero action, center-valued cocycle."""
     n = heisenberg3()
     g = abelian(2)
-    S = Representation.trivial(g, n.dim)
+    S = _zero_action(n, g)
     omega = Cochain(g, 2, 3, {(0, 1): (0, 0, 1)})
     return FactorSystem(n, g, S, omega)
 
@@ -53,7 +59,7 @@ def ext_sl2_kernel() -> FactorSystem:
     """A center-free kernel: sl2 under the zero action of a line."""
     n = sl2()
     g = abelian(1)
-    S = Representation.trivial(g, n.dim)
+    S = _zero_action(n, g)
     omega = Cochain(g, 2, 3)
     return FactorSystem(n, g, S, omega)
 

@@ -12,6 +12,9 @@ reported as one JSON error naming its kind.
 Each subcommand's handler, ``cmd_<name>`` with ``-`` read as ``_``, lives
 in the module that ``COMMANDS`` names for it, and ``run_command`` imports
 only that module, so a process loads the code its command runs and no more.
+Where one argument decides the work, the table names the module by its
+value: ``validate`` loads the extension code only for ``--ext``, and
+``reproduce`` loads what its bundle runs.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from .cli_common import (EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK
 from .errors import (InputError, InvalidFactorSystemError, LiecohError, NegativeResult,
                      ObstructedError)
 
-# subcommand -> the module of this package that defines its handler; grouped
-# by what the handlers load
+# subcommand -> the module of this package that defines its handler, or, where
+# one argument decides what the command runs, (that argument, {its value: module},
+# the module for any other value); None is an option not given.  Grouped by what
+# the handlers load
 COMMANDS = {
-    "validate": "cli_extensions",
+    "validate": ("ext", {None: "cli_validate"}, "cli_validate_ext"),
     "cohomology": "cli_cohomology",
     "extension": "cli_extensions",
     "obstruction": "cli_extensions",
@@ -36,10 +41,24 @@ COMMANDS = {
     "derivations": "cli_symmetry",
     "lift": "cli_symmetry",
     "automorphism": "cli_symmetry",
-    "catalog": "cli_extensions",
+    "catalog": "cli_catalog",
     "v2-check": "cli_currents",
-    "reproduce": "cli_reproduce",
+    "reproduce": ("name", {"example-A9": "cli_reproduce",
+                           "example-A10a": "cli_reproduce",
+                           "example-A10b": "cli_reproduce",
+                           "remark-II10": "cli_cohomology",
+                           "remark-IV5": "cli_reproduce",
+                           "example-V2": "cli_currents",
+                           "theorem-IV4-roundtrip": "cli_reproduce"}, "cli_reproduce"),
 }
+
+
+def handler_module(entry, args) -> str:
+    """The module that ``entry``, a value of ``COMMANDS``, names for the parsed args."""
+    if isinstance(entry, str):
+        return entry
+    argument, by_value, otherwise = entry
+    return by_value.get(getattr(args, argument), otherwise)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +135,8 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
-    module = importlib.import_module(f".{COMMANDS[args.command]}", __package__)
+    module = importlib.import_module(
+        "." + handler_module(COMMANDS[args.command], args), __package__)
     handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
         return handler(args)

@@ -1,12 +1,13 @@
-"""The ``cohomology`` command: it reads an algebra or a representation and
-loads no extension, crossed-module or symmetry code."""
+"""The ``cohomology`` command, which reads an algebra or a representation,
+and ``reproduce remark-II10``, a bundle of cohomology dimensions; they load
+no extension, crossed-module or symmetry code."""
 
 from __future__ import annotations
 
 from . import io as lio
-from .cli_common import EXIT_OK, load_algebra, write_report
+from .cli_common import EXIT_OK, load_algebra, write_bundle_report, write_report
 from .cochains import Cochain
-from .cohomology import cohomology
+from .cohomology import bundle_remark_ii10, cohomology
 from .errors import ParseError
 from .liealg import Representation
 
@@ -36,3 +37,7 @@ def cmd_cohomology(args) -> int:
     }
     write_report(report)
     return EXIT_OK
+
+
+def cmd_reproduce(args) -> int:
+    return write_bundle_report(args.name, bundle_remark_ii10())

@@ -1,4 +1,4 @@
-"""What the command handlers share: the exit codes, the report writer and
+"""What the command handlers share: the exit codes, the report writers and
 the readers of algebra and factor-system arguments.
 
 It loads no more than reading an algebra does (``io`` and what ``io``
@@ -21,6 +21,14 @@ EXIT_INTERNAL = 3
 
 def write_report(report: dict) -> None:
     sys.stdout.write(lio.emit(report))
+
+
+def write_bundle_report(name: str, result) -> int:
+    """Report the (report, passed) of the reproduction bundle ``name``."""
+    report, passed = result
+    write_report({"command": "reproduce", "bundle": name, "pass": passed,
+                  "report": report})
+    return EXIT_OK if passed else EXIT_NEGATIVE
 
 
 def load_algebra(spec: str) -> LieAlgebra:

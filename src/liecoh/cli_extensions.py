@@ -1,62 +1,15 @@
-"""The commands on factor systems and catalog entries: ``validate``,
-``extension``, ``obstruction`` and ``catalog``.  They load the extension
-code but no crossed-module, symmetry or current-algebra code."""
+"""The commands on factor systems: ``extension`` and ``obstruction``.  They
+load the extension code but no crossed-module, symmetry, current-algebra or
+catalog code."""
 
 from __future__ import annotations
 
-import hashlib
-
 from . import io as lio
-from .catalog import catalog
-from .cli_common import (EXIT_NEGATIVE, EXIT_OK, class_report, load_algebra,
-                         load_factor_parts, write_report)
+from .cli_common import EXIT_NEGATIVE, EXIT_OK, class_report, load_factor_parts, write_report
 from .errors import ParseError
 from .extensions import (FactorSystem, GKernel, build_extension, classify_extensions,
                          factor_system_report, obstruction_class, reduce_via_stage)
-from .liealg import LieAlgebra, center, validate_crossed_module
-
-
-def cmd_validate(args) -> int:
-    """One report on every input given; exit 2 when any of them is invalid."""
-    provenance = {}
-    report = {}
-    valid = True
-    if args.algebra:
-        L = _load_recorded(provenance, "algebra", args.algebra, "algebra")
-        report["algebra"] = {"dim": L.dim, "jacobi": True}
-    if args.rep:
-        rep = _load_recorded(provenance, "representation", args.rep, "representation")
-        report["representation"] = {"space_dim": rep.space_dim,
-                                    "representation_law": True}
-    if args.ext:
-        n_alg, g_alg, mats, omega = _load_recorded(provenance, "extension", args.ext,
-                                                   "factor-system-parts")
-        fr = factor_system_report(n_alg, g_alg, mats, omega)
-        report["factor_system"] = fr.as_dict()
-        valid = valid and fr.ok
-    if args.cm:
-        h, ghat, alpha, action = _load_recorded(provenance, "crossed-module", args.cm,
-                                                "crossed-module-parts")
-        cr = validate_crossed_module(h, ghat, alpha, action)
-        report["crossed_module"] = cr.as_dict()
-        valid = valid and cr.ok
-    if not report:
-        raise ParseError("nothing to validate: pass --algebra, --rep, --ext or --cm")
-    write_report({"command": "validate", "report": report, "provenance": provenance})
-    return EXIT_OK if valid else EXIT_NEGATIVE
-
-
-def _load_recorded(provenance: dict, name: str, source: str, kind: str):
-    """Load one input and record its source and the sha256 of the bytes it was
-    parsed from; an algebra named from the catalog reads no file and has no checksum."""
-    if kind == "algebra" and not source.endswith(".json"):
-        obj, checksum = load_algebra(source), None
-    else:
-        raw = lio.read_file_bytes(source)
-        obj = lio.parse_file_bytes(raw, source, kind)
-        checksum = hashlib.sha256(raw).hexdigest()
-    provenance[name] = {"source": source, "sha256": checksum}
-    return obj
+from .liealg import center
 
 
 def cmd_extension(args) -> int:
@@ -114,18 +67,3 @@ def cmd_obstruction(args) -> int:
     report = {"command": "obstruction", "obstruction": class_report(chi)}
     write_report(report)
     return EXIT_OK if chi.is_zero() else EXIT_NEGATIVE
-
-
-def cmd_catalog(args) -> int:
-    obj = catalog(args.name)
-    if isinstance(obj, LieAlgebra):
-        payload = lio.algebra_to_json(obj)
-        kind = "algebra"
-    else:
-        payload = lio.factor_system_to_json(obj)
-        kind = "factor-system"
-    if args.emit:
-        lio.write_file(args.emit, payload)
-    write_report({"command": "catalog", "name": args.name, "kind": kind,
-                  "object": payload})
-    return EXIT_OK

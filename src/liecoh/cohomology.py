@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 from .cochains import (Cochain, OuterActionMap, cochain_space_dim, curvature,
                        differential_operator, key_rank, operator_matrix)
 from .errors import DimensionMismatchError, SpaceMismatchError
-from .liealg import LieAlgebra, Representation, ad_stack
+from .liealg import LieAlgebra, Representation, abelian, ad_stack
 from .linalg import Matrix, Subspace, image, kernel, solve_affine, solve_certified
 
 
@@ -242,3 +242,21 @@ def theta_constrained_cocycles(gS: LieAlgebra, ideal: Subspace,
                          for j, c in b if j != i} for comp in range(zd))
     system = d_mat.vstack(Matrix.from_sparse_rows(rows, c2_dim))
     return _affine_cochains(system, rhs, gS, zd)
+
+
+def bundle_remark_ii10():
+    """Degree-2 center cohomology of the plane acting on a line."""
+    g = abelian(2)
+    trivial = Representation.trivial(g, 1)
+    dim_trivial = cohomology(trivial, 2).h_dim
+    nontrivial = Representation(g, 1, [Matrix([[1]]), Matrix([[0]])])
+    dim_nontrivial = cohomology(nontrivial, 2).h_dim
+    nontrivial2 = Representation(g, 1, [Matrix([[2]]), Matrix([[-3]])])
+    dim_nontrivial2 = cohomology(nontrivial2, 2).h_dim
+    report = {
+        "trivial_action_dim": dim_trivial,
+        "nontrivial_action_dim": dim_nontrivial,
+        "nontrivial_action_dim_2": dim_nontrivial2,
+    }
+    passed = dim_trivial == 1 and dim_nontrivial == 0 and dim_nontrivial2 == 0
+    return report, passed

@@ -281,3 +281,9 @@ def v2_passed(report: dict) -> bool:
     """No failed identity, eta(e, f, h) = 4, a nonzero class and dim H^3(sl2) = 1."""
     return (report["failures"] == 0 and report["eta_e_f_h"] == "4"
             and report["eta_class_nonzero"] and report["h3_dim"] == 1)
+
+
+def bundle_example_v2():
+    """Randomized current-identity suite plus the degree-3 class values."""
+    report = run_v2_samples(100, 0)
+    return report, v2_passed(report)

@@ -1,16 +1,20 @@
 """Named reproduction bundles: each runs one worked scenario end to end
-and compares against its frozen expected values."""
+and compares against its frozen expected values.
+
+``run_bundle`` reaches every bundle.  The two that need no catalog system
+live with the code they run, ``remark-II10`` in ``cohomology`` and
+``example-V2`` in ``currents``, so the command table can run either
+without loading this module."""
 
 from __future__ import annotations
 
 from .catalog import catalog
 from .cochains import Cochain, cochain_differential, pullback_cochain
-from .cohomology import cohomology
-from .currents import run_v2_samples, v2_passed
+from .cohomology import bundle_remark_ii10, cohomology
+from .currents import bundle_example_v2
 from .errors import UnknownBundleError
 from .extensions import (center_module, classify_extensions, equivalent_extensions,
                          extension_map, rebuild_from_cocycle, reduce_via_stage)
-from .liealg import Representation
 from .linalg import Matrix, Subspace
 from .symmetry import derivation_pair_obstruction, extension_derivations, lifting_cocycle
 
@@ -92,24 +96,6 @@ def bundle_example_a10b():
     return report, passed
 
 
-def bundle_remark_ii10():
-    """Degree-2 center cohomology of the plane acting on a line."""
-    g = catalog("abelian2")
-    trivial = Representation.trivial(g, 1)
-    dim_trivial = cohomology(trivial, 2).h_dim
-    nontrivial = Representation(g, 1, [Matrix([[1]]), Matrix([[0]])])
-    dim_nontrivial = cohomology(nontrivial, 2).h_dim
-    nontrivial2 = Representation(g, 1, [Matrix([[2]]), Matrix([[-3]])])
-    dim_nontrivial2 = cohomology(nontrivial2, 2).h_dim
-    report = {
-        "trivial_action_dim": dim_trivial,
-        "nontrivial_action_dim": dim_nontrivial,
-        "nontrivial_action_dim_2": dim_nontrivial2,
-    }
-    passed = dim_trivial == 1 and dim_nontrivial == 0 and dim_nontrivial2 == 0
-    return report, passed
-
-
 def bundle_remark_iv5():
     """A center-free kernel admits exactly one extension, its stage algebra."""
     fs = catalog("ext-sl2-kernel")
@@ -126,12 +112,6 @@ def bundle_remark_iv5():
               and report["h3_dim"] == 0 and report["unique"]
               and report["stage_equivalent"])
     return report, passed
-
-
-def bundle_example_v2():
-    """Randomized current-identity suite plus the degree-3 class values."""
-    report = run_v2_samples(100, 0)
-    return report, v2_passed(report)
 
 
 def bundle_theorem_iv4_roundtrip():

@@ -22,7 +22,7 @@ from liecoh.currents import (Polynomial, character, cyclic_cocycle_defect,
                              functional, run_v2_samples, v2_characteristic_cocycle,
                              v2_cocycle_identity)
 from liecoh.errors import InputError, InvariantViolation, ParseError, UnknownNameError
-from liecoh.liealg import EXTENSION_NAMES, Representation, check_jacobi
+from liecoh.liealg import EXTENSION_NAMES, OuterActionMap, Representation, check_jacobi
 from liecoh.linalg import ZERO, Matrix
 
 
@@ -78,6 +78,23 @@ def test_the_catalog_names_every_factor_system_it_builds():
     for name in EXTENSION_NAMES:
         with pytest.raises(ParseError, match="is not an algebra"):
             lio.algebra_from_json(name)
+
+
+def test_a_catalog_system_builds_one_action_map(monkeypatch):
+    built = []
+    init = OuterActionMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(OuterActionMap, "__init__", counting_init)
+    fs = catalog("ext-heisenberg3")
+    # S itself, then the trivial module of End(n) in which the calculus route
+    # of the curvature differentiates S
+    assert built[0] is fs.S and fs.S.target is fs.n
+    assert [type(m) for m in built] == [OuterActionMap, Representation]
+    assert built[1].target is None and built[1].space_dim == fs.n.dim ** 2
 
 
 def test_package_attributes_are_its_submodules(monkeypatch):

@@ -47,11 +47,12 @@ No module keeps mutable global state, so no ``global`` statement appears.
 Every import sits at module level, so the import graph is what the module
 heads say and has no cycle hidden in a function body.  The one import made
 at run time is table-driven: ``cli.run_command`` hands ``importlib.import_module``
-the module that the ``COMMANDS`` table names for the parsed subcommand, so a
-process loads only the handler module of its command and what that module's
-head imports.  No other ``import_module`` or ``__import__`` call appears, no
+the module that the ``COMMANDS`` table names for the parsed subcommand (by
+the value of one argument, where the entry is a route), so a process loads
+only the handler module of its command and what that module's head imports.  No other ``import_module`` or ``__import__`` call appears, no
 module imports ``cli``, and every subcommand of the parser has one table
-entry, whose module defines its handler ``cmd_<name>``.
+entry, a module or a route by one argument's value, and every module it
+names defines its handler ``cmd_<name>``.
 No module imports ``dataclasses``: it loads ``inspect`` and ``ast`` and
 exec-compiles each record's methods in every process that imports the
 package, so result records are ``NamedTuple``s.  API that nothing in the
@@ -80,7 +81,9 @@ caller (``curvature``, ``gauge_action``), and ``zero``, now
 ``Representation.trivial``.
 A deleted
 method whose bare name another class still uses is listed as ``Class.name``: neither a definition of it in
-that class nor a ``Class.name`` reference may appear.
+that class nor a ``Class.name`` reference may appear, and while no other class
+of the package defines that name, no ``x.name`` access, such as a call on an
+instance, may appear either.
 """
 
 import argparse
@@ -298,13 +301,48 @@ DELETED_API = ("z_part", "scalar_multiplication", "from_vector", "is_full", "is_
                "OuterActionMap.zero")
 
 
+def class_members(tree) -> dict:
+    """{class name: the names its body defines or assigns, its ``__slots__``
+    entries and the ``self.name`` attributes its methods assign}."""
+    members = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found = members.setdefault(node.name, set())
+            for item in node.body:
+                targets = getattr(item, "targets", [getattr(item, "target", None)])
+                found.update(n for n in [getattr(item, "name", None)]
+                             + [getattr(t, "id", None) for t in targets] if n)
+                if "__slots__" in [getattr(t, "id", None) for t in targets]:
+                    found.update(c.value for c in ast.walk(item.value)
+                                 if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            found.update(a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)
+                         and isinstance(a.ctx, ast.Store) and getattr(a.value, "id", None) == "self")
+    return members
+
+
+def package_class_members() -> dict:
+    members = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for cls, names in class_members(ast.parse(path.read_text(), str(path))).items():
+            members.setdefault(cls, set()).update(names)
+    return members
+
+
+PACKAGE_CLASS_MEMBERS = package_class_members()
+
+
 def deleted_member(target):
     """Rule for a deleted ``Class.name``: a definition of ``name`` in the body of
     ``class Class``, a ``self.name`` or ``"name"`` slot in its methods and
-    ``__slots__``, or a ``Class.name`` reference."""
+    ``__slots__``, or a ``Class.name`` reference; and, when no other class of
+    the package defines ``name``, any ``x.name`` access, such as a call on an
+    instance."""
     cls, member = target.split(".")
+    unique = not any(member in names for other, names in PACKAGE_CLASS_MEMBERS.items()
+                     if other != cls)
 
     def rule(tree):
+        seen = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name == cls:
                 for item in node.body:
@@ -317,9 +355,11 @@ def deleted_member(target):
                                 and getattr(inner.value, "id", None) == "self"
                                 or "__slots__" in [getattr(t, "id", None) for t in targets]
                                 and isinstance(inner, ast.Constant) and inner.value == member):
+                            seen.add(id(inner))
                             yield inner.lineno, f"{target} name"
             elif (isinstance(node, ast.Attribute) and node.attr == member
-                  and getattr(node.value, "id", None) == cls):
+                  and id(node) not in seen
+                  and (unique or getattr(node.value, "id", None) == cls)):
                 yield node.lineno, f"{target} name"
     return rule
 
@@ -379,26 +419,43 @@ def cli_imports(tree):
             yield node.lineno, "cli import"
 
 
+def table_modules(value):
+    """The modules a ``COMMANDS`` value names: one module name, or every module
+    of an (argument, {value: module}, module) route; None for any other form."""
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        return [value.value]
+    if (isinstance(value, ast.Tuple) and len(value.elts) == 3
+            and isinstance(value.elts[0], ast.Constant) and isinstance(value.elts[1], ast.Dict)):
+        modules = [*value.elts[1].values, value.elts[2]]
+        if all(isinstance(m, ast.Constant) and isinstance(m.value, str) for m in modules):
+            return list(dict.fromkeys(m.value for m in modules))
+    return None
+
+
 def command_table_problems(cli_tree, subcommands, handlers_of):
     """Problems of the ``COMMANDS`` table in cli_tree: a parser subcommand with
-    no entry or with more than one, an entry for no subcommand, and an entry
-    whose module does not define ``cmd_<name>`` (``-`` read as ``_``).
+    no entry or with more than one, an entry for no subcommand, an entry that
+    is neither a module name nor a route by one argument, and a module named
+    by an entry that does not define ``cmd_<name>`` (``-`` read as ``_``).
     handlers_of(module) gives the names of the functions that module defines."""
     tables = [node.value for node in cli_tree.body if isinstance(node, ast.Assign)
               and [getattr(t, "id", None) for t in node.targets] == ["COMMANDS"]]
     if len(tables) != 1 or not isinstance(tables[0], ast.Dict):
         return ["COMMANDS is not one dict literal"]
-    entries = [(k.value, v.value) for k, v in zip(tables[0].keys, tables[0].values)]
+    entries = [(k.value, table_modules(v)) for k, v in zip(tables[0].keys, tables[0].values)]
     problems = []
     for name in subcommands:
         count = sum(1 for key, _ in entries if key == name)
         if count != 1:
             problems.append(f"{name}: {count} table entries")
-    for name, module in entries:
+    for name, modules in entries:
         if name not in subcommands:
             problems.append(f"{name}: no such subcommand")
-        elif "cmd_" + name.replace("-", "_") not in handlers_of(module):
-            problems.append(f"{name}: {module} does not define its handler")
+        elif modules is None:
+            problems.append(f"{name}: neither a module nor a route")
+        else:
+            problems += [f"{name}: {module} does not define its handler" for module in modules
+                         if "cmd_" + name.replace("-", "_") not in handlers_of(module)]
     return problems
 
 
@@ -775,7 +832,9 @@ def test_rule_detects_deleted_dense_views():
         (1, "_dense_columns name"), (3, "Subspace.basis name"),
         (4, "Subspace.contains name"), (5, "reduce name"), (7, "AffineCochainSpace.basis name"),
         (11, "coordinates name"),
-        (11, "from_coordinates name"), (12, "Subspace.basis name"), (12, "embed name"),
+        (11, "from_coordinates name"), (12, "AffineCochainSpace.basis name"),
+        (12, "AffineCochainSpace.basis name"), (12, "Subspace.basis name"),
+        (12, "Subspace.basis name"), (12, "embed name"),
         (12, "flatten name"), (14, "DerivationAlgebra.coordinates_of name"),
         (17, "ideal_coordinates name"), (17, "split_coordinates name")]
 
@@ -794,8 +853,9 @@ def test_rule_detects_deleted_affine_forms():
                      "    return cert.row_index, m.row(0), sol.homogeneous.pairs\n")
     assert sorted(deleted_api_names(tree)) == [
         (1, "EmptyAffine name"), (4, "InconsistencyCertificate.row name"),
-        (7, "AffineCochainSpace.basis name"), (9, "AffineCochainSpace.basis name"),
-        (9, "EmptyAffine name")]
+        (7, "AffineCochainSpace.basis name"), (7, "Subspace.basis name"),
+        (9, "AffineCochainSpace.basis name"), (9, "EmptyAffine name"),
+        (9, "Subspace.basis name")]
 
 
 def test_rule_detects_dense_calls_outside_component():
@@ -830,7 +890,8 @@ def test_rule_detects_deleted_bracket_views():
                      "            L.ad, rep.act, c.coeffs, p.coeffs)\n")
     assert sorted(deleted_api_names(tree)) == [
         (2, "LieAlgebra.ad name"), (5, "Representation.act name"), (9, "Cochain.coeffs name"),
-        (15, "Cochain.coeffs name"), (15, "LieAlgebra.ad name")]
+        (15, "Cochain.coeffs name"), (15, "LieAlgebra.ad name"),
+        (16, "LieAlgebra.ad name"), (16, "Representation.act name")]
 
 
 def test_rule_detects_dense_accumulators():
@@ -889,6 +950,7 @@ def test_rule_detects_the_deleted_provenance_slot():
     assert sorted(deleted_api_names(tree)) == [
         (2, "ExtensionPresentation.provenance name"),
         (5, "ExtensionPresentation.provenance name"),
+        (9, "ExtensionPresentation.provenance name"),
         (9, "ExtensionPresentation.provenance name")]
 
 
@@ -928,15 +990,24 @@ def test_rule_detects_command_table_problems():
                      "    'extension': 'cli_symmetry',\n"
                      "    'lift': 'cli_extensions',\n"
                      "    'frobnicate': 'cli_extensions',\n"
+                     "    'validate': ('ext', {None: 'cli_validate'}, 'cli_extensions'),\n"
+                     "    'reproduce': ('name', {'a': 'cli_reproduce', 'b': 3}, 'cli_reproduce'),\n"
+                     "    'catalog': ['cli_catalog'],\n"
                      "}\n")
     handlers = {"cli_cohomology": {"cmd_cohomology"}, "cli_extensions": {"cmd_extension"},
-                "cli_symmetry": {"cmd_lift"}}
-    assert command_table_problems(tree, ["cohomology", "extension", "lift", "v2-check"],
+                "cli_symmetry": {"cmd_lift"}, "cli_validate": {"cmd_validate"},
+                "cli_catalog": {"cmd_catalog"}}
+    subcommands = ["cohomology", "extension", "lift", "v2-check", "validate", "reproduce",
+                   "catalog"]
+    assert command_table_problems(tree, subcommands,
                                   lambda module: handlers.get(module, set())) == [
         "extension: 2 table entries", "v2-check: 0 table entries",
         "extension: cli_symmetry does not define its handler",
         "lift: cli_extensions does not define its handler",
-        "frobnicate: no such subcommand"]
+        "frobnicate: no such subcommand",
+        "validate: cli_extensions does not define its handler",
+        "reproduce: neither a module nor a route",
+        "catalog: neither a module nor a route"]
     assert command_table_problems(ast.parse("COMMANDS = dict(lift='cli_symmetry')\n"),
                                   ["lift"], lambda module: set()) == [
         "COMMANDS is not one dict literal"]
@@ -960,4 +1031,5 @@ def test_rule_detects_the_deleted_action_map_methods():
                      "    return z, S.add_inner(gamma), S.as_end_cochain()\n")
     assert sorted(deleted_api_names(tree)) == [
         (3, "OuterActionMap.zero name"), (5, "OuterActionMap.as_end_cochain name"),
-        (6, "OuterActionMap.add_inner name"), (8, "OuterActionMap.zero name")]
+        (6, "OuterActionMap.add_inner name"), (8, "OuterActionMap.zero name"),
+        (9, "OuterActionMap.add_inner name"), (9, "OuterActionMap.as_end_cochain name")]
